@@ -430,6 +430,8 @@ def load_kb(text: str) -> Lattice:
 
     Raises:
         VersionMismatch: recognized format at an unsupported version.
+        OrderTooLarge: an order above the cap, refused before any node
+            is built.
         CorruptRecord: anything else wrong, with the offending line.
     """
     lines = [(no, line.rstrip()) for no, line in
@@ -475,6 +477,10 @@ def load_kb(text: str) -> Lattice:
     if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
         _corrupt("bad order line", no)
     n = int(parts[1])
+    if n > DEFAULT_ORDER_CAP:
+        raise errors.OrderTooLarge(
+            "order %d exceeds the cap of %d (2**%d nodes)"
+            % (n, DEFAULT_ORDER_CAP, n))
 
     facts = []
     for fid in range(1, n + 1):
@@ -496,6 +502,8 @@ def load_kb(text: str) -> Lattice:
     while pos < len(lines) and lines[pos][1].startswith("priority "):
         no, line = lines[pos]
         tokens = line.split()
+        if len(tokens) < 3:
+            _corrupt("bad priority line", no)
         try:
             if len(tokens) == 4 and "=" not in tokens[3]:
                 global_priorities[(tokens[1], _fact_token(tokens[2], no))] = \
@@ -605,19 +613,27 @@ def _condition_phrase(kb: Lattice, expr) -> str:
     return " OR ".join(parts)
 
 
+def _measures(rule, places: int) -> List[str]:
+    """Support, strength, certainty and coverage as text; a rule left
+    unmeasured (no definite mass to divide by) shows ``-`` for each."""
+    m = rule.metrics
+    if m is None:
+        return ["-"] * 4
+    return [render(v, places)
+            for v in (m.support, m.strength, m.certainty, m.coverage)]
+
+
 def render_rules_text(rules, kb: Lattice) -> str:
     """Numbered human-readable rule list with metrics."""
     places = _decimals(kb.round2)
     out = []
     for idx, rule in enumerate(rules, 1):
-        m = rule.metrics
+        support, strength, certainty, coverage = _measures(rule, places)
         out.append(
             "Rule %d: %s -> (%s, %d) [%s]"
             " support=%s strength=%s certainty=%s coverage=%s"
             % (idx, _condition_phrase(kb, rule.condition), rule.disease,
-               int(rule.vd), rule.kind,
-               render(m.support, places), render(m.strength, places),
-               render(m.certainty, places), render(m.coverage, places)))
+               int(rule.vd), rule.kind, support, strength, certainty, coverage))
     return "".join(line + "\n" for line in out)
 
 
@@ -627,12 +643,9 @@ def render_rules_records(rules, kb: Lattice) -> str:
     places = _decimals(kb.round2)
     out = []
     for rule in rules:
-        m = rule.metrics
         out.append("\t".join([
             rule.disease, str(int(rule.vd)), rule.kind, str(rule.condition),
-            ",".join(sorted(rule.source_labels)),
-            render(m.support, places), render(m.strength, places),
-            render(m.certainty, places), render(m.coverage, places)]))
+            ",".join(sorted(rule.source_labels))] + _measures(rule, places)))
     return "".join(line + "\n" for line in out)
 
 

@@ -3,20 +3,48 @@
 Each lattice label in a region is a total minterm over the fact
 literals (bit set = fact present, bit clear = fact absent).  A region
 minimizes to an irredundant sum-of-products covering exactly its label
-set -- no don't-cares -- via Quine-McCluskey prime implicants and an
-exact Petrick-style cover for small orders, greedy cover selection
-above that.
+set -- no don't-cares.  Sets of labels, cubes and primes are Python ints
+used as bitsets throughout.
+
+Prime implicants.  A cube is a pair (bits, dash_mask).  The region is
+one 2**n-bit truth table, and for every dash mask a table ``found[mask]``
+has bit b set when the cube (b, mask) is an implicant.  With ``low`` the
+lowest dash of ``mask`` and ``below`` the table of ``mask ^ low``, a cube
+is an implicant when both of its halves are::
+
+    found[mask] = below & (below >> low) & clear[low]
+
+where ``clear[low]`` keeps the positions whose ``low`` bit is 0.  A cube
+is prime when no cube one dash wider covers it, that is, when its bit is
+clear in ``wider | wider << step`` for every table ``wider`` at
+``mask | step``.  The sweep goes one popcount level of masks at a time,
+so only two adjacent levels of tables are alive at once.
+
+Exact cover, for orders up to EXACT_COVER_LIMIT.  Each prime's labels
+form a bitset.  ``once``/``twice`` accumulators find the labels covered
+by a single prime, whose primes are essential.  Every label the
+essentials leave is a row: the bitset of the primes covering it.
+Duplicate rows, and rows holding another row, are dropped; a selection
+that hits the smaller row hits the larger one, so this row dominance
+leaves the minimal selections unchanged.  (Column dominance is not used:
+it could drop the prime that the ``_cover_cost`` tie-break picks.)
+Petrick's method expands the rows into every irredundant selection;
+selections are ranked by (terms, literals) from their masks, and only
+those tied on that pair are compared by their term text.
+
+Above EXACT_COVER_LIMIT a greedy cover is used.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import errors
 from ._num import ZERO
 from .evidence import TruthValue
+from .lattice import _level_masks
 
 EXACT_COVER_LIMIT = 12
 
@@ -102,33 +130,76 @@ class SopExpression:
         return "SopExpression(n=%d, %s)" % (self.n, str(self))
 
 
-# --- Quine-McCluskey --------------------------------------------------------
+# --- prime implicants from truth tables -------------------------------------
+
+@lru_cache(maxsize=None)
+def _clear_tables(n: int) -> Tuple[int, ...]:
+    """Per fact position p, the bitset of the 2**n labels whose bit p is 0."""
+    size = 1 << n
+    tables = []
+    for p in range(n):
+        table = (1 << (1 << p)) - 1
+        period = 2 << p
+        while period < size:
+            table |= table << period
+            period *= 2
+        tables.append(table)
+    return tuple(tables)
+
+
+def _bit_positions(x: int) -> List[int]:
+    """The positions of the set bits of x, ascending."""
+    text = bin(x)[:1:-1]
+    out = []
+    pos = text.find("1")
+    while pos >= 0:
+        out.append(pos)
+        pos = text.find("1", pos + 1)
+    return out
+
 
 def _prime_implicants(minterms: Sequence[int], n: int) -> List[Tuple[int, int]]:
     """All prime implicants as (bits, dash_mask) cubes."""
-    current = {(m, 0) for m in minterms}
-    primes: Set[Tuple[int, int]] = set()
-    while current:
-        merged = set()
-        nxt = set()
-        ordered = sorted(current)
-        by_mask: Dict[int, List[int]] = {}
-        for bits, mask in ordered:
-            by_mask.setdefault(mask, []).append(bits)
-        for mask, group in by_mask.items():
-            group_set = set(group)
-            for bits in group:
-                for pos in range(n):
-                    flip = 1 << pos
-                    if mask & flip or not bits & flip:
-                        continue
-                    if bits ^ flip in group_set:
-                        merged.add((bits, mask))
-                        merged.add((bits ^ flip, mask))
-                        nxt.add((bits & ~flip, mask | flip))
-        primes.update(current - merged)
-        current = nxt
-    return sorted(primes)
+    clear = _clear_tables(n)
+    units = [1 << p for p in range(n)]
+    table = 0
+    for m in minterms:
+        table |= 1 << m
+    # level[mask]: bit b set when the cube (b, mask) is an implicant;
+    # only masks of one popcount with a nonzero table are kept
+    level = {0: table} if table else {}
+    primes = []
+    k = 0
+    while level:
+        k += 1
+        wider = {}
+        for mask in _level_masks(n, k) if k <= n else ():
+            low = mask & -mask
+            below = level.get(mask ^ low)
+            if below:
+                found = below & (below >> low) & clear[low.bit_length() - 1]
+                if found:
+                    wider[mask] = found
+        for mask, found in level.items():
+            covered = 0
+            for step in units:
+                if not mask & step:
+                    up = wider.get(mask | step)
+                    if up:
+                        covered |= up | up << step
+            for bits in _bit_positions(found & ~covered):
+                primes.append((bits, mask))
+        level = wider
+    primes.sort()
+    return primes
+
+
+def _subcube_cells(mask: int) -> int:
+    """Bitset of the labels of the cube (0, mask): every submask of mask."""
+    cells = 1
+    for step in _bit_positions(mask):
+        cells |= cells << (1 << step)
+    return cells
 
 
 def _covers(cube: Tuple[int, int], minterm: int) -> bool:
@@ -148,46 +219,78 @@ def _cover_cost(cover: Iterable[Term]):
             tuple(_term_key(t) for t in terms))
 
 
-def _petrick(primes: Sequence[Tuple[int, int]],
-             minterms: Sequence[int]) -> List[Set[int]]:
-    """All irredundant prime index sets covering the minterms."""
-    products: List[FrozenSet[int]] = [frozenset()]
-    for m in minterms:
-        choices = [i for i, p in enumerate(primes) if _covers(p, m)]
-        grown = set()
-        for partial in products:
-            for i in choices:
-                grown.add(partial | {i})
-        # absorption: drop any selection containing another
-        pruned = []
-        for cand in sorted(grown, key=len):
-            if not any(keep <= cand for keep in pruned):
-                pruned.append(cand)
-        products = pruned
-    return [set(p) for p in products]
+def _minimal(sets: Iterable[int]) -> List[int]:
+    """The inclusion-minimal bitsets among ``sets``, by ascending size."""
+    kept: List[int] = []
+    for cand in sorted(set(sets), key=lambda s: (s.bit_count(), s)):
+        for keep in kept:
+            if keep & cand == keep:
+                break
+        else:
+            kept.append(cand)
+    return kept
 
 
-def _exact_cover(primes, minterms, n) -> List[Term]:
-    essential_idx = set()
-    remaining = []
-    for m in minterms:
-        owners = [i for i, p in enumerate(primes) if _covers(p, m)]
-        if len(owners) == 1:
-            essential_idx.add(owners[0])
-    for m in minterms:
-        if not any(_covers(primes[i], m) for i in essential_idx):
-            remaining.append(m)
-    best = None
+def _petrick(rows: Sequence[int]) -> List[int]:
+    """All irredundant selections hitting every row, as index bitsets.
+
+    The selections so far are an antichain.  Those that hit the next row
+    stay as they are; each other one grows by every pick of the row.  A
+    grown ``partial | pick`` can only be absorbed by a kept selection
+    ``keep`` that holds ``pick`` with ``keep ^ pick`` inside ``partial``,
+    since two grown selections never contain one another.
+    """
+    products = [0]
+    for row in rows:
+        kept = [p for p in products if p & row]
+        missing = [p for p in products if not p & row]
+        grown = []
+        for pick in (1 << i for i in _bit_positions(row)):
+            rests = [keep ^ pick for keep in kept if keep & pick]
+            for partial in missing:
+                for rest in rests:
+                    if rest & partial == rest:
+                        break
+                else:
+                    grown.append(partial | pick)
+        products = kept + grown
+    return products
+
+
+def _exact_cover(primes, n) -> List[Term]:
+    cells = [_subcube_cells(mask) << bits for bits, mask in primes]
+    once = twice = 0
+    for c in cells:
+        twice |= once & c
+        once |= c
+    single = once & ~twice
+    essential = covered = 0
+    for i, c in enumerate(cells):
+        if c & single:
+            essential |= 1 << i
+            covered |= c
+    best = [essential]
+    remaining = once & ~covered
     if remaining:
-        for selection in _petrick(primes, remaining):
-            cover = [_cube_term(primes[i], n)
-                     for i in sorted(essential_idx | selection)]
-            cost = _cover_cost(cover)
-            if best is None or cost < best:
-                best = cost
-    else:
-        best = _cover_cost(_cube_term(primes[i], n) for i in essential_idx)
-    return [frozenset(t) for t in best[2]]
+        rows: Dict[int, int] = {}
+        for i, c in enumerate(cells):
+            for m in _bit_positions(c & remaining):
+                rows[m] = rows.get(m, 0) | 1 << i
+        # a row holding another row is hit by every selection hitting
+        # that one, so dropping it leaves the minimal selections as they are
+        literals = [n - mask.bit_count() for _, mask in primes]
+        best_key = None
+        for selection in _petrick(_minimal(rows.values())):
+            key = (selection.bit_count(),
+                   sum(literals[i] for i in _bit_positions(selection)))
+            if best_key is None or key < best_key:
+                best_key, best = key, [essential | selection]
+            elif key == best_key:
+                best.append(essential | selection)
+    cover = min(_cover_cost(_cube_term(primes[i], n)
+                            for i in _bit_positions(chosen))
+                for chosen in best)
+    return [frozenset(t) for t in cover[2]]
 
 
 def _greedy_cover(primes, minterms, n) -> List[Term]:
@@ -232,7 +335,7 @@ def minimize(minterms: Iterable[str], n: int) -> SopExpression:
         values.append(int(label, 2))
     primes = _prime_implicants(values, n)
     if n <= EXACT_COVER_LIMIT:
-        terms = _exact_cover(primes, values, n)
+        terms = _exact_cover(primes, n)
     else:
         terms = _greedy_cover(primes, values, n)
     return SopExpression(n, terms)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import expected_lbp as X
-from roughkb import errors, kbio
+from roughkb import errors, kbio, lattice
 
 F = Fraction
 
@@ -200,6 +200,33 @@ def test_load_rejects_foreign_weights(kb_round2):
         kbio.load_kb(bad)
 
 
+def _one_fact_kb_text():
+    kb = lattice.build_kb([lattice.Fact(1, "sore", "yes")], {})
+    return kbio.serialize_kb(kb)
+
+
+def test_load_rejects_a_short_priority_line(tmp_path, capsys):
+    text = _one_fact_kb_text().replace("node 0\n", "priority X\nnode 0\n", 1)
+    with pytest.raises(errors.CorruptRecord, match="bad priority line"):
+        kbio.load_kb(text)
+    path = tmp_path / "short.kb"
+    path.write_text(text, encoding="utf-8")
+    assert kbio.cli(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_load_checks_the_order_cap_before_building(monkeypatch):
+    def refuse(n):
+        raise AssertionError("skeleton of order %d built" % n)
+    monkeypatch.setattr(kbio, "_build_structure", refuse)
+    text = "roughkb-kb 1\nmode exact\nalpha 0\norder 17\n" + "".join(
+        "fact f%d a%d yes\n" % (f, f) for f in range(1, 18))
+    with pytest.raises(errors.OrderTooLarge):
+        kbio.load_kb(text)
+
+
 def test_build_from_document_modes(fixture_doc, kb_round2, kb_exact):
     assert kbio.build_from_document(fixture_doc, round2=True) == kb_round2
     assert kbio.build_from_document(fixture_doc) == kb_exact
@@ -287,6 +314,31 @@ def test_cli_rules_formats(kb_file, capsys):
     assert _sha(first) == RULES_RECORDS_SHA
     assert kbio.cli(["rules", kb_file, "--format", "records"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("round2", [False, True])
+def test_cli_rules_show_unmeasured_rules_with_dashes(tmp_path, evd_file,
+                                                     capsys, round2):
+    # SIJ's upper2 region is all inconclusive: the rule has no definite
+    # mass to measure against, in both modes
+    path = str(tmp_path / "fixture.kb")
+    assert kbio.cli(["build", evd_file, "-o", path]
+                    + (["--round2"] if round2 else [])) == 0
+    kinds = ["--kinds", "certain,uncertain,possible"]
+    capsys.readouterr()
+    assert kbio.cli(["rules", path] + kinds + ["--format", "records"]) == 0
+    records = capsys.readouterr().out.splitlines()
+    upper2 = [r.split("\t") for r in records
+              if r.startswith("SIJ\t0\tpossible\t")]
+    assert len(upper2) == 1
+    assert upper2[0][5:] == ["-", "-", "-", "-"]
+    assert kbio.cli(["rules", path] + kinds) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert len(text) == len(records)
+    unmeasured = [line for line in text if "-> (SIJ, 0) [possible]" in line]
+    assert len(unmeasured) == 1
+    assert unmeasured[0].endswith(
+        "support=- strength=- certainty=- coverage=-")
 
 
 def test_cli_check_reports_ok(kb_file, capsys):
