@@ -11,8 +11,8 @@ handles file formats and the command line.
 
 from . import errors
 from .evidence import (EvidenceProfile, PresenceMatrix, SourceGrading,
-                       TruthTriple, TruthValue, conditional_weight,
-                       presence_matrix, resolve_decision, truth_triple)
+                       TruthTriple, TruthValue, presence_matrix,
+                       resolve_decision, truth_triple)
 from .kbio import (EvidenceDocument, EvidenceRecord, build_from_document,
                    fixture_document, load_kb, parse_evidence, render_evidence,
                    serialize_kb)
@@ -22,8 +22,7 @@ from .lattice import (ConditionEdit, DropDecision, Fact, Lattice, LatticeNode,
                       successor_labels)
 from .metrics import PropertyReport, RuleMetrics, check_properties
 from .minimizer import MinimizedRule, SopExpression, generate_rules, minimize
-from .propagation import (AlphaThreshold, DecisionEntry, PriorityConfig,
-                          propagate)
+from .propagation import DecisionEntry, PriorityConfig, propagate
 from .roughset import (ApproximationSets, ConceptPair, approximations,
                        concepts, on_decisions_added, on_decisions_removed,
                        on_truth_changed)
@@ -31,14 +30,13 @@ from .roughset import (ApproximationSets, ConceptPair, approximations,
 __version__ = "1.0.0"
 
 __all__ = [
-    "AlphaThreshold", "ApproximationSets", "ConceptPair", "ConditionEdit",
-    "DecisionEntry", "DropDecision", "EvidenceDocument", "EvidenceProfile",
-    "EvidenceRecord", "Fact", "Lattice", "LatticeNode", "MinimizedRule",
-    "PresenceMatrix", "PriorityConfig", "PropertyReport", "RuleMetrics",
-    "SetDecision", "SopExpression", "SourceGrading", "TruthTriple",
-    "TruthValue", "approximations", "build_from_document", "build_kb",
-    "check_properties", "concepts", "conditional_weight", "delete_fact",
-    "errors", "fixture_document", "generate_rules", "insert_fact", "label_at",
+    "ApproximationSets", "ConceptPair", "ConditionEdit", "DecisionEntry",
+    "DropDecision", "EvidenceDocument", "EvidenceProfile", "EvidenceRecord",
+    "Fact", "Lattice", "LatticeNode", "MinimizedRule", "PresenceMatrix",
+    "PriorityConfig", "PropertyReport", "RuleMetrics", "SetDecision",
+    "SopExpression", "SourceGrading", "TruthTriple", "TruthValue",
+    "approximations", "build_from_document", "build_kb", "check_properties",
+    "concepts", "delete_fact", "errors", "fixture_document", "generate_rules", "insert_fact", "label_at",
     "load_kb", "minimize", "modify_node", "on_decisions_added",
     "on_decisions_removed", "on_truth_changed", "parse_evidence",
     "predecessor_labels", "presence_matrix", "propagate", "render_evidence",

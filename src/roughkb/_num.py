@@ -9,19 +9,28 @@ never enter the pipeline.  Two distinct rounding rules exist on purpose:
   figures reproduce digit for digit.
 * :func:`render` produces decimal strings for files and terminals using
   round-half-even, and never feeds back into arithmetic.
+
+The kernels work on the integer numerator and denominator of a value
+rather than through Fraction operators, each of which normalizes its
+result with a gcd and dispatches on the operand types.  ``publish2(x)``
+is ``floor((200*num + den) / (2*den)) / 100``, ``render`` takes
+``divmod(|num| * 10**places, den)`` and settles a tie by comparing twice
+the remainder with ``den``, ``clamp01`` compares the numerator with 0 and
+with the denominator, and :func:`fsum` adds over one running lcm
+denominator and builds a single Fraction at the end.  Every result is
+the same exact rational the operator form gives.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Iterable, Union
 
 Rational = Union[Fraction, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 def frac(value) -> Fraction:
@@ -37,32 +46,48 @@ def frac(value) -> Fraction:
     return Fraction(value)
 
 
-def publish2(x: Fraction) -> Fraction:
+def fsum(values: Iterable[Rational]) -> Fraction:
+    """Exact sum of rationals, with one Fraction built at the end."""
+    num, den = 0, 1
+    for value in values:
+        n, d = value.as_integer_ratio()
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+    return Fraction(num, den)
+
+
+def publish2(x: Rational) -> Fraction:
     """Quantize a nonnegative rational to 2 decimal places, half up."""
-    return Fraction(math.floor(x * 100 + HALF), 100)
+    num, den = x.as_integer_ratio()
+    return Fraction((200 * num + den) // (2 * den), 100)
 
 
-def clamp01(x: Fraction) -> Fraction:
-    if x < ZERO:
+def clamp01(x: Rational) -> Rational:
+    num, den = x.as_integer_ratio()
+    if num < 0:
         return ZERO
-    if x > ONE:
+    if num > den:
         return ONE
     return x
 
 
-def render(x: Fraction, places: int) -> str:
+def render(x: Rational, places: int) -> str:
     """Format an exact rational with a fixed number of decimals.
 
     Uses banker's rounding on the exact value, so the output is
     independent of any binary float representation.
     """
-    x = Fraction(x)
-    sign = "-" if x < 0 else ""
-    scaled = abs(x) * 10 ** places
-    whole = math.floor(scaled)
-    rest = scaled - whole
-    if rest > HALF or (rest == HALF and whole % 2 == 1):
+    if not isinstance(x, (Fraction, int)):
+        x = Fraction(x)
+    num, den = x.as_integer_ratio()
+    whole, rest = divmod(abs(num) * 10 ** places, den)
+    if 2 * rest > den or (2 * rest == den and whole % 2 == 1):
         whole += 1
+    sign = "-" if num < 0 else ""
     digits = str(whole).rjust(places + 1, "0")
     if places == 0:
         return sign + digits

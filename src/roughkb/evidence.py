@@ -109,7 +109,9 @@ class TruthTriple(Tuple[Fraction, Fraction, Fraction]):
     __slots__ = ()
 
     def __new__(cls, tv1, tv2, tv3):
-        return super().__new__(cls, (Fraction(tv1), Fraction(tv2), Fraction(tv3)))
+        # a Fraction is immutable, so one given exactly is kept as it is
+        return super().__new__(cls, tuple(v if type(v) is Fraction else Fraction(v)
+                                          for v in (tv1, tv2, tv3)))
 
     @property
     def tv1(self) -> Fraction:
@@ -170,19 +172,6 @@ def truth_triple(profile: EvidenceProfile, grading: SourceGrading) -> TruthTripl
 
 def presence_matrix(profile: EvidenceProfile) -> PresenceMatrix:
     return PresenceMatrix(tuple(tuple(c > 0 for c in row) for row in profile.counts))
-
-
-def conditional_weight(priority: int, n: int) -> Fraction:
-    """Weight contributed by one fact: its priority over the total.
-
-    Raises:
-        OutOfRange: unless ``1 <= priority <= n``.
-    """
-    if not (isinstance(priority, int) and isinstance(n, int)):
-        raise errors.OutOfRange("priorities are integers")
-    if not 1 <= priority <= n:
-        raise errors.OutOfRange("priority %r outside 1..%d" % (priority, n))
-    return Fraction(priority, n)
 
 
 # --- decision resolution ----------------------------------------------------

@@ -726,12 +726,20 @@ def _cmd_rules(args) -> int:
     return 0
 
 
+def _credibility_arg(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise errors.OutOfRange("bad credibility %r" % (token,))
+
+
 def _parse_cli_decision(spec: Sequence[str]) -> DecisionEntry:
     disease, vd, cf = spec
     try:
-        return DecisionEntry(disease, int(vd), Fraction(cf))
+        vd = int(vd)
     except ValueError:
         raise errors.OutOfRange("bad decision %r" % (" ".join(spec),))
+    return DecisionEntry(disease, vd, _credibility_arg(cf))
 
 
 def _cmd_insert_fact(args) -> int:
@@ -767,7 +775,7 @@ def _cmd_set_decision(args) -> int:
         if args.vd is None or args.cf is None:
             raise errors.OutOfRange(
                 "set-decision needs --vd and --cf unless --drop is given")
-        change = SetDecision(args.disease, args.vd, Fraction(args.cf))
+        change = SetDecision(args.disease, args.vd, _credibility_arg(args.cf))
     kb = modify_node(kb, args.label, change,
                      observer=_PrintingObserver(sys.stdout))
     _write_atomically(args.kb, serialize_kb(kb))

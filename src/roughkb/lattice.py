@@ -82,6 +82,23 @@ def label_at(level: int, ordinal: int, n: int) -> str:
     return format(_level_masks(n, level)[ordinal - 1], "0%db" % n)
 
 
+def _cone_labels(label: str) -> List[str]:
+    """Labels whose fact set strictly contains the label's, ascending.
+
+    These are the proper supersets of the label's mask; ``(sub + 1) |
+    mask`` steps from one superset to the next.
+    """
+    mask = int(label, 2)
+    full = (1 << len(label)) - 1
+    fmt = "0%db" % len(label)
+    out = []
+    sub = (mask + 1) | mask
+    while sub <= full:
+        out.append(format(sub, fmt))
+        sub = (sub + 1) | mask
+    return out
+
+
 def predecessor_labels(label: str) -> List[str]:
     """Labels one level down: clear each set bit, leftmost first."""
     return [label[:i] + "0" + label[i + 1:]
@@ -383,10 +400,8 @@ def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry],
     grown = Lattice(kb.facts + (fact,), nodes, levels, alpha=kb.alpha,
                     priorities=kb.priorities, round2=kb.round2,
                     declared=declared)
-    new_composites = [label for label in nodes
-                      if label[0] == "1" and level_of(label) >= 2]
     fresh = _repropagate((kb.alpha, kb.priorities, grown.publish()),
-                         grown.nodes, grown.levels, new_composites)
+                         grown.nodes, grown.levels, _cone_labels(new_atomic_label))
     return grown.with_updates(fresh)
 
 
@@ -511,12 +526,10 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
         raise errors.OutOfRange("unsupported change %r" % (change,))
 
     updates = {label: decisions}
-    cone = [lbl for lbl, other in kb.nodes.items()
-            if other.condition > node.condition]
     nodes_view = kb.nodes.copy()
     nodes_view[label] = node.replace_decisions(decisions)
     fresh = _repropagate((kb.alpha, kb.priorities, kb.publish()),
-                         nodes_view, kb.levels, cone)
+                         nodes_view, kb.levels, _cone_labels(label))
     updates.update(fresh)
 
     if observer is not None:

@@ -61,29 +61,45 @@ def _literal_text(fid: int, positive: bool) -> str:
     return "f%d" % fid if positive else "NOT f%d" % fid
 
 
+def _term_masks(term: Term) -> Optional[Tuple[int, int]]:
+    """A term as (care, want) bitsets over fact positions: a label
+    satisfies it when ``label & care == want``.  None if it never holds."""
+    pos = neg = 0
+    for fid, positive in term:
+        if positive:
+            pos |= 1 << (fid - 1)
+        else:
+            neg |= 1 << (fid - 1)
+    if pos & neg:
+        return None
+    return pos | neg, pos
+
+
 class SopExpression:
     """An irredundant sum of product terms over n fact literals."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_masks")
 
     def __init__(self, n: int, terms: Iterable[Term]):
         self.n = int(n)
         self.terms = frozenset(frozenset(t) for t in terms)
+        self._masks = [m for m in map(_term_masks, self.terms) if m is not None]
 
     def evaluate(self, label: str) -> bool:
         if len(label) != self.n:
             raise errors.OutOfRange("label %r is not of order %d" % (label, self.n))
         bits = int(label, 2)
-        for term in self.terms:
-            if all(bool(bits >> (fid - 1) & 1) == positive
-                   for fid, positive in term):
-                return True
-        return False
+        return any(bits & care == want for care, want in self._masks)
 
     def truth_set(self) -> FrozenSet[str]:
+        # each term is the cube of the labels it leaves free
+        full = (1 << self.n) - 1
+        table = 0
+        for care, want in self._masks:
+            if not want & ~full:
+                table |= _subcube_cells(full & ~care) << want
         fmt = "0%db" % self.n
-        return frozenset(format(v, fmt) for v in range(2 ** self.n)
-                         if self.evaluate(format(v, fmt)))
+        return frozenset(format(v, fmt) for v in _bit_positions(table))
 
     def ordered_terms(self) -> List[Term]:
         return sorted(self.terms, key=_term_key)
@@ -305,17 +321,17 @@ def _greedy_cover(primes, minterms, n) -> List[Term]:
         hits = {m for m in uncovered if _covers(p, m)}
         if not hits:
             raise AssertionError("prime cover exhausted with minterms left")
-        chosen.append(_cube_term(p, n))
+        chosen.append(p)
         uncovered -= hits
-    # reverse-delete any pick made redundant by later ones
-    fmt = "0%db" % n
+    # reverse-delete any pick made redundant by later ones: a pick can go
+    # when the others cover every minterm it covers
     kept = list(chosen)
-    for term in chosen:
-        trial = [t for t in kept if t != term]
-        if trial and all(SopExpression(n, trial).evaluate(format(m, fmt))
-                         for m in minterms):
+    for cube in chosen:
+        trial = [c for c in kept if c != cube]
+        if trial and all(any(_covers(c, m) for c in trial)
+                         for m in minterms if _covers(cube, m)):
             kept = trial
-    return kept
+    return [_cube_term(c, n) for c in kept]
 
 
 def minimize(minterms: Iterable[str], n: int) -> SopExpression:

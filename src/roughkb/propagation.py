@@ -15,10 +15,11 @@ intermediates that the two-decimal compatibility mode is defined over.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import errors
-from ._num import ONE, ZERO, clamp01, frac, publish2
+from ._num import ONE, ZERO, clamp01, frac, fsum, publish2
 from .evidence import TruthTriple, TruthValue
 
 
@@ -26,28 +27,12 @@ def _identity(x):
     return x
 
 
-class AlphaThreshold:
-    """Gate under which a credibility/weight product counts as zero."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        value = frac(value)
-        if not ZERO <= value <= ONE:
-            raise errors.OutOfRange("alpha %s outside [0, 1]" % value)
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, AlphaThreshold) and other.value == self.value
-
-    def __repr__(self):
-        return "AlphaThreshold(%s)" % self.value
-
-
 def _alpha(value) -> Fraction:
-    if isinstance(value, AlphaThreshold):
-        return value.value
-    return AlphaThreshold(value).value
+    """The gate under which a credibility/weight product counts as zero."""
+    value = frac(value)
+    if not 0 <= value.numerator <= value.denominator:
+        raise errors.OutOfRange("alpha %s outside [0, 1]" % value)
+    return value
 
 
 class DecisionEntry:
@@ -68,7 +53,7 @@ class DecisionEntry:
         except ValueError:
             raise errors.OutOfRange("truth value must be 0, 1 or 2, got %r" % (vd,))
         self.cf = frac(cf)
-        if not ZERO <= self.cf <= ONE:
+        if not 0 <= self.cf.numerator <= self.cf.denominator:
             raise errors.OutOfRange("credibility %s outside [0, 1]" % self.cf)
         if tv is not None and not isinstance(tv, TruthTriple):
             tv = TruthTriple(*tv)
@@ -76,7 +61,7 @@ class DecisionEntry:
         self.weights = {}
         for fid, w in dict(weights or {}).items():
             w = frac(w)
-            if not ZERO < w <= ONE:
+            if not 0 < w.numerator <= w.denominator:
                 raise errors.OutOfRange("weight %s outside (0, 1]" % w)
             self.weights[int(fid)] = w
 
@@ -232,19 +217,20 @@ def merged_truth_triple(triples: Sequence[TruthTriple],
     if not items:
         raise errors.OutOfRange("need at least one triple to merge")
     n = len(items)
-    return TruthTriple(*(sum(t[c] for t in items) / n for c in range(3)))
+    return TruthTriple(*(fsum(t[c] for t in items) / n for c in range(3)))
 
 
 # --- multi-constituent combination (level >= 3) -----------------------------
 
+_CLASH = frozenset({TruthValue.ABSENT, TruthValue.INCONCLUSIVE})
+
+
 def _chain(pairs) -> Tuple[TruthValue, Fraction]:
-    """Left fold of (vd, cf) pairs; returns the prevailing pair."""
+    """Left fold of (TruthValue, cf) pairs; returns the prevailing pair."""
     it = iter(pairs)
     vd, cf = next(it)
-    vd = TruthValue(vd)
     for nxt_vd, nxt_cf in it:
-        nxt_vd = TruthValue(nxt_vd)
-        if {int(vd), int(nxt_vd)} == {0, 2}:
+        if {vd, nxt_vd} == _CLASH:
             vd = TruthValue.INCONCLUSIVE
             cf = max(cf, nxt_cf)
         elif vd == nxt_vd:
@@ -273,36 +259,57 @@ def derive_vd_chain(constituents: Sequence[Tuple[int, Fraction]]) -> TruthValue:
     return _chain(seq)[0]
 
 
-def _vd_groups(entries) -> Fraction:
+def _vd_groups(camps: Iterable[int], total: int) -> int:
     """Combine one fact's constituent credibilities across truth values.
 
-    A single camp sums; with several camps the strongest camp's mass is
-    offset by everything that disagrees with it.
+    ``camps`` holds, per truth value, the summed credibility of the
+    constituents that contain the fact, and ``total`` is their sum.  A
+    single camp keeps its sum; with several camps the strongest camp's
+    mass is offset by everything that disagrees with it.  Both cases are
+    ``|top - (total - top)|``.  Credibilities are nonnegative, so a camp
+    that has lost its last member sums to zero and changes neither the
+    top nor the total: it drops out by itself.
     """
-    sums: Dict[int, Fraction] = {}
-    for entry in entries:
-        sums[int(entry.vd)] = sums.get(int(entry.vd), ZERO) + entry.cf
-    ordered = sorted(sums.values(), reverse=True)
-    if len(ordered) == 1:
-        return ordered[0]
-    return abs(ordered[0] - sum(ordered[1:]))
+    top = max(camps)
+    return abs(top + top - total)
 
 
 def _cf_multi(node_facts, constituents, weights, gate, publish):
-    i = len(node_facts)
-    total = ZERO
-    passed = False
+    # Every constituent is the node less one fact, so fact f lies in all
+    # of them but the one lacking f.  One pass puts every credibility on
+    # a common denominator, sums the camps, and files each constituent
+    # under the fact it lacks; a fact's camp sums are then the totals
+    # less that one entry.
+    ratios = [entry.cf.as_integer_ratio() for _, entry in constituents]
+    den = lcm(*(d for _, d in ratios))
+    camps: Dict[int, int] = {}
+    lacking = {}
+    for (facts, entry), (num, d) in zip(constituents, ratios):
+        cf = num * (den // d)
+        camps[entry.vd] = camps.get(entry.vd, 0) + cf
+        (fid,) = node_facts - facts
+        lacking[fid] = (entry.vd, cf)
+    grand = sum(camps.values())
+    gate_num, gate_den = gate.as_integer_ratio()
+    terms = []
     for fid in sorted(node_facts):
-        members = [entry for facts, entry in constituents if fid in facts]
-        if not members:
+        skip = lacking.get(fid)
+        if skip is None:
+            g = _vd_groups(camps.values(), grand)
+        else:
+            vd, cf = skip
+            camps[vd] -= cf
+            g = _vd_groups(camps.values(), grand - cf)
+            camps[vd] += cf
+        if not g:
             continue
-        term = _vd_groups(members) * weights[fid]
-        if term > gate:
-            passed = True
-            total += publish(term)
-    if not passed:
+        w_num, w_den = weights[fid].as_integer_ratio()
+        num, d = g * w_num, den * w_den
+        if num * gate_den > gate_num * d:
+            terms.append(publish(Fraction(num, d)))
+    if not terms:
         return ZERO, False
-    return publish(clamp01(total / (i - 1))), True
+    return publish(clamp01(fsum(terms) / (len(node_facts) - 1))), True
 
 
 def cf_multi(node_facts: FrozenSet[int], disease: str,
@@ -312,20 +319,33 @@ def cf_multi(node_facts: FrozenSet[int], disease: str,
     """Credibility of a node at level >= 3 from its predecessors.
 
     ``constituents`` are the immediate predecessors that carry the
-    disease, as (fact set, entry) pairs.  Each fact of the node collects
-    the constituents containing it, combines their credibilities across
-    truth-value camps, weighs the result, and the gated terms average
+    disease, as (fact set, entry) pairs.  Each fact of the node combines,
+    across truth-value camps, the credibilities of the constituents
+    containing it: the per-camp totals less the one constituent that
+    lacks the fact.  The result is weighed, and the gated terms average
     over level minus one.  The result is clamped to [0, 1].
+
+    Raises:
+        OutOfRange: a level below 3, an entry for another disease, or a
+            constituent that is not a distinct immediate predecessor.
     """
     node_facts = frozenset(node_facts)
     if len(node_facts) < 3:
         raise errors.OutOfRange("multi-constituent rule needs level >= 3")
-    for _, entry in constituents:
+    seen = set()
+    for facts, entry in constituents:
         if entry.disease != disease:
             raise errors.OutOfRange("constituent entry for %r, expected %r"
                                     % (entry.disease, disease))
-    cf, _ = _cf_multi(node_facts, list(constituents), weights, _alpha(alpha),
-                      publish or _identity)
+        facts = frozenset(facts)
+        if (not facts < node_facts or len(facts) != len(node_facts) - 1
+                or facts in seen):
+            raise errors.OutOfRange("constituent %s is not a distinct immediate "
+                                    "predecessor of %s"
+                                    % (sorted(facts), sorted(node_facts)))
+        seen.add(facts)
+    cf, _ = _cf_multi(node_facts, [(frozenset(f), e) for f, e in constituents],
+                      weights, _alpha(alpha), publish or _identity)
     return cf
 
 

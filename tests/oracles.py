@@ -15,8 +15,28 @@ HALF = Fraction(1, 2)
 
 
 def round2(x):
-    """Quantize a nonnegative rational to 2 decimals, halves away from zero."""
+    """Quantize a nonnegative rational to 2 decimals, halves away from zero.
+
+    This is also the Fraction form of the library's ``publish2``; on a
+    negative value both round halves up.
+    """
     return Fraction(math.floor(x * 100 + HALF), 100)
+
+
+def reference_render(x, places):
+    """Decimal text at a fixed number of places, halves to even: the
+    Fraction form of the library's ``render``."""
+    x = Fraction(x)
+    sign = "-" if x < 0 else ""
+    scaled = abs(x) * 10 ** places
+    whole = math.floor(scaled)
+    rest = scaled - whole
+    if rest > HALF or (rest == HALF and whole % 2 == 1):
+        whole += 1
+    digits = str(whole).rjust(places + 1, "0")
+    if places == 0:
+        return sign + digits
+    return "%s%s.%s" % (sign, digits[:-places], digits[-places:])
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +189,23 @@ def _group_cf(values):
     return abs(dominant - rest)
 
 
+def reference_cf_multi(node, carriers, weights, alpha, publish):
+    """Credibility of a node at level >= 3 by the per-fact scan: each
+    fact rescans every carrier.  carriers: [(facts, (vd, cf)), ...].
+    None when no term clears the gate."""
+    terms = []
+    for fid in sorted(node):
+        members = [pair for p, pair in carriers if fid in p]
+        if not members:
+            continue
+        term = _group_cf(members) * weights[fid]
+        if term > alpha:
+            terms.append(publish(term))
+    if not terms:
+        return None
+    return publish(min(Fraction(1), sum(terms) / (len(node) - 1)))
+
+
 def reference_propagate(n, atomics, weights_for, alpha, publish):
     alpha = Fraction(alpha)
     out = {}
@@ -217,20 +254,10 @@ def reference_propagate(n, atomics, weights_for, alpha, publish):
                     decisions[disease] = (vd, publish(min(Fraction(1), cf)))
                 else:
                     vd = _fold_vd([pair for _, pair in carriers])
-                    terms = []
-                    any_pass = False
-                    for fid in sorted(node):
-                        members = [pair for p, pair in carriers if fid in p]
-                        if not members:
-                            continue
-                        term = _group_cf(members) * weights[fid]
-                        if term > alpha:
-                            any_pass = True
-                            terms.append(publish(term))
-                    if not any_pass:
-                        continue
-                    cf = publish(min(Fraction(1), sum(terms) / (size - 1)))
-                    decisions[disease] = (vd, cf)
+                    cf = reference_cf_multi(node, carriers, weights, alpha,
+                                            publish)
+                    if cf is not None:
+                        decisions[disease] = (vd, cf)
             out[node] = decisions
     return out
 

@@ -11,8 +11,8 @@ import oracles
 from roughkb import errors
 from roughkb._num import publish2
 from roughkb.evidence import (EvidenceProfile, PresenceMatrix, SourceGrading,
-                              TruthTriple, TruthValue, conditional_weight,
-                              presence_matrix, resolve_decision, truth_triple)
+                              TruthTriple, TruthValue, presence_matrix,
+                              resolve_decision, truth_triple)
 
 F = Fraction
 
@@ -80,17 +80,6 @@ def test_truth_triple_rejects_empty_and_mismatched():
         truth_triple(empty, SourceGrading(2))
     with pytest.raises(errors.OutOfRange):
         truth_triple(empty, SourceGrading(3))
-
-
-def test_conditional_weight():
-    assert conditional_weight(2, 3) == F(2, 3)
-    assert conditional_weight(1, 1) == 1
-    with pytest.raises(errors.OutOfRange):
-        conditional_weight(0, 3)
-    with pytest.raises(errors.OutOfRange):
-        conditional_weight(4, 3)
-    with pytest.raises(errors.OutOfRange):
-        conditional_weight("2", 3)
 
 
 def test_presence_matrix_indicates_occupancy():

@@ -387,6 +387,24 @@ def test_cli_error_paths(tmp_path, kb_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cf", ["abc", "1/0"])
+def test_cli_set_decision_rejects_a_bad_credibility(kb_file, capsys, cf):
+    with open(kb_file, encoding="utf-8") as stream:
+        before = stream.read()
+    assert kbio.cli(["set-decision", kb_file, "--label", "001",
+                     "--disease", "PIVD", "--vd", "0", "--cf", cf]) == 1
+    assert capsys.readouterr().err == "error: bad credibility %r\n" % cf
+    with open(kb_file, encoding="utf-8") as stream:
+        assert stream.read() == before
+
+
+def test_cli_insert_fact_rejects_a_bad_credibility(kb_file, capsys):
+    assert kbio.cli(["insert-fact", kb_file, "--attribute", "numbness",
+                     "--value", "yes", "--decision", "PIVD", "1", "1/0"]) == 1
+    assert capsys.readouterr().err == "error: bad credibility '1/0'\n"
+    assert "order 3" in open(kb_file, encoding="utf-8").read()
+
+
 def test_cli_usage_errors_exit_two(capsys):
     assert kbio.cli(["frobnicate"]) == 2
     assert kbio.cli([]) == 2

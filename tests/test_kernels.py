@@ -1,0 +1,183 @@
+"""Integer kernels against their Fraction forms and per-fact scans.
+
+The rendering, rounding and summing helpers in ``roughkb._num``, the
+per-camp-totals ``_cf_multi``, the superset cone and the bitmask
+``SopExpression`` each replace a slower form of the same exact
+computation.  These tests hold them to the forms they replaced.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from roughkb import errors
+from roughkb._num import clamp01, fsum, publish2, render
+from roughkb.lattice import _cone_labels, facts_of
+from roughkb.minimizer import SopExpression
+from roughkb.propagation import DecisionEntry, _cf_multi, cf_multi
+
+F = Fraction
+
+rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 7)
+# exact halves at the last rendered or published digit, of either sign
+halves = st.builds(lambda k, p: F(2 * k + 1, 2 * 10 ** p),
+                   st.integers(-10 ** 6, 10 ** 6), st.sampled_from([0, 2, 6]))
+
+
+# --- rendering, rounding and summing ----------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rationals, halves, st.integers(-10 ** 9, 10 ** 9)),
+       st.sampled_from([0, 2, 6]))
+def test_render_matches_the_fraction_form(x, places):
+    assert render(x, places) == oracles.reference_render(x, places)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rationals, halves, st.integers(-10 ** 9, 10 ** 9)))
+def test_publish2_matches_the_fraction_form(x):
+    assert publish2(x) == oracles.round2(x)
+
+
+@pytest.mark.parametrize("x,places,text", [
+    (F(1, 2), 0, "0"), (F(3, 2), 0, "2"), (F(-1, 2), 0, "-0"),
+    (F(-5, 2), 0, "-2"), (F(1, 200), 2, "0.00"), (F(3, 200), 2, "0.02"),
+    (F(-3, 200), 2, "-0.02"), (F(1, 3), 6, "0.333333"), (7, 2, "7.00")])
+def test_render_rounds_exact_halves_to_even(x, places, text):
+    assert render(x, places) == text
+
+
+def test_publish2_rounds_exact_halves_up():
+    assert publish2(F(1, 200)) == F(1, 100)
+    assert publish2(F(-1, 200)) == 0
+    assert publish2(F(-3, 200)) == F(-1, 100)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(rationals, st.integers(-100, 100)), max_size=12))
+def test_fsum_matches_sum(values):
+    got = fsum(values)
+    assert type(got) is Fraction
+    assert got == sum(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rationals, st.integers(-3, 3)))
+def test_clamp01_matches_the_comparisons(x):
+    assert clamp01(x) == min(F(1), max(F(0), x))
+
+
+# --- multi-constituent credibility ------------------------------------------
+
+def _publish(mode):
+    return oracles.round2 if mode == "round2" else (lambda x: x)
+
+
+def _agrees(node, carriers, weights, gate, mode):
+    """_cf_multi and the per-fact scan give the same cf and pass flag."""
+    publish = _publish(mode)
+    want = oracles.reference_cf_multi(
+        node, [(facts, (int(e.vd), e.cf)) for facts, e in carriers],
+        weights, gate, publish)
+    got = _cf_multi(node, carriers, weights, gate, publish)
+    assert got == ((want, True) if want is not None else (0, False))
+    return want
+
+
+@st.composite
+def multi_cases(draw):
+    size = draw(st.integers(3, 7))
+    node = frozenset(range(1, size + 1))
+    preds = [node - {f} for f in sorted(node, reverse=True)]
+    picked = draw(st.lists(st.sampled_from(preds), min_size=1, unique=True))
+    cfs = st.one_of(st.just(F(0)), st.integers(0, 100).map(lambda k: F(k, 100)),
+                    st.fractions(0, 1, max_denominator=60))
+    carriers = [(facts, DecisionEntry("ANK", draw(st.sampled_from([0, 1, 2])),
+                                      draw(cfs)))
+                for facts in picked]
+    prio = {f: draw(st.integers(1, 4)) for f in node}
+    weights = {f: F(p, sum(prio.values())) for f, p in prio.items()}
+    return node, carriers, weights
+
+
+@settings(max_examples=250, deadline=None)
+@given(multi_cases(), st.sampled_from([F(0), F(1, 20), F(1, 10)]),
+       st.sampled_from(["exact", "round2"]))
+def test_cf_multi_matches_the_per_fact_scan(case, gate, mode):
+    node, carriers, weights = case
+    _agrees(node, carriers, weights, gate, mode)
+
+
+@pytest.mark.parametrize("gate", [F(0), F(1, 20), F(1, 10)])
+@pytest.mark.parametrize("mode", ["exact", "round2"])
+def test_cf_multi_edge_cases_match_the_per_fact_scan(gate, mode):
+    node = frozenset({1, 2, 3, 4})
+    third = {f: F(1, 4) for f in node}
+    e = lambda vd, cf: DecisionEntry("ANK", vd, cf)  # noqa: E731
+    # the only absent vote lacks fact 4, so fact 4's absent camp is empty
+    emptied = [(frozenset({1, 2, 3}), e(0, F(9, 10))),
+               (frozenset({1, 2, 4}), e(1, F(3, 10))),
+               (frozenset({1, 3, 4}), e(1, F(1, 5)))]
+    assert _agrees(node, emptied, third, gate, mode) is not None
+    # a single carrier at level 4: one fact sees no constituent at all
+    single = [(frozenset({2, 3, 4}), e(2, F(7, 10)))]
+    assert _agrees(node, single, third, gate, mode) is not None
+    # zero credibilities: a camp that is present but carries no mass
+    zeros = [(frozenset({1, 2, 3}), e(1, F(0))),
+             (frozenset({2, 3, 4}), e(0, F(0))),
+             (frozenset({1, 3, 4}), e(0, F(1, 2)))]
+    assert _agrees(node, zeros, third, gate, mode) is not None
+    nothing = [(frozenset({1, 2, 3}), e(1, F(0)))]
+    assert _agrees(node, nothing, third, gate, mode) is None
+
+
+def test_cf_multi_rejects_constituents_that_are_not_immediate_predecessors():
+    node = frozenset({1, 2, 3})
+    weights = {f: F(1, 3) for f in node}
+    entry = DecisionEntry("ANK", 1, F(1, 2))
+    for facts in ([frozenset({1})], [frozenset({1, 4})],
+                  [frozenset({1, 2}), frozenset({1, 2})], [node]):
+        with pytest.raises(errors.OutOfRange):
+            cf_multi(node, "ANK", [(f, entry) for f in facts], weights, 0)
+
+
+# --- cones and expressions ---------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cone_labels_are_the_strict_supersets(n):
+    labels = [format(v, "0%db" % n) for v in range(2 ** n)]
+    for label in labels:
+        want = [other for other in labels if facts_of(other) > facts_of(label)]
+        assert _cone_labels(label) == want
+
+
+def _holds(term, label):
+    """A term on a label, literal by literal."""
+    bits = int(label, 2)
+    return all(bool(bits >> (fid - 1) & 1) == positive for fid, positive in term)
+
+
+@st.composite
+def expressions(draw):
+    n = draw(st.integers(1, 6))
+    literal = st.tuples(st.integers(1, n), st.booleans())
+    terms = draw(st.lists(st.frozensets(literal, max_size=n), max_size=5))
+    return SopExpression(n, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions())
+def test_expression_masks_match_the_literals(expr):
+    labels = [format(v, "0%db" % expr.n) for v in range(2 ** expr.n)]
+    want = {label for label in labels
+            if any(_holds(term, label) for term in expr.terms)}
+    assert expr.truth_set() == want
+    assert {label for label in labels if expr.evaluate(label)} == want
+
+
+def test_expression_rejects_a_label_of_the_wrong_length():
+    with pytest.raises(errors.OutOfRange):
+        SopExpression(3, [frozenset({(1, True)})]).evaluate("01")

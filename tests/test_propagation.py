@@ -11,11 +11,10 @@ from conftest import DISEASE_POOL, kb_from_atomics, random_kb, seeded
 from roughkb import errors
 from roughkb.evidence import TruthTriple, TruthValue
 from roughkb.lattice import facts_of
-from roughkb.propagation import (AlphaThreshold, DecisionEntry, PriorityConfig,
-                                 carryover_single, cf_multi, combine_diff_vd,
-                                 combine_same_vd, derive_vd_chain,
-                                 merge_external, merged_truth_triple,
-                                 node_decisions, propagate)
+from roughkb.propagation import (DecisionEntry, PriorityConfig, carryover_single,
+                                 cf_multi, combine_diff_vd, combine_same_vd,
+                                 derive_vd_chain, merge_external,
+                                 merged_truth_triple, node_decisions, propagate)
 
 F = Fraction
 
@@ -67,12 +66,12 @@ def test_priority_config_without_fact_renumbers():
 
 
 def test_alpha_threshold_bounds():
-    assert propagate is not None  # placate linters about the import
-    AlphaThreshold(F(1, 10))
+    kb = kb_from_atomics({1: {"ANK": (1, F(1, 2))}}, 2)
+    assert propagate(kb, alpha=F(1, 10)).alpha == F(1, 10)
     with pytest.raises(errors.OutOfRange):
-        AlphaThreshold(F(-1, 10))
+        propagate(kb, alpha=F(-1, 10))
     with pytest.raises(errors.OutOfRange):
-        AlphaThreshold(F(11, 10))
+        propagate(kb, alpha=F(11, 10))
 
 
 # --- pairwise combination ---------------------------------------------------
