@@ -23,16 +23,27 @@ so only two adjacent levels of tables are alive at once.
 Exact cover, for orders up to EXACT_COVER_LIMIT.  Each prime's labels
 form a bitset.  ``once``/``twice`` accumulators find the labels covered
 by a single prime, whose primes are essential.  Every label the
-essentials leave is a row: the bitset of the primes covering it.
-Duplicate rows, and rows holding another row, are dropped; a selection
-that hits the smaller row hits the larger one, so this row dominance
-leaves the minimal selections unchanged.  (Column dominance is not used:
-it could drop the prime that the ``_cover_cost`` tie-break picks.)
-Petrick's method expands the rows into every irredundant selection;
-selections are ranked by (terms, literals) from their masks, and only
-those tied on that pair are compared by their term text.
+essentials leave is a row: the bitset of the primes (columns) covering
+it.  Covers rank by (terms, literals, sorted term keys).  Each prime
+weighs BIG + literals, so one integer sum ranks the first two, and the
+columns are numbered in term-key order for the third.  A branch-and-bound
+search (Coudert, *Two-level logic minimization: an overview*, 1994) runs
+in two passes.  Pass 1 finds the least weight C, branching on the row
+with the fewest columns and pruning a node whose cost plus a lower bound
+(the cheapest columns of a greedy set of rows sharing no column) reaches
+the best cover so far.  Pass 2 walks the columns in key order, taking
+each before leaving it, prunes at cost plus bound above C and stops at
+the first cover: of the covers of one size, that walk reaches the one
+with the least sorted term keys first.  Every node of both passes takes
+the column of a single-column row, drops rows holding another row (a
+selection hitting the smaller one hits it), and drops a column whose
+rows all hold another column of lower (weight, key).  A cover with that
+column can swap it for the other and come out lighter or earlier in key
+order, so neither pass loses the cover it looks for.
 
-Above EXACT_COVER_LIMIT a greedy cover is used.
+Both passes share COVER_NODE_BUDGET nodes.  A region that needs more
+takes the greedy cover, as does every region above EXACT_COVER_LIMIT,
+and its expression's ``minimal`` is False.
 """
 
 from __future__ import annotations
@@ -47,6 +58,13 @@ from .evidence import TruthValue
 from .lattice import _level_masks
 
 EXACT_COVER_LIMIT = 12
+# Search nodes the two passes of one region's exact cover share.  Seeded
+# half-density order-7 regions need at most about 2,000 and order-8 ones
+# about 1,000 in the median.  A node costs roughly 0.1-0.5 ms at orders
+# 7-10, so there a region that spends the budget ends within seconds; a
+# node's cost grows with the cyclic core, to about 1 s on a dense order-12
+# region.
+COVER_NODE_BUDGET = 20_000
 
 # A product term maps fact ids to polarities; stored as a frozenset of
 # (fact_id, positive) literals.  The empty term is the constant TRUE.
@@ -78,16 +96,18 @@ def _term_masks(term: Term) -> Optional[Tuple[int, int]]:
 class SopExpression:
     """An irredundant sum of product terms over n fact literals."""
 
-    __slots__ = ("n", "terms", "_masks")
+    __slots__ = ("n", "terms", "minimal", "_masks")
 
-    def __init__(self, n: int, terms: Iterable[Term]):
+    def __init__(self, n: int, terms: Iterable[Term], minimal: bool = False):
         self.n = int(n)
         self.terms = frozenset(frozenset(t) for t in terms)
+        # True when ``minimize`` proved the cover least; not compared
+        self.minimal = minimal
         self._masks = [m for m in map(_term_masks, self.terms) if m is not None]
 
     def evaluate(self, label: str) -> bool:
-        if len(label) != self.n:
-            raise errors.OutOfRange("label %r is not of order %d" % (label, self.n))
+        if len(label) != self.n or set(label) - {"0", "1"}:
+            raise errors.OutOfRange("bad label %r for order %d" % (label, self.n))
         bits = int(label, 2)
         return any(bits & care == want for care, want in self._masks)
 
@@ -218,21 +238,14 @@ def _subcube_cells(mask: int) -> int:
     return cells
 
 
-def _covers(cube: Tuple[int, int], minterm: int) -> bool:
-    bits, mask = cube
-    return minterm & ~mask == bits
-
-
 def _cube_term(cube: Tuple[int, int], n: int) -> Term:
     bits, mask = cube
     return frozenset((pos + 1, bool(bits >> pos & 1))
                      for pos in range(n) if not mask >> pos & 1)
 
 
-def _cover_cost(cover: Iterable[Term]):
-    terms = sorted(cover, key=_term_key)
-    return (len(terms), sum(len(t) for t in terms),
-            tuple(_term_key(t) for t in terms))
+def _prime_cells(primes) -> List[int]:
+    return [_subcube_cells(mask) << bits for bits, mask in primes]
 
 
 def _minimal(sets: Iterable[int]) -> List[int]:
@@ -247,95 +260,222 @@ def _minimal(sets: Iterable[int]) -> List[int]:
     return kept
 
 
-def _petrick(rows: Sequence[int]) -> List[int]:
-    """All irredundant selections hitting every row, as index bitsets.
+def _dominated(rows: Sequence[int], weights: Sequence[int]) -> int:
+    """The columns whose rows all hold another column of lower (weight,
+    index).  Such a column can always be swapped for that other one."""
+    held: Dict[int, int] = {}
+    for r, row in enumerate(rows):
+        bit = 1 << r
+        while row:
+            col = row & -row
+            held[col] = held.get(col, 0) | bit
+            row ^= col
+    drop = 0
+    for col, mine in held.items():
+        rank = (weights[col.bit_length() - 1], col)
+        # a column in all of col's rows is in its first one
+        row = rows[(mine & -mine).bit_length() - 1] & ~col
+        while row:
+            other = row & -row
+            if (held[other] & mine == mine
+                    and (weights[other.bit_length() - 1], other) < rank):
+                drop |= col
+                break
+            row ^= other
+    return drop
 
-    The selections so far are an antichain.  Those that hit the next row
-    stay as they are; each other one grows by every pick of the row.  A
-    grown ``partial | pick`` can only be absorbed by a kept selection
-    ``keep`` that holds ``pick`` with ``keep ^ pick`` inside ``partial``,
-    since two grown selections never contain one another.
-    """
-    products = [0]
+
+def _reduce(rows: List[int], weights: Sequence[int]) -> Tuple[List[int], int, int]:
+    """Forced picks, row dominance and column dominance until none applies:
+    (rows left, the picks' cost, picks).  The rows left are an antichain
+    of rows with two columns or more."""
+    cost = picks = 0
+    while True:
+        # the column of a single-column row is picked; picking removes
+        # rows whole, so no row becomes single
+        forced = 0
+        for row in rows:
+            if not row & (row - 1):
+                forced |= row
+        if forced:
+            rows = [row for row in rows if not row & forced]
+            cost += sum(weights[i] for i in _bit_positions(forced))
+            picks |= forced
+        rows = _minimal(rows)
+        drop = _dominated(rows, weights)
+        if not drop:
+            return rows, cost, picks
+        # every row holding a dropped column holds an undropped dominator
+        rows = [row & ~drop for row in rows]
+
+
+def _lower_bound(rows: Sequence[int], levels) -> int:
+    """A cost no cover of ``rows`` beats: rows sharing no column need one
+    column each, so a greedy set of them adds up their cheapest columns."""
+    used = bound = 0
     for row in rows:
-        kept = [p for p in products if p & row]
-        missing = [p for p in products if not p & row]
-        grown = []
-        for pick in (1 << i for i in _bit_positions(row)):
-            rests = [keep ^ pick for keep in kept if keep & pick]
-            for partial in missing:
-                for rest in rests:
-                    if rest & partial == rest:
-                        break
-                else:
-                    grown.append(partial | pick)
-        products = kept + grown
-    return products
+        if not row & used:
+            used |= row
+            for weight, columns in levels:
+                if row & columns:
+                    bound += weight
+                    break
+    return bound
 
 
-def _exact_cover(primes, n) -> List[Term]:
-    cells = [_subcube_cells(mask) << bits for bits, mask in primes]
+def _least_cost(rows, weights, levels, budget) -> Tuple[Optional[int], int]:
+    """Pass 1: the least cost of a selection hitting every row, or None
+    when the search needs more than ``budget`` nodes; and the nodes used.
+
+    A node picks a column, drops the columns its earlier siblings picked
+    (their subtrees hold every cover with them), reduces, and branches on
+    the row with the fewest columns, cheapest column first.
+    """
+    best = sum(weights) + 1
+    nodes = 0
+    stack = [(rows, 0, 0, 0)]
+    while stack:
+        rows, cost, pick, tried = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            return None, nodes
+        if pick:
+            # rows are an antichain and ``tried`` lies inside the row
+            # branched on, so no row is left empty
+            rows = [row & ~tried for row in rows if not row & pick]
+            cost += weights[pick.bit_length() - 1]
+        rows, more, _ = _reduce(rows, weights)
+        cost += more
+        if not rows:
+            best = min(best, cost)
+            continue
+        if cost + _lower_bound(rows, levels) >= best:
+            continue
+        branch = []
+        tried = 0
+        for _, columns in levels:
+            for i in _bit_positions(rows[0] & columns):
+                branch.append((rows, cost, 1 << i, tried))
+                tried |= 1 << i
+        stack.extend(reversed(branch))
+    return best, nodes
+
+
+def _first_cover(rows, weights, levels, target, budget) -> Optional[int]:
+    """Pass 2: the first selection of cost ``target`` that a walk over the
+    columns in index order, taking each before leaving it, reaches; None
+    when the walk needs more than ``budget`` nodes.
+
+    Columns are numbered in term-key order, so of the covers of one size
+    the walk reaches the one whose sorted term keys come first.  A column
+    that no row holds is never taken: every cover with it is redundant.
+    """
+    nodes = 0
+    stack = [(rows, 0, 0)]
+    while stack:
+        rows, cost, chosen = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            return None
+        rows, more, picks = _reduce(rows, weights)
+        cost += more
+        chosen |= picks
+        if not rows:
+            if cost <= target:
+                return chosen
+            continue
+        if cost + _lower_bound(rows, levels) > target:
+            continue
+        held = 0
+        for row in rows:
+            held |= row
+        col = held & -held
+        # no reduced row is single, so leaving ``col`` empties none
+        stack.append(([row & ~col for row in rows], cost, chosen))
+        stack.append(([row for row in rows if not row & col],
+                      cost + weights[col.bit_length() - 1], chosen | col))
+    return None
+
+
+def _exact_cover(primes, n) -> Optional[List[Term]]:
+    """The least cover by (terms, literals, sorted term keys), or None
+    when the search runs past COVER_NODE_BUDGET nodes."""
+    cells = _prime_cells(primes)
     once = twice = 0
     for c in cells:
         twice |= once & c
         once |= c
     single = once & ~twice
-    essential = covered = 0
+    picks = []
+    covered = 0
     for i, c in enumerate(cells):
         if c & single:
-            essential |= 1 << i
+            picks.append(i)
             covered |= c
-    best = [essential]
     remaining = once & ~covered
     if remaining:
         rows: Dict[int, int] = {}
         for i, c in enumerate(cells):
             for m in _bit_positions(c & remaining):
                 rows[m] = rows.get(m, 0) | 1 << i
-        # a row holding another row is hit by every selection hitting
-        # that one, so dropping it leaves the minimal selections as they are
-        literals = [n - mask.bit_count() for _, mask in primes]
-        best_key = None
-        for selection in _petrick(_minimal(rows.values())):
-            key = (selection.bit_count(),
-                   sum(literals[i] for i in _bit_positions(selection)))
-            if best_key is None or key < best_key:
-                best_key, best = key, [essential | selection]
-            elif key == best_key:
-                best.append(essential | selection)
-    cover = min(_cover_cost(_cube_term(primes[i], n)
-                            for i in _bit_positions(chosen))
-                for chosen in best)
-    return [frozenset(t) for t in cover[2]]
+        core = _minimal(rows.values())
+        held = 0
+        for row in core:
+            held |= row
+        alive = sorted(_bit_positions(held),
+                       key=lambda i: _term_key(_cube_term(primes[i], n)))
+        column = {i: c for c, i in enumerate(alive)}
+        core = [sum(1 << column[i] for i in _bit_positions(row)) for row in core]
+        # one integer ranks (terms, literals): no cover has BIG literals
+        big = n * len(primes) + 1
+        weights = [big + n - primes[i][1].bit_count() for i in alive]
+        by_weight: Dict[int, int] = {}
+        for c, weight in enumerate(weights):
+            by_weight[weight] = by_weight.get(weight, 0) | 1 << c
+        levels = sorted(by_weight.items())
+        target, spent = _least_cost(core, weights, levels, COVER_NODE_BUDGET)
+        if target is None:
+            return None
+        chosen = _first_cover(core, weights, levels, target,
+                              COVER_NODE_BUDGET - spent)
+        if chosen is None:
+            return None
+        picks += [alive[c] for c in _bit_positions(chosen)]
+    return [_cube_term(primes[i], n) for i in picks]
 
 
 def _greedy_cover(primes, minterms, n) -> List[Term]:
-    uncovered = set(minterms)
+    cells = _prime_cells(primes)
+    uncovered = 0
+    for m in minterms:
+        uncovered |= 1 << m
     chosen = []
     while uncovered:
-        def gain(item):
-            i, p = item
-            hits = sum(1 for m in uncovered if _covers(p, m))
-            return (-hits, len(_cube_term(p, n)), p)
-        i, p = min(enumerate(primes), key=gain)
-        hits = {m for m in uncovered if _covers(p, m)}
-        if not hits:
+        i = min(range(len(primes)), key=lambda i: (
+            -(cells[i] & uncovered).bit_count(),
+            n - primes[i][1].bit_count(), primes[i]))
+        if not cells[i] & uncovered:
             raise AssertionError("prime cover exhausted with minterms left")
-        chosen.append(p)
-        uncovered -= hits
+        chosen.append(i)
+        uncovered &= ~cells[i]
     # reverse-delete any pick made redundant by later ones: a pick can go
     # when the others cover every minterm it covers
     kept = list(chosen)
-    for cube in chosen:
-        trial = [c for c in kept if c != cube]
-        if trial and all(any(_covers(c, m) for c in trial)
-                         for m in minterms if _covers(cube, m)):
+    for i in chosen:
+        trial = [k for k in kept if k != i]
+        others = 0
+        for k in trial:
+            others |= cells[k]
+        if trial and not cells[i] & ~others:
             kept = trial
-    return [_cube_term(c, n) for c in kept]
+    return [_cube_term(primes[i], n) for i in kept]
 
 
 def minimize(minterms: Iterable[str], n: int) -> SopExpression:
     """Minimal sum of products whose truth set is exactly the label set.
+
+    The result's ``minimal`` is False when the cover is the greedy one:
+    above EXACT_COVER_LIMIT, or when the exact search ran out of nodes.
 
     Raises:
         EmptyMintermSet: nothing to cover.
@@ -350,18 +490,21 @@ def minimize(minterms: Iterable[str], n: int) -> SopExpression:
             raise errors.OutOfRange("bad minterm label %r for order %d" % (label, n))
         values.append(int(label, 2))
     primes = _prime_implicants(values, n)
-    if n <= EXACT_COVER_LIMIT:
-        terms = _exact_cover(primes, n)
-    else:
-        terms = _greedy_cover(primes, values, n)
-    return SopExpression(n, terms)
+    terms = _exact_cover(primes, n) if n <= EXACT_COVER_LIMIT else None
+    if terms is not None:
+        return SopExpression(n, terms, minimal=True)
+    return SopExpression(n, _greedy_cover(primes, values, n))
 
 
 # --- rule emission ----------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class MinimizedRule:
-    """One minimized decision rule with its quality measures."""
+    """One minimized decision rule with its quality measures.
+
+    ``minimal`` is True when the condition is a proven least cover and
+    False when it is the greedy one; it is not rendered.
+    """
 
     condition: SopExpression
     disease: str
@@ -369,6 +512,7 @@ class MinimizedRule:
     kind: str
     source_labels: FrozenSet[str]
     metrics: Optional[object] = None
+    minimal: bool = False
 
 
 _REGIONS = {
@@ -405,8 +549,9 @@ def generate_rules(kb, approx: Mapping[str, "ApproximationSets"],
                 labels = frozenset(getattr(sets, region))
                 if not labels:
                     continue
-                rule = MinimizedRule(minimize(labels, kb.n), disease, vd,
-                                     kind, labels)
+                condition = minimize(labels, kb.n)
+                rule = MinimizedRule(condition, disease, vd, kind, labels,
+                                     minimal=condition.minimal)
                 try:
                     rule = dataclasses.replace(
                         rule, metrics=_metrics.measure(rule, kb))

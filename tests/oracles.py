@@ -324,6 +324,35 @@ def best_cover(minterms, n):
     raise AssertionError("uncoverable minterm set")
 
 
+def _cube_key(cube):
+    """A cube string's literals as sorted (fact id, positive) pairs; the
+    last character is fact 1."""
+    n = len(cube)
+    return tuple(sorted((n - i, ch == "1") for i, ch in enumerate(cube) if ch != "-"))
+
+
+def reference_cover(minterms, n):
+    """The least prime cover, as a set of cube strings, ranked by
+    (term count, literal count, sorted term keys), where a term key is
+    its sorted (fact id, positive) literals.  Enumerates prime subsets
+    by size."""
+    primes = exhaustive_primes(minterms, n)
+    for k in range(1, len(primes) + 1):
+        best = None
+        for combo in combinations(primes, k):
+            covered = set()
+            for cube in combo:
+                covered |= _cube_cells(cube)
+            if covered == minterms:
+                rank = (sum(n - cube.count("-") for cube in combo),
+                        sorted(_cube_key(cube) for cube in combo))
+                if best is None or rank < best[0]:
+                    best = (rank, set(combo))
+        if best is not None:
+            return best[1]
+    raise AssertionError("uncoverable minterm set")
+
+
 # ---------------------------------------------------------------------------
 # rule quality measures from first principles
 #

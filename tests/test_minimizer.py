@@ -10,15 +10,25 @@ from hypothesis import strategies as st
 
 import expected_lbp as X
 import oracles
-from roughkb import errors
+from conftest import random_kb, seeded
+from roughkb import errors, minimizer, roughset
 from roughkb.minimizer import (EXACT_COVER_LIMIT, SopExpression,
-                               _prime_implicants, minimize)
+                               _greedy_cover, _prime_implicants,
+                               generate_rules, minimize)
 
 # sha256 over str(minimize(...)) of the _pinned_regions() below, one line
-# each.  It was recorded with the earlier Quine-McCluskey and frozenset
-# Petrick minimizer, so it pins its covers, _cover_cost tie-break included.
+# each.  It was recorded with an earlier minimizer that listed every
+# irredundant cover (Quine-McCluskey primes, Petrick's product expansion)
+# and ranked them by (terms, literals, sorted term keys), so it pins that
+# ranking, tie-break included.
 PINNED_COVERS_SHA = \
     "2378575a83ac624d8755baa1c7f3b3ecb6bfb97afa3a497687070b2500859411"
+
+# sha256 over str() of the greedy covers of _greedy_regions(), one line
+# each, recorded with the earlier greedy cover that tested every prime
+# against every uncovered minterm.
+GREEDY_COVERS_SHA = \
+    "c7c784d25522c7cb1a2be84352b4368f6d84e11a14a2c22f8a2a2a38ebc27b79"
 
 
 def _all_labels(n):
@@ -34,6 +44,13 @@ def test_expression_evaluates_literals():
     assert not e.evaluate("011")
     assert not e.evaluate("010")
     assert e.truth_set() == {"001", "101"}
+
+
+@pytest.mark.parametrize("label", ["0a1", "0b1", " 01", "0_1"])
+def test_expression_rejects_bad_labels(label):
+    e = SopExpression(3, [frozenset({(1, True)})])
+    with pytest.raises(errors.OutOfRange):
+        e.evaluate(label)
 
 
 def test_expression_string_forms():
@@ -84,13 +101,35 @@ def test_minimize_is_deterministic():
 
 # --- optimality against brute force -----------------------------------------
 
+def _cube_string(term, n):
+    cube = ["-"] * n
+    for fid, positive in term:
+        cube[n - fid] = "1" if positive else "0"
+    return "".join(cube)
+
+
 def _check_optimal(minterms, n):
     got = minimize(minterms, n)
     assert got.truth_set() == set(minterms), "cover is not semantically equal"
+    assert got.minimal
     terms = got.ordered_terms()
     want_count, want_lits = oracles.best_cover(set(minterms), n)
     assert len(terms) == want_count
     assert sum(len(t) for t in terms) == want_lits
+    assert ({_cube_string(t, n) for t in terms}
+            == oracles.reference_cover(set(minterms), n))
+
+
+def _check_prime_and_irredundant(expr, labels):
+    labels = set(labels)
+    terms = expr.ordered_terms()
+    for term in terms:
+        for literal in term:
+            wider = SopExpression(expr.n, [term - {literal}])
+            assert not wider.truth_set() <= labels, "a term is not prime"
+    for drop in range(len(terms)):
+        rest = SopExpression(expr.n, terms[:drop] + terms[drop + 1:])
+        assert rest.truth_set() != labels, "a term is redundant"
 
 
 def test_exhaustive_width_two_and_three():
@@ -106,6 +145,15 @@ def test_exhaustive_width_two_and_three():
 def test_random_width_four(cells):
     minterms = frozenset(format(c, "04b") for c in cells)
     _check_optimal(minterms, 4)
+
+
+def test_seeded_widths_four_and_five():
+    rng = random.Random(4505)
+    for n in (4, 5):
+        for _ in range(20):
+            density = rng.choice((0.25, 0.5, 0.75))
+            cells = [c for c in range(2 ** n) if rng.random() < density] or [0]
+            _check_optimal(frozenset(format(c, "0%db" % n) for c in cells), n)
 
 
 def test_full_and_single_cases():
@@ -125,11 +173,7 @@ def test_cover_is_irredundant():
         frozenset({"1010", "1011", "1110", "0110"}),
     ]
     for minterms in cases:
-        got = minimize(minterms, 4)
-        terms = got.ordered_terms()
-        for drop in range(len(terms)):
-            rest = SopExpression(4, terms[:drop] + terms[drop + 1:])
-            assert rest.truth_set() != minterms
+        _check_prime_and_irredundant(minimize(minterms, 4), minterms)
 
 
 def test_wide_instances_fall_back_to_greedy():
@@ -140,11 +184,64 @@ def test_wide_instances_fall_back_to_greedy():
     labels = [prefix + format(i, "06b") for i in range(64) if i % 3 != 0]
     got = minimize(labels, n)
     assert got.truth_set() == set(labels)
+    assert not got.minimal
     # greedy covers stay irredundant even without the exact search
-    terms = got.ordered_terms()
-    for drop in range(len(terms)):
-        rest = SopExpression(n, terms[:drop] + terms[drop + 1:])
-        assert rest.truth_set() != set(labels)
+    _check_prime_and_irredundant(got, labels)
+
+
+# --- the node budget --------------------------------------------------------
+
+def _ragged_regions():
+    """Forty half-density order-7 regions.  Expanding Petrick's product
+    finished only nine of them within 3 s."""
+    rng = random.Random(5)
+    for _ in range(40):
+        yield [format(c, "07b") for c in range(128) if rng.random() < 0.5]
+
+
+def test_ragged_regions_need_few_nodes(monkeypatch):
+    # a node count, not a timing: each region's search fits in 2,000 nodes
+    monkeypatch.setattr(minimizer, "COVER_NODE_BUDGET", 2_000)
+    for labels in _ragged_regions():
+        got = minimize(labels, 7)
+        assert got.minimal
+        assert got.truth_set() == set(labels)
+        _check_prime_and_irredundant(got, labels)
+
+
+def test_spent_budget_falls_back_to_greedy(monkeypatch):
+    labels = next(_ragged_regions())
+    values = [int(label, 2) for label in labels]
+    exact = minimize(labels, 7)
+    greedy = SopExpression(7, _greedy_cover(_prime_implicants(values, 7), values, 7))
+    assert exact.terms != greedy.terms
+    # every budget below the nodes the search needs gives the greedy cover
+    for budget in range(1000):
+        monkeypatch.setattr(minimizer, "COVER_NODE_BUDGET", budget)
+        got = minimize(labels, 7)
+        if got.minimal:
+            break
+        assert got.terms == greedy.terms
+        assert got.truth_set() == set(labels)
+        _check_prime_and_irredundant(got, labels)
+    assert 1 < budget < 1000
+    assert got.terms == exact.terms
+    monkeypatch.setattr(minimizer, "COVER_NODE_BUDGET", budget + 1)
+    assert minimize(labels, 7).minimal
+
+
+def test_rules_record_which_cover_they_got(monkeypatch):
+    kb, _, _ = random_kb(seeded(0), 6, with_priorities=False)
+    approx = {d: roughset.approximations(kb, d) for d in kb.diseases()}
+    kinds = ("certain", "uncertain", "possible")
+    exact = generate_rules(kb, approx, kinds)
+    assert all(rule.minimal for rule in exact)
+    monkeypatch.setattr(minimizer, "COVER_NODE_BUDGET", 0)
+    spent = generate_rules(kb, approx, kinds)
+    assert any(not rule.minimal for rule in spent)
+    for rule in spent:
+        assert rule.minimal == rule.condition.minimal
+        assert rule.condition.truth_set() == rule.source_labels
 
 
 # --- prime implicants and pinned covers -------------------------------------
@@ -180,11 +277,11 @@ _PINNED_DENSITIES = {3: (0.1, 0.25, 0.5, 0.75, 0.9),
 
 
 def _pinned_regions():
-    """200 seeded regions at orders 3-7, 85 of which need a Petrick search.
+    """200 seeded regions at orders 3-7, 85 of which need a search
+    beyond the essential primes.
 
-    Denser regions at orders 6 and 7 are left out: their exact cover
-    search is exponential (see ROADMAP item 2), and this set pins covers,
-    not running time.
+    Denser regions at orders 6 and 7 are left out: the earlier minimizer
+    that recorded the digest did not finish them.
     """
     rng = random.Random(1810)
     for i in range(200):
@@ -194,6 +291,25 @@ def _pinned_regions():
         if not cells:
             cells = [rng.randrange(2 ** n)]
         yield n, [format(c, "0%db" % n) for c in cells]
+
+
+def _greedy_regions():
+    rng = random.Random(1812)
+    for i in range(120):
+        n = 3 + i % 7
+        density = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+        cells = [c for c in range(2 ** n) if rng.random() < density]
+        if not cells:
+            cells = [rng.randrange(2 ** n)]
+        yield n, cells
+
+
+def test_greedy_covers_are_pinned():
+    digest = hashlib.sha256()
+    for n, cells in _greedy_regions():
+        terms = _greedy_cover(_prime_implicants(cells, n), cells, n)
+        digest.update(str(SopExpression(n, terms)).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == GREEDY_COVERS_SHA
 
 
 def test_covers_are_pinned():
