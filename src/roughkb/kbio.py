@@ -24,7 +24,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import errors
 from ._num import ONE, ZERO, frac, publish2, render
@@ -286,6 +286,19 @@ def _quoted(text: str) -> str:
     return '"%s"' % text
 
 
+def _priority_lines(priorities: PriorityConfig) -> List[str]:
+    """Global then scoped priority lines, as both text formats spell them."""
+    lines = ["priority %s f%d %d" % (disease, fid, p)
+             for (disease, fid), p in sorted(priorities.global_priorities.items())]
+    for (fset, disease), prio in sorted(
+            priorities.scoped.items(),
+            key=lambda item: (sorted(item[0][0]), item[0][1])):
+        refs = "+".join("f%d" % f for f in sorted(fset))
+        parts = " ".join("f%d=%d" % (f, prio[f]) for f in sorted(prio))
+        lines.append("priority %s %s %s" % (disease, refs, parts))
+    return lines
+
+
 def render_evidence(doc: EvidenceDocument) -> str:
     """Canonical text of a document; parse(render(doc)) == doc."""
     lines = ["module %s" % doc.module, "grading q=%d" % doc.q]
@@ -294,14 +307,7 @@ def render_evidence(doc: EvidenceDocument) -> str:
     for fact in doc.facts:
         lines.append("fact f%d %s %s"
                      % (fact.id, _quoted(fact.attribute), _quoted(fact.value)))
-    for (disease, fid), p in sorted(doc.priorities.global_priorities.items()):
-        lines.append("priority %s f%d %d" % (disease, fid, p))
-    for (fset, disease), prio in sorted(
-            doc.priorities.scoped.items(),
-            key=lambda item: (sorted(item[0][0]), item[0][1])):
-        refs = "+".join("f%d" % f for f in sorted(fset))
-        parts = " ".join("f%d=%d" % (f, prio[f]) for f in sorted(prio))
-        lines.append("priority %s %s %s" % (disease, refs, parts))
+    lines += _priority_lines(doc.priorities)
     for rec in doc.records:
         refs = "+".join("f%d" % f for f in rec.facts)
         lines.append("evidence %s %s m=%d level=%d count=%d"
@@ -380,14 +386,7 @@ def serialize_kb(kb: Lattice) -> str:
     for fact in kb.facts:
         lines.append("fact f%d %s %s"
                      % (fact.id, _quoted(fact.attribute), _quoted(fact.value)))
-    for (disease, fid), p in sorted(kb.priorities.global_priorities.items()):
-        lines.append("priority %s f%d %d" % (disease, fid, p))
-    for (fset, disease), prio in sorted(
-            kb.priorities.scoped.items(),
-            key=lambda item: (sorted(item[0][0]), item[0][1])):
-        refs = "+".join("f%d" % f for f in sorted(fset))
-        parts = " ".join("f%d=%d" % (f, prio[f]) for f in sorted(prio))
-        lines.append("priority %s %s %s" % (disease, refs, parts))
+    lines += _priority_lines(kb.priorities)
     for level_labels in kb.levels:
         for label in level_labels:
             lines.append("node %s" % label)
@@ -603,14 +602,7 @@ def _literal_phrase(kb: Lattice, fid: int, positive: bool) -> str:
 
 
 def _condition_phrase(kb: Lattice, expr) -> str:
-    if frozenset() in expr.terms:
-        return "TRUE"
-    parts = []
-    for term in expr.ordered_terms():
-        text = " AND ".join(_literal_phrase(kb, f, p) for f, p in sorted(term))
-        parts.append("(%s)" % text if len(expr.terms) > 1 and len(term) > 1
-                     else text)
-    return " OR ".join(parts)
+    return expr.phrase(lambda fid, positive: _literal_phrase(kb, fid, positive))
 
 
 def _measures(rule, places: int) -> List[str]:
@@ -775,10 +767,17 @@ def _cmd_set_decision(args) -> int:
         if args.vd is None or args.cf is None:
             raise errors.OutOfRange(
                 "set-decision needs --vd and --cf unless --drop is given")
-        change = SetDecision(args.disease, args.vd, _credibility_arg(args.cf))
-    kb = modify_node(kb, args.label, change,
-                     observer=_PrintingObserver(sys.stdout))
-    _write_atomically(args.kb, serialize_kb(kb))
+        cf = _credibility_arg(args.cf)
+        # re-asserting the stored vd and cf keeps the stored truth triple,
+        # so the edit changes nothing
+        stored = kb.node(args.label).decisions.get(args.disease)
+        tv = (stored.tv if stored is not None and (stored.vd, stored.cf) == (args.vd, cf)
+              else None)
+        change = SetDecision(args.disease, args.vd, cf, tv=tv)
+    edited = modify_node(kb, args.label, change,
+                         observer=_PrintingObserver(sys.stdout))
+    if edited is not kb:
+        _write_atomically(args.kb, serialize_kb(edited))
     return 0
 
 

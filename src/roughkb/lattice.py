@@ -22,7 +22,9 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optiona
 
 from . import errors
 from ._num import ONE, ZERO, frac, publish2
-from .propagation import DecisionEntry, PriorityConfig, node_decisions
+from .propagation import DecisionEntry, PriorityConfig
+# bench/tracing.py wraps this name to count cone re-derivation apart from propagate
+from .propagation import derive as _repropagate
 
 DEFAULT_ORDER_CAP = 16
 
@@ -116,32 +118,40 @@ def successor_labels(label: str, n: int) -> List[str]:
 # --- storage ----------------------------------------------------------------
 
 class LatticeNode:
-    """One fact subset with its per-disease decisions and neighbours."""
+    """One fact subset with its per-disease decisions.
 
-    __slots__ = ("label", "condition", "decisions", "predecessors", "successors")
+    The Hasse neighbours are not stored: ``predecessors`` and
+    ``successors`` follow from the label by one-bit edits, in ascending
+    label order.
+    """
 
-    def __init__(self, label, condition, decisions, predecessors, successors):
+    __slots__ = ("label", "condition", "decisions")
+
+    def __init__(self, label, condition, decisions):
         self.label = label
         self.condition = frozenset(condition)
         self.decisions = dict(decisions)
-        self.predecessors = tuple(predecessors)
-        self.successors = tuple(successors)
 
     @property
     def level(self) -> int:
         return level_of(self.label)
 
+    @property
+    def predecessors(self) -> Tuple[str, ...]:
+        return tuple(predecessor_labels(self.label))
+
+    @property
+    def successors(self) -> Tuple[str, ...]:
+        return tuple(successor_labels(self.label, len(self.label)))
+
     def replace_decisions(self, decisions) -> "LatticeNode":
-        return LatticeNode(self.label, self.condition, decisions,
-                           self.predecessors, self.successors)
+        return LatticeNode(self.label, self.condition, decisions)
 
     def __eq__(self, other):
         return (isinstance(other, LatticeNode)
                 and other.label == self.label
                 and other.condition == self.condition
-                and other.decisions == self.decisions
-                and other.predecessors == self.predecessors
-                and other.successors == self.successors)
+                and other.decisions == self.decisions)
 
     def __repr__(self):
         return ("LatticeNode(%r, %d decision%s)"
@@ -226,14 +236,11 @@ class Lattice:
 
 
 def _build_structure(n: int) -> Tuple[Tuple[Tuple[str, ...], ...], Dict[str, LatticeNode]]:
-    levels = tuple(tuple(label_at(level, k, n) for k in range(1, comb(n, level) + 1))
+    fmt = "0%db" % n
+    levels = tuple(tuple(format(mask, fmt) for mask in _level_masks(n, level))
                    for level in range(n + 1))
-    nodes = {}
-    for level_labels in levels:
-        for label in level_labels:
-            nodes[label] = LatticeNode(label, facts_of(label), {},
-                                       predecessor_labels(label),
-                                       successor_labels(label, n))
+    nodes = {label: LatticeNode(label, facts_of(label), {})
+             for level_labels in levels for label in level_labels}
     return levels, nodes
 
 
@@ -324,14 +331,6 @@ def check_structure(kb: Lattice) -> List[str]:
             if node.condition != facts_of(label):
                 problems.append("node %s condition %s does not match its label"
                                 % (label, sorted(node.condition)))
-            if len(node.predecessors) != level or len(node.successors) != n - level:
-                problems.append("node %s adjacency sizes (%d, %d), expected (%d, %d)"
-                                % (label, len(node.predecessors),
-                                   len(node.successors), level, n - level))
-            for pred in node.predecessors:
-                other = kb.nodes.get(pred)
-                if other is None or label not in other.successors:
-                    problems.append("edge %s -> %s not mirrored" % (pred, label))
     root = kb.nodes.get("0" * n)
     if root is not None and root.decisions:
         problems.append("entry node carries decisions")
@@ -339,29 +338,6 @@ def check_structure(kb: Lattice) -> List[str]:
 
 
 # --- structural edits -------------------------------------------------------
-
-def _repropagate(kb_config, nodes: Dict[str, LatticeNode],
-                 levels, targets: Iterable[str]) -> Dict[str, Dict[str, DecisionEntry]]:
-    """Recompute the decision maps of the target labels, bottom up.
-
-    Re-derivation runs from stored atomic evidence and priorities;
-    evidence that was supplied directly for composite conditions during
-    an earlier build is not retained and so does not reappear.
-    """
-    alpha, priorities, publish = kb_config
-    targets = set(targets)
-    fresh: Dict[str, Dict[str, DecisionEntry]] = {}
-    order = [label for level_labels in levels for label in level_labels
-             if label in targets]
-    for label in order:
-        node = nodes[label]
-        preds = [(nodes[p].condition, fresh.get(p, nodes[p].decisions))
-                 for p in node.predecessors]
-        fresh[label] = node_decisions(node.condition, preds,
-                                      priorities.weights_for, alpha,
-                                      publish=publish)
-    return fresh
-
 
 def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry],
                 order_cap: int = DEFAULT_ORDER_CAP) -> Lattice:
@@ -400,9 +376,9 @@ def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry],
     grown = Lattice(kb.facts + (fact,), nodes, levels, alpha=kb.alpha,
                     priorities=kb.priorities, round2=kb.round2,
                     declared=declared)
-    fresh = _repropagate((kb.alpha, kb.priorities, grown.publish()),
-                         grown.nodes, grown.levels, _cone_labels(new_atomic_label))
-    return grown.with_updates(fresh)
+    cone = sorted(_cone_labels(new_atomic_label), key=level_of)
+    return grown.with_updates(_repropagate(grown.nodes, cone, kb.priorities,
+                                           kb.alpha, grown.publish()))
 
 
 def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
@@ -474,9 +450,11 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
 
     Condition edits are only legal at level 1 and need no ripple: nodes
     reference facts by id, so every composite condition reflects the
-    new text immediately.  Decision edits re-derive every node whose
-    condition strictly contains the edited one and report the per-node
-    differences to the observer, if any, via ``decisions_added(disease,
+    new text immediately.  A decision edit that leaves the node's
+    decision map as it was returns ``kb`` itself and reports nothing.
+    Other decision edits re-derive every node whose condition strictly
+    contains the edited one and report the per-node differences to the
+    observer, if any, via ``decisions_added(disease,
     [(label, vd)])``, ``decisions_removed(disease, [(label, vd)])`` and
     ``truth_changed(disease, label, old_vd, new_vd)``.
 
@@ -524,13 +502,15 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
         declared = kb.declared
     else:
         raise errors.OutOfRange("unsupported change %r" % (change,))
+    if decisions == node.decisions:
+        return kb
 
     updates = {label: decisions}
     nodes_view = kb.nodes.copy()
     nodes_view[label] = node.replace_decisions(decisions)
-    fresh = _repropagate((kb.alpha, kb.priorities, kb.publish()),
-                         nodes_view, kb.levels, _cone_labels(label))
-    updates.update(fresh)
+    cone = sorted(_cone_labels(label), key=level_of)
+    updates.update(_repropagate(nodes_view, cone, kb.priorities, kb.alpha,
+                                kb.publish()))
 
     if observer is not None:
         _report_diff(kb, updates, observer)

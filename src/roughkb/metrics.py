@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from . import errors
 from ._num import ONE, ZERO

@@ -124,18 +124,21 @@ class SopExpression:
     def ordered_terms(self) -> List[Term]:
         return sorted(self.terms, key=_term_key)
 
-    def __str__(self):
+    def phrase(self, literal) -> str:
+        """The sum of products, each literal spelled by ``literal(fid, positive)``."""
         if not self.terms:
             return "FALSE"
         if frozenset() in self.terms:
             return "TRUE"
         parts = []
         for term in self.ordered_terms():
-            lits = [_literal_text(f, p) for f, p in sorted(term)]
-            text = " AND ".join(lits)
-            parts.append("(%s)" % text if len(self.terms) > 1 and len(lits) > 1
+            text = " AND ".join(literal(f, p) for f, p in sorted(term))
+            parts.append("(%s)" % text if len(self.terms) > 1 and len(term) > 1
                          else text)
         return " OR ".join(parts)
+
+    def __str__(self):
+        return self.phrase(_literal_text)
 
     def factored(self) -> str:
         """Single-level factoring of the literals shared by every term."""
@@ -563,11 +566,3 @@ def generate_rules(kb, approx: Mapping[str, "ApproximationSets"],
         -(r.metrics.strength if r.metrics is not None else ZERO),
         int(r.vd)))
     return rules
-
-
-if __name__ == "__main__":
-    # two worked four-variable covers, one factorable
-    for shown in ({"1000", "1001", "1101", "1100"},
-                  {"1100", "1101", "1001", "1111", "1011", "1010", "1110"}):
-        expr = minimize(shown, 4)
-        print(sorted(shown), "->", expr, "| factored:", expr.factored())

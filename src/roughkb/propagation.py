@@ -242,23 +242,6 @@ def _chain(pairs) -> Tuple[TruthValue, Fraction]:
     return vd, cf
 
 
-def derive_vd_chain(constituents: Sequence[Tuple[int, Fraction]]) -> TruthValue:
-    """Prevailing truth value of an ordered constituent list.
-
-    At each step the higher-credibility side keeps its value; ties and
-    0-versus-2 clashes go inconclusive.  The carried credibility is the
-    running maximum, which is what the prevailing side of every step
-    contributes.
-
-    Raises:
-        OutOfRange: fewer than two constituents.
-    """
-    seq = [(TruthValue(vd), frac(cf)) for vd, cf in constituents]
-    if len(seq) < 2:
-        raise errors.OutOfRange("chain needs at least two constituents")
-    return _chain(seq)[0]
-
-
 def _vd_groups(camps: Iterable[int], total: int) -> int:
     """Combine one fact's constituent credibilities across truth values.
 
@@ -310,43 +293,6 @@ def _cf_multi(node_facts, constituents, weights, gate, publish):
     if not terms:
         return ZERO, False
     return publish(clamp01(fsum(terms) / (len(node_facts) - 1))), True
-
-
-def cf_multi(node_facts: FrozenSet[int], disease: str,
-             constituents: Sequence[Tuple[FrozenSet[int], DecisionEntry]],
-             weights: Mapping[int, Fraction], alpha,
-             publish=None) -> Fraction:
-    """Credibility of a node at level >= 3 from its predecessors.
-
-    ``constituents`` are the immediate predecessors that carry the
-    disease, as (fact set, entry) pairs.  Each fact of the node combines,
-    across truth-value camps, the credibilities of the constituents
-    containing it: the per-camp totals less the one constituent that
-    lacks the fact.  The result is weighed, and the gated terms average
-    over level minus one.  The result is clamped to [0, 1].
-
-    Raises:
-        OutOfRange: a level below 3, an entry for another disease, or a
-            constituent that is not a distinct immediate predecessor.
-    """
-    node_facts = frozenset(node_facts)
-    if len(node_facts) < 3:
-        raise errors.OutOfRange("multi-constituent rule needs level >= 3")
-    seen = set()
-    for facts, entry in constituents:
-        if entry.disease != disease:
-            raise errors.OutOfRange("constituent entry for %r, expected %r"
-                                    % (entry.disease, disease))
-        facts = frozenset(facts)
-        if (not facts < node_facts or len(facts) != len(node_facts) - 1
-                or facts in seen):
-            raise errors.OutOfRange("constituent %s is not a distinct immediate "
-                                    "predecessor of %s"
-                                    % (sorted(facts), sorted(node_facts)))
-        seen.add(facts)
-    cf, _ = _cf_multi(node_facts, [(frozenset(f), e) for f, e in constituents],
-                      weights, _alpha(alpha), publish or _identity)
-    return cf
 
 
 def carryover_single(entry: DecisionEntry, w, alpha,
@@ -454,42 +400,48 @@ def node_decisions(node_facts: FrozenSet[int],
     return out
 
 
+def derive(nodes, labels: Iterable[str], priorities: PriorityConfig, gate,
+           publish, external: Optional[Mapping[FrozenSet[int], Mapping[str, tuple]]] = None
+           ) -> Dict[str, Dict[str, DecisionEntry]]:
+    """The fresh decision maps of ``labels``, derived bottom up.
+
+    ``nodes`` maps every label to its node, and ``labels`` lists each
+    label after those of its predecessors that it holds (popcount order
+    does).  A predecessor reads its fresh map if it has one, and its
+    stored map otherwise.  ``external`` maps a composite fact set to
+    per-disease (vd, cf, triple) resolved from direct knowledge sources.
+    Such evidence is consumed here, not stored on any node, so a later
+    edit re-derives its cone from atomic decisions and priorities alone
+    (fault F3 in ``bench/README.md``).
+    """
+    external = external or {}
+    fresh: Dict[str, Dict[str, DecisionEntry]] = {}
+    for label in labels:
+        node = nodes[label]
+        preds = [(nodes[p].condition, fresh[p] if p in fresh else nodes[p].decisions)
+                 for p in node.predecessors]
+        fresh[label] = node_decisions(node.condition, preds, priorities.weights_for,
+                                      gate, publish=publish,
+                                      external=external.get(node.condition))
+    return fresh
+
+
 def propagate(kb, priorities: Optional[PriorityConfig] = None,
               external: Optional[Mapping[FrozenSet[int], Mapping[str, tuple]]] = None,
               alpha=ZERO, round2: bool = False):
     """Fill every composite level of a knowledge base, bottom up.
 
     ``external`` maps a composite fact set to per-disease (vd, cf,
-    triple) resolved from direct knowledge sources; it is consumed here
-    and deliberately not stored on the result, so later structural
-    edits recompute from atomic evidence and priorities alone.
-
-    Returns a new lattice carrying the updated decisions along with the
+    triple), which ``derive`` merges in and does not store.  Returns a
+    new lattice carrying the updated decisions along with the
     priorities, gate and rounding mode used (structural edits reuse
     them).
     """
     priorities = priorities if priorities is not None else PriorityConfig()
     gate = _alpha(alpha)
-    publish = publish2 if round2 else _identity
     external = {frozenset(k): dict(v) for k, v in (external or {}).items()}
-
-    updates: Dict[str, Dict[str, DecisionEntry]] = {}
-    decisions_at = {label: dict(kb.nodes[label].decisions)
-                    for label in kb.nodes}
-    for level in range(2, kb.n + 1):
-        for label in kb.levels[level]:
-            node = kb.nodes[label]
-            preds = [(kb.nodes[p].condition, decisions_at[p])
-                     for p in node.predecessors]
-            fresh = node_decisions(node.condition, preds,
-                                   priorities.weights_for, gate,
-                                   publish=publish,
-                                   external=external.get(node.condition))
-            updates[label] = fresh
-            decisions_at[label] = fresh
-
-    extra = set()
-    for per_disease in external.values():
-        extra.update(per_disease)
+    labels = [label for level_labels in kb.levels[2:] for label in level_labels]
+    updates = derive(kb.nodes, labels, priorities, gate,
+                     publish2 if round2 else _identity, external)
     return kb.with_updates(updates, alpha=gate, priorities=priorities,
-                           round2=round2, declare=extra)
+                           round2=round2, declare=set().union(*external.values()))

@@ -376,6 +376,17 @@ def test_cli_set_decision_narrates_the_ripple(kb_file, capsys):
     assert "removed MPS 001 vd=0" in out
 
 
+def test_cli_set_decision_reasserting_a_stored_decision_is_a_no_op(kb_file, capsys):
+    with open(kb_file, encoding="utf-8") as stream:
+        before = stream.read()
+    assert "decision CFJ vd=1 cf=0.79 tv=0." in before.split("node 001\n")[1]
+    assert kbio.cli(["set-decision", kb_file, "--label", "001",
+                     "--disease", "CFJ", "--vd", "1", "--cf", "0.79"]) == 0
+    assert capsys.readouterr().out == ""
+    with open(kb_file, encoding="utf-8") as stream:
+        assert stream.read() == before
+
+
 def test_cli_error_paths(tmp_path, kb_file, capsys):
     assert kbio.cli(["approx", kb_file, "--disease", "GOUT"]) == 1
     err = capsys.readouterr().err

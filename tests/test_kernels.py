@@ -17,7 +17,7 @@ from roughkb import errors
 from roughkb._num import clamp01, fsum, publish2, render
 from roughkb.lattice import _cone_labels, facts_of
 from roughkb.minimizer import SopExpression
-from roughkb.propagation import DecisionEntry, _cf_multi, cf_multi
+from roughkb.propagation import DecisionEntry, _cf_multi
 
 F = Fraction
 
@@ -132,16 +132,6 @@ def test_cf_multi_edge_cases_match_the_per_fact_scan(gate, mode):
     assert _agrees(node, zeros, third, gate, mode) is not None
     nothing = [(frozenset({1, 2, 3}), e(1, F(0)))]
     assert _agrees(node, nothing, third, gate, mode) is None
-
-
-def test_cf_multi_rejects_constituents_that_are_not_immediate_predecessors():
-    node = frozenset({1, 2, 3})
-    weights = {f: F(1, 3) for f in node}
-    entry = DecisionEntry("ANK", 1, F(1, 2))
-    for facts in ([frozenset({1})], [frozenset({1, 4})],
-                  [frozenset({1, 2}), frozenset({1, 2})], [node]):
-        with pytest.raises(errors.OutOfRange):
-            cf_multi(node, "ANK", [(f, entry) for f in facts], weights, 0)
 
 
 # --- cones and expressions ---------------------------------------------------

@@ -273,6 +273,16 @@ def test_set_decision_with_same_vd_is_silent():
     assert out.node("11").decisions["ANK"].cf != kb.node("11").decisions["ANK"].cf
 
 
+def test_set_decision_that_changes_nothing_returns_the_kb():
+    kb = _two_fact_kb()
+    stored = kb.node("01").decisions["ANK"]
+    rec = _Recorder()
+    same = SetDecision("ANK", stored.vd, stored.cf, tv=stored.tv,
+                       weights=stored.weights)
+    assert modify_node(kb, "01", same, observer=rec) is kb
+    assert rec.events == []
+
+
 def test_drop_decision_reports_removals():
     kb = _two_fact_kb()
     rec = _Recorder()

@@ -1,0 +1,49 @@
+"""The benchmark's layer tracer (``bench/tracing.py``) against the package.
+
+The tracer wraps each layer's entry point under the name its caller
+looks up.  A refactor that renames or bypasses one of those names
+would silently read 0 for that layer; these tests catch it.
+"""
+
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+import roughkb
+from roughkb.lattice import Fact, SetDecision, build_kb
+from roughkb.propagation import DecisionEntry, propagate
+
+F = Fraction
+
+
+def _tracing():
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_entry_point_resolves():
+    missing = ["%s.%s" % (module.__name__, name)
+               for module, name, _, _ in _tracing().entry_points(roughkb)
+               if not callable(getattr(module, name, None))]
+    assert missing == []
+
+
+def test_a_traced_edit_counts_its_cone():
+    facts = [Fact(i, "a%d" % i, "yes") for i in (1, 2, 3)]
+    kb = propagate(build_kb(facts, {1: [DecisionEntry("ANK", 1, F(1, 2))]}))
+    tracer = _tracing().Tracer(roughkb)
+    tracer.install()
+    try:
+        tracer.run(3, lambda: roughkb.kbio.modify_node(
+            kb, "001", SetDecision("ANK", 0, F(1, 2))))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    # the cone of 001 is 011, 101 and 111
+    assert tracer.counts["lattice.cone_nodes"] == 3
+    assert tracer.counts["propagation.nodes_derived"] == 3
+    assert [span[0] for span in tracer.spans] == ["cli", "lattice.edit",
+                                                  "propagation.derive"]
