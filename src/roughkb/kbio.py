@@ -32,7 +32,7 @@ from .evidence import (EvidenceProfile, SourceGrading, TruthTriple,
                        presence_matrix, resolve_decision, truth_triple)
 from .lattice import (DEFAULT_ORDER_CAP, DropDecision, Fact, Lattice,
                       SetDecision, _build_structure, build_kb, check_structure,
-                      delete_fact, facts_of, insert_fact, modify_node)
+                      delete_fact, insert_fact, modify_node)
 from .minimizer import generate_rules
 from .propagation import DecisionEntry, PriorityConfig, propagate
 from .roughset import approximations
@@ -471,6 +471,8 @@ def load_kb(text: str) -> Lattice:
     if len(parts) != 2:
         _corrupt("bad alpha line", no)
     alpha = _parse_decimal(parts[1], no)
+    if not ZERO <= alpha <= ONE:
+        _corrupt("alpha %s outside [0, 1]" % alpha, no)
 
     no, parts = take("order")
     if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
@@ -523,7 +525,19 @@ def load_kb(text: str) -> Lattice:
     seen = set()
     declared = set()
     current: Optional[str] = None
+    condition: FrozenSet[int] = frozenset()
     decisions: Dict[str, DecisionEntry] = {}
+    # Each distinct token is parsed once per load.  The tables hold only
+    # immutable values; every entry still gets its own weights dict.
+    numbers: Dict[str, Fraction] = {}
+    triples: Dict[str, Optional[TruthTriple]] = {"-": None}
+    weight_items: Dict[str, Tuple[int, Fraction]] = {}
+
+    def number(token: str, no: int) -> Fraction:
+        value = numbers.get(token)
+        if value is None:
+            value = numbers[token] = _parse_decimal(token, no)
+        return value
 
     def flush():
         if current is not None:
@@ -540,6 +554,7 @@ def load_kb(text: str) -> Lattice:
                 _corrupt("node %s listed twice" % parts[1], no)
             seen.add(parts[1])
             current = parts[1]
+            condition = nodes[current].condition
             decisions = {}
         elif parts[0] == "decision":
             if current is None:
@@ -548,26 +563,30 @@ def load_kb(text: str) -> Lattice:
                 _corrupt("bad decision line", no)
             disease = parts[1]
             vd = _field(parts[2], "vd", no)
-            cf = _parse_decimal(_field(parts[3], "cf", no), no)
+            cf = number(_field(parts[3], "cf", no), no)
             tv_text = _field(parts[4], "tv", no)
             w_text = _field(parts[5], "w", no)
-            tv = None
-            if tv_text != "-":
+            if tv_text not in triples:
                 comps = tv_text.split("/")
                 if len(comps) != 3:
                     _corrupt("truth triple needs three components", no)
-                tv = tuple(_parse_decimal(c, no) for c in comps)
+                triples[tv_text] = TruthTriple(*(number(c, no) for c in comps))
+            tv = triples[tv_text]
             weights = {}
             if w_text != "-":
                 for item in w_text.split(","):
-                    ref, _, val = item.partition(":")
-                    try:
-                        weights[_fact_token(ref, no)] = Fraction(val)
-                    except (errors.SyntaxError, ValueError, ZeroDivisionError):
-                        _corrupt("bad weight %r" % (item,), no)
+                    pair = weight_items.get(item)
+                    if pair is None:
+                        ref, _, val = item.partition(":")
+                        try:
+                            pair = (_fact_token(ref, no), Fraction(val))
+                        except (errors.SyntaxError, ValueError, ZeroDivisionError):
+                            _corrupt("bad weight %r" % (item,), no)
+                        weight_items[item] = pair
+                    weights[pair[0]] = pair[1]
             if disease in decisions:
                 _corrupt("node %s decides %r twice" % (current, disease), no)
-            if not set(weights) <= facts_of(current):
+            if not weights.keys() <= condition:
                 _corrupt("weights reference facts outside the condition", no)
             try:
                 entry = DecisionEntry(disease, int(vd), cf, tv=tv,

@@ -2,7 +2,9 @@
 
 All four measures are ratios of summed credibility factors, taken over
 different slices of the lattice: the rule's own constituents, the
-disease's whole mass, and the disease's mass at one truth value.
+disease's whole mass, and the disease's mass at one truth value.  The
+disease's masses come from one pass over the lattice, shared by every
+rule of that disease, and each sum runs on integers through ``fsum``.
 Arithmetic is exact (fractions), so the identity checks compare against
 a tolerance only for the caller's peace of mind.
 """
@@ -11,10 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import errors
-from ._num import ONE, ZERO
+from ._num import ONE, fsum
 from .evidence import TruthValue
 
 _TOL = Fraction(1, 10 ** 9)
@@ -39,36 +41,59 @@ def _entry(kb, label: str, disease: str):
     return entry
 
 
-def _class_cf(kb, labels: Iterable[str], disease: str) -> Fraction:
-    return sum((_entry(kb, label, disease).cf for label in labels), ZERO)
+# A disease's summed credibility: (total, per truth value indexed by vd)
+DiseaseMass = Tuple[Fraction, Tuple[Fraction, Fraction, Fraction]]
 
 
-def _vd_cf(kb, labels: Iterable[str], disease: str, vd: TruthValue) -> Fraction:
-    return sum((_entry(kb, label, disease).cf for label in labels
-                if _entry(kb, label, disease).vd == vd), ZERO)
-
-
-def _disease_mass(kb, disease: str) -> Fraction:
-    total = ZERO
+def disease_mass(kb, disease: str) -> DiseaseMass:
+    """One pass over the lattice: the disease's credibility mass, whole
+    and per truth value, as ``(total, by_vd)``."""
+    cfs: Tuple[List[Fraction], ...] = ([], [], [])
     for node in kb.nodes.values():
         entry = node.decisions.get(disease)
         if entry is not None:
-            total += entry.cf
-    return total
+            cfs[entry.vd].append(entry.cf)
+    by_vd = tuple(fsum(c) for c in cfs)
+    return fsum(by_vd), by_vd
 
 
-def _disease_vd_mass(kb, disease: str, vd: TruthValue) -> Fraction:
-    total = ZERO
-    for node in kb.nodes.values():
-        entry = node.decisions.get(disease)
-        if entry is not None and entry.vd == vd:
-            total += entry.cf
-    return total
+def _support_and_own(rule, kb) -> Tuple[Fraction, Fraction]:
+    """One pass over the source labels: the summed credibility of all of
+    them and of those whose decision carries the rule's truth value."""
+    vd = TruthValue(rule.vd)
+    cfs, own = [], []
+    for label in rule.source_labels:
+        entry = _entry(kb, label, rule.disease)
+        cfs.append(entry.cf)
+        if entry.vd == vd:
+            own.append(entry.cf)
+    return fsum(cfs), fsum(own)
 
 
 def _factor(vd) -> Fraction:
     # an inconclusive rule concludes both ways, so each way carries half
     return Fraction(1, 2) if TruthValue(vd) == TruthValue.INCONCLUSIVE else ONE
+
+
+def _strength(rule, support: Fraction, mass: Fraction) -> Fraction:
+    if mass == 0:
+        raise errors.ZeroMass("disease %r has zero credibility mass" % rule.disease)
+    return support / mass
+
+
+def _certainty(rule, support: Fraction, own: Fraction) -> Fraction:
+    if own == 0:
+        raise errors.ZeroMass(
+            "no constituent of this rule carries vd=%d" % int(rule.vd))
+    return min(ONE, _factor(rule.vd) * support / own)
+
+
+def _coverage(rule, support: Fraction, by_vd) -> Fraction:
+    mass = by_vd[TruthValue(rule.vd)]
+    if mass == 0:
+        raise errors.ZeroMass(
+            "disease %r has zero mass at vd=%d" % (rule.disease, int(rule.vd)))
+    return min(ONE, _factor(rule.vd) * support / mass)
 
 
 def support(rule, kb) -> Fraction:
@@ -77,7 +102,7 @@ def support(rule, kb) -> Fraction:
     Raises:
         DanglingLabel: a source label (or its decision) is missing.
     """
-    return _class_cf(kb, rule.source_labels, rule.disease)
+    return _support_and_own(rule, kb)[0]
 
 
 def strength(rule, kb) -> Fraction:
@@ -86,10 +111,7 @@ def strength(rule, kb) -> Fraction:
     Raises:
         ZeroMass: the disease carries no credibility anywhere.
     """
-    mass = _disease_mass(kb, rule.disease)
-    if mass == 0:
-        raise errors.ZeroMass("disease %r has zero credibility mass" % rule.disease)
-    return support(rule, kb) / mass
+    return _strength(rule, support(rule, kb), disease_mass(kb, rule.disease)[0])
 
 
 def certainty(rule, kb) -> Fraction:
@@ -101,11 +123,7 @@ def certainty(rule, kb) -> Fraction:
     Raises:
         ZeroMass: none of the constituents carry the rule's truth value.
     """
-    own = _vd_cf(kb, rule.source_labels, rule.disease, TruthValue(rule.vd))
-    if own == 0:
-        raise errors.ZeroMass(
-            "no constituent of this rule carries vd=%d" % int(rule.vd))
-    return min(ONE, _factor(rule.vd) * support(rule, kb) / own)
+    return _certainty(rule, *_support_and_own(rule, kb))
 
 
 def coverage(rule, kb) -> Fraction:
@@ -114,17 +132,24 @@ def coverage(rule, kb) -> Fraction:
     Raises:
         ZeroMass: the disease has no credibility at that truth value.
     """
-    mass = _disease_vd_mass(kb, rule.disease, TruthValue(rule.vd))
-    if mass == 0:
-        raise errors.ZeroMass(
-            "disease %r has zero mass at vd=%d" % (rule.disease, int(rule.vd)))
-    return min(ONE, _factor(rule.vd) * support(rule, kb) / mass)
+    return _coverage(rule, support(rule, kb), disease_mass(kb, rule.disease)[1])
 
 
-def measure(rule, kb) -> RuleMetrics:
-    """All four measures of one rule."""
-    return RuleMetrics(support=support(rule, kb), strength=strength(rule, kb),
-                       certainty=certainty(rule, kb), coverage=coverage(rule, kb))
+def measure(rule, kb, mass: Optional[DiseaseMass] = None) -> RuleMetrics:
+    """All four measures of one rule, from one pass over its source
+    labels.  ``mass`` is ``disease_mass(kb, rule.disease)``; a caller
+    measuring many rules of one disease passes it in.
+
+    Raises:
+        DanglingLabel: a source label (or its decision) is missing.
+        ZeroMass: the disease's mass, the constituents' own-value mass or
+            the disease's mass at the rule's truth value is zero.
+    """
+    cf_sum, own = _support_and_own(rule, kb)
+    total, by_vd = disease_mass(kb, rule.disease) if mass is None else mass
+    return RuleMetrics(support=cf_sum, strength=_strength(rule, cf_sum, total),
+                       certainty=_certainty(rule, cf_sum, own),
+                       coverage=_coverage(rule, cf_sum, by_vd))
 
 
 # --- identity checks --------------------------------------------------------
@@ -175,27 +200,27 @@ def check_properties(kb, approx: Mapping[str, "ApproximationSets"]) -> PropertyR
 
     for disease in sorted(approx):
         sets = approx[disease]
-        mass = _disease_mass(kb, disease)
+        mass, by_vd = disease_mass(kb, disease)
         for labels, vd in ((sets.lower1, TruthValue.PRESENT),
                            (sets.lower2, TruthValue.ABSENT)):
             if not labels or mass == 0:
                 continue
             cfs = {label: _entry(kb, label, disease).cf for label in labels}
-            class_cf = sum(cfs.values(), ZERO)
-            vd_mass = _disease_vd_mass(kb, disease, vd)
+            class_cf = fsum(cfs.values())
+            vd_mass = by_vd[vd]
             if class_cf == 0 or vd_mass == 0:
                 continue
             strengths = {label: cf / mass for label, cf in cfs.items()}
             certainties = {label: cf / class_cf for label, cf in cfs.items()}
             coverages = {label: cf / vd_mass for label, cf in cfs.items()}
-            sum_e = sum(strengths.values(), ZERO)
+            sum_e = fsum(strengths.values())
+            sum_z = fsum(certainties.values())
+            sum_v = fsum(coverages.values())
 
-            expect(1, disease, vd, sum(certainties.values(), ZERO), ONE)
-            expect(2, disease, vd, sum(coverages.values(), ZERO), ONE)
-            expect(3, disease, vd,
-                   sum(certainties.values(), ZERO) * (class_cf / mass), sum_e)
-            expect(4, disease, vd,
-                   sum(coverages.values(), ZERO) * (vd_mass / mass), sum_e)
+            expect(1, disease, vd, sum_z, ONE)
+            expect(2, disease, vd, sum_v, ONE)
+            expect(3, disease, vd, sum_z * (class_cf / mass), sum_e)
+            expect(4, disease, vd, sum_v * (vd_mass / mass), sum_e)
             for label in sorted(labels):
                 expect(5, disease, vd, certainties[label],
                        strengths[label] / sum_e)

@@ -448,17 +448,31 @@ def _exact_cover(primes, n) -> Optional[List[Term]]:
 
 
 def _greedy_cover(primes, minterms, n) -> List[Term]:
+    """Repeatedly pick the prime of least (-minterms it newly covers,
+    literals, cube).  A prime's gain only falls as others are picked, so
+    a stale heap key is a lower bound: the popped prime is re-keyed, and
+    taken once its fresh key still leads (Minoux's lazy greedy, 1978)."""
+    import heapq  # deferred: only regions past the exact cover get here
+
     cells = _prime_cells(primes)
     uncovered = 0
     for m in minterms:
         uncovered |= 1 << m
+    heap = [(-(cells[i] & uncovered).bit_count(), n - mask.bit_count(), (bits, mask), i)
+            for i, (bits, mask) in enumerate(primes)]
+    heapq.heapify(heap)
     chosen = []
     while uncovered:
-        i = min(range(len(primes)), key=lambda i: (
-            -(cells[i] & uncovered).bit_count(),
-            n - primes[i][1].bit_count(), primes[i]))
-        if not cells[i] & uncovered:
+        if not heap:
             raise AssertionError("prime cover exhausted with minterms left")
+        _, literals, cube, i = heapq.heappop(heap)
+        hits = (cells[i] & uncovered).bit_count()
+        if not hits:
+            continue
+        key = (-hits, literals, cube, i)
+        if heap and key > heap[0]:
+            heapq.heappush(heap, key)
+            continue
         chosen.append(i)
         uncovered &= ~cells[i]
     # reverse-delete any pick made redundant by later ones: a pick can go
@@ -547,6 +561,7 @@ def generate_rules(kb, approx: Mapping[str, "ApproximationSets"],
     rules = []
     for disease in sorted(approx):
         sets = approx[disease]
+        mass = _metrics.disease_mass(kb, disease)
         for kind in kinds:
             for region, vd in _REGIONS[kind]:
                 labels = frozenset(getattr(sets, region))
@@ -557,7 +572,7 @@ def generate_rules(kb, approx: Mapping[str, "ApproximationSets"],
                                      minimal=condition.minimal)
                 try:
                     rule = dataclasses.replace(
-                        rule, metrics=_metrics.measure(rule, kb))
+                        rule, metrics=_metrics.measure(rule, kb, mass))
                 except errors.ZeroMass:
                     pass
                 rules.append(rule)

@@ -1,0 +1,110 @@
+"""Mutated knowledge-base files and evidence documents fail typed.
+
+Each example takes one well-formed input and makes one mutation: a
+token or a ``key=`` value replaced, a line deleted, duplicated or
+truncated.  The result must load (KB files) or parse (evidence
+documents), or raise a ``KbError``.  Any other exception fails the test.
+"""
+
+import functools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_kb, seeded
+from roughkb import errors, kbio
+
+EVIDENCE = """\
+module fuzz
+grading q=3
+alpha 1/10
+fact f1 "sore back" yes
+fact f2 stiffness yes
+fact f3 fever no
+priority ANK f1 2
+priority BUR f1+f3 f1=1 f3=3
+evidence f1 ANK m=1 level=1 count=4
+evidence f2 ANK m=2 level=3 count=2
+evidence f1+f2 BUR m=3 level=2 count=5
+"""
+
+# Replacement tokens: near misses of the grammar, plus free text of at
+# most 8 characters.  A longer exponent token such as ``1e-99999999``
+# makes Fraction build 10**N, an unbounded cost this test leaves out.
+TOKENS = st.one_of(
+    st.sampled_from(["", "-", "0", "1", "2", "3", "17", "-1", "1/0", "0/0",
+                     "1/2", "3/2", "0.5", "1.5", "-0.25", "1e3", "nan", "inf",
+                     "f0", "f1", "f4", "f99", "f1+f1", "f1+f9", "f1:1", "f1:0",
+                     "f1:2", "f1:1/2,f1:1/2", "vd=1", "=", ":", ",", "/", "+",
+                     '"', "'", "#", "node", "decision", "priority", "fact",
+                     "order", "alpha", "evidence", "grading", "module"]),
+    st.text(alphabet="0123456789-+./:,=fexvdcwt#\"' ", max_size=8),
+)
+
+
+@st.composite
+def mutations(draw, text):
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    tokens = line.split(" ")
+    keyed = [j for j, token in enumerate(tokens) if "=" in token]
+    op = draw(st.sampled_from(("token", "value", "delete", "duplicate",
+                               "truncate")))
+    if op == "value" and keyed:
+        j = draw(st.sampled_from(keyed))
+        tokens[j] = tokens[j].partition("=")[0] + "=" + draw(TOKENS)
+        lines[i] = " ".join(tokens)
+    elif op in ("token", "value"):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(TOKENS)
+        lines[i] = " ".join(tokens)
+    elif op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, line)
+    else:
+        lines[i] = line[:draw(st.integers(0, len(line)))]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _evidence_texts():
+    return (kbio.render_evidence(kbio.fixture_document()), EVIDENCE)
+
+
+@functools.lru_cache(maxsize=None)
+def _kb_texts():
+    doc = kbio.fixture_document()
+    kbs = [kbio.build_from_document(doc, round2=True),
+           kbio.build_from_document(doc, round2=False),
+           random_kb(seeded(56), 5)[0]]       # global and scoped priorities
+    return tuple(kbio.serialize_kb(kb) for kb in kbs)
+
+
+def test_the_inputs_are_well_formed():
+    texts = _kb_texts()
+    for text in texts:
+        kbio.load_kb(text)
+    assert "priority ANK f1 " in texts[2] and "+" in texts[2]
+    for text in _evidence_texts():
+        kbio.parse_evidence(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_kb_files_load_or_fail_typed(data):
+    text = data.draw(st.sampled_from(_kb_texts()))
+    try:
+        kbio.load_kb(data.draw(mutations(text)))
+    except errors.KbError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_evidence_documents_parse_or_fail_typed(data):
+    text = data.draw(st.sampled_from(_evidence_texts()))
+    try:
+        kbio.parse_evidence(data.draw(mutations(text)))
+    except errors.KbError:
+        pass

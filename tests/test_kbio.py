@@ -1,5 +1,6 @@
 """Evidence parsing, knowledge-base serialization, and the CLI."""
 
+import collections
 import hashlib
 import importlib.resources
 import os
@@ -8,7 +9,10 @@ from fractions import Fraction
 import pytest
 
 import expected_lbp as X
+from conftest import DISEASE_POOL, kb_from_atomics, random_atomics, seeded
 from roughkb import errors, kbio, lattice
+from roughkb._num import render
+from roughkb.propagation import PriorityConfig
 
 F = Fraction
 
@@ -198,6 +202,76 @@ def test_load_rejects_foreign_weights(kb_round2):
     bad = text.replace("w=f1:1", "w=f3:1", 1)
     with pytest.raises(errors.CorruptRecord):
         kbio.load_kb(bad)
+
+
+def _weighted_kb(n, round2):
+    """A seeded KB whose weights vary by node and disease: a global
+    priority for every (disease, fact), and scoped ones on two fact sets."""
+    rng = seeded(900 + n)
+    diseases = DISEASE_POOL[:3]
+    glob = {(d, f): rng.randint(1, 4) for d in diseases for f in range(1, n + 1)}
+    scoped = {}
+    for size in (2, n):
+        facts = frozenset(rng.sample(range(1, n + 1), size))
+        scoped[(facts, rng.choice(diseases))] = {f: rng.randint(1, 4) for f in facts}
+    return kb_from_atomics(random_atomics(rng, n, diseases), n,
+                           priorities=PriorityConfig(glob, scoped), round2=round2)
+
+
+def _entries(kb):
+    return {(label, disease): entry for label, node in kb.nodes.items()
+            for disease, entry in node.decisions.items()}
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("round2", [False, True])
+def test_seeded_kbs_round_trip_through_the_loader(n, round2):
+    kb = _weighted_kb(n, round2)
+    text = kbio.serialize_kb(kb)
+    loaded = kbio.load_kb(text)
+    assert kbio.serialize_kb(loaded) == text
+    if round2:
+        assert loaded == kb
+    # the file holds cf and tv at the mode's precision, weights exactly
+    places = 2 if round2 else 6
+    stored = _entries(kb)
+    entries = _entries(loaded)
+    assert entries.keys() == stored.keys()
+    for key, entry in entries.items():
+        want = stored[key]
+        assert (entry.vd, entry.weights) == (want.vd, want.weights)
+        assert entry.cf == F(render(want.cf, places))
+        assert entry.tv == (None if want.tv is None else
+                            tuple(F(render(c, places)) for c in want.tv))
+    shared = collections.Counter(frozenset(e.weights.items())
+                                 for e in entries.values())
+    assert len(shared) > n
+
+    # no two entries share a weights dict: editing one changes no other
+    assert len({id(e.weights) for e in entries.values()}) == len(entries)
+    victim = max((k for k, e in entries.items() if e.weights),
+                 key=lambda k: shared[frozenset(entries[k].weights.items())])
+    fid = min(entries[victim].weights)
+    entries[victim].weights[fid] = F(1, 997)
+    again = _entries(kbio.load_kb(text))
+    assert entries[victim] != again[victim]
+    assert all(entry == again[key] for key, entry in entries.items()
+               if key != victim)
+
+
+@pytest.mark.parametrize("alpha", ["2", "-1/2"])
+def test_load_refuses_an_alpha_outside_the_unit_interval(tmp_path, capsys, alpha):
+    text = kbio.serialize_kb(lattice.build_kb([lattice.Fact(1, "sore", "yes")], {}))
+    text = text.replace("alpha 0\n", "alpha %s\n" % alpha, 1)
+    with pytest.raises(errors.CorruptRecord, match="outside") as caught:
+        kbio.load_kb(text)
+    assert caught.value.line == 3
+    path = tmp_path / "alpha.kb"
+    path.write_text(text, encoding="utf-8")
+    assert kbio.cli(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: line 3: alpha")
 
 
 def _one_fact_kb_text():

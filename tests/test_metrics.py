@@ -167,3 +167,64 @@ def test_stale_approximations_fail_the_coverage_identity(kb_round2,
     flags = report.by_property()
     assert flags[2] is False
     assert all(flags[p] for p in (1, 3, 4, 5, 6))
+
+
+# --- seeded knowledge bases at orders 4-8 -------------------------------------
+
+ALL_KINDS = ("certain", "uncertain", "possible")
+
+# check_properties on random_kb(seeded(400 + n), n, round2=...): checks
+# made per (n, round2); every report is ok
+SEEDED_CHECKS = {(4, False): 52, (4, True): 52, (5, False): 76, (5, True): 76,
+                 (6, False): 214, (6, True): 208, (7, False): 470,
+                 (7, True): 464, (8, False): 618, (8, True): 600}
+
+
+def _seeded_kb(n, round2):
+    kb, _, _ = random_kb(seeded(400 + n), n, round2=round2)
+    return kb, {d: roughset.approximations(kb, d) for d in kb.diseases()}
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("round2", [False, True])
+def test_seeded_rules_match_reference_measures(n, round2):
+    kb, approx = _seeded_kb(n, round2)
+    view = _view(kb)
+    measured = 0
+    for rule in generate_rules(kb, approx, kinds=ALL_KINDS):
+        try:
+            want = oracles.reference_measures(view, rule.source_labels,
+                                              rule.disease, int(rule.vd))
+        except ZeroDivisionError:
+            # unmeasured exactly when the reference divides by zero
+            assert rule.metrics is None
+            continue
+        assert rule.metrics == metrics.RuleMetrics(**want)
+        # a rule measured on its own agrees with the per-disease pass
+        assert metrics.measure(rule, kb) == rule.metrics
+        measured += 1
+    assert measured
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("round2", [False, True])
+def test_seeded_property_reports_are_pinned(n, round2):
+    report = metrics.check_properties(*_seeded_kb(n, round2))
+    assert report == metrics.PropertyReport(SEEDED_CHECKS[(n, round2)], ())
+
+
+def test_stale_approximations_report_is_pinned(kb_round2, approx_round2):
+    stale = dict(approx_round2)
+    stale["CFJ"] = approx_round2["SIJ"]
+    assert metrics.check_properties(kb_round2, stale) == metrics.PropertyReport(
+        54, ((2, "CFJ", 1, "1.1263157894736842 != 1.0"),))
+
+
+def test_disease_mass_splits_by_truth_value(kb_round2):
+    for disease in kb_round2.diseases():
+        total, by_vd = metrics.disease_mass(kb_round2, disease)
+        entries = [node.decisions[disease] for node in kb_round2.nodes.values()
+                   if disease in node.decisions]
+        assert total == sum(e.cf for e in entries)
+        for vd in TruthValue:
+            assert by_vd[vd] == sum(e.cf for e in entries if e.vd == vd)
