@@ -17,12 +17,22 @@ is ``floor((200*num + den) / (2*den)) / 100``, ``render`` takes
 ``divmod(|num| * 10**places, den)`` and settles a tie by comparing twice
 the remainder with ``den``, ``clamp01`` compares the numerator with 0 and
 with the denominator, and :func:`fsum` adds over one running lcm
-denominator and builds a single Fraction at the end.  Every result is
-the same exact rational the operator form gives.
+denominator and builds a single Fraction at the end.  Two more kernels
+of the same kind live in ``propagation``: ``_cf_multi`` puts a node's
+carrier credibilities on their lcm denominator once and computes the
+prevailing truth value, the camp sums, the gate test, each per-fact term
+and the published result on those integers, and ``_mean_triple`` sums
+the components of several truth triples over one lcm.  Both build one
+Fraction per result.  Every result is the same exact rational the
+operator form gives.
+
+:func:`parse_rational` is the one parser of number tokens read from
+files and the command line.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
@@ -31,6 +41,32 @@ Rational = Union[Fraction, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# An integer, a ratio of integers or a decimal, in ASCII digits.  No
+# exponent, for which Fraction would build 10**exponent before any range
+# check could refuse the value.
+_RATIONAL_RE = re.compile(r"([-+]?)([0-9]*)(?:/([0-9]+)|\.([0-9]*))?\Z")
+
+
+def parse_rational(token: str) -> Fraction:
+    """Parse a number token of a file or the command line exactly.
+
+    Accepts ``N``, ``N/D`` and decimals such as ``0.25`` or ``.5`` (what
+    the serializer writes, and what users type), and builds the Fraction
+    from integers.  Raises ValueError for anything else, exponent
+    notation included, and ZeroDivisionError for a zero denominator;
+    callers turn both into their typed error.
+    """
+    match = _RATIONAL_RE.match(token)
+    if match is None:
+        raise ValueError("not a plain number: %r" % (token,))
+    sign, whole, den, decimals = match.groups()
+    if den is not None:
+        return Fraction(int(sign + whole), int(den))
+    if decimals is None:
+        return Fraction(int(sign + whole))
+    # int() refuses "", ".", "-" and more digits than the interpreter's limit
+    return Fraction(int(sign + whole + decimals), 10 ** len(decimals))
 
 
 def frac(value) -> Fraction:

@@ -17,6 +17,11 @@ from typing import Iterable, Mapping, Tuple
 
 from . import errors
 
+# The most acceptability levels a grading may declare.  A build costs
+# O(q) per record group, so the cap is checked before any profile is
+# built; seeded documents and the bundled fixture use 3 to 5.
+GRADING_CAP = 1000
+
 
 class TruthValue(IntEnum):
     """Ternary outcome: 1 surely present, 0 surely absent, 2 open."""
@@ -38,6 +43,9 @@ class SourceGrading:
     def __init__(self, q: int):
         if not isinstance(q, int) or q < 1:
             raise errors.OutOfRange("grading needs at least one level, got %r" % (q,))
+        if q > GRADING_CAP:
+            raise errors.OutOfRange("grading q=%d exceeds the cap of %d"
+                                    % (q, GRADING_CAP))
         self.q = q
 
     def weight(self, level: int) -> int:

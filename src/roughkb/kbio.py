@@ -27,8 +27,8 @@ from importlib import resources
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import errors
-from ._num import ONE, ZERO, frac, publish2, render
-from .evidence import (EvidenceProfile, SourceGrading, TruthTriple,
+from ._num import ONE, ZERO, frac, parse_rational, publish2, render
+from .evidence import (GRADING_CAP, EvidenceProfile, SourceGrading, TruthTriple,
                        presence_matrix, resolve_decision, truth_triple)
 from .lattice import (DEFAULT_ORDER_CAP, DropDecision, Fact, Lattice,
                       SetDecision, _build_structure, build_kb, check_structure,
@@ -157,12 +157,15 @@ def parse_evidence(text: str) -> EvidenceDocument:
             q = _int_field(tokens[1], "q", line_no)
             if q < 1:
                 raise errors.SyntaxError("grading q must be positive", line_no)
+            if q > GRADING_CAP:
+                raise errors.SyntaxError("grading q=%d exceeds the cap of %d"
+                                         % (q, GRADING_CAP), line_no)
 
         elif head == "alpha":
             if len(tokens) != 2:
                 raise errors.SyntaxError("expected: alpha VALUE", line_no)
             try:
-                alpha = Fraction(tokens[1])
+                alpha = parse_rational(tokens[1])
             except (ValueError, ZeroDivisionError):
                 raise errors.SyntaxError("bad alpha %r" % (tokens[1],), line_no)
             if not ZERO <= alpha <= ONE:
@@ -377,8 +380,43 @@ def serialize_kb(kb: Lattice) -> str:
 
     Credibilities and truth components render as decimals at the mode's
     precision; the gate and the per-fact weights stay exact rationals.
+    Each distinct number, truth triple and weight item is rendered once
+    per call, keyed by integer ratios (hashing a Fraction costs more
+    than rendering it).
     """
     places = _decimals(kb.round2)
+    numbers: Dict[Tuple[int, int], str] = {}
+    triples: Dict[tuple, str] = {}
+    items: Dict[Tuple[int, Tuple[int, int]], str] = {}
+
+    def number(x) -> str:
+        key = x.as_integer_ratio()
+        text = numbers.get(key)
+        if text is None:
+            text = numbers[key] = render(x, places)
+        return text
+
+    def triple(tv) -> str:
+        if tv is None:
+            return "-"
+        key = tuple(c.as_integer_ratio() for c in tv)
+        text = triples.get(key)
+        if text is None:
+            text = triples[key] = "/".join(number(c) for c in tv)
+        return text
+
+    def weights(ws) -> str:
+        if not ws:
+            return "-"
+        parts = []
+        for f in sorted(ws):
+            key = (f, ws[f].as_integer_ratio())
+            text = items.get(key)
+            if text is None:
+                text = items[key] = "f%d:%s" % (f, ws[f])
+            parts.append(text)
+        return ",".join(parts)
+
     lines = ["%s %d" % (FORMAT_NAME, FORMAT_VERSION),
              "mode %s" % ("round2" if kb.round2 else "exact"),
              "alpha %s" % kb.alpha,
@@ -390,17 +428,12 @@ def serialize_kb(kb: Lattice) -> str:
     for level_labels in kb.levels:
         for label in level_labels:
             lines.append("node %s" % label)
-            node = kb.nodes[label]
-            for disease in sorted(node.decisions):
-                entry = node.decisions[disease]
-                tv = ("-" if entry.tv is None else
-                      "/".join(render(c, places) for c in entry.tv))
-                weights = ("-" if not entry.weights else
-                           ",".join("f%d:%s" % (f, entry.weights[f])
-                                    for f in sorted(entry.weights)))
+            decisions = kb.nodes[label].decisions
+            for disease in sorted(decisions):
+                entry = decisions[disease]
                 lines.append("decision %s vd=%d cf=%s tv=%s w=%s"
-                             % (disease, int(entry.vd),
-                                render(entry.cf, places), tv, weights))
+                             % (disease, entry.vd, number(entry.cf),
+                                triple(entry.tv), weights(entry.weights)))
     return "\n".join(lines) + "\n"
 
 
@@ -410,7 +443,7 @@ def _corrupt(message: str, line_no: Optional[int] = None):
 
 def _parse_decimal(token: str, line_no: int) -> Fraction:
     try:
-        return Fraction(token)
+        return parse_rational(token)
     except (ValueError, ZeroDivisionError):
         _corrupt("bad number %r" % (token,), line_no)
 
@@ -579,7 +612,7 @@ def load_kb(text: str) -> Lattice:
                     if pair is None:
                         ref, _, val = item.partition(":")
                         try:
-                            pair = (_fact_token(ref, no), Fraction(val))
+                            pair = (_fact_token(ref, no), parse_rational(val))
                         except (errors.SyntaxError, ValueError, ZeroDivisionError):
                             _corrupt("bad weight %r" % (item,), no)
                         weight_items[item] = pair
@@ -712,7 +745,8 @@ class _PrintingObserver:
 def _cmd_build(args) -> int:
     with open(args.evidence, "r", encoding="utf-8") as stream:
         doc = parse_evidence(stream.read())
-    kb = build_from_document(doc, alpha=args.alpha, round2=args.round2)
+    alpha = None if args.alpha is None else _number_arg(args.alpha, "alpha")
+    kb = build_from_document(doc, alpha=alpha, round2=args.round2)
     _write_atomically(args.output, serialize_kb(kb))
     return 0
 
@@ -737,11 +771,11 @@ def _cmd_rules(args) -> int:
     return 0
 
 
-def _credibility_arg(token: str) -> Fraction:
+def _number_arg(token: str, what: str) -> Fraction:
     try:
-        return Fraction(token)
+        return parse_rational(token)
     except (ValueError, ZeroDivisionError):
-        raise errors.OutOfRange("bad credibility %r" % (token,))
+        raise errors.OutOfRange("bad %s %r" % (what, token))
 
 
 def _parse_cli_decision(spec: Sequence[str]) -> DecisionEntry:
@@ -750,7 +784,7 @@ def _parse_cli_decision(spec: Sequence[str]) -> DecisionEntry:
         vd = int(vd)
     except ValueError:
         raise errors.OutOfRange("bad decision %r" % (" ".join(spec),))
-    return DecisionEntry(disease, vd, _credibility_arg(cf))
+    return DecisionEntry(disease, vd, _number_arg(cf, "credibility"))
 
 
 def _cmd_insert_fact(args) -> int:
@@ -786,7 +820,7 @@ def _cmd_set_decision(args) -> int:
         if args.vd is None or args.cf is None:
             raise errors.OutOfRange(
                 "set-decision needs --vd and --cf unless --drop is given")
-        cf = _credibility_arg(args.cf)
+        cf = _number_arg(args.cf, "credibility")
         # re-asserting the stored vd and cf keeps the stored truth triple,
         # so the edit changes nothing
         stored = kb.node(args.label).decisions.get(args.disease)
@@ -831,7 +865,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a KB file from an evidence document")
     p.add_argument("evidence")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--alpha", type=Fraction, default=None,
+    p.add_argument("--alpha", default=None,
                    help="override the document's gate threshold")
     p.add_argument("--round2", action="store_true",
                    help="publish all derived quantities at two decimals")

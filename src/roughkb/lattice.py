@@ -21,7 +21,7 @@ from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import errors
-from ._num import ONE, ZERO, frac, publish2
+from ._num import ONE, ZERO, frac
 from .propagation import DecisionEntry, PriorityConfig
 # bench/tracing.py wraps this name to count cone re-derivation apart from propagate
 from .propagation import derive as _repropagate
@@ -205,9 +205,6 @@ class Lattice:
             seen.update(node.decisions)
         return tuple(sorted(seen))
 
-    def publish(self):
-        return publish2 if self.round2 else (lambda x: x)
-
     def with_updates(self, updates: Mapping[str, Mapping[str, DecisionEntry]],
                      alpha=_UNSET, priorities=_UNSET, round2=_UNSET,
                      declare=()) -> "Lattice":
@@ -378,7 +375,7 @@ def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry],
                     declared=declared)
     cone = sorted(_cone_labels(new_atomic_label), key=level_of)
     return grown.with_updates(_repropagate(grown.nodes, cone, kb.priorities,
-                                           kb.alpha, grown.publish()))
+                                           kb.alpha, kb.round2))
 
 
 def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
@@ -510,7 +507,7 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
     nodes_view[label] = node.replace_decisions(decisions)
     cone = sorted(_cone_labels(label), key=level_of)
     updates.update(_repropagate(nodes_view, cone, kb.priorities, kb.alpha,
-                                kb.publish()))
+                                kb.round2))
 
     if observer is not None:
         _report_diff(kb, updates, observer)

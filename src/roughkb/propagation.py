@@ -8,8 +8,12 @@ the composite condition.
 
 The module is pure calculus; it knows nothing about lattice storage
 beyond the ``(fact set, decision map)`` shape of a predecessor.  All
-arithmetic is exact; a caller-supplied ``publish`` hook quantizes the
-intermediates that the two-decimal compatibility mode is defined over.
+arithmetic is exact.  A ``round2`` flag selects the two-decimal
+compatibility mode, which publishes (``_num.publish2``) the
+intermediates that mode is defined over.  At level 3 and above one
+integer pass per node and disease computes the prevailing truth value,
+the credibility and the truth-triple mean, and builds one Fraction per
+result.
 """
 
 from __future__ import annotations
@@ -19,12 +23,8 @@ from math import lcm
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import errors
-from ._num import ONE, ZERO, clamp01, frac, fsum, publish2
+from ._num import ONE, ZERO, clamp01, frac, publish2
 from .evidence import TruthTriple, TruthValue
-
-
-def _identity(x):
-    return x
 
 
 def _alpha(value) -> Fraction:
@@ -91,9 +91,11 @@ class PriorityConfig:
     over the node's facts.
     """
 
-    __slots__ = ("global_priorities", "scoped")
+    __slots__ = ("global_priorities", "scoped", "_values")
 
     def __init__(self, global_priorities=None, scoped=None):
+        # each weight value Fraction(p, total), built once; not part of equality
+        self._values: Dict[Tuple[int, int], Fraction] = {}
         self.global_priorities = {}
         for (disease, fid), p in dict(global_priorities or {}).items():
             self.global_priorities[(str(disease), int(fid))] = self._check(p)
@@ -112,13 +114,32 @@ class PriorityConfig:
             raise errors.OutOfRange("priorities are positive integers, got %r" % (p,))
         return p
 
-    def weights_for(self, facts: FrozenSet[int], disease: str) -> Dict[int, Fraction]:
-        facts = frozenset(facts)
+    def priorities_for(self, facts: FrozenSet[int], disease: str
+                       ) -> Tuple[Dict[int, int], int]:
+        """The facts' integer priorities for a disease, and their sum.
+
+        The map may be the stored scoped entry: callers must not edit it.
+        """
         prio = self.scoped.get((facts, disease))
         if prio is None:
-            prio = {f: self.global_priorities.get((disease, f), 1) for f in facts}
-        total = sum(prio.values())
-        return {f: Fraction(p, total) for f, p in prio.items()}
+            glob = self.global_priorities
+            prio = ({f: glob.get((disease, f), 1) for f in facts} if glob
+                    else dict.fromkeys(facts, 1))
+        return prio, sum(prio.values())
+
+    def weights_for(self, facts: FrozenSet[int], disease: str) -> Dict[int, Fraction]:
+        return self._weights(*self.priorities_for(frozenset(facts), disease))
+
+    def _weights(self, prio: Mapping[int, int], total: int) -> Dict[int, Fraction]:
+        """A fresh weights map whose values come from the cache."""
+        values = self._values
+        weights = {}
+        for f, p in prio.items():
+            w = values.get((p, total))
+            if w is None:
+                w = values[p, total] = Fraction(p, total)
+            weights[f] = w
+        return weights
 
     def without_fact(self, fid: int) -> "PriorityConfig":
         """Drop every reference to a fact and renumber the ones above it."""
@@ -208,106 +229,128 @@ def merge_external(vd_star, cf_star, vd_ext, cf_ext, tv3_merged) -> Tuple[TruthV
     return TruthValue.INCONCLUSIVE, frac(tv3_merged)
 
 
-def merged_truth_triple(triples: Sequence[TruthTriple],
-                        external: Optional[TruthTriple] = None) -> TruthTriple:
-    """Component-wise mean of the constituent triples (plus external)."""
+# every value publish2 gives in [0, 1], by its numerator over 100
+_HUNDREDTHS = tuple(Fraction(h, 100) for h in range(101))
+
+
+def _hundredths(h: int) -> Fraction:
+    # a hand-edited file may hold a truth component outside [0, 1]
+    return _HUNDREDTHS[h] if 0 <= h <= 100 else Fraction(h, 100)
+
+
+def _mean_triple(triples: Sequence[TruthTriple], round2: bool,
+                 external: Optional[TruthTriple] = None) -> TruthTriple:
+    """Component-wise mean of the constituent triples (plus external).
+
+    The 3·k components are summed as integers over their lcm, and each
+    mean is one ratio of integers, published in the two-decimal mode.
+    """
     items = list(triples)
     if external is not None:
         items.append(external)
     if not items:
         raise errors.OutOfRange("need at least one triple to merge")
-    n = len(items)
-    return TruthTriple(*(fsum(t[c] for t in items) / n for c in range(3)))
+    ratios = [c.as_integer_ratio() for t in items for c in t]
+    den = lcm(*[d for _, d in ratios])
+    scaled = [num * (den // d) for num, d in ratios]
+    sums = (sum(scaled[0::3]), sum(scaled[1::3]), sum(scaled[2::3]))
+    den *= len(items)
+    if round2:
+        return TruthTriple(*(_hundredths((200 * s + den) // (2 * den)) for s in sums))
+    return TruthTriple(*(Fraction(s, den) for s in sums))
 
 
 # --- multi-constituent combination (level >= 3) -----------------------------
 
-_CLASH = frozenset({TruthValue.ABSENT, TruthValue.INCONCLUSIVE})
 
+def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
+              round2: bool) -> Tuple[int, Fraction, bool]:
+    """Prevailing truth value, credibility and pass flag at level >= 3.
 
-def _chain(pairs) -> Tuple[TruthValue, Fraction]:
-    """Left fold of (TruthValue, cf) pairs; returns the prevailing pair."""
-    it = iter(pairs)
-    vd, cf = next(it)
-    for nxt_vd, nxt_cf in it:
-        if {vd, nxt_vd} == _CLASH:
-            vd = TruthValue.INCONCLUSIVE
-            cf = max(cf, nxt_cf)
-        elif vd == nxt_vd:
-            cf = max(cf, nxt_cf)
-        elif nxt_cf > cf:
-            vd, cf = nxt_vd, nxt_cf
-        elif nxt_cf == cf:
-            vd = TruthValue.INCONCLUSIVE
-    return vd, cf
+    ``carriers`` lists ``(lacking fact, entry)`` in ascending label
+    order: every constituent is the node less one fact.  ``prio`` holds
+    the integer priority of each of the node's facts and ``total`` their
+    sum, so fact f weighs ``prio[f] / total``.
 
-
-def _vd_groups(camps: Iterable[int], total: int) -> int:
-    """Combine one fact's constituent credibilities across truth values.
-
-    ``camps`` holds, per truth value, the summed credibility of the
-    constituents that contain the fact, and ``total`` is their sum.  A
-    single camp keeps its sum; with several camps the strongest camp's
-    mass is offset by everything that disagrees with it.  Both cases are
-    ``|top - (total - top)|``.  Credibilities are nonnegative, so a camp
-    that has lost its last member sums to zero and changes neither the
-    top nor the total: it drops out by itself.
+    One pass puts every credibility on the carriers' lcm denominator and,
+    on those integers, folds the prevailing-value chain, sums each
+    truth-value camp and files each carrier under the fact it lacks.  A
+    fact's camps are the totals less that one carrier.  Its group
+    credibility is ``|top - (sum - top)|`` over its camps: one camp keeps
+    its sum, and with several the strongest is offset by the rest.  A
+    camp that loses its last member sums to zero and changes neither the
+    top nor the sum, since credibilities are nonnegative.  A fact's term
+    is its group credibility times its weight, gated and (in the
+    two-decimal mode) published as an integer ratio; the result is the
+    terms' sum over ``i - 1``, clamped at 1.  The flag is False when no
+    term clears the gate.
     """
-    top = max(camps)
-    return abs(top + top - total)
-
-
-def _cf_multi(node_facts, constituents, weights, gate, publish):
-    # Every constituent is the node less one fact, so fact f lies in all
-    # of them but the one lacking f.  One pass puts every credibility on
-    # a common denominator, sums the camps, and files each constituent
-    # under the fact it lacks; a fact's camp sums are then the totals
-    # less that one entry.
-    ratios = [entry.cf.as_integer_ratio() for _, entry in constituents]
-    den = lcm(*(d for _, d in ratios))
-    camps: Dict[int, int] = {}
+    ratios = [entry.cf.as_integer_ratio() for _, entry in carriers]
+    den = lcm(*[d for _, d in ratios])
+    camps = [0, 0, 0]
     lacking = {}
-    for (facts, entry), (num, d) in zip(constituents, ratios):
+    vd = top = None
+    for (fid, entry), (num, d) in zip(carriers, ratios):
         cf = num * (den // d)
-        camps[entry.vd] = camps.get(entry.vd, 0) + cf
-        (fid,) = node_facts - facts
-        lacking[fid] = (entry.vd, cf)
-    grand = sum(camps.values())
+        nxt = entry.vd
+        camps[nxt] += cf
+        lacking[fid] = (nxt, cf)
+        # the chain carries the running maximum, so a later weaker entry
+        # cannot flip an established verdict; 0 against 2 is inconclusive
+        if vd is None:
+            vd, top = nxt, cf
+        elif nxt == vd:
+            top = max(top, cf)
+        elif nxt + vd == 2:
+            vd, top = TruthValue.INCONCLUSIVE, max(top, cf)
+        elif cf > top:
+            vd, top = nxt, cf
+        elif cf == top:
+            vd = TruthValue.INCONCLUSIVE
+    grand = sum(camps)
+    whole = abs(2 * max(camps) - grand)
+    # a term is g * p / scale, and it passes when g * p * gate_den > bar
+    scale = den * total
     gate_num, gate_den = gate.as_integer_ratio()
-    terms = []
-    for fid in sorted(node_facts):
+    bar = gate_num * scale
+    acc = 0
+    ok = False
+    for fid, p in prio.items():
         skip = lacking.get(fid)
         if skip is None:
-            g = _vd_groups(camps.values(), grand)
+            g = whole
         else:
-            vd, cf = skip
-            camps[vd] -= cf
-            g = _vd_groups(camps.values(), grand - cf)
-            camps[vd] += cf
-        if not g:
-            continue
-        w_num, w_den = weights[fid].as_integer_ratio()
-        num, d = g * w_num, den * w_den
-        if num * gate_den > gate_num * d:
-            terms.append(publish(Fraction(num, d)))
-    if not terms:
-        return ZERO, False
-    return publish(clamp01(fsum(terms) / (len(node_facts) - 1))), True
+            v, cf = skip
+            camps[v] -= cf
+            g = abs(2 * max(camps) - grand + cf)
+            camps[v] += cf
+        num = g * p
+        if num * gate_den > bar:
+            ok = True
+            acc += (200 * num + scale) // (2 * scale) if round2 else num
+    if not ok:
+        return vd, ZERO, False
+    lower = len(prio) - 1
+    if round2:
+        # acc hundredths over lower, clamped and published
+        return vd, _HUNDREDTHS[min(100, (2 * acc + lower) // (2 * lower))], True
+    scale *= lower
+    return vd, (ONE if acc > scale else Fraction(acc, scale)), True
 
 
 def carryover_single(entry: DecisionEntry, w, alpha,
-                     publish=None) -> Optional[DecisionEntry]:
+                     round2: bool = False) -> Optional[DecisionEntry]:
     """Carry a disease present in exactly one constituent, or drop it.
 
     The truth value survives unchanged; the credibility is the weighted
     contribution, which must clear the gate for the disease to appear
     at all.
     """
-    publish = publish or _identity
     product = entry.cf * frac(w)
     if product <= _alpha(alpha):
         return None
-    return DecisionEntry(entry.disease, entry.vd, publish(clamp01(product)),
+    cf = clamp01(product)
+    return DecisionEntry(entry.disease, entry.vd, publish2(cf) if round2 else cf,
                          tv=entry.tv)
 
 
@@ -315,7 +358,7 @@ def carryover_single(entry: DecisionEntry, w, alpha,
 
 def node_decisions(node_facts: FrozenSet[int],
                    predecessors: Sequence[Tuple[FrozenSet[int], Mapping[str, DecisionEntry]]],
-                   weights_for, alpha, publish=None,
+                   priorities: PriorityConfig, alpha, round2: bool = False,
                    external: Optional[Mapping[str, tuple]] = None
                    ) -> Dict[str, DecisionEntry]:
     """Derive the full decision map of one composite node.
@@ -328,80 +371,75 @@ def node_decisions(node_facts: FrozenSet[int],
     node_facts = frozenset(node_facts)
     i = len(node_facts)
     gate = _alpha(alpha)
-    publish = publish or _identity
-    external = dict(external or {})
+    external = external or {}
+    # each predecessor is the node less one fact
+    preds = [(min(node_facts - facts), decisions) for facts, decisions in predecessors]
 
     diseases = set(external)
-    for _, decisions in predecessors:
+    for _, decisions in preds:
         diseases.update(decisions)
 
     out: Dict[str, DecisionEntry] = {}
     for disease in sorted(diseases):
-        weights = weights_for(node_facts, disease)
-        carriers = [(facts, decisions[disease])
-                    for facts, decisions in predecessors
+        prio, total = priorities.priorities_for(node_facts, disease)
+        weights = priorities._weights(prio, total)
+        carriers = [(fid, decisions[disease]) for fid, decisions in preds
                     if disease in decisions]
         base = None  # (vd, cf) implied by the lattice alone
-        if len(carriers) == 1:
-            facts_c, entry = carriers[0]
-            if i == 2:
-                carried = carryover_single(entry, weights[next(iter(facts_c))],
-                                           gate, publish=publish)
-                if carried is not None:
-                    base = (carried.vd, carried.cf)
-            else:
-                cf, ok = _cf_multi(node_facts, carriers, weights, gate, publish)
-                if ok:
-                    base = (entry.vd, cf)
-        elif len(carriers) >= 2:
-            if i == 2:
-                (fa, ea), (fb, eb) = carriers
-                wa = weights[next(iter(fa))]
-                wb = weights[next(iter(fb))]
-                if ea.cf * wa <= gate and eb.cf * wb <= gate:
-                    pass
-                elif ea.vd == eb.vd:
-                    cf = combine_same_vd(ea.cf, wa, eb.cf, wb, gate)
-                    base = (ea.vd, publish(cf))
-                else:
-                    vd, cf = combine_diff_vd(ea, eb, wa, wb, gate)
-                    base = (vd, publish(cf))
-            else:
-                vd, _ = _chain([(e.vd, e.cf) for _, e in carriers])
-                cf, ok = _cf_multi(node_facts, carriers, weights, gate, publish)
+        if i > 2:
+            if carriers:
+                vd, cf, ok = _cf_multi(carriers, prio, total, gate, round2)
                 if ok:
                     base = (vd, cf)
+        elif len(carriers) == 1:
+            # a level-2 carrier holds the one fact it does not lack
+            fid, entry = carriers[0]
+            (own,) = node_facts - {fid}
+            carried = carryover_single(entry, weights[own], gate, round2=round2)
+            if carried is not None:
+                base = (carried.vd, carried.cf)
+        elif carriers:
+            (la, ea), (lb, eb) = carriers
+            # each carrier holds the one fact the other lacks
+            wa, wb = weights[lb], weights[la]
+            if ea.cf * wa <= gate and eb.cf * wb <= gate:
+                pass
+            elif ea.vd == eb.vd:
+                base = (ea.vd, combine_same_vd(ea.cf, wa, eb.cf, wb, gate))
+            else:
+                base = combine_diff_vd(ea, eb, wa, wb, gate)
+            if base is not None and round2:
+                base = (base[0], publish2(base[1]))
 
         triples = [e.tv for _, e in carriers if e.tv is not None]
         ext = external.get(disease)
         if ext is None:
             if base is not None:
-                tv = None
-                if triples:
-                    tv = merged_truth_triple(triples)
-                    tv = TruthTriple(*(publish(c) for c in tv))
+                tv = _mean_triple(triples, round2) if triples else None
                 out[disease] = DecisionEntry(disease, base[0], base[1],
                                              tv=tv, weights=weights)
             continue
 
         ext_vd, ext_cf, ext_tv = ext
+        ext_cf = frac(ext_cf)
         if base is None:
             # the disease enters this node purely on direct evidence
-            out[disease] = DecisionEntry(disease, ext_vd, publish(frac(ext_cf)),
+            out[disease] = DecisionEntry(disease, ext_vd,
+                                         publish2(ext_cf) if round2 else ext_cf,
                                          tv=ext_tv, weights=weights)
             continue
-        tv = merged_truth_triple(triples, ext_tv) if (triples or ext_tv) else None
-        if tv is not None:
-            tv = TruthTriple(*(publish(c) for c in tv))
-        vd, cf = merge_external(base[0], base[1], ext_vd, frac(ext_cf),
+        tv = (_mean_triple(triples, round2, ext_tv)
+              if (triples or ext_tv is not None) else None)
+        vd, cf = merge_external(base[0], base[1], ext_vd, ext_cf,
                                 tv.tv3 if tv is not None else ZERO)
-        out[disease] = DecisionEntry(disease, vd, publish(clamp01(cf)),
+        cf = clamp01(cf)
+        out[disease] = DecisionEntry(disease, vd, publish2(cf) if round2 else cf,
                                      tv=tv, weights=weights)
     return out
 
 
 def derive(nodes, labels: Iterable[str], priorities: PriorityConfig, gate,
-           publish, external: Optional[Mapping[FrozenSet[int], Mapping[str, tuple]]] = None
+           round2: bool, external: Optional[Mapping[FrozenSet[int], Mapping[str, tuple]]] = None
            ) -> Dict[str, Dict[str, DecisionEntry]]:
     """The fresh decision maps of ``labels``, derived bottom up.
 
@@ -420,8 +458,8 @@ def derive(nodes, labels: Iterable[str], priorities: PriorityConfig, gate,
         node = nodes[label]
         preds = [(nodes[p].condition, fresh[p] if p in fresh else nodes[p].decisions)
                  for p in node.predecessors]
-        fresh[label] = node_decisions(node.condition, preds, priorities.weights_for,
-                                      gate, publish=publish,
+        fresh[label] = node_decisions(node.condition, preds, priorities, gate,
+                                      round2=round2,
                                       external=external.get(node.condition))
     return fresh
 
@@ -441,7 +479,6 @@ def propagate(kb, priorities: Optional[PriorityConfig] = None,
     gate = _alpha(alpha)
     external = {frozenset(k): dict(v) for k, v in (external or {}).items()}
     labels = [label for level_labels in kb.levels[2:] for label in level_labels]
-    updates = derive(kb.nodes, labels, priorities, gate,
-                     publish2 if round2 else _identity, external)
+    updates = derive(kb.nodes, labels, priorities, gate, round2, external)
     return kb.with_updates(updates, alpha=gate, priorities=priorities,
                            round2=round2, declare=set().union(*external.values()))

@@ -206,6 +206,12 @@ def reference_cf_multi(node, carriers, weights, alpha, publish):
     return publish(min(Fraction(1), sum(terms) / (len(node) - 1)))
 
 
+def reference_mean_triple(triples, publish):
+    """Component-wise mean of truth triples, each mean published."""
+    return tuple(publish(sum(t[c] for t in triples) / len(triples))
+                 for c in range(3))
+
+
 def reference_propagate(n, atomics, weights_for, alpha, publish):
     alpha = Fraction(alpha)
     out = {}

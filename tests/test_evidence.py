@@ -10,7 +10,7 @@ import expected_lbp as X
 import oracles
 from roughkb import errors
 from roughkb._num import publish2
-from roughkb.evidence import (EvidenceProfile, PresenceMatrix, SourceGrading,
+from roughkb.evidence import (GRADING_CAP, EvidenceProfile, PresenceMatrix, SourceGrading,
                               TruthTriple, TruthValue, presence_matrix,
                               resolve_decision, truth_triple)
 
@@ -30,6 +30,10 @@ def test_grading_weights_descend():
         g.weight(6)
     with pytest.raises(errors.OutOfRange):
         SourceGrading(0)
+    # a build costs O(q) per record group, so q is capped
+    assert SourceGrading(GRADING_CAP).q == GRADING_CAP
+    with pytest.raises(errors.OutOfRange):
+        SourceGrading(GRADING_CAP + 1)
 
 
 def test_profile_sparse_equals_dense():

@@ -4,6 +4,8 @@ import collections
 import hashlib
 import importlib.resources
 import os
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 import expected_lbp as X
 from conftest import DISEASE_POOL, kb_from_atomics, random_atomics, seeded
 from roughkb import errors, kbio, lattice
-from roughkb._num import render
+from roughkb._num import parse_rational, render
 from roughkb.propagation import PriorityConfig
 
 F = Fraction
@@ -80,6 +82,7 @@ def test_parse_quoted_attributes():
     ("module a\nmodule b\n", 2, "duplicate module"),
     ("module a\ngrading q=2\ngrading q=3\n", 3, "duplicate grading"),
     ("module a\ngrading q=0\n", 2, "positive"),
+    ("module a\ngrading q=2000000\n", 2, "exceeds the cap of 1000"),
     ("module a\nevidence f1 D m=1 level=1 count=1\n", 2,
      "grading must precede"),
     ("module a\nalpha 3/2\n", 2, "outside"),
@@ -185,6 +188,56 @@ def test_load_corrupt_inputs(kb_round2):
     for bad in cases:
         with pytest.raises((errors.CorruptRecord, errors.VersionMismatch)):
             kbio.load_kb(bad)
+
+
+# A token with a huge exponent would make Fraction build 10**10000000;
+# every number site refuses exponent notation before that.
+HUGE = "1e-10000000"
+
+
+def _refused_quickly(call):
+    start = time.perf_counter()
+    with pytest.raises(errors.KbError) as info:
+        call()
+    assert time.perf_counter() - start < 0.5
+    return info.value
+
+
+@pytest.mark.parametrize("pattern,replacement,what", [
+    (r"alpha \S+", "alpha " + HUGE, "alpha"),
+    (r"cf=\S+", "cf=" + HUGE, "cf"),
+    (r"tv=[^/]+/", "tv=%s/" % HUGE, "tv"),
+    (r"w=f(\d+):[^,\s]+", r"w=f\1:" + HUGE, "w"),
+])
+def test_load_refuses_exponents_in_number_tokens(kb_round2, pattern, replacement, what):
+    text = kbio.serialize_kb(kb_round2)
+    bad = re.sub(pattern, replacement, text, count=1)
+    assert HUGE in bad
+    line = next(i for i, l in enumerate(bad.splitlines(), 1) if HUGE in l)
+    exc = _refused_quickly(lambda: kbio.load_kb(bad))
+    assert isinstance(exc, errors.CorruptRecord)
+    assert exc.line == line
+    assert HUGE in str(exc)
+
+
+@pytest.mark.parametrize("token", ["0", "-1", "+3", "0.25", ".5", "5.", "1/4",
+                                   "-1/2", "0.000001", "007"])
+def test_parse_rational_matches_fraction_on_plain_numbers(token):
+    assert parse_rational(token) == F(token)
+
+
+@pytest.mark.parametrize("token", ["", ".", "-", "/4", "1/", "1e3", "1E-3", " 1",
+                                   "1_0", "nan", "1/2/3", "1/-2", "1.5/2"])
+def test_parse_rational_refuses_everything_else(token):
+    with pytest.raises(ValueError):
+        parse_rational(token)
+
+
+def test_parse_evidence_refuses_an_exponent_alpha():
+    exc = _refused_quickly(lambda: kbio.parse_evidence("module a\nalpha %s\n" % HUGE))
+    assert isinstance(exc, errors.SyntaxError)
+    assert exc.line == 2
+    assert "bad alpha" in str(exc)
 
 
 def test_load_requires_full_population(kb_round2):
@@ -481,6 +534,25 @@ def test_cli_set_decision_rejects_a_bad_credibility(kb_file, capsys, cf):
     assert capsys.readouterr().err == "error: bad credibility %r\n" % cf
     with open(kb_file, encoding="utf-8") as stream:
         assert stream.read() == before
+
+
+def test_cli_refuses_exponents_in_cf_and_alpha(tmp_path, evd_file, kb_file, capsys):
+    with open(kb_file, encoding="utf-8") as stream:
+        before = stream.read()
+    start = time.perf_counter()
+    assert kbio.cli(["set-decision", kb_file, "--label", "001",
+                     "--disease", "PIVD", "--vd", "0", "--cf", HUGE]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == "error: bad credibility %r\n" % HUGE
+    with open(kb_file, encoding="utf-8") as stream:
+        assert stream.read() == before
+    out = str(tmp_path / "alpha.kb")
+    for alpha in (HUGE, "spam"):
+        start = time.perf_counter()
+        assert kbio.cli(["build", evd_file, "-o", out, "--alpha", alpha]) == 1
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == "error: bad alpha %r\n" % alpha
+    assert not os.path.exists(out)
 
 
 def test_cli_insert_fact_rejects_a_bad_credibility(kb_file, capsys):

@@ -1,9 +1,9 @@
 """Integer kernels against their Fraction forms and per-fact scans.
 
 The rendering, rounding and summing helpers in ``roughkb._num``, the
-per-camp-totals ``_cf_multi``, the superset cone and the bitmask
-``SopExpression`` each replace a slower form of the same exact
-computation.  These tests hold them to the forms they replaced.
+fused integer ``_cf_multi`` and ``_mean_triple``, the superset cone and
+the bitmask ``SopExpression`` each replace a slower form of the same
+exact computation.  These tests hold them to the forms they replaced.
 """
 
 from fractions import Fraction
@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 import oracles
 from roughkb import errors
 from roughkb._num import clamp01, fsum, publish2, render
+from roughkb.evidence import TruthTriple
 from roughkb.lattice import _cone_labels, facts_of
 from roughkb.minimizer import SopExpression
-from roughkb.propagation import DecisionEntry, _cf_multi
+from roughkb.propagation import DecisionEntry, _cf_multi, _mean_triple
 
 F = Fraction
 
@@ -76,14 +77,18 @@ def _publish(mode):
     return oracles.round2 if mode == "round2" else (lambda x: x)
 
 
-def _agrees(node, carriers, weights, gate, mode):
-    """_cf_multi and the per-fact scan give the same cf and pass flag."""
+def _agrees(node, carriers, prio, gate, mode):
+    """_cf_multi gives the prevailing value of the chain fold, and the cf
+    and pass flag of the per-fact scan."""
     publish = _publish(mode)
-    want = oracles.reference_cf_multi(
-        node, [(facts, (int(e.vd), e.cf)) for facts, e in carriers],
-        weights, gate, publish)
-    got = _cf_multi(node, carriers, weights, gate, publish)
-    assert got == ((want, True) if want is not None else (0, False))
+    total = sum(prio.values())
+    weights = {f: F(p, total) for f, p in prio.items()}
+    pairs = [(facts, (int(e.vd), e.cf)) for facts, e in carriers]
+    want_vd = oracles._fold_vd([pair for _, pair in pairs])
+    want = oracles.reference_cf_multi(node, pairs, weights, gate, publish)
+    lacking = [(min(node - facts), e) for facts, e in carriers]
+    got = _cf_multi(lacking, prio, total, gate, mode == "round2")
+    assert got == ((want_vd, want, True) if want is not None else (want_vd, 0, False))
     return want
 
 
@@ -93,29 +98,30 @@ def multi_cases(draw):
     node = frozenset(range(1, size + 1))
     preds = [node - {f} for f in sorted(node, reverse=True)]
     picked = draw(st.lists(st.sampled_from(preds), min_size=1, unique=True))
-    cfs = st.one_of(st.just(F(0)), st.integers(0, 100).map(lambda k: F(k, 100)),
+    cfs = st.one_of(st.sampled_from([F(0), F(1)]),
+                    st.integers(0, 100).map(lambda k: F(k, 100)),
                     st.fractions(0, 1, max_denominator=60))
     carriers = [(facts, DecisionEntry("ANK", draw(st.sampled_from([0, 1, 2])),
                                       draw(cfs)))
                 for facts in picked]
+    # unequal priorities give the weights different denominators
     prio = {f: draw(st.integers(1, 4)) for f in node}
-    weights = {f: F(p, sum(prio.values())) for f, p in prio.items()}
-    return node, carriers, weights
+    return node, carriers, prio
 
 
 @settings(max_examples=250, deadline=None)
 @given(multi_cases(), st.sampled_from([F(0), F(1, 20), F(1, 10)]),
        st.sampled_from(["exact", "round2"]))
 def test_cf_multi_matches_the_per_fact_scan(case, gate, mode):
-    node, carriers, weights = case
-    _agrees(node, carriers, weights, gate, mode)
+    node, carriers, prio = case
+    _agrees(node, carriers, prio, gate, mode)
 
 
 @pytest.mark.parametrize("gate", [F(0), F(1, 20), F(1, 10)])
 @pytest.mark.parametrize("mode", ["exact", "round2"])
 def test_cf_multi_edge_cases_match_the_per_fact_scan(gate, mode):
     node = frozenset({1, 2, 3, 4})
-    third = {f: F(1, 4) for f in node}
+    third = {f: 1 for f in node}
     e = lambda vd, cf: DecisionEntry("ANK", vd, cf)  # noqa: E731
     # the only absent vote lacks fact 4, so fact 4's absent camp is empty
     emptied = [(frozenset({1, 2, 3}), e(0, F(9, 10))),
@@ -132,6 +138,71 @@ def test_cf_multi_edge_cases_match_the_per_fact_scan(gate, mode):
     assert _agrees(node, zeros, third, gate, mode) is not None
     nothing = [(frozenset({1, 2, 3}), e(1, F(0)))]
     assert _agrees(node, nothing, third, gate, mode) is None
+    # certainties on every side: a 0-versus-2 clash and an agreeing camp
+    certain = [(frozenset({1, 2, 3}), e(0, F(1))),
+               (frozenset({1, 2, 4}), e(2, F(1))),
+               (frozenset({2, 3, 4}), e(2, F(1)))]
+    assert _agrees(node, certain, {1: 3, 2: 1, 3: 2, 4: 1}, gate, mode) is not None
+
+
+@pytest.mark.parametrize("mode", ["exact", "round2"])
+def test_cf_multi_terms_at_the_gate_do_not_pass(mode):
+    node = frozenset({1, 2, 3})
+    e = lambda cf: DecisionEntry("ANK", 1, cf)  # noqa: E731
+    gate = F(1, 10)
+    # fact 1 sees 1/10 + 2/10, so its term (3/10) * (1/3) is the gate
+    # itself and drops; facts 2 and 3 give 6/10 * 1/3 and 7/10 * 1/3
+    mixed = [(frozenset({1, 2}), e(F(1, 10))), (frozenset({1, 3}), e(F(2, 10))),
+             (frozenset({2, 3}), e(F(5, 10)))]
+    want = F(11, 50) if mode == "round2" else F(13, 60)  # 0.20 + 0.23 over 2
+    assert _agrees(node, mixed, {1: 1, 2: 1, 3: 1}, gate, mode) == want
+    # every term at the gate: nothing passes
+    level = [(facts, e(F(3, 20))) for facts, _ in mixed]
+    assert _agrees(node, level, {1: 1, 2: 1, 3: 1}, gate, mode) is None
+
+
+@pytest.mark.parametrize("mode", ["exact", "round2"])
+def test_cf_multi_sum_clamps_to_one(mode):
+    # every fact's term is 2 * 1/3; published at 0.67 the three sum to
+    # 2.01 over i - 1 = 2, which the two-decimal mode clamps to 1
+    node = frozenset({1, 2, 3})
+    full = [(facts, DecisionEntry("ANK", 1, F(1)))
+            for facts in (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}))]
+    assert _agrees(node, full, {1: 1, 2: 1, 3: 1}, F(0), mode) == 1
+
+
+# --- truth-triple means ------------------------------------------------------
+
+# a hand-edited file may hold components outside [0, 1]
+components = st.one_of(st.fractions(-1, 2, max_denominator=400),
+                       st.integers(0, 100).map(lambda k: F(k, 100)))
+triples = st.builds(TruthTriple, components, components, components)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(triples, min_size=1, max_size=6), st.one_of(st.none(), triples),
+       st.sampled_from(["exact", "round2"]))
+def test_mean_triple_matches_the_fraction_mean(items, external, mode):
+    got = _mean_triple(items, mode == "round2", external)
+    want = oracles.reference_mean_triple(items + ([external] if external else []),
+                                         _publish(mode))
+    assert got == want
+    assert all(type(c) is F for c in got)
+
+
+@pytest.mark.parametrize("mode", ["exact", "round2"])
+@pytest.mark.parametrize("with_external", [False, True])
+def test_mean_triple_publishes_exact_halves_up(mode, with_external):
+    # means of 0.005, 0.125 and 0.995: a half at the third decimal each
+    a = TruthTriple(F(1, 100), F(1, 4), F(1))
+    b = TruthTriple(F(0), F(0), F(99, 100))
+    items, external = ([a], b) if with_external else ([a, b], None)
+    got = _mean_triple(items, mode == "round2", external)
+    assert got == oracles.reference_mean_triple([a, b], _publish(mode))
+    if mode == "round2":
+        assert got == (F(1, 100), F(13, 100), F(1))
+    else:
+        assert got == (F(1, 200), F(1, 8), F(199, 200))
 
 
 # --- cones and expressions ---------------------------------------------------

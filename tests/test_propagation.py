@@ -1,5 +1,6 @@
 """Pairwise/multi-constituent combination and whole-lattice propagation."""
 
+import collections
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,9 @@ from conftest import DISEASE_POOL, kb_from_atomics, random_kb, seeded
 from roughkb import errors
 from roughkb.evidence import TruthTriple, TruthValue
 from roughkb.lattice import facts_of
-from roughkb.propagation import (DecisionEntry, PriorityConfig, _cf_multi, _chain,
+from roughkb.propagation import (DecisionEntry, PriorityConfig, _cf_multi, _mean_triple,
                                  carryover_single, combine_diff_vd, combine_same_vd,
-                                 merge_external, merged_truth_triple, node_decisions,
-                                 propagate)
+                                 merge_external, node_decisions, propagate)
 
 F = Fraction
 
@@ -114,32 +114,41 @@ def test_diff_vd_gate_keeps_the_surviving_side():
 
 # --- chains and multi-constituent credibility -------------------------------
 
+def _chain(pairs):
+    """The prevailing truth value of (vd, cf) pairs, carried in this order
+    by the predecessors of node {1, 2, 3} that lack facts 3, 2 and 1."""
+    carriers = [(fid, DecisionEntry("ANK", vd, cf))
+                for fid, (vd, cf) in zip((3, 2, 1), pairs)]
+    return _cf_multi(carriers, {1: 1, 2: 1, 3: 1}, 3, F(0), False)[0]
+
+
 def test_vd_chain_case_law():
     P, A, I = TruthValue.PRESENT, TruthValue.ABSENT, TruthValue.INCONCLUSIVE
-    assert _chain([(P, F(1, 2)), (P, F(1, 4))])[0] == TruthValue.PRESENT
-    assert _chain([(A, F(1, 2)), (I, F(9, 10))])[0] == TruthValue.INCONCLUSIVE
-    assert _chain([(P, F(1, 2)), (A, F(3, 4))])[0] == TruthValue.ABSENT
-    assert _chain([(P, F(1, 2)), (A, F(1, 2))])[0] == TruthValue.INCONCLUSIVE
+    assert _chain([(P, F(1, 2)), (P, F(1, 4))]) == TruthValue.PRESENT
+    assert _chain([(A, F(1, 2)), (I, F(9, 10))]) == TruthValue.INCONCLUSIVE
+    assert _chain([(P, F(1, 2)), (A, F(3, 4))]) == TruthValue.ABSENT
+    assert _chain([(P, F(1, 2)), (A, F(1, 2))]) == TruthValue.INCONCLUSIVE
     # a 0-versus-2 clash is inconclusive even against a stronger side
-    assert _chain([(P, F(1, 2)), (A, F(3, 4)), (I, F(7, 10))])[0] \
+    assert _chain([(P, F(1, 2)), (A, F(3, 4)), (I, F(7, 10))]) \
         == TruthValue.INCONCLUSIVE
     # the carried credibility is the running maximum, so a later weaker
     # entry cannot flip an established inconclusive verdict
-    assert _chain([(I, F(1, 2)), (I, F(3, 4)), (P, F(7, 10))])[0] \
+    assert _chain([(I, F(1, 2)), (I, F(3, 4)), (P, F(7, 10))]) \
         == TruthValue.INCONCLUSIVE
 
 
 def test_cf_multi_hand_example():
-    node = frozenset({1, 2, 3})
+    # the constituents {1, 2}, {1, 3} and {2, 3} lack facts 3, 2 and 1
     constituents = [
-        (frozenset({1, 2}), DecisionEntry("ANK", 1, F(3, 5))),
-        (frozenset({1, 3}), DecisionEntry("ANK", 1, F(3, 10))),
-        (frozenset({2, 3}), DecisionEntry("ANK", 0, F(1, 5))),
+        (3, DecisionEntry("ANK", 1, F(3, 5))),
+        (2, DecisionEntry("ANK", 1, F(3, 10))),
+        (1, DecisionEntry("ANK", 0, F(1, 5))),
     ]
-    weights = {1: F(1, 3), 2: F(1, 3), 3: F(1, 3)}
+    # equal priorities: every weight is 1/3
     # per-fact terms: 9/10 * 1/3, |3/5-1/5| * 1/3, |3/10-1/5| * 1/3
     # sum 7/15, averaged over (3 - 1)
-    assert _cf_multi(node, constituents, weights, F(0), lambda x: x) == (F(7, 30), True)
+    assert _cf_multi(constituents, {1: 1, 2: 1, 3: 1}, 3, F(0), False) \
+        == (TruthValue.PRESENT, F(7, 30), True)
 
 
 def test_carryover_single_gates():
@@ -164,13 +173,13 @@ def test_merge_external_cases():
         == (TruthValue.INCONCLUSIVE, F(2, 7))
 
 
-def test_merged_truth_triple_is_a_mean():
+def test_mean_triple_is_a_mean():
     t1 = TruthTriple(F(1, 2), F(1, 4), F(1, 4))
     t2 = TruthTriple(F(1, 4), F(1, 4), F(1, 2))
-    assert merged_truth_triple([t1, t2]) == TruthTriple(F(3, 8), F(1, 4), F(3, 8))
-    assert merged_truth_triple([t1], external=t2) == merged_truth_triple([t1, t2])
+    assert _mean_triple([t1, t2], False) == TruthTriple(F(3, 8), F(1, 4), F(3, 8))
+    assert _mean_triple([t1], False, external=t2) == _mean_triple([t1, t2], False)
     with pytest.raises(errors.OutOfRange):
-        merged_truth_triple([])
+        _mean_triple([], False)
 
 
 def test_external_evidence_merges_and_is_consumed():
@@ -195,23 +204,39 @@ def test_external_evidence_merges_and_is_consumed():
 
 # --- orchestration corner cases ---------------------------------------------
 
-def _uniform(facts, disease):
-    f = sorted(facts)
-    return {fid: F(1, len(f)) for fid in f}
-
-
 def test_node_decisions_all_gated_means_absent():
     entry = {"ANK": DecisionEntry("ANK", 1, F(1, 100))}
     preds = [(frozenset({1, 2}), entry),
              (frozenset({1, 3}), entry),
              (frozenset({2, 3}), entry)]
-    out = node_decisions(frozenset({1, 2, 3}), preds, _uniform, F(1, 2))
+    out = node_decisions(frozenset({1, 2, 3}), preds, PriorityConfig(), F(1, 2))
     assert out == {}
 
 
 def test_node_decisions_requires_no_disease_to_be_invented():
     preds = [(frozenset({1}), {}), (frozenset({2}), {})]
-    assert node_decisions(frozenset({1, 2}), preds, _uniform, 0) == {}
+    assert node_decisions(frozenset({1, 2}), preds, PriorityConfig(), 0) == {}
+
+
+def _derived_entries(kb):
+    return {(label, d): e for label, node in kb.nodes.items() if node.level >= 2
+            for d, e in node.decisions.items()}
+
+
+@pytest.mark.parametrize("seed,with_priorities", [(22, True), (22, False)])
+def test_derived_entries_own_their_weights(seed, with_priorities):
+    kb, _, priorities = random_kb(seeded(seed), 5, with_priorities=with_priorities)
+    assert bool(priorities.global_priorities and priorities.scoped) == with_priorities
+    entries = _derived_entries(kb)
+    assert len({id(e.weights) for e in entries.values()}) == len(entries)
+    # edit the map whose values most other entries also hold
+    shared = collections.Counter(frozenset(e.weights.items()) for e in entries.values())
+    victim = max(entries, key=lambda k: shared[frozenset(entries[k].weights.items())])
+    assert shared[frozenset(entries[victim].weights.items())] > 1
+    entries[victim].weights[min(entries[victim].weights)] = F(1, 997)
+    again = _derived_entries(propagate(kb, priorities=priorities))
+    assert entries[victim] != again[victim]
+    assert all(entry == again[key] for key, entry in entries.items() if key != victim)
 
 
 # --- agreement with the straight-line reference -----------------------------
