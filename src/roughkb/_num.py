@@ -18,16 +18,23 @@ is ``floor((200*num + den) / (2*den)) / 100``, ``render`` takes
 the remainder with ``den``, ``clamp01`` compares the numerator with 0 and
 with the denominator, and :func:`fsum` adds over one running lcm
 denominator and builds a single Fraction at the end.  Two more kernels
-of the same kind live in ``propagation``: ``_cf_multi`` puts a node's
-carrier credibilities on their lcm denominator once and computes the
-prevailing truth value, the camp sums, the gate test, each per-fact term
-and the published result on those integers, and ``_mean_triple`` sums
-the components of several truth triples over one lcm.  Both build one
-Fraction per result.  Every result is the same exact rational the
-operator form gives.
+of the same kind live in ``propagation``, and they take integer records
+rather than Fractions: each (label, disease) entry is turned once into
+``(vd, cf numerator, cf denominator, truth record)``, the truth record
+being the triple's three numerators over one common denominator.
+``_cf_multi`` puts a node's carrier credibilities on their lcm
+denominator and computes the prevailing truth value, the camp sums, the
+gate test, each per-fact term and the published result on those
+integers, and ``_mean_triple`` sums the carriers' truth records over
+their lcm and returns the mean both as a triple and as its record.  Both
+build one Fraction per result.  Every result is the same exact rational
+the operator form gives.  A derived cf is checked on its integers, and
+the entry is built by ``DecisionEntry._checked``, which assigns the
+checked values without validating them again.
 
 :func:`parse_rational` is the one parser of number tokens read from
-files and the command line.
+files and the command line, and :func:`frac` sends every string through
+it too.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
+
+from . import errors
 
 Rational = Union[Fraction, int]
 
@@ -73,12 +82,20 @@ def frac(value) -> Fraction:
     """Coerce a number or numeric string to an exact Fraction.
 
     Floats are routed through their shortest decimal repr, so ``0.1``
-    becomes exactly 1/10 rather than the binary neighbour.
+    becomes exactly 1/10 rather than the binary neighbour.  A string
+    goes through :func:`parse_rational` (surrounding blanks aside), so
+    exponent notation is refused before any ``10**exponent`` is built;
+    a string it refuses raises ``errors.OutOfRange``.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(str(value))
+    if isinstance(value, str):
+        try:
+            return parse_rational(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise errors.OutOfRange("not a plain number: %r" % (value,))
     return Fraction(value)
 
 

@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import errors
 from ._num import ONE, ZERO, frac, parse_rational, publish2, render
 from .evidence import (GRADING_CAP, EvidenceProfile, SourceGrading, TruthTriple,
-                       presence_matrix, resolve_decision, truth_triple)
+                       TruthValue, presence_matrix, resolve_decision, truth_triple)
 from .lattice import (DEFAULT_ORDER_CAP, DropDecision, Fact, Lattice,
                       SetDecision, _build_structure, build_kb, check_structure,
                       delete_fact, insert_fact, modify_node)
@@ -560,11 +560,15 @@ def load_kb(text: str) -> Lattice:
     current: Optional[str] = None
     condition: FrozenSet[int] = frozenset()
     decisions: Dict[str, DecisionEntry] = {}
-    # Each distinct token is parsed once per load.  The tables hold only
-    # immutable values; every entry still gets its own weights dict.
+    # Each distinct token is converted and checked once per load.  The
+    # tables hold only immutable values, and a value that fails its check
+    # is held as None and refused at each line that uses it, after that
+    # line's own checks.  Every entry still gets its own weights dict.
     numbers: Dict[str, Fraction] = {}
     triples: Dict[str, Optional[TruthTriple]] = {"-": None}
-    weight_items: Dict[str, Tuple[int, Fraction]] = {}
+    vds: Dict[str, Optional[TruthValue]] = {}
+    cfs: Dict[str, Optional[Fraction]] = {}
+    weight_items: Dict[str, Tuple[int, Optional[Fraction]]] = {}
 
     def number(token: str, no: int) -> Fraction:
         value = numbers.get(token)
@@ -595,8 +599,23 @@ def load_kb(text: str) -> Lattice:
             if len(parts) != 6:
                 _corrupt("bad decision line", no)
             disease = parts[1]
-            vd = _field(parts[2], "vd", no)
-            cf = number(_field(parts[3], "cf", no), no)
+            vd_text = _field(parts[2], "vd", no)
+            if vd_text in vds:
+                vd = vds[vd_text]
+            else:
+                try:
+                    vd = TruthValue(int(vd_text))
+                except ValueError:
+                    vd = None
+                vds[vd_text] = vd
+            cf_text = _field(parts[3], "cf", no)
+            if cf_text in cfs:
+                cf = cfs[cf_text]
+            else:
+                cf = number(cf_text, no)
+                if not 0 <= cf.numerator <= cf.denominator:
+                    cf = None
+                cfs[cf_text] = cf
             tv_text = _field(parts[4], "tv", no)
             w_text = _field(parts[5], "w", no)
             if tv_text not in triples:
@@ -606,27 +625,29 @@ def load_kb(text: str) -> Lattice:
                 triples[tv_text] = TruthTriple(*(number(c, no) for c in comps))
             tv = triples[tv_text]
             weights = {}
+            checked = vd is not None and cf is not None
             if w_text != "-":
                 for item in w_text.split(","):
                     pair = weight_items.get(item)
                     if pair is None:
                         ref, _, val = item.partition(":")
                         try:
-                            pair = (_fact_token(ref, no), parse_rational(val))
+                            fid, w = _fact_token(ref, no), parse_rational(val)
                         except (errors.SyntaxError, ValueError, ZeroDivisionError):
                             _corrupt("bad weight %r" % (item,), no)
-                        weight_items[item] = pair
-                    weights[pair[0]] = pair[1]
+                        if not 0 < w.numerator <= w.denominator:
+                            w = None
+                        pair = weight_items[item] = (fid, w)
+                    fid, w = pair
+                    weights[fid] = w
+                    checked = checked and w is not None
             if disease in decisions:
                 _corrupt("node %s decides %r twice" % (current, disease), no)
             if not weights.keys() <= condition:
                 _corrupt("weights reference facts outside the condition", no)
-            try:
-                entry = DecisionEntry(disease, int(vd), cf, tv=tv,
-                                      weights=weights)
-            except (errors.KbError, ValueError):
+            if not checked:
                 _corrupt("bad decision values", no)
-            decisions[disease] = entry
+            decisions[disease] = DecisionEntry._checked(disease, vd, cf, tv, weights)
             declared.add(disease)
         else:
             _corrupt("unexpected %r line in node section" % parts[0], no)

@@ -404,9 +404,11 @@ def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
         if label[cut] == "1":
             continue
         squeezed = label[:cut] + label[cut + 1:]
+        # the values were checked when they entered; only the keys move
         decisions = {
-            disease: entry.replace(weights={remap(f): w
-                                            for f, w in entry.weights.items()})
+            disease: DecisionEntry._checked(
+                entry.disease, entry.vd, entry.cf, entry.tv,
+                {remap(f): w for f, w in entry.weights.items()})
             for disease, entry in node.decisions.items()}
         nodes[squeezed] = nodes[squeezed].replace_decisions(decisions)
     return Lattice(facts, nodes, levels, alpha=kb.alpha,

@@ -10,21 +10,30 @@ The module is pure calculus; it knows nothing about lattice storage
 beyond the ``(fact set, decision map)`` shape of a predecessor.  All
 arithmetic is exact.  A ``round2`` flag selects the two-decimal
 compatibility mode, which publishes (``_num.publish2``) the
-intermediates that mode is defined over.  At level 3 and above one
+intermediates that mode is defined over.
+
+Derivation reads its constituents as integer records, one per (label,
+disease) entry: ``(vd, cf numerator, cf denominator, truth record)``,
+where a truth record is ``(n1, n2, n3, d)``, the three components over
+one common denominator (None when the entry has no triple).  An entry
+derived here gets its record when it is made; a stored entry gets its
+record the first time a successor reads it.  At level 3 and above one
 integer pass per node and disease computes the prevailing truth value,
-the credibility and the truth-triple mean, and builds one Fraction per
-result.
+the credibility and the truth-triple mean from the carriers' records,
+and builds one Fraction per result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import errors
 from ._num import ONE, ZERO, clamp01, frac, publish2
 from .evidence import TruthTriple, TruthValue
+
+Record = Tuple[TruthValue, int, int, Optional[Tuple[int, int, int, int]]]
 
 
 def _alpha(value) -> Fraction:
@@ -65,6 +74,25 @@ class DecisionEntry:
                 raise errors.OutOfRange("weight %s outside (0, 1]" % w)
             self.weights[int(fid)] = w
 
+    @classmethod
+    def _checked(cls, disease: str, vd: TruthValue, cf: Fraction,
+                 tv: Optional[TruthTriple], weights: Dict[int, Fraction]
+                 ) -> "DecisionEntry":
+        """An entry of values each already checked where it entered.
+
+        Derivation checks a kernel's cf on its integers and the weight
+        cache checks each weight value it creates; ``load_kb`` checks
+        each distinct token once per load.  The slots are assigned as
+        given, and ``weights`` becomes the entry's own map.
+        """
+        entry = object.__new__(cls)
+        entry.disease = disease
+        entry.vd = vd
+        entry.cf = cf
+        entry.tv = tv
+        entry.weights = weights
+        return entry
+
     def replace(self, **kw):
         args = {s: getattr(self, s) for s in self.__slots__}
         args.update(kw)
@@ -91,14 +119,19 @@ class PriorityConfig:
     over the node's facts.
     """
 
-    __slots__ = ("global_priorities", "scoped", "_values")
+    __slots__ = ("global_priorities", "scoped", "_by_disease", "_values")
 
     def __init__(self, global_priorities=None, scoped=None):
-        # each weight value Fraction(p, total), built once; not part of equality
-        self._values: Dict[Tuple[int, int], Fraction] = {}
+        # not part of equality: the global priorities indexed by disease,
+        # and each weight value Fraction(p, total), built and checked once,
+        # filed under its total
+        self._by_disease: Dict[str, Dict[int, int]] = {}
+        self._values: Dict[int, Dict[int, Fraction]] = {}
         self.global_priorities = {}
         for (disease, fid), p in dict(global_priorities or {}).items():
-            self.global_priorities[(str(disease), int(fid))] = self._check(p)
+            disease, fid = str(disease), int(fid)
+            self.global_priorities[(disease, fid)] = self._by_disease.setdefault(
+                disease, {})[fid] = self._check(p)
         self.scoped = {}
         for (facts, disease), prio in dict(scoped or {}).items():
             facts = frozenset(int(f) for f in facts)
@@ -122,9 +155,10 @@ class PriorityConfig:
         """
         prio = self.scoped.get((facts, disease))
         if prio is None:
-            glob = self.global_priorities
-            prio = ({f: glob.get((disease, f), 1) for f in facts} if glob
-                    else dict.fromkeys(facts, 1))
+            glob = self._by_disease.get(disease)
+            if glob is None:
+                return dict.fromkeys(facts, 1), len(facts)
+            prio = {f: glob.get(f, 1) for f in facts}
         return prio, sum(prio.values())
 
     def weights_for(self, facts: FrozenSet[int], disease: str) -> Dict[int, Fraction]:
@@ -132,12 +166,16 @@ class PriorityConfig:
 
     def _weights(self, prio: Mapping[int, int], total: int) -> Dict[int, Fraction]:
         """A fresh weights map whose values come from the cache."""
-        values = self._values
+        values = self._values.get(total)
+        if values is None:
+            values = self._values[total] = {}
         weights = {}
         for f, p in prio.items():
-            w = values.get((p, total))
+            w = values.get(p)
             if w is None:
-                w = values[p, total] = Fraction(p, total)
+                if not 0 < p <= total:
+                    raise errors.OutOfRange("weight %d/%d outside (0, 1]" % (p, total))
+                w = values[p] = Fraction(p, total)
             weights[f] = w
         return weights
 
@@ -164,7 +202,53 @@ class PriorityConfig:
                 % (len(self.global_priorities), len(self.scoped)))
 
 
+# --- integer records ----------------------------------------------------------
+
+def _triple_record(tv: TruthTriple) -> Tuple[int, int, int, int]:
+    """A truth triple as three numerators over one denominator."""
+    (a, b), (c, d), (e, f) = (x.as_integer_ratio() for x in tv)
+    if b == d == f:
+        return a, c, e, b
+    den = lcm(b, d, f)
+    return a * (den // b), c * (den // d), e * (den // f), den
+
+
+def _record(entry: DecisionEntry) -> Record:
+    num, den = entry.cf.as_integer_ratio()
+    tv = entry.tv
+    return entry.vd, num, den, None if tv is None else _triple_record(tv)
+
+
+def _records(decisions: Mapping[str, DecisionEntry]) -> Dict[str, Record]:
+    return {disease: _record(entry) for disease, entry in decisions.items()}
+
+
 # --- pairwise combination (level 2) -----------------------------------------
+
+def _gated(a: Fraction, b: Fraction, gate: Fraction, agree: bool) -> Optional[Fraction]:
+    """Credibility of two weighted contributions under a checked gate.
+
+    Both clearing the gate add when the sides agree and offset when
+    they do not; a lone passing side carries alone; None when neither
+    passes.
+    """
+    if a <= gate:
+        return None if b <= gate else clamp01(b)
+    if b <= gate:
+        return clamp01(a)
+    return clamp01(a + b if agree else abs(a - b))
+
+
+def _prevailing(vd_i, cf_i, vd_j, cf_j) -> TruthValue:
+    """The truth value a disagreeing pair passes up."""
+    if {int(vd_i), int(vd_j)} == {0, 2}:
+        return TruthValue.INCONCLUSIVE
+    if cf_i > cf_j:
+        return vd_i
+    if cf_j > cf_i:
+        return vd_j
+    return TruthValue.INCONCLUSIVE
+
 
 def combine_same_vd(cf_i, w_i, cf_j, w_j, alpha) -> Fraction:
     """Credibility of a pair agreeing on the truth value.
@@ -172,16 +256,8 @@ def combine_same_vd(cf_i, w_i, cf_j, w_j, alpha) -> Fraction:
     Both weighted contributions add when both clear the gate; a lone
     passing side carries alone; nothing passing yields zero.
     """
-    gate = _alpha(alpha)
-    a = frac(cf_i) * frac(w_i)
-    b = frac(cf_j) * frac(w_j)
-    if a <= gate and b <= gate:
-        return ZERO
-    if a <= gate:
-        return clamp01(b)
-    if b <= gate:
-        return clamp01(a)
-    return clamp01(a + b)
+    cf = _gated(frac(cf_i) * frac(w_i), frac(cf_j) * frac(w_j), _alpha(alpha), True)
+    return ZERO if cf is None else cf
 
 
 def combine_diff_vd(entry_i, entry_j, w_i, w_j, alpha) -> Tuple[TruthValue, Fraction]:
@@ -195,23 +271,9 @@ def combine_diff_vd(entry_i, entry_j, w_i, w_j, alpha) -> Tuple[TruthValue, Frac
     yields a firm one.
     """
     gate = _alpha(alpha)
-    if {int(entry_i.vd), int(entry_j.vd)} == {0, 2}:
-        vd = TruthValue.INCONCLUSIVE
-    elif entry_i.cf > entry_j.cf:
-        vd = entry_i.vd
-    elif entry_j.cf > entry_i.cf:
-        vd = entry_j.vd
-    else:
-        vd = TruthValue.INCONCLUSIVE
-    a = entry_i.cf * frac(w_i)
-    b = entry_j.cf * frac(w_j)
-    if a <= gate and b <= gate:
-        return vd, ZERO
-    if a <= gate:
-        return vd, clamp01(b)
-    if b <= gate:
-        return vd, clamp01(a)
-    return vd, clamp01(abs(a - b))
+    vd = _prevailing(entry_i.vd, entry_i.cf, entry_j.vd, entry_j.cf)
+    cf = _gated(entry_i.cf * frac(w_i), entry_j.cf * frac(w_j), gate, False)
+    return vd, ZERO if cf is None else cf
 
 
 def merge_external(vd_star, cf_star, vd_ext, cf_ext, tv3_merged) -> Tuple[TruthValue, Fraction]:
@@ -229,6 +291,24 @@ def merge_external(vd_star, cf_star, vd_ext, cf_ext, tv3_merged) -> Tuple[TruthV
     return TruthValue.INCONCLUSIVE, frac(tv3_merged)
 
 
+def _level2(node_facts: FrozenSet[int], carriers, weights: Mapping[int, Fraction],
+            gate: Fraction) -> Optional[Tuple[TruthValue, Fraction]]:
+    """(vd, cf) of a level-2 node from its carriers' records, or None."""
+    if len(carriers) == 1:
+        # a level-2 carrier holds the one fact it does not lack
+        fid, (vd, num, den, _) = carriers[0]
+        (own,) = node_facts - {fid}
+        cf = _gated(Fraction(num, den) * weights[own], ZERO, gate, True)
+        return None if cf is None else (vd, cf)
+    (la, (va, na, da, _)), (lb, (vb, nb, db, _)) = carriers
+    ca, cb = Fraction(na, da), Fraction(nb, db)
+    # each carrier holds the one fact the other lacks
+    cf = _gated(ca * weights[lb], cb * weights[la], gate, va == vb)
+    if cf is None:
+        return None
+    return (va if va == vb else _prevailing(va, ca, vb, cb)), cf
+
+
 # every value publish2 gives in [0, 1], by its numerator over 100
 _HUNDREDTHS = tuple(Fraction(h, 100) for h in range(101))
 
@@ -238,26 +318,36 @@ def _hundredths(h: int) -> Fraction:
     return _HUNDREDTHS[h] if 0 <= h <= 100 else Fraction(h, 100)
 
 
-def _mean_triple(triples: Sequence[TruthTriple], round2: bool,
-                 external: Optional[TruthTriple] = None) -> TruthTriple:
-    """Component-wise mean of the constituent triples (plus external).
+def _mean_triple(records: Sequence[Tuple[int, int, int, int]], round2: bool
+                 ) -> Tuple[TruthTriple, Tuple[int, int, int, int]]:
+    """Component-wise mean of truth records, as a triple and its record.
 
-    The 3·k components are summed as integers over their lcm, and each
-    mean is one ratio of integers, published in the two-decimal mode.
+    Each component is summed as integers over the records' lcm, and
+    each mean is one ratio of integers, published in the two-decimal
+    mode.
     """
-    items = list(triples)
-    if external is not None:
-        items.append(external)
-    if not items:
+    if not records:
         raise errors.OutOfRange("need at least one triple to merge")
-    ratios = [c.as_integer_ratio() for t in items for c in t]
-    den = lcm(*[d for _, d in ratios])
-    scaled = [num * (den // d) for num, d in ratios]
-    sums = (sum(scaled[0::3]), sum(scaled[1::3]), sum(scaled[2::3]))
-    den *= len(items)
+    den = lcm(*[r[3] for r in records])
+    s1 = s2 = s3 = 0
+    for a, b, c, d in records:
+        k = den // d
+        s1 += a * k
+        s2 += b * k
+        s3 += c * k
+    den *= len(records)
     if round2:
-        return TruthTriple(*(_hundredths((200 * s + den) // (2 * den)) for s in sums))
-    return TruthTriple(*(Fraction(s, den) for s in sums))
+        h1, h2, h3 = [(200 * s + den) // (2 * den) for s in (s1, s2, s3)]
+        # tuple.__new__ skips TruthTriple's coercion of exact components
+        return (tuple.__new__(TruthTriple, (_hundredths(h1), _hundredths(h2),
+                                            _hundredths(h3))),
+                (h1, h2, h3, 100))
+    g = gcd(s1, s2, s3, den)
+    if g > 1:
+        s1, s2, s3, den = s1 // g, s2 // g, s3 // g, den // g
+    return (tuple.__new__(TruthTriple, (Fraction(s1, den), Fraction(s2, den),
+                                        Fraction(s3, den))),
+            (s1, s2, s3, den))
 
 
 # --- multi-constituent combination (level >= 3) -----------------------------
@@ -267,7 +357,7 @@ def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
               round2: bool) -> Tuple[int, Fraction, bool]:
     """Prevailing truth value, credibility and pass flag at level >= 3.
 
-    ``carriers`` lists ``(lacking fact, entry)`` in ascending label
+    ``carriers`` lists ``(lacking fact, record)`` in ascending label
     order: every constituent is the node less one fact.  ``prio`` holds
     the integer priority of each of the node's facts and ``total`` their
     sum, so fact f weighs ``prio[f] / total``.
@@ -285,30 +375,32 @@ def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
     terms' sum over ``i - 1``, clamped at 1.  The flag is False when no
     term clears the gate.
     """
-    ratios = [entry.cf.as_integer_ratio() for _, entry in carriers]
-    den = lcm(*[d for _, d in ratios])
+    den = lcm(*[r[2] for _, r in carriers])
     camps = [0, 0, 0]
     lacking = {}
     vd = top = None
-    for (fid, entry), (num, d) in zip(carriers, ratios):
-        cf = num * (den // d)
-        nxt = entry.vd
+    for fid, (nxt, num, d, _) in carriers:
+        cf = num if d == den else num * (den // d)
         camps[nxt] += cf
         lacking[fid] = (nxt, cf)
         # the chain carries the running maximum, so a later weaker entry
         # cannot flip an established verdict; 0 against 2 is inconclusive
         if vd is None:
             vd, top = nxt, cf
-        elif nxt == vd:
-            top = max(top, cf)
-        elif nxt + vd == 2:
-            vd, top = TruthValue.INCONCLUSIVE, max(top, cf)
+        elif nxt == vd or nxt + vd == 2:
+            if nxt != vd:
+                vd = TruthValue.INCONCLUSIVE
+            if cf > top:
+                top = cf
         elif cf > top:
             vd, top = nxt, cf
         elif cf == top:
             vd = TruthValue.INCONCLUSIVE
-    grand = sum(camps)
+    c0, c1, c2 = camps
+    grand = c0 + c1 + c2
     whole = abs(2 * max(camps) - grand)
+    # the strongest camp besides each one
+    others = (max(c1, c2), max(c0, c2), max(c0, c1))
     # a term is g * p / scale, and it passes when g * p * gate_den > bar
     scale = den * total
     gate_num, gate_den = gate.as_integer_ratio()
@@ -321,9 +413,9 @@ def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
             g = whole
         else:
             v, cf = skip
-            camps[v] -= cf
-            g = abs(2 * max(camps) - grand + cf)
-            camps[v] += cf
+            rest = camps[v] - cf
+            other = others[v]
+            g = abs(2 * (rest if rest > other else other) - grand + cf)
         num = g * p
         if num * gate_den > bar:
             ok = True
@@ -346,15 +438,78 @@ def carryover_single(entry: DecisionEntry, w, alpha,
     contribution, which must clear the gate for the disease to appear
     at all.
     """
-    product = entry.cf * frac(w)
-    if product <= _alpha(alpha):
+    cf = _gated(entry.cf * frac(w), ZERO, _alpha(alpha), True)
+    if cf is None:
         return None
-    cf = clamp01(product)
     return DecisionEntry(entry.disease, entry.vd, publish2(cf) if round2 else cf,
                          tv=entry.tv)
 
 
 # --- per-node orchestration -------------------------------------------------
+
+def _node(node_facts: FrozenSet[int], preds: Sequence[Tuple[int, Mapping[str, Record]]],
+          priorities: PriorityConfig, gate: Fraction, round2: bool,
+          external: Optional[Mapping[str, tuple]]
+          ) -> Tuple[Dict[str, DecisionEntry], Dict[str, Record]]:
+    """The decision map of one composite node and the entries' records.
+
+    ``preds`` lists ``(lacking fact, records by disease)`` for the
+    immediate predecessors in ascending label order, and ``gate`` is
+    already checked.  Each derived cf is checked on its integers, which
+    become its record.
+    """
+    i = len(node_facts)
+    diseases = set(external) if external else set()
+    for _, records in preds:
+        diseases.update(records)
+
+    out: Dict[str, DecisionEntry] = {}
+    out_records: Dict[str, Record] = {}
+    for disease in sorted(diseases):
+        prio, total = priorities.priorities_for(node_facts, disease)
+        weights = priorities._weights(prio, total)
+        carriers = [(fid, records[disease]) for fid, records in preds
+                    if disease in records]
+        base = None  # (vd, cf) implied by the lattice alone
+        if i > 2:
+            if carriers:
+                vd, cf, ok = _cf_multi(carriers, prio, total, gate, round2)
+                if ok:
+                    base = (vd, cf)
+        elif carriers:
+            base = _level2(node_facts, carriers, weights, gate)
+            if base is not None and round2:
+                base = (base[0], publish2(base[1]))
+
+        ext = external.get(disease) if external else None
+        if ext is None and base is None:
+            continue
+        triples = [rec[3] for _, rec in carriers if rec[3] is not None]
+        if ext is not None:
+            # direct evidence enters here, and is checked once
+            ext = DecisionEntry(disease, *ext)
+            if ext.tv is not None:
+                triples.append(_triple_record(ext.tv))
+        if base is None:
+            # the disease enters this node purely on direct evidence
+            vd, cf, tv = ext.vd, publish2(ext.cf) if round2 else ext.cf, ext.tv
+            tv_record = triples[-1] if tv is not None else None
+        else:
+            tv, tv_record = _mean_triple(triples, round2) if triples else (None, None)
+            vd, cf = base
+            if ext is not None:
+                vd, cf = merge_external(vd, cf, ext.vd, ext.cf,
+                                        tv.tv3 if tv is not None else ZERO)
+                cf = clamp01(cf)
+                if round2:
+                    cf = publish2(cf)
+        num, den = cf.as_integer_ratio()
+        if not 0 <= num <= den:
+            raise errors.OutOfRange("credibility %s outside [0, 1]" % cf)
+        out[disease] = DecisionEntry._checked(disease, vd, cf, tv, weights)
+        out_records[disease] = (vd, num, den, tv_record)
+    return out, out_records
+
 
 def node_decisions(node_facts: FrozenSet[int],
                    predecessors: Sequence[Tuple[FrozenSet[int], Mapping[str, DecisionEntry]]],
@@ -369,73 +524,10 @@ def node_decisions(node_facts: FrozenSet[int],
     condition; such evidence merges with (or introduces) the decision.
     """
     node_facts = frozenset(node_facts)
-    i = len(node_facts)
-    gate = _alpha(alpha)
-    external = external or {}
     # each predecessor is the node less one fact
-    preds = [(min(node_facts - facts), decisions) for facts, decisions in predecessors]
-
-    diseases = set(external)
-    for _, decisions in preds:
-        diseases.update(decisions)
-
-    out: Dict[str, DecisionEntry] = {}
-    for disease in sorted(diseases):
-        prio, total = priorities.priorities_for(node_facts, disease)
-        weights = priorities._weights(prio, total)
-        carriers = [(fid, decisions[disease]) for fid, decisions in preds
-                    if disease in decisions]
-        base = None  # (vd, cf) implied by the lattice alone
-        if i > 2:
-            if carriers:
-                vd, cf, ok = _cf_multi(carriers, prio, total, gate, round2)
-                if ok:
-                    base = (vd, cf)
-        elif len(carriers) == 1:
-            # a level-2 carrier holds the one fact it does not lack
-            fid, entry = carriers[0]
-            (own,) = node_facts - {fid}
-            carried = carryover_single(entry, weights[own], gate, round2=round2)
-            if carried is not None:
-                base = (carried.vd, carried.cf)
-        elif carriers:
-            (la, ea), (lb, eb) = carriers
-            # each carrier holds the one fact the other lacks
-            wa, wb = weights[lb], weights[la]
-            if ea.cf * wa <= gate and eb.cf * wb <= gate:
-                pass
-            elif ea.vd == eb.vd:
-                base = (ea.vd, combine_same_vd(ea.cf, wa, eb.cf, wb, gate))
-            else:
-                base = combine_diff_vd(ea, eb, wa, wb, gate)
-            if base is not None and round2:
-                base = (base[0], publish2(base[1]))
-
-        triples = [e.tv for _, e in carriers if e.tv is not None]
-        ext = external.get(disease)
-        if ext is None:
-            if base is not None:
-                tv = _mean_triple(triples, round2) if triples else None
-                out[disease] = DecisionEntry(disease, base[0], base[1],
-                                             tv=tv, weights=weights)
-            continue
-
-        ext_vd, ext_cf, ext_tv = ext
-        ext_cf = frac(ext_cf)
-        if base is None:
-            # the disease enters this node purely on direct evidence
-            out[disease] = DecisionEntry(disease, ext_vd,
-                                         publish2(ext_cf) if round2 else ext_cf,
-                                         tv=ext_tv, weights=weights)
-            continue
-        tv = (_mean_triple(triples, round2, ext_tv)
-              if (triples or ext_tv is not None) else None)
-        vd, cf = merge_external(base[0], base[1], ext_vd, ext_cf,
-                                tv.tv3 if tv is not None else ZERO)
-        cf = clamp01(cf)
-        out[disease] = DecisionEntry(disease, vd, publish2(cf) if round2 else cf,
-                                     tv=tv, weights=weights)
-    return out
+    preds = [(min(node_facts - facts), _records(decisions))
+             for facts, decisions in predecessors]
+    return _node(node_facts, preds, priorities, _alpha(alpha), round2, external)[0]
 
 
 def derive(nodes, labels: Iterable[str], priorities: PriorityConfig, gate,
@@ -446,21 +538,42 @@ def derive(nodes, labels: Iterable[str], priorities: PriorityConfig, gate,
     ``nodes`` maps every label to its node, and ``labels`` lists each
     label after those of its predecessors that it holds (popcount order
     does).  A predecessor reads its fresh map if it has one, and its
-    stored map otherwise.  ``external`` maps a composite fact set to
-    per-disease (vd, cf, triple) resolved from direct knowledge sources.
-    Such evidence is consumed here, not stored on any node, so a later
-    edit re-derives its cone from atomic decisions and priorities alone
-    (fault F3 in ``bench/README.md``).
+    stored map otherwise, as integer records: a fresh entry's record is
+    made with the entry, a stored entry's at its first read, and only
+    the records of the level below the one being derived are kept.
+    ``external`` maps a composite fact set to per-disease (vd, cf,
+    triple) resolved from direct knowledge sources.  Such evidence is
+    consumed here, not stored on any node, so a later edit re-derives
+    its cone from atomic decisions and priorities alone (fault F3 in
+    ``bench/README.md``).
     """
+    gate = _alpha(gate)
     external = external or {}
     fresh: Dict[str, Dict[str, DecisionEntry]] = {}
+    below: Dict[str, Dict[str, Record]] = {}   # records one level down
+    level_records: Dict[str, Dict[str, Record]] = {}
+    level = None
     for label in labels:
-        node = nodes[label]
-        preds = [(nodes[p].condition, fresh[p] if p in fresh else nodes[p].decisions)
-                 for p in node.predecessors]
-        fresh[label] = node_decisions(node.condition, preds, priorities, gate,
-                                      round2=round2,
-                                      external=external.get(node.condition))
+        ones = label.count("1")
+        if ones != level:
+            below = level_records if level is not None and ones == level + 1 else {}
+            level_records = {}
+            level = ones
+        n = len(label)
+        preds: List[Tuple[int, Dict[str, Record]]] = []
+        # clearing the bit at position pos (leftmost first, so ascending
+        # labels) leaves the predecessor that lacks fact n - pos
+        for pos, ch in enumerate(label):
+            if ch == "1":
+                pred = label[:pos] + "0" + label[pos + 1:]
+                records = below.get(pred)
+                if records is None:
+                    records = below[pred] = _records(
+                        fresh[pred] if pred in fresh else nodes[pred].decisions)
+                preds.append((n - pos, records))
+        condition = nodes[label].condition
+        fresh[label], level_records[label] = _node(
+            condition, preds, priorities, gate, round2, external.get(condition))
     return fresh
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from roughkb import kbio, roughset
+from roughkb.evidence import TruthTriple
 from roughkb.lattice import Fact, build_kb
 from roughkb.propagation import DecisionEntry, PriorityConfig, propagate
 
@@ -58,6 +59,22 @@ def random_atomics(rng, n, diseases, density=0.8):
     if not atomics:  # do not hand back a vacuous knowledge base
         atomics[1] = {diseases[0]: (1, Fraction(1, 2))}
     return atomics
+
+
+def entries_with_triples(rng, atomics):
+    """Atomic entries {fid: [DecisionEntry]} for oracle-shaped atomics.
+
+    Four in five carry a truth triple on the 2-decimal grid, so carriers
+    mix entries with and without one.
+    """
+    def triple():
+        a = rng.randint(0, 100)
+        b = rng.randint(0, 100 - a)
+        return TruthTriple(Fraction(a, 100), Fraction(b, 100), Fraction(100 - a - b, 100))
+
+    return {fid: [DecisionEntry(d, vd, cf, tv=triple() if rng.random() < 0.8 else None)
+                  for d, (vd, cf) in sorted(per.items())]
+            for fid, per in atomics.items()}
 
 
 def random_priorities(rng, n, diseases):

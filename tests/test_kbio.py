@@ -5,6 +5,8 @@ import hashlib
 import importlib.resources
 import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -12,9 +14,11 @@ import pytest
 
 import expected_lbp as X
 from conftest import DISEASE_POOL, kb_from_atomics, random_atomics, seeded
+import roughkb
 from roughkb import errors, kbio, lattice
 from roughkb._num import parse_rational, render
-from roughkb.propagation import PriorityConfig
+from roughkb.evidence import TruthValue
+from roughkb.propagation import DecisionEntry, PriorityConfig
 
 F = Fraction
 
@@ -195,11 +199,11 @@ def test_load_corrupt_inputs(kb_round2):
 HUGE = "1e-10000000"
 
 
-def _refused_quickly(call):
+def _refused_quickly(call, limit=0.5):
     start = time.perf_counter()
     with pytest.raises(errors.KbError) as info:
         call()
-    assert time.perf_counter() - start < 0.5
+    assert time.perf_counter() - start < limit
     return info.value
 
 
@@ -233,11 +237,90 @@ def test_parse_rational_refuses_everything_else(token):
         parse_rational(token)
 
 
+def test_api_number_strings_refuse_exponents(fixture_doc):
+    # Fraction("1e-1000000") would build 10**1000000 first
+    for call in (lambda: DecisionEntry("X", 1, "1e-1000000"),
+                 lambda: kbio.build_from_document(fixture_doc, alpha="1e-1000000")):
+        exc = _refused_quickly(call, limit=0.1)
+        assert isinstance(exc, errors.OutOfRange)
+    assert DecisionEntry("X", 1, "0.5").cf == F(1, 2)
+    assert DecisionEntry("X", 1, "1/3").cf == F(1, 3)
+    assert kbio.build_from_document(fixture_doc, alpha="0.5", round2=True).alpha == F(1, 2)
+    assert kbio.build_from_document(fixture_doc, alpha="1/3", round2=True).alpha == F(1, 3)
+
+
 def test_parse_evidence_refuses_an_exponent_alpha():
     exc = _refused_quickly(lambda: kbio.parse_evidence("module a\nalpha %s\n" % HUGE))
     assert isinstance(exc, errors.SyntaxError)
     assert exc.line == 2
     assert "bad alpha" in str(exc)
+
+
+def _line_of(text, needle, start=1):
+    return next(i for i, l in enumerate(text.splitlines(), 1) if i >= start and needle in l)
+
+
+@pytest.mark.parametrize("token,bad,message", [
+    ("cf=", "cf=0.5x", "bad number"),
+    ("cf=", "cf=1.5", "bad decision values"),
+    ("vd=", "vd=7", "bad decision values"),
+    ("vd=", "vd=one", "bad decision values"),
+    ("w=", "w=f1:x", "bad weight"),
+    ("w=", "w=f1:0", "bad decision values"),
+])
+def test_load_refuses_a_repeated_bad_token_at_its_first_line(kb_round2, token, bad, message):
+    text = kbio.serialize_kb(kb_round2)
+    # the same bad token on every decision line of level-1 node 001
+    lines = text.splitlines()
+    first = _line_of(text, "node 001") + 1
+    count = 0
+    for i in range(first - 1, len(lines)):
+        if not lines[i].startswith("decision"):
+            break
+        lines[i] = re.sub(re.escape(token) + r"\S+", bad, lines[i])
+        count += 1
+    assert count > 1
+    with pytest.raises(errors.CorruptRecord) as info:
+        kbio.load_kb("\n".join(lines) + "\n")
+    assert info.value.line == first
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("token,bad", [("cf=", "cf=1.5"), ("vd=", "vd=7"), ("w=", "w=f1:0")])
+def test_load_reports_a_line_s_own_checks_before_its_values(kb_round2, token, bad):
+    # a value out of range is refused only after the line's own checks
+    text = kbio.serialize_kb(kb_round2)
+    lines = text.splitlines()
+    at = _line_of(text, "node 001") + 1
+    lines.insert(at, re.sub(re.escape(token) + r"\S+", bad, lines[at - 1]))
+    with pytest.raises(errors.CorruptRecord) as info:
+        kbio.load_kb("\n".join(lines) + "\n")
+    assert info.value.line == at + 1
+    assert "twice" in str(info.value)
+
+
+def test_load_checks_a_cached_weight_item_against_each_condition(kb_round2):
+    text = kbio.serialize_kb(kb_round2)
+    # w=f1:1 is valid at node 001, read first, and names a fact outside 010
+    assert "w=f1:1\n" in text.split("node 010")[0]
+    at = _line_of(text, "w=f2:1", start=_line_of(text, "node 010"))
+    lines = text.splitlines()
+    lines[at - 1] = lines[at - 1].replace("w=f2:1", "w=f1:1")
+    with pytest.raises(errors.CorruptRecord) as info:
+        kbio.load_kb("\n".join(lines) + "\n")
+    assert info.value.line == at
+    assert "outside the condition" in str(info.value)
+
+
+def test_load_reads_signed_and_padded_truth_values(kb_round2):
+    text = kbio.serialize_kb(kb_round2)
+    assert text.count(" vd=1 ") > 2
+    padded = text.replace(" vd=1 ", " vd=01 ", 1).replace(" vd=1 ", " vd=+1 ", 1)
+    loaded = kbio.load_kb(padded)
+    assert loaded == kbio.load_kb(text)
+    assert kbio.serialize_kb(loaded) == text
+    assert all(type(e.vd) is TruthValue for node in loaded.nodes.values()
+               for e in node.decisions.values())
 
 
 def test_load_requires_full_population(kb_round2):
@@ -560,6 +643,18 @@ def test_cli_insert_fact_rejects_a_bad_credibility(kb_file, capsys):
                      "--value", "yes", "--decision", "PIVD", "1", "1/0"]) == 1
     assert capsys.readouterr().err == "error: bad credibility '1/0'\n"
     assert "order 3" in open(kb_file, encoding="utf-8").read()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, evd_file):
+    out = tmp_path / "fixture.kb"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(roughkb.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "roughkb", "build", evd_file, "-o", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert _sha(out.read_text(encoding="utf-8")) == KB_EXACT_SHA
 
 
 def test_cli_usage_errors_exit_two(capsys):

@@ -18,7 +18,7 @@ from roughkb._num import clamp01, fsum, publish2, render
 from roughkb.evidence import TruthTriple
 from roughkb.lattice import _cone_labels, facts_of
 from roughkb.minimizer import SopExpression
-from roughkb.propagation import DecisionEntry, _cf_multi, _mean_triple
+from roughkb.propagation import DecisionEntry, _cf_multi, _mean_triple, _record, _triple_record
 
 F = Fraction
 
@@ -86,7 +86,7 @@ def _agrees(node, carriers, prio, gate, mode):
     pairs = [(facts, (int(e.vd), e.cf)) for facts, e in carriers]
     want_vd = oracles._fold_vd([pair for _, pair in pairs])
     want = oracles.reference_cf_multi(node, pairs, weights, gate, publish)
-    lacking = [(min(node - facts), e) for facts, e in carriers]
+    lacking = [(min(node - facts), _record(e)) for facts, e in carriers]
     got = _cf_multi(lacking, prio, total, gate, mode == "round2")
     assert got == ((want_vd, want, True) if want is not None else (want_vd, 0, False))
     return want
@@ -183,11 +183,13 @@ triples = st.builds(TruthTriple, components, components, components)
 @given(st.lists(triples, min_size=1, max_size=6), st.one_of(st.none(), triples),
        st.sampled_from(["exact", "round2"]))
 def test_mean_triple_matches_the_fraction_mean(items, external, mode):
-    got = _mean_triple(items, mode == "round2", external)
-    want = oracles.reference_mean_triple(items + ([external] if external else []),
-                                         _publish(mode))
+    items = items + ([external] if external else [])
+    got, record = _mean_triple([_triple_record(t) for t in items], mode == "round2")
+    want = oracles.reference_mean_triple(items, _publish(mode))
     assert got == want
     assert all(type(c) is F for c in got)
+    # the record is the same triple over one denominator
+    assert tuple(F(num, record[3]) for num in record[:3]) == got
 
 
 @pytest.mark.parametrize("mode", ["exact", "round2"])
@@ -196,8 +198,9 @@ def test_mean_triple_publishes_exact_halves_up(mode, with_external):
     # means of 0.005, 0.125 and 0.995: a half at the third decimal each
     a = TruthTriple(F(1, 100), F(1, 4), F(1))
     b = TruthTriple(F(0), F(0), F(99, 100))
-    items, external = ([a], b) if with_external else ([a, b], None)
-    got = _mean_triple(items, mode == "round2", external)
+    # direct evidence joins a node's mean as one more record, in any position
+    items = [b, a] if with_external else [a, b]
+    got = _mean_triple([_triple_record(t) for t in items], mode == "round2")[0]
     assert got == oracles.reference_mean_triple([a, b], _publish(mode))
     if mode == "round2":
         assert got == (F(1, 100), F(13, 100), F(1))

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kb_from_atomics, random_kb, seeded
+from conftest import (DISEASE_POOL, entries_with_triples, kb_from_atomics, random_atomics,
+                      random_kb, random_priorities, seeded)
 from roughkb import errors
+from roughkb.evidence import TruthTriple
+from roughkb.kbio import serialize_kb
 from roughkb.lattice import (ConditionEdit, DropDecision, Fact, SetDecision,
                              build_kb, check_structure, delete_fact, facts_of,
                              insert_fact, label_at, label_for, level_of,
@@ -210,6 +213,52 @@ def test_delete_fact_equals_rebuild_on_reduced_input(seed, drop):
         assert set(a) == set(b)
         for d in a:
             assert (a[d].vd, a[d].cf) == (b[d].vd, b[d].cf), (label, d)
+
+
+def _rebuilt(n, entries, priorities, alpha, round2):
+    return serialize_kb(propagate(build_kb(_facts(n), entries), priorities=priorities,
+                                  alpha=alpha, round2=round2))
+
+
+@pytest.mark.parametrize("n,seed", [(5, 1), (6, 2), (7, 3), (8, 4)])
+@pytest.mark.parametrize("round2", [False, True])
+def test_cone_edits_serialize_as_a_rebuild_of_the_edited_atomics(n, seed, round2):
+    """A cone re-derivation reads stored predecessors outside the cone, so
+    a stale value read from one would show against a rebuild."""
+    rng = seeded(3000 + seed)
+    entries = entries_with_triples(rng, random_atomics(rng, n, DISEASE_POOL[:3]))
+    priorities = random_priorities(rng, n, DISEASE_POOL[:3])
+    alpha = (0, F(1, 20), F(1, 10))[seed % 3]
+    kb = propagate(build_kb(_facts(n), entries), priorities=priorities,
+                   alpha=alpha, round2=round2)
+    fid = rng.choice(sorted(entries))
+    label = label_for([fid], n)
+    victim = entries[fid][0]
+
+    # level-1 set: a new value for a decision the fact already carries
+    tv = TruthTriple(F(1, 5), F(3, 10), F(1, 2))
+    change = SetDecision(victim.disease, (int(victim.vd) + 1) % 3,
+                         F(rng.randint(1, 100), 100), tv=tv)
+    edited = dict(entries)
+    edited[fid] = [DecisionEntry(change.disease, change.vd, change.cf, tv=tv)
+                   if e.disease == victim.disease else e for e in entries[fid]]
+    assert (serialize_kb(modify_node(kb, label, change))
+            == _rebuilt(n, edited, priorities, alpha, round2))
+
+    # drop that decision
+    dropped = dict(entries)
+    dropped[fid] = [e for e in entries[fid] if e.disease != victim.disease]
+    assert (serialize_kb(modify_node(kb, label, DropDecision(victim.disease)))
+            == _rebuilt(n, dropped, priorities, alpha, round2))
+
+    # insert a fact with decisions of its own
+    new = [DecisionEntry(d, rng.randrange(3), F(rng.randint(1, 100), 100),
+                         tv=TruthTriple(F(1, 4), F(1, 4), F(1, 2)))
+           for d in DISEASE_POOL[:2]]
+    grown = dict(entries)
+    grown[n + 1] = new
+    assert (serialize_kb(insert_fact(kb, Fact(n + 1, "a%d" % (n + 1), "yes"), new))
+            == _rebuilt(n + 1, grown, priorities, alpha, round2))
 
 
 def test_delete_refuses_the_last_fact():

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import DISEASE_POOL, kb_from_atomics, random_kb, seeded
+from conftest import (DISEASE_POOL, entries_with_triples, kb_from_atomics, random_atomics,
+                      random_kb, random_priorities, seeded)
 from roughkb import errors
 from roughkb.evidence import TruthTriple, TruthValue
-from roughkb.lattice import facts_of
+from roughkb.lattice import Fact, build_kb, facts_of, predecessor_labels
 from roughkb.propagation import (DecisionEntry, PriorityConfig, _cf_multi, _mean_triple,
-                                 carryover_single, combine_diff_vd, combine_same_vd,
-                                 merge_external, node_decisions, propagate)
+                                 _record, _triple_record, carryover_single,
+                                 combine_diff_vd, combine_same_vd, merge_external,
+                                 node_decisions, propagate)
 
 F = Fraction
 
@@ -117,7 +119,7 @@ def test_diff_vd_gate_keeps_the_surviving_side():
 def _chain(pairs):
     """The prevailing truth value of (vd, cf) pairs, carried in this order
     by the predecessors of node {1, 2, 3} that lack facts 3, 2 and 1."""
-    carriers = [(fid, DecisionEntry("ANK", vd, cf))
+    carriers = [(fid, _record(DecisionEntry("ANK", vd, cf)))
                 for fid, (vd, cf) in zip((3, 2, 1), pairs)]
     return _cf_multi(carriers, {1: 1, 2: 1, 3: 1}, 3, F(0), False)[0]
 
@@ -140,9 +142,9 @@ def test_vd_chain_case_law():
 def test_cf_multi_hand_example():
     # the constituents {1, 2}, {1, 3} and {2, 3} lack facts 3, 2 and 1
     constituents = [
-        (3, DecisionEntry("ANK", 1, F(3, 5))),
-        (2, DecisionEntry("ANK", 1, F(3, 10))),
-        (1, DecisionEntry("ANK", 0, F(1, 5))),
+        (3, _record(DecisionEntry("ANK", 1, F(3, 5)))),
+        (2, _record(DecisionEntry("ANK", 1, F(3, 10)))),
+        (1, _record(DecisionEntry("ANK", 0, F(1, 5)))),
     ]
     # equal priorities: every weight is 1/3
     # per-fact terms: 9/10 * 1/3, |3/5-1/5| * 1/3, |3/10-1/5| * 1/3
@@ -174,10 +176,12 @@ def test_merge_external_cases():
 
 
 def test_mean_triple_is_a_mean():
-    t1 = TruthTriple(F(1, 2), F(1, 4), F(1, 4))
-    t2 = TruthTriple(F(1, 4), F(1, 4), F(1, 2))
-    assert _mean_triple([t1, t2], False) == TruthTriple(F(3, 8), F(1, 4), F(3, 8))
-    assert _mean_triple([t1], False, external=t2) == _mean_triple([t1, t2], False)
+    r1 = _triple_record(TruthTriple(F(1, 2), F(1, 4), F(1, 4)))
+    r2 = _triple_record(TruthTriple(F(1, 4), F(1, 4), F(1, 2)))
+    tv, record = _mean_triple([r1, r2], False)
+    assert tv == TruthTriple(F(3, 8), F(1, 4), F(3, 8))
+    assert record == (3, 2, 3, 8)
+    assert _mean_triple([r2, r1], False) == (tv, record)
     with pytest.raises(errors.OutOfRange):
         _mean_triple([], False)
 
@@ -267,6 +271,33 @@ def test_propagate_matches_reference(seed, round2):
     want = oracles.reference_propagate(n, atomics, priorities.weights_for,
                                        alpha, publish)
     assert _as_view(kb) == _nonempty(want)
+
+
+@pytest.mark.parametrize("n,seed", [(5, 1), (5, 2), (6, 3), (6, 4), (7, 5)])
+@pytest.mark.parametrize("round2", [False, True])
+def test_derived_decisions_match_the_oracles_at_orders_5_to_7(n, seed, round2):
+    rng = seeded(2000 + seed)
+    diseases = DISEASE_POOL[:3]
+    atomics = random_atomics(rng, n, diseases)
+    priorities = random_priorities(rng, n, diseases)
+    alpha = (0, F(1, 20), F(1, 10))[seed % 3]
+    facts = [Fact(i, "a%d" % i, "yes") for i in range(1, n + 1)]
+    kb = propagate(build_kb(facts, entries_with_triples(rng, atomics)),
+                   priorities=priorities, alpha=alpha, round2=round2)
+    publish = oracles.round2 if round2 else (lambda x: x)
+    want = oracles.reference_propagate(n, atomics, priorities.weights_for,
+                                       alpha, publish)
+    assert _as_view(kb) == _nonempty(want)
+    # each derived tv is the mean of its carriers' stored triples
+    for label, node in kb.nodes.items():
+        if node.level < 2:
+            continue
+        for disease, entry in node.decisions.items():
+            triples = [kb.node(p).decisions[disease].tv for p in predecessor_labels(label)
+                       if disease in kb.node(p).decisions]
+            triples = [t for t in triples if t is not None]
+            assert entry.tv == (oracles.reference_mean_triple(triples, publish)
+                                if triples else None), (label, disease)
 
 
 @st.composite
