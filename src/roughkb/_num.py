@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Iterable, Union
 
 from . import errors
@@ -85,11 +85,14 @@ def frac(value) -> Fraction:
     becomes exactly 1/10 rather than the binary neighbour.  A string
     goes through :func:`parse_rational` (surrounding blanks aside), so
     exponent notation is refused before any ``10**exponent`` is built;
-    a string it refuses raises ``errors.OutOfRange``.
+    a string it refuses, and a nan or infinite float, raise
+    ``errors.OutOfRange``.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
+        if not isfinite(value):
+            raise errors.OutOfRange("not a finite number: %r" % (value,))
         return Fraction(str(value))
     if isinstance(value, str):
         try:

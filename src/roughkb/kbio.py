@@ -23,6 +23,7 @@ import shlex
 import sys
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -877,7 +878,11 @@ def _cmd_check(args) -> int:
     return 1 if problems or not report.ok else 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and reused for the
+    life of the process: ``parse_args`` keeps nothing of one call in the
+    parser, and every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="roughkb",
         description="Lattice knowledge bases with rough-set rule induction.")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -232,12 +232,29 @@ class Lattice:
         return "Lattice(n=%d, %d nodes)" % (self.n, len(self.nodes))
 
 
+# order -> (level tuples of labels, each label's condition in level order),
+# filled by the first skeleton build of the order and kept for the life of
+# the process like _level_masks: about one label string and one frozenset
+# per node for each order used.  Both are immutable, so every lattice of
+# the order shares them.
+_SKELETONS: Dict[int, Tuple[Tuple[Tuple[str, ...], ...], Tuple[FrozenSet[int], ...]]] = {}
+
+
 def _build_structure(n: int) -> Tuple[Tuple[Tuple[str, ...], ...], Dict[str, LatticeNode]]:
-    fmt = "0%db" % n
-    levels = tuple(tuple(format(mask, fmt) for mask in _level_masks(n, level))
-                   for level in range(n + 1))
-    nodes = {label: LatticeNode(label, facts_of(label), {})
-             for level_labels in levels for label in level_labels}
+    """The level tuples and a fresh map of fresh, decision-free nodes."""
+    cached = _SKELETONS.get(n)
+    if cached is None:
+        fmt = "0%db" % n
+        levels = tuple(tuple(format(mask, fmt) for mask in _level_masks(n, level))
+                       for level in range(n + 1))
+        # made as each node is, so a first build costs what it did uncached
+        conditions = map(facts_of, chain.from_iterable(levels))
+    else:
+        levels, conditions = cached
+    nodes = {label: LatticeNode(label, condition, {})
+             for label, condition in zip(chain.from_iterable(levels), conditions)}
+    if cached is None:
+        _SKELETONS[n] = levels, tuple(node.condition for node in nodes.values())
     return levels, nodes
 
 

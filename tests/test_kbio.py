@@ -249,6 +249,14 @@ def test_api_number_strings_refuse_exponents(fixture_doc):
     assert kbio.build_from_document(fixture_doc, alpha="1/3", round2=True).alpha == F(1, 3)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_api_non_finite_floats_fail_typed(fixture_doc, value):
+    with pytest.raises(errors.OutOfRange, match="not a finite number"):
+        DecisionEntry("X", 1, value)
+    with pytest.raises(errors.OutOfRange, match="not a finite number"):
+        kbio.build_from_document(fixture_doc, alpha=value)
+
+
 def test_parse_evidence_refuses_an_exponent_alpha():
     exc = _refused_quickly(lambda: kbio.parse_evidence("module a\nalpha %s\n" % HUGE))
     assert isinstance(exc, errors.SyntaxError)
@@ -645,13 +653,18 @@ def test_cli_insert_fact_rejects_a_bad_credibility(kb_file, capsys):
     assert "order 3" in open(kb_file, encoding="utf-8").read()
 
 
-def test_python_dash_m_runs_the_cli(tmp_path, evd_file):
-    out = tmp_path / "fixture.kb"
+def _python(args, cwd=None):
+    """Run ``python args`` in a fresh process that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(roughkb.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-m", "roughkb", "build", evd_file, "-o", str(out)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable] + args, cwd=cwd, capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, evd_file):
+    out = tmp_path / "fixture.kb"
+    done = _python(["-m", "roughkb", "build", evd_file, "-o", str(out)])
     assert done.returncode == 0
     assert done.stderr == ""
     assert _sha(out.read_text(encoding="utf-8")) == KB_EXACT_SHA
@@ -661,3 +674,67 @@ def test_cli_usage_errors_exit_two(capsys):
     assert kbio.cli(["frobnicate"]) == 2
     assert kbio.cli([]) == 2
     capsys.readouterr()
+
+
+def test_the_parser_is_built_at_the_first_call_only():
+    code = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import roughkb
+from roughkb import kbio
+counts = [len(built)]
+for argv in (["frobnicate"], ["rules"]):
+    assert kbio.cli(argv) == 2
+    counts.append(len(built))
+print(*counts)
+"""
+    done = _python(["-c", code])
+    assert done.returncode == 0, done.stderr
+    at_import, first, second = map(int, done.stdout.split())
+    assert at_import == 0
+    assert first > 0
+    assert second == first
+
+
+# One process, one parser: each call must behave as in a fresh process.
+# An appended list, a store_true flag or an error state kept by the
+# parser would leak into the next call.
+_SEQUENCE = [
+    ["insert-fact", "fixture.kb", "--attribute", "numbness", "--value", "yes",
+     "--decision", "PIVD", "1", "0.70", "--decision", "MPS", "0", "0.40"],
+    ["insert-fact", "fixture.kb", "--attribute", "tingling", "--value", "no"],
+    ["set-decision", "fixture.kb", "--label", "00001", "--disease", "MPS", "--drop"],
+    ["set-decision", "fixture.kb", "--label", "00001", "--disease", "MPS",
+     "--vd", "0", "--cf", "0.88"],
+    ["rules", "fixture.kb", "--kinds"],
+    ["--help"],
+    ["rules", "fixture.kb", "--kinds", "certain,possible"],
+]
+
+
+def test_cli_calls_in_one_process_match_fresh_processes(tmp_path, kb_file, capsys,
+                                                        monkeypatch):
+    with open(kb_file, encoding="utf-8") as stream:
+        original = stream.read()
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for folder in (here, fresh):
+        folder.mkdir()
+        (folder / "fixture.kb").write_text(original, encoding="utf-8")
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    monkeypatch.chdir(here)
+    capsys.readouterr()
+    statuses = []
+    for argv in _SEQUENCE:
+        status = kbio.cli(argv)
+        statuses.append(status)
+        out, err = capsys.readouterr()
+        done = _python(["-m", "roughkb"] + argv, cwd=str(fresh))
+        assert (status, out, err) == (done.returncode, done.stdout, done.stderr), argv
+        assert ((here / "fixture.kb").read_bytes()
+                == (fresh / "fixture.kb").read_bytes()), argv
+    assert statuses == [0, 0, 0, 0, 2, 0, 0]

@@ -12,9 +12,9 @@ from conftest import (DISEASE_POOL, entries_with_triples, kb_from_atomics, rando
                       random_kb, random_priorities, seeded)
 from roughkb import errors
 from roughkb.evidence import TruthTriple
-from roughkb.kbio import serialize_kb
+from roughkb.kbio import load_kb, serialize_kb
 from roughkb.lattice import (ConditionEdit, DropDecision, Fact, SetDecision,
-                             build_kb, check_structure, delete_fact, facts_of,
+                             _build_structure, build_kb, check_structure, delete_fact, facts_of,
                              insert_fact, label_at, label_for, level_of,
                              modify_node, predecessor_labels, successor_labels)
 from roughkb.propagation import DecisionEntry, propagate
@@ -100,6 +100,47 @@ def test_structure_invariants(n):
                 assert facts_of(label) < facts_of(s)
                 assert level_of(s) == level + 1
     assert check_structure(kb) == []
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_skeletons_share_labels_and_conditions_not_nodes(n):
+    levels, nodes = _build_structure(n)
+    again_levels, again = _build_structure(n)
+    assert again is not nodes
+    assert again_levels == levels
+    assert list(again) == list(nodes)
+    for label, node in nodes.items():
+        other = again[label]
+        assert other is not node
+        assert other.decisions is not node.decisions
+        assert other.label is node.label
+        assert other.condition is node.condition
+        assert node.condition == facts_of(label)
+        assert node.decisions == {}
+
+
+def test_edits_leave_the_cached_skeletons_intact():
+    """A skeleton dict or node shared between lattices would carry one
+    lattice's decisions into the next lattice of the same order."""
+    n = 5
+    kb, _, _ = random_kb(seeded(5150), n)
+    text = serialize_kb(kb)
+    first = load_kb(text)
+    label = label_for([2], n)
+    disease = next(iter(first.node(label).decisions))
+    edited = modify_node(first, label, DropDecision(disease))
+    set_top = modify_node(first, "1" * n, SetDecision("ANK", 1, F(1, 2)))
+    grown = insert_fact(edited, Fact(n + 1, "extra", "yes"), [DecisionEntry("ANK", 1, F(3, 4))])
+    shrunk = delete_fact(grown, 1)
+    for lattice in (first, edited, set_top, grown, shrunk, delete_fact(first, 3)):
+        assert check_structure(lattice) == []
+    assert serialize_kb(first) == text
+    assert text != serialize_kb(edited) != serialize_kb(set_top) != text
+    second = load_kb(text)
+    assert check_structure(second) == []
+    assert serialize_kb(second) == text
+    for m in (n - 1, n, n + 1):
+        assert not any(node.decisions for node in _build_structure(m)[1].values())
 
 
 def test_check_structure_reports_damage():
