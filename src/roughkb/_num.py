@@ -40,6 +40,7 @@ it too.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isfinite
 from typing import Iterable, Union
@@ -55,6 +56,10 @@ ONE = Fraction(1)
 # exponent, for which Fraction would build 10**exponent before any range
 # check could refuse the value.
 _RATIONAL_RE = re.compile(r"([-+]?)([0-9]*)(?:/([0-9]+)|\.([0-9]*))?\Z")
+# The widest Decimal exponent taken: a number token's digits stop at the
+# interpreter's default int-string limit, 4300 digits, and Fraction
+# builds 10**|exponent| from a Decimal.
+_DECIMAL_EXPONENT_LIMIT = 4300
 
 
 def parse_rational(token: str) -> Fraction:
@@ -85,8 +90,9 @@ def frac(value) -> Fraction:
     becomes exactly 1/10 rather than the binary neighbour.  A string
     goes through :func:`parse_rational` (surrounding blanks aside), so
     exponent notation is refused before any ``10**exponent`` is built;
-    a string it refuses, and a nan or infinite float, raise
-    ``errors.OutOfRange``.
+    a string it refuses, any value ``Fraction`` refuses (a nan or
+    infinite float or Decimal, None, a non-number) and a Decimal whose
+    exponent passes ``_DECIMAL_EXPONENT_LIMIT`` raise ``errors.OutOfRange``.
     """
     if isinstance(value, Fraction):
         return value
@@ -99,7 +105,13 @@ def frac(value) -> Fraction:
             return parse_rational(value.strip())
         except (ValueError, ZeroDivisionError):
             raise errors.OutOfRange("not a plain number: %r" % (value,))
-    return Fraction(value)
+    if (isinstance(value, Decimal) and value.is_finite()
+            and abs(value.as_tuple().exponent) > _DECIMAL_EXPONENT_LIMIT):
+        raise errors.OutOfRange("exponent too wide: %r" % (value,))
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise errors.OutOfRange("not a finite number: %r" % (value,))
 
 
 def fsum(values: Iterable[Rational]) -> Fraction:

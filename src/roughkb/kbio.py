@@ -640,6 +640,8 @@ def load_kb(text: str) -> Lattice:
                             w = None
                         pair = weight_items[item] = (fid, w)
                     fid, w = pair
+                    if fid in weights:
+                        _corrupt("weights name f%d twice" % fid, no)
                     weights[fid] = w
                     checked = checked and w is not None
             if disease in decisions:

@@ -6,19 +6,31 @@ minimizes to an irredundant sum-of-products covering exactly its label
 set -- no don't-cares.  Sets of labels, cubes and primes are Python ints
 used as bitsets throughout.
 
-Prime implicants.  A cube is a pair (bits, dash_mask).  The region is
-one 2**n-bit truth table, and for every dash mask a table ``found[mask]``
-has bit b set when the cube (b, mask) is an implicant.  With ``low`` the
-lowest dash of ``mask`` and ``below`` the table of ``mask ^ low``, a cube
-is an implicant when both of its halves are::
+Prime implicants, from one table over all 3**n cubes.  A cube is a pair
+(bits, dash_mask); its index has base-3 digit p equal to 0 (fact p
+absent), 1 (present) or 2 (dash), and the table has the bit of every
+implicant set.  It is kept in blocks: the low _BLOCK_DIGITS digits index
+the bits of an int, the digits above them key a dict, and a block with
+no implicant is absent, so a sparse region builds few blocks.  The
+minterms are embedded once, through a bytearray per block, and each
+digit p of weight s = 3**p then takes one merge pass, within a block::
 
-    found[mask] = below & (below >> low) & clear[low]
+    imp |= (imp & (imp >> s)) << 2*s
 
-where ``clear[low]`` keeps the positions whose ``low`` bit is 0.  A cube
-is prime when no cube one dash wider covers it, that is, when its bit is
-clear in ``wider | wider << step`` for every table ``wider`` at
-``mask | step``.  The sweep goes one popcount level of masks at a time,
-so only two adjacent levels of tables are alive at once.
+and, for a key digit, the block keyed with digit 2 is the AND of those
+keyed with 0 and 1.  A cube is an implicant when its halves with digit p
+at 0 (index i) and at 1 (index i + s) are, and its own index is i + 2*s.
+The pass needs no mask: before it no cube has a dash at digit p, so a
+set bit at i has digit p of 0 or 1, and when it is 1 the bit at i + s
+would be a dash at p, which is clear.  A cube with digit p of 0 or 1 is
+prime unless its cube with a dash there is an implicant.  Within a block,
+with ``dashed = imp & two_p`` (``two_p``: the indices whose digit p is
+2, built once per block width), the covered cubes are
+``dashed >> s | dashed >> 2*s``; for a key digit, the block keyed with 2
+covers the blocks keyed with 0 and 1.  The primes' set bits are read
+byte by byte, and each index is decoded by table lookup.  The table
+costs 3**n bits where the earlier merge over every dash mask's 2**n-bit
+table cost 4**n.
 
 Exact cover, for orders up to EXACT_COVER_LIMIT.  Each prime's labels
 form a bitset.  ``once``/``twice`` accumulators find the labels covered
@@ -49,13 +61,14 @@ and its expression's ``minimal`` is False.
 from __future__ import annotations
 
 import dataclasses
+import re
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import errors
 from ._num import ZERO
 from .evidence import TruthValue
-from .lattice import _level_masks
+from .lattice import DEFAULT_ORDER_CAP
 
 EXACT_COVER_LIMIT = 12
 # Search nodes the two passes of one region's exact cover share.  Seeded
@@ -169,21 +182,33 @@ class SopExpression:
         return "SopExpression(n=%d, %s)" % (self.n, str(self))
 
 
-# --- prime implicants from truth tables -------------------------------------
+# --- prime implicants from the cube table -----------------------------------
+
+# Digits of the cube index held in one block of the table; the digits
+# above them key the blocks.  Blocks of 8 or 10 digits take the same time
+# on seeded order-14 and -16 regions, and 12 take half as long again.
+_BLOCK_DIGITS = 10
+# the set-bit positions of each byte value
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+_NONZERO_RUNS = re.compile(rb"[^\x00]+")
+
 
 @lru_cache(maxsize=None)
-def _clear_tables(n: int) -> Tuple[int, ...]:
-    """Per fact position p, the bitset of the 2**n labels whose bit p is 0."""
-    size = 1 << n
-    tables = []
-    for p in range(n):
-        table = (1 << (1 << p)) - 1
-        period = 2 << p
-        while period < size:
-            table |= table << period
-            period *= 2
-        tables.append(table)
-    return tuple(tables)
+def _ternary_tables(k: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
+    """(spread, cubes) over k facts: ``spread[m]`` is the cube index of the
+    minterm m, and ``cubes[i]`` the (bits, mask) of the cube of index i."""
+    spread = tuple(int(format(m, "b"), 3) for m in range(1 << k))
+    cubes = []
+    for i in range(3 ** k):
+        bits = mask = 0
+        for j in range(k):
+            i, digit = divmod(i, 3)
+            if digit == 1:
+                bits |= 1 << j
+            elif digit == 2:
+                mask |= 1 << j
+        cubes.append((bits, mask))
+    return spread, tuple(cubes)
 
 
 def _bit_positions(x: int) -> List[int]:
@@ -197,38 +222,83 @@ def _bit_positions(x: int) -> List[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _dash_masks(w: int) -> Tuple[Tuple[int, int], ...]:
+    """Per digit of a w-digit block, (its weight s, the bitset of the
+    block's indices whose digit is 2): runs of s ones from 2s, every 3s."""
+    size = 3 ** w
+    masks = []
+    for p in range(w):
+        step = 3 ** p
+        mask = ((1 << step) - 1) << 2 * step
+        period = 3 * step
+        while period < size:
+            mask |= mask << period
+            period *= 2
+        masks.append((step, mask & ((1 << size) - 1)))
+    return tuple(masks)
+
+
 def _prime_implicants(minterms: Sequence[int], n: int) -> List[Tuple[int, int]]:
-    """All prime implicants as (bits, dash_mask) cubes."""
-    clear = _clear_tables(n)
-    units = [1 << p for p in range(n)]
-    table = 0
+    """All prime implicants as (bits, dash_mask) cubes, sorted."""
+    w = min(n, _BLOCK_DIGITS)
+    top = n - w
+    # a block index splits into its low ``half`` digits and the rest, and
+    # each part, like the key, is read from its own table
+    half = (w + 1) // 2
+    low_spread, low_cubes = _ternary_tables(half)
+    high_spread, high_cubes = _ternary_tables(w - half)
+    key_spread, key_cubes = _ternary_tables(top)
+    low = (1 << half) - 1
+    high = (1 << (w - half)) - 1
+    scale = 3 ** half
+    block_bytes = (3 ** w >> 3) + 1
+    tables: Dict[int, bytearray] = {}
     for m in minterms:
-        table |= 1 << m
-    # level[mask]: bit b set when the cube (b, mask) is an implicant;
-    # only masks of one popcount with a nonzero table are kept
-    level = {0: table} if table else {}
+        key = key_spread[m >> w]
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = bytearray(block_bytes)
+        index = low_spread[m & low] + scale * high_spread[m >> half & high]
+        table[index >> 3] |= 1 << (index & 7)
+    masks = _dash_masks(w)
+    blocks = {}
+    for key, table in tables.items():
+        imp = int.from_bytes(table, "little")
+        for step, _ in masks:
+            imp |= (imp & (imp >> step)) << 2 * step
+        blocks[key] = imp
+    key_steps = [3 ** j for j in range(top)]
+    for step in key_steps:
+        for key in list(blocks):
+            if key // step % 3 == 0 and key + step in blocks:
+                both = blocks[key] & blocks[key + step]
+                if both:
+                    blocks[key + 2 * step] = both
     primes = []
-    k = 0
-    while level:
-        k += 1
-        wider = {}
-        for mask in _level_masks(n, k) if k <= n else ():
-            low = mask & -mask
-            below = level.get(mask ^ low)
-            if below:
-                found = below & (below >> low) & clear[low.bit_length() - 1]
-                if found:
-                    wider[mask] = found
-        for mask, found in level.items():
-            covered = 0
-            for step in units:
-                if not mask & step:
-                    up = wider.get(mask | step)
-                    if up:
-                        covered |= up | up << step
-            for bits in _bit_positions(found & ~covered):
-                primes.append((bits, mask))
-        level = wider
+    for key, imp in blocks.items():
+        covered = 0
+        for step, mask in masks:
+            dashed = imp & mask
+            covered |= dashed >> step | dashed >> 2 * step
+        for step in key_steps:
+            digit = key // step % 3
+            if digit != 2:
+                covered |= blocks.get(key + (2 - digit) * step, 0)
+        key_bits, key_mask = key_cubes[key]
+        key_bits <<= w
+        key_mask <<= w
+        rest = (imp & ~covered).to_bytes(block_bytes, "little")
+        for run in _NONZERO_RUNS.finditer(rest):
+            at = run.start() << 3
+            for byte in run.group():
+                for j in _BYTE_BITS[byte]:
+                    high_index, low_index = divmod(at + j, scale)
+                    high_bits, high_mask = high_cubes[high_index]
+                    bits, mask = low_cubes[low_index]
+                    primes.append((key_bits | high_bits << half | bits,
+                                   key_mask | high_mask << half | mask))
+                at += 8
     primes.sort()
     return primes
 
@@ -488,6 +558,15 @@ def _greedy_cover(primes, minterms, n) -> List[Term]:
     return [_cube_term(primes[i], n) for i in kept]
 
 
+def _least_bad_label(labels, n: int):
+    """The least of the labels that are not order-n labels: text labels in
+    their own order, anything else after them by repr."""
+    bad = [label for label in labels if not isinstance(label, str)
+           or len(label) != n or label.strip("01")]
+    text = [label for label in bad if isinstance(label, str)]
+    return min(text) if text else min(bad, key=repr)
+
+
 def minimize(minterms: Iterable[str], n: int) -> SopExpression:
     """Minimal sum of products whose truth set is exactly the label set.
 
@@ -496,15 +575,25 @@ def minimize(minterms: Iterable[str], n: int) -> SopExpression:
 
     Raises:
         EmptyMintermSet: nothing to cover.
-        OutOfRange: a label of the wrong length or alphabet.
+        OrderTooLarge: an order above DEFAULT_ORDER_CAP.
+        OutOfRange: an order below 1, or a label that is not text of
+            the order's length over "0" and "1"; the least such label is
+            named.
     """
-    labels = sorted(set(minterms))
+    labels = list(minterms)
     if not labels:
         raise errors.EmptyMintermSet("no minterms to minimize")
+    if n < 1:
+        raise errors.OutOfRange("order must be at least 1, got %d" % n)
+    if n > DEFAULT_ORDER_CAP:
+        # refused before the 3**n-bit cube table is allocated
+        raise errors.OrderTooLarge("order %d exceeds the cap of %d"
+                                   % (n, DEFAULT_ORDER_CAP))
     values = []
     for label in labels:
-        if len(label) != n or set(label) - {"0", "1"}:
-            raise errors.OutOfRange("bad minterm label %r for order %d" % (label, n))
+        if not isinstance(label, str) or len(label) != n or label.strip("01"):
+            raise errors.OutOfRange("bad minterm label %r for order %d"
+                                    % (_least_bad_label(labels, n), n))
         values.append(int(label, 2))
     primes = _prime_implicants(values, n)
     terms = _exact_cover(primes, n) if n <= EXACT_COVER_LIMIT else None

@@ -379,3 +379,58 @@ def reference_measures(view, source_labels, disease, vd):
         "certainty": min(one, factor * support / y_c),
         "coverage": min(one, factor * support / mass_vd),
     }
+
+
+def level_sweep_primes(minterms, n):
+    """Prime implicants as sorted (bits, dash_mask) cubes, by a bitset
+    Quine-McCluskey merge one popcount level of dash masks at a time.
+
+    ``level[mask]`` has bit b set when the cube (b, mask) is an
+    implicant.  With ``low`` the lowest dash of a mask, the cube is an
+    implicant when both halves at ``mask ^ low`` are; it is prime when no
+    table one dash wider covers it.  Kept as the reference the library's
+    cube-table generator is checked against at orders too wide for
+    ``exhaustive_primes``.
+    """
+    size = 1 << n
+    clear = []
+    for p in range(n):
+        table = (1 << (1 << p)) - 1
+        period = 2 << p
+        while period < size:
+            table |= table << period
+            period *= 2
+        clear.append(table)
+    table = 0
+    for m in set(minterms):
+        table |= 1 << m
+    level = {0: table} if table else {}
+    primes = []
+    k = 0
+    while level:
+        k += 1
+        wider = {}
+        for combo in combinations(range(n), k):
+            mask = sum(1 << p for p in combo)
+            low = mask & -mask
+            below = level.get(mask ^ low)
+            if below:
+                found = below & (below >> low) & clear[low.bit_length() - 1]
+                if found:
+                    wider[mask] = found
+        for mask, found in level.items():
+            covered = 0
+            for p in range(n):
+                step = 1 << p
+                if not mask & step:
+                    up = wider.get(mask | step)
+                    if up:
+                        covered |= up | up << step
+            rest = found & ~covered
+            while rest:
+                low = rest & -rest
+                primes.append((low.bit_length() - 1, mask))
+                rest ^= low
+        level = wider
+    primes.sort()
+    return primes

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,35 @@ def test_api_non_finite_floats_fail_typed(fixture_doc, value):
         kbio.build_from_document(fixture_doc, alpha=value)
 
 
+@pytest.mark.parametrize("value", [Decimal("nan"), Decimal("snan"), Decimal("inf"),
+                                   Decimal("-inf"), None, "", [F(1, 2)], object()])
+def test_api_values_fraction_refuses_fail_typed(fixture_doc, value):
+    with pytest.raises(errors.OutOfRange):
+        DecisionEntry("X", 1, value)
+    if value is None:
+        return  # alpha=None keeps the document's gate
+    with pytest.raises(errors.OutOfRange):
+        kbio.build_from_document(fixture_doc, alpha=value)
+
+
+@pytest.mark.parametrize("value", [Decimal("1E-10000000"), Decimal("0E-10000000"),
+                                   Decimal("1E+10000000")])
+def test_api_decimals_with_wide_exponents_are_refused_quickly(fixture_doc, value):
+    # Fraction(Decimal("1E-10000000")) builds 10**10000000, seconds of work
+    for call in (lambda: DecisionEntry("X", 1, value),
+                 lambda: kbio.build_from_document(fixture_doc, alpha=value)):
+        exc = _refused_quickly(call, limit=0.1)
+        assert isinstance(exc, errors.OutOfRange)
+
+
+def test_api_decimals_stay_exact(fixture_doc):
+    assert DecisionEntry("X", 1, Decimal("0.5")).cf == F(1, 2)
+    assert DecisionEntry("X", 1, Decimal("0.1")).cf == F(1, 10)
+    assert DecisionEntry("X", 1, Decimal("1E-4300")).cf == F(1, 10 ** 4300)
+    assert kbio.build_from_document(fixture_doc, alpha=Decimal("0.5"),
+                                    round2=True).alpha == F(1, 2)
+
+
 def test_parse_evidence_refuses_an_exponent_alpha():
     exc = _refused_quickly(lambda: kbio.parse_evidence("module a\nalpha %s\n" % HUGE))
     assert isinstance(exc, errors.SyntaxError)
@@ -305,6 +335,19 @@ def test_load_reports_a_line_s_own_checks_before_its_values(kb_round2, token, ba
         kbio.load_kb("\n".join(lines) + "\n")
     assert info.value.line == at + 1
     assert "twice" in str(info.value)
+
+
+@pytest.mark.parametrize("weights", ["w=f1:1,f1:1/2", "w=f1:1,f1:1", "w=f1:0,f1:1"])
+def test_load_refuses_a_fact_weighted_twice(kb_round2, weights):
+    # the last value used to win, and the file then re-serialized otherwise
+    text = kbio.serialize_kb(kb_round2)
+    at = _line_of(text, "w=f1:1", start=_line_of(text, "node 001"))
+    lines = text.splitlines()
+    lines[at - 1] = lines[at - 1].replace("w=f1:1", weights)
+    with pytest.raises(errors.CorruptRecord) as info:
+        kbio.load_kb("\n".join(lines) + "\n")
+    assert info.value.line == at
+    assert "weights name f1 twice" in str(info.value)
 
 
 def test_load_checks_a_cached_weight_item_against_each_condition(kb_round2):

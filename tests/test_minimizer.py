@@ -90,6 +90,40 @@ def test_minimize_validates_input():
         minimize({"0x1"}, 3)
 
 
+@pytest.mark.parametrize("labels", [[b"01"], ["01", b"01"], [1, "01"], [None],
+                                    ["01", ["0", "1"]]])
+def test_minimize_refuses_labels_that_are_not_text(labels):
+    with pytest.raises(errors.OutOfRange, match="bad minterm label"):
+        minimize(labels, 2)
+
+
+def test_minimize_names_the_least_bad_label():
+    labels = ["011", "1x1", "0a", "101", "00", "1111", "x"]
+    for seed in range(20):
+        random.Random(seed).shuffle(labels)
+        for given_as in (labels, frozenset(labels), iter(labels)):
+            with pytest.raises(errors.OutOfRange) as info:
+                minimize(given_as, 3)
+            assert str(info.value) == "bad minterm label '00' for order 3"
+    # text labels come first; other values after them, by repr
+    with pytest.raises(errors.OutOfRange, match="label '0a' for"):
+        minimize([b"00", "0a", 7], 3)
+    with pytest.raises(errors.OutOfRange, match="label 7 for"):
+        minimize([b"00", "011", 7], 3)
+
+
+def test_minimize_refuses_orders_outside_one_to_the_cap():
+    with pytest.raises(errors.OutOfRange):
+        minimize([""], 0)
+    # a 3**n-bit cube table past the cap would be gigabytes
+    with pytest.raises(errors.OrderTooLarge):
+        minimize(["1" * 40], 40)
+
+
+def test_minimize_takes_repeated_labels_once():
+    assert minimize(["011", "111", "011"], 3) == minimize({"011", "111"}, 3)
+
+
 def test_minimize_is_deterministic():
     minterms = frozenset({"0001", "0011", "0111", "1111", "1000"})
     first = minimize(minterms, 4)
@@ -267,6 +301,60 @@ def test_primes_match_exhaustive_search_at_orders_four_and_five():
             density = rng.random()
             cells = [c for c in range(2 ** n) if rng.random() < density] or [0]
             assert _prime_implicants(cells, n) == _oracle_primes(cells, n)
+
+
+def _kernel_regions():
+    """Seeded regions at orders 1-12: empty, one minterm, full, parity and
+    densities from 0.05 to 0.95."""
+    rng = random.Random(3111)
+    for n in range(1, 13):
+        size = 2 ** n
+        yield n, []
+        yield n, [rng.randrange(size)]
+        yield n, list(range(size))
+        yield n, [c for c in range(size) if bin(c).count("1") % 2]
+        for density in (0.05, 0.25, 0.5, 0.75, 0.95):
+            yield n, [c for c in range(size) if rng.random() < density]
+
+
+def test_primes_match_the_level_sweep_at_orders_one_to_twelve():
+    for n, cells in _kernel_regions():
+        assert _prime_implicants(cells, n) == oracles.level_sweep_primes(cells, n), n
+
+
+@pytest.mark.parametrize("block_digits", [1, 2, 3])
+def test_primes_match_the_level_sweep_across_many_blocks(monkeypatch, block_digits):
+    # small blocks put most digits in the keys: the key-level merge and
+    # cover run at orders the oracle checks quickly
+    monkeypatch.setattr(minimizer, "_BLOCK_DIGITS", block_digits)
+    for n, cells in _kernel_regions():
+        if n <= 8:
+            assert (_prime_implicants(cells, n)
+                    == oracles.level_sweep_primes(cells, n)), n
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_primes_match_the_level_sweep_on_knowledge_base_regions(n):
+    kb, _, _ = random_kb(seeded(n), n, round2=True)
+    for disease in sorted(kb.diseases()):
+        sets = roughset.approximations(kb, disease)
+        for region in ("lower1", "lower2", "boundary1", "upper1", "upper2"):
+            cells = sorted(int(label, 2) for label in getattr(sets, region))
+            assert (_prime_implicants(cells, n)
+                    == oracles.level_sweep_primes(cells, n)), (disease, region)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, 2 ** n - 1)))))
+def test_primes_match_exhaustive_search_up_to_order_six(case):
+    n, cells = case
+    assert _prime_implicants(sorted(cells), n) == _oracle_primes(cells, n)
+
+
+def test_primes_ignore_repeated_and_unordered_minterms():
+    cells = [5, 1, 7, 5, 3, 1]
+    assert _prime_implicants(cells, 3) == _prime_implicants(sorted(set(cells)), 3)
 
 
 _PINNED_DENSITIES = {3: (0.1, 0.25, 0.5, 0.75, 0.9),
