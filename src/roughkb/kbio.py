@@ -35,13 +35,12 @@ from .lattice import (DEFAULT_ORDER_CAP, DropDecision, Fact, Lattice,
                       SetDecision, _build_structure, build_kb, check_structure,
                       delete_fact, insert_fact, modify_node)
 from .minimizer import generate_rules
-from .propagation import DecisionEntry, PriorityConfig, propagate
+from .propagation import _NAME_RE, DecisionEntry, PriorityConfig, propagate
 from .roughset import approximations
 
 FORMAT_NAME = "roughkb-kb"
 FORMAT_VERSION = 1
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 _FACT_RE = re.compile(r"f([1-9]\d*)\Z")
 
 
@@ -539,20 +538,29 @@ def load_kb(text: str) -> Lattice:
         tokens = line.split()
         if len(tokens) < 3:
             _corrupt("bad priority line", no)
+        disease = tokens[1]
+        is_global = len(tokens) == 4 and "=" not in tokens[3]
         try:
-            if len(tokens) == 4 and "=" not in tokens[3]:
-                global_priorities[(tokens[1], _fact_token(tokens[2], no))] = \
-                    int(tokens[3])
-            else:
-                fset = frozenset(_fact_token(t, no)
-                                 for t in tokens[2].split("+"))
-                prio = {}
-                for token in tokens[3:]:
-                    ref, _, val = token.partition("=")
-                    prio[_fact_token(ref, no)] = int(val)
-                scoped[(fset, tokens[1])] = prio
+            refs = [_fact_token(t, no) for t in tokens[2].split("+")]
+            pairs = ([(tokens[2], tokens[3])] if is_global
+                     else [token.split("=") for token in tokens[3:]])
+            prio = {_fact_token(ref, no): int(val) for ref, val in pairs}
         except (errors.SyntaxError, ValueError):
             _corrupt("bad priority line", no)
+        if len(set(refs)) != len(refs) or len(prio) != len(pairs) \
+                or set(prio) != set(refs):
+            _corrupt("scoped priorities must cover the fact set exactly", no)
+        if max(refs) > n:
+            _corrupt("priority names f%d in an order-%d file" % (max(refs), n), no)
+        if min(prio.values()) < 1:
+            _corrupt("priority must be positive", no)
+        if is_global:
+            key, table, prio = (disease, refs[0]), global_priorities, prio[refs[0]]
+        else:
+            key, table = (frozenset(refs), disease), scoped
+        if key in table:
+            _corrupt("duplicate priority line for %s" % disease, no)
+        table[key] = prio
         pos += 1
 
     levels, nodes = _build_structure(n)
@@ -661,10 +669,7 @@ def load_kb(text: str) -> Lattice:
         _corrupt("file lists %d of %d nodes" % (len(seen), len(nodes)))
     declared.update(d for _, d in scoped)
     declared.update(d for d, _ in global_priorities)
-    try:
-        priorities = PriorityConfig(global_priorities, scoped)
-    except errors.KbError:
-        _corrupt("inconsistent priority declarations")
+    priorities = PriorityConfig(global_priorities, scoped)
     return Lattice(facts, nodes, levels, alpha=alpha, priorities=priorities,
                    round2=round2, declared=declared)
 

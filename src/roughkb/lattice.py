@@ -72,18 +72,6 @@ def _level_masks(n: int, level: int) -> Tuple[int, ...]:
                         for combo in combinations(range(n), level)))
 
 
-def label_at(level: int, ordinal: int, n: int) -> str:
-    """The ordinal-th label (1-based, ascending) among popcount-`level` labels."""
-    if not 1 <= n:
-        raise errors.OutOfRange("order must be at least 1, got %d" % n)
-    if not 0 <= level <= n:
-        raise errors.OutOfRange("level %d outside 0..%d" % (level, n))
-    if not 1 <= ordinal <= comb(n, level):
-        raise errors.OutOfRange("ordinal %d outside 1..C(%d,%d)"
-                                % (ordinal, n, level))
-    return format(_level_masks(n, level)[ordinal - 1], "0%db" % n)
-
-
 def _cone_labels(label: str) -> List[str]:
     """Labels whose fact set strictly contains the label's, ascending.
 

@@ -70,86 +70,35 @@ def _support_and_own(rule, kb) -> Tuple[Fraction, Fraction]:
     return fsum(cfs), fsum(own)
 
 
-def _factor(vd) -> Fraction:
-    # an inconclusive rule concludes both ways, so each way carries half
-    return Fraction(1, 2) if TruthValue(vd) == TruthValue.INCONCLUSIVE else ONE
-
-
-def _strength(rule, support: Fraction, mass: Fraction) -> Fraction:
-    if mass == 0:
-        raise errors.ZeroMass("disease %r has zero credibility mass" % rule.disease)
-    return support / mass
-
-
-def _certainty(rule, support: Fraction, own: Fraction) -> Fraction:
-    if own == 0:
-        raise errors.ZeroMass(
-            "no constituent of this rule carries vd=%d" % int(rule.vd))
-    return min(ONE, _factor(rule.vd) * support / own)
-
-
-def _coverage(rule, support: Fraction, by_vd) -> Fraction:
-    mass = by_vd[TruthValue(rule.vd)]
-    if mass == 0:
-        raise errors.ZeroMass(
-            "disease %r has zero mass at vd=%d" % (rule.disease, int(rule.vd)))
-    return min(ONE, _factor(rule.vd) * support / mass)
-
-
-def support(rule, kb) -> Fraction:
-    """Summed credibility of the lattice rules minimized into this one.
-
-    Raises:
-        DanglingLabel: a source label (or its decision) is missing.
-    """
-    return _support_and_own(rule, kb)[0]
-
-
-def strength(rule, kb) -> Fraction:
-    """Support over the disease's total credibility mass.
-
-    Raises:
-        ZeroMass: the disease carries no credibility anywhere.
-    """
-    return _strength(rule, support(rule, kb), disease_mass(kb, rule.disease)[0])
-
-
-def certainty(rule, kb) -> Fraction:
-    """Support over the constituents sharing the rule's truth value.
-
-    Equals 1 for a rule minimized from a pure region; the inconclusive
-    half-factor applies, and mixed-region ratios clamp at 1.
-
-    Raises:
-        ZeroMass: none of the constituents carry the rule's truth value.
-    """
-    return _certainty(rule, *_support_and_own(rule, kb))
-
-
-def coverage(rule, kb) -> Fraction:
-    """Support over the disease's whole mass at the rule's truth value.
-
-    Raises:
-        ZeroMass: the disease has no credibility at that truth value.
-    """
-    return _coverage(rule, support(rule, kb), disease_mass(kb, rule.disease)[1])
-
-
 def measure(rule, kb, mass: Optional[DiseaseMass] = None) -> RuleMetrics:
     """All four measures of one rule, from one pass over its source
     labels.  ``mass`` is ``disease_mass(kb, rule.disease)``; a caller
     measuring many rules of one disease passes it in.
 
+    Support is the summed credibility of the source labels; strength
+    divides it by the disease's mass, certainty by the constituents'
+    mass at the rule's truth value and coverage by the disease's mass at
+    that value.  An inconclusive rule concludes both ways, so certainty
+    and coverage carry a factor of one half, and both clamp at 1.
+
     Raises:
         DanglingLabel: a source label (or its decision) is missing.
-        ZeroMass: the disease's mass, the constituents' own-value mass or
-            the disease's mass at the rule's truth value is zero.
+        ZeroMass: the disease's mass or the constituents' own-value mass
+            is zero.
     """
     cf_sum, own = _support_and_own(rule, kb)
     total, by_vd = disease_mass(kb, rule.disease) if mass is None else mass
-    return RuleMetrics(support=cf_sum, strength=_strength(rule, cf_sum, total),
-                       certainty=_certainty(rule, cf_sum, own),
-                       coverage=_coverage(rule, cf_sum, by_vd))
+    if total == 0:
+        raise errors.ZeroMass("disease %r has zero credibility mass" % rule.disease)
+    if own == 0:
+        raise errors.ZeroMass(
+            "no constituent of this rule carries vd=%d" % int(rule.vd))
+    vd = TruthValue(rule.vd)
+    factor = Fraction(1, 2) if vd == TruthValue.INCONCLUSIVE else ONE
+    # the disease's mass at vd is at least the own-value mass, so not zero
+    return RuleMetrics(support=cf_sum, strength=cf_sum / total,
+                       certainty=min(ONE, factor * cf_sum / own),
+                       coverage=min(ONE, factor * cf_sum / by_vd[vd]))
 
 
 # --- identity checks --------------------------------------------------------

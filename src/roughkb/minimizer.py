@@ -525,9 +525,10 @@ def _greedy_cover(primes, minterms, n) -> List[Term]:
     import heapq  # deferred: only regions past the exact cover get here
 
     cells = _prime_cells(primes)
-    uncovered = 0
+    table = bytearray(((1 << n) + 7) >> 3)
     for m in minterms:
-        uncovered |= 1 << m
+        table[m >> 3] |= 1 << (m & 7)
+    uncovered = int.from_bytes(table, "little")
     heap = [(-(cells[i] & uncovered).bit_count(), n - mask.bit_count(), (bits, mask), i)
             for i, (bits, mask) in enumerate(primes)]
     heapq.heapify(heap)
@@ -546,15 +547,18 @@ def _greedy_cover(primes, minterms, n) -> List[Term]:
         chosen.append(i)
         uncovered &= ~cells[i]
     # reverse-delete any pick made redundant by later ones: a pick can go
-    # when the others cover every minterm it covers
-    kept = list(chosen)
-    for i in chosen:
-        trial = [k for k in kept if k != i]
-        others = 0
-        for k in trial:
-            others |= cells[k]
-        if trial and not cells[i] & ~others:
-            kept = trial
+    # when the others cover every minterm it covers.  The others are the
+    # earlier picks still kept and every later pick, whose unions are kept
+    # as a running prefix and precomputed suffixes.
+    suffix = [0] * (len(chosen) + 1)
+    for j in range(len(chosen) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] | cells[chosen[j]]
+    kept = []
+    before = 0
+    for j, i in enumerate(chosen):
+        if cells[i] & ~(before | suffix[j + 1]):
+            kept.append(i)
+            before |= cells[i]
     return [_cube_term(primes[i], n) for i in kept]
 
 

@@ -25,6 +25,7 @@ and builds one Fraction per result.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -34,6 +35,9 @@ from ._num import ONE, ZERO, clamp01, frac, publish2
 from .evidence import TruthTriple, TruthValue
 
 Record = Tuple[TruthValue, int, int, Optional[Tuple[int, int, int, int]]]
+
+# a disease or fact name token, as both text formats spell it
+_NAME_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
 
 def _alpha(value) -> Fraction:
@@ -57,6 +61,8 @@ class DecisionEntry:
 
     def __init__(self, disease, vd, cf, tv=None, weights=None):
         self.disease = str(disease)
+        if not _NAME_RE.match(self.disease):
+            raise errors.OutOfRange("bad disease name %r" % (self.disease,))
         try:
             self.vd = TruthValue(vd)
         except ValueError:
@@ -240,7 +246,13 @@ def _gated(a: Fraction, b: Fraction, gate: Fraction, agree: bool) -> Optional[Fr
 
 
 def _prevailing(vd_i, cf_i, vd_j, cf_j) -> TruthValue:
-    """The truth value a disagreeing pair passes up."""
+    """The truth value a disagreeing pair passes up.
+
+    The side of higher credibility donates its truth value, and a tie is
+    inconclusive.  A clash between values 0 and 2 is inconclusive
+    whatever the credibilities: an outright contradiction with an open
+    verdict never yields a firm one.
+    """
     if {int(vd_i), int(vd_j)} == {0, 2}:
         return TruthValue.INCONCLUSIVE
     if cf_i > cf_j:
@@ -248,32 +260,6 @@ def _prevailing(vd_i, cf_i, vd_j, cf_j) -> TruthValue:
     if cf_j > cf_i:
         return vd_j
     return TruthValue.INCONCLUSIVE
-
-
-def combine_same_vd(cf_i, w_i, cf_j, w_j, alpha) -> Fraction:
-    """Credibility of a pair agreeing on the truth value.
-
-    Both weighted contributions add when both clear the gate; a lone
-    passing side carries alone; nothing passing yields zero.
-    """
-    cf = _gated(frac(cf_i) * frac(w_i), frac(cf_j) * frac(w_j), _alpha(alpha), True)
-    return ZERO if cf is None else cf
-
-
-def combine_diff_vd(entry_i, entry_j, w_i, w_j, alpha) -> Tuple[TruthValue, Fraction]:
-    """Truth value and credibility of a disagreeing pair.
-
-    The higher-credibility constituent donates its truth value (a tie
-    is inconclusive), and the credibility is the gap between the gated
-    weighted contributions.  A surely-present/surely-absent style clash
-    between values 0 and 2 resolves to inconclusive regardless of the
-    credibilities: an outright contradiction with an open verdict never
-    yields a firm one.
-    """
-    gate = _alpha(alpha)
-    vd = _prevailing(entry_i.vd, entry_i.cf, entry_j.vd, entry_j.cf)
-    cf = _gated(entry_i.cf * frac(w_i), entry_j.cf * frac(w_j), gate, False)
-    return vd, ZERO if cf is None else cf
 
 
 def merge_external(vd_star, cf_star, vd_ext, cf_ext, tv3_merged) -> Tuple[TruthValue, Fraction]:
@@ -428,21 +414,6 @@ def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
         return vd, _HUNDREDTHS[min(100, (2 * acc + lower) // (2 * lower))], True
     scale *= lower
     return vd, (ONE if acc > scale else Fraction(acc, scale)), True
-
-
-def carryover_single(entry: DecisionEntry, w, alpha,
-                     round2: bool = False) -> Optional[DecisionEntry]:
-    """Carry a disease present in exactly one constituent, or drop it.
-
-    The truth value survives unchanged; the credibility is the weighted
-    contribution, which must clear the gate for the disease to appear
-    at all.
-    """
-    cf = _gated(entry.cf * frac(w), ZERO, _alpha(alpha), True)
-    if cf is None:
-        return None
-    return DecisionEntry(entry.disease, entry.vd, publish2(cf) if round2 else cf,
-                         tv=entry.tv)
 
 
 # --- per-node orchestration -------------------------------------------------

@@ -14,7 +14,7 @@ sequence can be replayed and compared against a from-scratch rebuild.
 from __future__ import annotations
 
 import dataclasses
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
 from . import errors
 from .evidence import TruthValue
@@ -36,35 +36,46 @@ class ConceptPair:
 
 @dataclasses.dataclass(frozen=True)
 class ApproximationSets:
-    """Lower/upper/boundary regions for both concepts of one disease."""
+    """Lower/upper/boundary regions for both concepts of one disease.
+
+    Three disjoint regions are stored: the two lower regions and the
+    boundary the concepts share.  Each upper region is its lower region
+    plus the boundary, and ``upper1``, ``upper2`` and ``boundary2`` are
+    read-only views computed at each access.
+    """
 
     lower1: FrozenSet[str]
-    upper1: FrozenSet[str]
-    boundary1: FrozenSet[str]
     lower2: FrozenSet[str]
-    upper2: FrozenSet[str]
-    boundary2: FrozenSet[str]
+    boundary1: FrozenSet[str]
+
+    @property
+    def upper1(self) -> FrozenSet[str]:
+        return self.lower1 | self.boundary1
+
+    @property
+    def upper2(self) -> FrozenSet[str]:
+        return self.lower2 | self.boundary1
+
+    @property
+    def boundary2(self) -> FrozenSet[str]:
+        return self.boundary1
+
+    @classmethod
+    def _of(cls, by_vd) -> "ApproximationSets":
+        # by_vd holds the labels filed under vd 0, 1 and 2, in that order
+        absent, present, open_ = by_vd
+        return cls(frozenset(present), frozenset(absent), frozenset(open_))
+
+    def _by_vd(self) -> List[Set[str]]:
+        return [set(self.lower2), set(self.lower1), set(self.boundary1)]
 
     @classmethod
     def from_vd_map(cls, vd_by_label) -> "ApproximationSets":
-        """Build the six regions from a label -> vd mapping."""
-        present = set()
-        absent = set()
-        open_ = set()
+        """Build the regions from a label -> vd mapping."""
+        by_vd: Tuple[List[str], ...] = ([], [], [])
         for label, vd in vd_by_label.items():
-            vd = TruthValue(vd)
-            if vd == TruthValue.PRESENT:
-                present.add(label)
-            elif vd == TruthValue.ABSENT:
-                absent.add(label)
-            else:
-                open_.add(label)
-        return cls(lower1=frozenset(present),
-                   upper1=frozenset(present | open_),
-                   boundary1=frozenset(open_),
-                   lower2=frozenset(absent),
-                   upper2=frozenset(absent | open_),
-                   boundary2=frozenset(open_))
+            by_vd[TruthValue(vd)].append(label)
+        return cls._of(by_vd)
 
     def vd_of(self, label: str) -> TruthValue:
         """The truth value implied by current membership.
@@ -80,34 +91,29 @@ class ApproximationSets:
             return TruthValue.INCONCLUSIVE
         raise errors.NotPresent("label %r is in no approximation region" % (label,))
 
-    def _replace(self, **kw):
-        return dataclasses.replace(self, **{k: frozenset(v) for k, v in kw.items()})
 
-
-def _vd_map(kb, disease):
-    if disease not in kb.diseases():
-        raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
-    return {label: node.decisions[disease].vd
-            for label, node in kb.nodes.items() if disease in node.decisions}
-
-
-def concepts(kb, disease: str) -> ConceptPair:
-    """The presence/absence target concepts of a disease.
+def approximations(kb, disease: str) -> ApproximationSets:
+    """Lower/upper/boundary regions of both concepts of a disease.
 
     Raises:
         UnknownDisease: the disease is neither declared nor present.
     """
-    vd_by_label = _vd_map(kb, disease)
-    c1 = frozenset(l for l, vd in vd_by_label.items()
-                   if vd in (TruthValue.PRESENT, TruthValue.INCONCLUSIVE))
-    c2 = frozenset(l for l, vd in vd_by_label.items()
-                   if vd in (TruthValue.ABSENT, TruthValue.INCONCLUSIVE))
-    return ConceptPair(disease, c1, c2)
+    if disease not in kb.diseases():
+        raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
+    return ApproximationSets.from_vd_map(
+        {label: node.decisions[disease].vd
+         for label, node in kb.nodes.items() if disease in node.decisions})
 
 
-def approximations(kb, disease: str) -> ApproximationSets:
-    """Lower/upper/boundary regions of both concepts of a disease."""
-    return ApproximationSets.from_vd_map(_vd_map(kb, disease))
+def concepts(kb, disease: str) -> ConceptPair:
+    """The presence/absence target concepts of a disease: the two upper
+    regions.
+
+    Raises:
+        UnknownDisease: the disease is neither declared nor present.
+    """
+    sets = approximations(kb, disease)
+    return ConceptPair(disease, sets.upper1, sets.upper2)
 
 
 def on_decisions_added(a: ApproximationSets,
@@ -117,26 +123,12 @@ def on_decisions_added(a: ApproximationSets,
     Raises:
         AlreadyPresent: a label already occupies some region.
     """
-    lower1, upper1, boundary1 = set(a.lower1), set(a.upper1), set(a.boundary1)
-    lower2, upper2, boundary2 = set(a.lower2), set(a.upper2), set(a.boundary2)
+    by_vd = a._by_vd()
     for label, vd in sorted(added):
-        if label in upper1 or label in upper2:
+        if any(label in labels for labels in by_vd):
             raise errors.AlreadyPresent("label %r already placed" % (label,))
-        vd = TruthValue(vd)
-        if vd == TruthValue.PRESENT:
-            lower1.add(label)
-            upper1.add(label)
-        elif vd == TruthValue.ABSENT:
-            lower2.add(label)
-            upper2.add(label)
-        else:
-            upper1.add(label)
-            boundary1.add(label)
-            upper2.add(label)
-            boundary2.add(label)
-    return ApproximationSets(frozenset(lower1), frozenset(upper1),
-                             frozenset(boundary1), frozenset(lower2),
-                             frozenset(upper2), frozenset(boundary2))
+        by_vd[TruthValue(vd)].add(label)
+    return ApproximationSets._of(by_vd)
 
 
 def on_decisions_removed(a: ApproximationSets,
@@ -146,32 +138,15 @@ def on_decisions_removed(a: ApproximationSets,
     Raises:
         NotPresent: a label occupies no region.
     """
-    lower1, upper1, boundary1 = set(a.lower1), set(a.upper1), set(a.boundary1)
-    lower2, upper2, boundary2 = set(a.lower2), set(a.upper2), set(a.boundary2)
+    by_vd = a._by_vd()
     for label in sorted(set(removed)):
-        vd = a.vd_of(label)
-        if vd == TruthValue.PRESENT:
-            lower1.discard(label)
-            upper1.discard(label)
-        elif vd == TruthValue.ABSENT:
-            lower2.discard(label)
-            upper2.discard(label)
-        else:
-            upper1.discard(label)
-            boundary1.discard(label)
-            upper2.discard(label)
-            boundary2.discard(label)
-    return ApproximationSets(frozenset(lower1), frozenset(upper1),
-                             frozenset(boundary1), frozenset(lower2),
-                             frozenset(upper2), frozenset(boundary2))
+        by_vd[a.vd_of(label)].remove(label)
+    return ApproximationSets._of(by_vd)
 
 
 def on_truth_changed(a: ApproximationSets, label: str,
                      old_vd, new_vd) -> ApproximationSets:
     """Move one node between regions after its truth value changed.
-
-    Both concepts are maintained symmetrically on transitions through
-    the inconclusive value, keeping the two boundaries identical.
 
     Raises:
         InvalidTransition: old and new truth values coincide.

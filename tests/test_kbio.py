@@ -189,10 +189,36 @@ def test_load_corrupt_inputs(kb_round2):
         text.replace("vd=2", "vd=7", 1),           # truth value range
         text.replace("node 011", "node 012", 1),   # label alphabet
         text + text.splitlines()[-2] + "\n",       # some line twice
-    ]
+    ] + [_with_priorities(text, lines) for lines, _, _ in BAD_PRIORITIES]
     for bad in cases:
         with pytest.raises((errors.CorruptRecord, errors.VersionMismatch)):
             kbio.load_kb(bad)
+
+
+def _with_priorities(text, lines):
+    """The file with extra priority lines after its own (lines 8-15 of the
+    round2 fixture), so the first one is line 16."""
+    return text.replace("node 000\n", "".join(l + "\n" for l in lines) + "node 000\n", 1)
+
+
+# priority lines the loader refuses: (lines added, refused line, message)
+BAD_PRIORITIES = [
+    (["priority PIVD f1 2", "priority PIVD f1 3"], 17, "duplicate priority"),
+    (["priority CFJ f1+f2 f1=1 f2=1"], 16, "duplicate priority"),
+    (["priority PIVD f9 3"], 16, "names f9 in an order-3 file"),
+    (["priority PIVD f1+f4 f1=1 f4=1"], 16, "names f4 in an order-3 file"),
+    (["priority PIVD f1 0"], 16, "priority must be positive"),
+    (["priority PIVD f1+f3 f1=1 f1=2 f3=1"], 16, "cover the fact set exactly"),
+    (["priority PIVD f1+f1 f1=1"], 16, "cover the fact set exactly"),
+]
+
+
+@pytest.mark.parametrize("lines,line,message", BAD_PRIORITIES)
+def test_load_refuses_a_bad_priority_line_at_its_line(kb_round2, lines, line, message):
+    text = _with_priorities(kbio.serialize_kb(kb_round2), lines)
+    with pytest.raises(errors.CorruptRecord, match=message) as caught:
+        kbio.load_kb(text)
+    assert caught.value.line == line
 
 
 # A token with a huge exponent would make Fraction build 10**10000000;
@@ -694,6 +720,28 @@ def test_cli_insert_fact_rejects_a_bad_credibility(kb_file, capsys):
                      "--value", "yes", "--decision", "PIVD", "1", "1/0"]) == 1
     assert capsys.readouterr().err == "error: bad credibility '1/0'\n"
     assert "order 3" in open(kb_file, encoding="utf-8").read()
+
+
+@pytest.mark.parametrize("command", [
+    ["set-decision", "--label", "001", "--disease", "NEW DIS", "--vd", "1", "--cf", "0.5"],
+    ["insert-fact", "--attribute", "numbness", "--value", "yes",
+     "--decision", "NEW DIS", "1", "0.5"],
+])
+def test_cli_edits_refuse_a_disease_name_the_file_cannot_hold(kb_file, capsys, command):
+    with open(kb_file, encoding="utf-8") as stream:
+        before = stream.read()
+    assert kbio.cli(command[:1] + [kb_file] + command[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bad disease name 'NEW DIS'\n"
+    with open(kb_file, encoding="utf-8") as stream:
+        assert stream.read() == before
+    assert kbio.cli(["check", kb_file]) == 0
+
+
+def test_every_export_resolves():
+    missing = [name for name in roughkb.__all__ if not hasattr(roughkb, name)]
+    assert missing == []
 
 
 def _python(args, cwd=None):

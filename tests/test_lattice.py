@@ -15,7 +15,7 @@ from roughkb.evidence import TruthTriple
 from roughkb.kbio import load_kb, serialize_kb
 from roughkb.lattice import (ConditionEdit, DropDecision, Fact, SetDecision,
                              _build_structure, build_kb, check_structure, delete_fact, facts_of,
-                             insert_fact, label_at, label_for, level_of,
+                             insert_fact, label_for, level_of,
                              modify_node, predecessor_labels, successor_labels)
 from roughkb.propagation import DecisionEntry, propagate
 
@@ -39,19 +39,6 @@ def test_label_layout_prints_highest_fact_first():
     assert facts_of("101") == frozenset({1, 3})
     assert level_of("101") == 2
     assert level_of("000") == 0
-
-
-def test_label_at_is_one_based_and_numerically_ascending():
-    assert [label_at(2, k, 3) for k in (1, 2, 3)] == ["011", "101", "110"]
-    assert [label_at(1, k, 4) for k in (1, 2, 3, 4)] == [
-        "0001", "0010", "0100", "1000"]
-    assert label_at(0, 1, 3) == "000"
-    with pytest.raises(errors.OutOfRange):
-        label_at(2, 0, 3)
-    with pytest.raises(errors.OutOfRange):
-        label_at(2, 4, 3)
-    with pytest.raises(errors.OutOfRange):
-        label_at(4, 1, 3)
 
 
 def test_neighbors_enumerate_in_document_order():

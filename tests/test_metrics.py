@@ -105,17 +105,14 @@ def test_zero_masses_are_refused():
     kb = kb_from_atomics({1: {"ANK": (1, F(0)), "BUR": (1, F(1, 2))}}, 1)
     rule = SimpleNamespace(disease="ANK", vd=TruthValue.PRESENT,
                            source_labels=("1",))
-    assert metrics.support(rule, kb) == 0
-    with pytest.raises(errors.ZeroMass):
-        metrics.strength(rule, kb)
-    # certainty needs matching sources, coverage a populated value class
+    with pytest.raises(errors.ZeroMass, match="zero credibility mass"):
+        metrics.measure(rule, kb)
+    # certainty needs sources that carry the rule's truth value
     kb2 = kb_from_atomics({1: {"ANK": (1, F(1, 2))}}, 1)
     mismatched = SimpleNamespace(disease="ANK", vd=TruthValue.ABSENT,
                                  source_labels=("1",))
-    with pytest.raises(errors.ZeroMass):
-        metrics.certainty(mismatched, kb2)
-    with pytest.raises(errors.ZeroMass):
-        metrics.coverage(mismatched, kb2)
+    with pytest.raises(errors.ZeroMass, match="carries vd=0"):
+        metrics.measure(mismatched, kb2)
 
 
 def test_missing_decisions_are_dangling():
@@ -123,7 +120,7 @@ def test_missing_decisions_are_dangling():
     rule = SimpleNamespace(disease="ANK", vd=TruthValue.PRESENT,
                            source_labels=("10",))
     with pytest.raises(errors.DanglingLabel):
-        metrics.support(rule, kb)
+        metrics.measure(rule, kb)
 
 
 def test_certain_strengths_sum_below_one(kb_round2, approx_round2):

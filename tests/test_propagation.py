@@ -14,8 +14,7 @@ from roughkb import errors
 from roughkb.evidence import TruthTriple, TruthValue
 from roughkb.lattice import Fact, build_kb, facts_of, predecessor_labels
 from roughkb.propagation import (DecisionEntry, PriorityConfig, _cf_multi, _mean_triple,
-                                 _record, _triple_record, carryover_single,
-                                 combine_diff_vd, combine_same_vd, merge_external,
+                                 _record, _triple_record, merge_external,
                                  node_decisions, propagate)
 
 F = Fraction
@@ -36,6 +35,10 @@ def test_decision_entry_validates_fields():
         DecisionEntry("ANK", 1, F(3, 2))
     with pytest.raises(errors.OutOfRange):
         DecisionEntry("ANK", 1, F(1, 2), weights={1: F(0)})
+    # a disease name outside the text formats' name grammar
+    for name in ("NEW DIS", "", "a#b", "d\n", "\u00e9"):
+        with pytest.raises(errors.OutOfRange, match="bad disease name"):
+            DecisionEntry(name, 1, F(1, 2))
 
 
 def test_priority_config_layers():
@@ -78,40 +81,41 @@ def test_alpha_threshold_bounds():
 
 # --- pairwise combination ---------------------------------------------------
 
+P, A, I = TruthValue.PRESENT, TruthValue.ABSENT, TruthValue.INCONCLUSIVE
+
+
+def _pair(first, second, alpha=0):
+    """The (vd, cf) that node {1, 2} derives for ANK under equal weights
+    of 1/2, when its predecessors {1} and {2} carry the (vd, cf) pairs
+    given (None for no decision); None when ANK does not reach it."""
+    preds = [(frozenset({fid}), {} if pair is None else {"ANK": DecisionEntry("ANK", *pair)})
+             for fid, pair in ((1, first), (2, second))]
+    entry = node_decisions(frozenset({1, 2}), preds, PriorityConfig(), alpha).get("ANK")
+    return None if entry is None else (entry.vd, entry.cf)
+
+
 def test_same_vd_pair_adds_weighted_contributions():
-    assert combine_same_vd(F(3, 5), F(1, 2), F(1, 5), F(1, 2), 0) == F(2, 5)
+    assert _pair((P, F(3, 5)), (P, F(1, 5))) == (P, F(2, 5))
     # one side below the gate carries the other alone
-    assert combine_same_vd(F(3, 5), F(1, 2), F(1, 5), F(1, 2), F(1, 5)) == F(3, 10)
+    assert _pair((P, F(3, 5)), (P, F(1, 5)), F(1, 5)) == (P, F(3, 10))
     # a product equal to the gate does not pass
-    assert combine_same_vd(F(2, 5), F(1, 2), F(1, 5), F(1, 2), F(1, 5)) == 0
+    assert _pair((P, F(2, 5)), (P, F(1, 5)), F(1, 5)) is None
 
 
 def test_diff_vd_pair_takes_the_stronger_side():
-    hi = DecisionEntry("ANK", 1, F(3, 5))
-    lo = DecisionEntry("ANK", 0, F(1, 5))
-    vd, cf = combine_diff_vd(hi, lo, F(1, 2), F(1, 2), 0)
-    assert (vd, cf) == (TruthValue.PRESENT, F(1, 5))
-    vd, cf = combine_diff_vd(lo, hi, F(1, 2), F(1, 2), 0)
-    assert (vd, cf) == (TruthValue.PRESENT, F(1, 5))
+    hi, lo = (P, F(3, 5)), (A, F(1, 5))
+    assert _pair(hi, lo) == (P, F(1, 5))
+    assert _pair(lo, hi) == (P, F(1, 5))
 
 
 def test_diff_vd_tie_and_contradiction_go_inconclusive():
-    a = DecisionEntry("ANK", 1, F(2, 5))
-    b = DecisionEntry("ANK", 0, F(2, 5))
-    assert combine_diff_vd(a, b, F(1, 2), F(1, 2), 0)[0] == TruthValue.INCONCLUSIVE
+    assert _pair((P, F(2, 5)), (A, F(2, 5)))[0] == I
     # absent versus open is inconclusive even with a dominant side
-    c = DecisionEntry("ANK", 0, F(9, 10))
-    d = DecisionEntry("ANK", 2, F(1, 10))
-    vd, cf = combine_diff_vd(c, d, F(1, 2), F(1, 2), 0)
-    assert vd == TruthValue.INCONCLUSIVE
-    assert cf == F(2, 5)
+    assert _pair((A, F(9, 10)), (I, F(1, 10))) == (I, F(2, 5))
 
 
 def test_diff_vd_gate_keeps_the_surviving_side():
-    a = DecisionEntry("ANK", 1, F(3, 5))
-    b = DecisionEntry("ANK", 0, F(1, 10))
-    vd, cf = combine_diff_vd(a, b, F(1, 2), F(1, 2), F(1, 10))
-    assert (vd, cf) == (TruthValue.PRESENT, F(3, 10))
+    assert _pair((P, F(3, 5)), (A, F(1, 10)), F(1, 10)) == (P, F(3, 10))
 
 
 # --- chains and multi-constituent credibility -------------------------------
@@ -154,11 +158,8 @@ def test_cf_multi_hand_example():
 
 
 def test_carryover_single_gates():
-    entry = DecisionEntry("ANK", 2, F(1, 2))
-    kept = carryover_single(entry, F(1, 2), F(1, 5))
-    assert kept is not None
-    assert (kept.vd, kept.cf) == (TruthValue.INCONCLUSIVE, F(1, 4))
-    assert carryover_single(entry, F(1, 2), F(1, 4)) is None  # == gate fails
+    assert _pair((I, F(1, 2)), None, F(1, 5)) == (I, F(1, 4))
+    assert _pair((I, F(1, 2)), None, F(1, 4)) is None  # == gate fails
 
 
 # --- external evidence ------------------------------------------------------
