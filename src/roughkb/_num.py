@@ -34,7 +34,8 @@ checked values without validating them again.
 
 :func:`parse_rational` is the one parser of number tokens read from
 files and the command line, and :func:`frac` sends every string through
-it too.
+it too.  :func:`parse_int` is the one parser of their integer tokens.
+Both read ASCII digits only.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ ONE = Fraction(1)
 # exponent, for which Fraction would build 10**exponent before any range
 # check could refuse the value.
 _RATIONAL_RE = re.compile(r"([-+]?)([0-9]*)(?:/([0-9]+)|\.([0-9]*))?\Z")
+_INT_RE = re.compile(r"[-+]?[0-9]+\Z")
 # The widest Decimal exponent taken: a number token's digits stop at the
 # interpreter's default int-string limit, 4300 digits, and Fraction
 # builds 10**|exponent| from a Decimal.
@@ -81,6 +83,19 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(int(sign + whole))
     # int() refuses "", ".", "-" and more digits than the interpreter's limit
     return Fraction(int(sign + whole + decimals), 10 ** len(decimals))
+
+
+def parse_int(token: str) -> int:
+    """Parse an integer token of a file or the command line.
+
+    Accepts ASCII digits with an optional sign, such as ``2``, ``+2`` or
+    ``02``.  ``int()`` alone would also read ``1_0`` as 10, non-ASCII
+    digits such as ``\u0662`` as 2, and surrounding blanks.  Raises
+    ValueError for anything else; callers turn it into their typed error.
+    """
+    if _INT_RE.match(token) is None:
+        raise ValueError("not a plain integer: %r" % (token,))
+    return int(token)
 
 
 def frac(value) -> Fraction:

@@ -8,6 +8,14 @@ stamped, nodes in level-major label order.  Both round-trip: parsing
 then rendering a document reproduces it, and serializing a loaded KB
 file reproduces the file.
 
+Both formats read the tokens and lines they share through one set of
+readers: names are ``[A-Za-z0-9_.-]+``, fact references ``fN``, integers
+``[-+]?[0-9]+`` (``_num.parse_int``) and numbers what
+``_num.parse_rational`` reads, in ASCII digits only; ``fact`` and
+``priority`` lines are read and checked alike.  A token or line one
+format refuses, the other refuses too, each with its own error class
+(``errors.SyntaxError`` or ``errors.CorruptRecord``) at the line.
+
 The command line wraps the whole pipeline (build, approximations,
 rules, edits, consistency check) with deterministic output and
 atomic file replacement.
@@ -28,7 +36,7 @@ from importlib import resources
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import errors
-from ._num import ONE, ZERO, frac, parse_rational, publish2, render
+from ._num import ONE, ZERO, frac, parse_int, parse_rational, publish2, render
 from .evidence import (GRADING_CAP, EvidenceProfile, SourceGrading, TruthTriple,
                        TruthValue, presence_matrix, resolve_decision, truth_triple)
 from .lattice import (DEFAULT_ORDER_CAP, DropDecision, Fact, Lattice,
@@ -41,7 +49,112 @@ from .roughset import approximations
 FORMAT_NAME = "roughkb-kb"
 FORMAT_VERSION = 1
 
-_FACT_RE = re.compile(r"f([1-9]\d*)\Z")
+_FACT_RE = re.compile(r"f([1-9][0-9]*)\Z")
+
+
+# --- readers of what both text formats share ---------------------------------
+#
+# Each reader raises the caller's ParseError subclass, errors.SyntaxError
+# for evidence and errors.CorruptRecord for KB files, at the caller's line.
+
+def _name(token: str, what: str, error, line_no: Optional[int]) -> str:
+    if not _NAME_RE.match(token):
+        raise error("bad %s name %r" % (what, token), line_no)
+    return token
+
+
+def _fact_ref(token: str, error, line_no: Optional[int]) -> int:
+    match = _FACT_RE.match(token)
+    if not match:
+        raise error("expected a fact reference like f1, got %r" % (token,), line_no)
+    return int(match.group(1))
+
+
+def _fact_refs(token: str, known, error, line_no: Optional[int]) -> List[int]:
+    """The facts of ``fA+fB+...``, each passed through ``known(fid, line_no)``."""
+    return [known(_fact_ref(part, error, line_no), line_no) for part in token.split("+")]
+
+
+def _integer(token: str, what: str, error, line_no: Optional[int]) -> int:
+    try:
+        return parse_int(token)
+    except ValueError:
+        raise error("bad %s %r" % (what, token), line_no)
+
+
+def _rational(token: str, what: str, error, line_no: Optional[int]) -> Fraction:
+    try:
+        return parse_rational(token)
+    except (ValueError, ZeroDivisionError):
+        raise error("bad %s %r" % (what, token), line_no)
+
+
+def _field(token: str, key: str, error, line_no: Optional[int]) -> str:
+    """The value text of a ``key=value`` token."""
+    if not token.startswith(key + "="):
+        raise error("expected %s=..., got %r" % (key, token), line_no)
+    return token[len(key) + 1:]
+
+
+def _fact_line(tokens: List[str], facts: Dict[int, Fact], pairs, error,
+               line_no: Optional[int]) -> Fact:
+    """Read a ``fact fN "attribute" "value"`` line into ``facts`` (by id)
+    and ``pairs`` (attribute/value), refusing an id or a pair read before."""
+    if len(tokens) != 4:
+        raise error('expected: fact fN "attribute" "value"', line_no)
+    fact = Fact(_fact_ref(tokens[1], error, line_no), tokens[2], tokens[3])
+    if fact.id in facts:
+        raise error("fact f%d declared twice" % fact.id, line_no)
+    if (fact.attribute, fact.value) in pairs:
+        raise error("fact %r / %r declared twice" % (fact.attribute, fact.value),
+                    line_no)
+    facts[fact.id] = fact
+    pairs.add((fact.attribute, fact.value))
+    return fact
+
+
+def _priority(token: str, error, line_no: Optional[int]) -> int:
+    p = _integer(token, "priority", error, line_no)
+    if p < 1:
+        raise error("priority must be positive", line_no)
+    return p
+
+
+def _priority_line(tokens: List[str], known, global_priorities, scoped, error,
+                   line_no: Optional[int]):
+    """Read ``priority DISEASE fN P`` into ``global_priorities``, or the
+    scoped ``priority DISEASE fA+fB fA=P fB=Q`` into ``scoped``.
+
+    ``known(fid, line_no)`` refuses a fact the file does not hold.  Every
+    priority is a positive integer, a scoped line assigns each fact of
+    its set exactly once, and a key already filed is refused.
+    """
+    if len(tokens) < 4:
+        raise error("bad priority line: expected priority DISEASE fN P,"
+                    " or a scoped form", line_no)
+    disease = _name(tokens[1], "disease", error, line_no)
+    if "=" not in tokens[3]:
+        if len(tokens) != 4:
+            raise error("bad priority line: expected priority DISEASE fN P", line_no)
+        fid = known(_fact_ref(tokens[2], error, line_no), line_no)
+        key, table = (disease, fid), global_priorities
+        value = _priority(tokens[3], error, line_no)
+    else:
+        refs = _fact_refs(tokens[2], known, error, line_no)
+        texts = {}
+        for token in tokens[3:]:
+            ref, eq, text = token.partition("=")
+            if not eq:
+                raise error("expected fN=P, got %r" % (token,), line_no)
+            texts[_fact_ref(ref, error, line_no)] = text
+        if len(texts) != len(tokens) - 3 or len(set(refs)) != len(refs) \
+                or texts.keys() != set(refs):
+            raise error("scoped priorities must cover the fact set exactly", line_no)
+        key, table = (frozenset(refs), disease), scoped
+        value = {fid: _priority(text, error, line_no) for fid, text in texts.items()}
+    if key in table:
+        raise error("duplicate priority for %s %s" % (disease, tokens[2]), line_no)
+    table[key] = value
 
 
 # --- evidence documents -----------------------------------------------------
@@ -72,41 +185,9 @@ class EvidenceDocument:
         return tuple(sorted({r.disease for r in self.records}))
 
 
-def _name_token(token: str, what: str, line_no: int) -> str:
-    if not _NAME_RE.match(token):
-        raise errors.SyntaxError("bad %s name %r" % (what, token), line_no)
-    return token
-
-
-def _fact_token(token: str, line_no: int) -> int:
-    match = _FACT_RE.match(token)
-    if not match:
-        raise errors.SyntaxError("expected a fact reference like f1, got %r"
-                                 % (token,), line_no)
-    return int(match.group(1))
-
-
-def _known_fact(fid: int, declared, line_no: int) -> int:
-    if fid not in declared:
-        raise errors.UnknownFactRef("fact f%d is not declared" % fid, line_no)
-    return fid
-
-
-def _factset_token(token: str, declared, line_no: int) -> Tuple[int, ...]:
-    fids = [_known_fact(_fact_token(part, line_no), declared, line_no)
-            for part in token.split("+")]
-    if len(set(fids)) != len(fids):
-        raise errors.SyntaxError("repeated fact in %r" % (token,), line_no)
-    return tuple(sorted(fids))
-
-
 def _int_field(token: str, key: str, line_no: int) -> int:
-    if not token.startswith(key + "="):
-        raise errors.SyntaxError("expected %s=..., got %r" % (key, token), line_no)
-    try:
-        return int(token[len(key) + 1:])
-    except ValueError:
-        raise errors.SyntaxError("bad integer in %r" % (token,), line_no)
+    return _integer(_field(token, key, errors.SyntaxError, line_no), key,
+                    errors.SyntaxError, line_no)
 
 
 def parse_evidence(text: str) -> EvidenceDocument:
@@ -124,13 +205,17 @@ def parse_evidence(text: str) -> EvidenceDocument:
     module = None
     q = None
     alpha = ZERO
-    facts: List[Fact] = []
-    fact_ids = set()
+    facts: Dict[int, Fact] = {}
     fact_pairs = set()
     global_priorities: Dict[Tuple[str, int], int] = {}
     scoped_priorities: Dict[Tuple[FrozenSet[int], str], Dict[int, int]] = {}
     records: List[EvidenceRecord] = []
     record_keys = set()
+
+    def declared(fid: int, line_no: int) -> int:
+        if fid not in facts:
+            raise errors.UnknownFactRef("fact f%d is not declared" % fid, line_no)
+        return fid
 
     for line_no, raw in enumerate(text.splitlines(), 1):
         try:
@@ -143,7 +228,7 @@ def parse_evidence(text: str) -> EvidenceDocument:
         if module is None:
             if head != "module" or len(tokens) != 2:
                 raise errors.SyntaxError("no module header", line_no)
-            module = _name_token(tokens[1], "module", line_no)
+            module = _name(tokens[1], "module", errors.SyntaxError, line_no)
             continue
 
         if head == "module":
@@ -164,79 +249,16 @@ def parse_evidence(text: str) -> EvidenceDocument:
         elif head == "alpha":
             if len(tokens) != 2:
                 raise errors.SyntaxError("expected: alpha VALUE", line_no)
-            try:
-                alpha = parse_rational(tokens[1])
-            except (ValueError, ZeroDivisionError):
-                raise errors.SyntaxError("bad alpha %r" % (tokens[1],), line_no)
+            alpha = _rational(tokens[1], "alpha", errors.SyntaxError, line_no)
             if not ZERO <= alpha <= ONE:
                 raise errors.SyntaxError("alpha outside [0, 1]", line_no)
 
         elif head == "fact":
-            if len(tokens) != 4:
-                raise errors.SyntaxError(
-                    'expected: fact fN "attribute" "value"', line_no)
-            fid = _fact_token(tokens[1], line_no)
-            attribute, value = tokens[2], tokens[3]
-            if fid in fact_ids:
-                raise errors.SyntaxError("fact f%d declared twice" % fid, line_no)
-            if (attribute, value) in fact_pairs:
-                raise errors.SyntaxError(
-                    "fact %r / %r declared twice" % (attribute, value), line_no)
-            fact_ids.add(fid)
-            fact_pairs.add((attribute, value))
-            facts.append(Fact(fid, attribute, value))
+            _fact_line(tokens, facts, fact_pairs, errors.SyntaxError, line_no)
 
         elif head == "priority":
-            if len(tokens) < 4:
-                raise errors.SyntaxError(
-                    "expected: priority DISEASE f1 2, or a scoped form", line_no)
-            disease = _name_token(tokens[1], "disease", line_no)
-            if "+" not in tokens[2] and "=" not in tokens[3]:
-                if len(tokens) != 4:
-                    raise errors.SyntaxError("expected: priority DISEASE fN P",
-                                             line_no)
-                fid = _known_fact(_fact_token(tokens[2], line_no), fact_ids,
-                                  line_no)
-                try:
-                    p = int(tokens[3])
-                except ValueError:
-                    raise errors.SyntaxError("bad priority %r" % (tokens[3],),
-                                             line_no)
-                if p < 1:
-                    raise errors.SyntaxError("priority must be positive", line_no)
-                if (disease, fid) in global_priorities:
-                    raise errors.SyntaxError(
-                        "duplicate priority for %s f%d" % (disease, fid), line_no)
-                global_priorities[(disease, fid)] = p
-            else:
-                fset = frozenset(_factset_token(tokens[2], fact_ids, line_no))
-                assigned = {}
-                for token in tokens[3:]:
-                    if "=" not in token:
-                        raise errors.SyntaxError("expected fN=P, got %r"
-                                                 % (token,), line_no)
-                    ref, _, val = token.partition("=")
-                    fid = _fact_token(ref, line_no)
-                    try:
-                        p = int(val)
-                    except ValueError:
-                        raise errors.SyntaxError("bad priority %r" % (val,),
-                                                 line_no)
-                    if p < 1:
-                        raise errors.SyntaxError("priority must be positive",
-                                                 line_no)
-                    if fid in assigned:
-                        raise errors.SyntaxError("f%d assigned twice" % fid,
-                                                 line_no)
-                    assigned[fid] = p
-                if set(assigned) != set(fset):
-                    raise errors.SyntaxError(
-                        "scoped priorities must cover the fact set exactly",
-                        line_no)
-                if (fset, disease) in scoped_priorities:
-                    raise errors.SyntaxError(
-                        "duplicate scoped priority for %s" % disease, line_no)
-                scoped_priorities[(fset, disease)] = assigned
+            _priority_line(tokens, declared, global_priorities, scoped_priorities,
+                           errors.SyntaxError, line_no)
 
         elif head == "evidence":
             if len(tokens) != 6:
@@ -246,8 +268,11 @@ def parse_evidence(text: str) -> EvidenceDocument:
             if q is None:
                 raise errors.SyntaxError("grading must precede evidence",
                                          line_no)
-            fset = _factset_token(tokens[1], fact_ids, line_no)
-            disease = _name_token(tokens[2], "disease", line_no)
+            fset = tuple(sorted(_fact_refs(tokens[1], declared, errors.SyntaxError,
+                                           line_no)))
+            if len(set(fset)) != len(fset):
+                raise errors.SyntaxError("repeated fact in %r" % (tokens[1],), line_no)
+            disease = _name(tokens[2], "disease", errors.SyntaxError, line_no)
             m = _int_field(tokens[3], "m", line_no)
             if m not in (1, 2, 3):
                 raise errors.SyntaxError("assertion kind m must be 1, 2 or 3",
@@ -272,12 +297,11 @@ def parse_evidence(text: str) -> EvidenceDocument:
         raise errors.SyntaxError("no module header")
     if q is None:
         raise errors.SyntaxError("no grading declaration")
-    if fact_ids != set(range(1, len(facts) + 1)):
+    if set(facts) != set(range(1, len(facts) + 1)):
         raise errors.SyntaxError("fact ids must be f1..f%d contiguously"
                                  % len(facts))
-    facts.sort(key=lambda f: f.id)
     records.sort(key=lambda r: (r.facts, r.disease, r.m, r.level))
-    return EvidenceDocument(module, q, tuple(facts),
+    return EvidenceDocument(module, q, tuple(facts[fid] for fid in sorted(facts)),
                             PriorityConfig(global_priorities, scoped_priorities),
                             tuple(records), alpha)
 
@@ -287,6 +311,11 @@ def _quoted(text: str) -> str:
         raise errors.OutOfRange("cannot render text containing quotes: %r"
                                 % (text,))
     return '"%s"' % text
+
+
+def _fact_lines(facts: Sequence[Fact]) -> List[str]:
+    return ["fact f%d %s %s" % (fact.id, _quoted(fact.attribute), _quoted(fact.value))
+            for fact in facts]
 
 
 def _priority_lines(priorities: PriorityConfig) -> List[str]:
@@ -307,9 +336,7 @@ def render_evidence(doc: EvidenceDocument) -> str:
     lines = ["module %s" % doc.module, "grading q=%d" % doc.q]
     if doc.alpha != 0:
         lines.append("alpha %s" % doc.alpha)
-    for fact in doc.facts:
-        lines.append("fact f%d %s %s"
-                     % (fact.id, _quoted(fact.attribute), _quoted(fact.value)))
+    lines += _fact_lines(doc.facts)
     lines += _priority_lines(doc.priorities)
     for rec in doc.records:
         refs = "+".join("f%d" % f for f in rec.facts)
@@ -421,9 +448,7 @@ def serialize_kb(kb: Lattice) -> str:
              "mode %s" % ("round2" if kb.round2 else "exact"),
              "alpha %s" % kb.alpha,
              "order %d" % kb.n]
-    for fact in kb.facts:
-        lines.append("fact f%d %s %s"
-                     % (fact.id, _quoted(fact.attribute), _quoted(fact.value)))
+    lines += _fact_lines(kb.facts)
     lines += _priority_lines(kb.priorities)
     for level_labels in kb.levels:
         for label in level_labels:
@@ -441,19 +466,6 @@ def _corrupt(message: str, line_no: Optional[int] = None):
     raise errors.CorruptRecord(message, line_no)
 
 
-def _parse_decimal(token: str, line_no: int) -> Fraction:
-    try:
-        return parse_rational(token)
-    except (ValueError, ZeroDivisionError):
-        _corrupt("bad number %r" % (token,), line_no)
-
-
-def _field(token: str, key: str, line_no: int) -> str:
-    if not token.startswith(key + "="):
-        _corrupt("expected %s=..., got %r" % (key, token), line_no)
-    return token[len(key) + 1:]
-
-
 def load_kb(text: str) -> Lattice:
     """Parse a serialized knowledge base.
 
@@ -469,6 +481,7 @@ def load_kb(text: str) -> Lattice:
     lines = [(no, line.rstrip()) for no, line in
              enumerate(text.splitlines(), 1) if line.strip()]
     pos = 0
+    error = errors.CorruptRecord
 
     def take(expected: str) -> Tuple[int, List[str]]:
         nonlocal pos
@@ -487,9 +500,9 @@ def load_kb(text: str) -> Lattice:
     parts = first.split()
     if parts[0] != FORMAT_NAME:
         _corrupt("not a %s file" % FORMAT_NAME, no)
-    if len(parts) != 2 or not parts[1].isdigit():
+    if len(parts) != 2:
         _corrupt("bad version header", no)
-    if int(parts[1]) != FORMAT_VERSION:
+    if _integer(parts[1], "version", error, no) != FORMAT_VERSION:
         raise errors.VersionMismatch(
             "file version %s, supported version %d" % (parts[1], FORMAT_VERSION))
     pos = 1
@@ -498,25 +511,25 @@ def load_kb(text: str) -> Lattice:
     if len(parts) != 2 or parts[1] not in ("exact", "round2"):
         _corrupt("mode must be exact or round2", no)
     round2 = parts[1] == "round2"
-    places = _decimals(round2)
 
     no, parts = take("alpha")
     if len(parts) != 2:
         _corrupt("bad alpha line", no)
-    alpha = _parse_decimal(parts[1], no)
+    alpha = _rational(parts[1], "alpha", error, no)
     if not ZERO <= alpha <= ONE:
         _corrupt("alpha %s outside [0, 1]" % alpha, no)
 
     no, parts = take("order")
-    if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+    n = _integer(parts[1], "order", error, no) if len(parts) == 2 else 0
+    if n < 1:
         _corrupt("bad order line", no)
-    n = int(parts[1])
     if n > DEFAULT_ORDER_CAP:
         raise errors.OrderTooLarge(
             "order %d exceeds the cap of %d (2**%d nodes)"
             % (n, DEFAULT_ORDER_CAP, n))
 
-    facts = []
+    facts: Dict[int, Fact] = {}
+    pairs = set()
     for fid in range(1, n + 1):
         no, line = lines[pos] if pos < len(lines) else (None, "")
         if not line.startswith("fact "):
@@ -525,54 +538,33 @@ def load_kb(text: str) -> Lattice:
             tokens = shlex.split(line)
         except ValueError as exc:
             _corrupt(str(exc), no)
-        if len(tokens) != 4 or _FACT_RE.match(tokens[1]) is None \
-                or int(tokens[1][1:]) != fid:
+        if _fact_line(tokens, facts, pairs, error, no).id != fid:
             _corrupt("expected fact f%d declaration" % fid, no)
-        facts.append(Fact(fid, tokens[2], tokens[3]))
         pos += 1
+
+    def in_order(fid: int, line_no: int) -> int:
+        if fid > n:
+            _corrupt("priority names f%d in an order-%d file" % (fid, n), line_no)
+        return fid
 
     global_priorities = {}
     scoped = {}
     while pos < len(lines) and lines[pos][1].startswith("priority "):
         no, line = lines[pos]
-        tokens = line.split()
-        if len(tokens) < 3:
-            _corrupt("bad priority line", no)
-        disease = tokens[1]
-        is_global = len(tokens) == 4 and "=" not in tokens[3]
-        try:
-            refs = [_fact_token(t, no) for t in tokens[2].split("+")]
-            pairs = ([(tokens[2], tokens[3])] if is_global
-                     else [token.split("=") for token in tokens[3:]])
-            prio = {_fact_token(ref, no): int(val) for ref, val in pairs}
-        except (errors.SyntaxError, ValueError):
-            _corrupt("bad priority line", no)
-        if len(set(refs)) != len(refs) or len(prio) != len(pairs) \
-                or set(prio) != set(refs):
-            _corrupt("scoped priorities must cover the fact set exactly", no)
-        if max(refs) > n:
-            _corrupt("priority names f%d in an order-%d file" % (max(refs), n), no)
-        if min(prio.values()) < 1:
-            _corrupt("priority must be positive", no)
-        if is_global:
-            key, table, prio = (disease, refs[0]), global_priorities, prio[refs[0]]
-        else:
-            key, table = (frozenset(refs), disease), scoped
-        if key in table:
-            _corrupt("duplicate priority line for %s" % disease, no)
-        table[key] = prio
+        _priority_line(line.split(), in_order, global_priorities, scoped, error, no)
         pos += 1
 
     levels, nodes = _build_structure(n)
     seen = set()
-    declared = set()
     current: Optional[str] = None
     condition: FrozenSet[int] = frozenset()
     decisions: Dict[str, DecisionEntry] = {}
-    # Each distinct token is converted and checked once per load.  The
-    # tables hold only immutable values, and a value that fails its check
-    # is held as None and refused at each line that uses it, after that
-    # line's own checks.  Every entry still gets its own weights dict.
+    # Each distinct token is converted and checked once per load.  A bad
+    # disease name is refused at once.  The value tables hold only
+    # immutable values, and a value that fails its check is held as None
+    # and refused at each line that uses it, after that line's own checks.
+    # Every entry still gets its own weights dict.
+    names = set()
     numbers: Dict[str, Fraction] = {}
     triples: Dict[str, Optional[TruthTriple]] = {"-": None}
     vds: Dict[str, Optional[TruthValue]] = {}
@@ -582,7 +574,7 @@ def load_kb(text: str) -> Lattice:
     def number(token: str, no: int) -> Fraction:
         value = numbers.get(token)
         if value is None:
-            value = numbers[token] = _parse_decimal(token, no)
+            value = numbers[token] = _rational(token, "number", error, no)
         return value
 
     def flush():
@@ -608,16 +600,18 @@ def load_kb(text: str) -> Lattice:
             if len(parts) != 6:
                 _corrupt("bad decision line", no)
             disease = parts[1]
-            vd_text = _field(parts[2], "vd", no)
+            if disease not in names:
+                names.add(_name(disease, "disease", error, no))
+            vd_text = _field(parts[2], "vd", error, no)
             if vd_text in vds:
                 vd = vds[vd_text]
             else:
                 try:
-                    vd = TruthValue(int(vd_text))
+                    vd = TruthValue(parse_int(vd_text))
                 except ValueError:
                     vd = None
                 vds[vd_text] = vd
-            cf_text = _field(parts[3], "cf", no)
+            cf_text = _field(parts[3], "cf", error, no)
             if cf_text in cfs:
                 cf = cfs[cf_text]
             else:
@@ -625,8 +619,8 @@ def load_kb(text: str) -> Lattice:
                 if not 0 <= cf.numerator <= cf.denominator:
                     cf = None
                 cfs[cf_text] = cf
-            tv_text = _field(parts[4], "tv", no)
-            w_text = _field(parts[5], "w", no)
+            tv_text = _field(parts[4], "tv", error, no)
+            w_text = _field(parts[5], "w", error, no)
             if tv_text not in triples:
                 comps = tv_text.split("/")
                 if len(comps) != 3:
@@ -641,8 +635,8 @@ def load_kb(text: str) -> Lattice:
                     if pair is None:
                         ref, _, val = item.partition(":")
                         try:
-                            fid, w = _fact_token(ref, no), parse_rational(val)
-                        except (errors.SyntaxError, ValueError, ZeroDivisionError):
+                            fid, w = _fact_ref(ref, error, no), parse_rational(val)
+                        except (error, ValueError, ZeroDivisionError):
                             _corrupt("bad weight %r" % (item,), no)
                         if not 0 < w.numerator <= w.denominator:
                             w = None
@@ -659,7 +653,6 @@ def load_kb(text: str) -> Lattice:
             if not checked:
                 _corrupt("bad decision values", no)
             decisions[disease] = DecisionEntry._checked(disease, vd, cf, tv, weights)
-            declared.add(disease)
         else:
             _corrupt("unexpected %r line in node section" % parts[0], no)
         pos += 1
@@ -667,11 +660,9 @@ def load_kb(text: str) -> Lattice:
 
     if seen != set(nodes):
         _corrupt("file lists %d of %d nodes" % (len(seen), len(nodes)))
-    declared.update(d for _, d in scoped)
-    declared.update(d for d, _ in global_priorities)
     priorities = PriorityConfig(global_priorities, scoped)
-    return Lattice(facts, nodes, levels, alpha=alpha, priorities=priorities,
-                   round2=round2, declared=declared)
+    return Lattice(facts.values(), nodes, levels, alpha=alpha, priorities=priorities,
+                   round2=round2)
 
 
 # --- rule export ------------------------------------------------------------
@@ -807,13 +798,17 @@ def _number_arg(token: str, what: str) -> Fraction:
         raise errors.OutOfRange("bad %s %r" % (what, token))
 
 
+def _int_arg(token: str, what: str) -> int:
+    try:
+        return parse_int(token)
+    except ValueError:
+        raise errors.OutOfRange("bad %s %r" % (what, token))
+
+
 def _parse_cli_decision(spec: Sequence[str]) -> DecisionEntry:
     disease, vd, cf = spec
-    try:
-        vd = int(vd)
-    except ValueError:
-        raise errors.OutOfRange("bad decision %r" % (" ".join(spec),))
-    return DecisionEntry(disease, vd, _number_arg(cf, "credibility"))
+    return DecisionEntry(disease, _int_arg(vd, "truth value"),
+                         _number_arg(cf, "credibility"))
 
 
 def _cmd_insert_fact(args) -> int:
@@ -827,11 +822,13 @@ def _cmd_insert_fact(args) -> int:
 
 def _fact_id_arg(token: str) -> int:
     match = _FACT_RE.match(token)
-    if match:
-        return int(match.group(1))
-    if token.isdigit() and int(token) > 0:
-        return int(token)
-    raise errors.UnknownFact("bad fact reference %r" % (token,))
+    try:
+        fid = int(match.group(1)) if match else parse_int(token)
+    except ValueError:
+        fid = 0
+    if fid < 1:
+        raise errors.UnknownFact("bad fact reference %r" % (token,))
+    return fid
 
 
 def _cmd_delete_fact(args) -> int:
@@ -849,13 +846,14 @@ def _cmd_set_decision(args) -> int:
         if args.vd is None or args.cf is None:
             raise errors.OutOfRange(
                 "set-decision needs --vd and --cf unless --drop is given")
+        vd = _int_arg(args.vd, "truth value")
         cf = _number_arg(args.cf, "credibility")
         # re-asserting the stored vd and cf keeps the stored truth triple,
         # so the edit changes nothing
         stored = kb.node(args.label).decisions.get(args.disease)
-        tv = (stored.tv if stored is not None and (stored.vd, stored.cf) == (args.vd, cf)
+        tv = (stored.tv if stored is not None and (stored.vd, stored.cf) == (vd, cf)
               else None)
-        change = SetDecision(args.disease, args.vd, cf, tv=tv)
+        change = SetDecision(args.disease, vd, cf, tv=tv)
     edited = modify_node(kb, args.label, change,
                          observer=_PrintingObserver(sys.stdout))
     if edited is not kb:
@@ -934,7 +932,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kb")
     p.add_argument("--label", required=True)
     p.add_argument("--disease", required=True)
-    p.add_argument("--vd", type=int)
+    p.add_argument("--vd")
     p.add_argument("--cf")
     p.add_argument("--drop", action="store_true",
                    help="remove the decision instead of setting it")

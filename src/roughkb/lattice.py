@@ -150,18 +150,17 @@ class LatticeNode:
 class Lattice:
     """Order-n knowledge base: all 2**n nodes plus derivation settings.
 
-    The settings (gate, priorities, rounding mode, declared diseases)
-    travel with the lattice so that structural edits can re-derive
-    affected decisions the same way the original propagation did.
-    Equality is structural -- facts, nodes, settings -- and ignores the
-    declared-disease registry, which is bookkeeping rather than content.
+    The settings (gate, priorities, rounding mode) travel with the
+    lattice so that structural edits can re-derive affected decisions
+    the same way the original propagation did.  A lattice holds only
+    what its file holds: its diseases are the ones its decisions and
+    priorities name.  Equality is structural -- facts, nodes, settings.
     """
 
-    __slots__ = ("n", "facts", "levels", "nodes", "alpha", "priorities",
-                 "round2", "declared")
+    __slots__ = ("n", "facts", "levels", "nodes", "alpha", "priorities", "round2")
 
     def __init__(self, facts, nodes, levels, alpha=ZERO, priorities=None,
-                 round2=False, declared=frozenset()):
+                 round2=False):
         self.facts = tuple(facts)
         self.n = len(self.facts)
         self.nodes = dict(nodes)
@@ -169,7 +168,6 @@ class Lattice:
         self.alpha = frac(alpha)
         self.priorities = priorities if priorities is not None else PriorityConfig()
         self.round2 = bool(round2)
-        self.declared = frozenset(declared)
 
     @property
     def head(self) -> Head:
@@ -188,14 +186,15 @@ class Lattice:
         raise errors.UnknownFact("no fact with id %d" % fid)
 
     def diseases(self) -> Tuple[str, ...]:
-        seen = set(self.declared)
+        """Every disease a decision or a priority names, sorted."""
+        seen = {disease for disease, _ in self.priorities.global_priorities}
+        seen.update(disease for _, disease in self.priorities.scoped)
         for node in self.nodes.values():
             seen.update(node.decisions)
         return tuple(sorted(seen))
 
     def with_updates(self, updates: Mapping[str, Mapping[str, DecisionEntry]],
-                     alpha=_UNSET, priorities=_UNSET, round2=_UNSET,
-                     declare=()) -> "Lattice":
+                     alpha=_UNSET, priorities=_UNSET, round2=_UNSET) -> "Lattice":
         """Copy with some nodes' decision maps replaced and settings adjusted."""
         nodes = {label: (node.replace_decisions(updates[label])
                          if label in updates else node)
@@ -204,8 +203,7 @@ class Lattice:
             self.facts, nodes, self.levels,
             alpha=self.alpha if alpha is _UNSET else alpha,
             priorities=self.priorities if priorities is _UNSET else priorities,
-            round2=self.round2 if round2 is _UNSET else round2,
-            declared=self.declared | frozenset(declare))
+            round2=self.round2 if round2 is _UNSET else round2)
 
     def __eq__(self, other):
         return (isinstance(other, Lattice)
@@ -294,7 +292,6 @@ def build_kb(facts: Sequence[Fact],
             "order %d exceeds the cap of %d (2**%d nodes)" % (n, order_cap, n))
 
     levels, nodes = _build_structure(n)
-    declared = set()
     for fid, entries in atomic_decisions.items():
         if not 1 <= int(fid) <= n:
             raise errors.UnknownFact("atomic decisions for unknown fact %r" % (fid,))
@@ -306,9 +303,8 @@ def build_kb(facts: Sequence[Fact],
                 raise errors.OutOfRange(
                     "fact %d carries two decisions for %r" % (fid, entry.disease))
             decisions[entry.disease] = entry
-            declared.add(entry.disease)
         nodes[label] = nodes[label].replace_decisions(decisions)
-    return Lattice(facts, nodes, levels, declared=declared)
+    return Lattice(facts, nodes, levels)
 
 
 def check_structure(kb: Lattice) -> List[str]:
@@ -363,7 +359,6 @@ def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry],
         grown = "0" + label
         nodes[grown] = nodes[grown].replace_decisions(node.decisions)
 
-    declared = set(kb.declared)
     new_atomic_label = "1" + "0" * kb.n
     decisions = {}
     for entry in atomic:
@@ -372,12 +367,10 @@ def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry],
             raise errors.OutOfRange(
                 "fact %d carries two decisions for %r" % (n2, entry.disease))
         decisions[entry.disease] = entry
-        declared.add(entry.disease)
     nodes[new_atomic_label] = nodes[new_atomic_label].replace_decisions(decisions)
 
     grown = Lattice(kb.facts + (fact,), nodes, levels, alpha=kb.alpha,
-                    priorities=kb.priorities, round2=kb.round2,
-                    declared=declared)
+                    priorities=kb.priorities, round2=kb.round2)
     cone = sorted(_cone_labels(new_atomic_label), key=level_of)
     return grown.with_updates(_repropagate(grown.nodes, cone, kb.priorities,
                                            kb.alpha, kb.round2))
@@ -418,7 +411,7 @@ def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
         nodes[squeezed] = nodes[squeezed].replace_decisions(decisions)
     return Lattice(facts, nodes, levels, alpha=kb.alpha,
                    priorities=kb.priorities.without_fact(fact_id),
-                   round2=kb.round2, declared=kb.declared)
+                   round2=kb.round2)
 
 
 # --- node modification ------------------------------------------------------
@@ -484,8 +477,7 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
         facts = tuple(new if fact.id == fid else fact for fact in kb.facts)
         _check_facts(facts)
         return Lattice(facts, kb.nodes, kb.levels, alpha=kb.alpha,
-                       priorities=kb.priorities, round2=kb.round2,
-                       declared=kb.declared)
+                       priorities=kb.priorities, round2=kb.round2)
 
     if node.level == 0:
         raise errors.OutOfRange("the entry node carries no decisions")
@@ -497,13 +489,11 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
             weights = kb.priorities.weights_for(node.condition, change.disease)
         decisions[change.disease] = DecisionEntry(
             change.disease, change.vd, change.cf, tv=change.tv, weights=weights)
-        declared = kb.declared | {change.disease}
     elif isinstance(change, DropDecision):
         if change.disease not in decisions:
             raise errors.NotPresent(
                 "node %s carries no decision for %r" % (label, change.disease))
         del decisions[change.disease]
-        declared = kb.declared
     else:
         raise errors.OutOfRange("unsupported change %r" % (change,))
     if decisions == node.decisions:
@@ -518,7 +508,7 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
 
     if observer is not None:
         _report_diff(kb, updates, observer)
-    return kb.with_updates(updates, declare=declared)
+    return kb.with_updates(updates)
 
 
 def _report_diff(kb: Lattice, updates, observer):

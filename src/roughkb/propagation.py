@@ -564,5 +564,4 @@ def propagate(kb, priorities: Optional[PriorityConfig] = None,
     external = {frozenset(k): dict(v) for k, v in (external or {}).items()}
     labels = [label for level_labels in kb.levels[2:] for label in level_labels]
     updates = derive(kb.nodes, labels, priorities, gate, round2, external)
-    return kb.with_updates(updates, alpha=gate, priorities=priorities,
-                           round2=round2, declare=set().union(*external.values()))
+    return kb.with_updates(updates, alpha=gate, priorities=priorities, round2=round2)

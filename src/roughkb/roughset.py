@@ -96,7 +96,7 @@ def approximations(kb, disease: str) -> ApproximationSets:
     """Lower/upper/boundary regions of both concepts of a disease.
 
     Raises:
-        UnknownDisease: the disease is neither declared nor present.
+        UnknownDisease: no decision or priority names the disease.
     """
     if disease not in kb.diseases():
         raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
@@ -110,7 +110,7 @@ def concepts(kb, disease: str) -> ConceptPair:
     regions.
 
     Raises:
-        UnknownDisease: the disease is neither declared nor present.
+        UnknownDisease: no decision or priority names the disease.
     """
     sets = approximations(kb, disease)
     return ConceptPair(disease, sets.upper1, sets.upper2)

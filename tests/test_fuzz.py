@@ -37,7 +37,8 @@ TOKENS = st.one_of(
                      "f0", "f1", "f4", "f99", "f1+f1", "f1+f9", "f1:1", "f1:0",
                      "f1:2", "f1:1/2,f1:1/2", "vd=1", "=", ":", ",", "/", "+",
                      '"', "'", "#", "node", "decision", "priority", "fact",
-                     "order", "alpha", "evidence", "grading", "module"]),
+                     "order", "alpha", "evidence", "grading", "module",
+                     "1_0", "\u0662", "f1\u0662", "C#J"]),
     st.text(alphabet="0123456789-+./:,=fexvdcwt#\"' ", max_size=8),
 )
 

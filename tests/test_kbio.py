@@ -20,6 +20,7 @@ from roughkb import errors, kbio, lattice
 from roughkb._num import parse_rational, render
 from roughkb.evidence import TruthValue
 from roughkb.propagation import DecisionEntry, PriorityConfig
+from roughkb.roughset import approximations
 
 F = Fraction
 
@@ -417,6 +418,33 @@ def test_load_rejects_foreign_weights(kb_round2):
         kbio.load_kb(bad)
 
 
+def _outcome(kb, disease):
+    try:
+        return approximations(kb, disease)
+    except errors.UnknownDisease:
+        return "unknown"
+
+
+@pytest.mark.parametrize("round2", [False, True])
+def test_a_save_and_load_keeps_the_diseases(fixture_doc, round2):
+    # edits after which some disease is named by no decision
+    kb = kbio.build_from_document(fixture_doc, round2=round2)
+    edited = [lattice.delete_fact(kb, fact.id) for fact in kb.facts]
+    for disease in kb.diseases():
+        out = kb
+        for label in kb.levels[1]:
+            if disease in out.node(label).decisions:
+                out = lattice.modify_node(out, label, lattice.DropDecision(disease))
+        edited.append(out)
+    for out in edited:
+        again = kbio.load_kb(kbio.serialize_kb(out))
+        assert again.diseases() == out.diseases()
+        for disease in kb.diseases():
+            assert _outcome(again, disease) == _outcome(out, disease)
+    assert "MPS" not in edited[0].diseases()
+    assert _outcome(edited[-1], "SIJ") == "unknown"
+
+
 def _weighted_kb(n, round2):
     """A seeded KB whose weights vary by node and disease: a global
     priority for every (disease, fact), and scoped ones on two fact sets."""
@@ -737,6 +765,77 @@ def test_cli_edits_refuse_a_disease_name_the_file_cannot_hold(kb_file, capsys, c
     with open(kb_file, encoding="utf-8") as stream:
         assert stream.read() == before
     assert kbio.cli(["check", kb_file]) == 0
+
+
+# --- the grammar both text formats share --------------------------------------
+
+TWELVE_FACTS = "module a\ngrading q=3\n" + "".join(
+    "fact f%d a%d yes\n" % (f, f) for f in range(1, 13))
+
+# Integers are ASCII digits with an optional sign, and names are
+# [A-Za-z0-9_.-]+, in both formats and on the command line: int() alone
+# would read 1_0 as 10 and a non-ASCII digit as its value.
+P = pytest.param
+REFUSALS = [
+    # evidence documents: (text, line refused)
+    P("evidence", BASE + "evidence f1 ANK m=1 level=1 count=1_0\n", 5, id="count=1_0"),
+    P("evidence", BASE + "evidence f1 ANK m=1 level=\u0661 count=1\n", 5,
+      id="level=arabic-1"),
+    P("evidence", "module a\ngrading q=\u0663\n", 2, id="q=arabic-3"),
+    P("evidence", TWELVE_FACTS + "evidence f1\u0662 ANK m=1 level=1 count=1\n", 15,
+      id="f1-arabic-2"),
+    P("evidence", BASE + "priority ANK f1 2_0\n", 5, id="priority-2_0"),
+    P("evidence", BASE + "priority ANK f1 \u0662\n", 5, id="priority-arabic-2"),
+    # KB files: (text in the round2 fixture file, its replacement)
+    P("kb", ("order 3", "order \u0663"), None, id="order-arabic-3"),
+    P("kb", ("roughkb-kb 1", "roughkb-kb \u0661"), None, id="version-arabic-1"),
+    P("kb", (" vd=1 ", " vd=\u0661 "), None, id="vd=arabic-1"),
+    P("kb", (" vd=1 ", " vd=0_1 "), None, id="vd=0_1"),
+    P("kb", ("node 000", "priority a#b f1 2\nnode 000"), None, id="priority-a#b"),
+    P("kb", ("decision CFJ", "decision C#J"), None, id="decision-C#J"),
+    P("kb", ('fact f2 "increased LBP at forward bending"', 'fact f2 "LBP without leg pain"'),
+      None, id="repeated-fact"),
+    # command lines on the round2 fixture file: (arguments, error message)
+    P("cli", ["set-decision", "--label", "001", "--disease", "PIVD", "--vd", "1_0",
+              "--cf", "0.5"], "bad truth value '1_0'", id="--vd-1_0"),
+    P("cli", ["delete-fact", "--fact", "\u0663"], "bad fact reference '\u0663'",
+      id="--fact-arabic-3"),
+]
+
+
+@pytest.mark.parametrize("kind,case,where", REFUSALS)
+def test_files_and_the_cli_refuse_what_the_shared_grammar_refuses(
+        kb_round2, tmp_path, capsys, kind, case, where):
+    if kind == "evidence":
+        with pytest.raises(errors.SyntaxError) as info:
+            kbio.parse_evidence(case)
+        assert info.value.line == where
+    elif kind == "kb":
+        old, new = case
+        text = kbio.serialize_kb(kb_round2)
+        assert old in text
+        bad = text.replace(old, new, 1)
+        with pytest.raises(errors.CorruptRecord) as info:
+            kbio.load_kb(bad)
+        assert info.value.line == _line_of(bad, new.splitlines()[0])
+    else:
+        path = tmp_path / "fixture.kb"
+        text = kbio.serialize_kb(kb_round2)
+        path.write_text(text, encoding="utf-8")
+        assert kbio.cli(case[:1] + [str(path)] + case[1:]) == 1
+        assert capsys.readouterr() == ("", "error: %s\n" % where)
+        assert path.read_text(encoding="utf-8") == text
+
+
+def test_signed_and_padded_priorities_are_read_alike(kb_round2):
+    doc = kbio.parse_evidence(BASE + "priority ANK f1 2\npriority BUR f1+f2 f1=2 f2=1\n")
+    assert kbio.parse_evidence(
+        BASE + "priority ANK f1 +2\npriority BUR f1+f2 f1=02 f2=+1\n") == doc
+    text = kbio.serialize_kb(kb_round2)
+    assert "priority CFJ f1+f2 f1=2 f2=1\n" in text
+    signed = text.replace("priority CFJ f1+f2 f1=2 f2=1\n",
+                          "priority CFJ f1+f2 f1=+2 f2=01\n", 1)
+    assert kbio.load_kb(signed) == kb_round2
 
 
 def test_every_export_resolves():

@@ -378,7 +378,7 @@ def test_new_atomic_decision_reports_additions():
     out = modify_node(kb, "01", SetDecision("BUR", 2, F(1, 5)), observer=rec)
     assert out.node("01").decisions["BUR"].vd == 2
     assert ("added", "BUR", [("01", 2), ("11", 2)]) in rec.events
-    assert out.declared >= {"ANK", "BUR"}
+    assert set(out.diseases()) >= {"ANK", "BUR"}
 
 
 def test_condition_edit_renames_in_place():
