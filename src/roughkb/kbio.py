@@ -39,7 +39,7 @@ from . import errors
 from ._num import ONE, ZERO, frac, parse_int, parse_rational, publish2, render
 from .evidence import (GRADING_CAP, EvidenceProfile, SourceGrading, TruthTriple,
                        TruthValue, presence_matrix, resolve_decision, truth_triple)
-from .lattice import (DEFAULT_ORDER_CAP, DropDecision, Fact, Lattice,
+from .lattice import (DEFAULT_ORDER_CAP, DropDecision, Fact, Lattice, LatticeNode,
                       SetDecision, _build_structure, build_kb, check_structure,
                       delete_fact, insert_fact, modify_node)
 from .minimizer import generate_rules
@@ -50,6 +50,8 @@ FORMAT_NAME = "roughkb-kb"
 FORMAT_VERSION = 1
 
 _FACT_RE = re.compile(r"f([1-9][0-9]*)\Z")
+# The characters str.splitlines() breaks a line at ("\r\n" is one break).
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 # --- readers of what both text formats share ---------------------------------
@@ -307,10 +309,12 @@ def parse_evidence(text: str) -> EvidenceDocument:
 
 
 def _quoted(text: str) -> str:
-    if '"' in text or "\n" in text:
-        raise errors.OutOfRange("cannot render text containing quotes: %r"
-                                % (text,))
-    return '"%s"' % text
+    """``text`` in double quotes, each backslash doubled, as ``shlex``
+    reads it back."""
+    if '"' in text or any(c in text for c in _BREAKS):
+        raise errors.OutOfRange("cannot render text containing quotes or line"
+                                " breaks: %r" % (text,))
+    return '"%s"' % text.replace("\\", "\\\\")
 
 
 def _fact_lines(facts: Sequence[Fact]) -> List[str]:
@@ -408,13 +412,15 @@ def serialize_kb(kb: Lattice) -> str:
     Credibilities and truth components render as decimals at the mode's
     precision; the gate and the per-fact weights stay exact rationals.
     Each distinct number, truth triple and weight item is rendered once
-    per call, keyed by integer ratios (hashing a Fraction costs more
-    than rendering it).
+    per call.  Numbers and triples are keyed by integer ratios (hashing
+    a Fraction costs more than rendering it), and weight items by the
+    fact and the identity of the weight object, which the lattice keeps
+    alive for the whole call, so no Fraction method runs for a repeat.
     """
     places = _decimals(kb.round2)
     numbers: Dict[Tuple[int, int], str] = {}
     triples: Dict[tuple, str] = {}
-    items: Dict[Tuple[int, Tuple[int, int]], str] = {}
+    items: Dict[Tuple[int, int], str] = {}
 
     def number(x) -> str:
         key = x.as_integer_ratio()
@@ -426,10 +432,11 @@ def serialize_kb(kb: Lattice) -> str:
     def triple(tv) -> str:
         if tv is None:
             return "-"
-        key = tuple(c.as_integer_ratio() for c in tv)
+        tv1, tv2, tv3 = tv
+        key = (tv1.as_integer_ratio(), tv2.as_integer_ratio(), tv3.as_integer_ratio())
         text = triples.get(key)
         if text is None:
-            text = triples[key] = "/".join(number(c) for c in tv)
+            text = triples[key] = "%s/%s/%s" % (number(tv1), number(tv2), number(tv3))
         return text
 
     def weights(ws) -> str:
@@ -437,10 +444,11 @@ def serialize_kb(kb: Lattice) -> str:
             return "-"
         parts = []
         for f in sorted(ws):
-            key = (f, ws[f].as_integer_ratio())
+            w = ws[f]
+            key = (f, id(w))
             text = items.get(key)
             if text is None:
-                text = items[key] = "f%d:%s" % (f, ws[f])
+                text = items[key] = "f%d:%s" % (f, w)
             parts.append(text)
         return ",".join(parts)
 
@@ -466,6 +474,44 @@ def _corrupt(message: str, line_no: Optional[int] = None):
     raise errors.CorruptRecord(message, line_no)
 
 
+# The patterns below read a text whose only line break is "\n"; every
+# other whitespace character separates tokens, as str.split() does.
+_LINE_RE = re.compile(r"([^\n]*)\n?")
+# One line of the node section from its first token: a node label, the
+# five fields of a decision, or in the last group any other line.  The
+# match runs on over the line break, blank lines and the next line's
+# indentation, so the matches of a section follow each other.
+_NODE_SECTION_RE = re.compile(
+    r"(?:node{s}+(\S+)"
+    r"|decision{s}+(\S+){s}+vd=(\S*){s}+cf=(\S*){s}+tv=(\S*){s}+w=(\S*)"
+    r"|(\S[^\n]*)){s}*(?:\n\s*|\Z)".format(s=r"[^\S\n]"))
+
+
+def _lines(text: str):
+    """Number, offset and right-stripped text of each non-blank line of a
+    text whose only line breaks are newlines."""
+    for no, match in enumerate(_LINE_RE.finditer(text), 1):
+        line = match.group(1).rstrip()
+        if line:
+            yield no, match.start(), line
+
+
+class _Converted(dict):
+    """Token text to its value, each distinct token converted once.  A
+    token the converter refuses raises ValueError or ZeroDivisionError
+    and is not kept."""
+
+    __slots__ = ("convert",)
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, token):
+        value = self[token] = self.convert(token)
+        return value
+
+
 def load_kb(text: str) -> Lattice:
     """Parse a serialized knowledge base.
 
@@ -478,25 +524,25 @@ def load_kb(text: str) -> Lattice:
             is built.
         CorruptRecord: anything else wrong, with the offending line.
     """
-    lines = [(no, line.rstrip()) for no, line in
-             enumerate(text.splitlines(), 1) if line.strip()]
-    pos = 0
+    if any(c in text for c in _BREAKS[1:]):
+        # each line break made "\n", so every line keeps its number
+        text = "\n".join(text.splitlines())
+    lines = _lines(text)
+    end = (None, len(text), "")
     error = errors.CorruptRecord
 
     def take(expected: str) -> Tuple[int, List[str]]:
-        nonlocal pos
-        if pos >= len(lines):
+        no, _, line = next(lines, end)
+        if no is None:
             _corrupt("unexpected end of file, wanted %r" % expected)
-        no, line = lines[pos]
         parts = line.split()
         if parts[0] != expected:
             _corrupt("expected %r line, got %r" % (expected, parts[0]), no)
-        pos += 1
         return no, parts
 
-    if not lines:
+    no, _, first = next(lines, end)
+    if no is None:
         _corrupt("empty file")
-    no, first = lines[0]
     parts = first.split()
     if parts[0] != FORMAT_NAME:
         _corrupt("not a %s file" % FORMAT_NAME, no)
@@ -505,7 +551,6 @@ def load_kb(text: str) -> Lattice:
     if _integer(parts[1], "version", error, no) != FORMAT_VERSION:
         raise errors.VersionMismatch(
             "file version %s, supported version %d" % (parts[1], FORMAT_VERSION))
-    pos = 1
 
     no, parts = take("mode")
     if len(parts) != 2 or parts[1] not in ("exact", "round2"):
@@ -531,7 +576,7 @@ def load_kb(text: str) -> Lattice:
     facts: Dict[int, Fact] = {}
     pairs = set()
     for fid in range(1, n + 1):
-        no, line = lines[pos] if pos < len(lines) else (None, "")
+        no, _, line = next(lines, end)
         if not line.startswith("fact "):
             _corrupt("expected %d fact lines" % n, no)
         try:
@@ -540,7 +585,6 @@ def load_kb(text: str) -> Lattice:
             _corrupt(str(exc), no)
         if _fact_line(tokens, facts, pairs, error, no).id != fid:
             _corrupt("expected fact f%d declaration" % fid, no)
-        pos += 1
 
     def in_order(fid: int, line_no: int) -> int:
         if fid > n:
@@ -549,120 +593,145 @@ def load_kb(text: str) -> Lattice:
 
     global_priorities = {}
     scoped = {}
-    while pos < len(lines) and lines[pos][1].startswith("priority "):
-        no, line = lines[pos]
+    no, start, line = next(lines, end)
+    while line.startswith("priority "):
         _priority_line(line.split(), in_order, global_priorities, scoped, error, no)
-        pos += 1
+        no, start, line = next(lines, end)
 
+    # The node section, from line ``no`` on, is read in one pass of
+    # _NODE_SECTION_RE over the text: each match is a node label or the
+    # five fields of a decision, and no line is split.  Each distinct token
+    # is converted and checked once per load, and every entry still gets
+    # its own weights dict.  A line number is worked out only for a
+    # refused line, which goes through every check of a node-section line
+    # in order, so the message is the one a line-by-line reader would give.
     levels, nodes = _build_structure(n)
-    seen = set()
-    current: Optional[str] = None
-    condition: FrozenSet[int] = frozenset()
-    decisions: Dict[str, DecisionEntry] = {}
-    # Each distinct token is converted and checked once per load.  A bad
-    # disease name is refused at once.  The value tables hold only
-    # immutable values, and a value that fails its check is held as None
-    # and refused at each line that uses it, after that line's own checks.
-    # Every entry still gets its own weights dict.
-    names = set()
-    numbers: Dict[str, Fraction] = {}
-    triples: Dict[str, Optional[TruthTriple]] = {"-": None}
-    vds: Dict[str, Optional[TruthValue]] = {}
-    cfs: Dict[str, Optional[Fraction]] = {}
-    weight_items: Dict[str, Tuple[int, Optional[Fraction]]] = {}
-
-    def number(token: str, no: int) -> Fraction:
-        value = numbers.get(token)
-        if value is None:
-            value = numbers[token] = _rational(token, "number", error, no)
-        return value
-
-    def flush():
-        if current is not None:
-            nodes[current] = nodes[current].replace_decisions(decisions)
-
-    while pos < len(lines):
-        no, line = lines[pos]
-        parts = line.split()
-        if parts[0] == "node":
-            flush()
-            if len(parts) != 2 or parts[1] not in nodes:
-                _corrupt("unknown node label", no)
-            if parts[1] in seen:
-                _corrupt("node %s listed twice" % parts[1], no)
-            seen.add(parts[1])
-            current = parts[1]
-            condition = nodes[current].condition
-            decisions = {}
-        elif parts[0] == "decision":
-            if current is None:
-                _corrupt("decision before any node", no)
-            if len(parts) != 6:
-                _corrupt("bad decision line", no)
-            disease = parts[1]
-            if disease not in names:
-                names.add(_name(disease, "disease", error, no))
-            vd_text = _field(parts[2], "vd", error, no)
-            if vd_text in vds:
-                vd = vds[vd_text]
-            else:
-                try:
-                    vd = TruthValue(parse_int(vd_text))
-                except ValueError:
-                    vd = None
-                vds[vd_text] = vd
-            cf_text = _field(parts[3], "cf", error, no)
-            if cf_text in cfs:
-                cf = cfs[cf_text]
-            else:
-                cf = number(cf_text, no)
-                if not 0 <= cf.numerator <= cf.denominator:
-                    cf = None
-                cfs[cf_text] = cf
-            tv_text = _field(parts[4], "tv", error, no)
-            w_text = _field(parts[5], "w", error, no)
-            if tv_text not in triples:
-                comps = tv_text.split("/")
-                if len(comps) != 3:
-                    _corrupt("truth triple needs three components", no)
-                triples[tv_text] = TruthTriple(*(number(c, no) for c in comps))
-            tv = triples[tv_text]
-            weights = {}
-            checked = vd is not None and cf is not None
-            if w_text != "-":
-                for item in w_text.split(","):
-                    pair = weight_items.get(item)
-                    if pair is None:
-                        ref, _, val = item.partition(":")
-                        try:
-                            fid, w = _fact_ref(ref, error, no), parse_rational(val)
-                        except (error, ValueError, ZeroDivisionError):
-                            _corrupt("bad weight %r" % (item,), no)
-                        if not 0 < w.numerator <= w.denominator:
-                            w = None
-                        pair = weight_items[item] = (fid, w)
-                    fid, w = pair
-                    if fid in weights:
-                        _corrupt("weights name f%d twice" % fid, no)
-                    weights[fid] = w
-                    checked = checked and w is not None
-            if disease in decisions:
-                _corrupt("node %s decides %r twice" % (current, disease), no)
-            if not weights.keys() <= condition:
-                _corrupt("weights reference facts outside the condition", no)
-            if not checked:
-                _corrupt("bad decision values", no)
-            decisions[disease] = DecisionEntry._checked(disease, vd, cf, tv, weights)
-        else:
-            _corrupt("unexpected %r line in node section" % parts[0], no)
-        pos += 1
-    flush()
-
-    if seen != set(nodes):
-        _corrupt("file lists %d of %d nodes" % (len(seen), len(nodes)))
+    _read_nodes(text, start, no, nodes)
     priorities = PriorityConfig(global_priorities, scoped)
     return Lattice(facts.values(), nodes, levels, alpha=alpha, priorities=priorities,
                    round2=round2)
+
+
+def _read_nodes(text: str, start: int, first_no: Optional[int],
+                nodes: Dict[str, LatticeNode]) -> None:
+    """Read the node section, the text from offset ``start`` (line
+    ``first_no``) on, into the decisions of the fresh ``nodes``.
+
+    The token tables hold only valid values: a converter raises for any
+    other token, and the first line a converter or a check refuses goes
+    to ``_refuse_node_line``.
+    """
+    numbers = _Converted(parse_rational)
+
+    def credibility(token: str) -> Fraction:
+        cf = numbers[token]
+        if not 0 <= cf.numerator <= cf.denominator:
+            raise ValueError(token)
+        return cf
+
+    def truth(token: str) -> Optional[TruthTriple]:
+        if token == "-":
+            return None
+        tv1, tv2, tv3 = token.split("/")
+        return tuple.__new__(TruthTriple, (numbers[tv1], numbers[tv2], numbers[tv3]))
+
+    def weight_item(token: str) -> Tuple[int, Fraction]:
+        ref, _, value = token.partition(":")
+        w = numbers[value]
+        if not _FACT_RE.match(ref) or not 0 < w.numerator <= w.denominator:
+            raise ValueError(token)
+        return int(ref[1:]), w
+
+    vds = _Converted(lambda token: TruthValue(parse_int(token)))
+    cfs = _Converted(credibility)
+    triples = _Converted(truth)
+    item = _Converted(weight_item).__getitem__
+    checked = DecisionEntry._checked
+    names = set()
+    seen = set()
+    current = decisions = condition = None
+    try:
+        for match in _NODE_SECTION_RE.finditer(text, start):
+            label, disease, vd, cf, tv, w, _ = match.groups()
+            if disease:
+                if current is None or disease in decisions:
+                    break
+                if disease not in names:
+                    if not _NAME_RE.match(disease):
+                        break
+                    names.add(disease)
+                if w == "-":
+                    weights = {}
+                else:
+                    weights = dict(map(item, w.split(",")))
+                    if len(weights) <= w.count(",") or not weights.keys() <= condition:
+                        break
+                decisions[disease] = checked(disease, vds[vd], cfs[cf], triples[tv],
+                                             weights)
+            elif label:
+                node = nodes.get(label)
+                if node is None or label in seen:
+                    break
+                seen.add(label)
+                current, condition, decisions = label, node.condition, node.decisions
+            else:
+                break
+        else:
+            match = None
+    except (ValueError, ZeroDivisionError):
+        pass        # a table refused one of the line's tokens
+    if match is not None:
+        _refuse_node_line(text, start, first_no, match, nodes, current, decisions)
+    if len(seen) != len(nodes):
+        _corrupt("file lists %d of %d nodes" % (len(seen), len(nodes)))
+
+
+def _refuse_node_line(text: str, start: int, first_no: int, match,
+                      nodes: Dict[str, LatticeNode], current: Optional[str],
+                      decisions) -> None:
+    """Raise the CorruptRecord for ``match``, a line of the node section
+    the section reader refused: the line's checks run in order, as at
+    every line, and the first that fails is reported at its number."""
+    no = first_no + text.count("\n", start, match.start())
+    parts = match.group().split()
+    error = errors.CorruptRecord
+    if parts[0] == "node":
+        if len(parts) != 2 or parts[1] not in nodes:
+            _corrupt("unknown node label", no)
+        _corrupt("node %s listed twice" % parts[1], no)
+    if parts[0] != "decision":
+        _corrupt("unexpected %r line in node section" % parts[0], no)
+    if current is None:
+        _corrupt("decision before any node", no)
+    if len(parts) != 6:
+        _corrupt("bad decision line", no)
+    disease = _name(parts[1], "disease", error, no)
+    _field(parts[2], "vd", error, no)
+    _rational(_field(parts[3], "cf", error, no), "number", error, no)
+    tv = _field(parts[4], "tv", error, no)
+    w = _field(parts[5], "w", error, no)
+    if tv != "-":
+        comps = tv.split("/")
+        if len(comps) != 3:
+            _corrupt("truth triple needs three components", no)
+        for comp in comps:
+            _rational(comp, "number", error, no)
+    fids = set()
+    for item in w.split(",") if w != "-" else ():
+        ref, _, value = item.partition(":")
+        try:
+            fid, _ = _fact_ref(ref, error, no), parse_rational(value)
+        except (error, ValueError, ZeroDivisionError):
+            _corrupt("bad weight %r" % (item,), no)
+        if fid in fids:
+            _corrupt("weights name f%d twice" % fid, no)
+        fids.add(fid)
+    if disease in decisions:
+        _corrupt("node %s decides %r twice" % (current, disease), no)
+    if not fids <= nodes[current].condition:
+        _corrupt("weights reference facts outside the condition", no)
+    # every other check passed, so a value is out of range
+    _corrupt("bad decision values", no)
 
 
 # --- rule export ------------------------------------------------------------

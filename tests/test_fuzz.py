@@ -1,9 +1,10 @@
 """Mutated knowledge-base files and evidence documents fail typed.
 
 Each example takes one well-formed input and makes one mutation: a
-token or a ``key=`` value replaced, a line deleted, duplicated or
-truncated.  The result must load (KB files) or parse (evidence
-documents), or raise a ``KbError``.  Any other exception fails the test.
+token or a ``key=`` value replaced, a line's tokens re-joined with a
+whitespace run, a line deleted, duplicated or truncated.  The result
+must load (KB files) or parse (evidence documents), or raise a
+``KbError``.  Any other exception fails the test.
 """
 
 import functools
@@ -38,9 +39,12 @@ TOKENS = st.one_of(
                      "f1:2", "f1:1/2,f1:1/2", "vd=1", "=", ":", ",", "/", "+",
                      '"', "'", "#", "node", "decision", "priority", "fact",
                      "order", "alpha", "evidence", "grading", "module",
-                     "1_0", "\u0662", "f1\u0662", "C#J"]),
+                     "1_0", "\u0662", "f1\u0662", "C#J",
+                     "\t", "  ", "\r", "\x0b", "\x1c", "\xa0", "\u2028"]),
     st.text(alphabet="0123456789-+./:,=fexvdcwt#\"' ", max_size=8),
 )
+# Runs of what str.split() splits at, line breaks of str.splitlines() among them.
+SPACES = st.text(alphabet=" \t\r\n\x0b\x1c\x1f\xa0\u2003\u2028", min_size=1, max_size=3)
 
 
 @st.composite
@@ -50,7 +54,7 @@ def mutations(draw, text):
     line = lines[i]
     tokens = line.split(" ")
     keyed = [j for j, token in enumerate(tokens) if "=" in token]
-    op = draw(st.sampled_from(("token", "value", "delete", "duplicate",
+    op = draw(st.sampled_from(("token", "value", "respace", "delete", "duplicate",
                                "truncate")))
     if op == "value" and keyed:
         j = draw(st.sampled_from(keyed))
@@ -59,6 +63,8 @@ def mutations(draw, text):
     elif op in ("token", "value"):
         tokens[draw(st.integers(0, len(tokens) - 1))] = draw(TOKENS)
         lines[i] = " ".join(tokens)
+    elif op == "respace":
+        lines[i] = draw(SPACES).join(tokens)
     elif op == "delete":
         del lines[i]
     elif op == "duplicate":

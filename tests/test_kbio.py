@@ -23,6 +23,7 @@ from roughkb.propagation import DecisionEntry, PriorityConfig
 from roughkb.roughset import approximations
 
 F = Fraction
+P = pytest.param
 
 # sha256 of the canonical renderings of the bundled fixture; regenerate
 # only after a deliberate format change
@@ -130,11 +131,33 @@ def test_parse_requires_contiguous_facts():
 def test_render_refuses_unquotable_text():
     from roughkb.lattice import Fact
     doc = kbio.parse_evidence(BASE)
-    bad = kbio.EvidenceDocument(
-        doc.module, doc.q, (Fact(1, 'a "quoted" pain', "yes"),),
-        doc.priorities, (), doc.alpha)
-    with pytest.raises(errors.OutOfRange):
-        kbio.render_evidence(bad)
+    # a quote ends the quoted text, and a line break ends the line
+    for text in ('a "quoted" pain', "a\nb", "a\rb", "a\x1cb", "a\u2028b"):
+        bad = kbio.EvidenceDocument(
+            doc.module, doc.q, (Fact(1, text, "yes"),),
+            doc.priorities, (), doc.alpha)
+        with pytest.raises(errors.OutOfRange):
+            kbio.render_evidence(bad)
+
+
+@pytest.mark.parametrize("attribute", ["numb\\", "C:\\\\x", "a\\b\\"])
+def test_fact_text_with_backslashes_round_trips(kb_file, capsys, attribute):
+    # shlex reads a backslash in double quotes as an escape, so the
+    # renderers double each one
+    assert kbio.cli(["insert-fact", kb_file, "--attribute", attribute,
+                     "--value", "yes"]) == 0
+    assert kbio.cli(["check", kb_file]) == 0
+    assert capsys.readouterr().err == ""
+    with open(kb_file, encoding="utf-8") as stream:
+        text = stream.read()
+    kb = kbio.load_kb(text)
+    assert kb.fact(4).attribute == attribute
+    assert kbio.serialize_kb(kb) == text
+    doc = kbio.parse_evidence(BASE)
+    doc = kbio.EvidenceDocument(doc.module, doc.q,
+                                doc.facts + (lattice.Fact(3, attribute, "yes"),),
+                                doc.priorities, doc.records, doc.alpha)
+    assert kbio.parse_evidence(kbio.render_evidence(doc)) == doc
 
 
 # --- knowledge-base serialization -------------------------------------------
@@ -174,6 +197,48 @@ def test_load_accepts_shuffled_node_blocks(kb_round2):
             blocks[-1].append(line)
     shuffled = "\n".join(head + sum(blocks[::-1], [])) + "\n"
     assert kbio.load_kb(shuffled) == kb_round2
+
+
+def _node_lines(text, edit):
+    """The file with ``edit`` applied to each line of its node section."""
+    head, sep, section = text.partition("node 000\n")
+    return head + "".join(edit(line) + "\n" for line in (sep + section).splitlines())
+
+
+# Edits of the round2 fixture file: each is read as str.splitlines() and
+# str.split() read it, so it loads as the file itself (refusal None) or
+# is refused with the message given.
+WHITESPACE = [
+    P(lambda t: _node_lines(t, lambda l: l.replace(" ", "\t")), None, id="tabs"),
+    P(lambda t: _node_lines(t, lambda l: l.replace(" ", "   ")), None, id="space-runs"),
+    P(lambda t: _node_lines(t, lambda l: " \t " + l), None, id="indented"),
+    P(lambda t: _node_lines(t, lambda l: l + " \t"), None, id="trailing"),
+    P(lambda t: t.replace("\n", "\r\n"), None, id="crlf"),
+    P(lambda t: t.replace("\n", "\r"), None, id="cr"),
+    P(lambda t: t.replace("\nnode ", "\n\n \t\n\nnode "), None, id="blank-lines"),
+    P(lambda t: _node_lines(t, lambda l: l.replace(" ", "\xa0")), None, id="nbsp"),
+    P(lambda t: _node_lines(t, lambda l: l.replace(" ", "\u2003")), None, id="em-space"),
+    P(lambda t: t.replace("cf=0.79 tv=", "cf=0.79\x0btv=", 1),
+      "line 18: bad decision line", id="vt-breaks-the-line"),
+    P(lambda t: t.replace("cf=0.79 tv=", "cf=0.79\x1ctv=", 1),
+      "line 18: bad decision line", id="fs-breaks-the-line"),
+]
+
+
+@pytest.mark.parametrize("edit,refusal", WHITESPACE)
+def test_load_reads_whitespace_as_split_does(kb_round2, edit, refusal):
+    text = kbio.serialize_kb(kb_round2)
+    assert text.splitlines()[17].startswith("decision CFJ vd=1 cf=0.79 tv=")
+    edited = edit(text)
+    assert edited != text
+    if refusal is None:
+        loaded = kbio.load_kb(edited)
+        assert loaded == kb_round2
+        assert kbio.serialize_kb(loaded) == text
+    else:
+        with pytest.raises(errors.CorruptRecord) as info:
+            kbio.load_kb(edited)
+        assert str(info.value) == refusal
 
 
 def test_load_version_mismatch(kb_round2):
@@ -330,8 +395,20 @@ def _line_of(text, needle, start=1):
     ("cf=", "cf=1.5", "bad decision values"),
     ("vd=", "vd=7", "bad decision values"),
     ("vd=", "vd=one", "bad decision values"),
+    ("vd=", "vd=", "bad decision values"),
     ("w=", "w=f1:x", "bad weight"),
     ("w=", "w=f1:0", "bad decision values"),
+    ("decision ", "decision C#J", "bad disease name 'C#J'"),
+    ("vd=", "vx=1", "expected vd=..., got 'vx=1'"),
+    ("vd=", "cf=1", "expected vd=..., got 'cf=1'"),            # out of order
+    ("cf=", "cf", "expected cf=..., got 'cf'"),
+    ("w=", "", "bad decision line"),                           # a field missing
+    ("w=", "w=- extra", "bad decision line"),                  # a field extra
+    ("tv=", "tv=0.5/0.5", "truth triple needs three components"),
+    ("tv=", "tv=0.5/x/0.5", "bad number 'x'"),
+    ("w=", "w=f1", "bad weight 'f1'"),
+    ("w=", "w=f1:1,f1:1", "weights name f1 twice"),
+    ("w=", "w=f2:1", "weights reference facts outside the condition"),
 ])
 def test_load_refuses_a_repeated_bad_token_at_its_first_line(kb_round2, token, bad, message):
     text = kbio.serialize_kb(kb_round2)
@@ -351,7 +428,8 @@ def test_load_refuses_a_repeated_bad_token_at_its_first_line(kb_round2, token, b
     assert message in str(info.value)
 
 
-@pytest.mark.parametrize("token,bad", [("cf=", "cf=1.5"), ("vd=", "vd=7"), ("w=", "w=f1:0")])
+@pytest.mark.parametrize("token,bad", [("cf=", "cf=1.5"), ("vd=", "vd=7"), ("w=", "w=f1:0"),
+                                       ("w=", "w=f2:1")])
 def test_load_reports_a_line_s_own_checks_before_its_values(kb_round2, token, bad):
     # a value out of range is refused only after the line's own checks
     text = kbio.serialize_kb(kb_round2)
@@ -409,6 +487,11 @@ def test_load_requires_full_population(kb_round2):
                                 and "node 010" in l)) + "\n"
     with pytest.raises(errors.CorruptRecord):
         kbio.load_kb(clipped)
+    # without its decisions too, the node is missing from the count
+    last = next(i for i, l in enumerate(lines) if l.startswith("node 111"))
+    with pytest.raises(errors.CorruptRecord) as info:
+        kbio.load_kb("\n".join(lines[:last]) + "\n")
+    assert (str(info.value), info.value.line) == ("file lists 7 of 8 nodes", None)
 
 
 def test_load_rejects_foreign_weights(kb_round2):
@@ -775,7 +858,6 @@ TWELVE_FACTS = "module a\ngrading q=3\n" + "".join(
 # Integers are ASCII digits with an optional sign, and names are
 # [A-Za-z0-9_.-]+, in both formats and on the command line: int() alone
 # would read 1_0 as 10 and a non-ASCII digit as its value.
-P = pytest.param
 REFUSALS = [
     # evidence documents: (text, line refused)
     P("evidence", BASE + "evidence f1 ANK m=1 level=1 count=1_0\n", 5, id="count=1_0"),
@@ -786,15 +868,26 @@ REFUSALS = [
       id="f1-arabic-2"),
     P("evidence", BASE + "priority ANK f1 2_0\n", 5, id="priority-2_0"),
     P("evidence", BASE + "priority ANK f1 \u0662\n", 5, id="priority-arabic-2"),
-    # KB files: (text in the round2 fixture file, its replacement)
-    P("kb", ("order 3", "order \u0663"), None, id="order-arabic-3"),
-    P("kb", ("roughkb-kb 1", "roughkb-kb \u0661"), None, id="version-arabic-1"),
-    P("kb", (" vd=1 ", " vd=\u0661 "), None, id="vd=arabic-1"),
-    P("kb", (" vd=1 ", " vd=0_1 "), None, id="vd=0_1"),
-    P("kb", ("node 000", "priority a#b f1 2\nnode 000"), None, id="priority-a#b"),
-    P("kb", ("decision CFJ", "decision C#J"), None, id="decision-C#J"),
+    # KB files: (text in the round2 fixture file, its replacement), message
+    P("kb", ("order 3", "order \u0663"), "bad order", id="order-arabic-3"),
+    P("kb", ("roughkb-kb 1", "roughkb-kb \u0661"), "bad version", id="version-arabic-1"),
+    P("kb", (" vd=1 ", " vd=\u0661 "), "bad decision values", id="vd=arabic-1"),
+    P("kb", (" vd=1 ", " vd=0_1 "), "bad decision values", id="vd=0_1"),
+    P("kb", ("node 000", "priority a#b f1 2\nnode 000"), "bad disease name 'a#b'",
+      id="priority-a#b"),
+    P("kb", ("decision CFJ", "decision C#J"), "bad disease name 'C#J'", id="decision-C#J"),
     P("kb", ('fact f2 "increased LBP at forward bending"', 'fact f2 "LBP without leg pain"'),
-      None, id="repeated-fact"),
+      "declared twice", id="repeated-fact"),
+    # the node section's own refusals
+    P("kb", ("node 000\n", "decision CFJ vd=1 cf=1 tv=- w=-\nnode 000\n"),
+      "decision before any node", id="decision-before-node"),
+    P("kb", ("node 011", "node 012"), "unknown node label", id="unknown-label"),
+    P("kb", ("node 011", "node 011 extra"), "unknown node label", id="node-extra-token"),
+    P("kb", ("node 011", "node\t001"), "node 001 listed twice", id="node-twice"),
+    P("kb", ("node 011", "nodes 011"), "unexpected 'nodes' line in node section",
+      id="unknown-line"),
+    P("kb", ("decision DP vd=2 cf=0.50", "decision CFJ vd=2 cf=0.50"),
+      "node 001 decides 'CFJ' twice", id="decides-twice"),
     # command lines on the round2 fixture file: (arguments, error message)
     P("cli", ["set-decision", "--label", "001", "--disease", "PIVD", "--vd", "1_0",
               "--cf", "0.5"], "bad truth value '1_0'", id="--vd-1_0"),
@@ -818,6 +911,7 @@ def test_files_and_the_cli_refuse_what_the_shared_grammar_refuses(
         with pytest.raises(errors.CorruptRecord) as info:
             kbio.load_kb(bad)
         assert info.value.line == _line_of(bad, new.splitlines()[0])
+        assert where in str(info.value)
     else:
         path = tmp_path / "fixture.kb"
         text = kbio.serialize_kb(kb_round2)
