@@ -22,20 +22,26 @@ of the same kind live in ``propagation``, and they take integer records
 rather than Fractions: each (label, disease) entry is turned once into
 ``(vd, cf numerator, cf denominator, truth record)``, the truth record
 being the triple's three numerators over one common denominator.
-``_cf_multi`` puts a node's carrier credibilities on their lcm
-denominator and computes the prevailing truth value, the camp sums, the
-gate test, each per-fact term and the published result on those
-integers, and ``_mean_triple`` sums the carriers' truth records over
-their lcm and returns the mean both as a triple and as its record.  Both
-build one Fraction per result.  Every result is the same exact rational
-the operator form gives.  A derived cf is checked on its integers, and
-the entry is built by ``DecisionEntry._checked``, which assigns the
-checked values without validating them again.
+``_cf_multi`` puts a node's carrier credibilities on one denominator
+and computes the prevailing truth value, the camp sums, the gate test,
+each per-fact term and the published result on those integers, and
+``_mean_triple`` sums the carriers' truth records over one denominator
+and returns the mean both as a triple and as its record.  Both take the
+lcm of the records' denominators only when they differ; when every
+record has the same one, as above level 2 of a two-decimal build
+(whose derived records keep the denominator 100), they add the
+numerators as they are.  Both build one Fraction per result.  Every
+result is the same exact rational the operator form gives.  A derived
+cf is checked on its integers, and the entry is built by
+``DecisionEntry._checked``, which assigns the checked values without
+validating them again.
 
 :func:`parse_rational` is the one parser of number tokens read from
 files and the command line, and :func:`frac` sends every string through
 it too.  :func:`parse_int` is the one parser of their integer tokens.
-Both read ASCII digits only.
+Both read ASCII digits only.  :class:`Converted` converts each distinct
+key once: ``load_kb`` keeps its token tables in it, and
+``PriorityConfig`` its weight values.
 """
 
 from __future__ import annotations
@@ -175,3 +181,18 @@ def render(x: Rational, places: int) -> str:
     if places == 0:
         return sign + digits
     return "%s%s.%s" % (sign, digits[:-places], digits[-places:])
+
+
+class Converted(dict):
+    """Key to its value, each distinct key converted once.  A key the
+    converter refuses raises and is not kept."""
+
+    __slots__ = ("convert",)
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value

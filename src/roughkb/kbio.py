@@ -36,7 +36,7 @@ from importlib import resources
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import errors
-from ._num import ONE, ZERO, frac, parse_int, parse_rational, publish2, render
+from ._num import ONE, ZERO, Converted, frac, parse_int, parse_rational, publish2, render
 from .evidence import (GRADING_CAP, EvidenceProfile, SourceGrading, TruthTriple,
                        TruthValue, presence_matrix, resolve_decision, truth_triple)
 from .lattice import (DEFAULT_ORDER_CAP, DropDecision, Fact, Lattice, LatticeNode,
@@ -192,6 +192,19 @@ def _int_field(token: str, key: str, line_no: int) -> int:
                     errors.SyntaxError, line_no)
 
 
+# A line of spaces, tabs and printable ASCII other than quotes, backslash
+# and "#": shlex in its POSIX mode splits it only at spaces and tabs.
+_PLAIN_LINE_RE = re.compile(r"[\t !$-&(-\[\]-~]*")
+
+
+def _evidence_tokens(raw: str) -> List[str]:
+    """The tokens of an evidence line, as ``shlex.split(raw,
+    comments=True)`` reads them; a plain line is split by ``str.split``."""
+    if _PLAIN_LINE_RE.fullmatch(raw):
+        return raw.split()
+    return shlex.split(raw, comments=True)
+
+
 def parse_evidence(text: str) -> EvidenceDocument:
     """Parse an evidence document; all failures carry line numbers.
 
@@ -221,7 +234,7 @@ def parse_evidence(text: str) -> EvidenceDocument:
 
     for line_no, raw in enumerate(text.splitlines(), 1):
         try:
-            tokens = shlex.split(raw, comments=True)
+            tokens = _evidence_tokens(raw)
         except ValueError as exc:
             raise errors.SyntaxError(str(exc), line_no)
         if not tokens:
@@ -487,6 +500,14 @@ _NODE_SECTION_RE = re.compile(
     r"|(\S[^\n]*)){s}*(?:\n\s*|\Z)".format(s=r"[^\S\n]"))
 
 
+def _opens(line: str, keyword: str) -> bool:
+    """Whether ``line`` holds ``keyword`` after any indentation, then a
+    space or a tab: the blanks at which both ``shlex`` and ``str.split``
+    end a token."""
+    rest = line.lstrip(" \t")
+    return rest.startswith(keyword) and rest[len(keyword):len(keyword) + 1] in (" ", "\t")
+
+
 def _lines(text: str):
     """Number, offset and right-stripped text of each non-blank line of a
     text whose only line breaks are newlines."""
@@ -494,22 +515,6 @@ def _lines(text: str):
         line = match.group(1).rstrip()
         if line:
             yield no, match.start(), line
-
-
-class _Converted(dict):
-    """Token text to its value, each distinct token converted once.  A
-    token the converter refuses raises ValueError or ZeroDivisionError
-    and is not kept."""
-
-    __slots__ = ("convert",)
-
-    def __init__(self, convert):
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, token):
-        value = self[token] = self.convert(token)
-        return value
 
 
 def load_kb(text: str) -> Lattice:
@@ -577,7 +582,7 @@ def load_kb(text: str) -> Lattice:
     pairs = set()
     for fid in range(1, n + 1):
         no, _, line = next(lines, end)
-        if not line.startswith("fact "):
+        if not _opens(line, "fact"):
             _corrupt("expected %d fact lines" % n, no)
         try:
             tokens = shlex.split(line)
@@ -594,7 +599,7 @@ def load_kb(text: str) -> Lattice:
     global_priorities = {}
     scoped = {}
     no, start, line = next(lines, end)
-    while line.startswith("priority "):
+    while _opens(line, "priority"):
         _priority_line(line.split(), in_order, global_priorities, scoped, error, no)
         no, start, line = next(lines, end)
 
@@ -621,7 +626,7 @@ def _read_nodes(text: str, start: int, first_no: Optional[int],
     other token, and the first line a converter or a check refuses goes
     to ``_refuse_node_line``.
     """
-    numbers = _Converted(parse_rational)
+    numbers = Converted(parse_rational)
 
     def credibility(token: str) -> Fraction:
         cf = numbers[token]
@@ -642,10 +647,10 @@ def _read_nodes(text: str, start: int, first_no: Optional[int],
             raise ValueError(token)
         return int(ref[1:]), w
 
-    vds = _Converted(lambda token: TruthValue(parse_int(token)))
-    cfs = _Converted(credibility)
-    triples = _Converted(truth)
-    item = _Converted(weight_item).__getitem__
+    vds = Converted(lambda token: TruthValue(parse_int(token)))
+    cfs = Converted(credibility)
+    triples = Converted(truth)
+    item = Converted(weight_item).__getitem__
     checked = DecisionEntry._checked
     names = set()
     seen = set()

@@ -4,34 +4,30 @@ Every node above level 1 derives its per-disease truth value and
 credibility factor from its immediate predecessors: pairwise rules at
 level 2, a prevailing-value chain plus per-fact aggregation at level 3
 and above, and an optional merge with evidence supplied directly for
-the composite condition.
-
-The module is pure calculus; it knows nothing about lattice storage
-beyond the ``(fact set, decision map)`` shape of a predecessor.  All
-arithmetic is exact.  A ``round2`` flag selects the two-decimal
-compatibility mode, which publishes (``_num.publish2``) the
+the composite condition.  All arithmetic is exact; a ``round2`` flag
+selects the two-decimal mode, which publishes (``_num.publish2``) the
 intermediates that mode is defined over.
 
-Derivation reads its constituents as integer records, one per (label,
-disease) entry: ``(vd, cf numerator, cf denominator, truth record)``,
-where a truth record is ``(n1, n2, n3, d)``, the three components over
-one common denominator (None when the entry has no triple).  An entry
-derived here gets its record when it is made; a stored entry gets its
-record the first time a successor reads it.  At level 3 and above one
-integer pass per node and disease computes the prevailing truth value,
-the credibility and the truth-triple mean from the carriers' records,
-and builds one Fraction per result.
+``derive`` takes the labels a level at a time, and a level a disease at
+a time.  A label is a bit mask and its predecessors are the masks less
+one bit.  Each predecessor's decisions are read once into integer
+records keyed by disease and mask, ``(vd, cf numerator, cf denominator,
+truth record)``, the truth record being the triple's three numerators
+over one denominator (None for no triple); only the level below is
+kept.  One step per node and disease, ``_step``, which
+``node_decisions`` shares, runs the kernels on those records.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import errors
-from ._num import ONE, ZERO, clamp01, frac, publish2
+from ._num import ONE, ZERO, Converted, clamp01, frac, publish2
 from .evidence import TruthTriple, TruthValue
 
 Record = Tuple[TruthValue, int, int, Optional[Tuple[int, int, int, int]]]
@@ -125,27 +121,28 @@ class PriorityConfig:
     over the node's facts.
     """
 
-    __slots__ = ("global_priorities", "scoped", "_by_disease", "_values")
+    __slots__ = ("global_priorities", "scoped", "_tables", "_values")
 
     def __init__(self, global_priorities=None, scoped=None):
-        # not part of equality: the global priorities indexed by disease,
-        # and each weight value Fraction(p, total), built and checked once,
-        # filed under its total
-        self._by_disease: Dict[str, Dict[int, int]] = {}
-        self._values: Dict[int, Dict[int, Fraction]] = {}
+        # not part of equality: per disease, its global priorities by fact
+        # and its scoped (priorities, total) by fact set; each weight value
+        # Fraction(p, total), built and checked once, filed under its total
+        self._tables: Dict[str, tuple] = {}
+        self._values = Converted(lambda total: Converted(lambda p: _weight(p, total)))
         self.global_priorities = {}
         for (disease, fid), p in dict(global_priorities or {}).items():
             disease, fid = str(disease), int(fid)
-            self.global_priorities[(disease, fid)] = self._by_disease.setdefault(
-                disease, {})[fid] = self._check(p)
+            self.global_priorities[(disease, fid)] = p = self._check(p)
+            self._tables.setdefault(disease, ({}, {}))[0][fid] = p
         self.scoped = {}
         for (facts, disease), prio in dict(scoped or {}).items():
-            facts = frozenset(int(f) for f in facts)
+            facts, disease = frozenset(int(f) for f in facts), str(disease)
             prio = {int(f): self._check(p) for f, p in dict(prio).items()}
             if set(prio) != set(facts):
                 raise errors.OutOfRange(
                     "scoped priorities must cover the fact set exactly")
-            self.scoped[(facts, str(disease))] = prio
+            self.scoped[(facts, disease)] = prio
+            self._tables.setdefault(disease, ({}, {}))[1][facts] = prio, sum(prio.values())
 
     @staticmethod
     def _check(p):
@@ -153,37 +150,10 @@ class PriorityConfig:
             raise errors.OutOfRange("priorities are positive integers, got %r" % (p,))
         return p
 
-    def priorities_for(self, facts: FrozenSet[int], disease: str
-                       ) -> Tuple[Dict[int, int], int]:
-        """The facts' integer priorities for a disease, and their sum.
-
-        The map may be the stored scoped entry: callers must not edit it.
-        """
-        prio = self.scoped.get((facts, disease))
-        if prio is None:
-            glob = self._by_disease.get(disease)
-            if glob is None:
-                return dict.fromkeys(facts, 1), len(facts)
-            prio = {f: glob.get(f, 1) for f in facts}
-        return prio, sum(prio.values())
-
     def weights_for(self, facts: FrozenSet[int], disease: str) -> Dict[int, Fraction]:
-        return self._weights(*self.priorities_for(frozenset(facts), disease))
-
-    def _weights(self, prio: Mapping[int, int], total: int) -> Dict[int, Fraction]:
-        """A fresh weights map whose values come from the cache."""
-        values = self._values.get(total)
-        if values is None:
-            values = self._values[total] = {}
-        weights = {}
-        for f, p in prio.items():
-            w = values.get(p)
-            if w is None:
-                if not 0 < p <= total:
-                    raise errors.OutOfRange("weight %d/%d outside (0, 1]" % (p, total))
-                w = values[p] = Fraction(p, total)
-            weights[f] = w
-        return weights
+        facts = frozenset(facts)
+        return _weight_map(facts, *_priorities(facts, self._tables.get(disease, _NO_TABLE)),
+                           self._values)
 
     def without_fact(self, fid: int) -> "PriorityConfig":
         """Drop every reference to a fact and renumber the ones above it."""
@@ -208,6 +178,36 @@ class PriorityConfig:
                 % (len(self.global_priorities), len(self.scoped)))
 
 
+_NO_TABLE = ({}, {})  # the table of a disease no priority names
+
+
+def _weight(p: int, total: int) -> Fraction:
+    if not 0 < p <= total:
+        raise errors.OutOfRange("weight %d/%d outside (0, 1]" % (p, total))
+    return Fraction(p, total)
+
+
+def _priorities(facts: FrozenSet[int], table) -> Tuple[Mapping[int, int], int]:
+    """The facts' priorities under a disease's table (not to be edited), and their sum."""
+    glob, scoped = table
+    hit = scoped.get(facts)
+    if hit is not None:
+        return hit
+    if not glob:
+        return dict.fromkeys(facts, 1), len(facts)
+    prio = {f: glob.get(f, 1) for f in facts}
+    return prio, sum(prio.values())
+
+
+def _weight_map(facts: FrozenSet[int], prio: Mapping[int, int], total: int,
+                values) -> Dict[int, Fraction]:
+    """A fresh weights map whose values come from the cache ``values``."""
+    if total == len(facts):  # every priority is 1; from a set, fromkeys oversizes small maps
+        return dict.fromkeys(iter(facts), values[total][1])
+    values = values[total]
+    return {f: values[p] for f, p in prio.items()}
+
+
 # --- integer records ----------------------------------------------------------
 
 def _triple_record(tv: TruthTriple) -> Tuple[int, int, int, int]:
@@ -223,10 +223,6 @@ def _record(entry: DecisionEntry) -> Record:
     num, den = entry.cf.as_integer_ratio()
     tv = entry.tv
     return entry.vd, num, den, None if tv is None else _triple_record(tv)
-
-
-def _records(decisions: Mapping[str, DecisionEntry]) -> Dict[str, Record]:
-    return {disease: _record(entry) for disease, entry in decisions.items()}
 
 
 # --- pairwise combination (level 2) -----------------------------------------
@@ -277,22 +273,22 @@ def merge_external(vd_star, cf_star, vd_ext, cf_ext, tv3_merged) -> Tuple[TruthV
     return TruthValue.INCONCLUSIVE, frac(tv3_merged)
 
 
-def _level2(node_facts: FrozenSet[int], carriers, weights: Mapping[int, Fraction],
+def _level2(node_facts: FrozenSet[int], carriers, prio: Mapping[int, int], total: int,
             gate: Fraction) -> Optional[Tuple[TruthValue, Fraction]]:
-    """(vd, cf) of a level-2 node from its carriers' records, or None."""
+    """(vd, cf) of a level-2 node, or None; fact f weighs ``prio[f] / total``."""
     if len(carriers) == 1:
         # a level-2 carrier holds the one fact it does not lack
         fid, (vd, num, den, _) = carriers[0]
         (own,) = node_facts - {fid}
-        cf = _gated(Fraction(num, den) * weights[own], ZERO, gate, True)
+        cf = _gated(Fraction(num * prio[own], den * total), ZERO, gate, True)
         return None if cf is None else (vd, cf)
     (la, (va, na, da, _)), (lb, (vb, nb, db, _)) = carriers
-    ca, cb = Fraction(na, da), Fraction(nb, db)
     # each carrier holds the one fact the other lacks
-    cf = _gated(ca * weights[lb], cb * weights[la], gate, va == vb)
+    cf = _gated(Fraction(na * prio[lb], da * total), Fraction(nb * prio[la], db * total),
+                gate, va == vb)
     if cf is None:
         return None
-    return (va if va == vb else _prevailing(va, ca, vb, cb)), cf
+    return (va if va == vb else _prevailing(va, Fraction(na, da), vb, Fraction(nb, db))), cf
 
 
 # every value publish2 gives in [0, 1], by its numerator over 100
@@ -308,22 +304,28 @@ def _mean_triple(records: Sequence[Tuple[int, int, int, int]], round2: bool
                  ) -> Tuple[TruthTriple, Tuple[int, int, int, int]]:
     """Component-wise mean of truth records, as a triple and its record.
 
-    Each component is summed as integers over the records' lcm, and
-    each mean is one ratio of integers, published in the two-decimal
-    mode.
+    Each component is summed as integers over the records' common
+    denominator (their lcm, unless they share one), and each mean is one
+    ratio of integers, published in the two-decimal mode.
     """
     if not records:
         raise errors.OutOfRange("need at least one triple to merge")
-    den = lcm(*[r[3] for r in records])
-    s1 = s2 = s3 = 0
-    for a, b, c, d in records:
-        k = den // d
-        s1 += a * k
-        s2 += b * k
-        s3 += c * k
+    n1, n2, n3, dens = zip(*records)
+    den = dens[0]
+    if dens.count(den) == len(dens):
+        s1, s2, s3 = sum(n1), sum(n2), sum(n3)
+    else:
+        den = lcm(*dens)
+        s1 = s2 = s3 = 0
+        for a, b, c, d in records:
+            k = den // d
+            s1 += a * k
+            s2 += b * k
+            s3 += c * k
     den *= len(records)
     if round2:
-        h1, h2, h3 = [(200 * s + den) // (2 * den) for s in (s1, s2, s3)]
+        half = 2 * den
+        h1, h2, h3 = (200 * s1 + den) // half, (200 * s2 + den) // half, (200 * s3 + den) // half
         # tuple.__new__ skips TruthTriple's coercion of exact components
         return (tuple.__new__(TruthTriple, (_hundredths(h1), _hundredths(h2),
                                             _hundredths(h3))),
@@ -348,27 +350,28 @@ def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
     the integer priority of each of the node's facts and ``total`` their
     sum, so fact f weighs ``prio[f] / total``.
 
-    One pass puts every credibility on the carriers' lcm denominator and,
-    on those integers, folds the prevailing-value chain, sums each
-    truth-value camp and files each carrier under the fact it lacks.  A
-    fact's camps are the totals less that one carrier.  Its group
-    credibility is ``|top - (sum - top)|`` over its camps: one camp keeps
-    its sum, and with several the strongest is offset by the rest.  A
-    camp that loses its last member sums to zero and changes neither the
-    top nor the sum, since credibilities are nonnegative.  A fact's term
-    is its group credibility times its weight, gated and (in the
+    One pass puts every credibility on the carriers' common denominator
+    (their lcm, unless they share one), folds the prevailing-value chain
+    and sums each truth-value camp.  A fact's group credibility is
+    ``|top - (sum - top)|`` over the camps less the carrier that lacks it:
+    one camp keeps its sum, and with several the strongest is offset by
+    the rest.  Its term is that times its weight, gated and (in the
     two-decimal mode) published as an integer ratio; the result is the
-    terms' sum over ``i - 1``, clamped at 1.  The flag is False when no
-    term clears the gate.
+    terms' sum over ``i - 1``, clamped at 1, and the flag is False when
+    no term clears the gate.
     """
-    den = lcm(*[r[2] for _, r in carriers])
+    den = carriers[0][1][2]
+    for _, r in carriers:
+        if r[2] != den:
+            den = lcm(*[r[2] for _, r in carriers])
+            break
     camps = [0, 0, 0]
     lacking = {}
     vd = top = None
     for fid, (nxt, num, d, _) in carriers:
         cf = num if d == den else num * (den // d)
         camps[nxt] += cf
-        lacking[fid] = (nxt, cf)
+        lacking[fid] = nxt, cf
         # the chain carries the running maximum, so a later weaker entry
         # cannot flip an established verdict; 0 against 2 is inconclusive
         if vd is None:
@@ -384,28 +387,24 @@ def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
             vd = TruthValue.INCONCLUSIVE
     c0, c1, c2 = camps
     grand = c0 + c1 + c2
-    whole = abs(2 * max(camps) - grand)
     # the strongest camp besides each one
     others = (max(c1, c2), max(c0, c2), max(c0, c1))
     # a term is g * p / scale, and it passes when g * p * gate_den > bar
     scale = den * total
+    half = 2 * scale
     gate_num, gate_den = gate.as_integer_ratio()
     bar = gate_num * scale
     acc = 0
     ok = False
     for fid, p in prio.items():
-        skip = lacking.get(fid)
-        if skip is None:
-            g = whole
-        else:
-            v, cf = skip
-            rest = camps[v] - cf
-            other = others[v]
-            g = abs(2 * (rest if rest > other else other) - grand + cf)
-        num = g * p
+        # a fact no carrier lacks keeps every camp: g is |2 max - grand|
+        v, cf = lacking.get(fid, (0, 0))
+        rest = camps[v] - cf
+        other = others[v]
+        num = abs(2 * (rest if rest > other else other) - grand + cf) * p
         if num * gate_den > bar:
             ok = True
-            acc += (200 * num + scale) // (2 * scale) if round2 else num
+            acc += (200 * num + scale) // half if round2 else num
     if not ok:
         return vd, ZERO, False
     lower = len(prio) - 1
@@ -418,68 +417,55 @@ def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
 
 # --- per-node orchestration -------------------------------------------------
 
-def _node(node_facts: FrozenSet[int], preds: Sequence[Tuple[int, Mapping[str, Record]]],
-          priorities: PriorityConfig, gate: Fraction, round2: bool,
-          external: Optional[Mapping[str, tuple]]
-          ) -> Tuple[Dict[str, DecisionEntry], Dict[str, Record]]:
-    """The decision map of one composite node and the entries' records.
+def _step(disease: str, facts: FrozenSet[int], carriers,
+          table, values, gate: Fraction, round2: bool, ext: Optional[tuple]
+          ) -> Optional[Tuple[DecisionEntry, Record]]:
+    """One node's entry for one disease and its record, or None.
 
-    ``preds`` lists ``(lacking fact, records by disease)`` for the
-    immediate predecessors in ascending label order, and ``gate`` is
-    already checked.  Each derived cf is checked on its integers, which
-    become its record.
+    ``carriers`` lists ``(lacking fact, record)`` for the predecessors
+    that carry the disease, in ascending label order; ``ext`` is the
+    disease's direct evidence for this node, if any.  The cf is checked
+    on its integers, which become its record, over 100 in the two-decimal
+    mode so that the kernels of the next level meet one denominator.
     """
-    i = len(node_facts)
-    diseases = set(external) if external else set()
-    for _, records in preds:
-        diseases.update(records)
-
-    out: Dict[str, DecisionEntry] = {}
-    out_records: Dict[str, Record] = {}
-    for disease in sorted(diseases):
-        prio, total = priorities.priorities_for(node_facts, disease)
-        weights = priorities._weights(prio, total)
-        carriers = [(fid, records[disease]) for fid, records in preds
-                    if disease in records]
-        base = None  # (vd, cf) implied by the lattice alone
-        if i > 2:
-            if carriers:
-                vd, cf, ok = _cf_multi(carriers, prio, total, gate, round2)
-                if ok:
-                    base = (vd, cf)
-        elif carriers:
-            base = _level2(node_facts, carriers, weights, gate)
-            if base is not None and round2:
-                base = (base[0], publish2(base[1]))
-
-        ext = external.get(disease) if external else None
-        if ext is None and base is None:
-            continue
-        triples = [rec[3] for _, rec in carriers if rec[3] is not None]
+    prio, total = _priorities(facts, table)
+    base = None  # (vd, cf) implied by the lattice alone
+    if carriers and len(facts) > 2:
+        vd, cf, ok = _cf_multi(carriers, prio, total, gate, round2)
+        if ok:
+            base = vd, cf
+    elif carriers:
+        base = _level2(facts, carriers, prio, total, gate)
+        if base is not None and round2:
+            base = base[0], publish2(base[1])
+    if ext is None and base is None:
+        return None
+    triples = [rec[3] for _, rec in carriers if rec[3] is not None]
+    if ext is not None:
+        # direct evidence enters here, and is checked once
+        ext = DecisionEntry(disease, *ext)
+        if ext.tv is not None:
+            triples.append(_triple_record(ext.tv))
+    if base is None:
+        # the disease enters this node purely on direct evidence
+        vd, cf, tv = ext.vd, publish2(ext.cf) if round2 else ext.cf, ext.tv
+        tv_record = triples[-1] if tv is not None else None
+    else:
+        tv, tv_record = _mean_triple(triples, round2) if triples else (None, None)
+        vd, cf = base
         if ext is not None:
-            # direct evidence enters here, and is checked once
-            ext = DecisionEntry(disease, *ext)
-            if ext.tv is not None:
-                triples.append(_triple_record(ext.tv))
-        if base is None:
-            # the disease enters this node purely on direct evidence
-            vd, cf, tv = ext.vd, publish2(ext.cf) if round2 else ext.cf, ext.tv
-            tv_record = triples[-1] if tv is not None else None
-        else:
-            tv, tv_record = _mean_triple(triples, round2) if triples else (None, None)
-            vd, cf = base
-            if ext is not None:
-                vd, cf = merge_external(vd, cf, ext.vd, ext.cf,
-                                        tv.tv3 if tv is not None else ZERO)
-                cf = clamp01(cf)
-                if round2:
-                    cf = publish2(cf)
-        num, den = cf.as_integer_ratio()
-        if not 0 <= num <= den:
-            raise errors.OutOfRange("credibility %s outside [0, 1]" % cf)
-        out[disease] = DecisionEntry._checked(disease, vd, cf, tv, weights)
-        out_records[disease] = (vd, num, den, tv_record)
-    return out, out_records
+            vd, cf = merge_external(vd, cf, ext.vd, ext.cf,
+                                    tv.tv3 if tv is not None else ZERO)
+            cf = clamp01(cf)
+            if round2:
+                cf = publish2(cf)
+    num, den = cf.as_integer_ratio()
+    if not 0 <= num <= den:
+        raise errors.OutOfRange("credibility %s outside [0, 1]" % cf)
+    if round2 and den != 100:
+        num, den = num * (100 // den), 100
+    return (DecisionEntry._checked(disease, vd, cf, tv, _weight_map(facts, prio, total, values)),
+            (vd, num, den, tv_record))
 
 
 def node_decisions(node_facts: FrozenSet[int],
@@ -495,56 +481,70 @@ def node_decisions(node_facts: FrozenSet[int],
     condition; such evidence merges with (or introduces) the decision.
     """
     node_facts = frozenset(node_facts)
+    gate = _alpha(alpha)
+    external = external or {}
     # each predecessor is the node less one fact
-    preds = [(min(node_facts - facts), _records(decisions))
+    preds = [(min(node_facts - facts), {d: _record(e) for d, e in decisions.items()})
              for facts, decisions in predecessors]
-    return _node(node_facts, preds, priorities, _alpha(alpha), round2, external)[0]
+    diseases = set(external).union(*[records for _, records in preds])
+    made = {disease: _step(disease, node_facts,
+                           [(f, records[disease]) for f, records in preds if disease in records],
+                           priorities._tables.get(disease, _NO_TABLE), priorities._values,
+                           gate, round2, external.get(disease))
+            for disease in sorted(diseases)}
+    return {disease: step[0] for disease, step in made.items() if step is not None}
 
 
 def derive(nodes, labels: Iterable[str], priorities: PriorityConfig, gate,
            round2: bool, external: Optional[Mapping[FrozenSet[int], Mapping[str, tuple]]] = None
            ) -> Dict[str, Dict[str, DecisionEntry]]:
-    """The fresh decision maps of ``labels``, derived bottom up.
+    """The fresh decision maps of ``labels``, one per label, empty or not.
 
     ``nodes`` maps every label to its node, and ``labels`` lists each
     label after those of its predecessors that it holds (popcount order
-    does).  A predecessor reads its fresh map if it has one, and its
-    stored map otherwise, as integer records: a fresh entry's record is
-    made with the entry, a stored entry's at its first read, and only
-    the records of the level below the one being derived are kept.
-    ``external`` maps a composite fact set to per-disease (vd, cf,
-    triple) resolved from direct knowledge sources.  Such evidence is
-    consumed here, not stored on any node, so a later edit re-derives
-    its cone from atomic decisions and priorities alone (fault F3 in
-    ``bench/README.md``).
+    does).  A predecessor is read from its fresh map if it has one, and
+    from its stored map otherwise.  ``external`` maps a composite fact
+    set to per-disease (vd, cf, triple) resolved from direct knowledge
+    sources.  Such evidence is consumed here, not stored on any node, so
+    a later edit re-derives its cone from atomic decisions and priorities
+    alone (fault F3 in ``bench/README.md``).
     """
     gate = _alpha(gate)
     external = external or {}
     fresh: Dict[str, Dict[str, DecisionEntry]] = {}
-    below: Dict[str, Dict[str, Record]] = {}   # records one level down
-    level_records: Dict[str, Dict[str, Record]] = {}
-    level = None
-    for label in labels:
-        ones = label.count("1")
-        if ones != level:
-            below = level_records if level is not None and ones == level + 1 else {}
-            level_records = {}
-            level = ones
-        n = len(label)
-        preds: List[Tuple[int, Dict[str, Record]]] = []
-        # clearing the bit at position pos (leftmost first, so ascending
-        # labels) leaves the predecessor that lacks fact n - pos
-        for pos, ch in enumerate(label):
-            if ch == "1":
-                pred = label[:pos] + "0" + label[pos + 1:]
-                records = below.get(pred)
-                if records is None:
-                    records = below[pred] = _records(
-                        fresh[pred] if pred in fresh else nodes[pred].decisions)
-                preds.append((n - pos, records))
-        condition = nodes[label].condition
-        fresh[label], level_records[label] = _node(
-            condition, preds, priorities, gate, round2, external.get(condition))
+    below: Dict[str, Dict[int, Record]] = {}   # disease -> mask -> record, one level down
+    below_masks = frozenset()                  # the masks whose records below holds
+    for _, run in groupby(labels, lambda label: label.count("1")):
+        run_nodes = []
+        for label in run:
+            mask, facts = int(label, 2), nodes[label].condition
+            # clearing the bit of fact f, highest first, leaves the
+            # predecessors in ascending label order
+            preds = {mask ^ (1 << (f - 1)): f for f in sorted(facts, reverse=True)}
+            fresh[label] = {}
+            run_nodes.append((mask, facts, preds, external.get(facts), fresh[label]))
+        for pm in {pm for node in run_nodes for pm in node[2]} - below_masks:
+            pred = format(pm, "0%db" % len(label))
+            decisions = fresh[pred] if pred in fresh else nodes[pred].decisions
+            for disease, entry in decisions.items():
+                below.setdefault(disease, {})[pm] = _record(entry)
+        diseases = set(below).union(*[node[3] for node in run_nodes if node[3]])
+        level_records: Dict[str, Dict[int, Record]] = {}
+        for disease in sorted(diseases):
+            records = below.get(disease, {})
+            table = priorities._tables.get(disease, _NO_TABLE)
+            made_records = {}
+            for mask, facts, preds, ext, out in run_nodes:
+                carriers = [(f, records[pm]) for pm, f in preds.items() if pm in records]
+                ext = ext.get(disease) if ext else None
+                if carriers or ext is not None:
+                    made = _step(disease, facts, carriers, table, priorities._values, gate,
+                                 round2, ext)
+                    if made is not None:
+                        out[disease], made_records[mask] = made
+            if made_records:
+                level_records[disease] = made_records
+        below, below_masks = level_records, frozenset(node[0] for node in run_nodes)
     return fresh
 
 

@@ -5,6 +5,7 @@ import hashlib
 import importlib.resources
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -12,6 +13,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expected_lbp as X
 from conftest import DISEASE_POOL, kb_from_atomics, random_atomics, seeded
@@ -128,6 +131,24 @@ def test_parse_requires_contiguous_facts():
     assert "contiguous" in str(info.value)
 
 
+# blanks shlex and str.split read differently, and shlex's special characters
+_SPLIT_EDGES = list("\x0b\x0c\xa0\u2003\u3000\x1c\x85\t \"'#\\")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.one_of(st.sampled_from(_SPLIT_EDGES), st.characters(min_codepoint=0x20,
+                                                                      max_codepoint=0x7e)),
+               max_size=40))
+def test_evidence_lines_split_as_shlex_splits_them(line):
+    try:
+        want = shlex.split(line, comments=True)
+    except ValueError:
+        with pytest.raises(ValueError):
+            kbio._evidence_tokens(line)
+    else:
+        assert kbio._evidence_tokens(line) == want
+
+
 def test_render_refuses_unquotable_text():
     from roughkb.lattice import Fact
     doc = kbio.parse_evidence(BASE)
@@ -218,6 +239,14 @@ WHITESPACE = [
     P(lambda t: t.replace("\nnode ", "\n\n \t\n\nnode "), None, id="blank-lines"),
     P(lambda t: _node_lines(t, lambda l: l.replace(" ", "\xa0")), None, id="nbsp"),
     P(lambda t: _node_lines(t, lambda l: l.replace(" ", "\u2003")), None, id="em-space"),
+    P(lambda t: t.replace("fact f", "fact\tf"), None, id="fact-tab"),
+    P(lambda t: t.replace("\nfact ", "\n \tfact   "), None, id="fact-indented"),
+    P(lambda t: t.replace("priority ", "priority\t"), None, id="priority-tab"),
+    P(lambda t: t.replace("\npriority ", "\n  priority \t"), None, id="priority-indented"),
+    P(lambda t: t.replace("fact f1", "fact\xa0f1", 1),
+      "line 5: expected 3 fact lines", id="fact-nbsp"),
+    P(lambda t: t.replace("priority ", "priority\xa0", 1),
+      "line 8: unexpected 'priority' line in node section", id="priority-nbsp"),
     P(lambda t: t.replace("cf=0.79 tv=", "cf=0.79\x0btv=", 1),
       "line 18: bad decision line", id="vt-breaks-the-line"),
     P(lambda t: t.replace("cf=0.79 tv=", "cf=0.79\x1ctv=", 1),

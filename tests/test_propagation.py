@@ -12,9 +12,11 @@ from conftest import (DISEASE_POOL, entries_with_triples, kb_from_atomics, rando
                       random_kb, random_priorities, seeded)
 from roughkb import errors
 from roughkb.evidence import TruthTriple, TruthValue
-from roughkb.lattice import Fact, build_kb, facts_of, predecessor_labels
+from roughkb.kbio import serialize_kb
+from roughkb.lattice import (Fact, SetDecision, _cone_labels, build_kb, facts_of, insert_fact,
+                             level_of, modify_node, predecessor_labels)
 from roughkb.propagation import (DecisionEntry, PriorityConfig, _cf_multi, _mean_triple,
-                                 _record, _triple_record, merge_external,
+                                 _record, _triple_record, derive, merge_external,
                                  node_decisions, propagate)
 
 F = Fraction
@@ -366,3 +368,143 @@ def test_agreeing_atomics_pass_their_verdict_up():
         for label, node in kb.nodes.items():
             if node.level >= 1:
                 assert int(node.decisions["ANK"].vd) == vd, label
+
+
+# --- the level loop against a node-by-node walk ------------------------------
+
+def _walk(nodes, labels, priorities, gate, round2, external):
+    """What ``derive`` returns, node by node: ``node_decisions`` over the
+    predecessors in ascending label order, each read fresh if derived here
+    and stored otherwise."""
+    fresh = {}
+    for label in labels:
+        preds = [(facts_of(p), fresh[p] if p in fresh else nodes[p].decisions)
+                 for p in predecessor_labels(label)]
+        condition = nodes[label].condition
+        fresh[label] = node_decisions(condition, preds, priorities, gate, round2,
+                                      external.get(condition))
+    return fresh
+
+
+def _composite_evidence(rng, n, diseases):
+    """Direct evidence on f1+f2 and f1+f2+f3, one disease of which no
+    atomic decision carries."""
+    if n < 2:
+        return {}
+    triple = TruthTriple(F(1, 5), F(3, 10), F(1, 2))
+    external = {frozenset({1, 2}): {"NEW": (1, F(rng.randint(1, 100), 100), triple)}}
+    if n >= 3:
+        external[frozenset({1, 2, 3})] = {diseases[0]: (rng.randrange(3),
+                                                        F(rng.randint(1, 100), 100), None)}
+    return external
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("round2", [False, True])
+def test_derive_matches_a_node_by_node_walk(n, round2):
+    rng = seeded(3000 + n)
+    diseases = DISEASE_POOL[:3]
+    atomics = random_atomics(rng, n, diseases)
+    drawn = random_priorities(rng, n, diseases)
+    # a global and (from order 2) a scoped layer whatever the draw
+    priorities = PriorityConfig(
+        drawn.global_priorities or {(diseases[0], 1): 3},
+        drawn.scoped or ({(frozenset({1, 2}), diseases[1]): {1: 1, 2: 4}} if n >= 2 else {}))
+    gate = (0, F(1, 20), F(1, 10))[n % 3]
+    external = _composite_evidence(rng, n, diseases)
+    facts = [Fact(i, "a%d" % i, "yes") for i in range(1, n + 1)]
+    kb = build_kb(facts, entries_with_triples(rng, atomics))
+    labels = [label for level in kb.levels[2:] for label in level]
+    got = derive(kb.nodes, labels, priorities, gate, round2, external)
+    assert got == _walk(kb.nodes, labels, priorities, gate, round2, external)
+    assert list(got) == labels
+    if n >= 2:
+        assert "NEW" in got["0" * (n - 2) + "11"]
+
+
+@pytest.mark.parametrize("n,seed", [(5, 1), (6, 2), (7, 3)])
+@pytest.mark.parametrize("round2", [False, True])
+def test_edit_cones_match_a_node_by_node_walk(n, seed, round2):
+    rng = seeded(3100 + seed)
+    kb, _, priorities = random_kb(rng, n, alpha=(0, F(1, 20), F(1, 10))[seed % 3],
+                                  round2=round2)
+
+    def cone_of(edited, label):
+        cone = sorted(_cone_labels(label), key=level_of)
+        view = dict(kb.nodes)
+        view[label] = edited.node(label)
+        assert {l: edited.node(l).decisions for l in cone} == \
+            _walk(view, cone, priorities, kb.alpha, round2, {})
+
+    level1 = "0" * (n - 1) + "1"
+    upper = "0" * (n - 3) + "101"
+    for label in (level1, upper):
+        vd = (int(kb.node(label).decisions.get("ANK", DecisionEntry("ANK", 0, 0)).vd) + 1) % 3
+        cone_of(modify_node(kb, label, SetDecision("ANK", vd, F(rng.randint(1, 99), 100))), label)
+    grown = insert_fact(kb, Fact(n + 1, "a%d" % (n + 1), "yes"),
+                        [DecisionEntry("ANK", 2, F(7, 10)), DecisionEntry("NEW", 1, F(1, 4))])
+    cone = sorted(_cone_labels("1" + "0" * n), key=level_of)
+    assert {l: grown.node(l).decisions for l in cone} == \
+        _walk(grown.nodes, cone, priorities, kb.alpha, round2, {})
+
+
+def _small_kb_file(n, round2):
+    """An order-1 or order-2 file with a gate, global and scoped
+    priorities and, at order 2, composite evidence for a new disease."""
+    def triple(a, b):
+        return F(a, 100), F(b, 100), F(100 - a - b, 100)
+
+    facts = [Fact(i, "a%d" % i, "yes") for i in range(1, n + 1)]
+    atomics = {1: [DecisionEntry("ANK", 1, F(37, 100), tv=triple(37, 20)),
+                   DecisionEntry("BUR", 2, F(3, 10))]}
+    scoped, external = {}, {}
+    if n == 2:
+        atomics[2] = [DecisionEntry("ANK", 0, F(9, 20), tv=triple(10, 45)),
+                      DecisionEntry("BUR", 2, F(2, 3), tv=triple(5, 30))]
+        scoped = {(frozenset({1, 2}), "BUR"): {1: 1, 2: 2}}
+        external = {frozenset({1, 2}): {"CFJ": (1, F(1, 4), triple(25, 5))}}
+    kb = propagate(build_kb(facts, atomics), priorities=PriorityConfig({("ANK", 1): 3}, scoped),
+                   external=external, alpha=F(1, 20), round2=round2)
+    return serialize_kb(kb)
+
+
+_HEAD = 'roughkb-kb 1\nmode %s\nalpha 1/20\norder %d\nfact f1 "a1" "yes"\n'
+SMALL_FILES = {
+    (1, False): _HEAD % ("exact", 1) + (
+        "priority ANK f1 3\nnode 0\nnode 1\n"
+        "decision ANK vd=1 cf=0.370000 tv=0.370000/0.200000/0.430000 w=f1:1\n"
+        "decision BUR vd=2 cf=0.300000 tv=- w=f1:1\n"),
+    (1, True): _HEAD % ("round2", 1) + (
+        "priority ANK f1 3\nnode 0\nnode 1\n"
+        "decision ANK vd=1 cf=0.37 tv=0.37/0.20/0.43 w=f1:1\n"
+        "decision BUR vd=2 cf=0.30 tv=- w=f1:1\n"),
+    (2, False): _HEAD % ("exact", 2) + (
+        'fact f2 "a2" "yes"\npriority ANK f1 3\npriority BUR f1+f2 f1=1 f2=2\n'
+        "node 00\nnode 01\n"
+        "decision ANK vd=1 cf=0.370000 tv=0.370000/0.200000/0.430000 w=f1:1\n"
+        "decision BUR vd=2 cf=0.300000 tv=- w=f1:1\n"
+        "node 10\n"
+        "decision ANK vd=0 cf=0.450000 tv=0.100000/0.450000/0.450000 w=f2:1\n"
+        "decision BUR vd=2 cf=0.666667 tv=0.050000/0.300000/0.650000 w=f2:1\n"
+        "node 11\n"
+        "decision ANK vd=0 cf=0.165000 tv=0.235000/0.325000/0.440000 w=f1:3/4,f2:1/4\n"
+        "decision BUR vd=2 cf=0.544444 tv=0.050000/0.300000/0.650000 w=f1:1/3,f2:2/3\n"
+        "decision CFJ vd=1 cf=0.250000 tv=0.250000/0.050000/0.700000 w=f1:1/2,f2:1/2\n"),
+    (2, True): _HEAD % ("round2", 2) + (
+        'fact f2 "a2" "yes"\npriority ANK f1 3\npriority BUR f1+f2 f1=1 f2=2\n'
+        "node 00\nnode 01\n"
+        "decision ANK vd=1 cf=0.37 tv=0.37/0.20/0.43 w=f1:1\n"
+        "decision BUR vd=2 cf=0.30 tv=- w=f1:1\n"
+        "node 10\n"
+        "decision ANK vd=0 cf=0.45 tv=0.10/0.45/0.45 w=f2:1\n"
+        "decision BUR vd=2 cf=0.67 tv=0.05/0.30/0.65 w=f2:1\n"
+        "node 11\n"
+        "decision ANK vd=0 cf=0.17 tv=0.24/0.33/0.44 w=f1:3/4,f2:1/4\n"
+        "decision BUR vd=2 cf=0.54 tv=0.05/0.30/0.65 w=f1:1/3,f2:2/3\n"
+        "decision CFJ vd=1 cf=0.25 tv=0.25/0.05/0.70 w=f1:1/2,f2:1/2\n"),
+}
+
+
+@pytest.mark.parametrize("n,round2", sorted(SMALL_FILES))
+def test_order_1_and_2_files_are_pinned(n, round2):
+    assert _small_kb_file(n, round2) == SMALL_FILES[(n, round2)]

@@ -47,3 +47,18 @@ def test_a_traced_edit_counts_its_cone():
     assert tracer.counts["propagation.nodes_derived"] == 3
     assert [span[0] for span in tracer.spans] == ["cli", "lattice.edit",
                                                   "propagation.derive"]
+
+
+def test_the_wrapped_names_are_the_derivation_engine():
+    """``kbio.propagate`` and ``lattice._repropagate`` are the names the
+    tracer wraps; ``derive`` answers with one map per label asked for,
+    empty maps included, so ``propagation.nodes_derived`` counts what
+    ``lattice.cone_nodes`` counts."""
+    assert roughkb.kbio.propagate is roughkb.propagation.propagate
+    assert roughkb.lattice._repropagate is roughkb.propagation.derive
+    facts = [Fact(i, "a%d" % i, "yes") for i in (1, 2, 3)]
+    kb = build_kb(facts, {1: [DecisionEntry("ANK", 1, F(1, 10))]})
+    labels = ["011", "101", "110", "111"]
+    out = roughkb.propagation.derive(kb.nodes, labels, kb.priorities, F(1, 2), False)
+    assert list(out) == labels
+    assert out["110"] == {} and out["111"] == {}
