@@ -24,7 +24,6 @@ atomic file replacement.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import re
 import shlex
@@ -37,6 +36,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import errors
 from ._num import ONE, ZERO, Converted, frac, parse_int, parse_rational, publish2, render
+from ._record import Record, set_field
 from .evidence import (GRADING_CAP, EvidenceProfile, SourceGrading, TruthTriple,
                        TruthValue, presence_matrix, resolve_decision, truth_triple)
 from .lattice import (DEFAULT_ORDER_CAP, DropDecision, Fact, Lattice, LatticeNode,
@@ -161,27 +161,34 @@ def _priority_line(tokens: List[str], known, global_priorities, scoped, error,
 
 # --- evidence documents -----------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class EvidenceRecord:
+class EvidenceRecord(Record):
     """One line of evidence: sources of one kind at one level."""
 
-    facts: Tuple[int, ...]
-    disease: str
-    m: int
-    level: int
-    count: int
+    __slots__ = ("facts", "disease", "m", "level", "count")
+
+    def __init__(self, facts: Tuple[int, ...], disease: str, m: int, level: int,
+                 count: int):
+        set_field(self, "facts", facts)
+        set_field(self, "disease", disease)
+        set_field(self, "m", m)
+        set_field(self, "level", level)
+        set_field(self, "count", count)
 
 
-@dataclasses.dataclass(frozen=True)
-class EvidenceDocument:
+class EvidenceDocument(Record):
     """A parsed evidence file, with records in canonical order."""
 
-    module: str
-    q: int
-    facts: Tuple[Fact, ...]
-    priorities: PriorityConfig
-    records: Tuple[EvidenceRecord, ...]
-    alpha: Fraction = ZERO
+    __slots__ = ("module", "q", "facts", "priorities", "records", "alpha")
+
+    def __init__(self, module: str, q: int, facts: Tuple[Fact, ...],
+                 priorities: PriorityConfig, records: Tuple[EvidenceRecord, ...],
+                 alpha: Fraction = ZERO):
+        set_field(self, "module", module)
+        set_field(self, "q", q)
+        set_field(self, "facts", facts)
+        set_field(self, "priorities", priorities)
+        set_field(self, "records", records)
+        set_field(self, "alpha", alpha)
 
     def diseases(self) -> Tuple[str, ...]:
         return tuple(sorted({r.disease for r in self.records}))
@@ -195,14 +202,23 @@ def _int_field(token: str, key: str, line_no: int) -> int:
 # A line of spaces, tabs and printable ASCII other than quotes, backslash
 # and "#": shlex in its POSIX mode splits it only at spaces and tabs.
 _PLAIN_LINE_RE = re.compile(r"[\t !$-&(-\[\]-~]*")
+# A line of such words and double-quoted strings with no quote or
+# backslash inside, each ended by a space, a tab or the line's end: shlex
+# reads each string as its text, as one token.
+_QUOTED_LINE_RE = re.compile(r'[ \t]*(?:(?:"[^"\\]*"|[!$-&(-\[\]-~]+)(?:[ \t]+|\Z))*')
+_QUOTED_TOKEN_RE = re.compile(r'"([^"\\]*)"|([^ \t]+)')
 
 
-def _evidence_tokens(raw: str) -> List[str]:
-    """The tokens of an evidence line, as ``shlex.split(raw,
-    comments=True)`` reads them; a plain line is split by ``str.split``."""
-    if _PLAIN_LINE_RE.fullmatch(raw):
-        return raw.split()
-    return shlex.split(raw, comments=True)
+def _tokens(line: str, comments: bool) -> List[str]:
+    """The tokens of a line, as ``shlex.split(line, comments=comments)``
+    reads them.  A plain line is split by ``str.split``, and a line of
+    words and simple quoted strings, such as a rendered ``fact`` line, by
+    a pattern; shlex reads only the others."""
+    if _PLAIN_LINE_RE.fullmatch(line):
+        return line.split()
+    if _QUOTED_LINE_RE.fullmatch(line):
+        return [quoted or word for quoted, word in _QUOTED_TOKEN_RE.findall(line)]
+    return shlex.split(line, comments=comments)
 
 
 def parse_evidence(text: str) -> EvidenceDocument:
@@ -234,7 +250,7 @@ def parse_evidence(text: str) -> EvidenceDocument:
 
     for line_no, raw in enumerate(text.splitlines(), 1):
         try:
-            tokens = _evidence_tokens(raw)
+            tokens = _tokens(raw, comments=True)
         except ValueError as exc:
             raise errors.SyntaxError(str(exc), line_no)
         if not tokens:
@@ -585,7 +601,7 @@ def load_kb(text: str) -> Lattice:
         if not _opens(line, "fact"):
             _corrupt("expected %d fact lines" % n, no)
         try:
-            tokens = shlex.split(line)
+            tokens = _tokens(line, comments=False)
         except ValueError as exc:
             _corrupt(str(exc), no)
         if _fact_line(tokens, facts, pairs, error, no).id != fid:

@@ -13,15 +13,14 @@ unchanged parts are shared.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, islice
 from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import errors
 from ._num import ONE, ZERO, frac
+from ._record import Record, set_field
 from .propagation import DecisionEntry, PriorityConfig
 # bench/tracing.py wraps this name to count cone re-derivation apart from propagate
 from .propagation import derive as _repropagate
@@ -31,13 +30,15 @@ DEFAULT_ORDER_CAP = 16
 _UNSET = object()
 
 
-@dataclasses.dataclass(frozen=True)
-class Fact:
+class Fact(Record):
     """An atomic condition: one observed attribute/value pair."""
 
-    id: int
-    attribute: str
-    value: str
+    __slots__ = ("id", "attribute", "value")
+
+    def __init__(self, id: int, attribute: str, value: str):
+        set_field(self, "id", id)
+        set_field(self, "attribute", attribute)
+        set_field(self, "value", value)
 
 
 class Head(NamedTuple):
@@ -62,14 +63,6 @@ def facts_of(label: str) -> FrozenSet[int]:
 
 def level_of(label: str) -> int:
     return label.count("1")
-
-
-@lru_cache(maxsize=None)
-def _level_masks(n: int, level: int) -> Tuple[int, ...]:
-    # combinations() emits position tuples in lexicographic order, which is
-    # *not* numerically increasing as bit masks; sort to fix the enumeration.
-    return tuple(sorted(sum(1 << p for p in combo)
-                        for combo in combinations(range(n), level)))
 
 
 def _cone_labels(label: str) -> List[str]:
@@ -187,8 +180,7 @@ class Lattice:
 
     def diseases(self) -> Tuple[str, ...]:
         """Every disease a decision or a priority names, sorted."""
-        seen = {disease for disease, _ in self.priorities.global_priorities}
-        seen.update(disease for _, disease in self.priorities.scoped)
+        seen = set(self.priorities.diseases())
         for node in self.nodes.values():
             seen.update(node.decisions)
         return tuple(sorted(seen))
@@ -220,9 +212,8 @@ class Lattice:
 
 # order -> (level tuples of labels, each label's condition in level order),
 # filled by the first skeleton build of the order and kept for the life of
-# the process like _level_masks: about one label string and one frozenset
-# per node for each order used.  Both are immutable, so every lattice of
-# the order shares them.
+# the process: about one label string and one frozenset per node for each
+# order used.  Both are immutable, so every lattice of the order shares them.
 _SKELETONS: Dict[int, Tuple[Tuple[Tuple[str, ...], ...], Tuple[FrozenSet[int], ...]]] = {}
 
 
@@ -230,17 +221,21 @@ def _build_structure(n: int) -> Tuple[Tuple[Tuple[str, ...], ...], Dict[str, Lat
     """The level tuples and a fresh map of fresh, decision-free nodes."""
     cached = _SKELETONS.get(n)
     if cached is None:
+        # a stable sort by popcount keeps each level in numeric order
+        masks = sorted(range(1 << n), key=int.bit_count)
         fmt = "0%db" % n
-        levels = tuple(tuple(format(mask, fmt) for mask in _level_masks(n, level))
-                       for level in range(n + 1))
-        # made as each node is, so a first build costs what it did uncached
-        conditions = map(facts_of, chain.from_iterable(levels))
-    else:
-        levels, conditions = cached
+        labels = iter([format(mask, fmt) for mask in masks])
+        levels = tuple(tuple(islice(labels, comb(n, level))) for level in range(n + 1))
+        # a mask's condition is that of the mask less its lowest bit, plus
+        # the fact of that bit; the lesser mask is filled first
+        by_mask = [frozenset()] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            by_mask[mask] = by_mask[mask ^ low].union((low.bit_length(),))
+        _SKELETONS[n] = cached = levels, tuple(map(by_mask.__getitem__, masks))
+    levels, conditions = cached
     nodes = {label: LatticeNode(label, condition, {})
              for label, condition in zip(chain.from_iterable(levels), conditions)}
-    if cached is None:
-        _SKELETONS[n] = levels, tuple(node.condition for node in nodes.values())
     return levels, nodes
 
 
@@ -395,7 +390,7 @@ def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
     def remap(fid: int) -> int:
         return fid - 1 if fid > fact_id else fid
 
-    facts = tuple(dataclasses.replace(fact, id=remap(fact.id))
+    facts = tuple(fact.replace(id=remap(fact.id))
                   for fact in kb.facts if fact.id != fact_id)
     levels, nodes = _build_structure(n2)
     for label, node in kb.nodes.items():
@@ -416,30 +411,37 @@ def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
 
 # --- node modification ------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class ConditionEdit:
+class ConditionEdit(Record):
     """Rename the attribute and/or value text of an atomic condition."""
 
-    attribute: Optional[str] = None
-    value: Optional[str] = None
+    __slots__ = ("attribute", "value")
+
+    def __init__(self, attribute: Optional[str] = None, value: Optional[str] = None):
+        set_field(self, "attribute", attribute)
+        set_field(self, "value", value)
 
 
-@dataclasses.dataclass(frozen=True)
-class SetDecision:
+class SetDecision(Record):
     """Add or replace one disease decision at a node."""
 
-    disease: str
-    vd: int
-    cf: object
-    tv: Optional[tuple] = None
-    weights: Optional[Mapping[int, Fraction]] = None
+    __slots__ = ("disease", "vd", "cf", "tv", "weights")
+
+    def __init__(self, disease: str, vd: int, cf: object, tv: Optional[tuple] = None,
+                 weights: Optional[Mapping[int, Fraction]] = None):
+        set_field(self, "disease", disease)
+        set_field(self, "vd", vd)
+        set_field(self, "cf", cf)
+        set_field(self, "tv", tv)
+        set_field(self, "weights", weights)
 
 
-@dataclasses.dataclass(frozen=True)
-class DropDecision:
+class DropDecision(Record):
     """Remove one disease decision from a node."""
 
-    disease: str
+    __slots__ = ("disease",)
+
+    def __init__(self, disease: str):
+        set_field(self, "disease", disease)
 
 
 def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
@@ -470,8 +472,7 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
                 % (label, node.level))
         fid = next(iter(node.condition))
         old = kb.fact(fid)
-        new = dataclasses.replace(
-            old,
+        new = old.replace(
             attribute=old.attribute if change.attribute is None else change.attribute,
             value=old.value if change.value is None else change.value)
         facts = tuple(new if fact.id == fid else fact for fact in kb.facts)

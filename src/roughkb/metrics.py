@@ -11,25 +11,28 @@ a tolerance only for the caller's peace of mind.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import errors
 from ._num import ONE, fsum
+from ._record import Record, set_field
 from .evidence import TruthValue
 
 _TOL = Fraction(1, 10 ** 9)
 
 
-@dataclasses.dataclass(frozen=True)
-class RuleMetrics:
+class RuleMetrics(Record):
     """Support, strength, certainty and coverage of one rule."""
 
-    support: Fraction
-    strength: Fraction
-    certainty: Fraction
-    coverage: Fraction
+    __slots__ = ("support", "strength", "certainty", "coverage")
+
+    def __init__(self, support: Fraction, strength: Fraction, certainty: Fraction,
+                 coverage: Fraction):
+        set_field(self, "support", support)
+        set_field(self, "strength", strength)
+        set_field(self, "certainty", certainty)
+        set_field(self, "coverage", coverage)
 
 
 def _entry(kb, label: str, disease: str):
@@ -103,12 +106,14 @@ def measure(rule, kb, mass: Optional[DiseaseMass] = None) -> RuleMetrics:
 
 # --- identity checks --------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     """Outcome of the six identity checks over every decision class."""
 
-    checked: int
-    failures: Tuple[Tuple[int, str, int, str], ...]
+    __slots__ = ("checked", "failures")
+
+    def __init__(self, checked: int, failures: Tuple[Tuple[int, str, int, str], ...]):
+        set_field(self, "checked", checked)
+        set_field(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

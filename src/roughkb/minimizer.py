@@ -60,13 +60,13 @@ and its expression's ``minimal`` is False.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import errors
 from ._num import ZERO
+from ._record import Record, set_field
 from .evidence import TruthValue
 from .lattice import DEFAULT_ORDER_CAP
 
@@ -608,21 +608,26 @@ def minimize(minterms: Iterable[str], n: int) -> SopExpression:
 
 # --- rule emission ----------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class MinimizedRule:
+class MinimizedRule(Record):
     """One minimized decision rule with its quality measures.
 
     ``minimal`` is True when the condition is a proven least cover and
     False when it is the greedy one; it is not rendered.
     """
 
-    condition: SopExpression
-    disease: str
-    vd: TruthValue
-    kind: str
-    source_labels: FrozenSet[str]
-    metrics: Optional[object] = None
-    minimal: bool = False
+    __slots__ = ("condition", "disease", "vd", "kind", "source_labels", "metrics",
+                 "minimal")
+
+    def __init__(self, condition: SopExpression, disease: str, vd: TruthValue,
+                 kind: str, source_labels: FrozenSet[str],
+                 metrics: Optional[object] = None, minimal: bool = False):
+        set_field(self, "condition", condition)
+        set_field(self, "disease", disease)
+        set_field(self, "vd", vd)
+        set_field(self, "kind", kind)
+        set_field(self, "source_labels", source_labels)
+        set_field(self, "metrics", metrics)
+        set_field(self, "minimal", minimal)
 
 
 _REGIONS = {
@@ -664,8 +669,7 @@ def generate_rules(kb, approx: Mapping[str, "ApproximationSets"],
                 rule = MinimizedRule(condition, disease, vd, kind, labels,
                                      minimal=condition.minimal)
                 try:
-                    rule = dataclasses.replace(
-                        rule, metrics=_metrics.measure(rule, kb, mass))
+                    rule = rule.replace(metrics=_metrics.measure(rule, kb, mass))
                 except errors.ZeroMass:
                     pass
                 rules.append(rule)

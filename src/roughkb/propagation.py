@@ -155,6 +155,10 @@ class PriorityConfig:
         return _weight_map(facts, *_priorities(facts, self._tables.get(disease, _NO_TABLE)),
                            self._values)
 
+    def diseases(self):
+        """The diseases some global or scoped priority names."""
+        return self._tables.keys()
+
     def without_fact(self, fid: int) -> "PriorityConfig":
         """Drop every reference to a fact and renumber the ones above it."""
         shift = lambda f: f - 1 if f > fid else f  # noqa: E731

@@ -13,15 +13,14 @@ sequence can be replayed and compared against a from-scratch rebuild.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import FrozenSet, Iterable, List, Set, Tuple
 
 from . import errors
+from ._record import Record, set_field
 from .evidence import TruthValue
 
 
-@dataclasses.dataclass(frozen=True)
-class ConceptPair:
+class ConceptPair(Record):
     """The two target concepts of one disease.
 
     ``concept1`` collects the nodes whose rules lean towards presence
@@ -29,13 +28,15 @@ class ConceptPair:
     2).  Inconclusive nodes sit in both.
     """
 
-    disease: str
-    concept1: FrozenSet[str]
-    concept2: FrozenSet[str]
+    __slots__ = ("disease", "concept1", "concept2")
+
+    def __init__(self, disease: str, concept1: FrozenSet[str], concept2: FrozenSet[str]):
+        set_field(self, "disease", disease)
+        set_field(self, "concept1", concept1)
+        set_field(self, "concept2", concept2)
 
 
-@dataclasses.dataclass(frozen=True)
-class ApproximationSets:
+class ApproximationSets(Record):
     """Lower/upper/boundary regions for both concepts of one disease.
 
     Three disjoint regions are stored: the two lower regions and the
@@ -44,9 +45,13 @@ class ApproximationSets:
     read-only views computed at each access.
     """
 
-    lower1: FrozenSet[str]
-    lower2: FrozenSet[str]
-    boundary1: FrozenSet[str]
+    __slots__ = ("lower1", "lower2", "boundary1")
+
+    def __init__(self, lower1: FrozenSet[str], lower2: FrozenSet[str],
+                 boundary1: FrozenSet[str]):
+        set_field(self, "lower1", lower1)
+        set_field(self, "lower2", lower2)
+        set_field(self, "boundary1", boundary1)
 
     @property
     def upper1(self) -> FrozenSet[str]:
@@ -98,11 +103,11 @@ def approximations(kb, disease: str) -> ApproximationSets:
     Raises:
         UnknownDisease: no decision or priority names the disease.
     """
-    if disease not in kb.diseases():
+    vds = {label: node.decisions[disease].vd
+           for label, node in kb.nodes.items() if disease in node.decisions}
+    if not vds and disease not in kb.priorities.diseases():
         raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
-    return ApproximationSets.from_vd_map(
-        {label: node.decisions[disease].vd
-         for label, node in kb.nodes.items() if disease in node.decisions})
+    return ApproximationSets.from_vd_map(vds)
 
 
 def concepts(kb, disease: str) -> ConceptPair:

@@ -144,9 +144,33 @@ def test_evidence_lines_split_as_shlex_splits_them(line):
         want = shlex.split(line, comments=True)
     except ValueError:
         with pytest.raises(ValueError):
-            kbio._evidence_tokens(line)
+            kbio._tokens(line, comments=True)
     else:
-        assert kbio._evidence_tokens(line) == want
+        assert kbio._tokens(line, comments=True) == want
+
+
+_FACT_TEXT = st.text(st.one_of(st.sampled_from(_SPLIT_EDGES),
+                               st.characters(min_codepoint=0x20, max_codepoint=0x7e)),
+                     max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(["", " ", "\t "]), st.sampled_from([" ", "\t", " \t "]),
+       _FACT_TEXT, _FACT_TEXT)
+def test_fact_lines_split_as_shlex_splits_them(indent, blank, attribute, value):
+    line = '%sfact%sf1%s"%s"%s"%s"' % (indent, blank, blank, attribute, blank, value)
+    try:
+        want = shlex.split(line)
+    except ValueError:
+        with pytest.raises(ValueError):
+            kbio._tokens(line, comments=False)
+    else:
+        assert kbio._tokens(line, comments=False) == want
+    try:
+        rendered = kbio._fact_lines([lattice.Fact(1, attribute, value)])[0]
+    except errors.OutOfRange:
+        return
+    assert kbio._tokens(rendered, comments=False) == ["fact", "f1", attribute, value]
 
 
 def test_render_refuses_unquotable_text():

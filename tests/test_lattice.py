@@ -106,6 +106,24 @@ def test_skeletons_share_labels_and_conditions_not_nodes(n):
         assert node.decisions == {}
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_a_cold_skeleton_lists_each_level_in_numeric_order(n, monkeypatch):
+    monkeypatch.setattr("roughkb.lattice._SKELETONS", {})
+    levels, nodes = _build_structure(n)
+    fmt = "0%db" % n
+    assert levels == tuple(
+        tuple(format(mask, fmt)
+              for mask in sorted(sum(1 << p for p in combo)
+                                 for combo in combinations(range(n), level)))
+        for level in range(n + 1))
+    assert list(nodes) == [label for level in levels for label in level]
+    for label, node in nodes.items():
+        assert node.condition == facts_of(label)
+    warm_levels, warm = _build_structure(n)
+    assert warm_levels == levels
+    assert warm == nodes
+
+
 def test_edits_leave_the_cached_skeletons_intact():
     """A skeleton dict or node shared between lattices would carry one
     lattice's decisions into the next lattice of the same order."""
