@@ -18,7 +18,7 @@ from .kbio import (EvidenceDocument, EvidenceRecord, build_from_document,
                    serialize_kb)
 from .lattice import (ConditionEdit, DropDecision, Fact, Lattice, LatticeNode,
                       SetDecision, build_kb, delete_fact, insert_fact,
-                      modify_node, predecessor_labels, successor_labels)
+                      modify_node)
 from .metrics import PropertyReport, RuleMetrics, check_properties
 from .minimizer import MinimizedRule, SopExpression, generate_rules, minimize
 from .propagation import DecisionEntry, PriorityConfig, propagate
@@ -38,7 +38,7 @@ __all__ = [
     "concepts", "delete_fact", "errors", "fixture_document", "generate_rules", "insert_fact",
     "load_kb", "minimize", "modify_node", "on_decisions_added",
     "on_decisions_removed", "on_truth_changed", "parse_evidence",
-    "predecessor_labels", "presence_matrix", "propagate", "render_evidence",
-    "resolve_decision", "serialize_kb", "successor_labels", "truth_triple",
+    "presence_matrix", "propagate", "render_evidence",
+    "resolve_decision", "serialize_kb", "truth_triple",
     "__version__",
 ]

@@ -82,20 +82,6 @@ def _cone_labels(label: str) -> List[str]:
     return out
 
 
-def predecessor_labels(label: str) -> List[str]:
-    """Labels one level down: clear each set bit, leftmost first."""
-    return [label[:i] + "0" + label[i + 1:]
-            for i, ch in enumerate(label) if ch == "1"]
-
-
-def successor_labels(label: str, n: int) -> List[str]:
-    """Labels one level up: set each clear bit, rightmost first."""
-    if len(label) != n:
-        raise errors.OutOfRange("label %r is not of order %d" % (label, n))
-    return [label[:i] + "1" + label[i + 1:]
-            for i in range(len(label) - 1, -1, -1) if label[i] == "0"]
-
-
 # --- storage ----------------------------------------------------------------
 
 class LatticeNode:
@@ -119,11 +105,17 @@ class LatticeNode:
 
     @property
     def predecessors(self) -> Tuple[str, ...]:
-        return tuple(predecessor_labels(self.label))
+        """Labels one level down: clear each set bit, leftmost first."""
+        label = self.label
+        return tuple(label[:i] + "0" + label[i + 1:]
+                     for i, ch in enumerate(label) if ch == "1")
 
     @property
     def successors(self) -> Tuple[str, ...]:
-        return tuple(successor_labels(self.label, len(self.label)))
+        """Labels one level up: set each clear bit, rightmost first."""
+        label = self.label
+        return tuple(label[:i] + "1" + label[i + 1:]
+                     for i in range(len(label) - 1, -1, -1) if label[i] == "0")
 
     def replace_decisions(self, decisions) -> "LatticeNode":
         return LatticeNode(self.label, self.condition, decisions)

@@ -4,58 +4,56 @@ Each lattice label in a region is a total minterm over the fact
 literals (bit set = fact present, bit clear = fact absent).  A region
 minimizes to an irredundant sum-of-products covering exactly its label
 set -- no don't-cares.  Sets of labels, cubes and primes are Python ints
-used as bitsets throughout.
+used as bitsets throughout, and a cover stays a list of (bits,
+dash_mask) cubes up to ``SopExpression``.  That stores each term once,
+as its literals ascending by fact, and the terms in ascending order of
+those tuples (term-key order), which every text form reads as it is.
 
-Prime implicants, from one table over all 3**n cubes.  A cube is a pair
-(bits, dash_mask); its index has base-3 digit p equal to 0 (fact p
-absent), 1 (present) or 2 (dash), and the table has the bit of every
-implicant set.  It is kept in blocks: the low _BLOCK_DIGITS digits index
-the bits of an int, the digits above them key a dict, and a block with
-no implicant is absent, so a sparse region builds few blocks.  The
-minterms are embedded once, through a bytearray per block, and each
+Prime implicants, from one table over all 3**n cubes.  A cube's index
+has base-3 digit p equal to 0 (fact p absent), 1 (present) or 2 (dash),
+and the table has the bit of every implicant set.  It is kept in blocks:
+the low _BLOCK_DIGITS digits index the bits of an int, the digits above
+them key a dict, and a block with no implicant is absent, so a sparse
+region builds few blocks.  The minterms are embedded once, and each
 digit p of weight s = 3**p then takes one merge pass, within a block::
 
     imp |= (imp & (imp >> s)) << 2*s
 
 and, for a key digit, the block keyed with digit 2 is the AND of those
-keyed with 0 and 1.  A cube is an implicant when its halves with digit p
-at 0 (index i) and at 1 (index i + s) are, and its own index is i + 2*s.
-The pass needs no mask: before it no cube has a dash at digit p, so a
-set bit at i has digit p of 0 or 1, and when it is 1 the bit at i + s
-would be a dash at p, which is clear.  A cube with digit p of 0 or 1 is
-prime unless its cube with a dash there is an implicant.  Within a block,
-with ``dashed = imp & two_p`` (``two_p``: the indices whose digit p is
-2, built once per block width), the covered cubes are
-``dashed >> s | dashed >> 2*s``; for a key digit, the block keyed with 2
-covers the blocks keyed with 0 and 1.  The primes' set bits are read
-byte by byte, and each index is decoded by table lookup.  The table
-costs 3**n bits where the earlier merge over every dash mask's 2**n-bit
-table cost 4**n.
+keyed with 0 and 1: a cube is an implicant when its halves with digit p
+at 0 (index i) and at 1 (index i + s) are, and its index is i + 2*s.
+The pass needs no mask, as no cube has a dash at digit p before it.  A
+cube with digit p of 0 or 1 is prime unless its cube with a dash there
+is an implicant: within a block, with ``dashed = imp & two_p`` (the
+indices whose digit p is 2), the covered cubes are ``dashed >> s |
+dashed >> 2*s``; for a key digit, the block keyed with 2 covers those
+keyed with 0 and 1.  The table costs 3**n bits where a 2**n-bit table
+per dash mask cost 4**n.
 
-Exact cover, for orders up to EXACT_COVER_LIMIT.  Each prime's labels
-form a bitset.  ``once``/``twice`` accumulators find the labels covered
-by a single prime, whose primes are essential.  Every label the
-essentials leave is a row: the bitset of the primes (columns) covering
-it.  Covers rank by (terms, literals, sorted term keys).  Each prime
-weighs BIG + literals, so one integer sum ranks the first two, and the
-columns are numbered in term-key order for the third.  A branch-and-bound
-search (Coudert, *Two-level logic minimization: an overview*, 1994) runs
-in two passes.  Pass 1 finds the least weight C, branching on the row
-with the fewest columns and pruning a node whose cost plus a lower bound
-(the cheapest columns of a greedy set of rows sharing no column) reaches
-the best cover so far.  Pass 2 walks the columns in key order, taking
-each before leaving it, prunes at cost plus bound above C and stops at
-the first cover: of the covers of one size, that walk reaches the one
-with the least sorted term keys first.  Every node of both passes takes
-the column of a single-column row, drops rows holding another row (a
-selection hitting the smaller one hits it), and drops a column whose
-rows all hold another column of lower (weight, key).  A cover with that
-column can swap it for the other and come out lighter or earlier in key
-order, so neither pass loses the cover it looks for.
+Exact cover, for orders up to EXACT_COVER_LIMIT.  ``once``/``twice``
+accumulators over the primes' label bitsets find the labels covered by
+a single prime, whose primes are essential.  Every label they leave is a
+row: the bitset of the primes (columns) covering it.  Covers rank by
+(terms, literals, sorted term keys): each prime weighs BIG + literals,
+so one integer sum ranks the first two, and the columns are numbered in
+term-key order for the third.  A branch-and-bound search (Coudert,
+*Two-level logic minimization: an overview*, 1994) reduces the rows
+once, at the root, and runs two passes from there.  Pass 1 finds the
+least weight C, branching on the row with the fewest columns and pruning
+a node whose cost plus a lower bound (the cheapest columns of a greedy
+set of rows sharing no column) reaches the best cover so far.  Pass 2
+walks the columns in key order, taking each before leaving it, prunes
+at cost plus bound above C and stops at the first cover: of the covers
+of one size, that walk reaches the one with the least sorted term keys
+first.  Every other node of both passes takes the column of a
+single-column row, drops rows holding another row, and drops a column
+whose rows all hold (their AND has) another column of lower (weight,
+key): a cover with it can swap it for that one and come out lighter or
+earlier in key order, so neither pass loses the cover it looks for.
 
-Both passes share COVER_NODE_BUDGET nodes.  A region that needs more
-takes the greedy cover, as does every region above EXACT_COVER_LIMIT,
-and its expression's ``minimal`` is False.
+Both passes share COVER_NODE_BUDGET nodes, each counting the root.  A
+region that needs more takes the greedy cover, as does every region
+above EXACT_COVER_LIMIT, and its expression's ``minimal`` is False.
 """
 
 from __future__ import annotations
@@ -79,44 +77,70 @@ EXACT_COVER_LIMIT = 12
 # region.
 COVER_NODE_BUDGET = 20_000
 
-# A product term maps fact ids to polarities; stored as a frozenset of
-# (fact_id, positive) literals.  The empty term is the constant TRUE.
+# A product term maps fact ids to polarities; ``terms`` gives each as a
+# frozenset of (fact_id, positive) literals.  The empty term is TRUE.
 Term = FrozenSet[Tuple[int, bool]]
-
-
-def _term_key(term: Term):
-    return tuple(sorted(term))
 
 
 def _literal_text(fid: int, positive: bool) -> str:
     return "f%d" % fid if positive else "NOT f%d" % fid
 
 
-def _term_masks(term: Term) -> Optional[Tuple[int, int]]:
+def _term_masks(term) -> Optional[Tuple[int, int]]:
     """A term as (care, want) bitsets over fact positions: a label
     satisfies it when ``label & care == want``.  None if it never holds."""
-    pos = neg = 0
-    for fid, positive in term:
-        if positive:
-            pos |= 1 << (fid - 1)
-        else:
-            neg |= 1 << (fid - 1)
-    if pos & neg:
-        return None
-    return pos | neg, pos
+    # sets of distinct bits, so each sum is their union
+    pos = sum({1 << (fid - 1) for fid, positive in term if positive})
+    neg = sum({1 << (fid - 1) for fid, positive in term if not positive})
+    return None if pos & neg else (pos | neg, pos)
+
+
+def _cube_literals(cube: Tuple[int, int], n: int) -> Tuple[Tuple[int, bool], ...]:
+    """The literals of a (bits, dash_mask) cube, ascending by fact."""
+    bits, mask = cube
+    return tuple([(pos + 1, bits >> pos & 1 == 1)
+                  for pos in range(n) if not mask >> pos & 1])
+
+
+def _sum_text(terms, literal) -> str:
+    """The terms' AND texts joined by OR; among several, a multi-literal one is bracketed."""
+    parts = [" AND ".join([literal(f, p) for f, p in term]) for term in terms]
+    if len(parts) > 1:
+        parts = ["(%s)" % text if len(term) > 1 else text
+                 for term, text in zip(terms, parts)]
+    return " OR ".join(parts)
 
 
 class SopExpression:
-    """An irredundant sum of product terms over n fact literals."""
+    """An irredundant sum of product terms over n fact literals, stored in
+    term-key order."""
 
-    __slots__ = ("n", "terms", "minimal", "_masks")
+    __slots__ = ("n", "minimal", "_terms", "_masks")
 
     def __init__(self, n: int, terms: Iterable[Term], minimal: bool = False):
-        self.n = int(n)
-        self.terms = frozenset(frozenset(t) for t in terms)
+        self.n = n = int(n)
+        stored = {tuple(sorted(frozenset(term))) for term in terms}
+        outside = sorted(fid for term in stored for fid, _ in term if not 1 <= fid <= n)
+        if outside:
+            raise errors.OutOfRange("literal on fact %r outside 1..%d" % (outside[0], n))
+        self._terms = tuple(sorted(stored))
+        self._masks = [m for m in map(_term_masks, stored) if m is not None]
         # True when ``minimize`` proved the cover least; not compared
         self.minimal = minimal
-        self._masks = [m for m in map(_term_masks, self.terms) if m is not None]
+
+    @classmethod
+    def _from_cubes(cls, n: int, cubes, minimal: bool) -> "SopExpression":
+        """The sum of distinct (bits, dash_mask) cubes, as a cover gives them."""
+        self = cls.__new__(cls)
+        self.n, self.minimal = n, minimal
+        self._terms = tuple(sorted(_cube_literals(cube, n) for cube in cubes))
+        full = (1 << n) - 1
+        self._masks = [(full & ~mask, bits) for bits, mask in cubes]
+        return self
+
+    @property
+    def terms(self) -> FrozenSet[Term]:
+        return frozenset(map(frozenset, self._terms))
 
     def evaluate(self, label: str) -> bool:
         if len(label) != self.n or set(label) - {"0", "1"}:
@@ -135,48 +159,36 @@ class SopExpression:
         return frozenset(format(v, fmt) for v in _bit_positions(table))
 
     def ordered_terms(self) -> List[Term]:
-        return sorted(self.terms, key=_term_key)
+        return [frozenset(term) for term in self._terms]
 
     def phrase(self, literal) -> str:
         """The sum of products, each literal spelled by ``literal(fid, positive)``."""
-        if not self.terms:
+        if not self._terms:
             return "FALSE"
-        if frozenset() in self.terms:
+        if not self._terms[0]:  # the empty term sorts first
             return "TRUE"
-        parts = []
-        for term in self.ordered_terms():
-            text = " AND ".join(literal(f, p) for f, p in sorted(term))
-            parts.append("(%s)" % text if len(self.terms) > 1 and len(term) > 1
-                         else text)
-        return " OR ".join(parts)
+        return _sum_text(self._terms, literal)
 
     def __str__(self):
         return self.phrase(_literal_text)
 
     def factored(self) -> str:
         """Single-level factoring of the literals shared by every term."""
-        if not self.terms or frozenset() in self.terms:
+        terms = self._terms
+        common = set(terms[0]).intersection(*terms[1:]) if len(terms) > 1 else ()
+        rests = [tuple(lit for lit in term if lit not in common) for term in terms]
+        if not common or not all(rests):  # nor when a term is the shared part
             return str(self)
-        ordered = self.ordered_terms()
-        common = frozenset.intersection(*ordered)
-        if len(ordered) == 1 or not common:
-            return str(self)
-        head = " AND ".join(_literal_text(f, p) for f, p in sorted(common))
-        tails = []
-        for term in ordered:
-            rest = sorted(term - common)
-            if not rest:
-                return str(self)  # a term equals the common part; don't factor
-            text = " AND ".join(_literal_text(f, p) for f, p in rest)
-            tails.append("(%s)" % text if len(rest) > 1 else text)
-        return "%s AND (%s)" % (head, " OR ".join(tails))
+        head = tuple(lit for lit in terms[0] if lit in common)
+        return "%s AND (%s)" % (_sum_text([head], _literal_text),
+                                _sum_text(rests, _literal_text))
 
     def __eq__(self, other):
         return (isinstance(other, SopExpression)
-                and other.n == self.n and other.terms == self.terms)
+                and other.n == self.n and other._terms == self._terms)
 
     def __hash__(self):
-        return hash((self.n, self.terms))
+        return hash((self.n, self._terms))
 
     def __repr__(self):
         return "SopExpression(n=%d, %s)" % (self.n, str(self))
@@ -311,20 +323,15 @@ def _subcube_cells(mask: int) -> int:
     return cells
 
 
-def _cube_term(cube: Tuple[int, int], n: int) -> Term:
-    bits, mask = cube
-    return frozenset((pos + 1, bool(bits >> pos & 1))
-                     for pos in range(n) if not mask >> pos & 1)
-
-
 def _prime_cells(primes) -> List[int]:
-    return [_subcube_cells(mask) << bits for bits, mask in primes]
+    subcubes = {mask: _subcube_cells(mask) for mask in {mask for _, mask in primes}}
+    return [subcubes[mask] << bits for bits, mask in primes]
 
 
 def _minimal(sets: Iterable[int]) -> List[int]:
     """The inclusion-minimal bitsets among ``sets``, by ascending size."""
     kept: List[int] = []
-    for cand in sorted(set(sets), key=lambda s: (s.bit_count(), s)):
+    for cand in sorted(sorted(set(sets)), key=int.bit_count):
         for keep in kept:
             if keep & cand == keep:
                 break
@@ -333,32 +340,22 @@ def _minimal(sets: Iterable[int]) -> List[int]:
     return kept
 
 
-def _dominated(rows: Sequence[int], weights: Sequence[int]) -> int:
+def _dominated(rows: Sequence[int], below: Sequence[int]) -> int:
     """The columns whose rows all hold another column of lower (weight,
-    index).  Such a column can always be swapped for that other one."""
-    held: Dict[int, int] = {}
-    for r, row in enumerate(rows):
-        bit = 1 << r
-        while row:
-            col = row & -row
-            held[col] = held.get(col, 0) | bit
-            row ^= col
-    drop = 0
-    for col, mine in held.items():
-        rank = (weights[col.bit_length() - 1], col)
-        # a column in all of col's rows is in its first one
-        row = rows[(mine & -mine).bit_length() - 1] & ~col
-        while row:
-            other = row & -row
-            if (held[other] & mine == mine
-                    and (weights[other.bit_length() - 1], other) < rank):
-                drop |= col
-                break
-            row ^= other
-    return drop
+    index): their rows' AND meets ``below[c]``, the columns ranked under
+    column c.  Such a column can always be swapped for that other one."""
+    common: Dict[int, int] = {}
+    for row in rows:
+        rest = row
+        while rest:
+            col = rest & -rest
+            common[col] = common.get(col, row) & row
+            rest ^= col
+    return sum(col for col, others in common.items()
+               if others & below[col.bit_length() - 1])
 
 
-def _reduce(rows: List[int], weights: Sequence[int]) -> Tuple[List[int], int, int]:
+def _reduce(rows: List[int], weights, below) -> Tuple[List[int], int, int]:
     """Forced picks, row dominance and column dominance until none applies:
     (rows left, the picks' cost, picks).  The rows left are an antichain
     of rows with two columns or more."""
@@ -375,7 +372,7 @@ def _reduce(rows: List[int], weights: Sequence[int]) -> Tuple[List[int], int, in
             cost += sum(weights[i] for i in _bit_positions(forced))
             picks |= forced
         rows = _minimal(rows)
-        drop = _dominated(rows, weights)
+        drop = _dominated(rows, below)
         if not drop:
             return rows, cost, picks
         # every row holding a dropped column holds an undropped dominator
@@ -396,17 +393,19 @@ def _lower_bound(rows: Sequence[int], levels) -> int:
     return bound
 
 
-def _least_cost(rows, weights, levels, budget) -> Tuple[Optional[int], int]:
+def _least_cost(root, weights, levels, below, budget) -> Tuple[Optional[int], int]:
     """Pass 1: the least cost of a selection hitting every row, or None
     when the search needs more than ``budget`` nodes; and the nodes used.
 
-    A node picks a column, drops the columns its earlier siblings picked
-    (their subtrees hold every cover with them), reduces, and branches on
-    the row with the fewest columns, cheapest column first.
+    The search starts from ``root``, the reduced (rows, cost, picks).
+    Below it a node picks a column, drops the columns its earlier
+    siblings picked (their subtrees hold every cover with them) and
+    reduces.  A node branches on the row with the fewest columns,
+    cheapest column first.
     """
     best = sum(weights) + 1
     nodes = 0
-    stack = [(rows, 0, 0, 0)]
+    stack = [(root[0], root[1], 0, 0)]
     while stack:
         rows, cost, pick, tried = stack.pop()
         nodes += 1
@@ -416,9 +415,8 @@ def _least_cost(rows, weights, levels, budget) -> Tuple[Optional[int], int]:
             # rows are an antichain and ``tried`` lies inside the row
             # branched on, so no row is left empty
             rows = [row & ~tried for row in rows if not row & pick]
-            cost += weights[pick.bit_length() - 1]
-        rows, more, _ = _reduce(rows, weights)
-        cost += more
+            rows, more, _ = _reduce(rows, weights, below)
+            cost += weights[pick.bit_length() - 1] + more
         if not rows:
             best = min(best, cost)
             continue
@@ -434,43 +432,41 @@ def _least_cost(rows, weights, levels, budget) -> Tuple[Optional[int], int]:
     return best, nodes
 
 
-def _first_cover(rows, weights, levels, target, budget) -> Optional[int]:
-    """Pass 2: the first selection of cost ``target`` that a walk over the
-    columns in index order, taking each before leaving it, reaches; None
-    when the walk needs more than ``budget`` nodes.
+def _first_cover(root, weights, levels, below, target, budget) -> Tuple[Optional[int], int]:
+    """Pass 2: the first selection of cost ``target`` that a walk from
+    ``root`` over the columns in index order, taking each before leaving
+    it, reaches, or None past ``budget`` nodes; and the nodes used.
 
     Columns are numbered in term-key order, so of the covers of one size
     the walk reaches the one whose sorted term keys come first.  A column
     that no row holds is never taken: every cover with it is redundant.
     """
     nodes = 0
-    stack = [(rows, 0, 0)]
+    stack = [root]
     while stack:
         rows, cost, chosen = stack.pop()
         nodes += 1
         if nodes > budget:
-            return None
-        rows, more, picks = _reduce(rows, weights)
-        cost += more
-        chosen |= picks
+            return None, nodes
+        if nodes > 1:  # every node but the root, which comes reduced
+            rows, more, picks = _reduce(rows, weights, below)
+            cost += more
+            chosen |= picks
         if not rows:
             if cost <= target:
-                return chosen
+                return chosen, nodes
             continue
         if cost + _lower_bound(rows, levels) > target:
             continue
-        held = 0
-        for row in rows:
-            held |= row
-        col = held & -held
+        col = min(row & -row for row in rows)
         # no reduced row is single, so leaving ``col`` empties none
         stack.append(([row & ~col for row in rows], cost, chosen))
         stack.append(([row for row in rows if not row & col],
                       cost + weights[col.bit_length() - 1], chosen | col))
-    return None
+    return None, nodes
 
 
-def _exact_cover(primes, n) -> Optional[List[Term]]:
+def _exact_cover(primes, n) -> Optional[List[Tuple[int, int]]]:
     """The least cover by (terms, literals, sorted term keys), or None
     when the search runs past COVER_NODE_BUDGET nodes."""
     cells = _prime_cells(primes)
@@ -496,28 +492,32 @@ def _exact_cover(primes, n) -> Optional[List[Term]]:
         for row in core:
             held |= row
         alive = sorted(_bit_positions(held),
-                       key=lambda i: _term_key(_cube_term(primes[i], n)))
+                       key=lambda i: _cube_literals(primes[i], n))
         column = {i: c for c, i in enumerate(alive)}
         core = [sum(1 << column[i] for i in _bit_positions(row)) for row in core]
         # one integer ranks (terms, literals): no cover has BIG literals
         big = n * len(primes) + 1
         weights = [big + n - primes[i][1].bit_count() for i in alive]
-        by_weight: Dict[int, int] = {}
-        for c, weight in enumerate(weights):
-            by_weight[weight] = by_weight.get(weight, 0) | 1 << c
-        levels = sorted(by_weight.items())
-        target, spent = _least_cost(core, weights, levels, COVER_NODE_BUDGET)
+        # each weight's columns, ascending, and those ranked under each column
+        below, lighter, by_weight = [0] * len(weights), 0, {}
+        for c in sorted(range(len(weights)), key=weights.__getitem__):
+            below[c], lighter = lighter, lighter | 1 << c
+            by_weight[weights[c]] = by_weight.get(weights[c], 0) | 1 << c
+        levels = list(by_weight.items())
+        # both passes start from the root's reduction
+        root = _reduce(core, weights, below)
+        target, spent = _least_cost(root, weights, levels, below, COVER_NODE_BUDGET)
         if target is None:
             return None
-        chosen = _first_cover(core, weights, levels, target,
-                              COVER_NODE_BUDGET - spent)
+        chosen, _ = _first_cover(root, weights, levels, below, target,
+                                 COVER_NODE_BUDGET - spent)
         if chosen is None:
             return None
         picks += [alive[c] for c in _bit_positions(chosen)]
-    return [_cube_term(primes[i], n) for i in picks]
+    return [primes[i] for i in picks]
 
 
-def _greedy_cover(primes, minterms, n) -> List[Term]:
+def _greedy_cover(primes, minterms, n) -> List[Tuple[int, int]]:
     """Repeatedly pick the prime of least (-minterms it newly covers,
     literals, cube).  A prime's gain only falls as others are picked, so
     a stale heap key is a lower bound: the popped prime is re-keyed, and
@@ -559,7 +559,7 @@ def _greedy_cover(primes, minterms, n) -> List[Term]:
         if cells[i] & ~(before | suffix[j + 1]):
             kept.append(i)
             before |= cells[i]
-    return [_cube_term(primes[i], n) for i in kept]
+    return [primes[i] for i in kept]
 
 
 def _least_bad_label(labels, n: int):
@@ -600,10 +600,10 @@ def minimize(minterms: Iterable[str], n: int) -> SopExpression:
                                     % (_least_bad_label(labels, n), n))
         values.append(int(label, 2))
     primes = _prime_implicants(values, n)
-    terms = _exact_cover(primes, n) if n <= EXACT_COVER_LIMIT else None
-    if terms is not None:
-        return SopExpression(n, terms, minimal=True)
-    return SopExpression(n, _greedy_cover(primes, values, n))
+    cubes = _exact_cover(primes, n) if n <= EXACT_COVER_LIMIT else None
+    if cubes is not None:
+        return SopExpression._from_cubes(n, cubes, True)
+    return SopExpression._from_cubes(n, _greedy_cover(primes, values, n), False)
 
 
 # --- rule emission ----------------------------------------------------------

@@ -13,10 +13,10 @@ from conftest import (DISEASE_POOL, entries_with_triples, kb_from_atomics, rando
 from roughkb import errors
 from roughkb.evidence import TruthTriple
 from roughkb.kbio import load_kb, serialize_kb
-from roughkb.lattice import (ConditionEdit, DropDecision, Fact, SetDecision,
+from roughkb.lattice import (ConditionEdit, DropDecision, Fact, LatticeNode, SetDecision,
                              _build_structure, build_kb, check_structure, delete_fact, facts_of,
                              insert_fact, label_for, level_of,
-                             modify_node, predecessor_labels, successor_labels)
+                             modify_node)
 from roughkb.propagation import DecisionEntry, propagate
 
 F = Fraction
@@ -42,13 +42,13 @@ def test_label_layout_prints_highest_fact_first():
 
 
 def test_neighbors_enumerate_in_document_order():
-    assert predecessor_labels("111") == ["011", "101", "110"]
-    assert predecessor_labels("101") == ["001", "100"]
-    assert successor_labels("001", 3) == ["011", "101"]
-    assert successor_labels("010", 3) == ["011", "110"]
-    assert successor_labels("111", 3) == []
-    with pytest.raises(errors.OutOfRange):
-        successor_labels("01", 3)
+    def node(label):
+        return LatticeNode(label, facts_of(label), {})
+    assert node("111").predecessors == ("011", "101", "110")
+    assert node("101").predecessors == ("001", "100")
+    assert node("001").successors == ("011", "101")
+    assert node("010").successors == ("011", "110")
+    assert node("111").successors == ()
 
 
 @settings(max_examples=200, deadline=None)

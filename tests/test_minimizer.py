@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import expected_lbp as X
 import oracles
 from conftest import random_kb, seeded
-from roughkb import errors, minimizer, roughset
+from roughkb import errors, kbio, minimizer, roughset
 from roughkb.minimizer import (EXACT_COVER_LIMIT, SopExpression,
                                _greedy_cover, _prime_implicants,
                                generate_rules, minimize)
@@ -62,6 +62,18 @@ def test_expression_string_forms():
     assert double.factored() == "f3 AND (NOT f1 OR NOT f2)"
     assert str(SopExpression(2, [frozenset()])) == "TRUE"
     assert str(SopExpression(2, [])) == "FALSE"
+
+
+def test_expression_refuses_literals_outside_its_facts():
+    for fid in (0, -1, 4, 5):
+        with pytest.raises(errors.OutOfRange):
+            SopExpression(3, [frozenset({(fid, True)})])
+        with pytest.raises(errors.OutOfRange):
+            SopExpression(3, [frozenset(), frozenset({(1, False), (fid, False)})])
+    # a term that never holds is still a term
+    never = SopExpression(3, [frozenset({(1, True), (1, False)})])
+    assert never.truth_set() == frozenset()
+    assert str(never) == "NOT f1 AND f1"
 
 
 def test_expression_equality_ignores_term_order():
@@ -122,6 +134,21 @@ def test_minimize_refuses_orders_outside_one_to_the_cap():
 
 def test_minimize_takes_repeated_labels_once():
     assert minimize(["011", "111", "011"], 3) == minimize({"011", "111"}, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, 2 ** n - 1), min_size=1))))
+def test_an_expression_rebuilt_from_its_terms_is_the_same(case):
+    n, cells = case
+    got = minimize([format(c, "0%db" % n) for c in cells], n)
+    again = SopExpression(n, got.terms)
+    assert str(again) == str(got)
+    assert again.ordered_terms() == got.ordered_terms()
+    assert again.factored() == got.factored()
+    assert again.truth_set() == got.truth_set()
+    assert again == got
+    assert hash(again) == hash(got)
 
 
 def test_minimize_is_deterministic():
@@ -243,11 +270,59 @@ def test_ragged_regions_need_few_nodes(monkeypatch):
         _check_prime_and_irredundant(got, labels)
 
 
+def _probe_regions():
+    """The five regions of a fully decided order-7 file whose decisions
+    were set node by node: ``ragged_kb(random.Random(20181003), 7)`` of
+    the benchmark's generator, written out here."""
+    rng = random.Random(20181003)
+    lines = ["roughkb-kb 1", "mode round2", "alpha 0", "order 7"]
+    lines += ['fact f%d "attr%d" "value%d"' % (f, f, f) for f in range(1, 8)]
+    for level in range(8):
+        for mask in sorted(sum(1 << p for p in c) for c in combinations(range(7), level)):
+            lines.append("node %s" % format(mask, "07b"))
+            if level:
+                rng.random()  # the generator's density draw: at 1.0 every node decides
+                lines.append("decision ANK vd=%d cf=%d.%02d tv=- w=-" % (
+                    (rng.randrange(3),) + divmod(rng.randint(1, 100), 100)))
+    sets = roughset.approximations(kbio.load_kb("\n".join(lines) + "\n"), "ANK")
+    for region in ("lower1", "lower2", "boundary1", "upper1", "upper2"):
+        yield sorted(getattr(sets, region))
+
+
+# (pass 1, pass 2) search nodes of each region of _ragged_regions() and
+# then of _probe_regions(), recorded when pass 2 still reduced its root
+# again: sharing the root's reduction must leave every search as it was.
+PINNED_NODES = [
+    (45, 10), (83, 13), (17, 5), (218, 42), (705, 358), (33, 22), (17, 9),
+    (25, 28), (147, 89), (3, 3), (101, 23), (37, 34), (27, 10), (11, 7),
+    (67, 28), (37, 8), (21, 41), (5, 4), (49, 95), (20, 10), (197, 76),
+    (31, 7), (29, 18), (11, 6), (13, 10), (15, 7), (85, 43), (39, 13),
+    (321, 77), (39, 8), (11, 7), (15, 12), (39, 27), (163, 36), (21, 8),
+    (47, 53), (203, 33), (7, 3), (3, 3), (107, 18),
+    (5, 3), (1, 1), (3, 2), (316, 304), (117, 37)]
+
+
+def test_both_passes_visit_the_pinned_node_counts(monkeypatch):
+    nodes = []
+    least_cost, first_cover = minimizer._least_cost, minimizer._first_cover
+
+    def counted(search, *args):
+        found, used = search(*args)
+        nodes.append(used)
+        return found, used
+    monkeypatch.setattr(minimizer, "_least_cost", lambda *a: counted(least_cost, *a))
+    monkeypatch.setattr(minimizer, "_first_cover", lambda *a: counted(first_cover, *a))
+    for labels in list(_ragged_regions()) + list(_probe_regions()):
+        assert minimize(labels, 7).minimal
+    assert list(zip(nodes[::2], nodes[1::2])) == PINNED_NODES
+
+
 def test_spent_budget_falls_back_to_greedy(monkeypatch):
     labels = next(_ragged_regions())
     values = [int(label, 2) for label in labels]
     exact = minimize(labels, 7)
-    greedy = SopExpression(7, _greedy_cover(_prime_implicants(values, 7), values, 7))
+    greedy = SopExpression._from_cubes(
+        7, _greedy_cover(_prime_implicants(values, 7), values, 7), False)
     assert exact.terms != greedy.terms
     # every budget below the nodes the search needs gives the greedy cover
     for budget in range(1000):
@@ -395,8 +470,9 @@ def _greedy_regions():
 def test_greedy_covers_are_pinned():
     digest = hashlib.sha256()
     for n, cells in _greedy_regions():
-        terms = _greedy_cover(_prime_implicants(cells, n), cells, n)
-        digest.update(str(SopExpression(n, terms)).encode("utf-8") + b"\n")
+        cubes = _greedy_cover(_prime_implicants(cells, n), cells, n)
+        digest.update(str(SopExpression._from_cubes(n, cubes, False)).encode("utf-8")
+                      + b"\n")
     assert digest.hexdigest() == GREEDY_COVERS_SHA
 
 

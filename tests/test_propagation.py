@@ -14,7 +14,7 @@ from roughkb import errors
 from roughkb.evidence import TruthTriple, TruthValue
 from roughkb.kbio import serialize_kb
 from roughkb.lattice import (Fact, SetDecision, _cone_labels, build_kb, facts_of, insert_fact,
-                             level_of, modify_node, predecessor_labels)
+                             level_of, modify_node)
 from roughkb.propagation import (DecisionEntry, PriorityConfig, _cf_multi, _mean_triple,
                                  _record, _triple_record, derive, merge_external,
                                  node_decisions, propagate)
@@ -296,7 +296,7 @@ def test_derived_decisions_match_the_oracles_at_orders_5_to_7(n, seed, round2):
         if node.level < 2:
             continue
         for disease, entry in node.decisions.items():
-            triples = [kb.node(p).decisions[disease].tv for p in predecessor_labels(label)
+            triples = [kb.node(p).decisions[disease].tv for p in node.predecessors
                        if disease in kb.node(p).decisions]
             triples = [t for t in triples if t is not None]
             assert entry.tv == (oracles.reference_mean_triple(triples, publish)
@@ -379,7 +379,7 @@ def _walk(nodes, labels, priorities, gate, round2, external):
     fresh = {}
     for label in labels:
         preds = [(facts_of(p), fresh[p] if p in fresh else nodes[p].decisions)
-                 for p in predecessor_labels(label)]
+                 for p in nodes[label].predecessors]
         condition = nodes[label].condition
         fresh[label] = node_decisions(condition, preds, priorities, gate, round2,
                                       external.get(condition))
