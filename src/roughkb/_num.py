@@ -40,8 +40,8 @@ validating them again.
 files and the command line, and :func:`frac` sends every string through
 it too.  :func:`parse_int` is the one parser of their integer tokens.
 Both read ASCII digits only.  :class:`Converted` converts each distinct
-key once: ``load_kb`` keeps its token tables in it, and
-``PriorityConfig`` its weight values.
+key once: ``load_kb`` keeps its token tables in it, and the ``w=``
+renderer of ``kbio`` its item texts.
 """
 
 from __future__ import annotations

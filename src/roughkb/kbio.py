@@ -4,9 +4,10 @@ Two text formats live here.  Evidence documents are the hand-authored
 input: a line-oriented grammar declaring facts, source gradings,
 priorities and per-source evidence counts.  Knowledge-base files are
 the canonical persisted form of a built lattice: byte-stable, version
-stamped, nodes in level-major label order.  Both round-trip: parsing
-then rendering a document reproduces it, and serializing a loaded KB
-file reproduces the file.
+stamped, nodes in level-major label order.  A decision line's ``w=`` is
+rendered from the priorities, not stored; a load checks it, and ``w=-``
+means "not stated".  Both round-trip: parsing then rendering a document
+reproduces it, and serializing a loaded KB file reproduces the file.
 
 Both formats read the tokens and lines they share through one set of
 readers: names are ``[A-Za-z0-9_.-]+``, fact references ``fN``, integers
@@ -32,6 +33,7 @@ import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import errors
@@ -43,7 +45,7 @@ from .lattice import (DEFAULT_ORDER_CAP, DropDecision, Fact, Lattice, LatticeNod
                       SetDecision, _build_structure, build_kb, check_structure,
                       delete_fact, insert_fact, modify_node)
 from .minimizer import generate_rules
-from .propagation import _NAME_RE, DecisionEntry, PriorityConfig, propagate
+from .propagation import _NAME_RE, _NO_TABLE, DecisionEntry, PriorityConfig, propagate
 from .roughset import approximations
 
 FORMAT_NAME = "roughkb-kb"
@@ -413,7 +415,7 @@ def build_from_document(doc: EvidenceDocument, alpha=None, round2: bool = False,
         if len(fset) == 1:
             fid = fset[0]
             atomics.setdefault(fid, []).append(
-                DecisionEntry(disease, vd, cf, tv=triple, weights={fid: ONE}))
+                DecisionEntry(disease, vd, cf, tv=triple))
         else:
             external.setdefault(frozenset(fset), {})[disease] = (vd, cf, triple)
     kb = build_kb(doc.facts, atomics, order_cap=order_cap)
@@ -435,21 +437,72 @@ def _decimals(round2: bool) -> int:
     return 2 if round2 else 6
 
 
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) of positive integers, without the Fraction."""
+    g = gcd(p, q)
+    return "%d/%d" % (p // g, q // g) if g < q else "%d" % (p // g)
+
+
+def _weights_texts(priorities: PriorityConfig, n: int):
+    """(condition, disease) -> its canonical ``w=`` text: each fact in id
+    order as ``fN:p/total`` under the disease's priorities, ``-`` for the
+    empty condition.  Item texts are kept per disease and total, and the
+    diseases of one node share the sort of its facts and, with no
+    priorities, the text."""
+    plain = ({}, [1] * (n + 1), {})  # scoped, priority by fact id, item texts by total
+
+    def state(disease: str):
+        glob, scoped = priorities._tables.get(disease, _NO_TABLE)
+        if not glob and not scoped:
+            return plain
+        prio = [1] * (n + 1)
+        for f, p in glob.items():
+            if 0 < f <= n:
+                prio[f] = p
+        return scoped, prio, {}
+
+    states = Converted(state)
+    last_condition = last_state = None
+    last_facts, last_text = [], "-"
+
+    def text(condition: FrozenSet[int], disease: str) -> str:
+        nonlocal last_condition, last_state, last_facts, last_text
+        current = states[disease]
+        if condition is last_condition:
+            if current is last_state:
+                return last_text
+        else:
+            last_condition, last_facts = condition, sorted(condition)
+        scoped, prio, rows = last_state = current
+        hit = scoped.get(condition) if scoped else None
+        if hit is None:
+            total = sum(map(prio.__getitem__, last_facts))
+            row = rows.get(total)
+            if row is None:
+                row = rows[total] = Converted(
+                    lambda f, total=total: "f%d:%s" % (f, _ratio(prio[f], total)))
+            last_text = ",".join(map(row.__getitem__, last_facts)) or "-"
+        else:
+            last_text = ",".join(["f%d:%s" % (f, _ratio(hit[0][f], hit[1]))
+                                  for f in last_facts]) or "-"
+        return last_text
+
+    return text
+
+
 def serialize_kb(kb: Lattice) -> str:
     """Canonical, byte-stable text form of a lattice.
 
     Credibilities and truth components render as decimals at the mode's
-    precision; the gate and the per-fact weights stay exact rationals.
-    Each distinct number, truth triple and weight item is rendered once
-    per call.  Numbers and triples are keyed by integer ratios (hashing
-    a Fraction costs more than rendering it), and weight items by the
-    fact and the identity of the weight object, which the lattice keeps
-    alive for the whole call, so no Fraction method runs for a repeat.
+    precision; the gate stays an exact rational, and so do the per-fact
+    weights, which ``_weights_texts`` renders from the priorities.  Each
+    distinct number and truth triple is rendered once per call, keyed by
+    integer ratios (hashing a Fraction costs more than rendering it).
     """
     places = _decimals(kb.round2)
     numbers: Dict[Tuple[int, int], str] = {}
     triples: Dict[tuple, str] = {}
-    items: Dict[Tuple[int, int], str] = {}
+    weights = _weights_texts(kb.priorities, kb.n)
 
     def number(x) -> str:
         key = x.as_integer_ratio()
@@ -468,19 +521,6 @@ def serialize_kb(kb: Lattice) -> str:
             text = triples[key] = "%s/%s/%s" % (number(tv1), number(tv2), number(tv3))
         return text
 
-    def weights(ws) -> str:
-        if not ws:
-            return "-"
-        parts = []
-        for f in sorted(ws):
-            w = ws[f]
-            key = (f, id(w))
-            text = items.get(key)
-            if text is None:
-                text = items[key] = "f%d:%s" % (f, w)
-            parts.append(text)
-        return ",".join(parts)
-
     lines = ["%s %d" % (FORMAT_NAME, FORMAT_VERSION),
              "mode %s" % ("round2" if kb.round2 else "exact"),
              "alpha %s" % kb.alpha,
@@ -490,12 +530,13 @@ def serialize_kb(kb: Lattice) -> str:
     for level_labels in kb.levels:
         for label in level_labels:
             lines.append("node %s" % label)
-            decisions = kb.nodes[label].decisions
+            node = kb.nodes[label]
+            decisions = node.decisions
             for disease in sorted(decisions):
                 entry = decisions[disease]
                 lines.append("decision %s vd=%d cf=%s tv=%s w=%s"
                              % (disease, entry.vd, number(entry.cf),
-                                triple(entry.tv), weights(entry.weights)))
+                                triple(entry.tv), weights(node.condition, disease)))
     return "\n".join(lines) + "\n"
 
 
@@ -622,25 +663,26 @@ def load_kb(text: str) -> Lattice:
     # The node section, from line ``no`` on, is read in one pass of
     # _NODE_SECTION_RE over the text: each match is a node label or the
     # five fields of a decision, and no line is split.  Each distinct token
-    # is converted and checked once per load, and every entry still gets
-    # its own weights dict.  A line number is worked out only for a
+    # is converted and checked once per load, and each ``w=`` is checked
+    # against the priorities.  A line number is worked out only for a
     # refused line, which goes through every check of a node-section line
     # in order, so the message is the one a line-by-line reader would give.
-    levels, nodes = _build_structure(n)
-    _read_nodes(text, start, no, nodes)
     priorities = PriorityConfig(global_priorities, scoped)
+    levels, nodes = _build_structure(n)
+    _read_nodes(text, start, no, nodes, n, priorities)
     return Lattice(facts.values(), nodes, levels, alpha=alpha, priorities=priorities,
                    round2=round2)
 
 
 def _read_nodes(text: str, start: int, first_no: Optional[int],
-                nodes: Dict[str, LatticeNode]) -> None:
+                nodes: Dict[str, LatticeNode], n: int, priorities: PriorityConfig) -> None:
     """Read the node section, the text from offset ``start`` (line
     ``first_no``) on, into the decisions of the fresh ``nodes``.
 
     The token tables hold only valid values: a converter raises for any
     other token, and the first line a converter or a check refuses goes
-    to ``_refuse_node_line``.
+    to ``_refuse_node_line``.  A ``w=`` other than ``-`` or the canonical
+    text is read as a map, which must equal the priorities' weights.
     """
     numbers = Converted(parse_rational)
 
@@ -668,6 +710,7 @@ def _read_nodes(text: str, start: int, first_no: Optional[int],
     triples = Converted(truth)
     item = Converted(weight_item).__getitem__
     checked = DecisionEntry._checked
+    weights_text = _weights_texts(priorities, n)
     names = set()
     seen = set()
     current = decisions = condition = None
@@ -681,14 +724,17 @@ def _read_nodes(text: str, start: int, first_no: Optional[int],
                     if not _NAME_RE.match(disease):
                         break
                     names.add(disease)
-                if w == "-":
-                    weights = {}
-                else:
+                entry = checked(disease, vds[vd], cfs[cf], triples[tv])
+                if w != "-" and w != weights_text(condition, disease):
                     weights = dict(map(item, w.split(",")))
                     if len(weights) <= w.count(",") or not weights.keys() <= condition:
                         break
-                decisions[disease] = checked(disease, vds[vd], cfs[cf], triples[tv],
-                                             weights)
+                    if weights != priorities.weights_for(condition, disease):
+                        # every other check of the line passed
+                        _corrupt("w=%s disagrees with the priorities, which give w=%s"
+                                 % (w, weights_text(condition, disease)),
+                                 first_no + text.count("\n", start, match.start()))
+                decisions[disease] = entry
             elif label:
                 node = nodes.get(label)
                 if node is None or label in seen:

@@ -13,13 +13,12 @@ unchanged parts are shared.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, islice
 from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import errors
-from ._num import ONE, ZERO, frac
+from ._num import ZERO, frac
 from ._record import Record, set_field
 from .propagation import DecisionEntry, PriorityConfig
 # bench/tracing.py wraps this name to count cone re-derivation apart from propagate
@@ -246,16 +245,6 @@ def _check_facts(facts: Sequence[Fact]):
         raise errors.OutOfRange("fact ids must be 1..%d contiguously" % len(facts))
 
 
-def _normalize_atomic(entry: DecisionEntry, fid: int) -> DecisionEntry:
-    if not entry.weights:
-        return entry.replace(weights={fid: ONE})
-    if set(entry.weights) != {fid}:
-        raise errors.OutOfRange(
-            "atomic decision for fact %d carries weights for %s"
-            % (fid, sorted(entry.weights)))
-    return entry
-
-
 def build_kb(facts: Sequence[Fact],
              atomic_decisions: Mapping[int, Sequence[DecisionEntry]],
              order_cap: int = DEFAULT_ORDER_CAP) -> Lattice:
@@ -273,6 +262,8 @@ def build_kb(facts: Sequence[Fact],
     if not facts:
         raise errors.OutOfRange("a knowledge base needs at least one fact")
     _check_facts(facts)
+    # the ids are 1..n: in id order, as a file lists them
+    facts = tuple(sorted(facts, key=lambda fact: fact.id))
     n = len(facts)
     if n > order_cap:
         raise errors.OrderTooLarge(
@@ -285,7 +276,6 @@ def build_kb(facts: Sequence[Fact],
         label = label_for([int(fid)], n)
         decisions = {}
         for entry in entries:
-            entry = _normalize_atomic(entry, int(fid))
             if entry.disease in decisions:
                 raise errors.OutOfRange(
                     "fact %d carries two decisions for %r" % (fid, entry.disease))
@@ -349,7 +339,6 @@ def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry],
     new_atomic_label = "1" + "0" * kb.n
     decisions = {}
     for entry in atomic:
-        entry = _normalize_atomic(entry, n2)
         if entry.disease in decisions:
             raise errors.OutOfRange(
                 "fact %d carries two decisions for %r" % (n2, entry.disease))
@@ -368,9 +357,9 @@ def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
 
     Every node whose condition includes the fact disappears; surviving
     labels drop the fact's bit position, and higher fact ids (with their
-    weight and priority references) shift down by one.  The survivors'
-    decisions are already independent of the removed fact, so none are
-    re-derived.
+    priority references) shift down by one.  The survivors' decisions
+    are already independent of the removed fact, so they are kept as
+    they are and none is re-derived.
     """
     if not any(fact.id == fact_id for fact in kb.facts):
         raise errors.UnknownFact("no fact with id %d" % fact_id)
@@ -378,24 +367,14 @@ def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
     if n2 == 0:
         raise errors.OutOfRange("cannot delete the last fact")
     cut = kb.n - fact_id  # char position of the fact's bit
-
-    def remap(fid: int) -> int:
-        return fid - 1 if fid > fact_id else fid
-
-    facts = tuple(fact.replace(id=remap(fact.id))
+    facts = tuple(fact.replace(id=fact.id - 1 if fact.id > fact_id else fact.id)
                   for fact in kb.facts if fact.id != fact_id)
     levels, nodes = _build_structure(n2)
     for label, node in kb.nodes.items():
         if label[cut] == "1":
             continue
         squeezed = label[:cut] + label[cut + 1:]
-        # the values were checked when they entered; only the keys move
-        decisions = {
-            disease: DecisionEntry._checked(
-                entry.disease, entry.vd, entry.cf, entry.tv,
-                {remap(f): w for f, w in entry.weights.items()})
-            for disease, entry in node.decisions.items()}
-        nodes[squeezed] = nodes[squeezed].replace_decisions(decisions)
+        nodes[squeezed] = nodes[squeezed].replace_decisions(node.decisions)
     return Lattice(facts, nodes, levels, alpha=kb.alpha,
                    priorities=kb.priorities.without_fact(fact_id),
                    round2=kb.round2)
@@ -416,15 +395,13 @@ class ConditionEdit(Record):
 class SetDecision(Record):
     """Add or replace one disease decision at a node."""
 
-    __slots__ = ("disease", "vd", "cf", "tv", "weights")
+    __slots__ = ("disease", "vd", "cf", "tv")
 
-    def __init__(self, disease: str, vd: int, cf: object, tv: Optional[tuple] = None,
-                 weights: Optional[Mapping[int, Fraction]] = None):
+    def __init__(self, disease: str, vd: int, cf: object, tv: Optional[tuple] = None):
         set_field(self, "disease", disease)
         set_field(self, "vd", vd)
         set_field(self, "cf", cf)
         set_field(self, "tv", tv)
-        set_field(self, "weights", weights)
 
 
 class DropDecision(Record):
@@ -477,11 +454,8 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
 
     decisions = dict(node.decisions)
     if isinstance(change, SetDecision):
-        weights = change.weights
-        if weights is None:
-            weights = kb.priorities.weights_for(node.condition, change.disease)
-        decisions[change.disease] = DecisionEntry(
-            change.disease, change.vd, change.cf, tv=change.tv, weights=weights)
+        decisions[change.disease] = DecisionEntry(change.disease, change.vd, change.cf,
+                                                  tv=change.tv)
     elif isinstance(change, DropDecision):
         if change.disease not in decisions:
             raise errors.NotPresent(

@@ -119,7 +119,11 @@ class SopExpression:
 
     def __init__(self, n: int, terms: Iterable[Term], minimal: bool = False):
         self.n = n = int(n)
-        stored = {tuple(sorted(frozenset(term))) for term in terms}
+        terms = [frozenset(term) for term in terms]
+        bad = [p for term in terms for _, p in term if not isinstance(p, bool)]
+        if bad:
+            raise errors.OutOfRange("literal polarity %r is not a bool" % (bad[0],))
+        stored = {tuple(sorted(term)) for term in terms}
         outside = sorted(fid for term in stored for fid, _ in term if not 1 <= fid <= n)
         if outside:
             raise errors.OutOfRange("literal on fact %r outside 1..%d" % (outside[0], n))
@@ -487,14 +491,13 @@ def _exact_cover(primes, n) -> Optional[List[Tuple[int, int]]]:
         for i, c in enumerate(cells):
             for m in _bit_positions(c & remaining):
                 rows[m] = rows.get(m, 0) | 1 << i
-        core = _minimal(rows.values())
         held = 0
-        for row in core:
+        for row in rows.values():
             held |= row
         alive = sorted(_bit_positions(held),
                        key=lambda i: _cube_literals(primes[i], n))
         column = {i: c for c, i in enumerate(alive)}
-        core = [sum(1 << column[i] for i in _bit_positions(row)) for row in core]
+        matrix = [sum(1 << column[i] for i in _bit_positions(row)) for row in rows.values()]
         # one integer ranks (terms, literals): no cover has BIG literals
         big = n * len(primes) + 1
         weights = [big + n - primes[i][1].bit_count() for i in alive]
@@ -504,8 +507,10 @@ def _exact_cover(primes, n) -> Optional[List[Tuple[int, int]]]:
             below[c], lighter = lighter, lighter | 1 << c
             by_weight[weights[c]] = by_weight.get(weights[c], 0) | 1 << c
         levels = list(by_weight.items())
-        # both passes start from the root's reduction
-        root = _reduce(core, weights, below)
+        # both passes start from the root's reduction, which also makes the
+        # rows an antichain: a column that only dominated rows hold enters
+        # no reduced row
+        root = _reduce(matrix, weights, below)
         target, spent = _least_cost(root, weights, levels, below, COVER_NODE_BUDGET)
         if target is None:
             return None

@@ -27,7 +27,7 @@ from math import gcd, lcm
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import errors
-from ._num import ONE, ZERO, Converted, clamp01, frac, publish2
+from ._num import ONE, ZERO, clamp01, frac, publish2
 from .evidence import TruthTriple, TruthValue
 
 Record = Tuple[TruthValue, int, int, Optional[Tuple[int, int, int, int]]]
@@ -47,15 +47,16 @@ def _alpha(value) -> Fraction:
 class DecisionEntry:
     """One disease decision attached to a node.
 
-    Together with the owning node's condition this is the full rule
-    tuple: condition facts, per-fact weights, disease, truth triple,
-    ternary truth value and credibility factor.  ``tv`` may be None for
-    decisions set by hand rather than derived from evidence.
+    With the owning node's condition this is the full rule tuple:
+    condition facts, disease, truth triple, ternary truth value and
+    credibility factor.  The per-fact weights are not stored; the
+    lattice's ``PriorityConfig.weights_for`` derives them.  ``tv`` may be
+    None for decisions set by hand rather than derived from evidence.
     """
 
-    __slots__ = ("disease", "vd", "cf", "tv", "weights")
+    __slots__ = ("disease", "vd", "cf", "tv")
 
-    def __init__(self, disease, vd, cf, tv=None, weights=None):
+    def __init__(self, disease, vd, cf, tv=None):
         self.disease = str(disease)
         if not _NAME_RE.match(self.disease):
             raise errors.OutOfRange("bad disease name %r" % (self.disease,))
@@ -69,30 +70,21 @@ class DecisionEntry:
         if tv is not None and not isinstance(tv, TruthTriple):
             tv = TruthTriple(*tv)
         self.tv = tv
-        self.weights = {}
-        for fid, w in dict(weights or {}).items():
-            w = frac(w)
-            if not 0 < w.numerator <= w.denominator:
-                raise errors.OutOfRange("weight %s outside (0, 1]" % w)
-            self.weights[int(fid)] = w
 
     @classmethod
     def _checked(cls, disease: str, vd: TruthValue, cf: Fraction,
-                 tv: Optional[TruthTriple], weights: Dict[int, Fraction]
-                 ) -> "DecisionEntry":
+                 tv: Optional[TruthTriple]) -> "DecisionEntry":
         """An entry of values each already checked where it entered.
 
-        Derivation checks a kernel's cf on its integers and the weight
-        cache checks each weight value it creates; ``load_kb`` checks
-        each distinct token once per load.  The slots are assigned as
-        given, and ``weights`` becomes the entry's own map.
+        Derivation checks a kernel's cf on its integers; ``load_kb``
+        checks each distinct token once per load.  The slots are
+        assigned as given.
         """
         entry = object.__new__(cls)
         entry.disease = disease
         entry.vd = vd
         entry.cf = cf
         entry.tv = tv
-        entry.weights = weights
         return entry
 
     def replace(self, **kw):
@@ -103,8 +95,7 @@ class DecisionEntry:
     def __eq__(self, other):
         return (isinstance(other, DecisionEntry)
                 and other.disease == self.disease and other.vd == self.vd
-                and other.cf == self.cf and other.tv == self.tv
-                and other.weights == self.weights)
+                and other.cf == self.cf and other.tv == self.tv)
 
     def __repr__(self):
         return ("DecisionEntry(%r, vd=%d, cf=%s)"
@@ -112,7 +103,7 @@ class DecisionEntry:
 
 
 class PriorityConfig:
-    """Integer fact priorities used to derive conditional weights.
+    """Integer fact priorities, from which every fact weight is derived.
 
     Two layers: ``scoped`` priorities keyed by (fact set, disease) pin
     the weights of one node/disease pair; ``global_priorities`` keyed by
@@ -121,14 +112,12 @@ class PriorityConfig:
     over the node's facts.
     """
 
-    __slots__ = ("global_priorities", "scoped", "_tables", "_values")
+    __slots__ = ("global_priorities", "scoped", "_tables")
 
     def __init__(self, global_priorities=None, scoped=None):
         # not part of equality: per disease, its global priorities by fact
-        # and its scoped (priorities, total) by fact set; each weight value
-        # Fraction(p, total), built and checked once, filed under its total
+        # and its scoped (priorities, total) by fact set
         self._tables: Dict[str, tuple] = {}
-        self._values = Converted(lambda total: Converted(lambda p: _weight(p, total)))
         self.global_priorities = {}
         for (disease, fid), p in dict(global_priorities or {}).items():
             disease, fid = str(disease), int(fid)
@@ -151,9 +140,9 @@ class PriorityConfig:
         return p
 
     def weights_for(self, facts: FrozenSet[int], disease: str) -> Dict[int, Fraction]:
-        facts = frozenset(facts)
-        return _weight_map(facts, *_priorities(facts, self._tables.get(disease, _NO_TABLE)),
-                           self._values)
+        """Each fact's weight p/total at the node of ``facts``; {} for none."""
+        prio, total = _priorities(frozenset(facts), self._tables.get(disease, _NO_TABLE))
+        return {f: Fraction(p, total) for f, p in prio.items()}
 
     def diseases(self):
         """The diseases some global or scoped priority names."""
@@ -185,12 +174,6 @@ class PriorityConfig:
 _NO_TABLE = ({}, {})  # the table of a disease no priority names
 
 
-def _weight(p: int, total: int) -> Fraction:
-    if not 0 < p <= total:
-        raise errors.OutOfRange("weight %d/%d outside (0, 1]" % (p, total))
-    return Fraction(p, total)
-
-
 def _priorities(facts: FrozenSet[int], table) -> Tuple[Mapping[int, int], int]:
     """The facts' priorities under a disease's table (not to be edited), and their sum."""
     glob, scoped = table
@@ -201,15 +184,6 @@ def _priorities(facts: FrozenSet[int], table) -> Tuple[Mapping[int, int], int]:
         return dict.fromkeys(facts, 1), len(facts)
     prio = {f: glob.get(f, 1) for f in facts}
     return prio, sum(prio.values())
-
-
-def _weight_map(facts: FrozenSet[int], prio: Mapping[int, int], total: int,
-                values) -> Dict[int, Fraction]:
-    """A fresh weights map whose values come from the cache ``values``."""
-    if total == len(facts):  # every priority is 1; from a set, fromkeys oversizes small maps
-        return dict.fromkeys(iter(facts), values[total][1])
-    values = values[total]
-    return {f: values[p] for f, p in prio.items()}
 
 
 # --- integer records ----------------------------------------------------------
@@ -422,7 +396,7 @@ def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
 # --- per-node orchestration -------------------------------------------------
 
 def _step(disease: str, facts: FrozenSet[int], carriers,
-          table, values, gate: Fraction, round2: bool, ext: Optional[tuple]
+          table, gate: Fraction, round2: bool, ext: Optional[tuple]
           ) -> Optional[Tuple[DecisionEntry, Record]]:
     """One node's entry for one disease and its record, or None.
 
@@ -468,8 +442,7 @@ def _step(disease: str, facts: FrozenSet[int], carriers,
         raise errors.OutOfRange("credibility %s outside [0, 1]" % cf)
     if round2 and den != 100:
         num, den = num * (100 // den), 100
-    return (DecisionEntry._checked(disease, vd, cf, tv, _weight_map(facts, prio, total, values)),
-            (vd, num, den, tv_record))
+    return DecisionEntry._checked(disease, vd, cf, tv), (vd, num, den, tv_record)
 
 
 def node_decisions(node_facts: FrozenSet[int],
@@ -493,8 +466,8 @@ def node_decisions(node_facts: FrozenSet[int],
     diseases = set(external).union(*[records for _, records in preds])
     made = {disease: _step(disease, node_facts,
                            [(f, records[disease]) for f, records in preds if disease in records],
-                           priorities._tables.get(disease, _NO_TABLE), priorities._values,
-                           gate, round2, external.get(disease))
+                           priorities._tables.get(disease, _NO_TABLE), gate, round2,
+                           external.get(disease))
             for disease in sorted(diseases)}
     return {disease: step[0] for disease, step in made.items() if step is not None}
 
@@ -542,8 +515,7 @@ def derive(nodes, labels: Iterable[str], priorities: PriorityConfig, gate,
                 carriers = [(f, records[pm]) for pm, f in preds.items() if pm in records]
                 ext = ext.get(disease) if ext else None
                 if carriers or ext is not None:
-                    made = _step(disease, facts, carriers, table, priorities._values, gate,
-                                 round2, ext)
+                    made = _step(disease, facts, carriers, table, gate, round2, ext)
                     if made is not None:
                         out[disease], made_records[mask] = made
             if made_records:

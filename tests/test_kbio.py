@@ -1,6 +1,5 @@
 """Evidence parsing, knowledge-base serialization, and the CLI."""
 
-import collections
 import hashlib
 import importlib.resources
 import os
@@ -600,6 +599,24 @@ def _entries(kb):
             for disease, entry in node.decisions.items()}
 
 
+def _w_text(weights):
+    """The canonical w= text of a weights map: facts ascending, each weight
+    as str(Fraction), and - for no facts."""
+    return ",".join("f%d:%s" % (f, weights[f]) for f in sorted(weights)) or "-"
+
+
+def _w_lines(text):
+    """{(label, disease): (line number, w= field)} of a KB text."""
+    out, label = {}, None
+    for no, line in enumerate(text.splitlines(), 1):
+        parts = line.split()
+        if parts[0] == "node":
+            label = parts[1]
+        elif parts[0] == "decision":
+            out[(label, parts[1])] = no, parts[-1][len("w="):]
+    return out
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 @pytest.mark.parametrize("round2", [False, True])
 def test_seeded_kbs_round_trip_through_the_loader(n, round2):
@@ -613,27 +630,88 @@ def test_seeded_kbs_round_trip_through_the_loader(n, round2):
     places = 2 if round2 else 6
     stored = _entries(kb)
     entries = _entries(loaded)
-    assert entries.keys() == stored.keys()
+    w_lines = _w_lines(text)
+    assert entries.keys() == stored.keys() == w_lines.keys()
     for key, entry in entries.items():
         want = stored[key]
-        assert (entry.vd, entry.weights) == (want.vd, want.weights)
+        condition = kb.node(key[0]).condition
+        assert entry.vd == want.vd
+        assert (w_lines[key][1] == _w_text(kb.priorities.weights_for(condition, key[1]))
+                == _w_text(loaded.priorities.weights_for(condition, key[1])))
         assert entry.cf == F(render(want.cf, places))
         assert entry.tv == (None if want.tv is None else
                             tuple(F(render(c, places)) for c in want.tv))
-    shared = collections.Counter(frozenset(e.weights.items())
-                                 for e in entries.values())
-    assert len(shared) > n
+    assert len({w for _, w in w_lines.values()}) > n
 
-    # no two entries share a weights dict: editing one changes no other
-    assert len({id(e.weights) for e in entries.values()}) == len(entries)
-    victim = max((k for k, e in entries.items() if e.weights),
-                 key=lambda k: shared[frozenset(entries[k].weights.items())])
-    fid = min(entries[victim].weights)
-    entries[victim].weights[fid] = F(1, 997)
-    again = _entries(kbio.load_kb(text))
-    assert entries[victim] != again[victim]
-    assert all(entry == again[key] for key, entry in entries.items()
-               if key != victim)
+
+def _as_decimal(w):
+    """A weight as a decimal token, or None when it has no finite one."""
+    for places in range(1, 8):
+        scaled = w * 10 ** places
+        if scaled.denominator == 1:
+            whole, rest = divmod(scaled.numerator, 10 ** places)
+            return "%d.%0*d" % (whole, places, rest)
+    return None
+
+
+def _with_w(text, no, w):
+    lines = text.splitlines()
+    lines[no - 1] = re.sub(r"w=\S+$", "w=" + w, lines[no - 1])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("round2", [False, True])
+def test_the_w_field_is_the_priorities_weights(n, round2):
+    kb = _weighted_kb(n, round2)
+    text = kbio.serialize_kb(kb)
+    w_lines = _w_lines(text)
+    weights = {key: kb.priorities.weights_for(kb.node(key[0]).condition, key[1])
+               for key in w_lines}
+    # every w= is the canonical text of the weights the priorities give
+    assert all(w == _w_text(weights[key]) for key, (_, w) in w_lines.items())
+
+    # a well-formed, in-range map that differs is refused at its line
+    composite = [key for key in w_lines if len(set(weights[key].values())) > 1]
+    level1 = next(key for key in w_lines if key[0].count("1") == 1)
+    (fid,) = weights[level1]
+    rotated = composite[0]
+    facts = sorted(weights[rotated])
+    values = [weights[rotated][f] for f in facts]
+    for key, bad in [(level1, "f%d:1/2" % fid),
+                     (rotated, _w_text(dict(zip(facts, values[1:] + values[:1]))))]:
+        no = w_lines[key][0]
+        with pytest.raises(errors.CorruptRecord) as info:
+            kbio.load_kb(_with_w(text, no, bad))
+        assert info.value.line == no
+        assert "w=%s disagrees with the priorities" % bad in str(info.value)
+
+    # the same map reordered, or in decimals, loads and saves back canonical
+    key = composite[-1]
+    reordered = ",".join(reversed(w_lines[key][1].split(",")))
+    assert reordered != w_lines[key][1]
+    assert kbio.serialize_kb(kbio.load_kb(_with_w(text, w_lines[key][0], reordered))) == text
+    key = next(key for key in composite
+               if all(_as_decimal(w) for w in weights[key].values()))
+    decimals = ",".join("f%d:%s" % (f, _as_decimal(w)) for f, w in sorted(weights[key].items()))
+    assert "/" not in decimals
+    assert kbio.serialize_kb(kbio.load_kb(_with_w(text, w_lines[key][0], decimals))) == text
+
+    # w=- is "not stated": it loads, and saves as the computed weights
+    unstated = re.sub(r"w=\S+$", "w=-", text, flags=re.M)
+    assert unstated.count("w=-") == len(w_lines)
+    assert kbio.serialize_kb(kbio.load_kb(unstated)) == text
+
+
+def test_an_entry_node_decision_has_no_weights(kb_round2):
+    entry = kb_round2.node("001").decisions["PIVD"]
+    kb = kb_round2.with_updates({"000": {"PIVD": entry}})
+    text = kbio.serialize_kb(kb)
+    assert "node 000\ndecision PIVD vd=%d cf=%s tv=" % (entry.vd, render(entry.cf, 2)) in text
+    assert _w_lines(text)[("000", "PIVD")][1] == "-"
+    loaded = kbio.load_kb(text)
+    assert loaded == kb
+    assert lattice.check_structure(loaded) == ["entry node carries decisions"]
 
 
 @pytest.mark.parametrize("alpha", ["2", "-1/2"])

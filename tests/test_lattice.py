@@ -17,7 +17,7 @@ from roughkb.lattice import (ConditionEdit, DropDecision, Fact, LatticeNode, Set
                              _build_structure, build_kb, check_structure, delete_fact, facts_of,
                              insert_fact, label_for, level_of,
                              modify_node)
-from roughkb.propagation import DecisionEntry, propagate
+from roughkb.propagation import DecisionEntry, PriorityConfig, propagate
 
 F = Fraction
 
@@ -187,8 +187,7 @@ def test_build_places_atomics_and_leaves_composites_empty():
     assert kb.node("11").decisions == {}
     assert kb.node("00").decisions == {}
     assert kb.diseases() == ("ANK", "BUR")
-    entry = kb.node("01").decisions["ANK"]
-    assert entry.weights == {1: F(1)}
+    assert "node 01\ndecision ANK vd=1 cf=0.500000 tv=- w=f1:1\n" in serialize_kb(kb)
 
 
 def test_node_and_fact_lookup_errors():
@@ -238,27 +237,46 @@ def test_insert_then_delete_restores_the_lattice(seed):
 
 @pytest.mark.parametrize("seed,drop", [(3, 1), (3, 2), (11, 3), (29, 2)])
 def test_delete_fact_equals_rebuild_on_reduced_input(seed, drop):
-    rng = seeded(seed)
-    kb, atomics, priorities = random_kb(rng, 3, round2=True)
-    shrunk = delete_fact(kb, drop)
+    """Deleting a fact writes the file of a fresh build from the other
+    facts' stored atomics, at orders 3-7 in both modes, under global
+    priorities and scoped ones on fact sets with and without the fact."""
+    diseases = DISEASE_POOL[:3]
+    for n in range(3, 8):
+        rng = seeded(100 * seed + n)
+        entries = entries_with_triples(rng, random_atomics(rng, n, diseases))
+        glob = {(d, f): rng.randint(1, 4) for d in diseases for f in range(1, n + 1)
+                if rng.random() < 0.5}
+        others = [f for f in range(1, n + 1) if f != drop]
+        scoped = {(frozenset(facts), rng.choice(diseases)): {f: rng.randint(1, 4) for f in facts}
+                  for facts in (rng.sample(others, 2) + [drop], rng.sample(others, 2))}
+        priorities = PriorityConfig(glob, scoped)
+        alpha = (0, F(1, 20))[n % 2]
+        shift = lambda f: f - 1 if f > drop else f  # noqa: E731
+        for round2 in (False, True):
+            kb = propagate(build_kb(_facts(n), entries), priorities=priorities,
+                           alpha=alpha, round2=round2)
+            survivors = [Fact(shift(f.id), f.attribute, f.value)
+                         for f in kb.facts if f.id != drop]
+            # the rebuild's atomics are the stored ones, truth triples included
+            reduced = {shift(fid): list(kb.node(label_for([fid], n)).decisions.values())
+                       for fid in others}
+            rebuilt = propagate(build_kb(survivors, reduced),
+                                priorities=priorities.without_fact(drop), alpha=alpha,
+                                round2=round2)
+            assert serialize_kb(delete_fact(kb, drop)) == serialize_kb(rebuilt), (n, round2)
 
-    shift = lambda f: f - 1 if f > drop else f  # noqa: E731
-    survivors = [Fact(shift(f.id), f.attribute, f.value)
-                 for f in kb.facts if f.id != drop]
-    reduced = {shift(fid): [DecisionEntry(d, vd, cf)
-                            for d, (vd, cf) in sorted(per.items())]
-               for fid, per in atomics.items() if fid != drop}
-    if not reduced:
-        pytest.skip("degenerate draw: every decision sat on the dropped fact")
-    rebuilt = propagate(build_kb(survivors, reduced),
-                        priorities=priorities.without_fact(drop), round2=True)
-    assert shrunk.facts == rebuilt.facts
-    assert shrunk.levels == rebuilt.levels
-    for label in rebuilt.nodes:
-        a, b = shrunk.node(label).decisions, rebuilt.node(label).decisions
-        assert set(a) == set(b)
-        for d in a:
-            assert (a[d].vd, a[d].cf) == (b[d].vd, b[d].cf), (label, d)
+
+def test_build_orders_the_facts_by_id():
+    facts = _facts(3)
+    atomics = {1: [DecisionEntry("ANK", 1, F(1, 2))], 3: [DecisionEntry("BUR", 0, F(1, 4))]}
+    # the two-decimal mode, whose files hold every value exactly
+    in_order = propagate(build_kb(facts, atomics), round2=True)
+    backwards = propagate(build_kb(facts[::-1], atomics), round2=True)
+    assert backwards.facts == tuple(facts)
+    assert backwards == in_order
+    text = serialize_kb(backwards)
+    assert text == serialize_kb(in_order)
+    assert load_kb(text) == in_order
 
 
 def _rebuilt(n, entries, priorities, alpha, round2):
@@ -372,8 +390,7 @@ def test_set_decision_that_changes_nothing_returns_the_kb():
     kb = _two_fact_kb()
     stored = kb.node("01").decisions["ANK"]
     rec = _Recorder()
-    same = SetDecision("ANK", stored.vd, stored.cf, tv=stored.tv,
-                       weights=stored.weights)
+    same = SetDecision("ANK", stored.vd, stored.cf, tv=stored.tv)
     assert modify_node(kb, "01", same, observer=rec) is kb
     assert rec.events == []
 

@@ -76,6 +76,16 @@ def test_expression_refuses_literals_outside_its_facts():
     assert str(never) == "NOT f1 AND f1"
 
 
+@pytest.mark.parametrize("polarity", [2, 1, 0, "no", None, 1.0])
+def test_expression_refuses_a_polarity_that_is_not_a_bool(polarity):
+    # 2 read as true and rendered "f1 AND f1"; "no" rendered "f1"
+    with pytest.raises(errors.OutOfRange, match="polarity"):
+        SopExpression(2, [{(1, True), (2, polarity)}])
+    with pytest.raises(errors.OutOfRange, match="polarity"):
+        SopExpression(2, [frozenset(), {(2, polarity)}])
+    assert str(SopExpression(2, [{(1, True), (2, False)}])) == "f1 AND NOT f2"
+
+
 def test_expression_equality_ignores_term_order():
     a = frozenset({(1, True)})
     b = frozenset({(2, False)})

@@ -1,6 +1,5 @@
 """Pairwise/multi-constituent combination and whole-lattice propagation."""
 
-import collections
 from fractions import Fraction
 
 import pytest
@@ -25,8 +24,7 @@ F = Fraction
 # --- decision entries and priorities ----------------------------------------
 
 def test_decision_entry_validates_fields():
-    e = DecisionEntry("ANK", 1, F(1, 2), tv=(F(1, 2), F(1, 4), F(1, 4)),
-                      weights={1: F(1, 2), 2: F(1, 2)})
+    e = DecisionEntry("ANK", 1, F(1, 2), tv=(F(1, 2), F(1, 4), F(1, 4)))
     assert e.vd is TruthValue.PRESENT
     assert isinstance(e.tv, TruthTriple)
     assert e.replace(cf=F(3, 4)).cf == F(3, 4)
@@ -35,8 +33,6 @@ def test_decision_entry_validates_fields():
         DecisionEntry("ANK", 3, F(1, 2))
     with pytest.raises(errors.OutOfRange):
         DecisionEntry("ANK", 1, F(3, 2))
-    with pytest.raises(errors.OutOfRange):
-        DecisionEntry("ANK", 1, F(1, 2), weights={1: F(0)})
     # a disease name outside the text formats' name grammar
     for name in ("NEW DIS", "", "a#b", "d\n", "\u00e9"):
         with pytest.raises(errors.OutOfRange, match="bad disease name"):
@@ -223,27 +219,6 @@ def test_node_decisions_all_gated_means_absent():
 def test_node_decisions_requires_no_disease_to_be_invented():
     preds = [(frozenset({1}), {}), (frozenset({2}), {})]
     assert node_decisions(frozenset({1, 2}), preds, PriorityConfig(), 0) == {}
-
-
-def _derived_entries(kb):
-    return {(label, d): e for label, node in kb.nodes.items() if node.level >= 2
-            for d, e in node.decisions.items()}
-
-
-@pytest.mark.parametrize("seed,with_priorities", [(22, True), (22, False)])
-def test_derived_entries_own_their_weights(seed, with_priorities):
-    kb, _, priorities = random_kb(seeded(seed), 5, with_priorities=with_priorities)
-    assert bool(priorities.global_priorities and priorities.scoped) == with_priorities
-    entries = _derived_entries(kb)
-    assert len({id(e.weights) for e in entries.values()}) == len(entries)
-    # edit the map whose values most other entries also hold
-    shared = collections.Counter(frozenset(e.weights.items()) for e in entries.values())
-    victim = max(entries, key=lambda k: shared[frozenset(entries[k].weights.items())])
-    assert shared[frozenset(entries[victim].weights.items())] > 1
-    entries[victim].weights[min(entries[victim].weights)] = F(1, 997)
-    again = _derived_entries(propagate(kb, priorities=priorities))
-    assert entries[victim] != again[victim]
-    assert all(entry == again[key] for key, entry in entries.items() if key != victim)
 
 
 # --- agreement with the straight-line reference -----------------------------
