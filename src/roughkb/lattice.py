@@ -150,8 +150,14 @@ class Lattice:
         self.nodes = dict(nodes)
         self.levels = tuple(tuple(level) for level in levels)
         self.alpha = frac(alpha)
-        self.priorities = priorities if priorities is not None else PriorityConfig()
+        self.priorities = priorities = priorities if priorities is not None else PriorityConfig()
         self.round2 = bool(round2)
+        # a file holds priorities on facts 1..n only
+        outside = sorted({f for _, f in priorities.global_priorities if not 0 < f <= self.n}
+                         | {f for facts, _ in priorities.scoped for f in facts
+                            if not 0 < f <= self.n})
+        if outside:
+            raise errors.OutOfRange("priority on fact %d outside 1..%d" % (outside[0], self.n))
 
     @property
     def head(self) -> Head:

@@ -60,23 +60,39 @@ def disease_mass(kb, disease: str) -> DiseaseMass:
     return fsum(by_vd), by_vd
 
 
-def _support_and_own(rule, kb) -> Tuple[Fraction, Fraction]:
-    """One pass over the source labels: the summed credibility of all of
-    them and of those whose decision carries the rule's truth value."""
-    vd = TruthValue(rule.vd)
-    cfs, own = [], []
-    for label in rule.source_labels:
-        entry = _entry(kb, label, rule.disease)
-        cfs.append(entry.cf)
-        if entry.vd == vd:
-            own.append(entry.cf)
-    return fsum(cfs), fsum(own)
+def _vd_sums(kb, labels, disease: str) -> Tuple[Fraction, Fraction, Fraction]:
+    """One pass over the labels: their credibility summed at each truth value."""
+    nodes = kb.nodes
+    cfs: Tuple[List[Fraction], ...] = ([], [], [])
+    for label in labels:
+        try:
+            entry = nodes[label].decisions[disease]
+        except KeyError:
+            entry = _entry(kb, label, disease)  # raises DanglingLabel
+        cfs[entry.vd].append(entry.cf)
+    return fsum(cfs[0]), fsum(cfs[1]), fsum(cfs[2])
+
+
+def _measures(vd: TruthValue, sums, disease: str, mass: DiseaseMass) -> RuleMetrics:
+    """The measures of a rule concluding ``vd`` whose sources sum to ``sums``."""
+    cf_sum, own = fsum(sums), sums[vd]
+    total, by_vd = mass
+    if total == 0:
+        raise errors.ZeroMass("disease %r has zero credibility mass" % disease)
+    if own == 0:
+        raise errors.ZeroMass("no constituent of this rule carries vd=%d" % int(vd))
+    concluded = cf_sum / 2 if vd == TruthValue.INCONCLUSIVE else cf_sum
+    # the disease's mass at vd is at least the own-value mass, so not zero
+    return RuleMetrics(support=cf_sum, strength=cf_sum / total,
+                       certainty=min(ONE, concluded / own),
+                       coverage=min(ONE, concluded / by_vd[vd]))
 
 
 def measure(rule, kb, mass: Optional[DiseaseMass] = None) -> RuleMetrics:
     """All four measures of one rule, from one pass over its source
     labels.  ``mass`` is ``disease_mass(kb, rule.disease)``; a caller
-    measuring many rules of one disease passes it in.
+    measuring many rules of one disease passes it in.  ``generate_rules``
+    sums each stored region once instead, and shares this arithmetic.
 
     Support is the summed credibility of the source labels; strength
     divides it by the disease's mass, certainty by the constituents'
@@ -89,19 +105,8 @@ def measure(rule, kb, mass: Optional[DiseaseMass] = None) -> RuleMetrics:
         ZeroMass: the disease's mass or the constituents' own-value mass
             is zero.
     """
-    cf_sum, own = _support_and_own(rule, kb)
-    total, by_vd = disease_mass(kb, rule.disease) if mass is None else mass
-    if total == 0:
-        raise errors.ZeroMass("disease %r has zero credibility mass" % rule.disease)
-    if own == 0:
-        raise errors.ZeroMass(
-            "no constituent of this rule carries vd=%d" % int(rule.vd))
-    vd = TruthValue(rule.vd)
-    factor = Fraction(1, 2) if vd == TruthValue.INCONCLUSIVE else ONE
-    # the disease's mass at vd is at least the own-value mass, so not zero
-    return RuleMetrics(support=cf_sum, strength=cf_sum / total,
-                       certainty=min(ONE, factor * cf_sum / own),
-                       coverage=min(ONE, factor * cf_sum / by_vd[vd]))
+    return _measures(TruthValue(rule.vd), _vd_sums(kb, rule.source_labels, rule.disease),
+                     rule.disease, disease_mass(kb, rule.disease) if mass is None else mass)
 
 
 # --- identity checks --------------------------------------------------------

@@ -62,8 +62,8 @@ import re
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import errors
-from ._num import ZERO
+from . import errors, metrics
+from ._num import ZERO, fsum
 from ._record import Record, set_field
 from .evidence import TruthValue
 from .lattice import DEFAULT_ORDER_CAP
@@ -567,13 +567,32 @@ def _greedy_cover(primes, minterms, n) -> List[Tuple[int, int]]:
     return [primes[i] for i in kept]
 
 
-def _least_bad_label(labels, n: int):
-    """The least of the labels that are not order-n labels: text labels in
-    their own order, anything else after them by repr."""
-    bad = [label for label in labels if not isinstance(label, str)
-           or len(label) != n or label.strip("01")]
-    text = [label for label in bad if isinstance(label, str)]
-    return min(text) if text else min(bad, key=repr)
+@lru_cache(maxsize=None)
+def _label_values(n: int) -> Dict[str, int]:
+    """Every order-n label to its minterm: one lookup checks and converts."""
+    return {format(m, "0%db" % n): m for m in range(1 << n)}
+
+
+def _minterms(labels, n: int) -> List[int]:
+    """The labels' minterms.  Raises OutOfRange naming the least label
+    that is not an order-n label (text first, the rest by repr); for an n
+    outside 1..DEFAULT_ORDER_CAP, every label is one."""
+    table = _label_values(n) if 0 < n <= DEFAULT_ORDER_CAP else {}
+    try:
+        return [table[label] for label in labels]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        bad = [label for label in labels if not isinstance(label, str) or label not in table]
+        text = [label for label in bad if isinstance(label, str)]
+        raise errors.OutOfRange("bad minterm label %r for order %d"
+                                % (min(text) if text else min(bad, key=repr), n)) from None
+
+
+def _cover(values: List[int], n: int) -> SopExpression:
+    primes = _prime_implicants(values, n)
+    cubes = _exact_cover(primes, n) if n <= EXACT_COVER_LIMIT else None
+    if cubes is not None:
+        return SopExpression._from_cubes(n, cubes, True)
+    return SopExpression._from_cubes(n, _greedy_cover(primes, values, n), False)
 
 
 def minimize(minterms: Iterable[str], n: int) -> SopExpression:
@@ -598,17 +617,7 @@ def minimize(minterms: Iterable[str], n: int) -> SopExpression:
         # refused before the 3**n-bit cube table is allocated
         raise errors.OrderTooLarge("order %d exceeds the cap of %d"
                                    % (n, DEFAULT_ORDER_CAP))
-    values = []
-    for label in labels:
-        if not isinstance(label, str) or len(label) != n or label.strip("01"):
-            raise errors.OutOfRange("bad minterm label %r for order %d"
-                                    % (_least_bad_label(labels, n), n))
-        values.append(int(label, 2))
-    primes = _prime_implicants(values, n)
-    cubes = _exact_cover(primes, n) if n <= EXACT_COVER_LIMIT else None
-    if cubes is not None:
-        return SopExpression._from_cubes(n, cubes, True)
-    return SopExpression._from_cubes(n, _greedy_cover(primes, values, n), False)
+    return _cover(_minterms(labels, n), n)
 
 
 # --- rule emission ----------------------------------------------------------
@@ -635,11 +644,24 @@ class MinimizedRule(Record):
         set_field(self, "minimal", minimal)
 
 
+# each kind's regions: (name, the stored regions it joins, vd); an upper
+# region is its lower region plus the boundary
 _REGIONS = {
-    "certain": (("lower1", TruthValue.PRESENT), ("lower2", TruthValue.ABSENT)),
-    "uncertain": (("boundary1", TruthValue.INCONCLUSIVE),),
-    "possible": (("upper1", TruthValue.PRESENT), ("upper2", TruthValue.ABSENT)),
+    "certain": (("lower1", ("lower1",), TruthValue.PRESENT),
+                ("lower2", ("lower2",), TruthValue.ABSENT)),
+    "uncertain": (("boundary1", ("boundary1",), TruthValue.INCONCLUSIVE),),
+    "possible": (("upper1", ("lower1", "boundary1"), TruthValue.PRESENT),
+                 ("upper2", ("lower2", "boundary1"), TruthValue.ABSENT)),
 }
+
+
+def _read_region(kb, labels, disease: str):
+    """(minterms, credibility summed per vd) of a stored region, or None
+    when a label is malformed or undecided."""
+    try:
+        return _minterms(labels, kb.n), metrics._vd_sums(kb, labels, disease)
+    except (errors.OutOfRange, errors.DanglingLabel):
+        return None
 
 
 def generate_rules(kb, approx: Mapping[str, "ApproximationSets"],
@@ -651,33 +673,44 @@ def generate_rules(kb, approx: Mapping[str, "ApproximationSets"],
     come out already merged.  Output is ordered by disease and then by
     descending reliability strength.
 
+    Each stored region (``lower1``, ``lower2``, ``boundary1``) is read
+    once, into minterms and credibility sums per vd; an upper region
+    joins its lower region's and the boundary's.  A rule whose regions
+    hold a bad label, or share one, reads its own labels as ``minimize``
+    and ``metrics.measure`` do, raising their error or counting it once.
+
     A possible-rule region whose definite class is empty (everything in
     it is inconclusive) has no denominator to measure against; such a
     rule is emitted with ``metrics`` left as None and sorts after its
     measured siblings.
     """
-    from . import metrics as _metrics  # deferred: metrics reads rule shapes
-
     for kind in kinds:
         if kind not in _REGIONS:
             raise errors.OutOfRange("unknown rule kind %r" % (kind,))
+    needed = {part for kind in kinds for _, parts, _ in _REGIONS[kind] for part in parts}
     rules = []
     for disease in sorted(approx):
         sets = approx[disease]
-        mass = _metrics.disease_mass(kb, disease)
+        mass = metrics.disease_mass(kb, disease)
+        stored = {part: _read_region(kb, getattr(sets, part), disease) for part in needed}
         for kind in kinds:
-            for region, vd in _REGIONS[kind]:
+            for region, parts, vd in _REGIONS[kind]:
                 labels = frozenset(getattr(sets, region))
                 if not labels:
                     continue
-                condition = minimize(labels, kb.n)
-                rule = MinimizedRule(condition, disease, vd, kind, labels,
-                                     minimal=condition.minimal)
+                read = [stored[part] for part in parts]
+                if None in read or len(labels) != sum(len(values) for values, _ in read):
+                    condition = minimize(labels, kb.n)
+                    sums = metrics._vd_sums(kb, labels, disease)
+                else:
+                    condition = _cover([m for values, _ in read for m in values], kb.n)
+                    sums = [fsum(vd_sums) for vd_sums in zip(*[s for _, s in read])]
                 try:
-                    rule = rule.replace(metrics=_metrics.measure(rule, kb, mass))
+                    measured = metrics._measures(vd, sums, disease, mass)
                 except errors.ZeroMass:
-                    pass
-                rules.append(rule)
+                    measured = None
+                rules.append(MinimizedRule(condition, disease, vd, kind, labels, measured,
+                                           condition.minimal))
     rules.sort(key=lambda r: (
         r.disease,
         -(r.metrics.strength if r.metrics is not None else ZERO),

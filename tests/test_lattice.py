@@ -13,9 +13,9 @@ from conftest import (DISEASE_POOL, entries_with_triples, kb_from_atomics, rando
 from roughkb import errors
 from roughkb.evidence import TruthTriple
 from roughkb.kbio import load_kb, serialize_kb
-from roughkb.lattice import (ConditionEdit, DropDecision, Fact, LatticeNode, SetDecision,
-                             _build_structure, build_kb, check_structure, delete_fact, facts_of,
-                             insert_fact, label_for, level_of,
+from roughkb.lattice import (ConditionEdit, DropDecision, Fact, Lattice, LatticeNode,
+                             SetDecision, _build_structure, build_kb, check_structure,
+                             delete_fact, facts_of, insert_fact, label_for, level_of,
                              modify_node)
 from roughkb.propagation import DecisionEntry, PriorityConfig, propagate
 
@@ -235,13 +235,15 @@ def test_insert_then_delete_restores_the_lattice(seed):
     assert back == kb
 
 
-@pytest.mark.parametrize("seed,drop", [(3, 1), (3, 2), (11, 3), (29, 2)])
+@pytest.mark.parametrize("seed,drop", [(3, 1), (3, 2), (11, 3), (29, 2),
+                                       (7, 4), (13, 5), (17, 6), (19, 7)])
 def test_delete_fact_equals_rebuild_on_reduced_input(seed, drop):
     """Deleting a fact writes the file of a fresh build from the other
-    facts' stored atomics, at orders 3-7 in both modes, under global
-    priorities and scoped ones on fact sets with and without the fact."""
+    facts' stored atomics, at every order 3-7 that has the fact, in both
+    modes, under global priorities and scoped ones on fact sets with and
+    without the fact.  The drops cover every position 1..n at each order."""
     diseases = DISEASE_POOL[:3]
-    for n in range(3, 8):
+    for n in range(max(3, drop), 8):
         rng = seeded(100 * seed + n)
         entries = entries_with_triples(rng, random_atomics(rng, n, diseases))
         glob = {(d, f): rng.randint(1, 4) for d in diseases for f in range(1, n + 1)
@@ -264,6 +266,22 @@ def test_delete_fact_equals_rebuild_on_reduced_input(seed, drop):
                                 priorities=priorities.without_fact(drop), alpha=alpha,
                                 round2=round2)
             assert serialize_kb(delete_fact(kb, drop)) == serialize_kb(rebuilt), (n, round2)
+
+
+@pytest.mark.parametrize("priorities,fid", [
+    (PriorityConfig({("ANK", 9): 2, ("ANK", 0): 3}), 0),
+    (PriorityConfig(scoped={(frozenset({1, 2, 9}), "ANK"): {1: 1, 2: 2, 9: 3}}), 9),
+])
+def test_priorities_on_facts_outside_the_order_are_refused(priorities, fid):
+    """A lattice refuses what its file could not hold: the loader refuses a
+    priority on fact f0 or on a fact above the order."""
+    kb = _tiny_kb(3)
+    message = r"^priority on fact %d outside 1\.\.3$" % fid
+    with pytest.raises(errors.OutOfRange, match=message):
+        propagate(kb, priorities=priorities)
+    # every edit builds its result through the same constructor
+    with pytest.raises(errors.OutOfRange, match=message):
+        Lattice(kb.facts, kb.nodes, kb.levels, priorities=priorities)
 
 
 def test_build_orders_the_facts_by_id():

@@ -1,0 +1,172 @@
+"""Rules from ``generate_rules``: pinned on approximations that did not
+come from the knowledge base, and region by region against the public
+``minimize`` and ``metrics.measure`` on seeded knowledge bases."""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+from conftest import kb_from_atomics, random_kb, seeded
+from roughkb import errors, metrics, minimizer, roughset
+from roughkb.evidence import TruthValue
+from roughkb.lattice import DEFAULT_ORDER_CAP, SetDecision, modify_node
+from roughkb.minimizer import MinimizedRule, generate_rules, minimize
+from roughkb.roughset import ApproximationSets
+
+F = Fraction
+ALL_KINDS = ("certain", "uncertain", "possible")
+# each rule's (kind, vd) and the region it is minimized from
+REGION_OF = {("certain", 1): "lower1", ("certain", 0): "lower2",
+             ("uncertain", 2): "boundary1", ("possible", 1): "upper1",
+             ("possible", 0): "upper2"}
+
+
+def _kb():
+    """Order 3, exact mode.  The node of fact 2 alone (010) has no BUR
+    decision and the entry node 000 none at all."""
+    return kb_from_atomics({1: {"ANK": (1, F(1, 2)), "BUR": (0, F(3, 10))},
+                            2: {"ANK": (0, F(1, 4))},
+                            3: {"ANK": (2, F(3, 5)), "BUR": (1, F(7, 10))}}, 3)
+
+
+def _sets(lower1=(), lower2=(), boundary1=()):
+    return ApproximationSets(frozenset(lower1), frozenset(lower2), frozenset(boundary1))
+
+
+def _shown(rules):
+    return [(r.disease, int(r.vd), r.kind, str(r.condition), tuple(sorted(r.source_labels)),
+             None if r.metrics is None else (r.metrics.support, r.metrics.strength,
+                                             r.metrics.certainty, r.metrics.coverage))
+            for r in rules]
+
+
+# --- approximations that did not come from the knowledge base ---------------
+
+@pytest.mark.parametrize("approx,kinds,error,message", [
+    # the least bad label of the rule's region is named
+    ({"ANK": _sets(lower1={"001", "0x1", "01"})}, ALL_KINDS,
+     errors.OutOfRange, "bad minterm label '01' for order 3"),
+    # an upper region's least bad label, over both of its stored parts
+    ({"ANK": _sets(lower1={"001", "10"}, boundary1={"0x1", "011"})}, ("possible",),
+     errors.OutOfRange, "bad minterm label '0x1' for order 3"),
+    # the certain rule's undecided label raises before the uncertain rule's
+    # malformed one
+    ({"BUR": _sets(lower1={"001", "010"}, boundary1={"0x1"})}, ALL_KINDS,
+     errors.DanglingLabel, "node 010 carries no decision for 'BUR'"),
+    ({"BUR": _sets(lower1={"001"}, lower2={"010"})}, ALL_KINDS,
+     errors.DanglingLabel, "node 010 carries no decision for 'BUR'"),
+    ({"ANK": _sets(lower1={"001", "000"})}, ("certain",),
+     errors.DanglingLabel, "node 000 carries no decision for 'ANK'"),
+])
+def test_hand_built_regions_raise_at_their_rule(approx, kinds, error, message):
+    with pytest.raises(error) as caught:
+        generate_rules(_kb(), approx, kinds)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("n,error,message", [
+    (0, errors.OutOfRange, "order must be at least 1, got 0"),
+    (DEFAULT_ORDER_CAP + 1, errors.OrderTooLarge,
+     "order %d exceeds the cap of %d" % (DEFAULT_ORDER_CAP + 1, DEFAULT_ORDER_CAP)),
+])
+def test_an_order_outside_the_cap_is_refused_as_minimize_refuses_it(n, error, message):
+    kb = SimpleNamespace(n=n, nodes={})
+    with pytest.raises(error) as caught:
+        generate_rules(kb, {"ANK": _sets(lower1={"1" * n})})
+    assert str(caught.value) == message
+
+
+def test_a_label_in_both_lower_and_boundary_counts_once_in_the_upper_region():
+    approx = {"ANK": _sets(lower1={"001", "011", "100"}, lower2={"010"},
+                           boundary1={"100", "101"})}
+    assert _shown(generate_rules(_kb(), approx, ALL_KINDS)) == [
+        ("ANK", 1, "possible", "(f1 AND NOT f3) OR (NOT f2 AND f3)",
+         ("001", "011", "100", "101"), (F(51, 40), F(153, 211), F(1), F(1))),
+        ("ANK", 1, "certain", "(NOT f1 AND NOT f2 AND f3) OR (f1 AND NOT f3)",
+         ("001", "011", "100"), (F(49, 40), F(147, 211), F(1), F(1))),
+        ("ANK", 0, "possible", "(NOT f1 AND f2 AND NOT f3) OR (NOT f2 AND f3)",
+         ("010", "100", "101"), (F(9, 10), F(108, 211), F(1), F(1))),
+        ("ANK", 2, "uncertain", "NOT f2 AND f3",
+         ("100", "101"), (F(13, 20), F(78, 211), F(1, 2), F(39, 106))),
+        ("ANK", 0, "certain", "NOT f1 AND f2 AND NOT f3",
+         ("010",), (F(1, 4), F(30, 211), F(1), F(1))),
+    ]
+
+
+def test_approximations_taken_before_an_edit_measure_the_edited_values():
+    kb = _kb()
+    approx = {d: roughset.approximations(kb, d) for d in kb.diseases()}
+    kb = modify_node(kb, "001", SetDecision("ANK", 0, F(1, 2)))
+    kb = modify_node(kb, "100", SetDecision("BUR", 2, F(1, 2)))
+    # ANK and BUR vd=1 regions now hold no decision of vd 1: unmeasured
+    assert _shown(generate_rules(kb, approx, ALL_KINDS)) == [
+        ("ANK", 0, "possible", "(NOT f1 AND f2) OR f3",
+         ("010", "100", "101", "110", "111"), (F(6, 5), F(48, 83), F(1), F(1))),
+        ("ANK", 2, "uncertain", "f3",
+         ("100", "101", "110", "111"), (F(19, 20), F(38, 83), F(1, 2), F(1, 2))),
+        ("ANK", 0, "certain", "NOT f1 AND f2 AND NOT f3",
+         ("010",), (F(1, 4), F(10, 83), F(1), F(2, 9))),
+        ("ANK", 1, "certain", "f1 AND NOT f3", ("001", "011"), None),
+        ("ANK", 1, "possible", "f1 OR f3",
+         ("001", "011", "100", "101", "110", "111"), None),
+        ("BUR", 0, "certain", "f1 AND NOT f3",
+         ("001", "011"), (F(9, 20), F(27, 83), F(1), F(1))),
+        ("BUR", 0, "possible", "f1 AND NOT f3",
+         ("001", "011"), (F(9, 20), F(27, 83), F(1), F(1))),
+        ("BUR", 1, "certain", "f3", ("100", "101", "110", "111"), None),
+        ("BUR", 1, "possible", "f3", ("100", "101", "110", "111"), None),
+    ]
+
+
+# --- region by region against the public functions --------------------------
+
+def _region_by_region(kb, approx, kinds):
+    """The rules built from each region's labels through ``minimize`` and
+    ``metrics.measure``, in the order ``generate_rules`` documents."""
+    rules = []
+    for disease in sorted(approx):
+        for kind in kinds:
+            for (each, vd), region in REGION_OF.items():
+                labels = frozenset(getattr(approx[disease], region))
+                if each != kind or not labels:
+                    continue
+                condition = minimize(labels, kb.n)
+                rule = MinimizedRule(condition, disease, TruthValue(vd), kind, labels,
+                                     minimal=condition.minimal)
+                try:
+                    rule = rule.replace(metrics=metrics.measure(rule, kb))
+                except errors.ZeroMass:
+                    pass
+                rules.append(rule)
+    rules.sort(key=lambda r: (r.disease, -(r.metrics.strength if r.metrics else 0), r.vd))
+    return rules
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("round2", [False, True])
+@pytest.mark.parametrize("with_priorities", [False, True])
+def test_rules_equal_the_region_by_region_build(n, round2, with_priorities):
+    kb, _, _ = random_kb(seeded(900 + n), n, round2=round2,
+                         with_priorities=with_priorities)
+    approx = {d: roughset.approximations(kb, d) for d in kb.diseases()}
+    rules = generate_rules(kb, approx, ALL_KINDS)
+    assert rules == _region_by_region(kb, approx, ALL_KINDS)
+    for rule in rules:
+        assert rule.condition.truth_set() == rule.source_labels
+
+
+def test_rules_do_not_walk_their_source_labels_again(monkeypatch, kb_round2,
+                                                     approx_round2):
+    kb, _, _ = random_kb(seeded(907), 7, round2=True)
+    cases = [(kb, {d: roughset.approximations(kb, d) for d in kb.diseases()}),
+             (kb_round2, approx_round2)]
+    wanted = [generate_rules(kb, approx, ALL_KINDS) for kb, approx in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule's source labels were walked again")
+
+    monkeypatch.setattr(metrics, "measure", refuse)
+    monkeypatch.setattr(minimizer, "minimize", refuse)
+    assert [generate_rules(kb, approx, ALL_KINDS) for kb, approx in cases] == wanted
