@@ -57,10 +57,6 @@ class DanglingLabel(KbError):
     """A rule references a lattice node that does not resolve."""
 
 
-class ZeroMass(KbError):
-    """A quality measure would divide by zero credibility mass."""
-
-
 class ParseError(KbError):
     """Base for evidence/knowledge-base text format errors.
 

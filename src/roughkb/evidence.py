@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Tuple
 
 from . import errors
+from ._num import frac
 
 # The most acceptability levels a grading may declare.  A build costs
 # O(q) per record group, so the cap is checked before any profile is
@@ -116,10 +117,13 @@ class TruthTriple(Tuple[Fraction, Fraction, Fraction]):
 
     __slots__ = ()
 
-    def __new__(cls, tv1, tv2, tv3):
+    def __new__(cls, *components):
+        if len(components) != 3:
+            raise errors.OutOfRange("a truth triple has three components, got %d"
+                                    % len(components))
         # a Fraction is immutable, so one given exactly is kept as it is
-        return super().__new__(cls, tuple(v if type(v) is Fraction else Fraction(v)
-                                          for v in (tv1, tv2, tv3)))
+        return super().__new__(cls, tuple(v if type(v) is Fraction else frac(v)
+                                          for v in components))
 
     @property
     def tv1(self) -> Fraction:

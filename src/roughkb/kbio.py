@@ -400,8 +400,7 @@ def _resolved_decisions(doc: EvidenceDocument, round2: bool):
     return resolved
 
 
-def build_from_document(doc: EvidenceDocument, alpha=None, round2: bool = False,
-                        order_cap: int = DEFAULT_ORDER_CAP) -> Lattice:
+def build_from_document(doc: EvidenceDocument, alpha=None, round2: bool = False) -> Lattice:
     """Evidence to lattice: resolve, build, propagate.
 
     Single-fact records become atomic decisions; multi-fact records are
@@ -418,7 +417,7 @@ def build_from_document(doc: EvidenceDocument, alpha=None, round2: bool = False,
                 DecisionEntry(disease, vd, cf, tv=triple))
         else:
             external.setdefault(frozenset(fset), {})[disease] = (vd, cf, triple)
-    kb = build_kb(doc.facts, atomics, order_cap=order_cap)
+    kb = build_kb(doc.facts, atomics)
     gate = doc.alpha if alpha is None else frac(alpha)
     return propagate(kb, priorities=doc.priorities, external=external,
                      alpha=gate, round2=round2)

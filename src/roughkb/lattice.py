@@ -252,8 +252,7 @@ def _check_facts(facts: Sequence[Fact]):
 
 
 def build_kb(facts: Sequence[Fact],
-             atomic_decisions: Mapping[int, Sequence[DecisionEntry]],
-             order_cap: int = DEFAULT_ORDER_CAP) -> Lattice:
+             atomic_decisions: Mapping[int, Sequence[DecisionEntry]]) -> Lattice:
     """Materialize the lattice skeleton with atomic decisions in place.
 
     Composite levels start empty; run propagation to fill them.
@@ -271,9 +270,9 @@ def build_kb(facts: Sequence[Fact],
     # the ids are 1..n: in id order, as a file lists them
     facts = tuple(sorted(facts, key=lambda fact: fact.id))
     n = len(facts)
-    if n > order_cap:
+    if n > DEFAULT_ORDER_CAP:
         raise errors.OrderTooLarge(
-            "order %d exceeds the cap of %d (2**%d nodes)" % (n, order_cap, n))
+            "order %d exceeds the cap of %d (2**%d nodes)" % (n, DEFAULT_ORDER_CAP, n))
 
     levels, nodes = _build_structure(n)
     for fid, entries in atomic_decisions.items():
@@ -320,8 +319,7 @@ def check_structure(kb: Lattice) -> List[str]:
 
 # --- structural edits -------------------------------------------------------
 
-def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry],
-                order_cap: int = DEFAULT_ORDER_CAP) -> Lattice:
+def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry]) -> Lattice:
     """Grow the lattice by one fact, which becomes the new highest bit.
 
     Existing labels gain a leading 0 and keep their conditions and
@@ -329,9 +327,9 @@ def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry],
     fact -- have their decisions derived.
     """
     n2 = kb.n + 1
-    if n2 > order_cap:
+    if n2 > DEFAULT_ORDER_CAP:
         raise errors.OrderTooLarge(
-            "order %d exceeds the cap of %d" % (n2, order_cap))
+            "order %d exceeds the cap of %d" % (n2, DEFAULT_ORDER_CAP))
     if fact.id != n2:
         raise errors.OutOfRange(
             "new fact must take id %d, got %d" % (n2, fact.id))

@@ -2,7 +2,10 @@
 
 All four measures are ratios of summed credibility factors, taken over
 different slices of the lattice: the rule's own constituents, the
-disease's whole mass, and the disease's mass at one truth value.  The
+disease's whole mass, and the disease's mass at one truth value.
+Rules are measured in one place, ``generate_rules``: it sums each stored
+region once per truth value (``_vd_sums``), joins the sums of a rule's
+regions and takes the rule's measures from them through ``measure``.  The
 disease's masses come from one pass over the lattice, shared by every
 rule of that disease, and each sum runs on integers through ``fsum``.
 Arithmetic is exact (fractions), so the identity checks compare against
@@ -73,40 +76,27 @@ def _vd_sums(kb, labels, disease: str) -> Tuple[Fraction, Fraction, Fraction]:
     return fsum(cfs[0]), fsum(cfs[1]), fsum(cfs[2])
 
 
-def _measures(vd: TruthValue, sums, disease: str, mass: DiseaseMass) -> RuleMetrics:
-    """The measures of a rule concluding ``vd`` whose sources sum to ``sums``."""
+def measure(vd: TruthValue, sums, mass: DiseaseMass) -> Optional[RuleMetrics]:
+    """All four measures of a rule concluding ``vd`` whose source labels
+    sum to ``sums`` per truth value, in a disease of ``mass``
+    (``disease_mass``); None when the disease's mass or the sources'
+    mass at ``vd`` is zero, since a measure would divide by it.
+
+    Support is the summed credibility of the source labels; strength
+    divides it by the disease's mass, certainty by the sources' mass at
+    the rule's truth value and coverage by the disease's mass at that
+    value.  An inconclusive rule concludes both ways, so certainty and
+    coverage carry a factor of one half, and both clamp at 1.
+    """
     cf_sum, own = fsum(sums), sums[vd]
     total, by_vd = mass
-    if total == 0:
-        raise errors.ZeroMass("disease %r has zero credibility mass" % disease)
-    if own == 0:
-        raise errors.ZeroMass("no constituent of this rule carries vd=%d" % int(vd))
+    if total == 0 or own == 0:
+        return None
     concluded = cf_sum / 2 if vd == TruthValue.INCONCLUSIVE else cf_sum
     # the disease's mass at vd is at least the own-value mass, so not zero
     return RuleMetrics(support=cf_sum, strength=cf_sum / total,
                        certainty=min(ONE, concluded / own),
                        coverage=min(ONE, concluded / by_vd[vd]))
-
-
-def measure(rule, kb, mass: Optional[DiseaseMass] = None) -> RuleMetrics:
-    """All four measures of one rule, from one pass over its source
-    labels.  ``mass`` is ``disease_mass(kb, rule.disease)``; a caller
-    measuring many rules of one disease passes it in.  ``generate_rules``
-    sums each stored region once instead, and shares this arithmetic.
-
-    Support is the summed credibility of the source labels; strength
-    divides it by the disease's mass, certainty by the constituents'
-    mass at the rule's truth value and coverage by the disease's mass at
-    that value.  An inconclusive rule concludes both ways, so certainty
-    and coverage carry a factor of one half, and both clamp at 1.
-
-    Raises:
-        DanglingLabel: a source label (or its decision) is missing.
-        ZeroMass: the disease's mass or the constituents' own-value mass
-            is zero.
-    """
-    return _measures(TruthValue(rule.vd), _vd_sums(kb, rule.source_labels, rule.disease),
-                     rule.disease, disease_mass(kb, rule.disease) if mass is None else mass)
 
 
 # --- identity checks --------------------------------------------------------

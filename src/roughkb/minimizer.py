@@ -675,18 +675,23 @@ def generate_rules(kb, approx: Mapping[str, "ApproximationSets"],
 
     Each stored region (``lower1``, ``lower2``, ``boundary1``) is read
     once, into minterms and credibility sums per vd; an upper region
-    joins its lower region's and the boundary's.  A rule whose regions
-    hold a bad label, or share one, reads its own labels as ``minimize``
-    and ``metrics.measure`` do, raising their error or counting it once.
+    joins its lower region's and the boundary's, and the rule's measures
+    come from those sums.  A rule whose regions hold a bad label, or
+    share one, reads its own labels through ``minimize`` and one more
+    sum, raising their error or counting the shared label once.
 
-    A possible-rule region whose definite class is empty (everything in
-    it is inconclusive) has no denominator to measure against; such a
-    rule is emitted with ``metrics`` left as None and sorts after its
-    measured siblings.
+    A rule whose disease has zero mass, or whose source labels carry no
+    mass at its truth value (a possible-rule region that is all
+    inconclusive, say), has no denominator to measure against; it is
+    emitted with ``metrics`` left as None and sorts after its measured
+    siblings.  An unknown or repeated kind raises OutOfRange, since a
+    repeated kind would emit every one of its rules twice.
     """
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in _REGIONS:
             raise errors.OutOfRange("unknown rule kind %r" % (kind,))
+        if kind in kinds[:i]:
+            raise errors.OutOfRange("rule kind %r given twice" % (kind,))
     needed = {part for kind in kinds for _, parts, _ in _REGIONS[kind] for part in parts}
     rules = []
     for disease in sorted(approx):
@@ -705,11 +710,8 @@ def generate_rules(kb, approx: Mapping[str, "ApproximationSets"],
                 else:
                     condition = _cover([m for values, _ in read for m in values], kb.n)
                     sums = [fsum(vd_sums) for vd_sums in zip(*[s for _, s in read])]
-                try:
-                    measured = metrics._measures(vd, sums, disease, mass)
-                except errors.ZeroMass:
-                    measured = None
-                rules.append(MinimizedRule(condition, disease, vd, kind, labels, measured,
+                rules.append(MinimizedRule(condition, disease, vd, kind, labels,
+                                           metrics.measure(vd, sums, mass),
                                            condition.minimal))
     rules.sort(key=lambda r: (
         r.disease,

@@ -8,14 +8,15 @@ the composite condition.  All arithmetic is exact; a ``round2`` flag
 selects the two-decimal mode, which publishes (``_num.publish2``) the
 intermediates that mode is defined over.
 
-``derive`` takes the labels a level at a time, and a level a disease at
-a time.  A label is a bit mask and its predecessors are the masks less
-one bit.  Each predecessor's decisions are read once into integer
-records keyed by disease and mask, ``(vd, cf numerator, cf denominator,
-truth record)``, the truth record being the triple's three numerators
-over one denominator (None for no triple); only the level below is
-kept.  One step per node and disease, ``_step``, which
-``node_decisions`` shares, runs the kernels on those records.
+``derive`` is the one entry point of derivation: ``propagate`` runs it
+over every composite level, and an edit over its cone.  It takes the
+labels a level at a time, and a level a disease at a time.  A label is
+a bit mask and its predecessors are the masks less one bit.  Each
+predecessor's decisions are read once into integer records keyed by
+disease and mask, ``(vd, cf numerator, cf denominator, truth record)``,
+the truth record being the triple's three numerators over one
+denominator (None for no triple); only the level below is kept.  One
+step per node and disease, ``_step``, runs the kernels on those records.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ Record = Tuple[TruthValue, int, int, Optional[Tuple[int, int, int, int]]]
 
 # a disease or fact name token, as both text formats spell it
 _NAME_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
+
+
+def _disease(name) -> str:
+    """A disease name as both text formats can spell it, or OutOfRange."""
+    name = str(name)
+    if not _NAME_RE.match(name):
+        raise errors.OutOfRange("bad disease name %r" % (name,))
+    return name
 
 
 def _alpha(value) -> Fraction:
@@ -57,9 +66,7 @@ class DecisionEntry:
     __slots__ = ("disease", "vd", "cf", "tv")
 
     def __init__(self, disease, vd, cf, tv=None):
-        self.disease = str(disease)
-        if not _NAME_RE.match(self.disease):
-            raise errors.OutOfRange("bad disease name %r" % (self.disease,))
+        self.disease = _disease(disease)
         try:
             self.vd = TruthValue(vd)
         except ValueError:
@@ -120,16 +127,16 @@ class PriorityConfig:
         self._tables: Dict[str, tuple] = {}
         self.global_priorities = {}
         for (disease, fid), p in dict(global_priorities or {}).items():
-            disease, fid = str(disease), int(fid)
+            disease, fid = _disease(disease), int(fid)
             self.global_priorities[(disease, fid)] = p = self._check(p)
             self._tables.setdefault(disease, ({}, {}))[0][fid] = p
         self.scoped = {}
         for (facts, disease), prio in dict(scoped or {}).items():
-            facts, disease = frozenset(int(f) for f in facts), str(disease)
+            facts, disease = frozenset(int(f) for f in facts), _disease(disease)
             prio = {int(f): self._check(p) for f, p in dict(prio).items()}
-            if set(prio) != set(facts):
+            if not facts or set(prio) != set(facts):
                 raise errors.OutOfRange(
-                    "scoped priorities must cover the fact set exactly")
+                    "scoped priorities must cover a nonempty fact set exactly")
             self.scoped[(facts, disease)] = prio
             self._tables.setdefault(disease, ({}, {}))[1][facts] = prio, sum(prio.values())
 
@@ -443,33 +450,6 @@ def _step(disease: str, facts: FrozenSet[int], carriers,
     if round2 and den != 100:
         num, den = num * (100 // den), 100
     return DecisionEntry._checked(disease, vd, cf, tv), (vd, num, den, tv_record)
-
-
-def node_decisions(node_facts: FrozenSet[int],
-                   predecessors: Sequence[Tuple[FrozenSet[int], Mapping[str, DecisionEntry]]],
-                   priorities: PriorityConfig, alpha, round2: bool = False,
-                   external: Optional[Mapping[str, tuple]] = None
-                   ) -> Dict[str, DecisionEntry]:
-    """Derive the full decision map of one composite node.
-
-    ``predecessors`` must be the immediate predecessors in ascending
-    label order.  ``external`` maps a disease to a (vd, cf, triple)
-    resolved from knowledge sources supplied directly for this node's
-    condition; such evidence merges with (or introduces) the decision.
-    """
-    node_facts = frozenset(node_facts)
-    gate = _alpha(alpha)
-    external = external or {}
-    # each predecessor is the node less one fact
-    preds = [(min(node_facts - facts), {d: _record(e) for d, e in decisions.items()})
-             for facts, decisions in predecessors]
-    diseases = set(external).union(*[records for _, records in preds])
-    made = {disease: _step(disease, node_facts,
-                           [(f, records[disease]) for f, records in preds if disease in records],
-                           priorities._tables.get(disease, _NO_TABLE), gate, round2,
-                           external.get(disease))
-            for disease in sorted(diseases)}
-    return {disease: step[0] for disease, step in made.items() if step is not None}
 
 
 def derive(nodes, labels: Iterable[str], priorities: PriorityConfig, gate,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expected_lbp as X
-from conftest import DISEASE_POOL, kb_from_atomics, random_atomics, seeded
+from conftest import DISEASE_POOL, kb_from_atomics, random_atomics, random_kb, seeded
 import roughkb
 from roughkb import errors, kbio, lattice
 from roughkb._num import parse_rational, render
@@ -644,6 +644,20 @@ def test_seeded_kbs_round_trip_through_the_loader(n, round2):
     assert len({w for _, w in w_lines.values()}) > n
 
 
+@pytest.mark.parametrize("n", [10, 11, 12])
+@pytest.mark.parametrize("round2", [False, True])
+def test_serialize_load_serialize_is_a_fixed_point_up_to_order_12(n, round2):
+    """Past the orders the oracles reach: seeded priorities, and a gate
+    from order 11."""
+    kb, _, _ = random_kb(seeded(1200 + n), n, alpha=(F(1, 10), 0, F(1, 20))[n % 3],
+                         round2=round2)
+    text = kbio.serialize_kb(kb)
+    loaded = kbio.load_kb(text)
+    assert kbio.serialize_kb(loaded) == text
+    if round2:
+        assert loaded == kb
+
+
 def _as_decimal(w):
     """A weight as a decimal token, or None when it has no finite one."""
     for places in range(1, 8):
@@ -843,6 +857,13 @@ def test_cli_rules_formats(kb_file, capsys):
     assert _sha(first) == RULES_RECORDS_SHA
     assert kbio.cli(["rules", kb_file, "--format", "records"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cli_rules_refuse_a_repeated_kind(kb_file, capsys):
+    # a repeated kind would print each of its rules twice
+    capsys.readouterr()
+    assert kbio.cli(["rules", kb_file, "--kinds", "certain,certain"]) == 1
+    assert capsys.readouterr() == ("", "error: rule kind 'certain' given twice\n")
 
 
 @pytest.mark.parametrize("round2", [False, True])

@@ -11,6 +11,7 @@ from conftest import kb_from_atomics, random_kb, seeded
 from roughkb import errors, metrics, roughset
 from roughkb.evidence import TruthValue
 from roughkb.minimizer import generate_rules
+from roughkb.roughset import ApproximationSets
 
 F = Fraction
 
@@ -43,7 +44,7 @@ def test_fixture_measures_match_reference(kb_round2, approx_round2):
     for rule in generate_rules(kb_round2, approx_round2):
         want = oracles.reference_measures(view, rule.source_labels,
                                           rule.disease, int(rule.vd))
-        m = metrics.measure(rule, kb_round2)
+        m = rule.metrics
         assert m.support == want["support"]
         assert m.strength == want["strength"]
         assert m.certainty == want["certainty"]
@@ -78,12 +79,18 @@ def test_random_rules_match_reference(seed):
     assert measured
 
 
-def test_measures_duck_type_the_rule():
+def _rule(kb, sets, kind):
+    """The one rule ``generate_rules`` makes of ANK's hand-built regions."""
+    (rule,) = generate_rules(kb, {"ANK": sets}, (kind,))
+    return rule
+
+
+def test_measures_duck_type_the_regions():
     kb = kb_from_atomics({1: {"ANK": (1, F(1, 2))},
                           2: {"ANK": (1, F(1, 4))}}, 2)
-    rule = SimpleNamespace(disease="ANK", vd=TruthValue.PRESENT,
-                           source_labels=("01", "11"))
-    m = metrics.measure(rule, kb)
+    # a certain rule reads only the lower regions
+    sets = SimpleNamespace(lower1=("01", "11"), lower2=(), boundary1=())
+    m = _rule(kb, sets, "certain").metrics
     # nodes: 01 -> 1/2, 10 -> 1/4, 11 -> 3/8, all surely present
     assert m.support == F(7, 8)
     assert m.strength == F(7, 9)
@@ -94,33 +101,30 @@ def test_measures_duck_type_the_rule():
 def test_inconclusive_rules_use_the_half_factor():
     kb = kb_from_atomics({1: {"ANK": (2, F(1, 2))},
                           2: {"ANK": (2, F(1, 2))}}, 2)
-    rule = SimpleNamespace(disease="ANK", vd=TruthValue.INCONCLUSIVE,
-                           source_labels=("01",))
-    m = metrics.measure(rule, kb)
+    m = _rule(kb, ApproximationSets(frozenset(), frozenset(), frozenset({"01"})),
+              "uncertain").metrics
     assert m.certainty == F(1, 2) * m.support / F(1, 2)  # factor one half
     assert m.coverage == F(1, 2) * m.support / F(3, 2)
 
 
 def test_zero_masses_are_refused():
+    """A rule whose measures would divide by zero is emitted unmeasured."""
     kb = kb_from_atomics({1: {"ANK": (1, F(0)), "BUR": (1, F(1, 2))}}, 1)
-    rule = SimpleNamespace(disease="ANK", vd=TruthValue.PRESENT,
-                           source_labels=("1",))
-    with pytest.raises(errors.ZeroMass, match="zero credibility mass"):
-        metrics.measure(rule, kb)
+    lower1 = ApproximationSets(frozenset({"1"}), frozenset(), frozenset())
+    assert _rule(kb, lower1, "certain").metrics is None
     # certainty needs sources that carry the rule's truth value
     kb2 = kb_from_atomics({1: {"ANK": (1, F(1, 2))}}, 1)
-    mismatched = SimpleNamespace(disease="ANK", vd=TruthValue.ABSENT,
-                                 source_labels=("1",))
-    with pytest.raises(errors.ZeroMass, match="carries vd=0"):
-        metrics.measure(mismatched, kb2)
+    lower2 = ApproximationSets(frozenset(), frozenset({"1"}), frozenset())
+    rule = _rule(kb2, lower2, "certain")
+    assert (rule.vd, rule.metrics) == (TruthValue.ABSENT, None)
 
 
 def test_missing_decisions_are_dangling():
     kb = kb_from_atomics({1: {"ANK": (1, F(1, 2))}}, 2)
-    rule = SimpleNamespace(disease="ANK", vd=TruthValue.PRESENT,
-                           source_labels=("10",))
-    with pytest.raises(errors.DanglingLabel):
-        metrics.measure(rule, kb)
+    with pytest.raises(errors.DanglingLabel,
+                       match="^node 10 carries no decision for 'ANK'$"):
+        _rule(kb, ApproximationSets(frozenset({"10"}), frozenset(), frozenset()),
+              "certain")
 
 
 def test_certain_strengths_sum_below_one(kb_round2, approx_round2):
@@ -197,8 +201,6 @@ def test_seeded_rules_match_reference_measures(n, round2):
             assert rule.metrics is None
             continue
         assert rule.metrics == metrics.RuleMetrics(**want)
-        # a rule measured on its own agrees with the per-disease pass
-        assert metrics.measure(rule, kb) == rule.metrics
         measured += 1
     assert measured
 

@@ -1,6 +1,7 @@
 """Pairwise/multi-constituent combination and whole-lattice propagation."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from roughkb.lattice import (Fact, SetDecision, _cone_labels, build_kb, facts_of
                              level_of, modify_node)
 from roughkb.propagation import (DecisionEntry, PriorityConfig, _cf_multi, _mean_triple,
                                  _record, _triple_record, derive, merge_external,
-                                 node_decisions, propagate)
+                                 propagate)
 
 F = Fraction
 
@@ -37,6 +38,34 @@ def test_decision_entry_validates_fields():
     for name in ("NEW DIS", "", "a#b", "d\n", "\u00e9"):
         with pytest.raises(errors.OutOfRange, match="bad disease name"):
             DecisionEntry(name, 1, F(1, 2))
+
+
+def test_truth_triples_coerce_numbers_as_every_entry_point_does():
+    # a float is read through its shortest decimal, as the credibility is
+    e = DecisionEntry("ANK", 1, 0.1, tv=(0.1, 0.2, 0.7))
+    assert e.cf == F(1, 10)
+    assert e.tv == (F(1, 10), F(1, 5), F(7, 10))
+    assert sum(e.tv) == 1
+    assert TruthTriple("1/4", 0.25, F(1, 2)) == (F(1, 4), F(1, 4), F(1, 2))
+    # an exact component is kept as given
+    half = F(1, 2)
+    assert TruthTriple(half, F(1, 4), F(1, 4)).tv1 is half
+    with pytest.raises(errors.OutOfRange, match="^a truth triple has three components, got 2$"):
+        DecisionEntry("ANK", 1, F(1, 2), tv=(1, 2))
+    with pytest.raises(errors.OutOfRange, match="^not a plain number: 'a'$"):
+        DecisionEntry("ANK", 1, F(1, 2), tv=("a", 0, 0))
+
+
+@pytest.mark.parametrize("global_priorities,scoped,message", [
+    # written as "priority ANK  ", which no loader reads back
+    ({}, {(frozenset(), "ANK"): {}}, "nonempty fact set"),
+    ({("bad name!", 1): 2}, {}, "bad disease name 'bad name!'"),
+    # read back as ANK, whose weights the file's w= fields do not match
+    ({}, {(frozenset({1, 2}), " ANK"): {1: 1, 2: 3}}, "bad disease name ' ANK'"),
+])
+def test_priority_config_refuses_what_its_file_cannot_hold(global_priorities, scoped, message):
+    with pytest.raises(errors.OutOfRange, match=message):
+        PriorityConfig(global_priorities, scoped)
 
 
 def test_priority_config_layers():
@@ -82,13 +111,21 @@ def test_alpha_threshold_bounds():
 P, A, I = TruthValue.PRESENT, TruthValue.ABSENT, TruthValue.INCONCLUSIVE
 
 
+def _nodes(n, decisions):
+    """Stand-in order-n nodes for ``derive``: each label to its condition
+    and the decision map given for it (empty when none is)."""
+    return {label: SimpleNamespace(condition=facts_of(label),
+                                   decisions=decisions.get(label, {}))
+            for label in (format(m, "0%db" % n) for m in range(1 << n))}
+
+
 def _pair(first, second, alpha=0):
     """The (vd, cf) that node {1, 2} derives for ANK under equal weights
     of 1/2, when its predecessors {1} and {2} carry the (vd, cf) pairs
     given (None for no decision); None when ANK does not reach it."""
-    preds = [(frozenset({fid}), {} if pair is None else {"ANK": DecisionEntry("ANK", *pair)})
-             for fid, pair in ((1, first), (2, second))]
-    entry = node_decisions(frozenset({1, 2}), preds, PriorityConfig(), alpha).get("ANK")
+    nodes = _nodes(2, {label: {"ANK": DecisionEntry("ANK", *pair)}
+                       for label, pair in (("01", first), ("10", second)) if pair is not None})
+    entry = derive(nodes, ["11"], PriorityConfig(), alpha, False)["11"].get("ANK")
     return None if entry is None else (entry.vd, entry.cf)
 
 
@@ -207,18 +244,16 @@ def test_external_evidence_merges_and_is_consumed():
 
 # --- orchestration corner cases ---------------------------------------------
 
-def test_node_decisions_all_gated_means_absent():
+def test_derive_all_gated_means_absent():
     entry = {"ANK": DecisionEntry("ANK", 1, F(1, 100))}
-    preds = [(frozenset({1, 2}), entry),
-             (frozenset({1, 3}), entry),
-             (frozenset({2, 3}), entry)]
-    out = node_decisions(frozenset({1, 2, 3}), preds, PriorityConfig(), F(1, 2))
-    assert out == {}
+    nodes = _nodes(3, {"011": entry, "101": entry, "110": entry})
+    assert derive(nodes, ["111"], PriorityConfig(), F(1, 2), False) == {"111": {}}
 
 
-def test_node_decisions_requires_no_disease_to_be_invented():
-    preds = [(frozenset({1}), {}), (frozenset({2}), {})]
-    assert node_decisions(frozenset({1, 2}), preds, PriorityConfig(), 0) == {}
+def test_derive_requires_no_disease_to_be_invented():
+    kb = kb_from_atomics({}, 2)
+    assert kb.node("11").decisions == {}
+    assert derive(kb.nodes, ["11"], PriorityConfig(), 0, False) == {"11": {}}
 
 
 # --- agreement with the straight-line reference -----------------------------
@@ -348,16 +383,16 @@ def test_agreeing_atomics_pass_their_verdict_up():
 # --- the level loop against a node-by-node walk ------------------------------
 
 def _walk(nodes, labels, priorities, gate, round2, external):
-    """What ``derive`` returns, node by node: ``node_decisions`` over the
-    predecessors in ascending label order, each read fresh if derived here
-    and stored otherwise."""
+    """What ``derive`` returns, node by node: one label per call, over a
+    view whose decisions are read fresh where derived here and stored
+    otherwise."""
     fresh = {}
+    view = {label: SimpleNamespace(condition=node.condition, decisions=node.decisions)
+            for label, node in nodes.items()}
     for label in labels:
-        preds = [(facts_of(p), fresh[p] if p in fresh else nodes[p].decisions)
-                 for p in nodes[label].predecessors]
-        condition = nodes[label].condition
-        fresh[label] = node_decisions(condition, preds, priorities, gate, round2,
-                                      external.get(condition))
+        fresh[label] = derive(view, [label], priorities, gate, round2, external)[label]
+        view[label] = SimpleNamespace(condition=nodes[label].condition,
+                                      decisions=fresh[label])
     return fresh
 
 

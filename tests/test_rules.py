@@ -1,12 +1,14 @@
 """Rules from ``generate_rules``: pinned on approximations that did not
 come from the knowledge base, and region by region against the public
-``minimize`` and ``metrics.measure`` on seeded knowledge bases."""
+``minimize`` and the reference measures on seeded knowledge bases."""
 
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+import oracles
 from conftest import kb_from_atomics, random_kb, seeded
 from roughkb import errors, metrics, minimizer, roughset
 from roughkb.evidence import TruthValue
@@ -64,6 +66,16 @@ def test_hand_built_regions_raise_at_their_rule(approx, kinds, error, message):
         generate_rules(_kb(), approx, kinds)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("kinds,message", [
+    (("certain", "certain"), "rule kind 'certain' given twice"),
+    (("possible", "certain", "uncertain", "possible"), "rule kind 'possible' given twice"),
+    (("certain", "sure"), "unknown rule kind 'sure'"),
+])
+def test_unknown_and_repeated_kinds_are_refused(kinds, message):
+    with pytest.raises(errors.OutOfRange, match="^%s$" % message):
+        generate_rules(_kb(), {"ANK": _sets(lower1={"001"})}, kinds)
 
 
 @pytest.mark.parametrize("n,error,message", [
@@ -124,7 +136,10 @@ def test_approximations_taken_before_an_edit_measure_the_edited_values():
 
 def _region_by_region(kb, approx, kinds):
     """The rules built from each region's labels through ``minimize`` and
-    ``metrics.measure``, in the order ``generate_rules`` documents."""
+    ``oracles.reference_measures`` (None where it divides by zero), in the
+    order ``generate_rules`` documents."""
+    view = {label: {d: (int(e.vd), e.cf) for d, e in node.decisions.items()}
+            for label, node in kb.nodes.items() if node.decisions}
     rules = []
     for disease in sorted(approx):
         for kind in kinds:
@@ -132,14 +147,14 @@ def _region_by_region(kb, approx, kinds):
                 labels = frozenset(getattr(approx[disease], region))
                 if each != kind or not labels:
                     continue
-                condition = minimize(labels, kb.n)
-                rule = MinimizedRule(condition, disease, TruthValue(vd), kind, labels,
-                                     minimal=condition.minimal)
                 try:
-                    rule = rule.replace(metrics=metrics.measure(rule, kb))
-                except errors.ZeroMass:
-                    pass
-                rules.append(rule)
+                    measured = metrics.RuleMetrics(
+                        **oracles.reference_measures(view, labels, disease, vd))
+                except ZeroDivisionError:
+                    measured = None
+                condition = minimize(labels, kb.n)
+                rules.append(MinimizedRule(condition, disease, TruthValue(vd), kind, labels,
+                                           measured, condition.minimal))
     rules.sort(key=lambda r: (r.disease, -(r.metrics.strength if r.metrics else 0), r.vd))
     return rules
 
@@ -167,6 +182,15 @@ def test_rules_do_not_walk_their_source_labels_again(monkeypatch, kb_round2,
     def refuse(*args, **kwargs):
         raise AssertionError("a rule's source labels were walked again")
 
-    monkeypatch.setattr(metrics, "measure", refuse)
+    summed = Counter()
+    vd_sums = metrics._vd_sums
+
+    def count(kb, labels, disease):
+        summed[id(kb), disease] += 1
+        return vd_sums(kb, labels, disease)
+
     monkeypatch.setattr(minimizer, "minimize", refuse)
+    monkeypatch.setattr(metrics, "_vd_sums", count)
     assert [generate_rules(kb, approx, ALL_KINDS) for kb, approx in cases] == wanted
+    # lower1, lower2 and boundary1: each stored region is summed at most once
+    assert summed and max(summed.values()) <= 3
