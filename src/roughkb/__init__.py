@@ -10,9 +10,9 @@ handles file formats and the command line.
 """
 
 from . import errors
-from .evidence import (EvidenceProfile, PresenceMatrix, SourceGrading,
-                       TruthTriple, TruthValue, presence_matrix,
-                       resolve_decision, truth_triple)
+from .evidence import (EvidenceProfile, PresenceMatrix, TruthTriple,
+                       TruthValue, presence_matrix, resolve_decision,
+                       truth_triple)
 from .kbio import (EvidenceDocument, EvidenceRecord, build_from_document,
                    fixture_document, load_kb, parse_evidence, render_evidence,
                    serialize_kb)
@@ -33,7 +33,7 @@ __all__ = [
     "DropDecision", "EvidenceDocument", "EvidenceProfile", "EvidenceRecord",
     "Fact", "Lattice", "LatticeNode", "MinimizedRule", "PresenceMatrix",
     "PriorityConfig", "PropertyReport", "RuleMetrics", "SetDecision",
-    "SopExpression", "SourceGrading", "TruthTriple", "TruthValue",
+    "SopExpression", "TruthTriple", "TruthValue",
     "approximations", "build_from_document", "build_kb", "check_properties",
     "concepts", "delete_fact", "errors", "fixture_document", "generate_rules", "insert_fact",
     "load_kb", "minimize", "modify_node", "on_decisions_added",

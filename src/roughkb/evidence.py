@@ -7,6 +7,11 @@ split three ways: kind 1 asserts presence, kind 2 asserts absence, kind
 counts into a normalized truth triple, builds the boolean presence
 matrix over kinds and levels, and resolves the pair into a ternary
 truth value with a credibility factor.
+
+An ``EvidenceProfile`` holds the counts and their ``q``, checked
+against ``GRADING_CAP``; its ``kind_mass`` weighs level ``j`` by
+``q - j + 1``.  Profiles, presence matrices and triples are immutable
+values that copy and pickle.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from typing import Iterable, Mapping, Tuple
 
 from . import errors
 from ._num import frac
+from ._record import Record, set_field
 
-# The most acceptability levels a grading may declare.  A build costs
-# O(q) per record group, so the cap is checked before any profile is
-# built; seeded documents and the bundled fixture use 3 to 5.
+# The most acceptability levels a profile may hold.  A build costs O(q)
+# per record group, so ``from_levels`` checks q before it builds a row;
+# seeded documents and the bundled fixture use 3 to 5.
 GRADING_CAP = 1000
 
 
@@ -32,58 +38,37 @@ class TruthValue(IntEnum):
     INCONCLUSIVE = 2
 
 
-class SourceGrading:
-    """Count of acceptability levels and their weights.
-
-    Level ``j`` carries weight ``q - j + 1``, so the best level weighs
-    ``q`` and the worst weighs 1.
-    """
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        if not isinstance(q, int) or q < 1:
-            raise errors.OutOfRange("grading needs at least one level, got %r" % (q,))
-        if q > GRADING_CAP:
-            raise errors.OutOfRange("grading q=%d exceeds the cap of %d"
-                                    % (q, GRADING_CAP))
-        self.q = q
-
-    def weight(self, level: int) -> int:
-        if not 1 <= level <= self.q:
-            raise errors.OutOfRange("level %r outside 1..%d" % (level, self.q))
-        return self.q - level + 1
-
-    def __eq__(self, other):
-        return isinstance(other, SourceGrading) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("SourceGrading", self.q))
-
-    def __repr__(self):
-        return "SourceGrading(q=%d)" % self.q
+def _check_levels(q) -> None:
+    if not isinstance(q, int) or not 1 <= q <= GRADING_CAP:
+        raise errors.OutOfRange("a profile needs 1 to %d levels, got %r" % (GRADING_CAP, q))
 
 
-class EvidenceProfile:
-    """Source counts indexed by assertion kind (1..3) and level (1..q)."""
+class EvidenceProfile(Record):
+    """Source counts indexed by assertion kind (1..3) and level (1..q),
+    with 1 <= q <= ``GRADING_CAP``."""
 
     __slots__ = ("counts",)
 
     def __init__(self, counts: Iterable[Iterable[int]]):
-        rows = tuple(tuple(row) for row in counts)
+        try:
+            rows = tuple(tuple(row) for row in counts)
+        except TypeError:
+            raise errors.OutOfRange("profile counts must be 3 rows of integers") from None
         if len(rows) != 3:
             raise errors.OutOfRange("profile needs exactly 3 kind rows")
         if not rows[0] or len({len(r) for r in rows}) != 1:
             raise errors.OutOfRange("profile rows must share a positive length")
+        _check_levels(len(rows[0]))
         for row in rows:
             for c in row:
                 if not isinstance(c, int) or c < 0:
                     raise errors.OutOfRange("counts must be nonnegative integers")
-        self.counts = rows
+        set_field(self, "counts", rows)
 
     @classmethod
     def from_levels(cls, by_kind: Mapping[int, Mapping[int, int]], q: int) -> "EvidenceProfile":
         """Build a profile from sparse ``{kind: {level: count}}`` data."""
+        _check_levels(q)
         rows = []
         for kind in (1, 2, 3):
             sparse = dict(by_kind.get(kind, {}))
@@ -97,19 +82,12 @@ class EvidenceProfile:
     def q(self) -> int:
         return len(self.counts[0])
 
-    def kind_mass(self, kind: int, grading: SourceGrading) -> int:
-        """Weighted source mass for one assertion kind."""
-        row = self.counts[kind - 1]
-        return sum(grading.weight(j + 1) * c for j, c in enumerate(row))
-
-    def __eq__(self, other):
-        return isinstance(other, EvidenceProfile) and other.counts == self.counts
-
-    def __hash__(self):
-        return hash(self.counts)
-
-    def __repr__(self):
-        return "EvidenceProfile(%r)" % (self.counts,)
+    def kind_mass(self, kind: int) -> int:
+        """Weighted source mass for one assertion kind: level ``j`` of
+        ``q`` weighs ``q - j + 1``, so the best level weighs ``q`` and the
+        worst 1."""
+        q = self.q
+        return sum((q - j) * c for j, c in enumerate(self.counts[kind - 1]))
 
 
 class TruthTriple(Tuple[Fraction, Fraction, Fraction]):
@@ -137,45 +115,41 @@ class TruthTriple(Tuple[Fraction, Fraction, Fraction]):
     def tv3(self) -> Fraction:
         return self[2]
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__ with the three components
+        return tuple(self)
+
     def __repr__(self):
         return "TruthTriple(%s, %s, %s)" % self
 
 
-class PresenceMatrix:
+class PresenceMatrix(Record):
     """3 x q boolean indicator of which (kind, level) cells hold sources."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[bool]]):
-        self.rows = tuple(tuple(bool(v) for v in row) for row in rows)
-        if len(self.rows) != 3 or len({len(r) for r in self.rows}) != 1:
+        try:
+            rows = tuple(tuple(bool(v) for v in row) for row in rows)
+        except TypeError:
+            raise errors.OutOfRange("presence matrix must be 3 rows of cells") from None
+        if len(rows) != 3 or len({len(r) for r in rows}) != 1:
             raise errors.OutOfRange("presence matrix must be 3 x q")
+        set_field(self, "rows", rows)
 
     @property
     def q(self) -> int:
         return len(self.rows[0])
 
-    def __eq__(self, other):
-        return isinstance(other, PresenceMatrix) and other.rows == self.rows
 
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "PresenceMatrix(%r)" % (self.rows,)
-
-
-def truth_triple(profile: EvidenceProfile, grading: SourceGrading) -> TruthTriple:
+def truth_triple(profile: EvidenceProfile) -> TruthTriple:
     """Normalize the weighted per-kind masses into a triple summing to 1.
 
     Raises:
         ZeroEvidence: the profile holds no sources at all; the assertion
             should simply be absent, never defaulted.
     """
-    if profile.q != grading.q:
-        raise errors.OutOfRange("profile has %d levels, grading %d"
-                                % (profile.q, grading.q))
-    masses = [profile.kind_mass(kind, grading) for kind in (1, 2, 3)]
+    masses = [profile.kind_mass(kind) for kind in (1, 2, 3)]
     total = sum(masses)
     if total == 0:
         raise errors.ZeroEvidence("profile carries no weighted evidence")

@@ -39,8 +39,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import errors
 from ._num import ONE, ZERO, Converted, frac, parse_int, parse_rational, publish2, render
 from ._record import Record, set_field
-from .evidence import (GRADING_CAP, EvidenceProfile, SourceGrading, TruthTriple,
-                       TruthValue, presence_matrix, resolve_decision, truth_triple)
+from .evidence import (GRADING_CAP, EvidenceProfile, TruthTriple, TruthValue,
+                       presence_matrix, resolve_decision, truth_triple)
 from .lattice import (DEFAULT_ORDER_CAP, DropDecision, Fact, Lattice, LatticeNode,
                       SetDecision, _build_structure, build_kb, check_structure,
                       delete_fact, insert_fact, modify_node)
@@ -384,7 +384,6 @@ def render_evidence(doc: EvidenceDocument) -> str:
 
 def _resolved_decisions(doc: EvidenceDocument, round2: bool):
     """Resolve every record group into (vd, cf, triple) per fact set."""
-    grading = SourceGrading(doc.q)
     grouped: Dict[Tuple[Tuple[int, ...], str], Dict[int, Dict[int, int]]] = {}
     for rec in doc.records:
         rows = grouped.setdefault((rec.facts, rec.disease), {})
@@ -392,7 +391,7 @@ def _resolved_decisions(doc: EvidenceDocument, round2: bool):
     resolved = {}
     for (fset, disease), rows in sorted(grouped.items()):
         profile = EvidenceProfile.from_levels(rows, doc.q)
-        triple = truth_triple(profile, grading)
+        triple = truth_triple(profile)
         if round2:
             triple = TruthTriple(*(publish2(c) for c in triple))
         vd, cf = resolve_decision(presence_matrix(profile), triple)

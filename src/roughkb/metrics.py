@@ -63,15 +63,24 @@ def disease_mass(kb, disease: str) -> DiseaseMass:
     return fsum(by_vd), by_vd
 
 
+def _entries(kb, labels, disease: str) -> list:
+    """The labels' decisions for the disease, in the labels' order.  A
+    label without one raises DanglingLabel naming the least such label
+    (text first, the rest by repr), so the message does not follow a
+    set's hash order."""
+    nodes = kb.nodes
+    try:
+        return [nodes[label].decisions[disease] for label in labels]
+    except KeyError:
+        for label in sorted(labels, key=lambda v: (0, v) if isinstance(v, str) else (1, repr(v))):
+            _entry(kb, label, disease)
+        raise
+
+
 def _vd_sums(kb, labels, disease: str) -> Tuple[Fraction, Fraction, Fraction]:
     """One pass over the labels: their credibility summed at each truth value."""
-    nodes = kb.nodes
     cfs: Tuple[List[Fraction], ...] = ([], [], [])
-    for label in labels:
-        try:
-            entry = nodes[label].decisions[disease]
-        except KeyError:
-            entry = _entry(kb, label, disease)  # raises DanglingLabel
+    for entry in _entries(kb, labels, disease):
         cfs[entry.vd].append(entry.cf)
     return fsum(cfs[0]), fsum(cfs[1]), fsum(cfs[2])
 
@@ -154,7 +163,8 @@ def check_properties(kb, approx: Mapping[str, "ApproximationSets"]) -> PropertyR
                            (sets.lower2, TruthValue.ABSENT)):
             if not labels or mass == 0:
                 continue
-            cfs = {label: _entry(kb, label, disease).cf for label in labels}
+            cfs = {label: entry.cf for label, entry
+                   in zip(labels, _entries(kb, labels, disease))}
             class_cf = fsum(cfs.values())
             vd_mass = by_vd[vd]
             if class_cf == 0 or vd_mass == 0:

@@ -75,7 +75,11 @@ class DecisionEntry:
         if not 0 <= self.cf.numerator <= self.cf.denominator:
             raise errors.OutOfRange("credibility %s outside [0, 1]" % self.cf)
         if tv is not None and not isinstance(tv, TruthTriple):
-            tv = TruthTriple(*tv)
+            try:
+                tv = TruthTriple(*tv)
+            except TypeError:  # not iterable
+                raise errors.OutOfRange("truth triple %r is not a sequence of three"
+                                        % (tv,)) from None
         self.tv = tv
 
     @classmethod

@@ -10,9 +10,9 @@ import expected_lbp as X
 import oracles
 from roughkb import errors
 from roughkb._num import publish2
-from roughkb.evidence import (GRADING_CAP, EvidenceProfile, PresenceMatrix, SourceGrading,
-                              TruthTriple, TruthValue, presence_matrix,
-                              resolve_decision, truth_triple)
+from roughkb.evidence import (GRADING_CAP, EvidenceProfile, PresenceMatrix, TruthTriple,
+                              TruthValue, presence_matrix, resolve_decision,
+                              truth_triple)
 
 F = Fraction
 
@@ -22,18 +22,29 @@ def _profile(fact, disease):
 
 
 def test_grading_weights_descend():
-    g = SourceGrading(5)
-    assert [g.weight(j) for j in (1, 2, 3, 4, 5)] == [5, 4, 3, 2, 1]
-    with pytest.raises(errors.OutOfRange):
-        g.weight(0)
-    with pytest.raises(errors.OutOfRange):
-        g.weight(6)
-    with pytest.raises(errors.OutOfRange):
-        SourceGrading(0)
+    # one source at level j of 5 weighs 5 - j + 1
+    assert [EvidenceProfile.from_levels({2: {j: 1}}, 5).kind_mass(2)
+            for j in (1, 2, 3, 4, 5)] == [5, 4, 3, 2, 1]
+    assert EvidenceProfile([(1,), (0,), (0,)]).kind_mass(1) == 1
+    for q in (0, -1, "5", 2.0):
+        with pytest.raises(errors.OutOfRange):
+            EvidenceProfile.from_levels({}, q)
     # a build costs O(q) per record group, so q is capped
-    assert SourceGrading(GRADING_CAP).q == GRADING_CAP
+    assert EvidenceProfile.from_levels({}, GRADING_CAP).q == GRADING_CAP
+    assert EvidenceProfile([(0,) * GRADING_CAP] * 3).q == GRADING_CAP
     with pytest.raises(errors.OutOfRange):
-        SourceGrading(GRADING_CAP + 1)
+        EvidenceProfile([(0,) * (GRADING_CAP + 1)] * 3)
+
+
+def test_an_uncapped_q_is_refused_before_any_row_is_built():
+    class Kinds(dict):
+        def get(self, *args):
+            raise AssertionError("a row was built")
+
+    with pytest.raises(errors.OutOfRange):
+        EvidenceProfile.from_levels(Kinds(), GRADING_CAP + 1)
+    with pytest.raises(errors.OutOfRange):
+        EvidenceProfile.from_levels(Kinds(), 10 ** 8)
 
 
 def test_profile_sparse_equals_dense():
@@ -54,36 +65,42 @@ def test_profile_rejects_bad_shapes():
         EvidenceProfile.from_levels({1: {6: 1}}, 5)  # level past q
 
 
+@pytest.mark.parametrize("build,value", [
+    (EvidenceProfile, 5),
+    (EvidenceProfile, [5, [0], [0]]),
+    (PresenceMatrix, [5, [0], [0]]),
+])
+def test_evidence_values_refuse_rows_that_are_not_sequences(build, value):
+    with pytest.raises(errors.OutOfRange):
+        build(value)
+
+
+
 def test_kind_mass_hand_example():
-    g = SourceGrading(5)
     p = _profile(1, "SIJ")
-    assert p.kind_mass(1, g) == 24   # 8 sources at level 3
-    assert p.kind_mass(2, g) == 6    # 6 sources at level 5
-    assert p.kind_mass(3, g) == 26   # 7*3 + 5*1
+    assert p.kind_mass(1) == 24   # 8 sources at level 3
+    assert p.kind_mass(2) == 6    # 6 sources at level 5
+    assert p.kind_mass(3) == 26   # 7*3 + 5*1
 
 
 def test_truth_triple_normalizes_and_matches_oracle():
-    g = SourceGrading(X.Q)
     for key, counts in X.COUNTS.items():
-        t = truth_triple(_profile(*key), g)
+        t = truth_triple(_profile(*key))
         assert sum(t) == 1
         assert all(isinstance(c, Fraction) for c in t)
         assert tuple(t) == oracles.reference_triple(counts, X.Q)
 
 
 def test_truth_triples_match_frozen_table():
-    g = SourceGrading(X.Q)
     for key, printed in X.TRIPLES_2DP.items():
-        t = truth_triple(_profile(*key), g)
+        t = truth_triple(_profile(*key))
         assert tuple(publish2(c) for c in t) == tuple(F(s) for s in printed)
 
 
-def test_truth_triple_rejects_empty_and_mismatched():
+def test_truth_triple_rejects_empty():
     empty = EvidenceProfile([(0, 0), (0, 0), (0, 0)])
     with pytest.raises(errors.ZeroEvidence):
-        truth_triple(empty, SourceGrading(2))
-    with pytest.raises(errors.OutOfRange):
-        truth_triple(empty, SourceGrading(3))
+        truth_triple(empty)
 
 
 def test_presence_matrix_indicates_occupancy():
@@ -166,12 +183,11 @@ def test_resolve_three_way_tie_scans_later_columns():
 
 
 def test_resolution_of_fixture_profiles_matches_oracle():
-    g = SourceGrading(X.Q)
     for key in X.COUNTS:
         if not any(X.COUNTS[key].get(m) for m in (1, 2, 3)):
             continue
         p = _profile(*key)
-        t = truth_triple(p, g)
+        t = truth_triple(p)
         vd, cf = resolve_decision(presence_matrix(p), t)
         assert (int(vd), cf) == oracles.reference_resolve(
             presence_matrix(p).rows, tuple(t))

@@ -1,8 +1,10 @@
 """Evidence parsing, knowledge-base serialization, and the CLI."""
 
+import copy
 import hashlib
 import importlib.resources
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -20,7 +22,9 @@ from conftest import DISEASE_POOL, kb_from_atomics, random_atomics, random_kb, s
 import roughkb
 from roughkb import errors, kbio, lattice
 from roughkb._num import parse_rational, render
-from roughkb.evidence import TruthValue
+from roughkb.evidence import (EvidenceProfile, TruthTriple, TruthValue,
+                              presence_matrix)
+from roughkb.minimizer import generate_rules
 from roughkb.propagation import DecisionEntry, PriorityConfig
 from roughkb.roughset import approximations
 
@@ -212,6 +216,20 @@ def test_serialize_load_round_trip_round2(kb_round2):
     again = kbio.load_kb(text)
     assert again == kb_round2
     assert kbio.serialize_kb(again) == text
+
+
+def test_values_survive_copy_and_pickle(fixture_doc, kb_round2, approx_round2):
+    profile = EvidenceProfile.from_levels(X.COUNTS[(1, "SIJ")], X.Q)
+    triple = TruthTriple(F(1, 2), F(1, 4), F(1, 4))
+    values = [kb_round2, kb_round2.node("011"), DecisionEntry("ANK", 1, F(1, 2), triple),
+              triple, fixture_doc.priorities, fixture_doc, profile, presence_matrix(profile),
+              approx_round2["SIJ"], generate_rules(kb_round2, approx_round2)[0]]
+    assert fixture_doc.priorities and kb_round2.node("011").decisions
+    for copied in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        for value in values:
+            again = copied(value)
+            assert type(again) is type(value) and again == value
+        assert _sha(kbio.serialize_kb(copied(kb_round2))) == KB_ROUND2_SHA
 
 
 def test_serialize_load_round_trip_exact(kb_exact):

@@ -56,6 +56,12 @@ def test_truth_triples_coerce_numbers_as_every_entry_point_does():
         DecisionEntry("ANK", 1, F(1, 2), tv=("a", 0, 0))
 
 
+@pytest.mark.parametrize("tv", [5, F(1, 2), 0.5])
+def test_a_truth_triple_that_is_not_a_sequence_is_refused(tv):
+    with pytest.raises(errors.OutOfRange, match="^truth triple .* is not a sequence of three$"):
+        DecisionEntry("ANK", 1, F(1, 2), tv=tv)
+
+
 @pytest.mark.parametrize("global_priorities,scoped,message", [
     # written as "priority ANK  ", which no loader reads back
     ({}, {(frozenset(), "ANK"): {}}, "nonempty fact set"),

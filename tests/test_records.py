@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import roughkb
-from roughkb.evidence import TruthValue
+from roughkb.evidence import EvidenceProfile, PresenceMatrix, TruthValue
 from roughkb.kbio import EvidenceDocument, EvidenceRecord
 from roughkb.lattice import ConditionEdit, DropDecision, Fact, SetDecision
 from roughkb.metrics import PropertyReport, RuleMetrics
@@ -22,9 +22,9 @@ F = Fraction
 
 class Case:
     """One value class: its fields in order, a sample's positional
-    arguments, another value for the first field, the sample's text as the
-    ``dataclasses`` form of the class printed it, its defaults, and
-    whether the sample hashes."""
+    arguments, another value for the first field, the sample's text in the
+    form a frozen ``dataclasses`` class prints, its defaults, and whether
+    the sample hashes."""
 
     def __init__(self, cls, fields, args, other, text, defaults=None, hashes=True):
         self.cls, self.fields, self.args, self.other = cls, fields, args, other
@@ -46,6 +46,11 @@ CASES = [
          " records=(EvidenceRecord(facts=(1,), disease='ANK', m=1, level=3, count=8),),"
          " alpha=Fraction(0, 1))",
          defaults={"alpha": F(0)}, hashes=False),
+    Case(EvidenceProfile, ("counts",), (((1, 0), (0, 2), (0, 0)),), ((0, 1), (0, 0), (3, 0)),
+         "EvidenceProfile(counts=((1, 0), (0, 2), (0, 0)))"),
+    Case(PresenceMatrix, ("rows",), (((True, False), (False, True), (False, False)),),
+         ((False,), (True,), (True,)),
+         "PresenceMatrix(rows=((True, False), (False, True), (False, False)))"),
     Case(Fact, ("id", "attribute", "value"), (1, "pain", "yes"), 2,
          "Fact(id=1, attribute='pain', value='yes')"),
     Case(ConditionEdit, ("attribute", "value"), (), "pain",

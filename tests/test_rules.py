@@ -2,6 +2,9 @@
 come from the knowledge base, and region by region against the public
 ``minimize`` and the reference measures on seeded knowledge bases."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
+import roughkb
 from conftest import kb_from_atomics, random_kb, seeded
 from roughkb import errors, metrics, minimizer, roughset
 from roughkb.evidence import TruthValue
@@ -66,6 +70,32 @@ def test_hand_built_regions_raise_at_their_rule(approx, kinds, error, message):
         generate_rules(_kb(), approx, kinds)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+# prints what generate_rules and check_properties raise on a region of two
+# undecided labels, 000 and 010
+_TWO_UNDECIDED = """
+import sys
+sys.path[:0] = sys.argv[1:]
+from roughkb import errors, metrics, minimizer
+from test_rules import _kb, _sets
+kb, approx = _kb(), {"BUR": _sets(lower1={"001", "010", "000", "110"})}
+for run in (minimizer.generate_rules, metrics.check_properties):
+    try:
+        run(kb, approx)
+    except errors.DanglingLabel as caught:
+        print(caught)
+"""
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+def test_the_least_undecided_label_is_named_under_any_hash_seed(seed):
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(roughkb.__file__)))
+    done = subprocess.run([sys.executable, "-c", _TWO_UNDECIDED, src, here],
+                          env={**os.environ, "PYTHONHASHSEED": seed},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["node 000 carries no decision for 'BUR'"] * 2
 
 
 @pytest.mark.parametrize("kinds,message", [
