@@ -1,6 +1,11 @@
 """Exception hierarchy for the knowledge-base engine."""
 
 
+def naming_key(value, kind=str):
+    """Order of the values an error may name: type ``kind`` first, the rest by repr."""
+    return (0, value) if isinstance(value, kind) else (1, repr(value))
+
+
 class KbError(Exception):
     """Base class for every error raised by this package."""
 

@@ -69,11 +69,18 @@ class EvidenceProfile(Record):
     def from_levels(cls, by_kind: Mapping[int, Mapping[int, int]], q: int) -> "EvidenceProfile":
         """Build a profile from sparse ``{kind: {level: count}}`` data."""
         _check_levels(q)
+        for kind in by_kind:
+            if kind not in (1, 2, 3):
+                raise errors.OutOfRange("kind %r outside 1..3" % (kind,))
         rows = []
         for kind in (1, 2, 3):
-            sparse = dict(by_kind.get(kind, {}))
+            try:
+                sparse = dict(by_kind.get(kind, {}))
+            except (TypeError, ValueError):
+                raise errors.OutOfRange("kind %d counts must map levels to counts"
+                                        % kind) from None
             for level in sparse:
-                if not 1 <= level <= q:
+                if not isinstance(level, int) or not 1 <= level <= q:
                     raise errors.OutOfRange("level %r outside 1..%d" % (level, q))
             rows.append(tuple(sparse.get(level, 0) for level in range(1, q + 1)))
         return cls(rows)

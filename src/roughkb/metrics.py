@@ -38,15 +38,6 @@ class RuleMetrics(Record):
         set_field(self, "coverage", coverage)
 
 
-def _entry(kb, label: str, disease: str):
-    node = kb.node(label)
-    entry = node.decisions.get(disease)
-    if entry is None:
-        raise errors.DanglingLabel(
-            "node %s carries no decision for %r" % (label, disease))
-    return entry
-
-
 # A disease's summed credibility: (total, per truth value indexed by vd)
 DiseaseMass = Tuple[Fraction, Tuple[Fraction, Fraction, Fraction]]
 
@@ -72,9 +63,11 @@ def _entries(kb, labels, disease: str) -> list:
     try:
         return [nodes[label].decisions[disease] for label in labels]
     except KeyError:
-        for label in sorted(labels, key=lambda v: (0, v) if isinstance(v, str) else (1, repr(v))):
-            _entry(kb, label, disease)
-        raise
+        label = min([label for label in labels
+                     if label not in nodes or disease not in nodes[label].decisions],
+                    key=errors.naming_key)
+    kb.node(label)  # a label with no node raises there
+    raise errors.DanglingLabel("node %s carries no decision for %r" % (label, disease))
 
 
 def _vd_sums(kb, labels, disease: str) -> Tuple[Fraction, Fraction, Fraction]:

@@ -67,6 +67,7 @@ from ._num import ZERO, fsum
 from ._record import Record, set_field
 from .evidence import TruthValue
 from .lattice import DEFAULT_ORDER_CAP
+from .roughset import ApproximationSets
 
 EXACT_COVER_LIMIT = 12
 # Search nodes the two passes of one region's exact cover share.  Seeded
@@ -111,22 +112,41 @@ def _sum_text(terms, literal) -> str:
     return " OR ".join(parts)
 
 
+def _check_order(n: int) -> None:
+    """Refuse an order that is not an int in 1..DEFAULT_ORDER_CAP, before
+    a 3**n-bit cube table or a 2**n-bit truth set is built."""
+    if not isinstance(n, int):
+        raise errors.OutOfRange("order must be an int, got %r" % (n,))
+    if n < 1:
+        raise errors.OutOfRange("order must be at least 1, got %d" % n)
+    if n > DEFAULT_ORDER_CAP:
+        raise errors.OrderTooLarge("order %d exceeds the cap of %d" % (n, DEFAULT_ORDER_CAP))
+
+
 class SopExpression:
     """An irredundant sum of product terms over n fact literals, stored in
-    term-key order."""
+    term-key order.  An order outside 1..DEFAULT_ORDER_CAP, or a term that
+    is not a collection of (fact id in 1..n, bool) literals, is refused."""
 
     __slots__ = ("n", "minimal", "_terms", "_masks")
 
     def __init__(self, n: int, terms: Iterable[Term], minimal: bool = False):
-        self.n = n = int(n)
-        terms = [frozenset(term) for term in terms]
-        bad = [p for term in terms for _, p in term if not isinstance(p, bool)]
+        _check_order(n)
+        self.n = n
+        try:
+            terms = [frozenset(term) for term in terms]
+            bad = [p for term in terms for _, p in term if not isinstance(p, bool)]
+        except (TypeError, ValueError):
+            raise errors.OutOfRange("a term must be a collection of (fact, polarity) "
+                                    "literals") from None
         if bad:
             raise errors.OutOfRange("literal polarity %r is not a bool" % (bad[0],))
-        stored = {tuple(sorted(term)) for term in terms}
-        outside = sorted(fid for term in stored for fid, _ in term if not 1 <= fid <= n)
+        outside = [fid for term in terms for fid, _ in term
+                   if not isinstance(fid, int) or not 1 <= fid <= n]
         if outside:
-            raise errors.OutOfRange("literal on fact %r outside 1..%d" % (outside[0], n))
+            raise errors.OutOfRange("literal on fact %r outside 1..%d"
+                                    % (min(outside, key=lambda f: errors.naming_key(f, int)), n))
+        stored = {tuple(sorted(term)) for term in terms}
         self._terms = tuple(sorted(stored))
         self._masks = [m for m in map(_term_masks, stored) if m is not None]
         # True when ``minimize`` proved the cover least; not compared
@@ -582,9 +602,8 @@ def _minterms(labels, n: int) -> List[int]:
         return [table[label] for label in labels]
     except (KeyError, TypeError):  # TypeError: an unhashable label
         bad = [label for label in labels if not isinstance(label, str) or label not in table]
-        text = [label for label in bad if isinstance(label, str)]
         raise errors.OutOfRange("bad minterm label %r for order %d"
-                                % (min(text) if text else min(bad, key=repr), n)) from None
+                                % (min(bad, key=errors.naming_key), n)) from None
 
 
 def _cover(values: List[int], n: int) -> SopExpression:
@@ -604,44 +623,39 @@ def minimize(minterms: Iterable[str], n: int) -> SopExpression:
     Raises:
         EmptyMintermSet: nothing to cover.
         OrderTooLarge: an order above DEFAULT_ORDER_CAP.
-        OutOfRange: an order below 1, or a label that is not text of
-            the order's length over "0" and "1"; the least such label is
-            named.
+        OutOfRange: an order that is not an int of at least 1, or a
+            label that is not text of the order's length over "0" and
+            "1"; the least such label is named.
     """
     labels = list(minterms)
     if not labels:
         raise errors.EmptyMintermSet("no minterms to minimize")
-    if n < 1:
-        raise errors.OutOfRange("order must be at least 1, got %d" % n)
-    if n > DEFAULT_ORDER_CAP:
-        # refused before the 3**n-bit cube table is allocated
-        raise errors.OrderTooLarge("order %d exceeds the cap of %d"
-                                   % (n, DEFAULT_ORDER_CAP))
+    _check_order(n)
     return _cover(_minterms(labels, n), n)
 
 
 # --- rule emission ----------------------------------------------------------
 
 class MinimizedRule(Record):
-    """One minimized decision rule with its quality measures.
+    """One minimized decision rule with its quality measures."""
 
-    ``minimal`` is True when the condition is a proven least cover and
-    False when it is the greedy one; it is not rendered.
-    """
-
-    __slots__ = ("condition", "disease", "vd", "kind", "source_labels", "metrics",
-                 "minimal")
+    __slots__ = ("condition", "disease", "vd", "kind", "source_labels", "metrics")
 
     def __init__(self, condition: SopExpression, disease: str, vd: TruthValue,
                  kind: str, source_labels: FrozenSet[str],
-                 metrics: Optional[object] = None, minimal: bool = False):
+                 metrics: Optional[object] = None):
         set_field(self, "condition", condition)
         set_field(self, "disease", disease)
         set_field(self, "vd", vd)
         set_field(self, "kind", kind)
         set_field(self, "source_labels", source_labels)
         set_field(self, "metrics", metrics)
-        set_field(self, "minimal", minimal)
+
+    @property
+    def minimal(self) -> bool:
+        """True when the condition is a proven least cover and False when
+        it is the greedy one; it is not rendered."""
+        return self.condition.minimal
 
 
 # each kind's regions: (name, the stored regions it joins, vd); an upper
@@ -655,16 +669,7 @@ _REGIONS = {
 }
 
 
-def _read_region(kb, labels, disease: str):
-    """(minterms, credibility summed per vd) of a stored region, or None
-    when a label is malformed or undecided."""
-    try:
-        return _minterms(labels, kb.n), metrics._vd_sums(kb, labels, disease)
-    except (errors.OutOfRange, errors.DanglingLabel):
-        return None
-
-
-def generate_rules(kb, approx: Mapping[str, "ApproximationSets"],
+def generate_rules(kb, approx: Mapping[str, ApproximationSets],
                    kinds: Sequence[str] = ("certain",)) -> List[MinimizedRule]:
     """Minimize the selected regions of every disease into rules.
 
@@ -673,12 +678,12 @@ def generate_rules(kb, approx: Mapping[str, "ApproximationSets"],
     come out already merged.  Output is ordered by disease and then by
     descending reliability strength.
 
-    Each stored region (``lower1``, ``lower2``, ``boundary1``) is read
-    once, into minterms and credibility sums per vd; an upper region
-    joins its lower region's and the boundary's, and the rule's measures
-    come from those sums.  A rule whose regions hold a bad label, or
-    share one, reads its own labels through ``minimize`` and one more
-    sum, raising their error or counting the shared label once.
+    Each disease's regions go through ``ApproximationSets``, which refuses
+    a label in two of them.  Each stored region a rule needs is read once,
+    in rule order, into minterms and credibility sums per vd, raising on
+    its least malformed (OutOfRange) or undecided (DanglingLabel) label.
+    An upper region joins its lower region's and the boundary's, and the
+    rule's measures come from those sums.
 
     A rule whose disease has zero mass, or whose source labels carry no
     mass at its truth value (a possible-rule region that is all
@@ -692,27 +697,25 @@ def generate_rules(kb, approx: Mapping[str, "ApproximationSets"],
             raise errors.OutOfRange("unknown rule kind %r" % (kind,))
         if kind in kinds[:i]:
             raise errors.OutOfRange("rule kind %r given twice" % (kind,))
-    needed = {part for kind in kinds for _, parts, _ in _REGIONS[kind] for part in parts}
+    _check_order(kb.n)
+    # the stored regions in the order the rules first need them
+    needed = dict.fromkeys(p for kind in kinds for _, parts, _ in _REGIONS[kind] for p in parts)
     rules = []
-    for disease in sorted(approx):
-        sets = approx[disease]
+    for disease, given in sorted(approx.items()):
+        sets = ApproximationSets(given.lower1, given.lower2, given.boundary1)
         mass = metrics.disease_mass(kb, disease)
-        stored = {part: _read_region(kb, getattr(sets, part), disease) for part in needed}
+        stored = {part: (_minterms(getattr(sets, part), kb.n),
+                         metrics._vd_sums(kb, getattr(sets, part), disease)) for part in needed}
         for kind in kinds:
             for region, parts, vd in _REGIONS[kind]:
-                labels = frozenset(getattr(sets, region))
+                labels = getattr(sets, region)
                 if not labels:
                     continue
                 read = [stored[part] for part in parts]
-                if None in read or len(labels) != sum(len(values) for values, _ in read):
-                    condition = minimize(labels, kb.n)
-                    sums = metrics._vd_sums(kb, labels, disease)
-                else:
-                    condition = _cover([m for values, _ in read for m in values], kb.n)
-                    sums = [fsum(vd_sums) for vd_sums in zip(*[s for _, s in read])]
+                condition = _cover([m for values, _ in read for m in values], kb.n)
+                sums = [fsum(vd_sums) for vd_sums in zip(*[s for _, s in read])]
                 rules.append(MinimizedRule(condition, disease, vd, kind, labels,
-                                           metrics.measure(vd, sums, mass),
-                                           condition.minimal))
+                                           metrics.measure(vd, sums, mass)))
     rules.sort(key=lambda r: (
         r.disease,
         -(r.metrics.strength if r.metrics is not None else ZERO),

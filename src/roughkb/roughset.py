@@ -13,11 +13,19 @@ sequence can be replayed and compared against a from-scratch rebuild.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from . import errors
 from ._record import Record, set_field
 from .evidence import TruthValue
+
+
+def _vd(vd) -> TruthValue:
+    """``vd`` as a TruthValue; anything but 0, 1 or 2 raises OutOfRange."""
+    try:
+        return TruthValue(vd)
+    except ValueError:
+        raise errors.OutOfRange("truth value must be 0, 1 or 2, got %r" % (vd,)) from None
 
 
 class ConceptPair(Record):
@@ -39,16 +47,25 @@ class ConceptPair(Record):
 class ApproximationSets(Record):
     """Lower/upper/boundary regions for both concepts of one disease.
 
-    Three disjoint regions are stored: the two lower regions and the
-    boundary the concepts share.  Each upper region is its lower region
-    plus the boundary, and ``upper1``, ``upper2`` and ``boundary2`` are
-    read-only views computed at each access.
+    Three disjoint regions are stored as frozensets: the two lower regions
+    and the boundary the concepts share; a label in two of them raises
+    OutOfRange, naming the least such label.  Each upper region is its
+    lower region plus the boundary, and ``upper1``, ``upper2`` and
+    ``boundary2`` are read-only views computed at each access.
     """
 
     __slots__ = ("lower1", "lower2", "boundary1")
 
-    def __init__(self, lower1: FrozenSet[str], lower2: FrozenSet[str],
-                 boundary1: FrozenSet[str]):
+    def __init__(self, lower1: Iterable[str], lower2: Iterable[str],
+                 boundary1: Iterable[str]):
+        try:
+            lower1, lower2, boundary1 = map(frozenset, (lower1, lower2, boundary1))
+        except TypeError:
+            raise errors.OutOfRange("a region must be an iterable of labels") from None
+        shared = lower1 & lower2 | (lower1 | lower2) & boundary1
+        if shared:
+            raise errors.OutOfRange("label %r is in two approximation regions"
+                                    % (min(shared, key=errors.naming_key),))
         set_field(self, "lower1", lower1)
         set_field(self, "lower2", lower2)
         set_field(self, "boundary1", boundary1)
@@ -65,22 +82,21 @@ class ApproximationSets(Record):
     def boundary2(self) -> FrozenSet[str]:
         return self.boundary1
 
-    @classmethod
-    def _of(cls, by_vd) -> "ApproximationSets":
-        # by_vd holds the labels filed under vd 0, 1 and 2, in that order
-        absent, present, open_ = by_vd
-        return cls(frozenset(present), frozenset(absent), frozenset(open_))
-
-    def _by_vd(self) -> List[Set[str]]:
-        return [set(self.lower2), set(self.lower1), set(self.boundary1)]
+    def _vd_map(self) -> Dict[str, TruthValue]:
+        """Each placed label's truth value, as ``from_vd_map`` takes it."""
+        return {**dict.fromkeys(self.lower2, TruthValue.ABSENT),
+                **dict.fromkeys(self.lower1, TruthValue.PRESENT),
+                **dict.fromkeys(self.boundary1, TruthValue.INCONCLUSIVE)}
 
     @classmethod
     def from_vd_map(cls, vd_by_label) -> "ApproximationSets":
-        """Build the regions from a label -> vd mapping."""
+        """Build the regions from a label -> vd mapping; a vd other than
+        0, 1 or 2 raises OutOfRange."""
         by_vd: Tuple[List[str], ...] = ([], [], [])
         for label, vd in vd_by_label.items():
-            by_vd[TruthValue(vd)].append(label)
-        return cls._of(by_vd)
+            by_vd[_vd(vd)].append(label)
+        absent, present, open_ = by_vd
+        return cls(present, absent, open_)
 
     def vd_of(self, label: str) -> TruthValue:
         """The truth value implied by current membership.
@@ -127,13 +143,19 @@ def on_decisions_added(a: ApproximationSets,
 
     Raises:
         AlreadyPresent: a label already occupies some region.
+        OutOfRange: an item is not a (label, vd) pair, or a vd is not
+            0, 1 or 2.
     """
-    by_vd = a._by_vd()
-    for label, vd in sorted(added):
-        if any(label in labels for labels in by_vd):
+    vds = a._vd_map()
+    try:
+        added = [(label, _vd(vd)) for label, vd in added]
+    except (TypeError, ValueError):
+        raise errors.OutOfRange("decisions added must be (label, vd) pairs") from None
+    for label, vd in sorted(added, key=lambda pair: errors.naming_key(pair[0])):
+        if label in vds:
             raise errors.AlreadyPresent("label %r already placed" % (label,))
-        by_vd[TruthValue(vd)].add(label)
-    return ApproximationSets._of(by_vd)
+        vds[label] = vd
+    return ApproximationSets.from_vd_map(vds)
 
 
 def on_decisions_removed(a: ApproximationSets,
@@ -142,11 +164,17 @@ def on_decisions_removed(a: ApproximationSets,
 
     Raises:
         NotPresent: a label occupies no region.
+        OutOfRange: ``removed`` is not a collection of hashable labels.
     """
-    by_vd = a._by_vd()
-    for label in sorted(set(removed)):
-        by_vd[a.vd_of(label)].remove(label)
-    return ApproximationSets._of(by_vd)
+    vds = a._vd_map()
+    try:
+        removed = sorted(set(removed), key=errors.naming_key)
+    except TypeError:
+        raise errors.OutOfRange("labels removed must be a collection of labels") from None
+    for label in removed:
+        a.vd_of(label)  # a label in no region raises there
+        del vds[label]
+    return ApproximationSets.from_vd_map(vds)
 
 
 def on_truth_changed(a: ApproximationSets, label: str,
@@ -156,9 +184,10 @@ def on_truth_changed(a: ApproximationSets, label: str,
     Raises:
         InvalidTransition: old and new truth values coincide.
         NotPresent: the label is absent, or filed under a different vd.
+        OutOfRange: a truth value is not 0, 1 or 2.
     """
-    old_vd = TruthValue(old_vd)
-    new_vd = TruthValue(new_vd)
+    old_vd = _vd(old_vd)
+    new_vd = _vd(new_vd)
     if old_vd == new_vd:
         raise errors.InvalidTransition("truth value unchanged (%d)" % old_vd)
     if a.vd_of(label) != old_vd:

@@ -65,6 +65,20 @@ def test_profile_rejects_bad_shapes():
         EvidenceProfile.from_levels({1: {6: 1}}, 5)  # level past q
 
 
+@pytest.mark.parametrize("by_kind,message", [
+    ({1: {"a": 1}}, "^level 'a' outside 1..3$"),
+    ({2: {1.0: 1}}, "^level 1.0 outside 1..3$"),
+    ({1: 5}, "^kind 1 counts must map levels to counts$"),
+    ({3: [1]}, "^kind 3 counts must map levels to counts$"),
+    # kind 7 would be dropped, leaving an all-zero profile
+    ({7: {1: 1}}, "^kind 7 outside 1..3$"),
+    ({"1": {1: 1}}, "^kind '1' outside 1..3$"),
+])
+def test_malformed_sparse_levels_are_refused(by_kind, message):
+    with pytest.raises(errors.OutOfRange, match=message):
+        EvidenceProfile.from_levels(by_kind, 3)
+
+
 @pytest.mark.parametrize("build,value", [
     (EvidenceProfile, 5),
     (EvidenceProfile, [5, [0], [0]]),

@@ -1,6 +1,7 @@
-"""Mutated knowledge-base files and evidence documents fail typed.
+"""Mutated knowledge-base files and evidence documents fail typed, and
+so do the public values and updates given malformed arguments.
 
-Each example takes one well-formed input and makes one mutation: a
+Each file example takes one well-formed input and makes one mutation: a
 token or a ``key=`` value replaced, a line's tokens re-joined with a
 whitespace run, a line deleted, duplicated or truncated.  The result
 must load (KB files) or parse (evidence documents), or raise a
@@ -13,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kb, seeded
-from roughkb import errors, kbio
+from roughkb import errors, kbio, roughset
+from roughkb.evidence import EvidenceProfile
+from roughkb.minimizer import SopExpression, minimize
 
 EVIDENCE = """\
 module fuzz
@@ -115,3 +118,62 @@ def test_mutated_evidence_documents_parse_or_fail_typed(data):
         kbio.parse_evidence(data.draw(mutations(text)))
     except errors.KbError:
         pass
+
+
+# --- public values and updates ----------------------------------------------
+
+# Labels are any hashable value: text of the right or a wrong order,
+# malformed text, numbers and None.  The updates take labels as a region
+# holds them, so they are given no unhashable label.
+LABELS = st.one_of(st.sampled_from(["", "0", "1", "01", "10", "11", "011", "0x1"]),
+                   st.integers(-2, 3), st.none())
+VDS = st.one_of(st.integers(-1, 3), st.sampled_from(["1", "x", None, 1.5, [1]]))
+ORDERS = st.one_of(st.integers(-1, 4), st.sampled_from(["2", 2.0, None, 40]))
+JUNK = st.one_of(st.integers(-2, 2), st.none(), st.just("ab"))
+REGIONS = st.one_of(st.frozensets(LABELS, max_size=4), st.lists(LABELS, max_size=4), JUNK,
+                    st.lists(st.lists(LABELS, max_size=1), min_size=1, max_size=2))
+LITERALS = st.one_of(st.tuples(st.one_of(st.integers(-1, 5), st.just("1"), st.just(1.5)),
+                               st.one_of(st.booleans(), st.just(1), st.just("no"))),
+                     JUNK, st.tuples(st.integers(1, 3)))
+TERMS = st.one_of(st.lists(st.one_of(st.lists(LITERALS, max_size=3), JUNK), max_size=3), JUNK)
+SPARSE = st.dictionaries(st.one_of(st.integers(0, 4), st.just("1")),
+                         st.one_of(st.dictionaries(st.one_of(st.integers(0, 4), st.just("a"),
+                                                             st.just(1.5)),
+                                                   st.one_of(st.integers(-1, 3), st.just("x")),
+                                                   max_size=3),
+                                   JUNK, st.lists(st.integers(), max_size=2)),
+                         max_size=3)
+PLACED = st.dictionaries(st.sampled_from(["0", "1", "01", "10", "11"]), st.integers(0, 2),
+                         max_size=4).map(roughset.ApproximationSets.from_vd_map)
+CALLS = st.one_of(
+    st.tuples(st.just(roughset.ApproximationSets), st.tuples(REGIONS, REGIONS, REGIONS)),
+    st.tuples(st.just(roughset.ApproximationSets.from_vd_map),
+              st.tuples(st.dictionaries(LABELS, VDS, max_size=4))),
+    st.tuples(st.just(roughset.on_decisions_added),
+              st.tuples(PLACED, st.one_of(st.lists(st.one_of(st.tuples(LABELS, VDS), LABELS,
+                                                             st.tuples(LABELS)), max_size=4),
+                                          JUNK))),
+    st.tuples(st.just(roughset.on_decisions_removed),
+              st.tuples(PLACED, st.one_of(st.lists(st.one_of(LABELS, st.lists(LABELS,
+                                                                              max_size=1)),
+                                                   max_size=4), JUNK))),
+    st.tuples(st.just(roughset.on_truth_changed), st.tuples(PLACED, LABELS, VDS, VDS)),
+    st.tuples(st.just(SopExpression), st.tuples(ORDERS, TERMS)),
+    st.tuples(st.just(minimize), st.tuples(st.lists(LABELS, max_size=4), ORDERS)),
+    st.tuples(st.just(EvidenceProfile.from_levels),
+              st.tuples(SPARSE, st.one_of(st.integers(-1, 4), st.just("3")))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CALLS)
+def test_public_values_and_updates_fail_typed(call):
+    build, args = call
+    try:
+        value = build(*args)
+    except errors.KbError:
+        return
+    if isinstance(value, SopExpression):
+        # the order passed the cap check, so its truth set is small
+        assert all(value.evaluate(label) for label in value.truth_set())
+        str(value)

@@ -12,6 +12,7 @@ import expected_lbp as X
 import oracles
 from conftest import random_kb, seeded
 from roughkb import errors, kbio, minimizer, roughset
+from roughkb.lattice import DEFAULT_ORDER_CAP
 from roughkb.minimizer import (EXACT_COVER_LIMIT, SopExpression,
                                _greedy_cover, _prime_implicants,
                                generate_rules, minimize)
@@ -65,11 +66,14 @@ def test_expression_string_forms():
 
 
 def test_expression_refuses_literals_outside_its_facts():
-    for fid in (0, -1, 4, 5):
+    for fid in (0, -1, 4, 5, "1", 2.0, None):
         with pytest.raises(errors.OutOfRange):
             SopExpression(3, [frozenset({(fid, True)})])
         with pytest.raises(errors.OutOfRange):
             SopExpression(3, [frozenset(), frozenset({(1, False), (fid, False)})])
+    # an int is named before a value of another type
+    with pytest.raises(errors.OutOfRange, match="^literal on fact 9 outside 1..3$"):
+        SopExpression(3, [{("1", False)}, {(9, True)}])
     # a term that never holds is still a term
     never = SopExpression(3, [frozenset({(1, True), (1, False)})])
     assert never.truth_set() == frozenset()
@@ -84,6 +88,30 @@ def test_expression_refuses_a_polarity_that_is_not_a_bool(polarity):
     with pytest.raises(errors.OutOfRange, match="polarity"):
         SopExpression(2, [frozenset(), {(2, polarity)}])
     assert str(SopExpression(2, [{(1, True), (2, False)}])) == "f1 AND NOT f2"
+
+
+@pytest.mark.parametrize("n,error,message", [
+    (0, errors.OutOfRange, "order must be at least 1, got 0"),
+    (-1, errors.OutOfRange, "order must be at least 1, got -1"),
+    ("a", errors.OutOfRange, "order must be an int, got 'a'"),
+    (2.0, errors.OutOfRange, "order must be an int, got 2.0"),
+    # refused before truth_set could build a 2**40-bit table
+    (40, errors.OrderTooLarge, "order 40 exceeds the cap of %d" % DEFAULT_ORDER_CAP),
+])
+def test_expression_refuses_an_order_outside_one_to_the_cap(n, error, message):
+    with pytest.raises(error) as caught:
+        SopExpression(n, [frozenset()])
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+    with pytest.raises(error):
+        SopExpression(n, [])
+
+
+@pytest.mark.parametrize("terms", [5, [5], [[5]], [[(1,)]], [[(1, True, 2)]], ["ab"],
+                                   [[[1, True]]]])
+def test_expression_refuses_terms_that_are_not_literal_collections(terms):
+    with pytest.raises(errors.OutOfRange, match="^a term must be a collection of"):
+        SopExpression(3, terms)
 
 
 def test_expression_equality_ignores_term_order():
@@ -140,6 +168,8 @@ def test_minimize_refuses_orders_outside_one_to_the_cap():
     # a 3**n-bit cube table past the cap would be gigabytes
     with pytest.raises(errors.OrderTooLarge):
         minimize(["1" * 40], 40)
+    with pytest.raises(errors.OutOfRange, match="^order must be an int, got '2'$"):
+        minimize(["01"], "2")
 
 
 def test_minimize_takes_repeated_labels_once():

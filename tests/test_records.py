@@ -67,13 +67,13 @@ CASES = [
     Case(PropertyReport, ("checked", "failures"), (3, ((1, "ANK", 1, "0.5 != 1.0"),)), 4,
          "PropertyReport(checked=3, failures=((1, 'ANK', 1, '0.5 != 1.0'),))"),
     Case(MinimizedRule,
-         ("condition", "disease", "vd", "kind", "source_labels", "metrics", "minimal"),
+         ("condition", "disease", "vd", "kind", "source_labels", "metrics"),
          (SopExpression(2, [{(1, True)}]), "ANK", TruthValue.PRESENT, "certain",
           frozenset({"01"})), SopExpression(2, [{(2, True)}]),
          "MinimizedRule(condition=SopExpression(n=2, f1), disease='ANK',"
          " vd=<TruthValue.PRESENT: 1>, kind='certain', source_labels=frozenset({'01'}),"
-         " metrics=None, minimal=False)",
-         defaults={"metrics": None, "minimal": False}),
+         " metrics=None)",
+         defaults={"metrics": None}),
     Case(ConceptPair, ("disease", "concept1", "concept2"),
          ("ANK", frozenset({"01"}), frozenset()), "BUR",
          "ConceptPair(disease='ANK', concept1=frozenset({'01'}), concept2=frozenset())"),

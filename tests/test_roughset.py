@@ -124,3 +124,52 @@ def test_reference_approx_agrees_with_from_vd_map():
         s = ApproximationSets.from_vd_map(vd_map)
         want = oracles.reference_approx(vd_map)
         assert {k: getattr(s, k) for k in _KEYS} == want
+
+
+def test_regions_are_stored_as_frozensets():
+    s = ApproximationSets(["001"], ("010",), iter(["100"]))
+    assert (s.lower1, s.lower2, s.boundary1) == ({"001"}, {"010"}, {"100"})
+    assert all(type(region) is frozenset for region in (s.lower1, s.lower2, s.boundary1))
+    assert s.upper1 == {"001", "100"}
+    assert hash(s) == hash(ApproximationSets(frozenset({"001"}), frozenset({"010"}),
+                                             frozenset({"100"})))
+
+
+@pytest.mark.parametrize("lower1,lower2,boundary1,shared", [
+    ({"001"}, {"001"}, (), "001"),
+    ({"001", "011"}, (), {"011", "101"}, "011"),
+    ((), {"010", "110"}, {"110", "010"}, "010"),
+    ({"111", 5}, {5}, {"111"}, "111"),
+    ({5, 3}, {5, 3}, (), 3),
+])
+def test_a_label_in_two_regions_is_refused(lower1, lower2, boundary1, shared):
+    with pytest.raises(errors.OutOfRange,
+                       match="^label %r is in two approximation regions$" % (shared,)):
+        ApproximationSets(lower1, lower2, boundary1)
+
+
+@pytest.mark.parametrize("regions", [(5, (), ()), ((), (), [["001"]])])
+def test_a_region_that_is_not_a_collection_of_labels_is_refused(regions):
+    with pytest.raises(errors.OutOfRange, match="^a region must be an iterable of labels$"):
+        ApproximationSets(*regions)
+
+
+def test_updates_refuse_a_bad_truth_value_or_label_collection():
+    s = ApproximationSets.from_vd_map({"1": 1})
+    for call in (lambda: on_decisions_added(s, [("0", 7)]),
+                 lambda: ApproximationSets.from_vd_map({"1": 7}),
+                 lambda: on_truth_changed(s, "1", 1, "x"),
+                 lambda: on_truth_changed(s, "1", None, 0)):
+        with pytest.raises(errors.OutOfRange, match="^truth value must be 0, 1 or 2, got "):
+            call()
+    for added in (5, [5], [("0",)], [("0", 1, 2)]):
+        with pytest.raises(errors.OutOfRange, match=r"^decisions added must be \(label, vd\)"):
+            on_decisions_added(s, added)
+    for removed in (5, [["1"]]):
+        with pytest.raises(errors.OutOfRange, match="^labels removed must be a collection"):
+            on_decisions_removed(s, removed)
+    # labels of mixed types sort for the message instead of failing
+    with pytest.raises(errors.NotPresent, match="^label 2 is in"):
+        on_decisions_removed(s, ["1", 2, None])
+    with pytest.raises(errors.AlreadyPresent, match="^label '1' already placed$"):
+        on_decisions_added(s, [(2, 0), ("1", 0)])

@@ -53,9 +53,9 @@ def _shown(rules):
     # the least bad label of the rule's region is named
     ({"ANK": _sets(lower1={"001", "0x1", "01"})}, ALL_KINDS,
      errors.OutOfRange, "bad minterm label '01' for order 3"),
-    # an upper region's least bad label, over both of its stored parts
+    # an upper region's stored parts are read in order, lower1 first
     ({"ANK": _sets(lower1={"001", "10"}, boundary1={"0x1", "011"})}, ("possible",),
-     errors.OutOfRange, "bad minterm label '0x1' for order 3"),
+     errors.OutOfRange, "bad minterm label '10' for order 3"),
     # the certain rule's undecided label raises before the uncertain rule's
     # malformed one
     ({"BUR": _sets(lower1={"001", "010"}, boundary1={"0x1"})}, ALL_KINDS,
@@ -120,21 +120,12 @@ def test_an_order_outside_the_cap_is_refused_as_minimize_refuses_it(n, error, me
     assert str(caught.value) == message
 
 
-def test_a_label_in_both_lower_and_boundary_counts_once_in_the_upper_region():
-    approx = {"ANK": _sets(lower1={"001", "011", "100"}, lower2={"010"},
-                           boundary1={"100", "101"})}
-    assert _shown(generate_rules(_kb(), approx, ALL_KINDS)) == [
-        ("ANK", 1, "possible", "(f1 AND NOT f3) OR (NOT f2 AND f3)",
-         ("001", "011", "100", "101"), (F(51, 40), F(153, 211), F(1), F(1))),
-        ("ANK", 1, "certain", "(NOT f1 AND NOT f2 AND f3) OR (f1 AND NOT f3)",
-         ("001", "011", "100"), (F(49, 40), F(147, 211), F(1), F(1))),
-        ("ANK", 0, "possible", "(NOT f1 AND f2 AND NOT f3) OR (NOT f2 AND f3)",
-         ("010", "100", "101"), (F(9, 10), F(108, 211), F(1), F(1))),
-        ("ANK", 2, "uncertain", "NOT f2 AND f3",
-         ("100", "101"), (F(13, 20), F(78, 211), F(1, 2), F(39, 106))),
-        ("ANK", 0, "certain", "NOT f1 AND f2 AND NOT f3",
-         ("010",), (F(1, 4), F(30, 211), F(1), F(1))),
-    ]
+def test_a_label_in_both_lower_and_boundary_is_refused():
+    approx = {"ANK": SimpleNamespace(lower1={"001", "011", "100"}, lower2={"010"},
+                                     boundary1={"100", "101", "011"})}
+    with pytest.raises(errors.OutOfRange,
+                       match="^label '011' is in two approximation regions$"):
+        generate_rules(_kb(), approx, ALL_KINDS)
 
 
 def test_approximations_taken_before_an_edit_measure_the_edited_values():
@@ -184,7 +175,7 @@ def _region_by_region(kb, approx, kinds):
                     measured = None
                 condition = minimize(labels, kb.n)
                 rules.append(MinimizedRule(condition, disease, TruthValue(vd), kind, labels,
-                                           measured, condition.minimal))
+                                           measured))
     rules.sort(key=lambda r: (r.disease, -(r.metrics.strength if r.metrics else 0), r.vd))
     return rules
 

@@ -62,3 +62,22 @@ def test_the_wrapped_names_are_the_derivation_engine():
     out = roughkb.propagation.derive(kb.nodes, labels, kb.priorities, F(1, 2), False)
     assert list(out) == labels
     assert out["110"] == {} and out["111"] == {}
+
+
+def test_a_traced_rules_run_counts_its_primes_and_every_rule(tmp_path, capsys, kb_round2):
+    """Regions reach the cover search through ``_prime_implicants`` and
+    every rule through ``metrics.measure``, the names the tracer wraps."""
+    path = tmp_path / "round2.kb"
+    path.write_text(roughkb.kbio.serialize_kb(kb_round2), encoding="utf-8")
+    tracer = _tracing().Tracer(roughkb)
+    tracer.install()
+    try:
+        status = tracer.run(kb_round2.n, lambda: roughkb.kbio.cli(
+            ["rules", str(path), "--kinds", "certain,uncertain,possible"]))
+    finally:
+        tracer.uninstall()
+    printed = capsys.readouterr().out.splitlines()
+    assert status == 0 and tracer.missing == []
+    assert printed and all(line.startswith("Rule ") for line in printed)
+    assert tracer.counts["minimizer.primes"] > 0
+    assert tracer.counts["metrics.rules_measured"] == len(printed)
