@@ -41,8 +41,8 @@ from ._num import ONE, ZERO, Converted, frac, parse_int, parse_rational, publish
 from ._record import Record, set_field
 from .evidence import (GRADING_CAP, EvidenceProfile, TruthTriple, TruthValue,
                        presence_matrix, resolve_decision, truth_triple)
-from .lattice import (DEFAULT_ORDER_CAP, DropDecision, Fact, Lattice, LatticeNode,
-                      SetDecision, _build_structure, build_kb, check_structure,
+from .lattice import (DropDecision, Fact, Lattice, LatticeNode, SetDecision,
+                      _build_structure, _check_order, build_kb, check_structure,
                       delete_fact, insert_fact, modify_node)
 from .minimizer import generate_rules
 from .propagation import _NAME_RE, _NO_TABLE, DecisionEntry, PriorityConfig, propagate
@@ -628,10 +628,7 @@ def load_kb(text: str) -> Lattice:
     n = _integer(parts[1], "order", error, no) if len(parts) == 2 else 0
     if n < 1:
         _corrupt("bad order line", no)
-    if n > DEFAULT_ORDER_CAP:
-        raise errors.OrderTooLarge(
-            "order %d exceeds the cap of %d (2**%d nodes)"
-            % (n, DEFAULT_ORDER_CAP, n))
+    _check_order(n)
 
     facts: Dict[int, Fact] = {}
     pairs = set()
@@ -666,10 +663,9 @@ def load_kb(text: str) -> Lattice:
     # refused line, which goes through every check of a node-section line
     # in order, so the message is the one a line-by-line reader would give.
     priorities = PriorityConfig(global_priorities, scoped)
-    levels, nodes = _build_structure(n)
+    _, nodes = _build_structure(n)
     _read_nodes(text, start, no, nodes, n, priorities)
-    return Lattice(facts.values(), nodes, levels, alpha=alpha, priorities=priorities,
-                   round2=round2)
+    return Lattice(facts.values(), nodes, alpha=alpha, priorities=priorities, round2=round2)
 
 
 def _read_nodes(text: str, start: int, first_no: Optional[int],
@@ -980,14 +976,8 @@ def _cmd_set_decision(args) -> int:
         if args.vd is None or args.cf is None:
             raise errors.OutOfRange(
                 "set-decision needs --vd and --cf unless --drop is given")
-        vd = _int_arg(args.vd, "truth value")
-        cf = _number_arg(args.cf, "credibility")
-        # re-asserting the stored vd and cf keeps the stored truth triple,
-        # so the edit changes nothing
-        stored = kb.node(args.label).decisions.get(args.disease)
-        tv = (stored.tv if stored is not None and (stored.vd, stored.cf) == (vd, cf)
-              else None)
-        change = SetDecision(args.disease, vd, cf, tv=tv)
+        change = SetDecision(args.disease, _int_arg(args.vd, "truth value"),
+                             _number_arg(args.cf, "credibility"))
     edited = modify_node(kb, args.label, change,
                          observer=_PrintingObserver(sys.stdout))
     if edited is not kb:

@@ -138,17 +138,19 @@ class Lattice:
     lattice so that structural edits can re-derive affected decisions
     the same way the original propagation did.  A lattice holds only
     what its file holds: its diseases are the ones its decisions and
-    priorities name.  Equality is structural -- facts, nodes, settings.
+    priorities name.  The constructor refuses facts whose ids are not
+    1..n in order or that repeat an id or an attribute/value pair, and
+    priorities on facts outside 1..n.  The levels follow from the order.
+    Equality is structural -- facts, nodes, settings.
     """
 
-    __slots__ = ("n", "facts", "levels", "nodes", "alpha", "priorities", "round2")
+    __slots__ = ("n", "facts", "nodes", "alpha", "priorities", "round2")
 
-    def __init__(self, facts, nodes, levels, alpha=ZERO, priorities=None,
-                 round2=False):
+    def __init__(self, facts, nodes, alpha=ZERO, priorities=None, round2=False):
         self.facts = tuple(facts)
         self.n = len(self.facts)
+        _check_facts(self.facts)
         self.nodes = dict(nodes)
-        self.levels = tuple(tuple(level) for level in levels)
         self.alpha = frac(alpha)
         self.priorities = priorities = priorities if priorities is not None else PriorityConfig()
         self.round2 = bool(round2)
@@ -158,6 +160,11 @@ class Lattice:
                             if not 0 < f <= self.n})
         if outside:
             raise errors.OutOfRange("priority on fact %d outside 1..%d" % (outside[0], self.n))
+
+    @property
+    def levels(self) -> Tuple[Tuple[str, ...], ...]:
+        """The labels of each level, each level in numeric order."""
+        return _skeleton(self.n)[0]
 
     @property
     def head(self) -> Head:
@@ -170,10 +177,9 @@ class Lattice:
             raise errors.DanglingLabel("no node labelled %r" % (label,))
 
     def fact(self, fid: int) -> Fact:
-        for fact in self.facts:
-            if fact.id == fid:
-                return fact
-        raise errors.UnknownFact("no fact with id %d" % fid)
+        if isinstance(fid, int) and 0 < fid <= self.n:
+            return self.facts[fid - 1]
+        raise errors.UnknownFact("no fact with id %r" % (fid,))
 
     def diseases(self) -> Tuple[str, ...]:
         """Every disease a decision or a priority names, sorted."""
@@ -189,7 +195,7 @@ class Lattice:
                          if label in updates else node)
                  for label, node in self.nodes.items()}
         return Lattice(
-            self.facts, nodes, self.levels,
+            self.facts, nodes,
             alpha=self.alpha if alpha is _UNSET else alpha,
             priorities=self.priorities if priorities is _UNSET else priorities,
             round2=self.round2 if round2 is _UNSET else round2)
@@ -197,7 +203,6 @@ class Lattice:
     def __eq__(self, other):
         return (isinstance(other, Lattice)
                 and other.facts == self.facts
-                and other.levels == self.levels
                 and other.nodes == self.nodes
                 and other.alpha == self.alpha
                 and other.priorities == self.priorities
@@ -208,14 +213,14 @@ class Lattice:
 
 
 # order -> (level tuples of labels, each label's condition in level order),
-# filled by the first skeleton build of the order and kept for the life of
-# the process: about one label string and one frozenset per node for each
+# filled by the first skeleton of the order and kept for the life of the
+# process: about one label string and one frozenset per node for each
 # order used.  Both are immutable, so every lattice of the order shares them.
 _SKELETONS: Dict[int, Tuple[Tuple[Tuple[str, ...], ...], Tuple[FrozenSet[int], ...]]] = {}
 
 
-def _build_structure(n: int) -> Tuple[Tuple[Tuple[str, ...], ...], Dict[str, LatticeNode]]:
-    """The level tuples and a fresh map of fresh, decision-free nodes."""
+def _skeleton(n: int) -> Tuple[Tuple[Tuple[str, ...], ...], Tuple[FrozenSet[int], ...]]:
+    """The order's level tuples and each label's condition in level order."""
     cached = _SKELETONS.get(n)
     if cached is None:
         # a stable sort by popcount keeps each level in numeric order
@@ -230,88 +235,97 @@ def _build_structure(n: int) -> Tuple[Tuple[Tuple[str, ...], ...], Dict[str, Lat
             low = mask & -mask
             by_mask[mask] = by_mask[mask ^ low].union((low.bit_length(),))
         _SKELETONS[n] = cached = levels, tuple(map(by_mask.__getitem__, masks))
-    levels, conditions = cached
+    return cached
+
+
+def _build_structure(n: int) -> Tuple[Tuple[Tuple[str, ...], ...], Dict[str, LatticeNode]]:
+    """The level tuples and a fresh map of fresh, decision-free nodes."""
+    levels, conditions = _skeleton(n)
     nodes = {label: LatticeNode(label, condition, {})
              for label, condition in zip(chain.from_iterable(levels), conditions)}
     return levels, nodes
 
 
-def _check_facts(facts: Sequence[Fact]):
+def _check_order(n: int) -> None:
+    """Refuse an order that is not an int in 1..DEFAULT_ORDER_CAP, before
+    2**n nodes, a 3**n-bit cube table or a 2**n-bit truth set is built."""
+    if not isinstance(n, int):
+        raise errors.OutOfRange("order must be an int, got %r" % (n,))
+    if n < 1:
+        raise errors.OutOfRange("order must be at least 1, got %d" % n)
+    if n > DEFAULT_ORDER_CAP:
+        raise errors.OrderTooLarge("order %d exceeds the cap of %d" % (n, DEFAULT_ORDER_CAP))
+
+
+def _check_facts(facts: Tuple[Fact, ...]) -> None:
     seen_ids = set()
     seen_pairs = set()
     for fact in facts:
         if fact.id in seen_ids:
-            raise errors.DuplicateFact("fact id %d appears twice" % fact.id)
+            raise errors.DuplicateFact("fact id %r appears twice" % (fact.id,))
         if (fact.attribute, fact.value) in seen_pairs:
             raise errors.DuplicateFact("fact %r=%r appears twice"
                                        % (fact.attribute, fact.value))
         seen_ids.add(fact.id)
         seen_pairs.add((fact.attribute, fact.value))
-    if seen_ids != set(range(1, len(facts) + 1)):
-        raise errors.OutOfRange("fact ids must be 1..%d contiguously" % len(facts))
+    if [fact.id for fact in facts] != list(range(1, len(facts) + 1)):
+        raise errors.OutOfRange("fact ids must be 1..%d in order" % len(facts))
+
+
+def _atomic_decisions(fid: int, entries: Iterable[DecisionEntry]) -> Dict[str, DecisionEntry]:
+    """A fact's atomic decisions by disease; two for one disease raise OutOfRange."""
+    decisions = {}
+    for entry in entries:
+        if entry.disease in decisions:
+            raise errors.OutOfRange(
+                "fact %d carries two decisions for %r" % (fid, entry.disease))
+        decisions[entry.disease] = entry
+    return decisions
 
 
 def build_kb(facts: Sequence[Fact],
              atomic_decisions: Mapping[int, Sequence[DecisionEntry]]) -> Lattice:
     """Materialize the lattice skeleton with atomic decisions in place.
 
+    The facts may come in any order; the lattice lists them by id.
     Composite levels start empty; run propagation to fill them.
 
     Raises:
         OrderTooLarge: more facts than the materialization cap allows.
         DuplicateFact: repeated fact id or attribute/value pair.
-        OutOfRange: non-contiguous fact ids, or a decision keyed to a
-            missing fact.
+        OutOfRange: no facts, fact ids other than 1..n, or two
+            decisions for one disease at a fact.
+        UnknownFact: a decision keyed to a missing fact.
     """
     facts = tuple(facts)
-    if not facts:
-        raise errors.OutOfRange("a knowledge base needs at least one fact")
-    _check_facts(facts)
-    # the ids are 1..n: in id order, as a file lists them
-    facts = tuple(sorted(facts, key=lambda fact: fact.id))
     n = len(facts)
-    if n > DEFAULT_ORDER_CAP:
-        raise errors.OrderTooLarge(
-            "order %d exceeds the cap of %d (2**%d nodes)" % (n, DEFAULT_ORDER_CAP, n))
-
-    levels, nodes = _build_structure(n)
+    _check_order(n)
+    # ids of unlike types sort apart, for the constructor to refuse
+    facts = sorted(facts, key=lambda fact: errors.naming_key(fact.id, int))
+    _, nodes = _build_structure(n)
     for fid, entries in atomic_decisions.items():
         if not 1 <= int(fid) <= n:
             raise errors.UnknownFact("atomic decisions for unknown fact %r" % (fid,))
         label = label_for([int(fid)], n)
-        decisions = {}
-        for entry in entries:
-            if entry.disease in decisions:
-                raise errors.OutOfRange(
-                    "fact %d carries two decisions for %r" % (fid, entry.disease))
-            decisions[entry.disease] = entry
-        nodes[label] = nodes[label].replace_decisions(decisions)
-    return Lattice(facts, nodes, levels)
+        nodes[label] = nodes[label].replace_decisions(_atomic_decisions(fid, entries))
+    return Lattice(facts, nodes)
 
 
 def check_structure(kb: Lattice) -> List[str]:
-    """Audit the structural invariants; returns problem descriptions."""
+    """Audit what the constructor does not check -- the node population,
+    each node's condition and the entry node's decisions; returns problem
+    descriptions."""
     problems = []
-    n = kb.n
-    if len(kb.nodes) != 2 ** n:
-        problems.append("node count %d, expected %d" % (len(kb.nodes), 2 ** n))
-    if len(kb.levels) != n + 1:
-        problems.append("level count %d, expected %d" % (len(kb.levels), n + 1))
-    for level, labels in enumerate(kb.levels):
-        if len(labels) != comb(n, level):
-            problems.append("level %d holds %d nodes, expected C(%d,%d)=%d"
-                            % (level, len(labels), n, level, comb(n, level)))
-        for label in labels:
-            node = kb.nodes.get(label)
-            if node is None:
-                problems.append("level %d lists missing node %s" % (level, label))
-                continue
-            if level_of(label) != level:
-                problems.append("node %s filed under level %d" % (label, level))
-            if node.condition != facts_of(label):
-                problems.append("node %s condition %s does not match its label"
-                                % (label, sorted(node.condition)))
-    root = kb.nodes.get("0" * n)
+    if len(kb.nodes) != 2 ** kb.n:
+        problems.append("node count %d, expected %d" % (len(kb.nodes), 2 ** kb.n))
+    for label in chain.from_iterable(kb.levels):
+        node = kb.nodes.get(label)
+        if node is None:
+            problems.append("missing node %s" % label)
+        elif node.condition != facts_of(label):
+            problems.append("node %s condition %s does not match its label"
+                            % (label, sorted(node.condition)))
+    root = kb.nodes.get("0" * kb.n)
     if root is not None and root.decisions:
         problems.append("entry node carries decisions")
     return problems
@@ -320,36 +334,24 @@ def check_structure(kb: Lattice) -> List[str]:
 # --- structural edits -------------------------------------------------------
 
 def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry]) -> Lattice:
-    """Grow the lattice by one fact, which becomes the new highest bit.
+    """Grow the lattice by one fact, which becomes the new highest bit and
+    must take id n + 1.
 
     Existing labels gain a leading 0 and keep their conditions and
     decisions untouched; only the new nodes -- those containing the new
     fact -- have their decisions derived.
     """
     n2 = kb.n + 1
-    if n2 > DEFAULT_ORDER_CAP:
-        raise errors.OrderTooLarge(
-            "order %d exceeds the cap of %d" % (n2, DEFAULT_ORDER_CAP))
-    if fact.id != n2:
-        raise errors.OutOfRange(
-            "new fact must take id %d, got %d" % (n2, fact.id))
-    _check_facts(kb.facts + (fact,))
-
-    levels, nodes = _build_structure(n2)
+    _check_order(n2)
+    _, nodes = _build_structure(n2)
     for label, node in kb.nodes.items():
         grown = "0" + label
         nodes[grown] = nodes[grown].replace_decisions(node.decisions)
-
     new_atomic_label = "1" + "0" * kb.n
-    decisions = {}
-    for entry in atomic:
-        if entry.disease in decisions:
-            raise errors.OutOfRange(
-                "fact %d carries two decisions for %r" % (n2, entry.disease))
-        decisions[entry.disease] = entry
-    nodes[new_atomic_label] = nodes[new_atomic_label].replace_decisions(decisions)
+    nodes[new_atomic_label] = nodes[new_atomic_label].replace_decisions(
+        _atomic_decisions(n2, atomic))
 
-    grown = Lattice(kb.facts + (fact,), nodes, levels, alpha=kb.alpha,
+    grown = Lattice(kb.facts + (fact,), nodes, alpha=kb.alpha,
                     priorities=kb.priorities, round2=kb.round2)
     cone = sorted(_cone_labels(new_atomic_label), key=level_of)
     return grown.with_updates(_repropagate(grown.nodes, cone, kb.priorities,
@@ -365,21 +367,20 @@ def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
     are already independent of the removed fact, so they are kept as
     they are and none is re-derived.
     """
-    if not any(fact.id == fact_id for fact in kb.facts):
-        raise errors.UnknownFact("no fact with id %d" % fact_id)
+    kb.fact(fact_id)  # an unknown id raises there
     n2 = kb.n - 1
     if n2 == 0:
         raise errors.OutOfRange("cannot delete the last fact")
     cut = kb.n - fact_id  # char position of the fact's bit
     facts = tuple(fact.replace(id=fact.id - 1 if fact.id > fact_id else fact.id)
                   for fact in kb.facts if fact.id != fact_id)
-    levels, nodes = _build_structure(n2)
+    _, nodes = _build_structure(n2)
     for label, node in kb.nodes.items():
         if label[cut] == "1":
             continue
         squeezed = label[:cut] + label[cut + 1:]
         nodes[squeezed] = nodes[squeezed].replace_decisions(node.decisions)
-    return Lattice(facts, nodes, levels, alpha=kb.alpha,
+    return Lattice(facts, nodes, alpha=kb.alpha,
                    priorities=kb.priorities.without_fact(fact_id),
                    round2=kb.round2)
 
@@ -422,8 +423,10 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
 
     Condition edits are only legal at level 1 and need no ripple: nodes
     reference facts by id, so every composite condition reflects the
-    new text immediately.  A decision edit that leaves the node's
-    decision map as it was returns ``kb`` itself and reports nothing.
+    new text immediately.  A ``SetDecision`` without a truth triple that
+    re-asserts the stored vd and cf keeps the stored triple.  A decision
+    edit that leaves the node's decision map as it was, such as that
+    one, returns ``kb`` itself and reports nothing.
     Other decision edits re-derive every node whose condition strictly
     contains the edited one and report the per-node differences to the
     observer, if any, via ``decisions_added(disease,
@@ -433,6 +436,8 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
     Raises:
         DanglingLabel: no such node.
         IllegalConditionEdit: condition edit anywhere but level 1.
+        DuplicateFact: a condition edit that repeats another fact's
+            attribute/value pair.
         OutOfRange: decision edit on the entry node.
         NotPresent: dropping a decision the node does not carry.
     """
@@ -449,8 +454,7 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
             attribute=old.attribute if change.attribute is None else change.attribute,
             value=old.value if change.value is None else change.value)
         facts = tuple(new if fact.id == fid else fact for fact in kb.facts)
-        _check_facts(facts)
-        return Lattice(facts, kb.nodes, kb.levels, alpha=kb.alpha,
+        return Lattice(facts, kb.nodes, alpha=kb.alpha,
                        priorities=kb.priorities, round2=kb.round2)
 
     if node.level == 0:
@@ -458,8 +462,12 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
 
     decisions = dict(node.decisions)
     if isinstance(change, SetDecision):
-        decisions[change.disease] = DecisionEntry(change.disease, change.vd, change.cf,
-                                                  tv=change.tv)
+        entry = DecisionEntry(change.disease, change.vd, change.cf, tv=change.tv)
+        stored = decisions.get(change.disease)
+        if (entry.tv is None and stored is not None
+                and (stored.vd, stored.cf) == (entry.vd, entry.cf)):
+            entry = stored
+        decisions[change.disease] = entry
     elif isinstance(change, DropDecision):
         if change.disease not in decisions:
             raise errors.NotPresent(

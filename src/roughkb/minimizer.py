@@ -66,8 +66,8 @@ from . import errors, metrics
 from ._num import ZERO, fsum
 from ._record import Record, set_field
 from .evidence import TruthValue
-from .lattice import DEFAULT_ORDER_CAP
-from .roughset import ApproximationSets
+from .lattice import DEFAULT_ORDER_CAP, _check_order
+from .roughset import ApproximationSets, _label_set
 
 EXACT_COVER_LIMIT = 12
 # Search nodes the two passes of one region's exact cover share.  Seeded
@@ -110,17 +110,6 @@ def _sum_text(terms, literal) -> str:
         parts = ["(%s)" % text if len(term) > 1 else text
                  for term, text in zip(terms, parts)]
     return " OR ".join(parts)
-
-
-def _check_order(n: int) -> None:
-    """Refuse an order that is not an int in 1..DEFAULT_ORDER_CAP, before
-    a 3**n-bit cube table or a 2**n-bit truth set is built."""
-    if not isinstance(n, int):
-        raise errors.OutOfRange("order must be an int, got %r" % (n,))
-    if n < 1:
-        raise errors.OutOfRange("order must be at least 1, got %d" % n)
-    if n > DEFAULT_ORDER_CAP:
-        raise errors.OrderTooLarge("order %d exceeds the cap of %d" % (n, DEFAULT_ORDER_CAP))
 
 
 class SopExpression:
@@ -623,11 +612,13 @@ def minimize(minterms: Iterable[str], n: int) -> SopExpression:
     Raises:
         EmptyMintermSet: nothing to cover.
         OrderTooLarge: an order above DEFAULT_ORDER_CAP.
-        OutOfRange: an order that is not an int of at least 1, or a
-            label that is not text of the order's length over "0" and
-            "1"; the least such label is named.
+        OutOfRange: minterms that are a str or not a collection of
+            hashable labels, an order that is not an int of at least 1,
+            or a label that is not text of the order's length over "0"
+            and "1"; the least such label is named.
     """
-    labels = list(minterms)
+    labels = _label_set(minterms, "bad minterm labels: want a collection of hashable "
+                                  "labels, not a str")
     if not labels:
         raise errors.EmptyMintermSet("no minterms to minimize")
     _check_order(n)

@@ -13,6 +13,7 @@ sequence can be replayed and compared against a from-scratch rebuild.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from . import errors
@@ -26,6 +27,18 @@ def _vd(vd) -> TruthValue:
         return TruthValue(vd)
     except ValueError:
         raise errors.OutOfRange("truth value must be 0, 1 or 2, got %r" % (vd,)) from None
+
+
+def _label_set(labels, message: str) -> FrozenSet:
+    """``labels`` as a frozenset.  A str, which would read as one-character
+    labels, a non-iterable and an unhashable label raise OutOfRange with
+    ``message``."""
+    if not isinstance(labels, str):
+        try:
+            return frozenset(labels)
+        except TypeError:
+            pass
+    raise errors.OutOfRange(message)
 
 
 class ConceptPair(Record):
@@ -58,10 +71,8 @@ class ApproximationSets(Record):
 
     def __init__(self, lower1: Iterable[str], lower2: Iterable[str],
                  boundary1: Iterable[str]):
-        try:
-            lower1, lower2, boundary1 = map(frozenset, (lower1, lower2, boundary1))
-        except TypeError:
-            raise errors.OutOfRange("a region must be an iterable of labels") from None
+        lower1, lower2, boundary1 = [_label_set(region, "a region must be an iterable of labels")
+                                     for region in (lower1, lower2, boundary1)]
         shared = lower1 & lower2 | (lower1 | lower2) & boundary1
         if shared:
             raise errors.OutOfRange("label %r is in two approximation regions"
@@ -90,8 +101,10 @@ class ApproximationSets(Record):
 
     @classmethod
     def from_vd_map(cls, vd_by_label) -> "ApproximationSets":
-        """Build the regions from a label -> vd mapping; a vd other than
-        0, 1 or 2 raises OutOfRange."""
+        """Build the regions from a label -> vd mapping; anything but a
+        mapping, or a vd other than 0, 1 or 2, raises OutOfRange."""
+        if not isinstance(vd_by_label, Mapping):
+            raise errors.OutOfRange("a vd map must be a mapping of labels to truth values")
         by_vd: Tuple[List[str], ...] = ([], [], [])
         for label, vd in vd_by_label.items():
             by_vd[_vd(vd)].append(label)
@@ -103,7 +116,12 @@ class ApproximationSets(Record):
 
         Raises:
             NotPresent: the label occupies none of the regions.
+            OutOfRange: the label is not hashable.
         """
+        try:
+            hash(label)
+        except TypeError:
+            raise errors.OutOfRange("label %r is not hashable" % (label,)) from None
         if label in self.lower1:
             return TruthValue.PRESENT
         if label in self.lower2:
@@ -143,14 +161,16 @@ def on_decisions_added(a: ApproximationSets,
 
     Raises:
         AlreadyPresent: a label already occupies some region.
-        OutOfRange: an item is not a (label, vd) pair, or a vd is not
-            0, 1 or 2.
+        OutOfRange: an item is not a (label, vd) pair of a hashable
+            label, or a vd is not 0, 1 or 2.
     """
     vds = a._vd_map()
+    message = "decisions added must be (label, vd) pairs"
     try:
         added = [(label, _vd(vd)) for label, vd in added]
     except (TypeError, ValueError):
-        raise errors.OutOfRange("decisions added must be (label, vd) pairs") from None
+        raise errors.OutOfRange(message) from None
+    _label_set([label for label, _ in added], message)
     for label, vd in sorted(added, key=lambda pair: errors.naming_key(pair[0])):
         if label in vds:
             raise errors.AlreadyPresent("label %r already placed" % (label,))
@@ -164,14 +184,12 @@ def on_decisions_removed(a: ApproximationSets,
 
     Raises:
         NotPresent: a label occupies no region.
-        OutOfRange: ``removed`` is not a collection of hashable labels.
+        OutOfRange: ``removed`` is a str, or not a collection of
+            hashable labels.
     """
     vds = a._vd_map()
-    try:
-        removed = sorted(set(removed), key=errors.naming_key)
-    except TypeError:
-        raise errors.OutOfRange("labels removed must be a collection of labels") from None
-    for label in removed:
+    removed = _label_set(removed, "labels removed must be a collection of labels")
+    for label in sorted(removed, key=errors.naming_key):
         a.vd_of(label)  # a label in no region raises there
         del vds[label]
     return ApproximationSets.from_vd_map(vds)
@@ -184,7 +202,8 @@ def on_truth_changed(a: ApproximationSets, label: str,
     Raises:
         InvalidTransition: old and new truth values coincide.
         NotPresent: the label is absent, or filed under a different vd.
-        OutOfRange: a truth value is not 0, 1 or 2.
+        OutOfRange: a truth value is not 0, 1 or 2, or the label is not
+            hashable.
     """
     old_vd = _vd(old_vd)
     new_vd = _vd(new_vd)

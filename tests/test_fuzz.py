@@ -123,13 +123,15 @@ def test_mutated_evidence_documents_parse_or_fail_typed(data):
 # --- public values and updates ----------------------------------------------
 
 # Labels are any hashable value: text of the right or a wrong order,
-# malformed text, numbers and None.  The updates take labels as a region
-# holds them, so they are given no unhashable label.
+# malformed text, numbers and None.  The updates and ``vd_of`` are also
+# given unhashable labels, and a label collection may be a str, which
+# must not be read as one-character labels.
 LABELS = st.one_of(st.sampled_from(["", "0", "1", "01", "10", "11", "011", "0x1"]),
                    st.integers(-2, 3), st.none())
+ANY_LABELS = st.one_of(LABELS, st.lists(LABELS, max_size=1))
 VDS = st.one_of(st.integers(-1, 3), st.sampled_from(["1", "x", None, 1.5, [1]]))
 ORDERS = st.one_of(st.integers(-1, 4), st.sampled_from(["2", 2.0, None, 40]))
-JUNK = st.one_of(st.integers(-2, 2), st.none(), st.just("ab"))
+JUNK = st.one_of(st.integers(-2, 2), st.none(), st.sampled_from(["ab", "01", "001", ""]))
 REGIONS = st.one_of(st.frozensets(LABELS, max_size=4), st.lists(LABELS, max_size=4), JUNK,
                     st.lists(st.lists(LABELS, max_size=1), min_size=1, max_size=2))
 LITERALS = st.one_of(st.tuples(st.one_of(st.integers(-1, 5), st.just("1"), st.just(1.5)),
@@ -148,21 +150,24 @@ PLACED = st.dictionaries(st.sampled_from(["0", "1", "01", "10", "11"]), st.integ
 CALLS = st.one_of(
     st.tuples(st.just(roughset.ApproximationSets), st.tuples(REGIONS, REGIONS, REGIONS)),
     st.tuples(st.just(roughset.ApproximationSets.from_vd_map),
-              st.tuples(st.dictionaries(LABELS, VDS, max_size=4))),
+              st.tuples(st.one_of(st.dictionaries(LABELS, VDS, max_size=4),
+                                  st.lists(st.tuples(LABELS, VDS), max_size=3), JUNK))),
+    st.tuples(st.just(roughset.ApproximationSets.vd_of), st.tuples(PLACED, ANY_LABELS)),
     st.tuples(st.just(roughset.on_decisions_added),
-              st.tuples(PLACED, st.one_of(st.lists(st.one_of(st.tuples(LABELS, VDS), LABELS,
+              st.tuples(PLACED, st.one_of(st.lists(st.one_of(st.tuples(ANY_LABELS, VDS), LABELS,
                                                              st.tuples(LABELS)), max_size=4),
                                           JUNK))),
     st.tuples(st.just(roughset.on_decisions_removed),
-              st.tuples(PLACED, st.one_of(st.lists(st.one_of(LABELS, st.lists(LABELS,
-                                                                              max_size=1)),
-                                                   max_size=4), JUNK))),
-    st.tuples(st.just(roughset.on_truth_changed), st.tuples(PLACED, LABELS, VDS, VDS)),
+              st.tuples(PLACED, st.one_of(st.lists(ANY_LABELS, max_size=4), JUNK))),
+    st.tuples(st.just(roughset.on_truth_changed), st.tuples(PLACED, ANY_LABELS, VDS, VDS)),
     st.tuples(st.just(SopExpression), st.tuples(ORDERS, TERMS)),
-    st.tuples(st.just(minimize), st.tuples(st.lists(LABELS, max_size=4), ORDERS)),
+    st.tuples(st.just(minimize), st.tuples(REGIONS, ORDERS)),
     st.tuples(st.just(EvidenceProfile.from_levels),
               st.tuples(SPARSE, st.one_of(st.integers(-1, 4), st.just("3")))),
 )
+# the arguments each call takes as a collection of labels
+LABEL_COLLECTIONS = {roughset.ApproximationSets: (0, 1, 2), roughset.on_decisions_removed: (1,),
+                     minimize: (0,)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -173,6 +178,7 @@ def test_public_values_and_updates_fail_typed(call):
         value = build(*args)
     except errors.KbError:
         return
+    assert not any(isinstance(args[i], str) for i in LABEL_COLLECTIONS.get(build, ()))
     if isinstance(value, SopExpression):
         # the order passed the cap check, so its truth set is small
         assert all(value.evaluate(label) for label in value.truth_set())

@@ -1,5 +1,6 @@
 """Lattice structure, label arithmetic, construction, and edits."""
 
+import pickle
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -18,6 +19,7 @@ from roughkb.lattice import (DEFAULT_ORDER_CAP, ConditionEdit, DropDecision, Fac
                              LatticeNode, SetDecision, _build_structure, build_kb,
                              check_structure, delete_fact, facts_of, insert_fact, label_for,
                              level_of, modify_node)
+from roughkb.minimizer import SopExpression, generate_rules, minimize
 from roughkb.propagation import DecisionEntry, PriorityConfig, propagate
 
 F = Fraction
@@ -171,22 +173,61 @@ def test_build_rejects_bad_fact_lists():
 
 
 def test_every_builder_checks_the_order_cap_before_building(monkeypatch):
-    """An order above the cap is refused before any node is built, as
-    ``load_kb`` and ``minimize`` refuse it."""
+    """An order above the cap is refused with one message by every entry
+    point that takes an order, before any node is built."""
     def refuse(n):
         raise AssertionError("skeleton of order %d built" % n)
-    monkeypatch.setattr("roughkb.lattice._build_structure", refuse)
+    for name in ("_skeleton", "_build_structure"):
+        monkeypatch.setattr("roughkb.lattice." + name, refuse)
+    monkeypatch.setattr("roughkb.kbio._build_structure", refuse)
     n = DEFAULT_ORDER_CAP + 1
-    message = "^order %d exceeds the cap of %d" % (n, DEFAULT_ORDER_CAP)
-    with pytest.raises(errors.OrderTooLarge, match=message):
-        build_kb(_facts(n), {})
     doc = parse_evidence("module m\ngrading q=1\n" + "".join(
         'fact f%d "a%d" "yes"\n' % (f, f) for f in range(1, n + 1)))
-    with pytest.raises(errors.OrderTooLarge, match=message):
-        build_from_document(doc)
-    # insert_fact reads the order first, so a stand-in at the cap will do
-    with pytest.raises(errors.OrderTooLarge, match=message):
-        insert_fact(SimpleNamespace(n=DEFAULT_ORDER_CAP), Fact(n, "a%d" % n, "yes"), [])
+    text = "roughkb-kb 1\nmode exact\nalpha 0\norder %d\n" % n + "".join(
+        "fact f%d a%d yes\n" % (f, f) for f in range(1, n + 1))
+    builders = {
+        "build_kb": lambda: build_kb(_facts(n), {}),
+        "build_from_document": lambda: build_from_document(doc),
+        # insert_fact reads the order first, so a stand-in at the cap will do
+        "insert_fact": lambda: insert_fact(SimpleNamespace(n=DEFAULT_ORDER_CAP),
+                                           Fact(n, "a%d" % n, "yes"), []),
+        "load_kb": lambda: load_kb(text),
+        "minimize": lambda: minimize(["1" * n], n),
+        "SopExpression": lambda: SopExpression(n, []),
+        "generate_rules": lambda: generate_rules(SimpleNamespace(n=n, nodes={}), {}),
+    }
+    for name, build in builders.items():
+        with pytest.raises(errors.OrderTooLarge) as caught:
+            build()
+        assert str(caught.value) == "order %d exceeds the cap of %d" % (n, DEFAULT_ORDER_CAP), name
+
+
+def test_the_constructor_checks_the_facts():
+    nodes = _build_structure(2)[1]
+    for facts in ([Fact(2, "a", "yes")], [Fact(2, "b", "yes"), Fact(1, "a", "yes")],
+                  [Fact(1, "a", "yes"), Fact(3, "b", "yes")]):
+        with pytest.raises(errors.OutOfRange, match=r"^fact ids must be 1\.\.%d in order$"
+                           % len(facts)):
+            Lattice(facts, nodes)
+    with pytest.raises(errors.DuplicateFact, match="^fact 'a'='yes' appears twice$"):
+        Lattice([Fact(1, "a", "yes"), Fact(2, "a", "yes")], nodes)
+    with pytest.raises(errors.DuplicateFact, match="^fact id 1 appears twice$"):
+        Lattice([Fact(1, "a", "yes"), Fact(1, "b", "yes")], nodes)
+    # build_kb puts the facts in id order, even ids of unlike types
+    with pytest.raises(errors.OutOfRange, match="^fact ids must be"):
+        build_kb([Fact(1, "a", "yes"), Fact("2", "b", "yes")], {})
+
+
+def test_levels_follow_from_the_order_after_unpickling(monkeypatch):
+    kb = _tiny_kb(4)
+    levels = kb.levels
+    data = pickle.dumps(kb)
+    # a fresh process starts with no cached skeleton
+    monkeypatch.setattr("roughkb.lattice._SKELETONS", {})
+    again = pickle.loads(data)
+    assert again.levels == levels
+    assert again == kb
+    assert check_structure(again) == []
 
 
 def test_build_rejects_bad_atomic_decisions():
@@ -212,8 +253,11 @@ def test_node_and_fact_lookup_errors():
     kb = _tiny_kb(2)
     with pytest.raises(errors.DanglingLabel):
         kb.node("111")
-    with pytest.raises(errors.UnknownFact):
-        kb.fact(9)
+    for fid in (9, 0, -1, "a", None, 1.0, [1]):
+        with pytest.raises(errors.UnknownFact, match="^no fact with id "):
+            kb.fact(fid)
+        with pytest.raises(errors.UnknownFact, match="^no fact with id "):
+            delete_fact(kb, fid)
     assert kb.fact(2).attribute == "a2"
 
 
@@ -299,7 +343,7 @@ def test_priorities_on_facts_outside_the_order_are_refused(priorities, fid):
         propagate(kb, priorities=priorities)
     # every edit builds its result through the same constructor
     with pytest.raises(errors.OutOfRange, match=message):
-        Lattice(kb.facts, kb.nodes, kb.levels, priorities=priorities)
+        Lattice(kb.facts, kb.nodes, priorities=priorities)
 
 
 def test_build_orders_the_facts_by_id():
@@ -435,6 +479,21 @@ def test_set_decision_that_changes_nothing_returns_the_kb():
     same = SetDecision("ANK", stored.vd, stored.cf, tv=stored.tv)
     assert modify_node(kb, "01", same, observer=rec) is kb
     assert rec.events == []
+
+
+def test_reasserting_the_stored_vd_and_cf_keeps_the_triple_and_the_kb(kb_round2):
+    """A SetDecision without a triple that repeats the stored vd and cf
+    changes nothing, at level 1 and above."""
+    for label in ("001", "011", "111"):
+        for disease, stored in kb_round2.node(label).decisions.items():
+            assert stored.tv is not None
+            rec = _Recorder()
+            change = SetDecision(disease, stored.vd, stored.cf)
+            assert modify_node(kb_round2, label, change, observer=rec) is kb_round2
+            assert rec.events == []
+            # another cf is an edit, and it carries no triple
+            other = SetDecision(disease, stored.vd, 1 - stored.cf / 2)
+            assert modify_node(kb_round2, label, other).node(label).decisions[disease].tv is None
 
 
 def test_drop_decision_reports_removals():

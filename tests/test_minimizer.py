@@ -147,6 +147,13 @@ def test_minimize_refuses_labels_that_are_not_text(labels):
         minimize(labels, 2)
 
 
+@pytest.mark.parametrize("minterms", ["01", "", 5, None])
+def test_minimize_refuses_minterms_that_are_not_a_label_collection(minterms):
+    # a str would read as one-character labels
+    with pytest.raises(errors.OutOfRange, match="^bad minterm labels: want a collection"):
+        minimize(minterms, 2)
+
+
 def test_minimize_names_the_least_bad_label():
     labels = ["011", "1x1", "0a", "101", "00", "1111", "x"]
     for seed in range(20):

@@ -154,6 +154,24 @@ def test_a_region_that_is_not_a_collection_of_labels_is_refused(regions):
         ApproximationSets(*regions)
 
 
+def test_a_str_or_an_unhashable_value_is_not_taken_as_labels():
+    s = ApproximationSets.from_vd_map({"1": 1})
+    for regions in (("001", (), ()), ((), "01", ()), ((), (), "")):
+        with pytest.raises(errors.OutOfRange, match="^a region must be an iterable of labels$"):
+            ApproximationSets(*regions)
+    with pytest.raises(errors.OutOfRange, match="^labels removed must be a collection"):
+        on_decisions_removed(s, "1")
+    with pytest.raises(errors.OutOfRange, match=r"^decisions added must be \(label, vd\)"):
+        on_decisions_added(s, [(["0"], 1)])
+    for call in (lambda: s.vd_of(["1"]), lambda: on_truth_changed(s, ["1"], 1, 0)):
+        with pytest.raises(errors.OutOfRange, match=r"^label \['1'\] is not hashable$"):
+            call()
+    for vds in ([("1", 1)], "1", None):
+        with pytest.raises(errors.OutOfRange, match="^a vd map must be a mapping"):
+            ApproximationSets.from_vd_map(vds)
+    assert on_decisions_removed(s, ["1"]) == ApproximationSets((), (), ())
+
+
 def test_updates_refuse_a_bad_truth_value_or_label_collection():
     s = ApproximationSets.from_vd_map({"1": 1})
     for call in (lambda: on_decisions_added(s, [("0", 7)]),
