@@ -138,9 +138,10 @@ class Lattice:
     lattice so that structural edits can re-derive affected decisions
     the same way the original propagation did.  A lattice holds only
     what its file holds: its diseases are the ones its decisions and
-    priorities name.  The constructor refuses facts whose ids are not
-    1..n in order or that repeat an id or an attribute/value pair, and
-    priorities on facts outside 1..n.  The levels follow from the order.
+    priorities name.  The constructor refuses an order outside
+    1..DEFAULT_ORDER_CAP, facts whose ids are not 1..n in order or that
+    repeat an id or an attribute/value pair, and priorities on facts
+    outside 1..n.  The levels follow from the order.
     Equality is structural -- facts, nodes, settings.
     """
 
@@ -149,6 +150,7 @@ class Lattice:
     def __init__(self, facts, nodes, alpha=ZERO, priorities=None, round2=False):
         self.facts = tuple(facts)
         self.n = len(self.facts)
+        _check_order(self.n)
         _check_facts(self.facts)
         self.nodes = dict(nodes)
         self.alpha = frac(alpha)

@@ -67,7 +67,7 @@ from ._num import ZERO, fsum
 from ._record import Record, set_field
 from .evidence import TruthValue
 from .lattice import DEFAULT_ORDER_CAP, _check_order
-from .roughset import ApproximationSets, _label_set
+from .roughset import ApproximationSets, _labels
 
 EXACT_COVER_LIMIT = 12
 # Search nodes the two passes of one region's exact cover share.  Seeded
@@ -612,13 +612,12 @@ def minimize(minterms: Iterable[str], n: int) -> SopExpression:
     Raises:
         EmptyMintermSet: nothing to cover.
         OrderTooLarge: an order above DEFAULT_ORDER_CAP.
-        OutOfRange: minterms that are a str or not a collection of
-            hashable labels, an order that is not an int of at least 1,
-            or a label that is not text of the order's length over "0"
-            and "1"; the least such label is named.
+        OutOfRange: minterms that are a str or not a collection, an
+            order that is not an int of at least 1, or a label that is
+            not text of the order's length over "0" and "1"; the least
+            such label is named.
     """
-    labels = _label_set(minterms, "bad minterm labels: want a collection of hashable "
-                                  "labels, not a str")
+    labels = _labels(minterms, "minterms must be a collection of labels", list)
     if not labels:
         raise errors.EmptyMintermSet("no minterms to minimize")
     _check_order(n)

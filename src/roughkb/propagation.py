@@ -174,6 +174,9 @@ class PriorityConfig:
                 and other.global_priorities == self.global_priorities
                 and other.scoped == self.scoped)
 
+    def __bool__(self):
+        return bool(self.global_priorities or self.scoped)
+
     def __repr__(self):
         return ("PriorityConfig(%d global, %d scoped)"
                 % (len(self.global_priorities), len(self.scoped)))

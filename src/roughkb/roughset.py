@@ -29,16 +29,25 @@ def _vd(vd) -> TruthValue:
         raise errors.OutOfRange("truth value must be 0, 1 or 2, got %r" % (vd,)) from None
 
 
-def _label_set(labels, message: str) -> FrozenSet:
-    """``labels`` as a frozenset.  A str, which would read as one-character
-    labels, a non-iterable and an unhashable label raise OutOfRange with
-    ``message``."""
+def _labels(labels, message: str, into=frozenset):
+    """``labels`` read into a frozenset, or into ``into``.  A str, which
+    would read as one-character labels, a non-iterable and, for a
+    frozenset, an unhashable label raise OutOfRange with ``message``."""
     if not isinstance(labels, str):
         try:
-            return frozenset(labels)
+            return into(labels)
         except TypeError:
             pass
     raise errors.OutOfRange(message)
+
+
+def _label(label):
+    """``label`` itself; an unhashable label raises OutOfRange."""
+    try:
+        hash(label)
+    except TypeError:
+        raise errors.OutOfRange("label %r is not hashable" % (label,)) from None
+    return label
 
 
 class ConceptPair(Record):
@@ -71,7 +80,7 @@ class ApproximationSets(Record):
 
     def __init__(self, lower1: Iterable[str], lower2: Iterable[str],
                  boundary1: Iterable[str]):
-        lower1, lower2, boundary1 = [_label_set(region, "a region must be an iterable of labels")
+        lower1, lower2, boundary1 = [_labels(region, "a region must be an iterable of labels")
                                      for region in (lower1, lower2, boundary1)]
         shared = lower1 & lower2 | (lower1 | lower2) & boundary1
         if shared:
@@ -118,11 +127,7 @@ class ApproximationSets(Record):
             NotPresent: the label occupies none of the regions.
             OutOfRange: the label is not hashable.
         """
-        try:
-            hash(label)
-        except TypeError:
-            raise errors.OutOfRange("label %r is not hashable" % (label,)) from None
-        if label in self.lower1:
+        if _label(label) in self.lower1:
             return TruthValue.PRESENT
         if label in self.lower2:
             return TruthValue.ABSENT
@@ -161,16 +166,14 @@ def on_decisions_added(a: ApproximationSets,
 
     Raises:
         AlreadyPresent: a label already occupies some region.
-        OutOfRange: an item is not a (label, vd) pair of a hashable
-            label, or a vd is not 0, 1 or 2.
+        OutOfRange: an item is not a (label, vd) pair, a label is not
+            hashable, or a vd is not 0, 1 or 2.
     """
     vds = a._vd_map()
-    message = "decisions added must be (label, vd) pairs"
     try:
-        added = [(label, _vd(vd)) for label, vd in added]
+        added = [(_label(label), _vd(vd)) for label, vd in added]
     except (TypeError, ValueError):
-        raise errors.OutOfRange(message) from None
-    _label_set([label for label, _ in added], message)
+        raise errors.OutOfRange("decisions added must be (label, vd) pairs") from None
     for label, vd in sorted(added, key=lambda pair: errors.naming_key(pair[0])):
         if label in vds:
             raise errors.AlreadyPresent("label %r already placed" % (label,))
@@ -188,7 +191,7 @@ def on_decisions_removed(a: ApproximationSets,
             hashable labels.
     """
     vds = a._vd_map()
-    removed = _label_set(removed, "labels removed must be a collection of labels")
+    removed = _labels(removed, "labels removed must be a collection of labels")
     for label in sorted(removed, key=errors.naming_key):
         a.vd_of(label)  # a label in no region raises there
         del vds[label]

@@ -224,7 +224,7 @@ def test_values_survive_copy_and_pickle(fixture_doc, kb_round2, approx_round2):
     values = [kb_round2, kb_round2.node("011"), DecisionEntry("ANK", 1, F(1, 2), triple),
               triple, fixture_doc.priorities, fixture_doc, profile, presence_matrix(profile),
               approx_round2["SIJ"], generate_rules(kb_round2, approx_round2)[0]]
-    assert fixture_doc.priorities != PriorityConfig() and kb_round2.node("011").decisions
+    assert fixture_doc.priorities and kb_round2.node("011").decisions
     for copied in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
         for value in values:
             again = copied(value)

@@ -186,6 +186,7 @@ def test_every_builder_checks_the_order_cap_before_building(monkeypatch):
     text = "roughkb-kb 1\nmode exact\nalpha 0\norder %d\n" % n + "".join(
         "fact f%d a%d yes\n" % (f, f) for f in range(1, n + 1))
     builders = {
+        "Lattice": lambda: Lattice(_facts(n), {}),
         "build_kb": lambda: build_kb(_facts(n), {}),
         "build_from_document": lambda: build_from_document(doc),
         # insert_fact reads the order first, so a stand-in at the cap will do
@@ -253,12 +254,18 @@ def test_node_and_fact_lookup_errors():
     kb = _tiny_kb(2)
     with pytest.raises(errors.DanglingLabel):
         kb.node("111")
+    with pytest.raises(errors.UnknownFact):
+        kb.fact(9)
+    assert kb.fact(2).attribute == "a2"
+
+
+def test_an_id_that_names_no_fact_is_unknown():
+    kb = _tiny_kb(2)
     for fid in (9, 0, -1, "a", None, 1.0, [1]):
         with pytest.raises(errors.UnknownFact, match="^no fact with id "):
             kb.fact(fid)
         with pytest.raises(errors.UnknownFact, match="^no fact with id "):
             delete_fact(kb, fid)
-    assert kb.fact(2).attribute == "a2"
 
 
 # --- fact insertion and deletion --------------------------------------------

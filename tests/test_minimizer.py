@@ -150,8 +150,11 @@ def test_minimize_refuses_labels_that_are_not_text(labels):
 @pytest.mark.parametrize("minterms", ["01", "", 5, None])
 def test_minimize_refuses_minterms_that_are_not_a_label_collection(minterms):
     # a str would read as one-character labels
-    with pytest.raises(errors.OutOfRange, match="^bad minterm labels: want a collection"):
+    with pytest.raises(errors.OutOfRange, match="^minterms must be a collection of labels$"):
         minimize(minterms, 2)
+    # a collection holding an unhashable label names it
+    with pytest.raises(errors.OutOfRange, match=r"^bad minterm label \['0', '1'\] for order 2$"):
+        minimize(["01", ["0", "1"]], 2)
 
 
 def test_minimize_names_the_least_bad_label():

@@ -83,6 +83,8 @@ def test_priority_config_layers():
     assert cfg.weights_for(frozenset({1, 3}), "ANK") == {1: F(3, 4), 3: F(1, 4)}
     # unknown diseases fall back to uniform
     assert cfg.weights_for(frozenset({1, 2}), "BUR") == {1: F(1, 2), 2: F(1, 2)}
+    assert bool(cfg)
+    assert not PriorityConfig()
 
 
 def test_priority_config_rejects_bad_shapes():
