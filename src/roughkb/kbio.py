@@ -41,9 +41,10 @@ from ._num import ONE, ZERO, Converted, frac, parse_int, parse_rational, publish
 from ._record import Record, set_field
 from .evidence import (GRADING_CAP, EvidenceProfile, TruthTriple, TruthValue,
                        presence_matrix, resolve_decision, truth_triple)
-from .lattice import (DropDecision, Fact, Lattice, LatticeNode, SetDecision,
-                      _build_structure, _check_order, build_kb, check_structure,
-                      delete_fact, insert_fact, modify_node)
+from .lattice import (DropDecision, Fact, Lattice, SetDecision, _check_order, _skeleton,
+                      build_kb, check_structure, delete_fact, insert_fact, modify_node)
+# bench/tracing.py wraps this name to count the nodes a skeleton builds
+from .lattice import _build_structure  # noqa: F401
 from .minimizer import generate_rules
 from .propagation import _NAME_RE, _NO_TABLE, DecisionEntry, PriorityConfig, propagate
 from .roughset import approximations
@@ -525,16 +526,15 @@ def serialize_kb(kb: Lattice) -> str:
              "order %d" % kb.n]
     lines += _fact_lines(kb.facts)
     lines += _priority_lines(kb.priorities)
-    for level_labels in kb.levels:
-        for label in level_labels:
-            lines.append("node %s" % label)
-            node = kb.nodes[label]
-            decisions = node.decisions
-            for disease in sorted(decisions):
-                entry = decisions[disease]
-                lines.append("decision %s vd=%d cf=%s tv=%s w=%s"
-                             % (disease, entry.vd, number(entry.cf),
-                                triple(entry.tv), weights(node.condition, disease)))
+    stored = kb.decisions
+    for label, condition in kb.conditions.items():
+        lines.append("node %s" % label)
+        decisions = stored.get(label, {})
+        for disease in sorted(decisions):
+            entry = decisions[disease]
+            lines.append("decision %s vd=%d cf=%s tv=%s w=%s"
+                         % (disease, entry.vd, number(entry.cf),
+                            triple(entry.tv), weights(condition, disease)))
     return "\n".join(lines) + "\n"
 
 
@@ -580,8 +580,8 @@ def load_kb(text: str) -> Lattice:
 
     Raises:
         VersionMismatch: recognized format at an unsupported version.
-        OrderTooLarge: an order above the cap, refused before any node
-            is built.
+        OrderTooLarge: an order above the cap, refused before its
+            skeleton is built.
         CorruptRecord: anything else wrong, with the offending line.
     """
     if any(c in text for c in _BREAKS[1:]):
@@ -663,15 +663,14 @@ def load_kb(text: str) -> Lattice:
     # refused line, which goes through every check of a node-section line
     # in order, so the message is the one a line-by-line reader would give.
     priorities = PriorityConfig(global_priorities, scoped)
-    _, nodes = _build_structure(n)
-    _read_nodes(text, start, no, nodes, n, priorities)
-    return Lattice(facts.values(), nodes, alpha=alpha, priorities=priorities, round2=round2)
+    decisions = _read_nodes(text, start, no, n, priorities)
+    return Lattice(facts.values(), decisions, alpha=alpha, priorities=priorities, round2=round2)
 
 
-def _read_nodes(text: str, start: int, first_no: Optional[int],
-                nodes: Dict[str, LatticeNode], n: int, priorities: PriorityConfig) -> None:
+def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
+                priorities: PriorityConfig) -> Dict[str, Dict[str, DecisionEntry]]:
     """Read the node section, the text from offset ``start`` (line
-    ``first_no``) on, into the decisions of the fresh ``nodes``.
+    ``first_no``) on: each order-n label to its decision map.
 
     The token tables hold only valid values: a converter raises for any
     other token, and the first line a converter or a check refuses goes
@@ -705,8 +704,9 @@ def _read_nodes(text: str, start: int, first_no: Optional[int],
     item = Converted(weight_item).__getitem__
     checked = DecisionEntry._checked
     weights_text = _weights_texts(priorities, n)
+    conditions = _skeleton(n)[1]
     names = set()
-    seen = set()
+    maps: Dict[str, Dict[str, DecisionEntry]] = {}
     current = decisions = condition = None
     try:
         for match in _NODE_SECTION_RE.finditer(text, start):
@@ -730,11 +730,11 @@ def _read_nodes(text: str, start: int, first_no: Optional[int],
                                  first_no + text.count("\n", start, match.start()))
                 decisions[disease] = entry
             elif label:
-                node = nodes.get(label)
-                if node is None or label in seen:
+                condition = conditions.get(label)
+                if condition is None or label in maps:
                     break
-                seen.add(label)
-                current, condition, decisions = label, node.condition, node.decisions
+                current = label
+                decisions = maps[label] = {}
             else:
                 break
         else:
@@ -742,13 +742,14 @@ def _read_nodes(text: str, start: int, first_no: Optional[int],
     except (ValueError, ZeroDivisionError):
         pass        # a table refused one of the line's tokens
     if match is not None:
-        _refuse_node_line(text, start, first_no, match, nodes, current, decisions)
-    if len(seen) != len(nodes):
-        _corrupt("file lists %d of %d nodes" % (len(seen), len(nodes)))
+        _refuse_node_line(text, start, first_no, match, conditions, current, decisions)
+    if len(maps) != len(conditions):
+        _corrupt("file lists %d of %d nodes" % (len(maps), len(conditions)))
+    return maps
 
 
 def _refuse_node_line(text: str, start: int, first_no: int, match,
-                      nodes: Dict[str, LatticeNode], current: Optional[str],
+                      conditions: Dict[str, FrozenSet[int]], current: Optional[str],
                       decisions) -> None:
     """Raise the CorruptRecord for ``match``, a line of the node section
     the section reader refused: the line's checks run in order, as at
@@ -757,7 +758,7 @@ def _refuse_node_line(text: str, start: int, first_no: int, match,
     parts = match.group().split()
     error = errors.CorruptRecord
     if parts[0] == "node":
-        if len(parts) != 2 or parts[1] not in nodes:
+        if len(parts) != 2 or parts[1] not in conditions:
             _corrupt("unknown node label", no)
         _corrupt("node %s listed twice" % parts[1], no)
     if parts[0] != "decision":
@@ -789,7 +790,7 @@ def _refuse_node_line(text: str, start: int, first_no: int, match,
         fids.add(fid)
     if disease in decisions:
         _corrupt("node %s decides %r twice" % (current, disease), no)
-    if not fids <= nodes[current].condition:
+    if not fids <= conditions[current]:
         _corrupt("weights reference facts outside the condition", no)
     # every other check passed, so a value is out of range
     _corrupt("bad decision values", no)
@@ -996,7 +997,7 @@ def _cmd_check(args) -> int:
         for problem in problems:
             print("  " + problem)
     else:
-        print("structure: ok (%d nodes)" % len(kb.nodes))
+        print("structure: ok (%d nodes)" % len(kb.conditions))
     if report.ok:
         print("properties: ok (%d checks)" % report.checked)
     else:

@@ -1,32 +1,33 @@
 """Powerset lattice of fact combinations: construction and editing.
 
-A knowledge base of order n materializes all 2**n fact subsets as
-nodes, one level per subset size.  Node identity is an n-character
-label of 0/1 digits, fact i owning the i-th bit from the right; level
-follows from the popcount, and the Hasse neighbours follow from
-single-bit edits of the label.
+A knowledge base of order n has a node for each of the 2**n fact
+subsets, one level per subset size, but stores only the decision maps
+of the labels that carry decisions.  Node identity is an n-character
+label of 0/1 digits, fact i owning the i-th bit from the right; level,
+condition and Hasse neighbours follow from the label.
 
 Structural edits (fact insertion/deletion, node modification) return
-new lattices; nodes and decision entries are treated as immutable, so
-unchanged parts are shared.
+new lattices through the constructor; decision maps and entries are
+treated as immutable, so unchanged ones are shared.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice
 from math import comb
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import errors
-from ._num import ZERO, frac
+from ._num import ZERO
 from ._record import Record, set_field
-from .propagation import DecisionEntry, PriorityConfig
+from .propagation import DecisionEntry, PriorityConfig, _alpha
 # bench/tracing.py wraps this name to count cone re-derivation apart from propagate
 from .propagation import derive as _repropagate
 
 DEFAULT_ORDER_CAP = 16
 
-_UNSET = object()
+Decisions = Mapping[str, Mapping[str, DecisionEntry]]
 
 
 class Fact(Record):
@@ -116,9 +117,6 @@ class LatticeNode:
         return tuple(label[:i] + "1" + label[i + 1:]
                      for i in range(len(label) - 1, -1, -1) if label[i] == "0")
 
-    def replace_decisions(self, decisions) -> "LatticeNode":
-        return LatticeNode(self.label, self.condition, decisions)
-
     def __eq__(self, other):
         return (isinstance(other, LatticeNode)
                 and other.label == self.label
@@ -132,28 +130,36 @@ class LatticeNode:
 
 
 class Lattice:
-    """Order-n knowledge base: all 2**n nodes plus derivation settings.
+    """Order-n knowledge base: each decided label's decision map plus
+    derivation settings.
 
-    The settings (gate, priorities, rounding mode) travel with the
-    lattice so that structural edits can re-derive affected decisions
-    the same way the original propagation did.  A lattice holds only
-    what its file holds: its diseases are the ones its decisions and
-    priorities name.  The constructor refuses an order outside
-    1..DEFAULT_ORDER_CAP, facts whose ids are not 1..n in order or that
-    repeat an id or an attribute/value pair, and priorities on facts
-    outside 1..n.  The levels follow from the order.
-    Equality is structural -- facts, nodes, settings.
+    ``node`` and ``nodes`` build nodes on demand, so editing one changes
+    no lattice.  The settings (gate, priorities, rounding mode) travel
+    with the lattice so that structural edits can re-derive affected
+    decisions the same way the original propagation did.  A lattice
+    holds only what its file holds: empty maps are dropped, and its
+    diseases are the ones its decisions and priorities name.  The
+    constructor refuses an order outside 1..DEFAULT_ORDER_CAP, facts
+    whose ids are not ints 1..n in order, whose attribute or value is
+    not text, or that repeat an id or an attribute/value pair, a label
+    of another order, a gate outside [0, 1] and priorities on facts
+    outside 1..n.  Equality is structural -- facts, decisions, settings.
     """
 
-    __slots__ = ("n", "facts", "nodes", "alpha", "priorities", "round2")
+    __slots__ = ("n", "facts", "decisions", "alpha", "priorities", "round2")
 
-    def __init__(self, facts, nodes, alpha=ZERO, priorities=None, round2=False):
+    def __init__(self, facts, decisions: Decisions, alpha=ZERO, priorities=None, round2=False):
         self.facts = tuple(facts)
         self.n = len(self.facts)
         _check_order(self.n)
         _check_facts(self.facts)
-        self.nodes = dict(nodes)
-        self.alpha = frac(alpha)
+        self.decisions = {label: entries for label, entries in decisions.items() if entries}
+        conditions = _skeleton(self.n)[1]
+        dangling = [label for label in self.decisions if label not in conditions]
+        if dangling:
+            raise errors.DanglingLabel("no node labelled %r"
+                                       % (min(dangling, key=errors.naming_key),))
+        self.alpha = _alpha(alpha)
         self.priorities = priorities = priorities if priorities is not None else PriorityConfig()
         self.round2 = bool(round2)
         # a file holds priorities on facts 1..n only
@@ -169,14 +175,25 @@ class Lattice:
         return _skeleton(self.n)[0]
 
     @property
+    def conditions(self) -> Mapping[str, FrozenSet[int]]:
+        """Each label's condition, in level order (read-only)."""
+        return MappingProxyType(_skeleton(self.n)[1])
+
+    @property
+    def nodes(self) -> Dict[str, LatticeNode]:
+        """A fresh map of fresh nodes, every label in level order."""
+        return _build_structure(self.n, self.decisions)[1]
+
+    @property
     def head(self) -> Head:
         return Head(self.n + 1, "0" * self.n)
 
     def node(self, label: str) -> LatticeNode:
         try:
-            return self.nodes[label]
-        except KeyError:
-            raise errors.DanglingLabel("no node labelled %r" % (label,))
+            condition = _skeleton(self.n)[1][label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise errors.DanglingLabel("no node labelled %r" % (label,)) from None
+        return LatticeNode(label, condition, self.decisions.get(label, {}))
 
     def fact(self, fid: int) -> Fact:
         if isinstance(fid, int) and 0 < fid <= self.n:
@@ -186,65 +203,62 @@ class Lattice:
     def diseases(self) -> Tuple[str, ...]:
         """Every disease a decision or a priority names, sorted."""
         seen = set(self.priorities.diseases())
-        for node in self.nodes.values():
-            seen.update(node.decisions)
+        for entries in self.decisions.values():
+            seen.update(entries)
         return tuple(sorted(seen))
 
-    def with_updates(self, updates: Mapping[str, Mapping[str, DecisionEntry]],
-                     alpha=_UNSET, priorities=_UNSET, round2=_UNSET) -> "Lattice":
-        """Copy with some nodes' decision maps replaced and settings adjusted."""
-        nodes = {label: (node.replace_decisions(updates[label])
-                         if label in updates else node)
-                 for label, node in self.nodes.items()}
-        return Lattice(
-            self.facts, nodes,
-            alpha=self.alpha if alpha is _UNSET else alpha,
-            priorities=self.priorities if priorities is _UNSET else priorities,
-            round2=self.round2 if round2 is _UNSET else round2)
+    def with_updates(self, updates: Decisions) -> "Lattice":
+        """Copy with some labels' decision maps replaced."""
+        return Lattice(self.facts, {**self.decisions, **updates}, alpha=self.alpha,
+                       priorities=self.priorities, round2=self.round2)
 
     def __eq__(self, other):
         return (isinstance(other, Lattice)
                 and other.facts == self.facts
-                and other.nodes == self.nodes
+                and other.decisions == self.decisions
                 and other.alpha == self.alpha
                 and other.priorities == self.priorities
                 and other.round2 == self.round2)
 
     def __repr__(self):
-        return "Lattice(n=%d, %d nodes)" % (self.n, len(self.nodes))
+        return "Lattice(n=%d, %d nodes)" % (self.n, 1 << self.n)
 
 
 # order -> (level tuples of labels, each label's condition in level order),
 # filled by the first skeleton of the order and kept for the life of the
 # process: about one label string and one frozenset per node for each
-# order used.  Both are immutable, so every lattice of the order shares them.
-_SKELETONS: Dict[int, Tuple[Tuple[Tuple[str, ...], ...], Tuple[FrozenSet[int], ...]]] = {}
+# order used.  Neither is edited, so every lattice of the order shares them.
+_SKELETONS: Dict[int, Tuple[Tuple[Tuple[str, ...], ...], Dict[str, FrozenSet[int]]]] = {}
 
 
-def _skeleton(n: int) -> Tuple[Tuple[Tuple[str, ...], ...], Tuple[FrozenSet[int], ...]]:
-    """The order's level tuples and each label's condition in level order."""
+def _skeleton(n: int) -> Tuple[Tuple[Tuple[str, ...], ...], Dict[str, FrozenSet[int]]]:
+    """The order's level tuples and each label's condition, in level
+    order (not to be edited)."""
     cached = _SKELETONS.get(n)
     if cached is None:
         # a stable sort by popcount keeps each level in numeric order
         masks = sorted(range(1 << n), key=int.bit_count)
-        fmt = "0%db" % n
-        labels = iter([format(mask, fmt) for mask in masks])
-        levels = tuple(tuple(islice(labels, comb(n, level))) for level in range(n + 1))
         # a mask's condition is that of the mask less its lowest bit, plus
         # the fact of that bit; the lesser mask is filled first
         by_mask = [frozenset()] * (1 << n)
         for mask in range(1, 1 << n):
             low = mask & -mask
             by_mask[mask] = by_mask[mask ^ low].union((low.bit_length(),))
-        _SKELETONS[n] = cached = levels, tuple(map(by_mask.__getitem__, masks))
+        fmt = "0%db" % n
+        conditions = {format(mask, fmt): by_mask[mask] for mask in masks}
+        labels = iter(conditions)
+        levels = tuple(tuple(islice(labels, comb(n, level))) for level in range(n + 1))
+        _SKELETONS[n] = cached = levels, conditions
     return cached
 
 
-def _build_structure(n: int) -> Tuple[Tuple[Tuple[str, ...], ...], Dict[str, LatticeNode]]:
-    """The level tuples and a fresh map of fresh, decision-free nodes."""
+def _build_structure(n: int, decisions: Optional[Decisions] = None
+                     ) -> Tuple[Tuple[Tuple[str, ...], ...], Dict[str, LatticeNode]]:
+    """The level tuples and a fresh map of fresh nodes holding copies of ``decisions``."""
     levels, conditions = _skeleton(n)
-    nodes = {label: LatticeNode(label, condition, {})
-             for label, condition in zip(chain.from_iterable(levels), conditions)}
+    decisions = decisions or {}
+    nodes = {label: LatticeNode(label, condition, decisions.get(label, ()))
+             for label, condition in conditions.items()}
     return levels, nodes
 
 
@@ -263,6 +277,11 @@ def _check_facts(facts: Tuple[Fact, ...]) -> None:
     seen_ids = set()
     seen_pairs = set()
     for fact in facts:
+        if isinstance(fact.id, bool) or not isinstance(fact.id, int):
+            raise errors.OutOfRange("fact ids must be 1..%d in order" % len(facts))
+        if not (isinstance(fact.attribute, str) and isinstance(fact.value, str)):
+            raise errors.OutOfRange("fact %d attribute and value must be text, got %r=%r"
+                                    % (fact.id, fact.attribute, fact.value))
         if fact.id in seen_ids:
             raise errors.DuplicateFact("fact id %r appears twice" % (fact.id,))
         if (fact.attribute, fact.value) in seen_pairs:
@@ -287,7 +306,7 @@ def _atomic_decisions(fid: int, entries: Iterable[DecisionEntry]) -> Dict[str, D
 
 def build_kb(facts: Sequence[Fact],
              atomic_decisions: Mapping[int, Sequence[DecisionEntry]]) -> Lattice:
-    """Materialize the lattice skeleton with atomic decisions in place.
+    """A lattice of the facts holding the atomic decisions.
 
     The facts may come in any order; the lattice lists them by id.
     Composite levels start empty; run propagation to fill them.
@@ -304,33 +323,18 @@ def build_kb(facts: Sequence[Fact],
     _check_order(n)
     # ids of unlike types sort apart, for the constructor to refuse
     facts = sorted(facts, key=lambda fact: errors.naming_key(fact.id, int))
-    _, nodes = _build_structure(n)
+    decisions = {}
     for fid, entries in atomic_decisions.items():
         if not 1 <= int(fid) <= n:
             raise errors.UnknownFact("atomic decisions for unknown fact %r" % (fid,))
-        label = label_for([int(fid)], n)
-        nodes[label] = nodes[label].replace_decisions(_atomic_decisions(fid, entries))
-    return Lattice(facts, nodes)
+        decisions[label_for([int(fid)], n)] = _atomic_decisions(fid, entries)
+    return Lattice(facts, decisions)
 
 
 def check_structure(kb: Lattice) -> List[str]:
-    """Audit what the constructor does not check -- the node population,
-    each node's condition and the entry node's decisions; returns problem
-    descriptions."""
-    problems = []
-    if len(kb.nodes) != 2 ** kb.n:
-        problems.append("node count %d, expected %d" % (len(kb.nodes), 2 ** kb.n))
-    for label in chain.from_iterable(kb.levels):
-        node = kb.nodes.get(label)
-        if node is None:
-            problems.append("missing node %s" % label)
-        elif node.condition != facts_of(label):
-            problems.append("node %s condition %s does not match its label"
-                            % (label, sorted(node.condition)))
-    root = kb.nodes.get("0" * kb.n)
-    if root is not None and root.decisions:
-        problems.append("entry node carries decisions")
-    return problems
+    """Audit what the constructor does not refuse, decisions on the entry
+    node (a file may hold them); returns problem descriptions."""
+    return ["entry node carries decisions"] if "0" * kb.n in kb.decisions else []
 
 
 # --- structural edits -------------------------------------------------------
@@ -345,19 +349,13 @@ def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry]) -> Lat
     """
     n2 = kb.n + 1
     _check_order(n2)
-    _, nodes = _build_structure(n2)
-    for label, node in kb.nodes.items():
-        grown = "0" + label
-        nodes[grown] = nodes[grown].replace_decisions(node.decisions)
     new_atomic_label = "1" + "0" * kb.n
-    nodes[new_atomic_label] = nodes[new_atomic_label].replace_decisions(
-        _atomic_decisions(n2, atomic))
-
-    grown = Lattice(kb.facts + (fact,), nodes, alpha=kb.alpha,
+    decisions = {"0" + label: entries for label, entries in kb.decisions.items()}
+    decisions[new_atomic_label] = _atomic_decisions(n2, atomic)
+    grown = Lattice(kb.facts + (fact,), decisions, alpha=kb.alpha,
                     priorities=kb.priorities, round2=kb.round2)
     cone = sorted(_cone_labels(new_atomic_label), key=level_of)
-    return grown.with_updates(_repropagate(grown.nodes, cone, kb.priorities,
-                                           kb.alpha, kb.round2))
+    return grown.with_updates(_repropagate(grown, cone))
 
 
 def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
@@ -376,13 +374,9 @@ def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
     cut = kb.n - fact_id  # char position of the fact's bit
     facts = tuple(fact.replace(id=fact.id - 1 if fact.id > fact_id else fact.id)
                   for fact in kb.facts if fact.id != fact_id)
-    _, nodes = _build_structure(n2)
-    for label, node in kb.nodes.items():
-        if label[cut] == "1":
-            continue
-        squeezed = label[:cut] + label[cut + 1:]
-        nodes[squeezed] = nodes[squeezed].replace_decisions(node.decisions)
-    return Lattice(facts, nodes, alpha=kb.alpha,
+    decisions = {label[:cut] + label[cut + 1:]: entries
+                 for label, entries in kb.decisions.items() if label[cut] == "0"}
+    return Lattice(facts, decisions, alpha=kb.alpha,
                    priorities=kb.priorities.without_fact(fact_id),
                    round2=kb.round2)
 
@@ -456,7 +450,7 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
             attribute=old.attribute if change.attribute is None else change.attribute,
             value=old.value if change.value is None else change.value)
         facts = tuple(new if fact.id == fid else fact for fact in kb.facts)
-        return Lattice(facts, kb.nodes, alpha=kb.alpha,
+        return Lattice(facts, kb.decisions, alpha=kb.alpha,
                        priorities=kb.priorities, round2=kb.round2)
 
     if node.level == 0:
@@ -480,16 +474,12 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
     if decisions == node.decisions:
         return kb
 
-    updates = {label: decisions}
-    nodes_view = kb.nodes.copy()
-    nodes_view[label] = node.replace_decisions(decisions)
+    edited = kb.with_updates({label: decisions})
     cone = sorted(_cone_labels(label), key=level_of)
-    updates.update(_repropagate(nodes_view, cone, kb.priorities, kb.alpha,
-                                kb.round2))
-
+    updates = _repropagate(edited, cone)
     if observer is not None:
-        _report_diff(kb, updates, observer)
-    return kb.with_updates(updates)
+        _report_diff(kb, {label: decisions, **updates}, observer)
+    return edited.with_updates(updates)
 
 
 def _report_diff(kb: Lattice, updates, observer):
@@ -497,7 +487,7 @@ def _report_diff(kb: Lattice, updates, observer):
     removed: Dict[str, list] = {}
     changed: Dict[str, list] = {}
     for label in sorted(updates, key=lambda l: (level_of(l), int(l, 2))):
-        before = kb.nodes[label].decisions
+        before = kb.decisions.get(label, {})
         after = updates[label]
         for disease in sorted(set(before) | set(after)):
             if disease not in before:

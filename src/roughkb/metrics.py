@@ -43,11 +43,11 @@ DiseaseMass = Tuple[Fraction, Tuple[Fraction, Fraction, Fraction]]
 
 
 def disease_mass(kb, disease: str) -> DiseaseMass:
-    """One pass over the lattice: the disease's credibility mass, whole
-    and per truth value, as ``(total, by_vd)``."""
+    """One pass over the decided labels: the disease's credibility mass,
+    whole and per truth value, as ``(total, by_vd)``."""
     cfs: Tuple[List[Fraction], ...] = ([], [], [])
-    for node in kb.nodes.values():
-        entry = node.decisions.get(disease)
+    for entries in kb.decisions.values():
+        entry = entries.get(disease)
         if entry is not None:
             cfs[entry.vd].append(entry.cf)
     by_vd = tuple(fsum(c) for c in cfs)
@@ -59,12 +59,12 @@ def _entries(kb, labels, disease: str) -> list:
     label without one raises DanglingLabel naming the least such label
     (text first, the rest by repr), so the message does not follow a
     set's hash order."""
-    nodes = kb.nodes
+    decisions = kb.decisions
     try:
-        return [nodes[label].decisions[disease] for label in labels]
+        return [decisions[label][disease] for label in labels]
     except KeyError:
         label = min([label for label in labels
-                     if label not in nodes or disease not in nodes[label].decisions],
+                     if disease not in decisions.get(label, ())],
                     key=errors.naming_key)
     kb.node(label)  # a label with no node raises there
     raise errors.DanglingLabel("node %s carries no decision for %r" % (label, disease))

@@ -66,7 +66,7 @@ from . import errors, metrics
 from ._num import ZERO, fsum
 from ._record import Record, set_field
 from .evidence import TruthValue
-from .lattice import DEFAULT_ORDER_CAP, _check_order
+from .lattice import _check_order
 from .roughset import ApproximationSets, _labels
 
 EXACT_COVER_LIMIT = 12
@@ -584,9 +584,8 @@ def _label_values(n: int) -> Dict[str, int]:
 
 def _minterms(labels, n: int) -> List[int]:
     """The labels' minterms.  Raises OutOfRange naming the least label
-    that is not an order-n label (text first, the rest by repr); for an n
-    outside 1..DEFAULT_ORDER_CAP, every label is one."""
-    table = _label_values(n) if 0 < n <= DEFAULT_ORDER_CAP else {}
+    that is not an order-n label (text first, the rest by repr)."""
+    table = _label_values(n)
     try:
         return [table[label] for label in labels]
     except (KeyError, TypeError):  # TypeError: an unhashable label

@@ -456,21 +456,23 @@ def _step(disease: str, facts: FrozenSet[int], carriers,
     return DecisionEntry._checked(disease, vd, cf, tv), (vd, num, den, tv_record)
 
 
-def derive(nodes, labels: Iterable[str], priorities: PriorityConfig, gate,
-           round2: bool, external: Optional[Mapping[FrozenSet[int], Mapping[str, tuple]]] = None
+def derive(kb, labels: Iterable[str],
+           external: Optional[Mapping[FrozenSet[int], Mapping[str, tuple]]] = None
            ) -> Dict[str, Dict[str, DecisionEntry]]:
-    """The fresh decision maps of ``labels``, one per label, empty or not.
+    """The fresh decision maps of ``labels``, one per label, empty or not,
+    under the conditions, priorities, gate and rounding mode of ``kb``.
 
-    ``nodes`` maps every label to its node, and ``labels`` lists each
-    label after those of its predecessors that it holds (popcount order
-    does).  A predecessor is read from its fresh map if it has one, and
-    from its stored map otherwise.  ``external`` maps a composite fact
-    set to per-disease (vd, cf, triple) resolved from direct knowledge
-    sources.  Such evidence is consumed here, not stored on any node, so
-    a later edit re-derives its cone from atomic decisions and priorities
-    alone (fault F3 in ``bench/README.md``).
+    ``labels`` lists each label after those of its predecessors that it
+    holds (popcount order does).  A predecessor is read from its fresh
+    map if it has one, and from the lattice's stored map otherwise.
+    ``external`` maps a composite fact set to per-disease (vd, cf,
+    triple) resolved from direct knowledge sources.  Such evidence is
+    consumed here, not stored on any node, so a later edit re-derives
+    its cone from atomic decisions and priorities alone (fault F3 in
+    ``bench/README.md``).
     """
-    gate = _alpha(gate)
+    conditions, stored = kb.conditions, kb.decisions
+    priorities, gate, round2 = kb.priorities, kb.alpha, kb.round2
     external = external or {}
     fresh: Dict[str, Dict[str, DecisionEntry]] = {}
     below: Dict[str, Dict[int, Record]] = {}   # disease -> mask -> record, one level down
@@ -478,7 +480,7 @@ def derive(nodes, labels: Iterable[str], priorities: PriorityConfig, gate,
     for _, run in groupby(labels, lambda label: label.count("1")):
         run_nodes = []
         for label in run:
-            mask, facts = int(label, 2), nodes[label].condition
+            mask, facts = int(label, 2), conditions[label]
             # clearing the bit of fact f, highest first, leaves the
             # predecessors in ascending label order
             preds = {mask ^ (1 << (f - 1)): f for f in sorted(facts, reverse=True)}
@@ -486,7 +488,7 @@ def derive(nodes, labels: Iterable[str], priorities: PriorityConfig, gate,
             run_nodes.append((mask, facts, preds, external.get(facts), fresh[label]))
         for pm in {pm for node in run_nodes for pm in node[2]} - below_masks:
             pred = format(pm, "0%db" % len(label))
-            decisions = fresh[pred] if pred in fresh else nodes[pred].decisions
+            decisions = fresh[pred] if pred in fresh else stored.get(pred, {})
             for disease, entry in decisions.items():
                 below.setdefault(disease, {})[pm] = _record(entry)
         diseases = set(below).union(*[node[3] for node in run_nodes if node[3]])
@@ -513,15 +515,14 @@ def propagate(kb, priorities: Optional[PriorityConfig] = None,
               alpha=ZERO, round2: bool = False):
     """Fill every composite level of a knowledge base, bottom up.
 
-    ``external`` maps a composite fact set to per-disease (vd, cf,
-    triple), which ``derive`` merges in and does not store.  Returns a
-    new lattice carrying the updated decisions along with the
-    priorities, gate and rounding mode used (structural edits reuse
-    them).
+    The facts and stored decisions of ``kb`` go into a new lattice that
+    carries the priorities, gate and rounding mode given (structural
+    edits reuse them), and ``derive`` fills it.  ``external`` maps a
+    composite fact set to per-disease (vd, cf, triple), which ``derive``
+    merges in and does not store.
     """
-    priorities = priorities if priorities is not None else PriorityConfig()
-    gate = _alpha(alpha)
+    from .lattice import Lattice  # lattice imports this module
+    kb = Lattice(kb.facts, kb.decisions, alpha=alpha, priorities=priorities, round2=round2)
     external = {frozenset(k): dict(v) for k, v in (external or {}).items()}
     labels = [label for level_labels in kb.levels[2:] for label in level_labels]
-    updates = derive(kb.nodes, labels, priorities, gate, round2, external)
-    return kb.with_updates(updates, alpha=gate, priorities=priorities, round2=round2)
+    return kb.with_updates(derive(kb, labels, external))

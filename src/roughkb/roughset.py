@@ -142,8 +142,8 @@ def approximations(kb, disease: str) -> ApproximationSets:
     Raises:
         UnknownDisease: no decision or priority names the disease.
     """
-    vds = {label: node.decisions[disease].vd
-           for label, node in kb.nodes.items() if disease in node.decisions}
+    vds = {label: entries[disease].vd
+           for label, entries in kb.decisions.items() if disease in entries}
     if not vds and disease not in kb.priorities.diseases():
         raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
     return ApproximationSets.from_vd_map(vds)

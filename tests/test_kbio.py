@@ -782,6 +782,7 @@ def test_load_checks_the_order_cap_before_building(monkeypatch):
     def refuse(n):
         raise AssertionError("skeleton of order %d built" % n)
     monkeypatch.setattr(kbio, "_build_structure", refuse)
+    monkeypatch.setattr(kbio, "_skeleton", refuse)
     text = "roughkb-kb 1\nmode exact\nalpha 0\norder 17\n" + "".join(
         "fact f%d a%d yes\n" % (f, f) for f in range(1, 18))
     with pytest.raises(errors.OrderTooLarge):

@@ -151,12 +151,22 @@ def test_edits_leave_the_cached_skeletons_intact():
         assert not any(node.decisions for node in _build_structure(m)[1].values())
 
 
-def test_check_structure_reports_damage():
-    kb = _tiny_kb(2)
-    kb.nodes.pop("11")
-    problems = check_structure(kb)
-    assert problems  # at minimum the node count is off
-    assert any("node count" in p for p in problems)
+def test_nodes_handed_out_share_nothing_with_any_lattice():
+    """Nodes are built on demand: emptying a node or a node map that an
+    edited lattice hands out changes neither that lattice nor the one
+    it was edited from."""
+    kb, _, _ = random_kb(seeded(2400), 4)
+    text = serialize_kb(kb)
+    edited = modify_node(kb, "0001", SetDecision("ANK", 1, F(1, 3)))
+    edited_text = serialize_kb(edited)
+    assert edited_text != text
+    outside = "0010"  # not in the cone of 0001
+    assert kb.node(outside).decisions
+    edited.nodes[outside].decisions.clear()
+    edited.node(outside).decisions.clear()
+    assert serialize_kb(kb) == text
+    assert serialize_kb(edited) == edited_text
+    assert edited.node(outside) == kb.node(outside)
 
 
 # --- construction -----------------------------------------------------------
@@ -179,7 +189,7 @@ def test_every_builder_checks_the_order_cap_before_building(monkeypatch):
         raise AssertionError("skeleton of order %d built" % n)
     for name in ("_skeleton", "_build_structure"):
         monkeypatch.setattr("roughkb.lattice." + name, refuse)
-    monkeypatch.setattr("roughkb.kbio._build_structure", refuse)
+        monkeypatch.setattr("roughkb.kbio." + name, refuse)
     n = DEFAULT_ORDER_CAP + 1
     doc = parse_evidence("module m\ngrading q=1\n" + "".join(
         'fact f%d "a%d" "yes"\n' % (f, f) for f in range(1, n + 1)))
@@ -217,6 +227,57 @@ def test_the_constructor_checks_the_facts():
     # build_kb puts the facts in id order, even ids of unlike types
     with pytest.raises(errors.OutOfRange, match="^fact ids must be"):
         build_kb([Fact(1, "a", "yes"), Fact("2", "b", "yes")], {})
+
+
+def test_the_constructor_refuses_a_label_of_another_order():
+    entry = {"ANK": DecisionEntry("ANK", 1, F(1, 2))}
+    for label in ("011", "1", "12", "1x", "", 3):
+        with pytest.raises(errors.DanglingLabel, match="^no node labelled %r$" % (label,)):
+            Lattice(_facts(2), {"01": entry, label: entry})
+    # the least of several is named, text first
+    with pytest.raises(errors.DanglingLabel, match="^no node labelled '011'$"):
+        Lattice(_facts(2), {5: entry, "2": entry, "011": entry})
+    with pytest.raises(errors.DanglingLabel, match=r"^no node labelled \['01'\]$"):
+        _tiny_kb(2).node(["01"])
+
+
+def test_the_constructor_drops_empty_maps():
+    kb = Lattice(_facts(2), {"01": {}, "11": {}})
+    assert kb.decisions == {}
+    assert kb == Lattice(_facts(2), {})
+    assert kb.with_updates({"10": {}}) == kb
+
+
+@pytest.mark.parametrize("alpha", [2, F(-1, 2), "3/2"])
+def test_the_constructor_refuses_a_gate_outside_the_unit_interval(alpha):
+    """A lattice holds only a gate its file can hold: ``load_kb`` refuses
+    ``alpha 2``."""
+    kb = _tiny_kb(2)
+    with pytest.raises(errors.OutOfRange, match=r"^alpha %s outside \[0, 1\]$" % F(alpha)):
+        Lattice(kb.facts, kb.decisions, alpha=alpha)
+
+
+@pytest.mark.parametrize("facts,message", [
+    ([Fact([1], "a", "b")], r"fact ids must be 1\.\.1 in order"),
+    ([Fact(1, ["a"], "b")], r"fact 1 attribute and value must be text, got \['a'\]='b'"),
+    ([Fact(1, 5, "x")], r"fact 1 attribute and value must be text, got 5='x'"),
+    ([Fact(True, "a", "b")], r"fact ids must be 1\.\.1 in order"),
+    ([Fact(1, "a", "b"), Fact(2.0, "c", "d")], r"fact ids must be 1\.\.2 in order"),
+], ids=["list-id", "list-attribute", "int-attribute", "bool-id", "float-id"])
+def test_fact_fields_of_the_wrong_type_are_refused(facts, message):
+    with pytest.raises(errors.OutOfRange, match="^%s$" % message):
+        build_kb(facts, {})
+
+
+def test_edits_refuse_fact_fields_of_the_wrong_type():
+    kb = _tiny_kb(2)
+    for fid in ([3], 3.0):
+        with pytest.raises(errors.OutOfRange, match=r"^fact ids must be 1\.\.3 in order$"):
+            insert_fact(kb, Fact(fid, "c", "yes"), [])
+    with pytest.raises(errors.OutOfRange, match="^fact 3 attribute and value must be text"):
+        insert_fact(kb, Fact(3, ["c"], "yes"), [])
+    with pytest.raises(errors.OutOfRange, match="^fact 1 attribute and value must be text"):
+        modify_node(kb, "01", ConditionEdit(value=5))
 
 
 def test_levels_follow_from_the_order_after_unpickling(monkeypatch):
@@ -350,7 +411,7 @@ def test_priorities_on_facts_outside_the_order_are_refused(priorities, fid):
         propagate(kb, priorities=priorities)
     # every edit builds its result through the same constructor
     with pytest.raises(errors.OutOfRange, match=message):
-        Lattice(kb.facts, kb.nodes, priorities=priorities)
+        Lattice(kb.facts, kb.decisions, priorities=priorities)
 
 
 def test_build_orders_the_facts_by_id():

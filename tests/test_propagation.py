@@ -1,7 +1,6 @@
 """Pairwise/multi-constituent combination and whole-lattice propagation."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +12,8 @@ from conftest import (DISEASE_POOL, entries_with_triples, kb_from_atomics, rando
 from roughkb import errors
 from roughkb.evidence import TruthTriple, TruthValue
 from roughkb.kbio import serialize_kb
-from roughkb.lattice import (Fact, SetDecision, _cone_labels, build_kb, facts_of, insert_fact,
-                             level_of, modify_node)
+from roughkb.lattice import (Fact, Lattice, SetDecision, _cone_labels, build_kb, facts_of,
+                             insert_fact, level_of, modify_node)
 from roughkb.propagation import (DecisionEntry, PriorityConfig, _cf_multi, _mean_triple,
                                  _record, _triple_record, derive, merge_external,
                                  propagate)
@@ -117,21 +116,21 @@ def test_alpha_threshold_bounds():
 P, A, I = TruthValue.PRESENT, TruthValue.ABSENT, TruthValue.INCONCLUSIVE
 
 
-def _nodes(n, decisions):
-    """Stand-in order-n nodes for ``derive``: each label to its condition
-    and the decision map given for it (empty when none is)."""
-    return {label: SimpleNamespace(condition=facts_of(label),
-                                   decisions=decisions.get(label, {}))
-            for label in (format(m, "0%db" % n) for m in range(1 << n))}
+def _small_kb(n, decisions, alpha=0):
+    """An order-n lattice for ``derive`` holding the decision maps given,
+    under the gate given and no priorities."""
+    return Lattice([Fact(i, "a%d" % i, "yes") for i in range(1, n + 1)], decisions,
+                   alpha=alpha)
 
 
 def _pair(first, second, alpha=0):
     """The (vd, cf) that node {1, 2} derives for ANK under equal weights
     of 1/2, when its predecessors {1} and {2} carry the (vd, cf) pairs
     given (None for no decision); None when ANK does not reach it."""
-    nodes = _nodes(2, {label: {"ANK": DecisionEntry("ANK", *pair)}
-                       for label, pair in (("01", first), ("10", second)) if pair is not None})
-    entry = derive(nodes, ["11"], PriorityConfig(), alpha, False)["11"].get("ANK")
+    kb = _small_kb(2, {label: {"ANK": DecisionEntry("ANK", *pair)}
+                       for label, pair in (("01", first), ("10", second)) if pair is not None},
+                   alpha)
+    entry = derive(kb, ["11"])["11"].get("ANK")
     return None if entry is None else (entry.vd, entry.cf)
 
 
@@ -252,14 +251,14 @@ def test_external_evidence_merges_and_is_consumed():
 
 def test_derive_all_gated_means_absent():
     entry = {"ANK": DecisionEntry("ANK", 1, F(1, 100))}
-    nodes = _nodes(3, {"011": entry, "101": entry, "110": entry})
-    assert derive(nodes, ["111"], PriorityConfig(), F(1, 2), False) == {"111": {}}
+    kb = _small_kb(3, {"011": entry, "101": entry, "110": entry}, F(1, 2))
+    assert derive(kb, ["111"]) == {"111": {}}
 
 
 def test_derive_requires_no_disease_to_be_invented():
     kb = kb_from_atomics({}, 2)
     assert kb.node("11").decisions == {}
-    assert derive(kb.nodes, ["11"], PriorityConfig(), 0, False) == {"11": {}}
+    assert derive(kb, ["11"]) == {"11": {}}
 
 
 # --- agreement with the straight-line reference -----------------------------
@@ -388,17 +387,14 @@ def test_agreeing_atomics_pass_their_verdict_up():
 
 # --- the level loop against a node-by-node walk ------------------------------
 
-def _walk(nodes, labels, priorities, gate, round2, external):
+def _walk(kb, labels, external):
     """What ``derive`` returns, node by node: one label per call, over a
-    view whose decisions are read fresh where derived here and stored
+    lattice whose decisions are read fresh where derived here and stored
     otherwise."""
     fresh = {}
-    view = {label: SimpleNamespace(condition=node.condition, decisions=node.decisions)
-            for label, node in nodes.items()}
     for label in labels:
-        fresh[label] = derive(view, [label], priorities, gate, round2, external)[label]
-        view[label] = SimpleNamespace(condition=nodes[label].condition,
-                                      decisions=fresh[label])
+        fresh[label] = derive(kb, [label], external)[label]
+        kb = kb.with_updates({label: fresh[label]})
     return fresh
 
 
@@ -429,10 +425,12 @@ def test_derive_matches_a_node_by_node_walk(n, round2):
     gate = (0, F(1, 20), F(1, 10))[n % 3]
     external = _composite_evidence(rng, n, diseases)
     facts = [Fact(i, "a%d" % i, "yes") for i in range(1, n + 1)]
-    kb = build_kb(facts, entries_with_triples(rng, atomics))
+    atomic = build_kb(facts, entries_with_triples(rng, atomics))
+    kb = Lattice(atomic.facts, atomic.decisions, alpha=gate, priorities=priorities,
+                 round2=round2)
     labels = [label for level in kb.levels[2:] for label in level]
-    got = derive(kb.nodes, labels, priorities, gate, round2, external)
-    assert got == _walk(kb.nodes, labels, priorities, gate, round2, external)
+    got = derive(kb, labels, external)
+    assert got == _walk(kb, labels, external)
     assert list(got) == labels
     if n >= 2:
         assert "NEW" in got["0" * (n - 2) + "11"]
@@ -442,15 +440,12 @@ def test_derive_matches_a_node_by_node_walk(n, round2):
 @pytest.mark.parametrize("round2", [False, True])
 def test_edit_cones_match_a_node_by_node_walk(n, seed, round2):
     rng = seeded(3100 + seed)
-    kb, _, priorities = random_kb(rng, n, alpha=(0, F(1, 20), F(1, 10))[seed % 3],
-                                  round2=round2)
+    kb, _, _ = random_kb(rng, n, alpha=(0, F(1, 20), F(1, 10))[seed % 3], round2=round2)
 
     def cone_of(edited, label):
         cone = sorted(_cone_labels(label), key=level_of)
-        view = dict(kb.nodes)
-        view[label] = edited.node(label)
-        assert {l: edited.node(l).decisions for l in cone} == \
-            _walk(view, cone, priorities, kb.alpha, round2, {})
+        view = kb.with_updates({label: edited.node(label).decisions})
+        assert {l: edited.node(l).decisions for l in cone} == _walk(view, cone, {})
 
     level1 = "0" * (n - 1) + "1"
     upper = "0" * (n - 3) + "101"
@@ -460,8 +455,7 @@ def test_edit_cones_match_a_node_by_node_walk(n, seed, round2):
     grown = insert_fact(kb, Fact(n + 1, "a%d" % (n + 1), "yes"),
                         [DecisionEntry("ANK", 2, F(7, 10)), DecisionEntry("NEW", 1, F(1, 4))])
     cone = sorted(_cone_labels("1" + "0" * n), key=level_of)
-    assert {l: grown.node(l).decisions for l in cone} == \
-        _walk(grown.nodes, cone, priorities, kb.alpha, round2, {})
+    assert {l: grown.node(l).decisions for l in cone} == _walk(grown, cone, {})
 
 
 def _small_kb_file(n, round2):

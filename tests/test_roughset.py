@@ -7,6 +7,7 @@ import oracles
 from conftest import random_kb, run_edit_scripts, seeded
 from roughkb import errors
 from roughkb.evidence import TruthValue
+from roughkb.lattice import Lattice
 from roughkb.propagation import PriorityConfig
 from roughkb.roughset import (ApproximationSets, approximations, concepts,
                               on_decisions_added, on_decisions_removed,
@@ -41,7 +42,8 @@ def test_unknown_disease_is_refused(kb_round2):
 def test_a_disease_only_priorities_name_has_empty_regions(kb_round2):
     for priorities in (PriorityConfig({("GOUT", 1): 2}),
                        PriorityConfig(scoped={((1, 2), "GOUT"): {1: 1, 2: 3}})):
-        kb = kb_round2.with_updates({}, priorities=priorities)
+        kb = Lattice(kb_round2.facts, kb_round2.decisions, alpha=kb_round2.alpha,
+                     priorities=priorities, round2=True)
         sets = approximations(kb, "GOUT")
         assert sets == ApproximationSets(frozenset(), frozenset(), frozenset())
         with pytest.raises(errors.UnknownDisease):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import roughkb
-from roughkb.lattice import Fact, SetDecision, build_kb
+from roughkb.lattice import Fact, Lattice, SetDecision, build_kb
 from roughkb.propagation import DecisionEntry, propagate
 
 F = Fraction
@@ -57,9 +57,9 @@ def test_the_wrapped_names_are_the_derivation_engine():
     assert roughkb.kbio.propagate is roughkb.propagation.propagate
     assert roughkb.lattice._repropagate is roughkb.propagation.derive
     facts = [Fact(i, "a%d" % i, "yes") for i in (1, 2, 3)]
-    kb = build_kb(facts, {1: [DecisionEntry("ANK", 1, F(1, 10))]})
+    kb = Lattice(facts, {"001": {"ANK": DecisionEntry("ANK", 1, F(1, 10))}}, alpha=F(1, 2))
     labels = ["011", "101", "110", "111"]
-    out = roughkb.propagation.derive(kb.nodes, labels, kb.priorities, F(1, 2), False)
+    out = roughkb.propagation.derive(kb, labels)
     assert list(out) == labels
     assert out["110"] == {} and out["111"] == {}
 
