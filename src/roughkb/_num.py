@@ -25,16 +25,19 @@ being the triple's three numerators over one common denominator.
 ``_cf_multi`` puts a node's carrier credibilities on one denominator
 and computes the prevailing truth value, the camp sums, the gate test,
 each per-fact term and the published result on those integers, and
+returns the result as a numerator and a denominator.
 ``_mean_triple`` sums the carriers' truth records over one denominator
-and returns the mean both as a triple and as its record.  Both take the
-lcm of the records' denominators only when they differ; when every
-record has the same one, as above level 2 of a two-decimal build
-(whose derived records keep the denominator 100), they add the
-numerators as they are.  Both build one Fraction per result.  Every
-result is the same exact rational the operator form gives.  A derived
-cf is checked on its integers, and the entry is built by
-``DecisionEntry._checked``, which assigns the checked values without
-validating them again.
+and returns the mean's record, with its triple.  Both take the lcm of
+the records' denominators only when they differ; when every record has
+the same one, as above level 2 of a two-decimal build (whose derived
+records keep the denominator 100), they add the numerators as they
+are.  Neither builds a Fraction for a value met before: ``derive`` keeps
+a value table for the call, keyed by records, so each distinct triple
+and each distinct entry of a disease, with its cf, is built once (a
+value over 100 takes the shared hundredths).  Every result is the same
+exact rational the operator form gives.  A derived cf is checked on
+its integers, and the entry is built by ``DecisionEntry._checked``,
+which assigns the checked values without validating them again.
 
 :func:`parse_rational` is the one parser of number tokens read from
 files and the command line, and :func:`frac` sends every string through

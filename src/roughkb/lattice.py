@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optiona
 from . import errors
 from ._num import ZERO
 from ._record import Record, set_field
-from .propagation import DecisionEntry, PriorityConfig, _alpha
+from .propagation import DecisionEntry, PriorityConfig, _alpha, _fact_id
 # bench/tracing.py wraps this name to count cone re-derivation apart from propagate
 from .propagation import derive as _repropagate
 
@@ -196,7 +196,7 @@ class Lattice:
         return LatticeNode(label, condition, self.decisions.get(label, {}))
 
     def fact(self, fid: int) -> Fact:
-        if isinstance(fid, int) and 0 < fid <= self.n:
+        if 0 < _fact_id(fid) <= self.n:
             return self.facts[fid - 1]
         raise errors.UnknownFact("no fact with id %r" % (fid,))
 
@@ -294,9 +294,17 @@ def _check_facts(facts: Tuple[Fact, ...]) -> None:
 
 
 def _atomic_decisions(fid: int, entries: Iterable[DecisionEntry]) -> Dict[str, DecisionEntry]:
-    """A fact's atomic decisions by disease; two for one disease raise OutOfRange."""
+    """A fact's atomic decisions by disease; anything but a collection of
+    entries, or two for one disease, raises OutOfRange."""
     decisions = {}
+    try:
+        entries = list(entries)
+    except TypeError:  # not iterable
+        raise errors.OutOfRange("fact %d decisions %r are not a collection of entries"
+                                % (fid, entries)) from None
     for entry in entries:
+        if not isinstance(entry, DecisionEntry):
+            raise errors.OutOfRange("fact %d decision %r is not a DecisionEntry" % (fid, entry))
         if entry.disease in decisions:
             raise errors.OutOfRange(
                 "fact %d carries two decisions for %r" % (fid, entry.disease))
@@ -314,9 +322,11 @@ def build_kb(facts: Sequence[Fact],
     Raises:
         OrderTooLarge: more facts than the materialization cap allows.
         DuplicateFact: repeated fact id or attribute/value pair.
-        OutOfRange: no facts, fact ids other than 1..n, or two
-            decisions for one disease at a fact.
-        UnknownFact: a decision keyed to a missing fact.
+        OutOfRange: no facts, fact ids other than 1..n, a fact's
+            decisions that are not entries, or two decisions for one
+            disease at a fact.
+        UnknownFact: a decision keyed to anything but an int naming a
+            fact (a bool names none).
     """
     facts = tuple(facts)
     n = len(facts)
@@ -325,9 +335,9 @@ def build_kb(facts: Sequence[Fact],
     facts = sorted(facts, key=lambda fact: errors.naming_key(fact.id, int))
     decisions = {}
     for fid, entries in atomic_decisions.items():
-        if not 1 <= int(fid) <= n:
+        if not 1 <= _fact_id(fid) <= n:
             raise errors.UnknownFact("atomic decisions for unknown fact %r" % (fid,))
-        decisions[label_for([int(fid)], n)] = _atomic_decisions(fid, entries)
+        decisions[label_for([fid], n)] = _atomic_decisions(fid, entries)
     return Lattice(facts, decisions)
 
 

@@ -17,6 +17,14 @@ disease and mask, ``(vd, cf numerator, cf denominator, truth record)``,
 the truth record being the triple's three numerators over one
 denominator (None for no triple); only the level below is kept.  One
 step per node and disease, ``_step``, runs the kernels on those records.
+
+Each call keeps a value table, dropped when it returns: one
+``TruthTriple`` per distinct truth record, and per disease one
+``DecisionEntry`` and record per distinct record.  Derived decisions
+repeat (a seeded order-14 two-decimal build has 49,132 entries and 542
+distinct ones), so equal triples and equal entries of a disease are
+one object, built once, and the kernels return integers that become a
+Fraction only then.
 """
 
 from __future__ import annotations
@@ -28,10 +36,11 @@ from math import gcd, lcm
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import errors
-from ._num import ONE, ZERO, clamp01, frac, publish2
+from ._num import ONE, ZERO, Converted, clamp01, frac
 from .evidence import TruthTriple, TruthValue
 
-Record = Tuple[TruthValue, int, int, Optional[Tuple[int, int, int, int]]]
+TruthRecord = Tuple[int, int, int, int]
+Record = Tuple[TruthValue, int, int, Optional[TruthRecord]]
 
 # a disease or fact name token, as both text formats spell it
 _NAME_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
@@ -43,6 +52,14 @@ def _disease(name) -> str:
     if not _NAME_RE.match(name):
         raise errors.OutOfRange("bad disease name %r" % (name,))
     return name
+
+
+def _fact_id(value) -> int:
+    """A fact id as given, or UnknownFact: only an int that is not a
+    bool names a fact."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise errors.UnknownFact("no fact with id %r" % (value,))
+    return value
 
 
 def _alpha(value) -> Fraction:
@@ -61,6 +78,11 @@ class DecisionEntry:
     credibility factor.  The per-fact weights are not stored; the
     lattice's ``PriorityConfig.weights_for`` derives them.  ``tv`` may be
     None for decisions set by hand rather than derived from evidence.
+
+    An entry is a value: ``derive`` hands one entry to every label whose
+    decision for the disease is equal, and lattices share unchanged
+    entries, so an entry must never be mutated (``replace`` makes a new
+    one).
     """
 
     __slots__ = ("disease", "vd", "cf", "tv")
@@ -120,7 +142,10 @@ class PriorityConfig:
     the weights of one node/disease pair; ``global_priorities`` keyed by
     (disease, fact) apply wherever no scoped entry matches.  Facts with
     no priority default to 1, and weights are the priorities normalized
-    over the node's facts.
+    over the node's facts.  A fact id is an int that is not a bool
+    (UnknownFact otherwise); keys that are not pairs, mappings that are
+    not mappings and priorities that are not positive ints raise
+    OutOfRange.
     """
 
     __slots__ = ("global_priorities", "scoped", "_tables")
@@ -130,14 +155,22 @@ class PriorityConfig:
         # and its scoped (priorities, total) by fact set
         self._tables: Dict[str, tuple] = {}
         self.global_priorities = {}
-        for (disease, fid), p in dict(global_priorities or {}).items():
-            disease, fid = _disease(disease), int(fid)
+        for key, p in _items(global_priorities, "global priorities"):
+            disease, fid = _pair(key, "global priority", "(disease, fact id)")
+            disease, fid = _disease(disease), _fact_id(fid)
             self.global_priorities[(disease, fid)] = p = self._check(p)
             self._tables.setdefault(disease, ({}, {}))[0][fid] = p
         self.scoped = {}
-        for (facts, disease), prio in dict(scoped or {}).items():
-            facts, disease = frozenset(int(f) for f in facts), _disease(disease)
-            prio = {int(f): self._check(p) for f, p in dict(prio).items()}
+        for key, prio in _items(scoped, "scoped priorities"):
+            facts, disease = _pair(key, "scoped priority", "(fact ids, disease)")
+            try:
+                facts = frozenset(map(_fact_id, facts))
+            except TypeError:  # not iterable
+                raise errors.OutOfRange("scoped priority facts %r are not a collection"
+                                        % (facts,)) from None
+            disease = _disease(disease)
+            prio = {_fact_id(f): self._check(p)
+                    for f, p in _items(prio, "scoped priorities of a fact set")}
             if not facts or set(prio) != set(facts):
                 raise errors.OutOfRange(
                     "scoped priorities must cover a nonempty fact set exactly")
@@ -146,14 +179,16 @@ class PriorityConfig:
 
     @staticmethod
     def _check(p):
-        if not isinstance(p, int) or p < 1:
+        if isinstance(p, bool) or not isinstance(p, int) or p < 1:
             raise errors.OutOfRange("priorities are positive integers, got %r" % (p,))
         return p
 
     def weights_for(self, facts: FrozenSet[int], disease: str) -> Dict[int, Fraction]:
         """Each fact's weight p/total at the node of ``facts``; {} for none."""
-        prio, total = _priorities(frozenset(facts), self._tables.get(disease, _NO_TABLE))
-        return {f: Fraction(p, total) for f, p in prio.items()}
+        facts = frozenset(facts)
+        glob, scoped = self._tables.get(disease, _NO_TABLE)
+        prio, total = _priorities(facts, scoped, {f: glob.get(f, 1) for f in facts})
+        return {f: Fraction(prio[f], total) for f in facts}
 
     def diseases(self):
         """The diseases some global or scoped priority names."""
@@ -185,16 +220,33 @@ class PriorityConfig:
 _NO_TABLE = ({}, {})  # the table of a disease no priority names
 
 
-def _priorities(facts: FrozenSet[int], table) -> Tuple[Mapping[int, int], int]:
-    """The facts' priorities under a disease's table (not to be edited), and their sum."""
-    glob, scoped = table
+def _items(value, what: str):
+    """The (key, value) pairs of a mapping, or of None as no pairs."""
+    try:
+        return dict(value or {}).items()
+    except (TypeError, ValueError):
+        raise errors.OutOfRange("%s must be a mapping, got %r" % (what, value)) from None
+
+
+def _pair(key, what: str, shape: str) -> tuple:
+    """A key that is a pair, or OutOfRange."""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        raise errors.OutOfRange("a %s key is a %s pair, got %r" % (what, shape, key))
+    return key
+
+
+def _priorities(facts: FrozenSet[int], scoped, row: Mapping[int, int]
+                ) -> Tuple[Mapping[int, int], int]:
+    """A node's fact priorities by fact id (not to be edited), and their sum.
+
+    They are a disease's scoped priorities of the fact set if it has
+    them, else ``row``, its global priorities by fact id with 1 for a
+    fact none names.
+    """
     hit = scoped.get(facts)
     if hit is not None:
         return hit
-    if not glob:
-        return dict.fromkeys(facts, 1), len(facts)
-    prio = {f: glob.get(f, 1) for f in facts}
-    return prio, sum(prio.values())
+    return row, sum(map(row.__getitem__, facts))
 
 
 # --- integer records ----------------------------------------------------------
@@ -289,13 +341,28 @@ def _hundredths(h: int) -> Fraction:
     return _HUNDREDTHS[h] if 0 <= h <= 100 else Fraction(h, 100)
 
 
-def _mean_triple(records: Sequence[Tuple[int, int, int, int]], round2: bool
-                 ) -> Tuple[TruthTriple, Tuple[int, int, int, int]]:
+def _triple(record: TruthRecord) -> TruthTriple:
+    """The truth triple of a record, shared hundredths over 100."""
+    n1, n2, n3, den = record
+    if den == 100:
+        parts = _hundredths(n1), _hundredths(n2), _hundredths(n3)
+    else:
+        parts = Fraction(n1, den), Fraction(n2, den), Fraction(n3, den)
+    # tuple.__new__ skips TruthTriple's coercion of exact components
+    return tuple.__new__(TruthTriple, parts)
+
+
+def _mean_triple(records: Sequence[TruthRecord], round2: bool,
+                 triples: Mapping[TruthRecord, TruthTriple]
+                 ) -> Tuple[TruthTriple, TruthRecord]:
     """Component-wise mean of truth records, as a triple and its record.
 
     Each component is summed as integers over the records' common
     denominator (their lcm, unless they share one), and each mean is one
-    ratio of integers, published in the two-decimal mode.
+    ratio of integers, published in the two-decimal mode.  The record is
+    in lowest terms, over 100 in that mode, so an equal mean gives an
+    equal record; the triple is the one ``triples`` (a ``Converted`` of
+    ``_triple``) holds for it, built the first time the record is met.
     """
     if not records:
         raise errors.OutOfRange("need at least one triple to merge")
@@ -314,30 +381,25 @@ def _mean_triple(records: Sequence[Tuple[int, int, int, int]], round2: bool
     den *= len(records)
     if round2:
         half = 2 * den
-        h1, h2, h3 = (200 * s1 + den) // half, (200 * s2 + den) // half, (200 * s3 + den) // half
-        # tuple.__new__ skips TruthTriple's coercion of exact components
-        return (tuple.__new__(TruthTriple, (_hundredths(h1), _hundredths(h2),
-                                            _hundredths(h3))),
-                (h1, h2, h3, 100))
-    g = gcd(s1, s2, s3, den)
-    if g > 1:
-        s1, s2, s3, den = s1 // g, s2 // g, s3 // g, den // g
-    return (tuple.__new__(TruthTriple, (Fraction(s1, den), Fraction(s2, den),
-                                        Fraction(s3, den))),
-            (s1, s2, s3, den))
+        record = ((200 * s1 + den) // half, (200 * s2 + den) // half,
+                  (200 * s3 + den) // half, 100)
+    else:
+        g = gcd(s1, s2, s3, den)
+        record = (s1 // g, s2 // g, s3 // g, den // g)
+    return triples[record], record
 
 
 # --- multi-constituent combination (level >= 3) -----------------------------
 
 
-def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
-              round2: bool) -> Tuple[int, Fraction, bool]:
-    """Prevailing truth value, credibility and pass flag at level >= 3.
+def _cf_multi(carriers, facts: FrozenSet[int], prio: Mapping[int, int], total: int,
+              gate: Fraction, round2: bool) -> Optional[Tuple[TruthValue, int, int]]:
+    """Prevailing truth value and credibility at level >= 3, or None.
 
     ``carriers`` lists ``(lacking fact, record)`` in ascending label
-    order: every constituent is the node less one fact.  ``prio`` holds
-    the integer priority of each of the node's facts and ``total`` their
-    sum, so fact f weighs ``prio[f] / total``.
+    order: every constituent is the node less one fact.  ``prio`` maps
+    the fact id of each of the node's ``facts`` to its integer priority
+    and ``total`` is their sum, so fact f weighs ``prio[f] / total``.
 
     One pass puts every credibility on the carriers' common denominator
     (their lcm, unless they share one), folds the prevailing-value chain
@@ -346,8 +408,9 @@ def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
     one camp keeps its sum, and with several the strongest is offset by
     the rest.  Its term is that times its weight, gated and (in the
     two-decimal mode) published as an integer ratio; the result is the
-    terms' sum over ``i - 1``, clamped at 1, and the flag is False when
-    no term clears the gate.
+    terms' sum over ``i - 1``, clamped at 1, as its numerator and
+    denominator: in lowest terms, or over 100 in the two-decimal mode.
+    It is None when no term clears the gate.
     """
     den = carriers[0][1][2]
     for _, r in carriers:
@@ -385,7 +448,8 @@ def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
     bar = gate_num * scale
     acc = 0
     ok = False
-    for fid, p in prio.items():
+    for fid in facts:
+        p = prio[fid]
         # a fact no carrier lacks keeps every camp: g is |2 max - grand|
         v, cf = lacking.get(fid, (0, 0))
         rest = camps[v] - cf
@@ -395,65 +459,80 @@ def _cf_multi(carriers, prio: Mapping[int, int], total: int, gate: Fraction,
             ok = True
             acc += (200 * num + scale) // half if round2 else num
     if not ok:
-        return vd, ZERO, False
-    lower = len(prio) - 1
+        return None
+    lower = len(facts) - 1
     if round2:
         # acc hundredths over lower, clamped and published
-        return vd, _HUNDREDTHS[min(100, (2 * acc + lower) // (2 * lower))], True
+        return vd, min(100, (2 * acc + lower) // (2 * lower)), 100
     scale *= lower
-    return vd, (ONE if acc > scale else Fraction(acc, scale)), True
+    if acc >= scale:
+        return vd, 1, 1
+    g = gcd(acc, scale)
+    return vd, acc // g, scale // g
 
 
 # --- per-node orchestration -------------------------------------------------
 
-def _step(disease: str, facts: FrozenSet[int], carriers,
-          table, gate: Fraction, round2: bool, ext: Optional[tuple]
+def _cf_ratio(cf: Fraction, round2: bool) -> Tuple[int, int]:
+    """A credibility as its record's integers: in lowest terms, or
+    published over 100 in the two-decimal mode."""
+    num, den = cf.as_integer_ratio()
+    return ((200 * num + den) // (2 * den), 100) if round2 else (num, den)
+
+
+def _step(disease: str, facts: FrozenSet[int], carriers, truths: list,
+          prio: Tuple[Mapping[int, int], int], gate: Fraction, round2: bool,
+          ext: Optional[tuple], triples: Mapping[TruthRecord, TruthTriple],
+          entries: Dict[Record, Tuple[DecisionEntry, Record]]
           ) -> Optional[Tuple[DecisionEntry, Record]]:
     """One node's entry for one disease and its record, or None.
 
     ``carriers`` lists ``(lacking fact, record)`` for the predecessors
-    that carry the disease, in ascending label order; ``ext`` is the
-    disease's direct evidence for this node, if any.  The cf is checked
-    on its integers, which become its record, over 100 in the two-decimal
-    mode so that the kernels of the next level meet one denominator.
+    that carry the disease, in ascending label order, and ``truths`` the
+    truth records among theirs; ``prio`` is the node's fact priorities
+    by fact id and their sum, and ``ext`` the disease's direct evidence
+    for this node, if any.  The cf is computed and checked as integers,
+    the record's, over 100 in the two-decimal mode so that the kernels
+    of the next level meet one denominator.  ``triples`` and ``entries``
+    are the call's value table: the entry and record returned are the
+    ones ``entries`` holds for an equal record, made the first time the
+    record is met, so only then is the cf built as a Fraction.
     """
-    prio, total = _priorities(facts, table)
-    base = None  # (vd, cf) implied by the lattice alone
+    weights, total = prio
+    base = None  # (vd, cf numerator, cf denominator) implied by the lattice alone
     if carriers and len(facts) > 2:
-        vd, cf, ok = _cf_multi(carriers, prio, total, gate, round2)
-        if ok:
-            base = vd, cf
+        base = _cf_multi(carriers, facts, weights, total, gate, round2)
     elif carriers:
-        base = _level2(facts, carriers, prio, total, gate)
-        if base is not None and round2:
-            base = base[0], publish2(base[1])
+        pair = _level2(facts, carriers, weights, total, gate)
+        if pair is not None:
+            base = (pair[0], *_cf_ratio(pair[1], round2))
     if ext is None and base is None:
         return None
-    triples = [rec[3] for _, rec in carriers if rec[3] is not None]
     if ext is not None:
         # direct evidence enters here, and is checked once
         ext = DecisionEntry(disease, *ext)
         if ext.tv is not None:
-            triples.append(_triple_record(ext.tv))
+            truths.append(_triple_record(ext.tv))
     if base is None:
         # the disease enters this node purely on direct evidence
-        vd, cf, tv = ext.vd, publish2(ext.cf) if round2 else ext.cf, ext.tv
-        tv_record = triples[-1] if tv is not None else None
+        vd, (num, den) = ext.vd, _cf_ratio(ext.cf, round2)
+        tv_record = truths[-1] if ext.tv is not None else None
     else:
-        tv, tv_record = _mean_triple(triples, round2) if triples else (None, None)
-        vd, cf = base
+        vd, num, den = base
+        tv, tv_record = _mean_triple(truths, round2, triples) if truths else (None, None)
         if ext is not None:
-            vd, cf = merge_external(vd, cf, ext.vd, ext.cf,
+            vd, cf = merge_external(vd, Fraction(num, den), ext.vd, ext.cf,
                                     tv.tv3 if tv is not None else ZERO)
-            cf = clamp01(cf)
-            if round2:
-                cf = publish2(cf)
-    num, den = cf.as_integer_ratio()
+            num, den = _cf_ratio(clamp01(cf), round2)
     if not 0 <= num <= den:
-        raise errors.OutOfRange("credibility %s outside [0, 1]" % cf)
-    if round2 and den != 100:
-        num, den = num * (100 // den), 100
-    return DecisionEntry._checked(disease, vd, cf, tv), (vd, num, den, tv_record)
+        raise errors.OutOfRange("credibility %s outside [0, 1]" % Fraction(num, den))
+    record = vd, num, den, tv_record
+    made = entries.get(record)
+    if made is None:
+        cf = _hundredths(num) if den == 100 else Fraction(num, den)
+        tv = None if tv_record is None else triples[tv_record]
+        made = entries[record] = DecisionEntry._checked(disease, vd, cf, tv), record
+    return made
 
 
 def derive(kb, labels: Iterable[str],
@@ -469,11 +548,16 @@ def derive(kb, labels: Iterable[str],
     triple) resolved from direct knowledge sources.  Such evidence is
     consumed here, not stored on any node, so a later edit re-derives
     its cone from atomic decisions and priorities alone (fault F3 in
-    ``bench/README.md``).
+    ``bench/README.md``).  Equal derived triples are one object, and so
+    are equal derived entries of a disease (the module's value table).
     """
     conditions, stored = kb.conditions, kb.decisions
-    priorities, gate, round2 = kb.priorities, kb.alpha, kb.round2
+    tables, gate, round2 = kb.priorities._tables, kb.alpha, kb.round2
     external = external or {}
+    # the value table: a triple per truth record, per disease an entry per record
+    triples = Converted(_triple)
+    entries: Dict[str, Dict[Record, Tuple[DecisionEntry, Record]]] = {}
+    ones = [1] * (kb.n + 1)  # by fact id, the priorities where none is named
     fresh: Dict[str, Dict[str, DecisionEntry]] = {}
     below: Dict[str, Dict[int, Record]] = {}   # disease -> mask -> record, one level down
     below_masks = frozenset()                  # the masks whose records below holds
@@ -495,15 +579,29 @@ def derive(kb, labels: Iterable[str],
         level_records: Dict[str, Dict[int, Record]] = {}
         for disease in sorted(diseases):
             records = below.get(disease, {})
-            table = priorities._tables.get(disease, _NO_TABLE)
+            glob, scoped = tables.get(disease, _NO_TABLE)
+            row = ones
+            if glob:
+                row = ones.copy()
+                for f, p in glob.items():
+                    row[f] = p
+            made = entries.setdefault(disease, {})
             made_records = {}
             for mask, facts, preds, ext, out in run_nodes:
-                carriers = [(f, records[pm]) for pm, f in preds.items() if pm in records]
+                # the carriers and their truth records, in one pass
+                carriers, truths = [], []
+                for pm, f in preds.items():
+                    record = records.get(pm)
+                    if record is not None:
+                        carriers.append((f, record))
+                        if record[3] is not None:
+                            truths.append(record[3])
                 ext = ext.get(disease) if ext else None
                 if carriers or ext is not None:
-                    made = _step(disease, facts, carriers, table, gate, round2, ext)
-                    if made is not None:
-                        out[disease], made_records[mask] = made
+                    step = _step(disease, facts, carriers, truths, _priorities(facts, scoped, row),
+                                 gate, round2, ext, triples, made)
+                    if step is not None:
+                        out[disease], made_records[mask] = step
             if made_records:
                 level_records[disease] = made_records
         below, below_masks = level_records, frozenset(node[0] for node in run_nodes)

@@ -9,6 +9,7 @@ must load (KB files) or parse (evidence documents), or raise a
 """
 
 import functools
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from conftest import random_kb, seeded
 from roughkb import errors, kbio, roughset
 from roughkb.evidence import EvidenceProfile
+from roughkb.lattice import Fact, Lattice, build_kb
 from roughkb.minimizer import SopExpression, minimize
+from roughkb.propagation import DecisionEntry, PriorityConfig, propagate
 
 EVIDENCE = """\
 module fuzz
@@ -145,6 +148,28 @@ SPARSE = st.dictionaries(st.one_of(st.integers(0, 4), st.just("1")),
                                                    max_size=3),
                                    JUNK, st.lists(st.integers(), max_size=2)),
                          max_size=3)
+# Fact ids and priorities: ints in and out of range, and hashable values
+# an int() call would have read as one (1.5, True, "1") or refused.
+FACT_IDS = st.one_of(st.integers(-1, 4), st.sampled_from([1.5, True, False, "1", "x", None, (1,)]))
+PRIORITY_VALUES = st.one_of(st.integers(-1, 4), st.sampled_from([True, 1.5, "2", None]))
+FACTS = tuple(Fact(i, "a%d" % i, "v") for i in (1, 2, 3))
+ENTRY_LISTS = st.one_of(
+    st.lists(st.sampled_from([DecisionEntry("ANK", 1, Fraction(1, 2)),
+                              DecisionEntry("BUR", 0, 1), None, "ANK", (1, 1)]), max_size=3),
+    JUNK)
+ATOMICS = st.dictionaries(FACT_IDS, ENTRY_LISTS, max_size=3)
+GLOBAL_PRIORITIES = st.one_of(
+    st.dictionaries(st.one_of(st.tuples(st.sampled_from(["ANK", "bad name!"]), FACT_IDS),
+                              st.tuples(st.just("ANK")), FACT_IDS),
+                    PRIORITY_VALUES, max_size=3),
+    JUNK)
+SCOPED_PRIORITIES = st.one_of(
+    st.dictionaries(st.one_of(st.tuples(st.one_of(st.frozensets(FACT_IDS, max_size=3), FACT_IDS),
+                                        st.just("ANK")),
+                              FACT_IDS),
+                    st.one_of(st.dictionaries(FACT_IDS, PRIORITY_VALUES, max_size=3), JUNK),
+                    max_size=2),
+    JUNK)
 PLACED = st.dictionaries(st.sampled_from(["0", "1", "01", "10", "11"]), st.integers(0, 2),
                          max_size=4).map(roughset.ApproximationSets.from_vd_map)
 CALLS = st.one_of(
@@ -164,6 +189,8 @@ CALLS = st.one_of(
     st.tuples(st.just(minimize), st.tuples(REGIONS, ORDERS)),
     st.tuples(st.just(EvidenceProfile.from_levels),
               st.tuples(SPARSE, st.one_of(st.integers(-1, 4), st.just("3")))),
+    st.tuples(st.just(build_kb), st.tuples(st.just(FACTS), ATOMICS)),
+    st.tuples(st.just(PriorityConfig), st.tuples(GLOBAL_PRIORITIES, SCOPED_PRIORITIES)),
 )
 # the arguments each call takes as a collection of labels
 LABEL_COLLECTIONS = {roughset.ApproximationSets: (0, 1, 2), roughset.on_decisions_removed: (1,),
@@ -183,3 +210,8 @@ def test_public_values_and_updates_fail_typed(call):
         # the order passed the cap check, so its truth set is small
         assert all(value.evaluate(label) for label in value.truth_set())
         str(value)
+    elif isinstance(value, Lattice):
+        propagate(value)
+    elif isinstance(value, PriorityConfig):
+        for facts, _ in value.scoped:
+            value.weights_for(facts, "ANK")

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 import oracles
 from roughkb import errors
-from roughkb._num import clamp01, fsum, publish2, render
+from roughkb._num import Converted, clamp01, fsum, publish2, render
 from roughkb.evidence import TruthTriple
 from roughkb.lattice import _cone_labels, facts_of
 from roughkb.minimizer import SopExpression
-from roughkb.propagation import DecisionEntry, _cf_multi, _mean_triple, _record, _triple_record
+from roughkb.propagation import (DecisionEntry, _cf_multi, _mean_triple, _record, _triple,
+                                 _triple_record)
 
 F = Fraction
 
@@ -87,8 +88,14 @@ def _agrees(node, carriers, prio, gate, mode):
     want_vd = oracles._fold_vd([pair for _, pair in pairs])
     want = oracles.reference_cf_multi(node, pairs, weights, gate, publish)
     lacking = [(min(node - facts), _record(e)) for facts, e in carriers]
-    got = _cf_multi(lacking, prio, total, gate, mode == "round2")
-    assert got == ((want_vd, want, True) if want is not None else (want_vd, 0, False))
+    got = _cf_multi(lacking, node, prio, total, gate, mode == "round2")
+    if want is None:
+        assert got is None
+        return want
+    vd, num, den = got
+    assert (vd, F(num, den)) == (want_vd, want)
+    # the record's integers: lowest terms, or over 100 in the two-decimal mode
+    assert (num, den) == ((want * 100, 100) if mode == "round2" else want.as_integer_ratio())
     return want
 
 
@@ -184,12 +191,14 @@ triples = st.builds(TruthTriple, components, components, components)
        st.sampled_from(["exact", "round2"]))
 def test_mean_triple_matches_the_fraction_mean(items, external, mode):
     items = items + ([external] if external else [])
-    got, record = _mean_triple([_triple_record(t) for t in items], mode == "round2")
+    table = Converted(_triple)
+    got, record = _mean_triple([_triple_record(t) for t in items], mode == "round2", table)
     want = oracles.reference_mean_triple(items, _publish(mode))
     assert got == want
     assert all(type(c) is F for c in got)
-    # the record is the same triple over one denominator
+    # the record is the same triple over one denominator, and keys it in the table
     assert tuple(F(num, record[3]) for num in record[:3]) == got
+    assert table == {record: got}
 
 
 @pytest.mark.parametrize("mode", ["exact", "round2"])
@@ -200,7 +209,8 @@ def test_mean_triple_publishes_exact_halves_up(mode, with_external):
     b = TruthTriple(F(0), F(0), F(99, 100))
     # direct evidence joins a node's mean as one more record, in any position
     items = [b, a] if with_external else [a, b]
-    got = _mean_triple([_triple_record(t) for t in items], mode == "round2")[0]
+    got = _mean_triple([_triple_record(t) for t in items], mode == "round2",
+                       Converted(_triple))[0]
     assert got == oracles.reference_mean_triple([a, b], _publish(mode))
     if mode == "round2":
         assert got == (F(1, 100), F(13, 100), F(1))

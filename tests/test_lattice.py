@@ -300,6 +300,30 @@ def test_build_rejects_bad_atomic_decisions():
                                  DecisionEntry("ANK", 0, F(1, 4))]})
 
 
+@pytest.mark.parametrize("key", [1.5, True, "2", "x", None, (1,)])
+def test_only_an_int_keys_atomic_decisions(key):
+    # 1.5 and True were taken as fact 1, "2" as fact 2; "x" raised a bare
+    # ValueError and None or (1,) a bare TypeError
+    with pytest.raises(errors.UnknownFact, match="^no fact with id "):
+        build_kb(_facts(2), {key: [DecisionEntry("ANK", 1, F(1, 2))]})
+
+
+@pytest.mark.parametrize("entries", [None, 5, [None], ["ANK"], "ANK",
+                                     [DecisionEntry("ANK", 1, F(1, 2)), (1, F(1, 2))]])
+def test_atomic_decisions_that_are_not_entries_are_refused(entries):
+    with pytest.raises(errors.OutOfRange, match="^fact 1 decision"):
+        build_kb(_facts(2), {1: entries})
+
+
+def test_a_bool_names_no_fact():
+    kb = _tiny_kb(2)
+    for fid in (True, False):
+        with pytest.raises(errors.UnknownFact, match="^no fact with id "):
+            kb.fact(fid)
+        with pytest.raises(errors.UnknownFact, match="^no fact with id "):
+            delete_fact(kb, fid)
+
+
 def test_build_places_atomics_and_leaves_composites_empty():
     kb = build_kb(_facts(2), {1: [DecisionEntry("ANK", 1, F(1, 2))],
                               2: [DecisionEntry("BUR", 0, F(3, 4))]})

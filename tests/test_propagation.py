@@ -10,12 +10,13 @@ import oracles
 from conftest import (DISEASE_POOL, entries_with_triples, kb_from_atomics, random_atomics,
                       random_kb, random_priorities, seeded)
 from roughkb import errors
+from roughkb._num import Converted
 from roughkb.evidence import TruthTriple, TruthValue
 from roughkb.kbio import serialize_kb
 from roughkb.lattice import (Fact, Lattice, SetDecision, _cone_labels, build_kb, facts_of,
                              insert_fact, level_of, modify_node)
 from roughkb.propagation import (DecisionEntry, PriorityConfig, _cf_multi, _mean_triple,
-                                 _record, _triple_record, derive, merge_external,
+                                 _record, _triple, _triple_record, derive, merge_external,
                                  propagate)
 
 F = Fraction
@@ -69,6 +70,35 @@ def test_a_truth_triple_that_is_not_a_sequence_is_refused(tv):
     ({}, {(frozenset({1, 2}), " ANK"): {1: 1, 2: 3}}, "bad disease name ' ANK'"),
 ])
 def test_priority_config_refuses_what_its_file_cannot_hold(global_priorities, scoped, message):
+    with pytest.raises(errors.OutOfRange, match=message):
+        PriorityConfig(global_priorities, scoped)
+
+
+@pytest.mark.parametrize("fid", [1.5, True, "1", "x", None, (1,)])
+def test_only_an_int_names_a_prioritized_fact(fid):
+    # 1.5 and True were stored as fact 1; "x" and None raised a bare
+    # ValueError or TypeError
+    with pytest.raises(errors.UnknownFact, match="^no fact with id "):
+        PriorityConfig({("ANK", fid): 2})
+    with pytest.raises(errors.UnknownFact, match="^no fact with id "):
+        PriorityConfig(scoped={(frozenset({fid, 2}), "ANK"): {fid: 1, 2: 1}})
+    with pytest.raises(errors.UnknownFact, match="^no fact with id "):
+        PriorityConfig(scoped={(frozenset({1, 2}), "ANK"): {fid: 1, 2: 1}})
+
+
+@pytest.mark.parametrize("global_priorities,scoped,message", [
+    ({"ANK": 2}, None, "key is a \\(disease, fact id\\) pair"),
+    ({("ANK", 1, 2): 2}, None, "key is a \\(disease, fact id\\) pair"),
+    ({("ANK", 1): True}, None, "positive integers"),
+    ({("ANK", 1): 1.0}, None, "positive integers"),
+    (5, None, "global priorities must be a mapping"),
+    ([1, 2], None, "global priorities must be a mapping"),
+    (None, {"ANK": {1: 1}}, "key is a \\(fact ids, disease\\) pair"),
+    (None, {(1, "ANK"): {1: 1}}, "facts 1 are not a collection"),
+    (None, {(frozenset({1}), "ANK"): 5}, "must be a mapping"),
+    (None, {(frozenset({1}), "ANK"): {1: "2"}}, "positive integers"),
+])
+def test_priority_config_refuses_malformed_arguments(global_priorities, scoped, message):
     with pytest.raises(errors.OutOfRange, match=message):
         PriorityConfig(global_priorities, scoped)
 
@@ -165,7 +195,7 @@ def _chain(pairs):
     by the predecessors of node {1, 2, 3} that lack facts 3, 2 and 1."""
     carriers = [(fid, _record(DecisionEntry("ANK", vd, cf)))
                 for fid, (vd, cf) in zip((3, 2, 1), pairs)]
-    return _cf_multi(carriers, {1: 1, 2: 1, 3: 1}, 3, F(0), False)[0]
+    return _cf_multi(carriers, frozenset({1, 2, 3}), {1: 1, 2: 1, 3: 1}, 3, F(0), False)[0]
 
 
 def test_vd_chain_case_law():
@@ -193,8 +223,8 @@ def test_cf_multi_hand_example():
     # equal priorities: every weight is 1/3
     # per-fact terms: 9/10 * 1/3, |3/5-1/5| * 1/3, |3/10-1/5| * 1/3
     # sum 7/15, averaged over (3 - 1)
-    assert _cf_multi(constituents, {1: 1, 2: 1, 3: 1}, 3, F(0), False) \
-        == (TruthValue.PRESENT, F(7, 30), True)
+    assert _cf_multi(constituents, frozenset({1, 2, 3}), {1: 1, 2: 1, 3: 1}, 3, F(0), False) \
+        == (TruthValue.PRESENT, 7, 30)
 
 
 def test_carryover_single_gates():
@@ -219,12 +249,16 @@ def test_merge_external_cases():
 def test_mean_triple_is_a_mean():
     r1 = _triple_record(TruthTriple(F(1, 2), F(1, 4), F(1, 4)))
     r2 = _triple_record(TruthTriple(F(1, 4), F(1, 4), F(1, 2)))
-    tv, record = _mean_triple([r1, r2], False)
+    table = Converted(_triple)
+    tv, record = _mean_triple([r1, r2], False, table)
     assert tv == TruthTriple(F(3, 8), F(1, 4), F(3, 8))
     assert record == (3, 2, 3, 8)
-    assert _mean_triple([r2, r1], False) == (tv, record)
+    # an equal mean is the table's one triple
+    again = _mean_triple([r2, r1], False, table)
+    assert again == (tv, record) and again[0] is tv
+    assert list(table) == [record]
     with pytest.raises(errors.OutOfRange):
-        _mean_triple([], False)
+        _mean_triple([], False, table)
 
 
 def test_external_evidence_merges_and_is_consumed():
@@ -456,6 +490,53 @@ def test_edit_cones_match_a_node_by_node_walk(n, seed, round2):
                         [DecisionEntry("ANK", 2, F(7, 10)), DecisionEntry("NEW", 1, F(1, 4))])
     cone = sorted(_cone_labels("1" + "0" * n), key=level_of)
     assert {l: grown.node(l).decisions for l in cone} == _walk(grown, cone, {})
+
+
+def _assert_built_once(kb, labels):
+    """Equal triples of ``labels``' decisions are one object, and so are
+    equal decisions of one disease; returns (entries, entry objects)."""
+    triples, entries = {}, {}
+    count = 0
+    for label in labels:
+        for disease, entry in kb.decisions.get(label, {}).items():
+            count += 1
+            tv = None if entry.tv is None else tuple(entry.tv)
+            if tv is not None:
+                assert triples.setdefault(tv, entry.tv) is entry.tv
+            key = disease, int(entry.vd), entry.cf, tv
+            assert entries.setdefault(key, entry) is entry
+    return count, len(entries)
+
+
+@pytest.mark.parametrize("round2", [False, True])
+def test_derive_builds_each_distinct_triple_and_entry_once(round2):
+    n, diseases = 7, DISEASE_POOL[:3]
+    rng = seeded(2500 + round2)
+    atomics = random_atomics(rng, n, diseases)
+    atomic = build_kb([Fact(i, "a%d" % i, "yes") for i in range(1, n + 1)],
+                      entries_with_triples(rng, atomics))
+    priorities = random_priorities(rng, n, diseases)
+    kb = propagate(atomic, priorities=priorities, round2=round2)
+    composite = [label for level in kb.levels[2:] for label in level]
+    count, objects = _assert_built_once(kb, composite)
+    assert objects < count
+    # the same inside the cone of a level-1 edit
+    label = "0" * (n - 1) + "1"
+    vd = (int(kb.node(label).decisions.get("ANK", DecisionEntry("ANK", 0, 0)).vd) + 1) % 3
+    edited = modify_node(kb, label, SetDecision("ANK", vd, F(37, 100)))
+    cone = _cone_labels(label)
+    count, objects = _assert_built_once(edited, cone)
+    assert objects < count
+    # the table lives for one call: a second propagate shares no triple or entry
+    again = propagate(atomic, priorities=priorities, round2=round2)
+    assert again == kb
+
+    def made(lattice):
+        return [entry for label in composite for entry in lattice.decisions.get(label, {}).values()]
+
+    assert not {id(e) for e in made(kb)} & {id(e) for e in made(again)}
+    assert not ({id(e.tv) for e in made(kb) if e.tv is not None}
+                & {id(e.tv) for e in made(again) if e.tv is not None})
 
 
 def _small_kb_file(n, round2):
