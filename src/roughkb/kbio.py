@@ -42,11 +42,11 @@ from ._record import Record, set_field
 from .evidence import (GRADING_CAP, EvidenceProfile, TruthTriple, TruthValue,
                        presence_matrix, resolve_decision, truth_triple)
 from .lattice import (DropDecision, Fact, Lattice, SetDecision, _check_order, _skeleton,
-                      build_kb, check_structure, delete_fact, insert_fact, modify_node)
+                      build_kb, check_structure, delete_fact, insert_fact, label_for, modify_node)
 # bench/tracing.py wraps this name to count the nodes a skeleton builds
 from .lattice import _build_structure  # noqa: F401
 from .minimizer import generate_rules
-from .propagation import _NAME_RE, _NO_TABLE, DecisionEntry, PriorityConfig, propagate
+from .propagation import _NAME_RE, DecisionEntry, PriorityConfig, propagate
 from .roughset import approximations
 
 FORMAT_NAME = "roughkb-kb"
@@ -442,51 +442,30 @@ def _ratio(p: int, q: int) -> str:
     return "%d/%d" % (p // g, q // g) if g < q else "%d" % (p // g)
 
 
-def _weights_texts(priorities: PriorityConfig, n: int):
-    """(condition, disease) -> its canonical ``w=`` text: each fact in id
-    order as ``fN:p/total`` under the disease's priorities, ``-`` for the
-    empty condition.  Item texts are kept per disease and total, and the
-    diseases of one node share the sort of its facts and, with no
-    priorities, the text."""
-    plain = ({}, [1] * (n + 1), {})  # scoped, priority by fact id, item texts by total
+def _weights_texts(priorities: PriorityConfig, n: int) -> Dict[str, Dict[str, str]]:
+    """disease -> label -> the node's canonical ``w=`` text: each fact in
+    id order as ``fN:p/total`` under the disease's priorities, ``-`` for
+    the entry node.  A disease's map is rendered whole on first use, and
+    the diseases no priority names share one."""
+    conditions = _skeleton(n)[1]
 
-    def state(disease: str):
-        glob, scoped = priorities._tables.get(disease, _NO_TABLE)
-        if not glob and not scoped:
-            return plain
-        prio = [1] * (n + 1)
-        for f, p in glob.items():
-            if 0 < f <= n:
-                prio[f] = p
-        return scoped, prio, {}
+    def texts(disease) -> Dict[str, str]:
+        row, scoped = priorities._row(disease, n)
+        # total -> each fact's item text by fact id, under the row
+        items = Converted(lambda total: ["f%d:%s" % (f, _ratio(p, total))
+                                         for f, p in enumerate(row)])
+        out = dict(zip(conditions, [
+            ",".join(map(items[sum(map(row.__getitem__, facts))].__getitem__, facts))
+            for facts in map(sorted, conditions.values())]))
+        out["0" * n] = "-"
+        for facts, (prio, total) in scoped.items():
+            out[label_for(facts, n)] = ",".join(["f%d:%s" % (f, _ratio(prio[f], total))
+                                                 for f in sorted(facts)])
+        return out
 
-    states = Converted(state)
-    last_condition = last_state = None
-    last_facts, last_text = [], "-"
-
-    def text(condition: FrozenSet[int], disease: str) -> str:
-        nonlocal last_condition, last_state, last_facts, last_text
-        current = states[disease]
-        if condition is last_condition:
-            if current is last_state:
-                return last_text
-        else:
-            last_condition, last_facts = condition, sorted(condition)
-        scoped, prio, rows = last_state = current
-        hit = scoped.get(condition) if scoped else None
-        if hit is None:
-            total = sum(map(prio.__getitem__, last_facts))
-            row = rows.get(total)
-            if row is None:
-                row = rows[total] = Converted(
-                    lambda f, total=total: "f%d:%s" % (f, _ratio(prio[f], total)))
-            last_text = ",".join(map(row.__getitem__, last_facts)) or "-"
-        else:
-            last_text = ",".join(["f%d:%s" % (f, _ratio(hit[0][f], hit[1]))
-                                  for f in last_facts]) or "-"
-        return last_text
-
-    return text
+    rendered = Converted(texts)  # None: the map of every disease no priority names
+    named = priorities.diseases()
+    return Converted(lambda disease: rendered[disease if disease in named else None])
 
 
 def serialize_kb(kb: Lattice) -> str:
@@ -494,30 +473,25 @@ def serialize_kb(kb: Lattice) -> str:
 
     Credibilities and truth components render as decimals at the mode's
     precision; the gate stays an exact rational, and so do the per-fact
-    weights, which ``_weights_texts`` renders from the priorities.  Each
-    distinct number and truth triple is rendered once per call, keyed by
-    integer ratios (hashing a Fraction costs more than rendering it).
+    weights, read from ``_weights_texts``.  Each number and truth triple
+    the lattice holds is rendered once per call, keyed by its identity:
+    entries and triples are shared values, so few are distinct.
     """
     places = _decimals(kb.round2)
-    numbers: Dict[Tuple[int, int], str] = {}
-    triples: Dict[tuple, str] = {}
-    weights = _weights_texts(kb.priorities, kb.n)
+    numbers: Dict[int, str] = {}
+    triples: Dict[int, str] = {id(None): "-"}
+    w_texts = _weights_texts(kb.priorities, kb.n)
 
     def number(x) -> str:
-        key = x.as_integer_ratio()
-        text = numbers.get(key)
+        text = numbers.get(id(x))
         if text is None:
-            text = numbers[key] = render(x, places)
+            text = numbers[id(x)] = render(x, places)
         return text
 
     def triple(tv) -> str:
-        if tv is None:
-            return "-"
-        tv1, tv2, tv3 = tv
-        key = (tv1.as_integer_ratio(), tv2.as_integer_ratio(), tv3.as_integer_ratio())
-        text = triples.get(key)
+        text = triples.get(id(tv))
         if text is None:
-            text = triples[key] = "%s/%s/%s" % (number(tv1), number(tv2), number(tv3))
+            text = triples[id(tv)] = "%s/%s/%s" % tuple(map(number, tv))
         return text
 
     lines = ["%s %d" % (FORMAT_NAME, FORMAT_VERSION),
@@ -527,14 +501,14 @@ def serialize_kb(kb: Lattice) -> str:
     lines += _fact_lines(kb.facts)
     lines += _priority_lines(kb.priorities)
     stored = kb.decisions
-    for label, condition in kb.conditions.items():
+    for label in kb.conditions:
         lines.append("node %s" % label)
         decisions = stored.get(label, {})
         for disease in sorted(decisions):
             entry = decisions[disease]
             lines.append("decision %s vd=%d cf=%s tv=%s w=%s"
                          % (disease, entry.vd, number(entry.cf),
-                            triple(entry.tv), weights(condition, disease)))
+                            triple(entry.tv), w_texts[disease][label]))
     return "\n".join(lines) + "\n"
 
 
@@ -703,7 +677,7 @@ def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
     triples = Converted(truth)
     item = Converted(weight_item).__getitem__
     checked = DecisionEntry._checked
-    weights_text = _weights_texts(priorities, n)
+    w_texts = _weights_texts(priorities, n)
     conditions = _skeleton(n)[1]
     names = set()
     maps: Dict[str, Dict[str, DecisionEntry]] = {}
@@ -719,14 +693,14 @@ def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
                         break
                     names.add(disease)
                 entry = checked(disease, vds[vd], cfs[cf], triples[tv])
-                if w != "-" and w != weights_text(condition, disease):
+                if w != "-" and w != w_texts[disease][current]:
                     weights = dict(map(item, w.split(",")))
                     if len(weights) <= w.count(",") or not weights.keys() <= condition:
                         break
                     if weights != priorities.weights_for(condition, disease):
                         # every other check of the line passed
                         _corrupt("w=%s disagrees with the priorities, which give w=%s"
-                                 % (w, weights_text(condition, disease)),
+                                 % (w, w_texts[disease][current]),
                                  first_no + text.count("\n", start, match.start()))
                 decisions[disease] = entry
             elif label:

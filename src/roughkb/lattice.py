@@ -142,8 +142,10 @@ class Lattice:
     constructor refuses an order outside 1..DEFAULT_ORDER_CAP, facts
     whose ids are not ints 1..n in order, whose attribute or value is
     not text, or that repeat an id or an attribute/value pair, a label
-    of another order, a gate outside [0, 1] and priorities on facts
-    outside 1..n.  Equality is structural -- facts, decisions, settings.
+    of another order, a gate outside [0, 1], priorities on facts outside
+    1..n, decisions that are not a mapping of labels to mappings, and a
+    decision that is not a ``DecisionEntry`` of the disease it is filed
+    under.  Equality is structural -- facts, decisions, settings.
     """
 
     __slots__ = ("n", "facts", "decisions", "alpha", "priorities", "round2")
@@ -153,7 +155,18 @@ class Lattice:
         self.n = len(self.facts)
         _check_order(self.n)
         _check_facts(self.facts)
-        self.decisions = {label: entries for label, entries in decisions.items() if entries}
+        self.decisions = {}
+        try:
+            for label, entries in decisions.items():
+                if entries:
+                    for disease, entry in entries.items():
+                        if not (isinstance(entry, DecisionEntry) and entry.disease == disease):
+                            raise errors.OutOfRange(
+                                "decision %r at %r is not a DecisionEntry of that disease: %r"
+                                % (disease, label, entry))
+                    self.decisions[label] = entries
+        except AttributeError:  # no items(): not a mapping
+            raise errors.OutOfRange("decisions must map labels to maps of entries") from None
         conditions = _skeleton(self.n)[1]
         dangling = [label for label in self.decisions if label not in conditions]
         if dangling:

@@ -33,7 +33,7 @@ import re
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import errors
 from ._num import ONE, ZERO, Converted, clamp01, frac
@@ -48,8 +48,7 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
 def _disease(name) -> str:
     """A disease name as both text formats can spell it, or OutOfRange."""
-    name = str(name)
-    if not _NAME_RE.match(name):
+    if not isinstance(name, str) or not _NAME_RE.match(name):
         raise errors.OutOfRange("bad disease name %r" % (name,))
     return name
 
@@ -183,11 +182,25 @@ class PriorityConfig:
             raise errors.OutOfRange("priorities are positive integers, got %r" % (p,))
         return p
 
-    def weights_for(self, facts: FrozenSet[int], disease: str) -> Dict[int, Fraction]:
-        """Each fact's weight p/total at the node of ``facts``; {} for none."""
-        facts = frozenset(facts)
+    def _row(self, disease, n: int) -> Tuple[List[int], Mapping[FrozenSet[int], tuple]]:
+        """What ``_priorities`` reads (not to be edited): a disease's priorities
+        by fact id 0..n, 1 where none is named, and its scoped (priorities, total)."""
         glob, scoped = self._tables.get(disease, _NO_TABLE)
-        prio, total = _priorities(facts, scoped, {f: glob.get(f, 1) for f in facts})
+        row = [1] * (n + 1)
+        for f, p in glob.items():
+            if 0 < f <= n:
+                row[f] = p
+        return row, scoped
+
+    def weights_for(self, facts: FrozenSet[int], disease: str) -> Dict[int, Fraction]:
+        """Each fact's weight p/total at the node of ``facts``; {} for none.
+        A fact is an int above 0 unless a scoped priority names the set
+        (UnknownFact otherwise)."""
+        facts = frozenset(map(_fact_id, facts))
+        row, scoped = self._row(disease, max(facts, default=0))
+        if facts not in scoped and min(facts, default=1) < 1:
+            raise errors.UnknownFact("no fact with id %r" % (min(facts),))
+        prio, total = _priorities(facts, scoped, row)
         return {f: Fraction(prio[f], total) for f in facts}
 
     def diseases(self):
@@ -552,12 +565,12 @@ def derive(kb, labels: Iterable[str],
     are equal derived entries of a disease (the module's value table).
     """
     conditions, stored = kb.conditions, kb.decisions
-    tables, gate, round2 = kb.priorities._tables, kb.alpha, kb.round2
+    gate, round2 = kb.alpha, kb.round2
     external = external or {}
+    rows = Converted(lambda disease: kb.priorities._row(disease, kb.n))
     # the value table: a triple per truth record, per disease an entry per record
     triples = Converted(_triple)
     entries: Dict[str, Dict[Record, Tuple[DecisionEntry, Record]]] = {}
-    ones = [1] * (kb.n + 1)  # by fact id, the priorities where none is named
     fresh: Dict[str, Dict[str, DecisionEntry]] = {}
     below: Dict[str, Dict[int, Record]] = {}   # disease -> mask -> record, one level down
     below_masks = frozenset()                  # the masks whose records below holds
@@ -579,12 +592,7 @@ def derive(kb, labels: Iterable[str],
         level_records: Dict[str, Dict[int, Record]] = {}
         for disease in sorted(diseases):
             records = below.get(disease, {})
-            glob, scoped = tables.get(disease, _NO_TABLE)
-            row = ones
-            if glob:
-                row = ones.copy()
-                for f, p in glob.items():
-                    row[f] = p
+            row, scoped = rows[disease]
             made = entries.setdefault(disease, {})
             made_records = {}
             for mask, facts, preds, ext, out in run_nodes:

@@ -598,9 +598,12 @@ def test_a_save_and_load_keeps_the_diseases(fixture_doc, round2):
     assert _outcome(edited[-1], "SIJ") == "unknown"
 
 
-def _weighted_kb(n, round2):
-    """A seeded KB whose weights vary by node and disease: a global
-    priority for every (disease, fact), and scoped ones on two fact sets."""
+def _weighted_kbs(n, round2):
+    """Two seeded KBs whose weights vary by node and disease: a global
+    priority for every (disease, fact) and scoped ones on two fact sets,
+    then the same KB with its first disease left without any priority,
+    so that one file holds both the shared no-priority ``w=`` texts and
+    each other disease's own."""
     rng = seeded(900 + n)
     diseases = DISEASE_POOL[:3]
     glob = {(d, f): rng.randint(1, 4) for d in diseases for f in range(1, n + 1)}
@@ -608,8 +611,12 @@ def _weighted_kb(n, round2):
     for size in (2, n):
         facts = frozenset(rng.sample(range(1, n + 1), size))
         scoped[(facts, rng.choice(diseases))] = {f: rng.randint(1, 4) for f in facts}
-    return kb_from_atomics(random_atomics(rng, n, diseases), n,
-                           priorities=PriorityConfig(glob, scoped), round2=round2)
+    atomics = random_atomics(rng, n, diseases)
+    plain = diseases[0]
+    return [kb_from_atomics(atomics, n, priorities=priorities, round2=round2)
+            for priorities in (PriorityConfig(glob, scoped), PriorityConfig(
+                {key: p for key, p in glob.items() if key[0] != plain},
+                {key: prio for key, prio in scoped.items() if key[1] != plain}))]
 
 
 def _entries(kb):
@@ -638,7 +645,11 @@ def _w_lines(text):
 @pytest.mark.parametrize("n", range(3, 10))
 @pytest.mark.parametrize("round2", [False, True])
 def test_seeded_kbs_round_trip_through_the_loader(n, round2):
-    kb = _weighted_kb(n, round2)
+    for kb in _weighted_kbs(n, round2):
+        _check_round_trip(kb, n, round2)
+
+
+def _check_round_trip(kb, n, round2):
     text = kbio.serialize_kb(kb)
     loaded = kbio.load_kb(text)
     assert kbio.serialize_kb(loaded) == text
@@ -695,7 +706,15 @@ def _with_w(text, no, w):
 @pytest.mark.parametrize("n", range(3, 10))
 @pytest.mark.parametrize("round2", [False, True])
 def test_the_w_field_is_the_priorities_weights(n, round2):
-    kb = _weighted_kb(n, round2)
+    kbs = _weighted_kbs(n, round2)
+    # the second file mixes the shared no-priority texts with per-disease ones
+    diseases = {key[1] for key in _w_lines(kbio.serialize_kb(kbs[1]))}
+    assert len(diseases - set(kbs[1].priorities.diseases())) == 1 < len(diseases)
+    for kb in kbs:
+        _check_w_fields(kb)
+
+
+def _check_w_fields(kb):
     text = kbio.serialize_kb(kb)
     w_lines = _w_lines(text)
     weights = {key: kb.priorities.weights_for(kb.node(key[0]).condition, key[1])
@@ -710,13 +729,19 @@ def test_the_w_field_is_the_priorities_weights(n, round2):
     rotated = composite[0]
     facts = sorted(weights[rotated])
     values = [weights[rotated][f] for f in facts]
-    for key, bad in [(level1, "f%d:1/2" % fid),
-                     (rotated, _w_text(dict(zip(facts, values[1:] + values[:1]))))]:
+    cases = [(level1, "f%d:1/2" % fid),
+             (rotated, _w_text(dict(zip(facts, values[1:] + values[:1]))))]
+    # and a composite line of a disease no priority names, if any
+    cases += [(key, _w_text(dict.fromkeys(weights[key], F(1, len(weights[key]) + 1))))
+              for key in w_lines if key[1] not in kb.priorities.diseases()
+              and key[0].count("1") > 1][:1]
+    for key, bad in cases:
         no = w_lines[key][0]
         with pytest.raises(errors.CorruptRecord) as info:
             kbio.load_kb(_with_w(text, no, bad))
         assert info.value.line == no
-        assert "w=%s disagrees with the priorities" % bad in str(info.value)
+        assert ("w=%s disagrees with the priorities, which give w=%s"
+                % (bad, w_lines[key][1]) in str(info.value))
 
     # the same map reordered, or in decimals, loads and saves back canonical
     key = composite[-1]

@@ -248,6 +248,22 @@ def test_the_constructor_drops_empty_maps():
     assert kb.with_updates({"10": {}}) == kb
 
 
+@pytest.mark.parametrize("decisions,message", [
+    ({"01": {"ANK": "junk"}}, "^decision 'ANK' at '01' is not a DecisionEntry of that disease"),
+    ({"01": {"ANK": None}}, "^decision 'ANK' at '01' is not a DecisionEntry"),
+    ({"01": {"BUR": DecisionEntry("ANK", 1, "0.5")}},
+     "^decision 'BUR' at '01' is not a DecisionEntry of that disease: DecisionEntry\\('ANK'"),
+    ({"01": ["ANK"]}, "^decisions must map labels to maps of entries$"),
+    ({"01": "ANK"}, "^decisions must map labels to maps of entries$"),
+    (["01"], "^decisions must map labels to maps of entries$"),
+])
+def test_the_constructor_refuses_a_malformed_decision_map(decisions, message):
+    """Each was accepted: serialize_kb then raised a bare AttributeError or
+    TypeError, or wrote an ANK entry as BUR's, which loads as another lattice."""
+    with pytest.raises(errors.OutOfRange, match=message):
+        Lattice(_facts(2), decisions)
+
+
 @pytest.mark.parametrize("alpha", [2, F(-1, 2), "3/2"])
 def test_the_constructor_refuses_a_gate_outside_the_unit_interval(alpha):
     """A lattice holds only a gate its file can hold: ``load_kb`` refuses

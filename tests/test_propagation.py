@@ -1,5 +1,6 @@
 """Pairwise/multi-constituent combination and whole-lattice propagation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,9 +35,11 @@ def test_decision_entry_validates_fields():
         DecisionEntry("ANK", 3, F(1, 2))
     with pytest.raises(errors.OutOfRange):
         DecisionEntry("ANK", 1, F(3, 2))
-    # a disease name outside the text formats' name grammar
-    for name in ("NEW DIS", "", "a#b", "d\n", "\u00e9"):
-        with pytest.raises(errors.OutOfRange, match="bad disease name"):
+    # a disease name outside the text formats' name grammar, or not text
+    # (None and 1.5 were named 'None' and '1.5')
+    for name in ("NEW DIS", "", "a#b", "d\n", "\u00e9", None, 1.5):
+        message = "bad disease name %r" % (name,)
+        with pytest.raises(errors.OutOfRange, match="^%s$" % re.escape(message)):
             DecisionEntry(name, 1, F(1, 2))
 
 
@@ -68,6 +71,9 @@ def test_a_truth_triple_that_is_not_a_sequence_is_refused(tv):
     ({("bad name!", 1): 2}, {}, "bad disease name 'bad name!'"),
     # read back as ANK, whose weights the file's w= fields do not match
     ({}, {(frozenset({1, 2}), " ANK"): {1: 1, 2: 3}}, "bad disease name ' ANK'"),
+    # not text: these were named 'True' and '7'
+    ({(True, 1): 2}, {}, "^bad disease name True$"),
+    ({}, {(frozenset({1}), 7): {1: 1}}, "^bad disease name 7$"),
 ])
 def test_priority_config_refuses_what_its_file_cannot_hold(global_priorities, scoped, message):
     with pytest.raises(errors.OutOfRange, match=message):
@@ -114,6 +120,18 @@ def test_priority_config_layers():
     assert cfg.weights_for(frozenset({1, 2}), "BUR") == {1: F(1, 2), 2: F(1, 2)}
     assert bool(cfg)
     assert not PriorityConfig()
+
+
+def test_weights_are_given_for_fact_ids_only():
+    cfg = PriorityConfig({("ANK", 2): 3, ("ANK", 9): 2}, {(frozenset({0, 1}), "ANK"): {0: 1, 1: 3}})
+    # a priority on a fact outside the set weighs nothing there
+    assert cfg.weights_for({1, 2}, "ANK") == {1: F(1, 4), 2: F(3, 4)}
+    # a fact set a scoped priority names is read as filed
+    assert cfg.weights_for({0, 1}, "ANK") == {0: F(1, 4), 1: F(3, 4)}
+    # -1 weighed as fact 2, and "1" and True weighed 1 each
+    for facts in ({-1, 1}, {0, 2}, {"1", 2}, {True, 2}, {1.5}):
+        with pytest.raises(errors.UnknownFact, match="^no fact with id "):
+            cfg.weights_for(facts, "ANK")
 
 
 def test_priority_config_rejects_bad_shapes():
