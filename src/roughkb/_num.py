@@ -15,29 +15,28 @@ rather than through Fraction operators, each of which normalizes its
 result with a gcd and dispatches on the operand types.  ``publish2(x)``
 is ``floor((200*num + den) / (2*den)) / 100``, ``render`` takes
 ``divmod(|num| * 10**places, den)`` and settles a tie by comparing twice
-the remainder with ``den``, ``clamp01`` compares the numerator with 0 and
-with the denominator, and :func:`fsum` adds over one running lcm
-denominator and builds a single Fraction at the end.  Two more kernels
-of the same kind live in ``propagation``, and they take integer records
-rather than Fractions: each (label, disease) entry is turned once into
-``(vd, cf numerator, cf denominator, truth record)``, the truth record
-being the triple's three numerators over one common denominator.
-``_cf_multi`` puts a node's carrier credibilities on one denominator
-and computes the prevailing truth value, the camp sums, the gate test,
-each per-fact term and the published result on those integers, and
-returns the result as a numerator and a denominator.
-``_mean_triple`` sums the carriers' truth records over one denominator
-and returns the mean's record, with its triple.  Both take the lcm of
-the records' denominators only when they differ; when every record has
-the same one, as above level 2 of a two-decimal build (whose derived
-records keep the denominator 100), they add the numerators as they
-are.  Neither builds a Fraction for a value met before: ``derive`` keeps
+the remainder with ``den``, and :func:`fsum` adds over one running lcm
+denominator and builds a single Fraction at the end.  The kernels of
+``propagation`` take integer records rather than Fractions: each
+(label, disease) entry, and each piece of direct evidence, is turned
+once into ``(vd, cf numerator, cf denominator, truth record)``, the
+truth record being the triple's three numerators over one common
+denominator.  ``_level2`` and ``_cf_multi`` put a node's carrier
+credibilities on one denominator and compute the truth value, the gate
+test, each weighted term and the clamped, published result on those
+integers; ``_step`` merges direct evidence with that result on one
+denominator too; ``_mean_triple`` sums the truth records over one
+denominator.  Each result is a record's cf, in lowest terms or over 100
+in the two-decimal mode.  The kernels take the lcm of the records'
+denominators only when they differ; above level 2 of a two-decimal
+build (whose derived records keep the denominator 100) they add the
+numerators as they are.  No kernel builds a Fraction: ``derive`` keeps
 a value table for the call, keyed by records, so each distinct triple
 and each distinct entry of a disease, with its cf, is built once (a
 value over 100 takes the shared hundredths).  Every result is the same
-exact rational the operator form gives.  A derived cf is checked on
-its integers, and the entry is built by ``DecisionEntry._checked``,
-which assigns the checked values without validating them again.
+exact rational the operator form gives, and the entry is built by
+``DecisionEntry._checked``, which assigns the values without validating
+them again.
 
 :func:`parse_rational` is the one parser of number tokens read from
 files and the command line, and :func:`frac` sends every string through
@@ -156,15 +155,6 @@ def publish2(x: Rational) -> Fraction:
     """Quantize a nonnegative rational to 2 decimal places, half up."""
     num, den = x.as_integer_ratio()
     return Fraction((200 * num + den) // (2 * den), 100)
-
-
-def clamp01(x: Rational) -> Rational:
-    num, den = x.as_integer_ratio()
-    if num < 0:
-        return ZERO
-    if num > den:
-        return ONE
-    return x
 
 
 def render(x: Rational, places: int) -> str:

@@ -7,7 +7,8 @@ label of 0/1 digits, fact i owning the i-th bit from the right; level,
 condition and Hasse neighbours follow from the label.
 
 Structural edits (fact insertion/deletion, node modification) return
-new lattices through the constructor; decision maps and entries are
+new lattices through the constructor, or through ``with_updates``,
+which checks only the maps it replaces; decision maps and entries are
 treated as immutable, so unchanged ones are shared.
 """
 
@@ -155,23 +156,7 @@ class Lattice:
         self.n = len(self.facts)
         _check_order(self.n)
         _check_facts(self.facts)
-        self.decisions = {}
-        try:
-            for label, entries in decisions.items():
-                if entries:
-                    for disease, entry in entries.items():
-                        if not (isinstance(entry, DecisionEntry) and entry.disease == disease):
-                            raise errors.OutOfRange(
-                                "decision %r at %r is not a DecisionEntry of that disease: %r"
-                                % (disease, label, entry))
-                    self.decisions[label] = entries
-        except AttributeError:  # no items(): not a mapping
-            raise errors.OutOfRange("decisions must map labels to maps of entries") from None
-        conditions = _skeleton(self.n)[1]
-        dangling = [label for label in self.decisions if label not in conditions]
-        if dangling:
-            raise errors.DanglingLabel("no node labelled %r"
-                                       % (min(dangling, key=errors.naming_key),))
+        self.decisions = _filed(decisions, self.n, {})
         self.alpha = _alpha(alpha)
         self.priorities = priorities = priorities if priorities is not None else PriorityConfig()
         self.round2 = bool(round2)
@@ -221,9 +206,14 @@ class Lattice:
         return tuple(sorted(seen))
 
     def with_updates(self, updates: Decisions) -> "Lattice":
-        """Copy with some labels' decision maps replaced."""
-        return Lattice(self.facts, {**self.decisions, **updates}, alpha=self.alpha,
-                       priorities=self.priorities, round2=self.round2)
+        """Copy with some labels' decision maps replaced, an empty one
+        dropping its label.  Only the maps of ``updates`` are checked, as
+        the constructor checks them; the rest are this lattice's own."""
+        kb = object.__new__(Lattice)
+        kb.n, kb.facts, kb.alpha, kb.priorities, kb.round2 = (
+            self.n, self.facts, self.alpha, self.priorities, self.round2)
+        kb.decisions = _filed(updates, self.n, dict(self.decisions))
+        return kb
 
     def __eq__(self, other):
         return (isinstance(other, Lattice)
@@ -273,6 +263,34 @@ def _build_structure(n: int, decisions: Optional[Decisions] = None
     nodes = {label: LatticeNode(label, condition, decisions.get(label, ()))
              for label, condition in conditions.items()}
     return levels, nodes
+
+
+def _filed(decisions: Decisions, n: int, filed: dict) -> dict:
+    """``filed`` with each nonempty map of ``decisions`` filed under its
+    label and each label of an empty one dropped.  Refuses a decision
+    that is not a ``DecisionEntry`` of the disease it is filed under,
+    decisions that are not a mapping of labels to mappings, and then the
+    least of the labels of another order."""
+    conditions = _skeleton(n)[1]
+    dangling = []
+    try:
+        for label, entries in decisions.items():
+            if not entries:
+                filed.pop(label, None)
+                continue
+            for disease, entry in entries.items():
+                if not (isinstance(entry, DecisionEntry) and entry.disease == disease):
+                    raise errors.OutOfRange(
+                        "decision %r at %r is not a DecisionEntry of that disease: %r"
+                        % (disease, label, entry))
+            if label not in conditions:
+                dangling.append(label)
+            filed[label] = entries
+    except AttributeError:  # no items(): not a mapping
+        raise errors.OutOfRange("decisions must map labels to maps of entries") from None
+    if dangling:
+        raise errors.DanglingLabel("no node labelled %r" % (min(dangling, key=errors.naming_key),))
+    return filed
 
 
 def _check_order(n: int) -> None:

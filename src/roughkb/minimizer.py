@@ -119,7 +119,7 @@ class SopExpression:
 
     __slots__ = ("n", "minimal", "_terms", "_masks")
 
-    def __init__(self, n: int, terms: Iterable[Term], minimal: bool = False):
+    def __init__(self, n: int, terms: Iterable[Term]):
         _check_order(n)
         self.n = n
         try:
@@ -139,7 +139,7 @@ class SopExpression:
         self._terms = tuple(sorted(stored))
         self._masks = [m for m in map(_term_masks, stored) if m is not None]
         # True when ``minimize`` proved the cover least; not compared
-        self.minimal = minimal
+        self.minimal = False
 
     @classmethod
     def _from_cubes(cls, n: int, cubes, minimal: bool) -> "SopExpression":

@@ -16,14 +16,17 @@ predecessor's decisions are read once into integer records keyed by
 disease and mask, ``(vd, cf numerator, cf denominator, truth record)``,
 the truth record being the triple's three numerators over one
 denominator (None for no triple); only the level below is kept.  One
-step per node and disease, ``_step``, runs the kernels on those records.
+step per node and disease, ``_step``, runs the level's kernel on those
+records and merges direct evidence, read into a record too, on
+integers: ``derive`` does no Fraction arithmetic.
 
 Each call keeps a value table, dropped when it returns: one
 ``TruthTriple`` per distinct truth record, and per disease one
 ``DecisionEntry`` and record per distinct record.  Derived decisions
-repeat (a seeded order-14 two-decimal build has 49,132 entries and 542
-distinct ones), so equal triples and equal entries of a disease are
-one object, built once, and the kernels return integers that become a
+repeat (the lattice of ``random_kb(random.Random(14), 14,
+round2=True)`` in ``tests/conftest.py`` holds 49,132 entries in 542
+objects), so equal triples and equal entries of a disease are one
+object, built once, and the kernels return integers that become a
 Fraction only then.
 """
 
@@ -36,7 +39,7 @@ from math import gcd, lcm
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import errors
-from ._num import ONE, ZERO, Converted, clamp01, frac
+from ._num import ZERO, Converted, frac
 from .evidence import TruthTriple, TruthValue
 
 TruthRecord = Tuple[int, int, int, int]
@@ -281,68 +284,58 @@ def _record(entry: DecisionEntry) -> Record:
 
 # --- pairwise combination (level 2) -----------------------------------------
 
-def _gated(a: Fraction, b: Fraction, gate: Fraction, agree: bool) -> Optional[Fraction]:
-    """Credibility of two weighted contributions under a checked gate.
+def _cf(num: int, den: int, round2: bool) -> Tuple[int, int]:
+    """A nonnegative ``num / den`` clamped at 1, as a record's cf: published
+    over 100 in the two-decimal mode, else in lowest terms."""
+    if num >= den:
+        return (100, 100) if round2 else (1, 1)
+    if round2:
+        return (200 * num + den) // (2 * den), 100
+    g = gcd(num, den)
+    return num // g, den // g
 
-    Both clearing the gate add when the sides agree and offset when
-    they do not; a lone passing side carries alone; None when neither
-    passes.
+
+def _level2(carriers, facts: FrozenSet[int], prio: Mapping[int, int], total: int,
+            gate: Fraction, round2: bool) -> Optional[Tuple[TruthValue, int, int]]:
+    """Truth value and credibility of a level-2 node, or None, in
+    ``_cf_multi``'s form.
+
+    A carrier's term is its credibility times the weight ``prio[f] /
+    total`` of the fact it holds, on the carriers' common denominator.
+    Two terms that clear the gate add when the carriers agree and offset
+    when they do not, one carries alone, and None passes when neither
+    does.  Disagreeing carriers pass up the truth value of the higher
+    unweighted credibility; 0 against 2, or a tie, is inconclusive.
     """
-    if a <= gate:
-        return None if b <= gate else clamp01(b)
-    if b <= gate:
-        return clamp01(a)
-    return clamp01(a + b if agree else abs(a - b))
-
-
-def _prevailing(vd_i, cf_i, vd_j, cf_j) -> TruthValue:
-    """The truth value a disagreeing pair passes up.
-
-    The side of higher credibility donates its truth value, and a tie is
-    inconclusive.  A clash between values 0 and 2 is inconclusive
-    whatever the credibilities: an outright contradiction with an open
-    verdict never yields a firm one.
-    """
-    if {int(vd_i), int(vd_j)} == {0, 2}:
-        return TruthValue.INCONCLUSIVE
-    if cf_i > cf_j:
-        return vd_i
-    if cf_j > cf_i:
-        return vd_j
-    return TruthValue.INCONCLUSIVE
-
-
-def merge_external(vd_star, cf_star, vd_ext, cf_ext, tv3_merged) -> Tuple[TruthValue, Fraction]:
-    """Reconcile lattice-derived and directly-supplied decisions."""
-    vd_star = TruthValue(vd_star)
-    vd_ext = TruthValue(vd_ext)
-    cf_star = frac(cf_star)
-    cf_ext = frac(cf_ext)
-    if vd_star == vd_ext:
-        return vd_star, min(ONE, cf_star + cf_ext)
-    if cf_ext > cf_star:
-        return vd_ext, cf_ext - cf_star
-    if cf_ext < cf_star:
-        return vd_star, cf_star - cf_ext
-    return TruthValue.INCONCLUSIVE, frac(tv3_merged)
-
-
-def _level2(node_facts: FrozenSet[int], carriers, prio: Mapping[int, int], total: int,
-            gate: Fraction) -> Optional[Tuple[TruthValue, Fraction]]:
-    """(vd, cf) of a level-2 node, or None; fact f weighs ``prio[f] / total``."""
+    fa, (vd, na, da, _) = carriers[0]
+    agree = True
     if len(carriers) == 1:
-        # a level-2 carrier holds the one fact it does not lack
-        fid, (vd, num, den, _) = carriers[0]
-        (own,) = node_facts - {fid}
-        cf = _gated(Fraction(num * prio[own], den * total), ZERO, gate, True)
-        return None if cf is None else (vd, cf)
-    (la, (va, na, da, _)), (lb, (vb, nb, db, _)) = carriers
-    # each carrier holds the one fact the other lacks
-    cf = _gated(Fraction(na * prio[lb], da * total), Fraction(nb * prio[la], db * total),
-                gate, va == vb)
-    if cf is None:
+        # a lone carrier holds the one fact it does not lack
+        (own,) = facts - {fa}
+        a, b, scale = na * prio[own], 0, da * total
+    else:
+        fb, (vb, nb, db, _) = carriers[1]
+        den = da if da == db else lcm(da, db)
+        ca, cb = na * (den // da), nb * (den // db)
+        # each carrier holds the one fact the other lacks
+        a, b, scale = ca * prio[fb], cb * prio[fa], den * total
+        if vb != vd:
+            agree = False
+            if vd + vb == 2 or ca == cb:
+                vd = TruthValue.INCONCLUSIVE
+            elif cb > ca:
+                vd = vb
+    # a term passes when term * gate_den > gate_num * scale
+    gate_num, gate_den = gate.as_integer_ratio()
+    bar = gate_num * scale
+    a_ok, b_ok = a * gate_den > bar, b * gate_den > bar
+    if a_ok and b_ok:
+        num = a + b if agree else abs(a - b)
+    elif a_ok or b_ok:
+        num = a if a_ok else b
+    else:
         return None
-    return (va if va == vb else _prevailing(va, Fraction(na, da), vb, Fraction(nb, db))), cf
+    return (vd, *_cf(num, scale, round2))
 
 
 # every value publish2 gives in [0, 1], by its numerator over 100
@@ -474,24 +467,11 @@ def _cf_multi(carriers, facts: FrozenSet[int], prio: Mapping[int, int], total: i
     if not ok:
         return None
     lower = len(facts) - 1
-    if round2:
-        # acc hundredths over lower, clamped and published
-        return vd, min(100, (2 * acc + lower) // (2 * lower)), 100
-    scale *= lower
-    if acc >= scale:
-        return vd, 1, 1
-    g = gcd(acc, scale)
-    return vd, acc // g, scale // g
+    # in the two-decimal mode acc counts hundredths
+    return (vd, *_cf(acc, (100 if round2 else scale) * lower, round2))
 
 
 # --- per-node orchestration -------------------------------------------------
-
-def _cf_ratio(cf: Fraction, round2: bool) -> Tuple[int, int]:
-    """A credibility as its record's integers: in lowest terms, or
-    published over 100 in the two-decimal mode."""
-    num, den = cf.as_integer_ratio()
-    return ((200 * num + den) // (2 * den), 100) if round2 else (num, den)
-
 
 def _step(disease: str, facts: FrozenSet[int], carriers, truths: list,
           prio: Tuple[Mapping[int, int], int], gate: Fraction, round2: bool,
@@ -504,41 +484,48 @@ def _step(disease: str, facts: FrozenSet[int], carriers, truths: list,
     that carry the disease, in ascending label order, and ``truths`` the
     truth records among theirs; ``prio`` is the node's fact priorities
     by fact id and their sum, and ``ext`` the disease's direct evidence
-    for this node, if any.  The cf is computed and checked as integers,
-    the record's, over 100 in the two-decimal mode so that the kernels
-    of the next level meet one denominator.  ``triples`` and ``entries``
-    are the call's value table: the entry and record returned are the
-    ones ``entries`` holds for an equal record, made the first time the
-    record is met, so only then is the cf built as a Fraction.
+    for this node, if any.  The level's kernel gives the lattice's (vd,
+    cf), and ``ext``, read into a record, merges with it on one
+    denominator: agreeing sides add; otherwise the stronger side less
+    the weaker passes up its truth value, and a tie is inconclusive at
+    the merged triple's third component.  Each cf is clamped into [0, 1]
+    and is the record's, over 100 in the two-decimal mode so that the
+    next level's kernels meet one denominator.  ``triples`` and
+    ``entries`` are the call's value table: the entry and record
+    returned are the ones ``entries`` holds for an equal record, made
+    the first time the record is met, so only then is the cf built as a
+    Fraction.
     """
     weights, total = prio
-    base = None  # (vd, cf numerator, cf denominator) implied by the lattice alone
-    if carriers and len(facts) > 2:
-        base = _cf_multi(carriers, facts, weights, total, gate, round2)
-    elif carriers:
-        pair = _level2(facts, carriers, weights, total, gate)
-        if pair is not None:
-            base = (pair[0], *_cf_ratio(pair[1], round2))
-    if ext is None and base is None:
-        return None
+    kernel = _cf_multi if len(facts) > 2 else _level2
+    base = kernel(carriers, facts, weights, total, gate, round2) if carriers else None
     if ext is not None:
         # direct evidence enters here, and is checked once
-        ext = DecisionEntry(disease, *ext)
-        if ext.tv is not None:
-            truths.append(_triple_record(ext.tv))
+        ext = _record(DecisionEntry(disease, *ext))
+        if ext[3] is not None:
+            truths.append(ext[3])
     if base is None:
+        if ext is None:
+            return None
         # the disease enters this node purely on direct evidence
-        vd, (num, den) = ext.vd, _cf_ratio(ext.cf, round2)
-        tv_record = truths[-1] if ext.tv is not None else None
+        vd, num, den, tv_record = ext
+        num, den = _cf(num, den, round2)
     else:
         vd, num, den = base
-        tv, tv_record = _mean_triple(truths, round2, triples) if truths else (None, None)
+        tv_record = _mean_triple(truths, round2, triples)[1] if truths else None
         if ext is not None:
-            vd, cf = merge_external(vd, Fraction(num, den), ext.vd, ext.cf,
-                                    tv.tv3 if tv is not None else ZERO)
-            num, den = _cf_ratio(clamp01(cf), round2)
-    if not 0 <= num <= den:
-        raise errors.OutOfRange("credibility %s outside [0, 1]" % Fraction(num, den))
+            ext_vd, ext_num, ext_den, _ = ext
+            common = den if den == ext_den else lcm(den, ext_den)
+            own, other = num * (common // den), ext_num * (common // ext_den)
+            if vd == ext_vd:
+                num = own + other
+            elif own != other:
+                vd, num = (ext_vd, other - own) if other > own else (vd, own - other)
+            else:
+                vd, num, common = TruthValue.INCONCLUSIVE, 0, 1
+                if tv_record is not None:
+                    num, common = max(tv_record[2], 0), tv_record[3]
+            num, den = _cf(num, common, round2)
     record = vd, num, den, tv_record
     made = entries.get(record)
     if made is None:

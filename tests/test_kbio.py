@@ -91,6 +91,9 @@ def test_parse_quoted_attributes():
 
 
 @pytest.mark.parametrize("text,line,needle", [
+    ("", None, "no module header"),
+    ("module a\n", None, "no grading declaration"),
+    (BASE + "priority ANK f1+f2 f1=2 f2\n", 5, "expected fN=P, got 'f2'"),
     ("fact f1 a yes\n", 1, "no module header"),
     ("module a\nmodule b\n", 2, "duplicate module"),
     ("module a\ngrading q=2\ngrading q=3\n", 3, "duplicate grading"),
@@ -204,8 +207,81 @@ def test_fact_text_with_backslashes_round_trips(kb_file, capsys, attribute):
     doc = kbio.parse_evidence(BASE)
     doc = kbio.EvidenceDocument(doc.module, doc.q,
                                 doc.facts + (lattice.Fact(3, attribute, "yes"),),
-                                doc.priorities, doc.records, doc.alpha)
+                                doc.priorities, doc.records, F(1, 20))
+    assert "\nalpha 1/20\n" in kbio.render_evidence(doc)
     assert kbio.parse_evidence(kbio.render_evidence(doc)) == doc
+
+
+# Direct evidence on f1+f2 and f1+f2+f3 meets the lattice's own decision
+# in each way the merge tells apart, and on f1+f3 names a disease that
+# no atomic names.
+COMPOSITE_DOC = BASE + """\
+fact f3 fever no
+evidence f1 ANK m=1 level=1 count=1
+evidence f1 ANK m=3 level=2 count=1
+evidence f2 ANK m=1 level=1 count=1
+evidence f2 ANK m=2 level=2 count=2
+evidence f1+f2 ANK m=1 level=1 count=1
+evidence f1+f2 ANK m=2 level=2 count=2
+evidence f1+f2 ANK m=3 level=3 count=1
+evidence f1 BUR m=1 level=2 count=1
+evidence f1 BUR m=2 level=3 count=1
+evidence f2 BUR m=1 level=1 count=1
+evidence f1+f2 BUR m=2 level=1 count=3
+evidence f1+f2 BUR m=3 level=2 count=1
+evidence f1+f2+f3 BUR m=2 level=1 count=1
+evidence f1 COX m=2 level=1 count=2
+evidence f2 COX m=2 level=1 count=1
+evidence f2 COX m=3 level=3 count=1
+evidence f1+f2 COX m=1 level=1 count=3
+evidence f1+f2 COX m=3 level=3 count=1
+evidence f1 DIS m=3 level=3 count=1
+evidence f2 DIS m=3 level=3 count=1
+evidence f1+f2 DIS m=2 level=1 count=1
+evidence f3 ANK m=1 level=3 count=1
+evidence f1+f3 ENT m=1 level=2 count=2
+evidence f1+f3 ENT m=2 level=3 count=1
+"""
+
+# (label, disease) -> merged (vd, cf, tv) by mode; each comment gives the
+# lattice's (vd, cf) without the direct evidence, then the evidence's
+COMPOSITE_MERGED = {
+    False: {
+        # (1, 18/35) and (1, 3/8) agree: the sum
+        ("011", "ANK"): (1, "249/280", ("131/280", "5/14", "7/40")),
+        # (1, 5/6) against (0, 9/11): the lattice is stronger
+        ("011", "BUR"): (1, "1/66", ("5/9", "38/99", "2/33")),
+        # (0, 7/8) against (1, 9/10): the evidence is stronger
+        ("011", "COX"): (1, "1/40", ("3/10", "7/12", "7/60")),
+        # (2, 1) against (0, 1): a tie, inconclusive at the merged tv3
+        ("011", "DIS"): (2, "2/3", ("0", "1/3", "2/3")),
+        # (1, 5/9) against (0, 1) at level 3
+        ("111", "BUR"): (0, "71/99", ("5/9", "85/198", "1/66")),
+        # no carrier: the evidence alone
+        ("101", "ENT"): (1, "4/5", ("4/5", "1/5", "0")),
+    },
+    True: {
+        # (1, 0.52) and (1, 0.38)
+        ("011", "ANK"): (1, "0.90", ("0.47", "0.36", "0.18")),
+        # (1, 0.84) against (0, 0.82)
+        ("011", "BUR"): (1, "0.02", ("0.56", "0.38", "0.06")),
+        # (0, 0.88) against (1, 0.90)
+        ("011", "COX"): (1, "0.02", ("0.30", "0.58", "0.12")),
+        # (2, 1) against (0, 1)
+        ("011", "DIS"): (2, "0.67", ("0", "0.33", "0.67")),
+        # (1, 0.56) against (0, 1)
+        ("111", "BUR"): (0, "0.71", ("0.56", "0.43", "0.02")),
+        ("101", "ENT"): (1, "0.80", ("0.80", "0.20", "0")),
+    },
+}
+
+
+@pytest.mark.parametrize("round2", [False, True])
+def test_composite_evidence_merges_into_its_node(round2):
+    kb = kbio.build_from_document(kbio.parse_evidence(COMPOSITE_DOC), round2=round2)
+    for (label, disease), (vd, cf, tv) in COMPOSITE_MERGED[round2].items():
+        entry = kb.node(label).decisions[disease]
+        assert (entry.vd, entry.cf, entry.tv) == (vd, F(cf), tuple(map(F, tv))), (label, disease)
 
 
 # --- knowledge-base serialization -------------------------------------------
@@ -329,6 +405,18 @@ def test_load_corrupt_inputs(kb_round2):
     for bad in cases:
         with pytest.raises((errors.CorruptRecord, errors.VersionMismatch)):
             kbio.load_kb(bad)
+    # (file, refused line, message)
+    refusals = [
+        ("roughkb-kb 1\n", None, "unexpected end of file, wanted 'mode'"),
+        (text.replace("roughkb-kb 1\n", "roughkb-kb\n", 1), 1, "bad version header"),
+        (text.replace("alpha 0\n", "alpha\n", 1), 3, "bad alpha line"),
+        (text.replace("order 3\n", "order 0\n", 1), 4, "bad order line"),
+        (text.replace("fact f1 ", "fact f2 ", 1), 5, "expected fact f1 declaration"),
+    ]
+    for bad, line, message in refusals:
+        with pytest.raises(errors.CorruptRecord, match=message) as info:
+            kbio.load_kb(bad)
+        assert info.value.line == line
 
 
 def _with_priorities(text, lines):
@@ -939,6 +1027,16 @@ def test_cli_check_reports_ok(kb_file, capsys):
     assert kbio.cli(["check", kb_file]) == 0
     assert capsys.readouterr().out == (
         "structure: ok (8 nodes)\nproperties: ok (54 checks)\n")
+
+
+def test_cli_check_reports_a_decision_on_the_entry_node(kb_round2, tmp_path, capsys):
+    entry = kb_round2.node("001").decisions["PIVD"]
+    path = tmp_path / "entry.kb"
+    path.write_text(kbio.serialize_kb(kb_round2.with_updates({"000": {"PIVD": entry}})),
+                    encoding="utf-8")
+    assert kbio.cli(["check", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "structure: 1 problem\n  entry node carries decisions\nproperties: ok (56 checks)\n")
 
 
 def test_cli_insert_then_delete_restores_the_file(kb_file, capsys):

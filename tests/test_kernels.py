@@ -1,7 +1,7 @@
 """Integer kernels against their Fraction forms and per-fact scans.
 
 The rendering, rounding and summing helpers in ``roughkb._num``, the
-fused integer ``_cf_multi`` and ``_mean_triple``, the superset cone and
+integer ``_level2``, ``_cf_multi`` and ``_mean_triple``, the superset cone and
 the bitmask ``SopExpression`` each replace a slower form of the same
 exact computation.  These tests hold them to the forms they replaced.
 """
@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 import oracles
 from roughkb import errors
-from roughkb._num import Converted, clamp01, fsum, publish2, render
+from roughkb._num import Converted, fsum, publish2, render
 from roughkb.evidence import TruthTriple
 from roughkb.lattice import _cone_labels, facts_of
 from roughkb.minimizer import SopExpression
-from roughkb.propagation import (DecisionEntry, _cf_multi, _mean_triple, _record, _triple,
-                                 _triple_record)
+from roughkb.propagation import (DecisionEntry, _cf_multi, _level2, _mean_triple, _record,
+                                 _triple, _triple_record)
 
 F = Fraction
 
@@ -66,16 +66,41 @@ def test_fsum_matches_sum(values):
     assert got == sum(values)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(rationals, st.integers(-3, 3)))
-def test_clamp01_matches_the_comparisons(x):
-    assert clamp01(x) == min(F(1), max(F(0), x))
-
-
-# --- multi-constituent credibility ------------------------------------------
+# --- pairwise and multi-constituent credibility -----------------------------
 
 def _publish(mode):
     return oracles.round2 if mode == "round2" else (lambda x: x)
+
+
+credibilities = st.one_of(st.sampled_from([F(0), F(1)]),
+                          st.integers(0, 100).map(lambda k: F(k, 100)),
+                          st.fractions(0, 1, max_denominator=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from([1, 2]),
+                       st.tuples(st.sampled_from([0, 1, 2]), credibilities), min_size=1),
+       st.integers(1, 5), st.integers(1, 5), st.sampled_from([F(0), F(1, 20), F(1, 10)]),
+       st.sampled_from(["exact", "round2"]))
+def test_level2_matches_the_reference_propagation(atomics, p1, p2, gate, mode):
+    """_level2 gives the reference's (vd, cf) of node {1, 2} under any
+    priorities, gate and mode, as a record's integers."""
+    node, prio, total = frozenset({1, 2}), {1: p1, 2: p2}, p1 + p2
+    weights = lambda facts, disease: {f: F(prio[f], total) for f in facts}  # noqa: E731
+    want = oracles.reference_propagate(2, {f: {"ANK": pair} for f, pair in atomics.items()},
+                                       weights, gate, _publish(mode))[node].get("ANK")
+    # in ascending label order, {1} lacks fact 2 and {2} lacks fact 1
+    carriers = [(3 - f, _record(DecisionEntry("ANK", *atomics[f])))
+                for f in (1, 2) if f in atomics]
+    got = _level2(carriers, node, prio, total, gate, mode == "round2")
+    if want is None:
+        assert got is None
+        return
+    vd, num, den = got
+    assert (vd, F(num, den)) == want
+    # the record's integers: lowest terms, or over 100 in the two-decimal mode
+    assert (num, den) == ((want[1] * 100, 100) if mode == "round2"
+                          else want[1].as_integer_ratio())
 
 
 def _agrees(node, carriers, prio, gate, mode):
@@ -105,11 +130,8 @@ def multi_cases(draw):
     node = frozenset(range(1, size + 1))
     preds = [node - {f} for f in sorted(node, reverse=True)]
     picked = draw(st.lists(st.sampled_from(preds), min_size=1, unique=True))
-    cfs = st.one_of(st.sampled_from([F(0), F(1)]),
-                    st.integers(0, 100).map(lambda k: F(k, 100)),
-                    st.fractions(0, 1, max_denominator=60))
     carriers = [(facts, DecisionEntry("ANK", draw(st.sampled_from([0, 1, 2])),
-                                      draw(cfs)))
+                                      draw(credibilities)))
                 for facts in picked]
     # unequal priorities give the weights different denominators
     prio = {f: draw(st.integers(1, 4)) for f in node}

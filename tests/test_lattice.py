@@ -237,6 +237,10 @@ def test_the_constructor_refuses_a_label_of_another_order():
     # the least of several is named, text first
     with pytest.raises(errors.DanglingLabel, match="^no node labelled '011'$"):
         Lattice(_facts(2), {5: entry, "2": entry, "011": entry})
+    # with_updates checks the maps it files as the constructor does
+    kb = Lattice(_facts(2), {"01": entry})
+    with pytest.raises(errors.DanglingLabel, match="^no node labelled '011'$"):
+        kb.with_updates({"10": entry, "011": entry, 5: entry})
     with pytest.raises(errors.DanglingLabel, match=r"^no node labelled \['01'\]$"):
         _tiny_kb(2).node(["01"])
 
@@ -262,6 +266,8 @@ def test_the_constructor_refuses_a_malformed_decision_map(decisions, message):
     TypeError, or wrote an ANK entry as BUR's, which loads as another lattice."""
     with pytest.raises(errors.OutOfRange, match=message):
         Lattice(_facts(2), decisions)
+    with pytest.raises(errors.OutOfRange, match=message):
+        Lattice(_facts(2), {}).with_updates(decisions)
 
 
 @pytest.mark.parametrize("alpha", [2, F(-1, 2), "3/2"])

@@ -17,8 +17,7 @@ from roughkb.kbio import serialize_kb
 from roughkb.lattice import (Fact, Lattice, SetDecision, _cone_labels, build_kb, facts_of,
                              insert_fact, level_of, modify_node)
 from roughkb.propagation import (DecisionEntry, PriorityConfig, _cf_multi, _mean_triple,
-                                 _record, _triple, _triple_record, derive, merge_external,
-                                 propagate)
+                                 _record, _triple, _triple_record, derive, propagate)
 
 F = Fraction
 
@@ -252,16 +251,22 @@ def test_carryover_single_gates():
 
 # --- external evidence ------------------------------------------------------
 
+def _merged(ext_vd, ext_cf, tv=None):
+    """The (vd, cf) that node {1, 2} derives for ANK when the lattice alone
+    gives (P, 1/2) and direct evidence (ext_vd, ext_cf, tv) is merged in."""
+    kb = _small_kb(2, {label: {"ANK": DecisionEntry("ANK", P, F(1, 2))} for label in ("01", "10")})
+    entry = derive(kb, ["11"], {frozenset({1, 2}): {"ANK": (ext_vd, ext_cf, tv)}})["11"]["ANK"]
+    return entry.vd, entry.cf
+
+
 def test_merge_external_cases():
-    assert merge_external(1, F(1, 2), 1, F(3, 5), F(0)) \
-        == (TruthValue.PRESENT, ONE_ := F(1))
+    assert _pair((P, F(1, 2)), (P, F(1, 2))) == (P, F(1, 2))
+    assert _merged(P, F(3, 5)) == (TruthValue.PRESENT, ONE_ := F(1))
     assert ONE_ == 1  # the sum clamps at certainty
-    assert merge_external(1, F(1, 2), 0, F(4, 5), F(0)) \
-        == (TruthValue.ABSENT, F(3, 10))
-    assert merge_external(1, F(1, 2), 0, F(1, 5), F(0)) \
-        == (TruthValue.PRESENT, F(3, 10))
-    assert merge_external(1, F(1, 2), 0, F(1, 2), F(2, 7)) \
-        == (TruthValue.INCONCLUSIVE, F(2, 7))
+    assert _merged(A, F(4, 5)) == (TruthValue.ABSENT, F(3, 10))
+    assert _merged(A, F(1, 5)) == (TruthValue.PRESENT, F(3, 10))
+    # a tie is inconclusive at the merged triple's third component
+    assert _merged(A, F(1, 2), (F(5, 7), 0, F(2, 7))) == (TruthValue.INCONCLUSIVE, F(2, 7))
 
 
 def test_mean_triple_is_a_mean():
