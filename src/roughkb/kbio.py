@@ -447,16 +447,16 @@ def _weights_texts(priorities: PriorityConfig, n: int) -> Dict[str, Dict[str, st
     id order as ``fN:p/total`` under the disease's priorities, ``-`` for
     the entry node.  A disease's map is rendered whole on first use, and
     the diseases no priority names share one."""
-    conditions = _skeleton(n)[1]
+    table = _skeleton(n)
 
     def texts(disease) -> Dict[str, str]:
         row, scoped = priorities._row(disease, n)
         # total -> each fact's item text by fact id, under the row
         items = Converted(lambda total: ["f%d:%s" % (f, _ratio(p, total))
                                          for f, p in enumerate(row)])
-        out = dict(zip(conditions, [
+        out = dict(zip(table.labels, [
             ",".join(map(items[sum(map(row.__getitem__, facts))].__getitem__, facts))
-            for facts in map(sorted, conditions.values())]))
+            for facts in table.fact_ids]))
         out["0" * n] = "-"
         for facts, (prio, total) in scoped.items():
             out[label_for(facts, n)] = ",".join(["f%d:%s" % (f, _ratio(prio[f], total))
@@ -501,7 +501,7 @@ def serialize_kb(kb: Lattice) -> str:
     lines += _fact_lines(kb.facts)
     lines += _priority_lines(kb.priorities)
     stored = kb.decisions
-    for label in kb.conditions:
+    for label in _skeleton(kb.n).masks:
         lines.append("node %s" % label)
         decisions = stored.get(label, {})
         for disease in sorted(decisions):
@@ -678,10 +678,11 @@ def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
     item = Converted(weight_item).__getitem__
     checked = DecisionEntry._checked
     w_texts = _weights_texts(priorities, n)
-    conditions = _skeleton(n)[1]
+    table = _skeleton(n)
+    masks = table.masks
     names = set()
     maps: Dict[str, Dict[str, DecisionEntry]] = {}
-    current = decisions = condition = None
+    current = decisions = None
     try:
         for match in _NODE_SECTION_RE.finditer(text, start):
             label, disease, vd, cf, tv, w, _ = match.groups()
@@ -695,7 +696,8 @@ def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
                 entry = checked(disease, vds[vd], cfs[cf], triples[tv])
                 if w != "-" and w != w_texts[disease][current]:
                     weights = dict(map(item, w.split(",")))
-                    if len(weights) <= w.count(",") or not weights.keys() <= condition:
+                    condition = table.fact_ids[masks[current]]
+                    if len(weights) <= w.count(",") or not weights.keys() <= set(condition):
                         break
                     if weights != priorities.weights_for(condition, disease):
                         # every other check of the line passed
@@ -704,8 +706,7 @@ def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
                                  first_no + text.count("\n", start, match.start()))
                 decisions[disease] = entry
             elif label:
-                condition = conditions.get(label)
-                if condition is None or label in maps:
+                if label not in masks or label in maps:
                     break
                 current = label
                 decisions = maps[label] = {}
@@ -716,15 +717,14 @@ def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
     except (ValueError, ZeroDivisionError):
         pass        # a table refused one of the line's tokens
     if match is not None:
-        _refuse_node_line(text, start, first_no, match, conditions, current, decisions)
-    if len(maps) != len(conditions):
-        _corrupt("file lists %d of %d nodes" % (len(maps), len(conditions)))
+        _refuse_node_line(text, start, first_no, match, table, current, decisions)
+    if len(maps) != len(masks):
+        _corrupt("file lists %d of %d nodes" % (len(maps), len(masks)))
     return maps
 
 
-def _refuse_node_line(text: str, start: int, first_no: int, match,
-                      conditions: Dict[str, FrozenSet[int]], current: Optional[str],
-                      decisions) -> None:
+def _refuse_node_line(text: str, start: int, first_no: int, match, table,
+                      current: Optional[str], decisions) -> None:
     """Raise the CorruptRecord for ``match``, a line of the node section
     the section reader refused: the line's checks run in order, as at
     every line, and the first that fails is reported at its number."""
@@ -732,7 +732,7 @@ def _refuse_node_line(text: str, start: int, first_no: int, match,
     parts = match.group().split()
     error = errors.CorruptRecord
     if parts[0] == "node":
-        if len(parts) != 2 or parts[1] not in conditions:
+        if len(parts) != 2 or parts[1] not in table.masks:
             _corrupt("unknown node label", no)
         _corrupt("node %s listed twice" % parts[1], no)
     if parts[0] != "decision":
@@ -764,7 +764,7 @@ def _refuse_node_line(text: str, start: int, first_no: int, match,
         fids.add(fid)
     if disease in decisions:
         _corrupt("node %s decides %r twice" % (current, disease), no)
-    if not fids <= conditions[current]:
+    if not fids <= set(table.fact_ids[table.masks[current]]):
         _corrupt("weights reference facts outside the condition", no)
     # every other check passed, so a value is out of range
     _corrupt("bad decision values", no)
@@ -971,7 +971,7 @@ def _cmd_check(args) -> int:
         for problem in problems:
             print("  " + problem)
     else:
-        print("structure: ok (%d nodes)" % len(kb.conditions))
+        print("structure: ok (%d nodes)" % (1 << kb.n))
     if report.ok:
         print("properties: ok (%d checks)" % report.checked)
     else:

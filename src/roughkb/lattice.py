@@ -4,7 +4,9 @@ A knowledge base of order n has a node for each of the 2**n fact
 subsets, one level per subset size, but stores only the decision maps
 of the labels that carry decisions.  Node identity is an n-character
 label of 0/1 digits, fact i owning the i-th bit from the right; level,
-condition and Hasse neighbours follow from the label.
+condition and Hasse neighbours follow from the label.  This module
+owns that format: other modules read labels, masks and fact ids from
+``_skeleton(n)``, the order's one label table.
 
 Structural edits (fact insertion/deletion, node modification) return
 new lattices through the constructor, or through ``with_updates``,
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 from itertools import islice
 from math import comb
-from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import errors
@@ -72,13 +73,12 @@ def _cone_labels(label: str) -> List[str]:
     These are the proper supersets of the label's mask; ``(sub + 1) |
     mask`` steps from one superset to the next.
     """
-    mask = int(label, 2)
-    full = (1 << len(label)) - 1
-    fmt = "0%db" % len(label)
+    table = _skeleton(len(label))
+    labels, mask = table.labels, table.masks[label]
     out = []
     sub = (mask + 1) | mask
-    while sub <= full:
-        out.append(format(sub, fmt))
+    while sub < len(labels):
+        out.append(labels[sub])
         sub = (sub + 1) | mask
     return out
 
@@ -170,12 +170,7 @@ class Lattice:
     @property
     def levels(self) -> Tuple[Tuple[str, ...], ...]:
         """The labels of each level, each level in numeric order."""
-        return _skeleton(self.n)[0]
-
-    @property
-    def conditions(self) -> Mapping[str, FrozenSet[int]]:
-        """Each label's condition, in level order (read-only)."""
-        return MappingProxyType(_skeleton(self.n)[1])
+        return _skeleton(self.n).levels
 
     @property
     def nodes(self) -> Dict[str, LatticeNode]:
@@ -187,11 +182,12 @@ class Lattice:
         return Head(self.n + 1, "0" * self.n)
 
     def node(self, label: str) -> LatticeNode:
+        table = _skeleton(self.n)
         try:
-            condition = _skeleton(self.n)[1][label]
+            mask = table.masks[label]
         except (KeyError, TypeError):  # TypeError: an unhashable label
             raise errors.DanglingLabel("no node labelled %r" % (label,)) from None
-        return LatticeNode(label, condition, self.decisions.get(label, {}))
+        return LatticeNode(label, table.fact_ids[mask], self.decisions.get(label, {}))
 
     def fact(self, fid: int) -> Fact:
         if 0 < _fact_id(fid) <= self.n:
@@ -227,42 +223,48 @@ class Lattice:
         return "Lattice(n=%d, %d nodes)" % (self.n, 1 << self.n)
 
 
-# order -> (level tuples of labels, each label's condition in level order),
-# filled by the first skeleton of the order and kept for the life of the
-# process: about one label string and one frozenset per node for each
-# order used.  Neither is edited, so every lattice of the order shares them.
-_SKELETONS: Dict[int, Tuple[Tuple[Tuple[str, ...], ...], Dict[str, FrozenSet[int]]]] = {}
+class _Skeleton(NamedTuple):
+    levels: Tuple[Tuple[str, ...], ...]    # the labels of each level, in numeric order
+    masks: Dict[str, int]                  # each label's mask, in level order
+    labels: Tuple[str, ...]                # the labels by mask
+    fact_ids: Tuple[Tuple[int, ...], ...]  # each mask's fact ids, ascending
 
 
-def _skeleton(n: int) -> Tuple[Tuple[Tuple[str, ...], ...], Dict[str, FrozenSet[int]]]:
-    """The order's level tuples and each label's condition, in level
-    order (not to be edited)."""
+# order -> its label table, filled by the first skeleton of the order and
+# kept for the life of the process: about one label string, one mask and
+# one tuple of fact ids per label for each order used.  Nothing edits a
+# table, so every lattice of the order shares it.
+_SKELETONS: Dict[int, _Skeleton] = {}
+
+
+def _skeleton(n: int) -> _Skeleton:
+    """The order's label table (not to be edited); it holds no frozenset."""
     cached = _SKELETONS.get(n)
     if cached is None:
+        fmt = "0%db" % n
+        labels = tuple([format(mask, fmt) for mask in range(1 << n)])
         # a stable sort by popcount keeps each level in numeric order
-        masks = sorted(range(1 << n), key=int.bit_count)
-        # a mask's condition is that of the mask less its lowest bit, plus
-        # the fact of that bit; the lesser mask is filled first
-        by_mask = [frozenset()] * (1 << n)
+        masks = {labels[mask]: mask for mask in sorted(range(1 << n), key=int.bit_count)}
+        # a mask's fact ids are the fact of its lowest bit, then those of
+        # the mask less that bit, which is filled first
+        fact_ids = [()] * (1 << n)
         for mask in range(1, 1 << n):
             low = mask & -mask
-            by_mask[mask] = by_mask[mask ^ low].union((low.bit_length(),))
-        fmt = "0%db" % n
-        conditions = {format(mask, fmt): by_mask[mask] for mask in masks}
-        labels = iter(conditions)
-        levels = tuple(tuple(islice(labels, comb(n, level))) for level in range(n + 1))
-        _SKELETONS[n] = cached = levels, conditions
+            fact_ids[mask] = (low.bit_length(),) + fact_ids[mask ^ low]
+        in_order = iter(masks)
+        levels = tuple(tuple(islice(in_order, comb(n, level))) for level in range(n + 1))
+        _SKELETONS[n] = cached = _Skeleton(levels, masks, labels, tuple(fact_ids))
     return cached
 
 
 def _build_structure(n: int, decisions: Optional[Decisions] = None
                      ) -> Tuple[Tuple[Tuple[str, ...], ...], Dict[str, LatticeNode]]:
     """The level tuples and a fresh map of fresh nodes holding copies of ``decisions``."""
-    levels, conditions = _skeleton(n)
-    decisions = decisions or {}
-    nodes = {label: LatticeNode(label, condition, decisions.get(label, ()))
-             for label, condition in conditions.items()}
-    return levels, nodes
+    table = _skeleton(n)
+    fact_ids, decisions = table.fact_ids, decisions or {}
+    nodes = {label: LatticeNode(label, fact_ids[mask], decisions.get(label, ()))
+             for label, mask in table.masks.items()}
+    return table.levels, nodes
 
 
 def _filed(decisions: Decisions, n: int, filed: dict) -> dict:
@@ -271,7 +273,7 @@ def _filed(decisions: Decisions, n: int, filed: dict) -> dict:
     that is not a ``DecisionEntry`` of the disease it is filed under,
     decisions that are not a mapping of labels to mappings, and then the
     least of the labels of another order."""
-    conditions = _skeleton(n)[1]
+    masks = _skeleton(n).masks
     dangling = []
     try:
         for label, entries in decisions.items():
@@ -283,7 +285,7 @@ def _filed(decisions: Decisions, n: int, filed: dict) -> dict:
                     raise errors.OutOfRange(
                         "decision %r at %r is not a DecisionEntry of that disease: %r"
                         % (disease, label, entry))
-            if label not in conditions:
+            if label not in masks:
                 dangling.append(label)
             filed[label] = entries
     except AttributeError:  # no items(): not a mapping
@@ -506,7 +508,7 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
             entry = stored
         decisions[change.disease] = entry
     elif isinstance(change, DropDecision):
-        if change.disease not in decisions:
+        if not isinstance(change.disease, str) or change.disease not in decisions:
             raise errors.NotPresent(
                 "node %s carries no decision for %r" % (label, change.disease))
         del decisions[change.disease]

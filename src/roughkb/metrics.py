@@ -21,6 +21,7 @@ from . import errors
 from ._num import ONE, fsum
 from ._record import Record, set_field
 from .evidence import TruthValue
+from .roughset import _regions
 
 _TOL = Fraction(1, 10 ** 9)
 
@@ -137,7 +138,9 @@ def check_properties(kb, approx: Mapping[str, "ApproximationSets"]) -> PropertyR
       6. each V equals E normalized by the truth value class's strength
 
     Failures list (property, disease, vd, detail); computations are
-    exact, with a 1e-9 tolerance on the comparisons.
+    exact, with a 1e-9 tolerance on the comparisons.  ``approx`` is read
+    as ``generate_rules`` reads it: anything but a mapping of disease
+    names to regions raises OutOfRange.
     """
     checked = 0
     failures: List[Tuple[int, str, int, str]] = []
@@ -149,8 +152,7 @@ def check_properties(kb, approx: Mapping[str, "ApproximationSets"]) -> PropertyR
             failures.append((prop, disease, int(vd),
                              "%s != %s" % (float(lhs), float(rhs))))
 
-    for disease in sorted(approx):
-        sets = approx[disease]
+    for disease, sets in _regions(approx):
         mass, by_vd = disease_mass(kb, disease)
         for labels, vd in ((sets.lower1, TruthValue.PRESENT),
                            (sets.lower2, TruthValue.ABSENT)):

@@ -66,8 +66,8 @@ from . import errors, metrics
 from ._num import ZERO, fsum
 from ._record import Record, set_field
 from .evidence import TruthValue
-from .lattice import _check_order
-from .roughset import ApproximationSets, _labels
+from .lattice import _check_order, _skeleton
+from .roughset import ApproximationSets, _labels, _regions
 
 EXACT_COVER_LIMIT = 12
 # Search nodes the two passes of one region's exact cover share.  Seeded
@@ -156,9 +156,12 @@ class SopExpression:
         return frozenset(map(frozenset, self._terms))
 
     def evaluate(self, label: str) -> bool:
-        if len(label) != self.n or set(label) - {"0", "1"}:
-            raise errors.OutOfRange("bad label %r for order %d" % (label, self.n))
-        bits = int(label, 2)
+        """Whether the label satisfies a term; anything but an order-n
+        label raises OutOfRange."""
+        try:
+            bits = _skeleton(self.n).masks[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise errors.OutOfRange("bad label %r for order %d" % (label, self.n)) from None
         return any(bits & care == want for care, want in self._masks)
 
     def truth_set(self) -> FrozenSet[str]:
@@ -168,8 +171,7 @@ class SopExpression:
         for care, want in self._masks:
             if not want & ~full:
                 table |= _subcube_cells(full & ~care) << want
-        fmt = "0%db" % self.n
-        return frozenset(format(v, fmt) for v in _bit_positions(table))
+        return frozenset(map(_skeleton(self.n).labels.__getitem__, _bit_positions(table)))
 
     def ordered_terms(self) -> List[Term]:
         return [frozenset(term) for term in self._terms]
@@ -576,16 +578,11 @@ def _greedy_cover(primes, minterms, n) -> List[Tuple[int, int]]:
     return [primes[i] for i in kept]
 
 
-@lru_cache(maxsize=None)
-def _label_values(n: int) -> Dict[str, int]:
-    """Every order-n label to its minterm: one lookup checks and converts."""
-    return {format(m, "0%db" % n): m for m in range(1 << n)}
-
-
 def _minterms(labels, n: int) -> List[int]:
-    """The labels' minterms.  Raises OutOfRange naming the least label
-    that is not an order-n label (text first, the rest by repr)."""
-    table = _label_values(n)
+    """The labels' masks in the order's label table.  Raises OutOfRange
+    naming the least label that is not an order-n label (text first, the
+    rest by repr)."""
+    table = _skeleton(n).masks
     try:
         return [table[label] for label in labels]
     except (KeyError, TypeError):  # TypeError: an unhashable label
@@ -668,7 +665,9 @@ def generate_rules(kb, approx: Mapping[str, ApproximationSets],
     descending reliability strength.
 
     Each disease's regions go through ``ApproximationSets``, which refuses
-    a label in two of them.  Each stored region a rule needs is read once,
+    a label in two of them; ``approx`` that is not a mapping of disease
+    names to regions, and ``kinds`` that are not a collection of kind
+    names, raise OutOfRange.  Each stored region a rule needs is read once,
     in rule order, into minterms and credibility sums per vd, raising on
     its least malformed (OutOfRange) or undecided (DanglingLabel) label.
     An upper region joins its lower region's and the boundary's, and the
@@ -681,8 +680,9 @@ def generate_rules(kb, approx: Mapping[str, ApproximationSets],
     siblings.  An unknown or repeated kind raises OutOfRange, since a
     repeated kind would emit every one of its rules twice.
     """
+    kinds = _labels(kinds, "rule kinds must be a collection of kind names", list)
     for i, kind in enumerate(kinds):
-        if kind not in _REGIONS:
+        if not isinstance(kind, str) or kind not in _REGIONS:
             raise errors.OutOfRange("unknown rule kind %r" % (kind,))
         if kind in kinds[:i]:
             raise errors.OutOfRange("rule kind %r given twice" % (kind,))
@@ -690,8 +690,7 @@ def generate_rules(kb, approx: Mapping[str, ApproximationSets],
     # the stored regions in the order the rules first need them
     needed = dict.fromkeys(p for kind in kinds for _, parts, _ in _REGIONS[kind] for p in parts)
     rules = []
-    for disease, given in sorted(approx.items()):
-        sets = ApproximationSets(given.lower1, given.lower2, given.boundary1)
+    for disease, sets in _regions(approx):
         mass = metrics.disease_mass(kb, disease)
         stored = {part: (_minterms(getattr(sets, part), kb.n),
                          metrics._vd_sums(kb, getattr(sets, part), disease)) for part in needed}

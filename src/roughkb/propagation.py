@@ -11,8 +11,9 @@ intermediates that mode is defined over.
 ``derive`` is the one entry point of derivation: ``propagate`` runs it
 over every composite level, and an edit over its cone.  It takes the
 labels a level at a time, and a level a disease at a time.  A label is
-a bit mask and its predecessors are the masks less one bit.  Each
-predecessor's decisions are read once into integer records keyed by
+a bit mask, read with its fact ids from the lattice's label table, and
+its predecessors are the masks less one bit.  Each predecessor's
+decisions are read once into integer records keyed by
 disease and mask, ``(vd, cf numerator, cf denominator, truth record)``,
 the truth record being the triple's three numerators over one
 denominator (None for no triple); only the level below is kept.  One
@@ -33,6 +34,7 @@ Fraction only then.
 from __future__ import annotations
 
 import re
+from collections import abc
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
@@ -186,8 +188,9 @@ class PriorityConfig:
         return p
 
     def _row(self, disease, n: int) -> Tuple[List[int], Mapping[FrozenSet[int], tuple]]:
-        """What ``_priorities`` reads (not to be edited): a disease's priorities
-        by fact id 0..n, 1 where none is named, and its scoped (priorities, total)."""
+        """A disease's priorities by fact id 0..n, 1 where none is named, and
+        its scoped (priorities, total) by fact set (not to be edited): a node
+        takes its scoped entry if it has one, else the row over its facts."""
         glob, scoped = self._tables.get(disease, _NO_TABLE)
         row = [1] * (n + 1)
         for f, p in glob.items():
@@ -203,7 +206,7 @@ class PriorityConfig:
         row, scoped = self._row(disease, max(facts, default=0))
         if facts not in scoped and min(facts, default=1) < 1:
             raise errors.UnknownFact("no fact with id %r" % (min(facts),))
-        prio, total = _priorities(facts, scoped, row)
+        prio, total = scoped.get(facts) or (row, sum(map(row.__getitem__, facts)))
         return {f: Fraction(prio[f], total) for f in facts}
 
     def diseases(self):
@@ -251,20 +254,6 @@ def _pair(key, what: str, shape: str) -> tuple:
     return key
 
 
-def _priorities(facts: FrozenSet[int], scoped, row: Mapping[int, int]
-                ) -> Tuple[Mapping[int, int], int]:
-    """A node's fact priorities by fact id (not to be edited), and their sum.
-
-    They are a disease's scoped priorities of the fact set if it has
-    them, else ``row``, its global priorities by fact id with 1 for a
-    fact none names.
-    """
-    hit = scoped.get(facts)
-    if hit is not None:
-        return hit
-    return row, sum(map(row.__getitem__, facts))
-
-
 # --- integer records ----------------------------------------------------------
 
 def _triple_record(tv: TruthTriple) -> Tuple[int, int, int, int]:
@@ -295,7 +284,7 @@ def _cf(num: int, den: int, round2: bool) -> Tuple[int, int]:
     return num // g, den // g
 
 
-def _level2(carriers, facts: FrozenSet[int], prio: Mapping[int, int], total: int,
+def _level2(carriers, facts: Iterable[int], prio: Mapping[int, int], total: int,
             gate: Fraction, round2: bool) -> Optional[Tuple[TruthValue, int, int]]:
     """Truth value and credibility of a level-2 node, or None, in
     ``_cf_multi``'s form.
@@ -311,7 +300,7 @@ def _level2(carriers, facts: FrozenSet[int], prio: Mapping[int, int], total: int
     agree = True
     if len(carriers) == 1:
         # a lone carrier holds the one fact it does not lack
-        (own,) = facts - {fa}
+        (own,) = [f for f in facts if f != fa]
         a, b, scale = na * prio[own], 0, da * total
     else:
         fb, (vb, nb, db, _) = carriers[1]
@@ -398,7 +387,7 @@ def _mean_triple(records: Sequence[TruthRecord], round2: bool,
 # --- multi-constituent combination (level >= 3) -----------------------------
 
 
-def _cf_multi(carriers, facts: FrozenSet[int], prio: Mapping[int, int], total: int,
+def _cf_multi(carriers, facts: Iterable[int], prio: Mapping[int, int], total: int,
               gate: Fraction, round2: bool) -> Optional[Tuple[TruthValue, int, int]]:
     """Prevailing truth value and credibility at level >= 3, or None.
 
@@ -473,9 +462,9 @@ def _cf_multi(carriers, facts: FrozenSet[int], prio: Mapping[int, int], total: i
 
 # --- per-node orchestration -------------------------------------------------
 
-def _step(disease: str, facts: FrozenSet[int], carriers, truths: list,
+def _step(disease: str, facts: Tuple[int, ...], carriers, truths: list,
           prio: Tuple[Mapping[int, int], int], gate: Fraction, round2: bool,
-          ext: Optional[tuple], triples: Mapping[TruthRecord, TruthTriple],
+          ext: Optional[Record], triples: Mapping[TruthRecord, TruthTriple],
           entries: Dict[Record, Tuple[DecisionEntry, Record]]
           ) -> Optional[Tuple[DecisionEntry, Record]]:
     """One node's entry for one disease and its record, or None.
@@ -483,10 +472,10 @@ def _step(disease: str, facts: FrozenSet[int], carriers, truths: list,
     ``carriers`` lists ``(lacking fact, record)`` for the predecessors
     that carry the disease, in ascending label order, and ``truths`` the
     truth records among theirs; ``prio`` is the node's fact priorities
-    by fact id and their sum, and ``ext`` the disease's direct evidence
-    for this node, if any.  The level's kernel gives the lattice's (vd,
-    cf), and ``ext``, read into a record, merges with it on one
-    denominator: agreeing sides add; otherwise the stronger side less
+    by fact id and their sum, and ``ext`` the record of the disease's
+    direct evidence for this node, if any.  The level's kernel gives the
+    lattice's (vd, cf), and ``ext`` merges with it on one denominator:
+    agreeing sides add; otherwise the stronger side less
     the weaker passes up its truth value, and a tie is inconclusive at
     the merged triple's third component.  Each cf is clamped into [0, 1]
     and is the record's, over 100 in the two-decimal mode so that the
@@ -499,11 +488,8 @@ def _step(disease: str, facts: FrozenSet[int], carriers, truths: list,
     weights, total = prio
     kernel = _cf_multi if len(facts) > 2 else _level2
     base = kernel(carriers, facts, weights, total, gate, round2) if carriers else None
-    if ext is not None:
-        # direct evidence enters here, and is checked once
-        ext = _record(DecisionEntry(disease, *ext))
-        if ext[3] is not None:
-            truths.append(ext[3])
+    if ext is not None and ext[3] is not None:
+        truths.append(ext[3])
     if base is None:
         if ext is None:
             return None
@@ -535,43 +521,81 @@ def _step(disease: str, facts: FrozenSet[int], carriers, truths: list,
     return made
 
 
+def _evidence(external, n: int) -> Dict[int, Dict[str, Record]]:
+    """Direct evidence by node mask, each disease's (vd, cf[, triple])
+    read into a record through ``DecisionEntry``.  A fact that is not an
+    int in 1..n raises UnknownFact; a key that is not a collection of two
+    or more facts, a value that is not a mapping and anything a
+    ``DecisionEntry`` refuses raise OutOfRange."""
+    by_mask: Dict[int, Dict[str, Record]] = {}
+    for key, values in _items(external, "external evidence"):
+        try:
+            facts = set(map(_fact_id, key))
+        except TypeError:  # not iterable
+            facts = set()
+        for f in sorted(facts):
+            if not 0 < f <= n:
+                raise errors.UnknownFact("no fact with id %r" % (f,))
+        if len(facts) < 2 or not isinstance(values, abc.Mapping):
+            raise errors.OutOfRange("external evidence maps two or more facts to a map of "
+                                    "diseases to (vd, cf, triple), got %r: %r" % (key, values))
+        try:
+            by_mask[sum(1 << (f - 1) for f in facts)] = {
+                disease: _record(DecisionEntry(disease, *value))
+                for disease, value in values.items()}
+        except TypeError:  # a value that is not a sequence of two or three
+            raise errors.OutOfRange("external evidence on %r: %r is not (vd, cf, triple)"
+                                    % (key, values)) from None
+    return by_mask
+
+
 def derive(kb, labels: Iterable[str],
            external: Optional[Mapping[FrozenSet[int], Mapping[str, tuple]]] = None
            ) -> Dict[str, Dict[str, DecisionEntry]]:
     """The fresh decision maps of ``labels``, one per label, empty or not,
-    under the conditions, priorities, gate and rounding mode of ``kb``.
+    under the order, priorities, gate and rounding mode of ``kb``.
 
     ``labels`` lists each label after those of its predecessors that it
-    holds (popcount order does).  A predecessor is read from its fresh
-    map if it has one, and from the lattice's stored map otherwise.
-    ``external`` maps a composite fact set to per-disease (vd, cf,
-    triple) resolved from direct knowledge sources.  Such evidence is
-    consumed here, not stored on any node, so a later edit re-derives
-    its cone from atomic decisions and priorities alone (fault F3 in
-    ``bench/README.md``).  Equal derived triples are one object, and so
-    are equal derived entries of a disease (the module's value table).
+    holds (popcount order does).  Labels, masks and fact ids are read
+    from the order's table, ``lattice._skeleton``.  A predecessor is read
+    from its fresh map if it has one, and from the lattice's stored map
+    otherwise.  ``external`` maps a composite fact set to per-disease
+    (vd, cf, triple) resolved from direct knowledge sources (``_evidence``
+    checks it).  Such evidence is consumed here, not stored on any node,
+    so a later edit re-derives its cone from atomic decisions and
+    priorities alone (fault F3 in ``bench/README.md``).  Equal derived
+    triples are one object, and so are equal derived entries of a disease
+    (the module's value table).
     """
-    conditions, stored = kb.conditions, kb.decisions
+    from .lattice import _skeleton  # lattice imports this module
+    table = _skeleton(kb.n)
+    masks, labelled, fact_ids = table.masks, table.labels, table.fact_ids
+    stored = kb.decisions
     gate, round2 = kb.alpha, kb.round2
-    external = external or {}
-    rows = Converted(lambda disease: kb.priorities._row(disease, kb.n))
+    evidence = _evidence(external, kb.n)
+
+    def row(disease):  # a disease's priority row, and its scoped priorities by mask
+        glob, scoped = kb.priorities._row(disease, kb.n)
+        return glob, {sum(1 << (f - 1) for f in facts): hit for facts, hit in scoped.items()}
+
+    rows = Converted(row)
     # the value table: a triple per truth record, per disease an entry per record
     triples = Converted(_triple)
     entries: Dict[str, Dict[Record, Tuple[DecisionEntry, Record]]] = {}
     fresh: Dict[str, Dict[str, DecisionEntry]] = {}
     below: Dict[str, Dict[int, Record]] = {}   # disease -> mask -> record, one level down
     below_masks = frozenset()                  # the masks whose records below holds
-    for _, run in groupby(labels, lambda label: label.count("1")):
+    for _, run in groupby(map(masks.__getitem__, labels), int.bit_count):
         run_nodes = []
-        for label in run:
-            mask, facts = int(label, 2), conditions[label]
+        for mask in run:
+            facts = fact_ids[mask]
             # clearing the bit of fact f, highest first, leaves the
             # predecessors in ascending label order
-            preds = {mask ^ (1 << (f - 1)): f for f in sorted(facts, reverse=True)}
-            fresh[label] = {}
-            run_nodes.append((mask, facts, preds, external.get(facts), fresh[label]))
+            preds = {mask ^ (1 << (f - 1)): f for f in reversed(facts)}
+            out = fresh[labelled[mask]] = {}
+            run_nodes.append((mask, facts, preds, evidence.get(mask), out))
         for pm in {pm for node in run_nodes for pm in node[2]} - below_masks:
-            pred = format(pm, "0%db" % len(label))
+            pred = labelled[pm]
             decisions = fresh[pred] if pred in fresh else stored.get(pred, {})
             for disease, entry in decisions.items():
                 below.setdefault(disease, {})[pm] = _record(entry)
@@ -579,7 +603,7 @@ def derive(kb, labels: Iterable[str],
         level_records: Dict[str, Dict[int, Record]] = {}
         for disease in sorted(diseases):
             records = below.get(disease, {})
-            row, scoped = rows[disease]
+            glob, scoped = rows[disease]
             made = entries.setdefault(disease, {})
             made_records = {}
             for mask, facts, preds, ext, out in run_nodes:
@@ -593,7 +617,8 @@ def derive(kb, labels: Iterable[str],
                             truths.append(record[3])
                 ext = ext.get(disease) if ext else None
                 if carriers or ext is not None:
-                    step = _step(disease, facts, carriers, truths, _priorities(facts, scoped, row),
+                    prio = scoped.get(mask) or (glob, sum(map(glob.__getitem__, facts)))
+                    step = _step(disease, facts, carriers, truths, prio,
                                  gate, round2, ext, triples, made)
                     if step is not None:
                         out[disease], made_records[mask] = step
@@ -613,9 +638,13 @@ def propagate(kb, priorities: Optional[PriorityConfig] = None,
     edits reuse them), and ``derive`` fills it.  ``external`` maps a
     composite fact set to per-disease (vd, cf, triple), which ``derive``
     merges in and does not store.
+
+    Raises:
+        UnknownFact: ``external`` names a fact that is not an int in 1..n.
+        OutOfRange: ``external`` maps anything but sets of two or more
+            facts to maps of diseases to (vd, cf, triple).
     """
     from .lattice import Lattice  # lattice imports this module
     kb = Lattice(kb.facts, kb.decisions, alpha=alpha, priorities=priorities, round2=round2)
-    external = {frozenset(k): dict(v) for k, v in (external or {}).items()}
     labels = [label for level_labels in kb.levels[2:] for label in level_labels]
     return kb.with_updates(derive(kb, labels, external))

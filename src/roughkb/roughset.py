@@ -14,7 +14,7 @@ sequence can be replayed and compared against a from-scratch rebuild.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from . import errors
 from ._record import Record, set_field
@@ -136,12 +136,32 @@ class ApproximationSets(Record):
         raise errors.NotPresent("label %r is in no approximation region" % (label,))
 
 
+def _regions(approx) -> Iterator[Tuple[str, ApproximationSets]]:
+    """Each disease of ``approx`` in order, with its regions read into
+    ``ApproximationSets``, which checks them, when it is reached.  The
+    regions may be anything with ``lower1``, ``lower2`` and
+    ``boundary1``; anything but a mapping of disease names to such
+    regions raises OutOfRange."""
+    if not (isinstance(approx, Mapping) and all(isinstance(d, str) for d in approx)):
+        raise errors.OutOfRange("approximations must map disease names to regions")
+    for disease, given in sorted(approx.items()):
+        try:
+            regions = given.lower1, given.lower2, given.boundary1
+        except AttributeError:
+            raise errors.OutOfRange("the regions of %r are not approximation sets: %r"
+                                    % (disease, given)) from None
+        yield disease, ApproximationSets(*regions)
+
+
 def approximations(kb, disease: str) -> ApproximationSets:
     """Lower/upper/boundary regions of both concepts of a disease.
 
     Raises:
-        UnknownDisease: no decision or priority names the disease.
+        UnknownDisease: no decision or priority names the disease, or
+            it is not text.
     """
+    if not isinstance(disease, str):
+        raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
     vds = {label: entries[disease].vd
            for label, entries in kb.decisions.items() if disease in entries}
     if not vds and disease not in kb.priorities.diseases():
@@ -154,7 +174,8 @@ def concepts(kb, disease: str) -> ConceptPair:
     regions.
 
     Raises:
-        UnknownDisease: no decision or priority names the disease.
+        UnknownDisease: no decision or priority names the disease, or
+            it is not text.
     """
     sets = approximations(kb, disease)
     return ConceptPair(disease, sets.upper1, sets.upper2)

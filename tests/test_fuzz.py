@@ -14,11 +14,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_kb, seeded
+from conftest import kb_from_atomics, random_kb, seeded
 from roughkb import errors, kbio, roughset
 from roughkb.evidence import EvidenceProfile
-from roughkb.lattice import Fact, Lattice, build_kb
-from roughkb.minimizer import SopExpression, minimize
+from roughkb.lattice import (ConditionEdit, DropDecision, Fact, Lattice, SetDecision, build_kb,
+                             modify_node)
+from roughkb.minimizer import SopExpression, generate_rules, minimize
 from roughkb.propagation import DecisionEntry, PriorityConfig, propagate
 
 EVIDENCE = """\
@@ -172,6 +173,43 @@ SCOPED_PRIORITIES = st.one_of(
     JUNK)
 PLACED = st.dictionaries(st.sampled_from(["0", "1", "01", "10", "11"]), st.integers(0, 2),
                          max_size=4).map(roughset.ApproximationSets.from_vd_map)
+# The entry points that read an order's label table, on one order-3
+# knowledge base: its labels, junk labels and junk keys of every kind.
+KB = kb_from_atomics({1: {"ANK": (1, Fraction(1, 2)), "BUR": (0, Fraction(3, 10))},
+                      2: {"ANK": (0, Fraction(1, 4))}, 3: {"BUR": (2, Fraction(3, 5))}}, 3)
+KB_LABELS = st.one_of(LABELS, st.sampled_from(["000", "001", "011", "110", "111", "0111"]))
+ANY_KB_LABELS = st.one_of(KB_LABELS, st.lists(KB_LABELS, max_size=3))
+NAMES = st.sampled_from(["ANK", "BUR", "CFJ", "bad name!", "", None, 1.5, ("ANK",)])
+ANY_NAMES = st.one_of(NAMES, st.lists(NAMES, max_size=1))
+ENTRY = DecisionEntry("ANK", 1, Fraction(1, 2))
+DECISIONS = st.one_of(
+    st.dictionaries(KB_LABELS, st.one_of(st.just({"ANK": ENTRY}), st.just({}), JUNK,
+                                         st.dictionaries(NAMES, st.sampled_from([ENTRY, None]),
+                                                         max_size=2)),
+                    max_size=3),
+    JUNK, st.lists(st.tuples(KB_LABELS, st.just({"ANK": ENTRY})), max_size=2))
+CHANGES = st.one_of(st.builds(SetDecision, ANY_NAMES, VDS, st.sampled_from([0, "1/2", 2, None]),
+                              st.sampled_from([None, (0, 0, 1), (1, 2), "ab", 5])),
+                    st.builds(DropDecision, ANY_NAMES),
+                    st.builds(ConditionEdit, st.sampled_from([None, "b", 5]),
+                              st.sampled_from([None, "yes", "no", ["v"]])),
+                    JUNK)
+PLACED3 = st.dictionaries(KB_LABELS.filter(lambda label: label is not None),
+                          st.integers(0, 2), max_size=4).map(roughset.ApproximationSets.from_vd_map)
+APPROX = st.one_of(st.dictionaries(NAMES, st.one_of(PLACED3, PLACED, JUNK), max_size=2), JUNK,
+                   st.lists(NAMES, max_size=2))
+KINDS = st.one_of(st.lists(st.sampled_from(["certain", "uncertain", "possible", "sure", None,
+                                            ("certain",)]), max_size=3),
+                  st.frozensets(st.sampled_from(["certain", "possible"])), JUNK)
+EVIDENCE_VALUES = st.one_of(st.tuples(VDS, st.sampled_from([Fraction(1, 5), "1/2", 2, None])),
+                            st.tuples(st.just(1), st.just(Fraction(1, 5)),
+                                      st.sampled_from([None, (0, 0, 1), (1,), "abc"])),
+                            JUNK)
+EXTERNAL = st.one_of(
+    st.dictionaries(st.one_of(st.frozensets(FACT_IDS, max_size=3), FACT_IDS),
+                    st.one_of(st.dictionaries(NAMES, EVIDENCE_VALUES, max_size=2), JUNK),
+                    max_size=2),
+    JUNK, st.lists(st.tuples(st.frozensets(FACT_IDS, max_size=3), JUNK), max_size=2))
 CALLS = st.one_of(
     st.tuples(st.just(roughset.ApproximationSets), st.tuples(REGIONS, REGIONS, REGIONS)),
     st.tuples(st.just(roughset.ApproximationSets.from_vd_map),
@@ -191,6 +229,15 @@ CALLS = st.one_of(
               st.tuples(SPARSE, st.one_of(st.integers(-1, 4), st.just("3")))),
     st.tuples(st.just(build_kb), st.tuples(st.just(FACTS), ATOMICS)),
     st.tuples(st.just(PriorityConfig), st.tuples(GLOBAL_PRIORITIES, SCOPED_PRIORITIES)),
+    st.tuples(st.just(Lattice), st.tuples(st.just(KB.facts), DECISIONS)),
+    st.tuples(st.just(Lattice.node), st.tuples(st.just(KB), ANY_KB_LABELS)),
+    st.tuples(st.just(modify_node), st.tuples(st.just(KB), ANY_KB_LABELS, CHANGES)),
+    st.tuples(st.just(SopExpression.evaluate),
+              st.tuples(st.just(SopExpression(3, [{(1, True), (3, False)}])), ANY_KB_LABELS)),
+    st.tuples(st.just(roughset.approximations), st.tuples(st.just(KB), ANY_NAMES)),
+    st.tuples(st.just(generate_rules), st.tuples(st.just(KB), APPROX, KINDS)),
+    st.tuples(st.just(lambda kb, external: propagate(kb, external=external)),
+              st.tuples(st.just(KB), EXTERNAL)),
 )
 # the arguments each call takes as a collection of labels
 LABEL_COLLECTIONS = {roughset.ApproximationSets: (0, 1, 2), roughset.on_decisions_removed: (1,),

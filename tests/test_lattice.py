@@ -16,7 +16,7 @@ from roughkb import errors
 from roughkb.evidence import TruthTriple
 from roughkb.kbio import build_from_document, load_kb, parse_evidence, serialize_kb
 from roughkb.lattice import (DEFAULT_ORDER_CAP, ConditionEdit, DropDecision, Fact, Lattice,
-                             LatticeNode, SetDecision, _build_structure, build_kb,
+                             LatticeNode, SetDecision, _build_structure, _skeleton, build_kb,
                              check_structure, delete_fact, facts_of, insert_fact, label_for,
                              level_of, modify_node)
 from roughkb.minimizer import SopExpression, generate_rules, minimize
@@ -104,7 +104,7 @@ def test_skeletons_share_labels_and_conditions_not_nodes(n):
         assert other is not node
         assert other.decisions is not node.decisions
         assert other.label is node.label
-        assert other.condition is node.condition
+        assert other.condition == node.condition
         assert node.condition == facts_of(label)
         assert node.decisions == {}
 
@@ -125,6 +125,24 @@ def test_a_cold_skeleton_lists_each_level_in_numeric_order(n, monkeypatch):
     warm_levels, warm = _build_structure(n)
     assert warm_levels == levels
     assert warm == nodes
+
+
+def test_a_cold_skeleton_is_one_label_table_without_frozensets(monkeypatch):
+    """The table of an order holds each label's mask and ascending fact
+    ids, and the labels by mask; no part of it is a frozenset."""
+    monkeypatch.setattr("roughkb.lattice._SKELETONS", {})
+    n = 6
+    table = _skeleton(n)
+    parts = [table.levels, *table.levels, table.masks, *table.masks,
+             *table.masks.values(), table.labels, table.fact_ids, *table.fact_ids]
+    assert not any(isinstance(part, frozenset) for part in parts)
+    assert list(table.masks) == [label for level in table.levels for label in level]
+    for label, mask in table.masks.items():
+        assert table.labels[mask] is label
+        assert mask == int(label, 2)
+        facts = table.fact_ids[mask]
+        assert facts == tuple(sorted(facts_of(label)))
+    assert len(table.labels) == len(table.fact_ids) == 1 << n
 
 
 def test_edits_leave_the_cached_skeletons_intact():

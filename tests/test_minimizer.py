@@ -47,7 +47,9 @@ def test_expression_evaluates_literals():
     assert e.truth_set() == {"001", "101"}
 
 
-@pytest.mark.parametrize("label", ["0a1", "0b1", " 01", "0_1"])
+# a label that is not text: an int, None, and a list of the right length
+# (which got past the length check to a bare TypeError)
+@pytest.mark.parametrize("label", ["0a1", "0b1", " 01", "0_1", 5, None, ["0", "0", "1"]])
 def test_expression_rejects_bad_labels(label):
     e = SopExpression(3, [frozenset({(1, True)})])
     with pytest.raises(errors.OutOfRange):

@@ -304,6 +304,27 @@ def test_external_evidence_merges_and_is_consumed():
     assert again.node("11").decisions["ANK"].cf == F(3, 8)
 
 
+@pytest.mark.parametrize("external,error,message", [
+    # each of these left the knowledge base equal to the one without evidence
+    ({frozenset({1, 99}): {"ANK": (1, F(1, 5))}}, errors.UnknownFact, "no fact with id 99"),
+    ({frozenset({1}): {"ANK": (1, F(1, 5))}}, errors.OutOfRange, "external evidence maps"),
+    ({frozenset(): {"ANK": (1, F(1, 5))}}, errors.OutOfRange, "external evidence maps"),
+    # read as facts {1, 2}, though a bool names no fact
+    ({frozenset({True, 2}): {"ANK": (1, F(1, 5))}}, errors.UnknownFact, "no fact with id True"),
+    # these raised a bare TypeError
+    ({frozenset({1, 2}): 5}, errors.OutOfRange, "external evidence maps"),
+    ({frozenset({1, 2}): {"ANK": 5}}, errors.OutOfRange, "external evidence on"),
+    ({5: {"ANK": (1, F(1, 5))}}, errors.OutOfRange, "external evidence maps"),
+    (5, errors.OutOfRange, "external evidence must be a mapping"),
+], ids=["outside", "single", "empty", "bool", "value", "disease-value", "key", "not-a-map"])
+def test_malformed_external_evidence_is_refused(external, error, message):
+    kb = kb_from_atomics({1: {"ANK": (1, F(1, 2))}, 2: {"ANK": (1, F(1, 4))}}, 3)
+    with pytest.raises(error) as caught:
+        propagate(kb, external=external)
+    assert type(caught.value) is error
+    assert str(caught.value).startswith(message)
+
+
 # --- orchestration corner cases ---------------------------------------------
 
 def test_derive_all_gated_means_absent():

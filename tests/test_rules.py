@@ -120,6 +120,21 @@ def test_an_order_outside_the_cap_is_refused_as_minimize_refuses_it(n, error, me
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("call,error", [
+    # each raised a bare TypeError or AttributeError
+    (lambda kb: roughset.approximations(kb, ["ANK"]), errors.UnknownDisease),
+    (lambda kb: roughset.concepts(kb, ["ANK"]), errors.UnknownDisease),
+    (lambda kb: generate_rules(kb, {"ANK": 5}), errors.OutOfRange),
+    (lambda kb: metrics.check_properties(kb, {"ANK": 5}), errors.OutOfRange),
+    (lambda kb: generate_rules(kb, {}, None), errors.OutOfRange),
+], ids=["approximations", "concepts", "generate_rules", "check_properties", "kinds"])
+def test_malformed_rule_path_arguments_fail_typed(call, error):
+    with pytest.raises(error) as caught:
+        call(_kb())
+    assert type(caught.value) is error
+    assert str(caught.value)
+
+
 def test_a_label_in_both_lower_and_boundary_is_refused():
     approx = {"ANK": SimpleNamespace(lower1={"001", "011", "100"}, lower2={"010"},
                                      boundary1={"100", "101", "011"})}
