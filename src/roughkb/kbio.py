@@ -4,7 +4,8 @@ Two text formats live here.  Evidence documents are the hand-authored
 input: a line-oriented grammar declaring facts, source gradings,
 priorities and per-source evidence counts.  Knowledge-base files are
 the canonical persisted form of a built lattice: byte-stable, version
-stamped, nodes in level-major label order.  A decision line's ``w=`` is
+stamped, nodes in level-major label order (a lattice keys nodes by mask,
+so label text is made and read here).  A decision line's ``w=`` is
 rendered from the priorities, not stored; a load checks it, and ``w=-``
 means "not stated".  Both round-trip: parsing then rendering a document
 reproduces it, and serializing a loaded KB file reproduces the file.
@@ -42,7 +43,7 @@ from ._record import Record, set_field
 from .evidence import (GRADING_CAP, EvidenceProfile, TruthTriple, TruthValue,
                        presence_matrix, resolve_decision, truth_triple)
 from .lattice import (DropDecision, Fact, Lattice, SetDecision, _check_order, _skeleton,
-                      build_kb, check_structure, delete_fact, insert_fact, label_for, modify_node)
+                      build_kb, check_structure, delete_fact, insert_fact, modify_node)
 # bench/tracing.py wraps this name to count the nodes a skeleton builds
 from .lattice import _build_structure  # noqa: F401
 from .minimizer import generate_rules
@@ -442,25 +443,24 @@ def _ratio(p: int, q: int) -> str:
     return "%d/%d" % (p // g, q // g) if g < q else "%d" % (p // g)
 
 
-def _weights_texts(priorities: PriorityConfig, n: int) -> Dict[str, Dict[str, str]]:
-    """disease -> label -> the node's canonical ``w=`` text: each fact in
-    id order as ``fN:p/total`` under the disease's priorities, ``-`` for
-    the entry node.  A disease's map is rendered whole on first use, and
-    the diseases no priority names share one."""
-    table = _skeleton(n)
+def _weights_texts(priorities: PriorityConfig, n: int) -> Dict[str, List[str]]:
+    """disease -> each node's canonical ``w=`` text, indexed by mask: each
+    fact in id order as ``fN:p/total`` under the disease's priorities,
+    ``-`` for the entry node.  A disease's list is rendered whole on first
+    use, and the diseases no priority names share one."""
+    fact_ids = _skeleton(n).fact_ids
 
-    def texts(disease) -> Dict[str, str]:
+    def texts(disease) -> List[str]:
         row, scoped = priorities._row(disease, n)
         # total -> each fact's item text by fact id, under the row
         items = Converted(lambda total: ["f%d:%s" % (f, _ratio(p, total))
                                          for f, p in enumerate(row)])
-        out = dict(zip(table.labels, [
-            ",".join(map(items[sum(map(row.__getitem__, facts))].__getitem__, facts))
-            for facts in table.fact_ids]))
-        out["0" * n] = "-"
+        out = [",".join(map(items[sum(map(row.__getitem__, facts))].__getitem__, facts))
+               for facts in fact_ids]
+        out[0] = "-"
         for facts, (prio, total) in scoped.items():
-            out[label_for(facts, n)] = ",".join(["f%d:%s" % (f, _ratio(prio[f], total))
-                                                 for f in sorted(facts)])
+            out[sum(1 << (f - 1) for f in facts)] = ",".join(
+                ["f%d:%s" % (f, _ratio(prio[f], total)) for f in sorted(facts)])
         return out
 
     rendered = Converted(texts)  # None: the map of every disease no priority names
@@ -501,14 +501,14 @@ def serialize_kb(kb: Lattice) -> str:
     lines += _fact_lines(kb.facts)
     lines += _priority_lines(kb.priorities)
     stored = kb.decisions
-    for label in _skeleton(kb.n).masks:
+    for label, mask in _skeleton(kb.n).masks.items():
         lines.append("node %s" % label)
-        decisions = stored.get(label, {})
+        decisions = stored.get(mask, {})
         for disease in sorted(decisions):
             entry = decisions[disease]
             lines.append("decision %s vd=%d cf=%s tv=%s w=%s"
                          % (disease, entry.vd, number(entry.cf),
-                            triple(entry.tv), w_texts[disease][label]))
+                            triple(entry.tv), w_texts[disease][mask]))
     return "\n".join(lines) + "\n"
 
 
@@ -642,9 +642,9 @@ def load_kb(text: str) -> Lattice:
 
 
 def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
-                priorities: PriorityConfig) -> Dict[str, Dict[str, DecisionEntry]]:
+                priorities: PriorityConfig) -> Dict[int, Dict[str, DecisionEntry]]:
     """Read the node section, the text from offset ``start`` (line
-    ``first_no``) on: each order-n label to its decision map.
+    ``first_no``) on: each node's decision map, keyed by its label's mask.
 
     The token tables hold only valid values: a converter raises for any
     other token, and the first line a converter or a check refuses goes
@@ -681,35 +681,35 @@ def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
     table = _skeleton(n)
     masks = table.masks
     names = set()
-    maps: Dict[str, Dict[str, DecisionEntry]] = {}
-    current = decisions = None
+    maps: Dict[int, Dict[str, DecisionEntry]] = {}
+    mask = decisions = None
     try:
         for match in _NODE_SECTION_RE.finditer(text, start):
             label, disease, vd, cf, tv, w, _ = match.groups()
             if disease:
-                if current is None or disease in decisions:
+                if mask is None or disease in decisions:
                     break
                 if disease not in names:
                     if not _NAME_RE.match(disease):
                         break
                     names.add(disease)
                 entry = checked(disease, vds[vd], cfs[cf], triples[tv])
-                if w != "-" and w != w_texts[disease][current]:
+                if w != "-" and w != w_texts[disease][mask]:
                     weights = dict(map(item, w.split(",")))
-                    condition = table.fact_ids[masks[current]]
+                    condition = table.fact_ids[mask]
                     if len(weights) <= w.count(",") or not weights.keys() <= set(condition):
                         break
                     if weights != priorities.weights_for(condition, disease):
                         # every other check of the line passed
                         _corrupt("w=%s disagrees with the priorities, which give w=%s"
-                                 % (w, w_texts[disease][current]),
+                                 % (w, w_texts[disease][mask]),
                                  first_no + text.count("\n", start, match.start()))
                 decisions[disease] = entry
             elif label:
-                if label not in masks or label in maps:
+                mask = masks.get(label)
+                if mask is None or mask in maps:
                     break
-                current = label
-                decisions = maps[label] = {}
+                decisions = maps[mask] = {}
             else:
                 break
         else:
@@ -717,14 +717,14 @@ def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
     except (ValueError, ZeroDivisionError):
         pass        # a table refused one of the line's tokens
     if match is not None:
-        _refuse_node_line(text, start, first_no, match, table, current, decisions)
+        _refuse_node_line(text, start, first_no, match, table, mask, decisions)
     if len(maps) != len(masks):
         _corrupt("file lists %d of %d nodes" % (len(maps), len(masks)))
     return maps
 
 
 def _refuse_node_line(text: str, start: int, first_no: int, match, table,
-                      current: Optional[str], decisions) -> None:
+                      mask: Optional[int], decisions) -> None:
     """Raise the CorruptRecord for ``match``, a line of the node section
     the section reader refused: the line's checks run in order, as at
     every line, and the first that fails is reported at its number."""
@@ -737,7 +737,7 @@ def _refuse_node_line(text: str, start: int, first_no: int, match, table,
         _corrupt("node %s listed twice" % parts[1], no)
     if parts[0] != "decision":
         _corrupt("unexpected %r line in node section" % parts[0], no)
-    if current is None:
+    if mask is None:
         _corrupt("decision before any node", no)
     if len(parts) != 6:
         _corrupt("bad decision line", no)
@@ -763,8 +763,8 @@ def _refuse_node_line(text: str, start: int, first_no: int, match, table,
             _corrupt("weights name f%d twice" % fid, no)
         fids.add(fid)
     if disease in decisions:
-        _corrupt("node %s decides %r twice" % (current, disease), no)
-    if not fids <= set(table.fact_ids[table.masks[current]]):
+        _corrupt("node %s decides %r twice" % (table.labels[mask], disease), no)
+    if not fids <= set(table.fact_ids[mask]):
         _corrupt("weights reference facts outside the condition", no)
     # every other check passed, so a value is out of range
     _corrupt("bad decision values", no)

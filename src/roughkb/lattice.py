@@ -2,11 +2,12 @@
 
 A knowledge base of order n has a node for each of the 2**n fact
 subsets, one level per subset size, but stores only the decision maps
-of the labels that carry decisions.  Node identity is an n-character
-label of 0/1 digits, fact i owning the i-th bit from the right; level,
-condition and Hasse neighbours follow from the label.  This module
-owns that format: other modules read labels, masks and fact ids from
-``_skeleton(n)``, the order's one label table.
+of the subsets that carry decisions, keyed by bit mask (fact f owns
+bit f - 1).  A node's label, its mask's n binary digits, is text made
+or read only at the edges: files, ``kb.node``, ``modify_node`` and the
+``roughset`` regions.  This module owns that format: other modules read
+labels, masks and fact ids from ``_skeleton(n)``, the order's one label
+table.
 
 Structural edits (fact insertion/deletion, node modification) return
 new lattices through the constructor, or through ``with_updates``,
@@ -29,7 +30,7 @@ from .propagation import derive as _repropagate
 
 DEFAULT_ORDER_CAP = 16
 
-Decisions = Mapping[str, Mapping[str, DecisionEntry]]
+Decisions = Mapping[int, Mapping[str, DecisionEntry]]
 
 
 class Fact(Record):
@@ -52,12 +53,6 @@ class Head(NamedTuple):
 
 # --- label arithmetic -------------------------------------------------------
 
-def label_for(fact_ids: Iterable[int], n: int) -> str:
-    """Label with the bits of the given facts set (fact i = bit i from the right)."""
-    present = set(fact_ids)
-    return "".join("1" if fid in present else "0" for fid in range(n, 0, -1))
-
-
 def facts_of(label: str) -> FrozenSet[int]:
     n = len(label)
     return frozenset(n - i for i, ch in enumerate(label) if ch == "1")
@@ -67,20 +62,17 @@ def level_of(label: str) -> int:
     return label.count("1")
 
 
-def _cone_labels(label: str) -> List[str]:
-    """Labels whose fact set strictly contains the label's, ascending.
+def _cone(mask: int, n: int) -> List[int]:
+    """The masks strictly containing ``mask`` in order n, by (level, mask)."""
+    return sorted([mask | sub for sub in range(1, 1 << n) if not sub & mask], key=int.bit_count)
 
-    These are the proper supersets of the label's mask; ``(sub + 1) |
-    mask`` steps from one superset to the next.
-    """
-    table = _skeleton(len(label))
-    labels, mask = table.labels, table.masks[label]
-    out = []
-    sub = (mask + 1) | mask
-    while sub < len(labels):
-        out.append(labels[sub])
-        sub = (sub + 1) | mask
-    return out
+
+def _mask(n: int, label) -> int:
+    """The mask of an order-n label, or DanglingLabel."""
+    try:
+        return _skeleton(n).masks[label]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        raise errors.DanglingLabel("no node labelled %r" % (label,)) from None
 
 
 # --- storage ----------------------------------------------------------------
@@ -131,7 +123,7 @@ class LatticeNode:
 
 
 class Lattice:
-    """Order-n knowledge base: each decided label's decision map plus
+    """Order-n knowledge base: each decided mask's decision map plus
     derivation settings.
 
     ``node`` and ``nodes`` build nodes on demand, so editing one changes
@@ -141,12 +133,13 @@ class Lattice:
     holds only what its file holds: empty maps are dropped, and its
     diseases are the ones its decisions and priorities name.  The
     constructor refuses an order outside 1..DEFAULT_ORDER_CAP, facts
-    whose ids are not ints 1..n in order, whose attribute or value is
-    not text, or that repeat an id or an attribute/value pair, a label
-    of another order, a gate outside [0, 1], priorities on facts outside
-    1..n, decisions that are not a mapping of labels to mappings, and a
-    decision that is not a ``DecisionEntry`` of the disease it is filed
-    under.  Equality is structural -- facts, decisions, settings.
+    that are not ``Fact``s, whose ids are not ints 1..n in order, whose
+    attribute or value is not text, or that repeat an id or an
+    attribute/value pair, a gate outside [0, 1], priorities on facts
+    outside 1..n, decisions that are not a mapping of masks to mappings,
+    a key that is not an int mask of the order, and a decision that is
+    not a ``DecisionEntry`` of the disease it is filed under.  Equality
+    is structural -- facts, decisions, settings.
     """
 
     __slots__ = ("n", "facts", "decisions", "alpha", "priorities", "round2")
@@ -182,12 +175,8 @@ class Lattice:
         return Head(self.n + 1, "0" * self.n)
 
     def node(self, label: str) -> LatticeNode:
-        table = _skeleton(self.n)
-        try:
-            mask = table.masks[label]
-        except (KeyError, TypeError):  # TypeError: an unhashable label
-            raise errors.DanglingLabel("no node labelled %r" % (label,)) from None
-        return LatticeNode(label, table.fact_ids[mask], self.decisions.get(label, {}))
+        mask = _mask(self.n, label)
+        return LatticeNode(label, _skeleton(self.n).fact_ids[mask], self.decisions.get(mask, {}))
 
     def fact(self, fid: int) -> Fact:
         if 0 < _fact_id(fid) <= self.n:
@@ -202,8 +191,8 @@ class Lattice:
         return tuple(sorted(seen))
 
     def with_updates(self, updates: Decisions) -> "Lattice":
-        """Copy with some labels' decision maps replaced, an empty one
-        dropping its label.  Only the maps of ``updates`` are checked, as
+        """Copy with some masks' decision maps replaced, an empty one
+        dropping its mask.  Only the maps of ``updates`` are checked, as
         the constructor checks them; the rest are this lattice's own."""
         kb = object.__new__(Lattice)
         kb.n, kb.facts, kb.alpha, kb.priorities, kb.round2 = (
@@ -262,36 +251,36 @@ def _build_structure(n: int, decisions: Optional[Decisions] = None
     """The level tuples and a fresh map of fresh nodes holding copies of ``decisions``."""
     table = _skeleton(n)
     fact_ids, decisions = table.fact_ids, decisions or {}
-    nodes = {label: LatticeNode(label, fact_ids[mask], decisions.get(label, ()))
+    nodes = {label: LatticeNode(label, fact_ids[mask], decisions.get(mask, ()))
              for label, mask in table.masks.items()}
     return table.levels, nodes
 
 
 def _filed(decisions: Decisions, n: int, filed: dict) -> dict:
     """``filed`` with each nonempty map of ``decisions`` filed under its
-    label and each label of an empty one dropped.  Refuses a decision
-    that is not a ``DecisionEntry`` of the disease it is filed under,
-    decisions that are not a mapping of labels to mappings, and then the
-    least of the labels of another order."""
-    masks = _skeleton(n).masks
+    mask and each mask of an empty one dropped.  Refuses a decision that
+    is not a ``DecisionEntry`` of the disease it is filed under, decisions
+    that are not a mapping of masks to mappings, and then the least key
+    that is not an int (a bool is not one) in 0..2**n - 1."""
     dangling = []
     try:
-        for label, entries in decisions.items():
+        for mask, entries in decisions.items():
             if not entries:
-                filed.pop(label, None)
+                filed.pop(mask, None)
                 continue
             for disease, entry in entries.items():
                 if not (isinstance(entry, DecisionEntry) and entry.disease == disease):
                     raise errors.OutOfRange(
                         "decision %r at %r is not a DecisionEntry of that disease: %r"
-                        % (disease, label, entry))
-            if label not in masks:
-                dangling.append(label)
-            filed[label] = entries
+                        % (disease, mask, entry))
+            if type(mask) is not int or not 0 <= mask < 1 << n:
+                dangling.append(mask)
+            filed[mask] = entries
     except AttributeError:  # no items(): not a mapping
-        raise errors.OutOfRange("decisions must map labels to maps of entries") from None
+        raise errors.OutOfRange("decisions must map masks to maps of entries") from None
     if dangling:
-        raise errors.DanglingLabel("no node labelled %r" % (min(dangling, key=errors.naming_key),))
+        least = min(dangling, key=lambda key: errors.naming_key(key, int))
+        raise errors.DanglingLabel("no node of order %d has mask %r" % (n, least))
     return filed
 
 
@@ -307,9 +296,10 @@ def _check_order(n: int) -> None:
 
 
 def _check_facts(facts: Tuple[Fact, ...]) -> None:
-    seen_ids = set()
-    seen_pairs = set()
+    seen_ids, seen_pairs = set(), set()
     for fact in facts:
+        if not isinstance(fact, Fact):
+            raise errors.OutOfRange("fact %r is not a Fact" % (fact,))
         if isinstance(fact.id, bool) or not isinstance(fact.id, int):
             raise errors.OutOfRange("fact ids must be 1..%d in order" % len(facts))
         if not (isinstance(fact.attribute, str) and isinstance(fact.value, str)):
@@ -355,29 +345,29 @@ def build_kb(facts: Sequence[Fact],
     Raises:
         OrderTooLarge: more facts than the materialization cap allows.
         DuplicateFact: repeated fact id or attribute/value pair.
-        OutOfRange: no facts, fact ids other than 1..n, a fact's
-            decisions that are not entries, or two decisions for one
-            disease at a fact.
+        OutOfRange: no facts, a fact that is not a ``Fact``, fact ids
+            other than 1..n, a fact's decisions that are not entries, or
+            two decisions for one disease at a fact.
         UnknownFact: a decision keyed to anything but an int naming a
             fact (a bool names none).
     """
     facts = tuple(facts)
     n = len(facts)
     _check_order(n)
-    # ids of unlike types sort apart, for the constructor to refuse
-    facts = sorted(facts, key=lambda fact: errors.naming_key(fact.id, int))
+    # non-facts and ids of unlike types sort apart, for the constructor to refuse
+    facts = sorted(facts, key=lambda fact: errors.naming_key(getattr(fact, "id", None), int))
     decisions = {}
     for fid, entries in atomic_decisions.items():
         if not 1 <= _fact_id(fid) <= n:
             raise errors.UnknownFact("atomic decisions for unknown fact %r" % (fid,))
-        decisions[label_for([fid], n)] = _atomic_decisions(fid, entries)
+        decisions[1 << (fid - 1)] = _atomic_decisions(fid, entries)
     return Lattice(facts, decisions)
 
 
 def check_structure(kb: Lattice) -> List[str]:
     """Audit what the constructor does not refuse, decisions on the entry
     node (a file may hold them); returns problem descriptions."""
-    return ["entry node carries decisions"] if "0" * kb.n in kb.decisions else []
+    return ["entry node carries decisions"] if 0 in kb.decisions else []
 
 
 # --- structural edits -------------------------------------------------------
@@ -386,26 +376,23 @@ def insert_fact(kb: Lattice, fact: Fact, atomic: Sequence[DecisionEntry]) -> Lat
     """Grow the lattice by one fact, which becomes the new highest bit and
     must take id n + 1.
 
-    Existing labels gain a leading 0 and keep their conditions and
-    decisions untouched; only the new nodes -- those containing the new
-    fact -- have their decisions derived.
+    Existing masks keep their keys, conditions and decisions; only the
+    new nodes -- those containing the new fact -- have their decisions
+    derived.
     """
     n2 = kb.n + 1
     _check_order(n2)
-    new_atomic_label = "1" + "0" * kb.n
-    decisions = {"0" + label: entries for label, entries in kb.decisions.items()}
-    decisions[new_atomic_label] = _atomic_decisions(n2, atomic)
-    grown = Lattice(kb.facts + (fact,), decisions, alpha=kb.alpha,
-                    priorities=kb.priorities, round2=kb.round2)
-    cone = sorted(_cone_labels(new_atomic_label), key=level_of)
-    return grown.with_updates(_repropagate(grown, cone))
+    decisions = {**kb.decisions, 1 << kb.n: _atomic_decisions(n2, atomic)}
+    grown = Lattice(kb.facts + (fact,), decisions, alpha=kb.alpha, priorities=kb.priorities,
+                    round2=kb.round2)
+    return grown.with_updates(_repropagate(grown, _cone(1 << kb.n, n2)))
 
 
 def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
     """Shrink the lattice by one fact.
 
     Every node whose condition includes the fact disappears; surviving
-    labels drop the fact's bit position, and higher fact ids (with their
+    masks drop the fact's bit, and higher bits and fact ids (with their
     priority references) shift down by one.  The survivors' decisions
     are already independent of the removed fact, so they are kept as
     they are and none is re-derived.
@@ -414,11 +401,12 @@ def delete_fact(kb: Lattice, fact_id: int) -> Lattice:
     n2 = kb.n - 1
     if n2 == 0:
         raise errors.OutOfRange("cannot delete the last fact")
-    cut = kb.n - fact_id  # char position of the fact's bit
+    bit = 1 << (fact_id - 1)
+    low = bit - 1  # the bits of the facts below it
     facts = tuple(fact.replace(id=fact.id - 1 if fact.id > fact_id else fact.id)
                   for fact in kb.facts if fact.id != fact_id)
-    decisions = {label[:cut] + label[cut + 1:]: entries
-                 for label, entries in kb.decisions.items() if label[cut] == "0"}
+    decisions = {mask & low | (mask >> 1) & ~low: entries
+                 for mask, entries in kb.decisions.items() if not mask & bit}
     return Lattice(facts, decisions, alpha=kb.alpha,
                    priorities=kb.priorities.without_fact(fact_id),
                    round2=kb.round2)
@@ -480,14 +468,15 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
         OutOfRange: decision edit on the entry node.
         NotPresent: dropping a decision the node does not carry.
     """
-    node = kb.node(label)
+    mask = _mask(kb.n, label)
+    level = mask.bit_count()
 
     if isinstance(change, ConditionEdit):
-        if node.level != 1:
+        if level != 1:
             raise errors.IllegalConditionEdit(
                 "condition edits target level-1 nodes, %r is at level %d"
-                % (label, node.level))
-        fid = next(iter(node.condition))
+                % (label, level))
+        fid = mask.bit_length()
         old = kb.fact(fid)
         new = old.replace(
             attribute=old.attribute if change.attribute is None else change.attribute,
@@ -496,10 +485,11 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
         return Lattice(facts, kb.decisions, alpha=kb.alpha,
                        priorities=kb.priorities, round2=kb.round2)
 
-    if node.level == 0:
+    if level == 0:
         raise errors.OutOfRange("the entry node carries no decisions")
 
-    decisions = dict(node.decisions)
+    current = kb.decisions.get(mask, {})
+    decisions = dict(current)
     if isinstance(change, SetDecision):
         entry = DecisionEntry(change.disease, change.vd, change.cf, tv=change.tv)
         stored = decisions.get(change.disease)
@@ -514,36 +504,35 @@ def modify_node(kb: Lattice, label: str, change, observer=None) -> Lattice:
         del decisions[change.disease]
     else:
         raise errors.OutOfRange("unsupported change %r" % (change,))
-    if decisions == node.decisions:
+    if decisions == current:
         return kb
 
-    edited = kb.with_updates({label: decisions})
-    cone = sorted(_cone_labels(label), key=level_of)
-    updates = _repropagate(edited, cone)
+    edited = kb.with_updates({mask: decisions})
+    updates = _repropagate(edited, _cone(mask, kb.n))
     if observer is not None:
-        _report_diff(kb, {label: decisions, **updates}, observer)
+        _report_diff(kb, {mask: decisions, **updates}, observer)
     return edited.with_updates(updates)
 
 
 def _report_diff(kb: Lattice, updates, observer):
-    added: Dict[str, list] = {}
-    removed: Dict[str, list] = {}
-    changed: Dict[str, list] = {}
-    for label in sorted(updates, key=lambda l: (level_of(l), int(l, 2))):
-        before = kb.decisions.get(label, {})
-        after = updates[label]
-        for disease in sorted(set(before) | set(after)):
+    """Report each changed decision to the observer, by label in (level, mask) order."""
+    labels = _skeleton(kb.n).labels
+    events: Dict[str, Tuple[list, list, list]] = {}  # disease -> added, removed, changed
+    for mask in sorted(updates, key=lambda m: (m.bit_count(), m)):
+        before, after = kb.decisions.get(mask, {}), updates[mask]
+        for disease in set(before) | set(after):
+            added, removed, changed = events.setdefault(disease, ([], [], []))
             if disease not in before:
-                added.setdefault(disease, []).append((label, after[disease].vd))
+                added.append((labels[mask], after[disease].vd))
             elif disease not in after:
-                removed.setdefault(disease, []).append((label, before[disease].vd))
+                removed.append((labels[mask], before[disease].vd))
             elif before[disease].vd != after[disease].vd:
-                changed.setdefault(disease, []).append(
-                    (label, before[disease].vd, after[disease].vd))
-    for disease in sorted(set(added) | set(removed) | set(changed)):
-        if disease in added:
-            observer.decisions_added(disease, added[disease])
-        if disease in removed:
-            observer.decisions_removed(disease, removed[disease])
-        for label, old_vd, new_vd in changed.get(disease, ()):
+                changed.append((labels[mask], before[disease].vd, after[disease].vd))
+    for disease in sorted(events):
+        added, removed, changed = events[disease]
+        if added:
+            observer.decisions_added(disease, added)
+        if removed:
+            observer.decisions_removed(disease, removed)
+        for label, old_vd, new_vd in changed:
             observer.truth_changed(disease, label, old_vd, new_vd)

@@ -4,10 +4,11 @@ All four measures are ratios of summed credibility factors, taken over
 different slices of the lattice: the rule's own constituents, the
 disease's whole mass, and the disease's mass at one truth value.
 Rules are measured in one place, ``generate_rules``: it sums each stored
-region once per truth value (``_vd_sums``), joins the sums of a rule's
-regions and takes the rule's measures from them through ``measure``.  The
-disease's masses come from one pass over the lattice, shared by every
-rule of that disease, and each sum runs on integers through ``fsum``.
+region once per truth value from its masks (``_vd_sums``), joins the
+sums of a rule's regions and takes the rule's measures from them
+through ``measure``.  The disease's masses come from one pass over the
+lattice, shared by every rule of that disease, and each sum runs on
+integers through ``fsum``.
 Arithmetic is exact (fractions), so the identity checks compare against
 a tolerance only for the caller's peace of mind.
 """
@@ -21,6 +22,7 @@ from . import errors
 from ._num import ONE, fsum
 from ._record import Record, set_field
 from .evidence import TruthValue
+from .lattice import _mask, _skeleton
 from .roughset import _regions
 
 _TOL = Fraction(1, 10 ** 9)
@@ -44,8 +46,11 @@ DiseaseMass = Tuple[Fraction, Tuple[Fraction, Fraction, Fraction]]
 
 
 def disease_mass(kb, disease: str) -> DiseaseMass:
-    """One pass over the decided labels: the disease's credibility mass,
-    whole and per truth value, as ``(total, by_vd)``."""
+    """One pass over the decided nodes: the disease's credibility mass,
+    whole and per truth value, as ``(total, by_vd)``.  A disease that is
+    not text raises UnknownDisease."""
+    if not isinstance(disease, str):
+        raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
     cfs: Tuple[List[Fraction], ...] = ([], [], [])
     for entries in kb.decisions.values():
         entry = entries.get(disease)
@@ -55,26 +60,23 @@ def disease_mass(kb, disease: str) -> DiseaseMass:
     return fsum(by_vd), by_vd
 
 
-def _entries(kb, labels, disease: str) -> list:
-    """The labels' decisions for the disease, in the labels' order.  A
-    label without one raises DanglingLabel naming the least such label
-    (text first, the rest by repr), so the message does not follow a
-    set's hash order."""
+def _entries(kb, masks, disease: str) -> list:
+    """The masks' decisions for the disease, in the masks' order.  A mask
+    without one raises DanglingLabel naming the label of the least such
+    mask, so the message does not follow a set's hash order."""
     decisions = kb.decisions
     try:
-        return [decisions[label][disease] for label in labels]
+        return [decisions[mask][disease] for mask in masks]
     except KeyError:
-        label = min([label for label in labels
-                     if disease not in decisions.get(label, ())],
-                    key=errors.naming_key)
-    kb.node(label)  # a label with no node raises there
-    raise errors.DanglingLabel("node %s carries no decision for %r" % (label, disease))
+        mask = min([mask for mask in masks if disease not in decisions.get(mask, ())])
+    raise errors.DanglingLabel("node %s carries no decision for %r"
+                               % (_skeleton(kb.n).labels[mask], disease))
 
 
-def _vd_sums(kb, labels, disease: str) -> Tuple[Fraction, Fraction, Fraction]:
-    """One pass over the labels: their credibility summed at each truth value."""
+def _vd_sums(kb, masks, disease: str) -> Tuple[Fraction, Fraction, Fraction]:
+    """One pass over the masks: their credibility summed at each truth value."""
     cfs: Tuple[List[Fraction], ...] = ([], [], [])
-    for entry in _entries(kb, labels, disease):
+    for entry in _entries(kb, masks, disease):
         cfs[entry.vd].append(entry.cf)
     return fsum(cfs[0]), fsum(cfs[1]), fsum(cfs[2])
 
@@ -158,8 +160,9 @@ def check_properties(kb, approx: Mapping[str, "ApproximationSets"]) -> PropertyR
                            (sets.lower2, TruthValue.ABSENT)):
             if not labels or mass == 0:
                 continue
-            cfs = {label: entry.cf for label, entry
-                   in zip(labels, _entries(kb, labels, disease))}
+            labels = sorted(labels, key=errors.naming_key)  # the least bad label raises
+            entries = _entries(kb, [_mask(kb.n, label) for label in labels], disease)
+            cfs = {label: entry.cf for label, entry in zip(labels, entries)}
             class_cf = fsum(cfs.values())
             vd_mass = by_vd[vd]
             if class_cf == 0 or vd_mass == 0:
@@ -175,7 +178,7 @@ def check_properties(kb, approx: Mapping[str, "ApproximationSets"]) -> PropertyR
             expect(2, disease, vd, sum_v, ONE)
             expect(3, disease, vd, sum_z * (class_cf / mass), sum_e)
             expect(4, disease, vd, sum_v * (vd_mass / mass), sum_e)
-            for label in sorted(labels):
+            for label in labels:
                 expect(5, disease, vd, certainties[label],
                        strengths[label] / sum_e)
                 expect(6, disease, vd, coverages[label],

@@ -668,8 +668,8 @@ def generate_rules(kb, approx: Mapping[str, ApproximationSets],
     a label in two of them; ``approx`` that is not a mapping of disease
     names to regions, and ``kinds`` that are not a collection of kind
     names, raise OutOfRange.  Each stored region a rule needs is read once,
-    in rule order, into minterms and credibility sums per vd, raising on
-    its least malformed (OutOfRange) or undecided (DanglingLabel) label.
+    in rule order, into masks (OutOfRange names its least malformed label)
+    whose cfs are summed per vd (DanglingLabel names its least undecided).
     An upper region joins its lower region's and the boundary's, and the
     rule's measures come from those sums.
 
@@ -692,8 +692,10 @@ def generate_rules(kb, approx: Mapping[str, ApproximationSets],
     rules = []
     for disease, sets in _regions(approx):
         mass = metrics.disease_mass(kb, disease)
-        stored = {part: (_minterms(getattr(sets, part), kb.n),
-                         metrics._vd_sums(kb, getattr(sets, part), disease)) for part in needed}
+        stored = {}
+        for part in needed:
+            values = _minterms(getattr(sets, part), kb.n)
+            stored[part] = values, metrics._vd_sums(kb, values, disease)
         for kind in kinds:
             for region, parts, vd in _REGIONS[kind]:
                 labels = getattr(sets, region)

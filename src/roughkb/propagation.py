@@ -10,10 +10,10 @@ intermediates that mode is defined over.
 
 ``derive`` is the one entry point of derivation: ``propagate`` runs it
 over every composite level, and an edit over its cone.  It takes the
-labels a level at a time, and a level a disease at a time.  A label is
-a bit mask, read with its fact ids from the lattice's label table, and
-its predecessors are the masks less one bit.  Each predecessor's
-decisions are read once into integer records keyed by
+masks a level at a time, and a level a disease at a time.  A node is
+the mask that keys it in the lattice, with its fact ids read from the
+order's table, and its predecessors are the masks less one bit.  Each
+predecessor's decisions are read once into integer records keyed by
 disease and mask, ``(vd, cf numerator, cf denominator, truth record)``,
 the truth record being the triple's three numerators over one
 denominator (None for no triple); only the level below is kept.  One
@@ -66,6 +66,14 @@ def _fact_id(value) -> int:
     return value
 
 
+def _fact_set(facts, what: str) -> FrozenSet[int]:
+    """A collection of ``_fact_id``s as a set, or OutOfRange for anything else."""
+    try:
+        return frozenset(map(_fact_id, facts))
+    except TypeError:  # not iterable
+        raise errors.OutOfRange("%s %r are not a collection" % (what, facts)) from None
+
+
 def _alpha(value) -> Fraction:
     """The gate under which a credibility/weight product counts as zero."""
     value = frac(value)
@@ -83,7 +91,7 @@ class DecisionEntry:
     lattice's ``PriorityConfig.weights_for`` derives them.  ``tv`` may be
     None for decisions set by hand rather than derived from evidence.
 
-    An entry is a value: ``derive`` hands one entry to every label whose
+    An entry is a value: ``derive`` hands one entry to every node whose
     decision for the disease is equal, and lattices share unchanged
     entries, so an entry must never be mutated (``replace`` makes a new
     one).
@@ -167,12 +175,7 @@ class PriorityConfig:
         self.scoped = {}
         for key, prio in _items(scoped, "scoped priorities"):
             facts, disease = _pair(key, "scoped priority", "(fact ids, disease)")
-            try:
-                facts = frozenset(map(_fact_id, facts))
-            except TypeError:  # not iterable
-                raise errors.OutOfRange("scoped priority facts %r are not a collection"
-                                        % (facts,)) from None
-            disease = _disease(disease)
+            facts, disease = _fact_set(facts, "scoped priority facts"), _disease(disease)
             prio = {_fact_id(f): self._check(p)
                     for f, p in _items(prio, "scoped priorities of a fact set")}
             if not facts or set(prio) != set(facts):
@@ -201,8 +204,11 @@ class PriorityConfig:
     def weights_for(self, facts: FrozenSet[int], disease: str) -> Dict[int, Fraction]:
         """Each fact's weight p/total at the node of ``facts``; {} for none.
         A fact is an int above 0 unless a scoped priority names the set
-        (UnknownFact otherwise)."""
-        facts = frozenset(map(_fact_id, facts))
+        (UnknownFact otherwise); facts that are not a collection raise
+        OutOfRange, and a disease that is not text UnknownDisease."""
+        if not isinstance(disease, str):
+            raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
+        facts = _fact_set(facts, "facts")
         row, scoped = self._row(disease, max(facts, default=0))
         if facts not in scoped and min(facts, default=1) < 1:
             raise errors.UnknownFact("no fact with id %r" % (min(facts),))
@@ -391,7 +397,7 @@ def _cf_multi(carriers, facts: Iterable[int], prio: Mapping[int, int], total: in
               gate: Fraction, round2: bool) -> Optional[Tuple[TruthValue, int, int]]:
     """Prevailing truth value and credibility at level >= 3, or None.
 
-    ``carriers`` lists ``(lacking fact, record)`` in ascending label
+    ``carriers`` lists ``(lacking fact, record)`` in ascending mask
     order: every constituent is the node less one fact.  ``prio`` maps
     the fact id of each of the node's ``facts`` to its integer priority
     and ``total`` is their sum, so fact f weighs ``prio[f] / total``.
@@ -470,7 +476,7 @@ def _step(disease: str, facts: Tuple[int, ...], carriers, truths: list,
     """One node's entry for one disease and its record, or None.
 
     ``carriers`` lists ``(lacking fact, record)`` for the predecessors
-    that carry the disease, in ascending label order, and ``truths`` the
+    that carry the disease, in ascending mask order, and ``truths`` the
     truth records among theirs; ``prio`` is the node's fact priorities
     by fact id and their sum, and ``ext`` the record of the disease's
     direct evidence for this node, if any.  The level's kernel gives the
@@ -549,29 +555,26 @@ def _evidence(external, n: int) -> Dict[int, Dict[str, Record]]:
     return by_mask
 
 
-def derive(kb, labels: Iterable[str],
+def derive(kb, masks: Iterable[int],
            external: Optional[Mapping[FrozenSet[int], Mapping[str, tuple]]] = None
-           ) -> Dict[str, Dict[str, DecisionEntry]]:
-    """The fresh decision maps of ``labels``, one per label, empty or not,
+           ) -> Dict[int, Dict[str, DecisionEntry]]:
+    """The fresh decision maps of ``masks``, one per mask, empty or not,
     under the order, priorities, gate and rounding mode of ``kb``.
 
-    ``labels`` lists each label after those of its predecessors that it
-    holds (popcount order does).  Labels, masks and fact ids are read
-    from the order's table, ``lattice._skeleton``.  A predecessor is read
-    from its fresh map if it has one, and from the lattice's stored map
-    otherwise.  ``external`` maps a composite fact set to per-disease
-    (vd, cf, triple) resolved from direct knowledge sources (``_evidence``
-    checks it).  Such evidence is consumed here, not stored on any node,
-    so a later edit re-derives its cone from atomic decisions and
-    priorities alone (fault F3 in ``bench/README.md``).  Equal derived
-    triples are one object, and so are equal derived entries of a disease
-    (the module's value table).
+    ``masks`` lists each mask after those of its predecessors that it
+    holds (popcount order does).  A predecessor is read from its fresh
+    map if it has one, and from the lattice's stored map otherwise.
+    ``external`` maps a composite fact set to per-disease (vd, cf,
+    triple) resolved from direct knowledge sources (``_evidence`` checks
+    it).  Such evidence is consumed here, not stored on any node, so a
+    later edit re-derives its cone from atomic decisions and priorities
+    alone (fault F3 in ``bench/README.md``).  Equal derived triples are
+    one object, and so are equal derived entries of a disease (the
+    module's value table).
     """
     from .lattice import _skeleton  # lattice imports this module
-    table = _skeleton(kb.n)
-    masks, labelled, fact_ids = table.masks, table.labels, table.fact_ids
-    stored = kb.decisions
-    gate, round2 = kb.alpha, kb.round2
+    fact_ids = _skeleton(kb.n).fact_ids
+    stored, gate, round2 = kb.decisions, kb.alpha, kb.round2
     evidence = _evidence(external, kb.n)
 
     def row(disease):  # a disease's priority row, and its scoped priorities by mask
@@ -582,21 +585,20 @@ def derive(kb, labels: Iterable[str],
     # the value table: a triple per truth record, per disease an entry per record
     triples = Converted(_triple)
     entries: Dict[str, Dict[Record, Tuple[DecisionEntry, Record]]] = {}
-    fresh: Dict[str, Dict[str, DecisionEntry]] = {}
+    fresh: Dict[int, Dict[str, DecisionEntry]] = {}
     below: Dict[str, Dict[int, Record]] = {}   # disease -> mask -> record, one level down
     below_masks = frozenset()                  # the masks whose records below holds
-    for _, run in groupby(map(masks.__getitem__, labels), int.bit_count):
+    for _, run in groupby(masks, int.bit_count):
         run_nodes = []
         for mask in run:
             facts = fact_ids[mask]
             # clearing the bit of fact f, highest first, leaves the
-            # predecessors in ascending label order
+            # predecessors in ascending mask order
             preds = {mask ^ (1 << (f - 1)): f for f in reversed(facts)}
-            out = fresh[labelled[mask]] = {}
+            out = fresh[mask] = {}
             run_nodes.append((mask, facts, preds, evidence.get(mask), out))
         for pm in {pm for node in run_nodes for pm in node[2]} - below_masks:
-            pred = labelled[pm]
-            decisions = fresh[pred] if pred in fresh else stored.get(pred, {})
+            decisions = fresh[pm] if pm in fresh else stored.get(pm, {})
             for disease, entry in decisions.items():
                 below.setdefault(disease, {})[pm] = _record(entry)
         diseases = set(below).union(*[node[3] for node in run_nodes if node[3]])
@@ -646,5 +648,6 @@ def propagate(kb, priorities: Optional[PriorityConfig] = None,
     """
     from .lattice import Lattice  # lattice imports this module
     kb = Lattice(kb.facts, kb.decisions, alpha=alpha, priorities=priorities, round2=round2)
-    labels = [label for level_labels in kb.levels[2:] for label in level_labels]
-    return kb.with_updates(derive(kb, labels, external))
+    # the masks of two or more bits, by level
+    composite = sorted([m for m in range(1 << kb.n) if m & (m - 1)], key=int.bit_count)
+    return kb.with_updates(derive(kb, composite, external))

@@ -19,6 +19,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 from . import errors
 from ._record import Record, set_field
 from .evidence import TruthValue
+from .lattice import _skeleton
 
 
 def _vd(vd) -> TruthValue:
@@ -162,8 +163,9 @@ def approximations(kb, disease: str) -> ApproximationSets:
     """
     if not isinstance(disease, str):
         raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
-    vds = {label: entries[disease].vd
-           for label, entries in kb.decisions.items() if disease in entries}
+    labels = _skeleton(kb.n).labels
+    vds = {labels[mask]: entries[disease].vd
+           for mask, entries in kb.decisions.items() if disease in entries}
     if not vds and disease not in kb.priorities.diseases():
         raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
     return ApproximationSets.from_vd_map(vds)

@@ -18,7 +18,7 @@ from conftest import kb_from_atomics, random_kb, seeded
 from roughkb import errors, kbio, roughset
 from roughkb.evidence import EvidenceProfile
 from roughkb.lattice import (ConditionEdit, DropDecision, Fact, Lattice, SetDecision, build_kb,
-                             modify_node)
+                             insert_fact, modify_node)
 from roughkb.minimizer import SopExpression, generate_rules, minimize
 from roughkb.propagation import DecisionEntry, PriorityConfig, propagate
 
@@ -181,9 +181,15 @@ KB_LABELS = st.one_of(LABELS, st.sampled_from(["000", "001", "011", "110", "111"
 ANY_KB_LABELS = st.one_of(KB_LABELS, st.lists(KB_LABELS, max_size=3))
 NAMES = st.sampled_from(["ANK", "BUR", "CFJ", "bad name!", "", None, 1.5, ("ANK",)])
 ANY_NAMES = st.one_of(NAMES, st.lists(NAMES, max_size=1))
+# Facts: the order-3 facts, and lists that mix them with values that are
+# not facts.
+NOT_FACTS = st.sampled_from([5, None, "f1", (1, "a1", "v"), Fact(1, "a1", "v")])
+FACT_LISTS = st.one_of(st.just(FACTS), st.lists(st.one_of(st.sampled_from(FACTS), NOT_FACTS),
+                                                max_size=4))
 ENTRY = DecisionEntry("ANK", 1, Fraction(1, 2))
+# Decision keys: order-3 masks, ints outside 0..7, bools and labels.
 DECISIONS = st.one_of(
-    st.dictionaries(KB_LABELS, st.one_of(st.just({"ANK": ENTRY}), st.just({}), JUNK,
+    st.dictionaries(st.one_of(st.integers(-1, 8), st.booleans(), KB_LABELS), st.one_of(st.just({"ANK": ENTRY}), st.just({}), JUNK,
                                          st.dictionaries(NAMES, st.sampled_from([ENTRY, None]),
                                                          max_size=2)),
                     max_size=3),
@@ -227,9 +233,12 @@ CALLS = st.one_of(
     st.tuples(st.just(minimize), st.tuples(REGIONS, ORDERS)),
     st.tuples(st.just(EvidenceProfile.from_levels),
               st.tuples(SPARSE, st.one_of(st.integers(-1, 4), st.just("3")))),
-    st.tuples(st.just(build_kb), st.tuples(st.just(FACTS), ATOMICS)),
+    st.tuples(st.just(build_kb), st.tuples(FACT_LISTS, ATOMICS)),
     st.tuples(st.just(PriorityConfig), st.tuples(GLOBAL_PRIORITIES, SCOPED_PRIORITIES)),
-    st.tuples(st.just(Lattice), st.tuples(st.just(KB.facts), DECISIONS)),
+    st.tuples(st.just(Lattice), st.tuples(FACT_LISTS, DECISIONS)),
+    st.tuples(st.just(insert_fact),
+              st.tuples(st.just(KB), st.one_of(st.just(Fact(4, "a4", "v")), NOT_FACTS),
+                        ENTRY_LISTS)),
     st.tuples(st.just(Lattice.node), st.tuples(st.just(KB), ANY_KB_LABELS)),
     st.tuples(st.just(modify_node), st.tuples(st.just(KB), ANY_KB_LABELS, CHANGES)),
     st.tuples(st.just(SopExpression.evaluate),

@@ -850,7 +850,7 @@ def _check_w_fields(kb):
 
 def test_an_entry_node_decision_has_no_weights(kb_round2):
     entry = kb_round2.node("001").decisions["PIVD"]
-    kb = kb_round2.with_updates({"000": {"PIVD": entry}})
+    kb = kb_round2.with_updates({0: {"PIVD": entry}})
     text = kbio.serialize_kb(kb)
     assert "node 000\ndecision PIVD vd=%d cf=%s tv=" % (entry.vd, render(entry.cf, 2)) in text
     assert _w_lines(text)[("000", "PIVD")][1] == "-"
@@ -1032,7 +1032,7 @@ def test_cli_check_reports_ok(kb_file, capsys):
 def test_cli_check_reports_a_decision_on_the_entry_node(kb_round2, tmp_path, capsys):
     entry = kb_round2.node("001").decisions["PIVD"]
     path = tmp_path / "entry.kb"
-    path.write_text(kbio.serialize_kb(kb_round2.with_updates({"000": {"PIVD": entry}})),
+    path.write_text(kbio.serialize_kb(kb_round2.with_updates({0: {"PIVD": entry}})),
                     encoding="utf-8")
     assert kbio.cli(["check", str(path)]) == 1
     assert capsys.readouterr().out == (

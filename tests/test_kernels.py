@@ -16,7 +16,7 @@ import oracles
 from roughkb import errors
 from roughkb._num import Converted, fsum, publish2, render
 from roughkb.evidence import TruthTriple
-from roughkb.lattice import _cone_labels, facts_of
+from roughkb.lattice import _cone, facts_of
 from roughkb.minimizer import SopExpression
 from roughkb.propagation import (DecisionEntry, _cf_multi, _level2, _mean_triple, _record,
                                  _triple, _triple_record)
@@ -244,10 +244,12 @@ def test_mean_triple_publishes_exact_halves_up(mode, with_external):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_cone_labels_are_the_strict_supersets(n):
+    """``_cone`` gives the masks of the labels whose facts strictly contain
+    a label's, in (level, mask) order."""
     labels = [format(v, "0%db" % n) for v in range(2 ** n)]
-    for label in labels:
-        want = [other for other in labels if facts_of(other) > facts_of(label)]
-        assert _cone_labels(label) == want
+    for mask, label in enumerate(labels):
+        want = [int(other, 2) for other in labels if facts_of(other) > facts_of(label)]
+        assert _cone(mask, n) == sorted(want, key=lambda m: (m.bit_count(), m))
 
 
 def _holds(term, label):

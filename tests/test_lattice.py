@@ -1,6 +1,7 @@
 """Lattice structure, label arithmetic, construction, and edits."""
 
 import pickle
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -17,8 +18,8 @@ from roughkb.evidence import TruthTriple
 from roughkb.kbio import build_from_document, load_kb, parse_evidence, serialize_kb
 from roughkb.lattice import (DEFAULT_ORDER_CAP, ConditionEdit, DropDecision, Fact, Lattice,
                              LatticeNode, SetDecision, _build_structure, _skeleton, build_kb,
-                             check_structure, delete_fact, facts_of, insert_fact, label_for,
-                             level_of, modify_node)
+                             check_structure, delete_fact, facts_of, insert_fact, level_of,
+                             modify_node)
 from roughkb.minimizer import SopExpression, generate_rules, minimize
 from roughkb.propagation import DecisionEntry, PriorityConfig, propagate
 
@@ -33,12 +34,17 @@ def _tiny_kb(n=3):
     return build_kb(_facts(n), {1: [DecisionEntry("ANK", 1, F(1, 2))]})
 
 
+def _label(fids, n):
+    """The order-n label of a fact set, read from the order's label table."""
+    return _skeleton(n).labels[sum(1 << (f - 1) for f in set(fids))]
+
+
 # --- label arithmetic -------------------------------------------------------
 
 def test_label_layout_prints_highest_fact_first():
-    assert label_for([1], 3) == "001"
-    assert label_for([2], 3) == "010"
-    assert label_for([1, 3], 3) == "101"
+    assert _label([1], 3) == "001"
+    assert _label([2], 3) == "010"
+    assert _label([1, 3], 3) == "101"
     assert facts_of("101") == frozenset({1, 3})
     assert level_of("101") == 2
     assert level_of("000") == 0
@@ -59,7 +65,7 @@ def test_neighbors_enumerate_in_document_order():
     lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
 def test_label_roundtrip(case):
     n, fids = case
-    label = label_for(fids, n)
+    label = _label(fids, n)
     assert len(label) == n
     assert facts_of(label) == frozenset(fids)
     assert level_of(label) == len(fids)
@@ -152,7 +158,7 @@ def test_edits_leave_the_cached_skeletons_intact():
     kb, _, _ = random_kb(seeded(5150), n)
     text = serialize_kb(kb)
     first = load_kb(text)
-    label = label_for([2], n)
+    label = _label([2], n)
     disease = next(iter(first.node(label).decisions))
     edited = modify_node(first, label, DropDecision(disease))
     set_top = modify_node(first, "1" * n, SetDecision("ANK", 1, F(1, 2)))
@@ -248,36 +254,83 @@ def test_the_constructor_checks_the_facts():
 
 
 def test_the_constructor_refuses_a_label_of_another_order():
+    """Decisions are keyed by int mask: a label, a bool, and an int outside
+    0..2**n - 1 name no node, and the least of several is named, ints
+    first."""
     entry = {"ANK": DecisionEntry("ANK", 1, F(1, 2))}
-    for label in ("011", "1", "12", "1x", "", 3):
-        with pytest.raises(errors.DanglingLabel, match="^no node labelled %r$" % (label,)):
-            Lattice(_facts(2), {"01": entry, label: entry})
-    # the least of several is named, text first
-    with pytest.raises(errors.DanglingLabel, match="^no node labelled '011'$"):
-        Lattice(_facts(2), {5: entry, "2": entry, "011": entry})
+    for key in ("01", "011", "", True, False, -1, 4, 2.0, None, (1,)):
+        with pytest.raises(errors.DanglingLabel,
+                           match=r"^no node of order 2 has mask %s$" % re.escape(repr(key))):
+            Lattice(_facts(2), {3: entry, key: entry})
+    with pytest.raises(errors.DanglingLabel, match="^no node of order 2 has mask -1$"):
+        Lattice(_facts(2), {"01": entry, True: entry, 1 << 2: entry, -1: entry})
+    with pytest.raises(errors.DanglingLabel, match="^no node of order 2 has mask True$"):
+        Lattice(_facts(2), {"01": entry, 1 << 2: entry, True: entry})
     # with_updates checks the maps it files as the constructor does
-    kb = Lattice(_facts(2), {"01": entry})
-    with pytest.raises(errors.DanglingLabel, match="^no node labelled '011'$"):
-        kb.with_updates({"10": entry, "011": entry, 5: entry})
+    kb = Lattice(_facts(2), {1: entry})
+    with pytest.raises(errors.DanglingLabel, match="^no node of order 2 has mask -1$"):
+        kb.with_updates({2: entry, "01": entry, True: entry, 1 << 2: entry, -1: entry})
+    with pytest.raises(errors.DanglingLabel, match="^no node of order 2 has mask '10'$"):
+        kb.with_updates({2: entry, "10": entry})
     with pytest.raises(errors.DanglingLabel, match=r"^no node labelled \['01'\]$"):
         _tiny_kb(2).node(["01"])
 
 
 def test_the_constructor_drops_empty_maps():
-    kb = Lattice(_facts(2), {"01": {}, "11": {}})
+    kb = Lattice(_facts(2), {0b01: {}, 0b11: {}})
     assert kb.decisions == {}
     assert kb == Lattice(_facts(2), {})
-    assert kb.with_updates({"10": {}}) == kb
+    assert kb.with_updates({0b10: {}}) == kb
+
+
+def test_every_lattice_is_keyed_by_int_mask():
+    """Build, propagate, load and the three edits key each decision map by
+    its node's mask, and a label names the map its mask keys."""
+    atomic = build_kb(_facts(3)[::-1], {1: [DecisionEntry("ANK", 1, F(1, 2))],
+                                        3: [DecisionEntry("BUR", 0, F(3, 4))]})
+    assert list(atomic.decisions) == [0b001, 0b100]
+    kb = propagate(atomic, round2=True)
+    grown = insert_fact(kb, Fact(4, "a4", "yes"), [DecisionEntry("ANK", 2, F(1, 4))])
+    shrunk = delete_fact(grown, 2)
+    edited = modify_node(kb, "001", SetDecision("ANK", 0, F(1, 3)))
+    renamed = modify_node(kb, "100", ConditionEdit(value="no"))
+    lattices = [atomic, kb, load_kb(serialize_kb(kb)), grown, shrunk, edited, renamed]
+    for lattice in lattices:
+        assert lattice.decisions
+        for mask, entries in lattice.decisions.items():
+            assert type(mask) is int and 0 < mask < 1 << lattice.n
+            assert lattice.node(_skeleton(lattice.n).labels[mask]).decisions == entries
+    # insert keeps every map under its key: the new fact is the top bit
+    assert all(grown.decisions[mask] is entries for mask, entries in kb.decisions.items())
+    assert set(grown.decisions[0b1000]) == {"ANK"}
+    # delete drops the masks holding fact 2's bit and shifts the bits above it down
+    assert shrunk.decisions == {mask & 0b1 | (mask >> 1) & ~0b1: entries
+                                for mask, entries in grown.decisions.items() if not mask & 0b10}
+    assert shrunk.decisions[0b100] is grown.decisions[0b1000]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Lattice([5], {}),
+    lambda: Lattice([Fact(1, "a", "yes"), ("2", "b", "yes")], {}),
+    lambda: insert_fact(_tiny_kb(2), 5, []),
+    lambda: build_kb([5], {}),
+    lambda: build_kb([Fact(1, "a", "yes"), None], {}),
+], ids=["Lattice", "Lattice-tuple", "insert_fact", "build_kb", "build_kb-None"])
+def test_a_fact_that_is_not_a_fact_is_refused(call):
+    """Each raised a bare AttributeError reading the value's id."""
+    with pytest.raises(errors.OutOfRange, match="^fact .+ is not a Fact$") as caught:
+        call()
+    assert type(caught.value) is errors.OutOfRange
 
 
 @pytest.mark.parametrize("decisions,message", [
-    ({"01": {"ANK": "junk"}}, "^decision 'ANK' at '01' is not a DecisionEntry of that disease"),
-    ({"01": {"ANK": None}}, "^decision 'ANK' at '01' is not a DecisionEntry"),
-    ({"01": {"BUR": DecisionEntry("ANK", 1, "0.5")}},
-     "^decision 'BUR' at '01' is not a DecisionEntry of that disease: DecisionEntry\\('ANK'"),
-    ({"01": ["ANK"]}, "^decisions must map labels to maps of entries$"),
-    ({"01": "ANK"}, "^decisions must map labels to maps of entries$"),
-    (["01"], "^decisions must map labels to maps of entries$"),
+    ({1: {"ANK": "junk"}}, "^decision 'ANK' at 1 is not a DecisionEntry of that disease"),
+    ({1: {"ANK": None}}, "^decision 'ANK' at 1 is not a DecisionEntry"),
+    ({1: {"BUR": DecisionEntry("ANK", 1, "0.5")}},
+     "^decision 'BUR' at 1 is not a DecisionEntry of that disease: DecisionEntry\\('ANK'"),
+    ({1: ["ANK"]}, "^decisions must map masks to maps of entries$"),
+    ({1: "ANK"}, "^decisions must map masks to maps of entries$"),
+    ([1], "^decisions must map masks to maps of entries$"),
 ])
 def test_the_constructor_refuses_a_malformed_decision_map(decisions, message):
     """Each was accepted: serialize_kb then raised a bare AttributeError or
@@ -454,7 +507,7 @@ def test_delete_fact_equals_rebuild_on_reduced_input(seed, drop):
             survivors = [Fact(shift(f.id), f.attribute, f.value)
                          for f in kb.facts if f.id != drop]
             # the rebuild's atomics are the stored ones, truth triples included
-            reduced = {shift(fid): list(kb.node(label_for([fid], n)).decisions.values())
+            reduced = {shift(fid): list(kb.node(_label([fid], n)).decisions.values())
                        for fid in others}
             rebuilt = propagate(build_kb(survivors, reduced),
                                 priorities=priorities.without_fact(drop), alpha=alpha,
@@ -514,7 +567,7 @@ def test_cone_edits_serialize_as_a_rebuild_of_the_edited_atomics(round2, n, seed
     kb = propagate(build_kb(_facts(n), entries), priorities=priorities,
                    alpha=alpha, round2=round2)
     fid = rng.choice(sorted(entries))
-    label = label_for([fid], n)
+    label = _label([fid], n)
     victim = entries[fid][0]
 
     # level-1 set: a new value for a decision the fact already carries

@@ -1,5 +1,6 @@
 """Rule quality measures and the probabilistic identity suite."""
 
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -217,6 +218,14 @@ def test_stale_approximations_report_is_pinned(kb_round2, approx_round2):
     stale["CFJ"] = approx_round2["SIJ"]
     assert metrics.check_properties(kb_round2, stale) == metrics.PropertyReport(
         54, ((2, "CFJ", 1, "1.1263157894736842 != 1.0"),))
+
+
+@pytest.mark.parametrize("disease", [["A"], None, 5], ids=["list", "none", "int"])
+def test_disease_mass_refuses_a_disease_that_is_not_text(kb_round2, disease):
+    """A list raised a bare TypeError (unhashable); None and 5 summed nothing."""
+    with pytest.raises(errors.UnknownDisease,
+                       match="^no disease %s in this knowledge base$" % re.escape(repr(disease))):
+        metrics.disease_mass(kb_round2, disease)
 
 
 def test_disease_mass_splits_by_truth_value(kb_round2):

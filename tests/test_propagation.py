@@ -14,8 +14,8 @@ from roughkb import errors
 from roughkb._num import Converted
 from roughkb.evidence import TruthTriple, TruthValue
 from roughkb.kbio import serialize_kb
-from roughkb.lattice import (Fact, Lattice, SetDecision, _cone_labels, build_kb, facts_of,
-                             insert_fact, level_of, modify_node)
+from roughkb.lattice import (Fact, Lattice, SetDecision, _cone, build_kb, facts_of, insert_fact,
+                             modify_node)
 from roughkb.propagation import (DecisionEntry, PriorityConfig, _cf_multi, _mean_triple,
                                  _record, _triple, _triple_record, derive, propagate)
 
@@ -133,6 +133,20 @@ def test_weights_are_given_for_fact_ids_only():
             cfg.weights_for(facts, "ANK")
 
 
+@pytest.mark.parametrize("facts,disease,error,message", [
+    (5, "ANK", errors.OutOfRange, "^facts 5 are not a collection$"),
+    (None, "ANK", errors.OutOfRange, "^facts None are not a collection$"),
+    ({1}, ["A"], errors.UnknownDisease, r"^no disease \['A'\] in this knowledge base$"),
+    ({1}, None, errors.UnknownDisease, "^no disease None in this knowledge base$"),
+], ids=["int-facts", "no-facts", "list-disease", "no-disease"])
+def test_weights_for_refuses_what_is_not_facts_or_a_disease(facts, disease, error, message):
+    """Each raised a bare TypeError: facts that are not a collection are not
+    iterable, and a list is unhashable."""
+    with pytest.raises(error, match=message) as caught:
+        PriorityConfig({("ANK", 1): 2}).weights_for(facts, disease)
+    assert type(caught.value) is error
+
+
 def test_priority_config_rejects_bad_shapes():
     with pytest.raises(errors.OutOfRange):
         PriorityConfig({("ANK", 1): 0})
@@ -174,10 +188,10 @@ def _pair(first, second, alpha=0):
     """The (vd, cf) that node {1, 2} derives for ANK under equal weights
     of 1/2, when its predecessors {1} and {2} carry the (vd, cf) pairs
     given (None for no decision); None when ANK does not reach it."""
-    kb = _small_kb(2, {label: {"ANK": DecisionEntry("ANK", *pair)}
-                       for label, pair in (("01", first), ("10", second)) if pair is not None},
+    kb = _small_kb(2, {mask: {"ANK": DecisionEntry("ANK", *pair)}
+                       for mask, pair in ((0b01, first), (0b10, second)) if pair is not None},
                    alpha)
-    entry = derive(kb, ["11"])["11"].get("ANK")
+    entry = derive(kb, [0b11])[0b11].get("ANK")
     return None if entry is None else (entry.vd, entry.cf)
 
 
@@ -254,8 +268,8 @@ def test_carryover_single_gates():
 def _merged(ext_vd, ext_cf, tv=None):
     """The (vd, cf) that node {1, 2} derives for ANK when the lattice alone
     gives (P, 1/2) and direct evidence (ext_vd, ext_cf, tv) is merged in."""
-    kb = _small_kb(2, {label: {"ANK": DecisionEntry("ANK", P, F(1, 2))} for label in ("01", "10")})
-    entry = derive(kb, ["11"], {frozenset({1, 2}): {"ANK": (ext_vd, ext_cf, tv)}})["11"]["ANK"]
+    kb = _small_kb(2, {mask: {"ANK": DecisionEntry("ANK", P, F(1, 2))} for mask in (0b01, 0b10)})
+    entry = derive(kb, [0b11], {frozenset({1, 2}): {"ANK": (ext_vd, ext_cf, tv)}})[0b11]["ANK"]
     return entry.vd, entry.cf
 
 
@@ -329,14 +343,14 @@ def test_malformed_external_evidence_is_refused(external, error, message):
 
 def test_derive_all_gated_means_absent():
     entry = {"ANK": DecisionEntry("ANK", 1, F(1, 100))}
-    kb = _small_kb(3, {"011": entry, "101": entry, "110": entry}, F(1, 2))
-    assert derive(kb, ["111"]) == {"111": {}}
+    kb = _small_kb(3, {0b011: entry, 0b101: entry, 0b110: entry}, F(1, 2))
+    assert derive(kb, [0b111]) == {0b111: {}}
 
 
 def test_derive_requires_no_disease_to_be_invented():
     kb = kb_from_atomics({}, 2)
     assert kb.node("11").decisions == {}
-    assert derive(kb, ["11"]) == {"11": {}}
+    assert derive(kb, [0b11]) == {0b11: {}}
 
 
 # --- agreement with the straight-line reference -----------------------------
@@ -465,14 +479,14 @@ def test_agreeing_atomics_pass_their_verdict_up():
 
 # --- the level loop against a node-by-node walk ------------------------------
 
-def _walk(kb, labels, external):
-    """What ``derive`` returns, node by node: one label per call, over a
+def _walk(kb, masks, external):
+    """What ``derive`` returns, node by node: one mask per call, over a
     lattice whose decisions are read fresh where derived here and stored
     otherwise."""
     fresh = {}
-    for label in labels:
-        fresh[label] = derive(kb, [label], external)[label]
-        kb = kb.with_updates({label: fresh[label]})
+    for mask in masks:
+        fresh[mask] = derive(kb, [mask], external)[mask]
+        kb = kb.with_updates({mask: fresh[mask]})
     return fresh
 
 
@@ -506,12 +520,12 @@ def test_derive_matches_a_node_by_node_walk(n, round2):
     atomic = build_kb(facts, entries_with_triples(rng, atomics))
     kb = Lattice(atomic.facts, atomic.decisions, alpha=gate, priorities=priorities,
                  round2=round2)
-    labels = [label for level in kb.levels[2:] for label in level]
-    got = derive(kb, labels, external)
-    assert got == _walk(kb, labels, external)
-    assert list(got) == labels
+    masks = [int(label, 2) for level in kb.levels[2:] for label in level]
+    got = derive(kb, masks, external)
+    assert got == _walk(kb, masks, external)
+    assert list(got) == masks
     if n >= 2:
-        assert "NEW" in got["0" * (n - 2) + "11"]
+        assert "NEW" in got[0b11]
 
 
 @pytest.mark.parametrize("n,seed", [(5, 1), (6, 2), (7, 3)])
@@ -521,9 +535,10 @@ def test_edit_cones_match_a_node_by_node_walk(n, seed, round2):
     kb, _, _ = random_kb(rng, n, alpha=(0, F(1, 20), F(1, 10))[seed % 3], round2=round2)
 
     def cone_of(edited, label):
-        cone = sorted(_cone_labels(label), key=level_of)
-        view = kb.with_updates({label: edited.node(label).decisions})
-        assert {l: edited.node(l).decisions for l in cone} == _walk(view, cone, {})
+        mask = int(label, 2)
+        cone = _cone(mask, n)
+        view = kb.with_updates({mask: edited.node(label).decisions})
+        assert {m: edited.decisions.get(m, {}) for m in cone} == _walk(view, cone, {})
 
     level1 = "0" * (n - 1) + "1"
     upper = "0" * (n - 3) + "101"
@@ -532,17 +547,17 @@ def test_edit_cones_match_a_node_by_node_walk(n, seed, round2):
         cone_of(modify_node(kb, label, SetDecision("ANK", vd, F(rng.randint(1, 99), 100))), label)
     grown = insert_fact(kb, Fact(n + 1, "a%d" % (n + 1), "yes"),
                         [DecisionEntry("ANK", 2, F(7, 10)), DecisionEntry("NEW", 1, F(1, 4))])
-    cone = sorted(_cone_labels("1" + "0" * n), key=level_of)
-    assert {l: grown.node(l).decisions for l in cone} == _walk(grown, cone, {})
+    cone = _cone(1 << n, n + 1)
+    assert {m: grown.decisions.get(m, {}) for m in cone} == _walk(grown, cone, {})
 
 
-def _assert_built_once(kb, labels):
-    """Equal triples of ``labels``' decisions are one object, and so are
+def _assert_built_once(kb, masks):
+    """Equal triples of ``masks``' decisions are one object, and so are
     equal decisions of one disease; returns (entries, entry objects)."""
     triples, entries = {}, {}
     count = 0
-    for label in labels:
-        for disease, entry in kb.decisions.get(label, {}).items():
+    for mask in masks:
+        for disease, entry in kb.decisions.get(mask, {}).items():
             count += 1
             tv = None if entry.tv is None else tuple(entry.tv)
             if tv is not None:
@@ -561,22 +576,21 @@ def test_derive_builds_each_distinct_triple_and_entry_once(round2):
                       entries_with_triples(rng, atomics))
     priorities = random_priorities(rng, n, diseases)
     kb = propagate(atomic, priorities=priorities, round2=round2)
-    composite = [label for level in kb.levels[2:] for label in level]
+    composite = [int(label, 2) for level in kb.levels[2:] for label in level]
     count, objects = _assert_built_once(kb, composite)
     assert objects < count
     # the same inside the cone of a level-1 edit
     label = "0" * (n - 1) + "1"
     vd = (int(kb.node(label).decisions.get("ANK", DecisionEntry("ANK", 0, 0)).vd) + 1) % 3
     edited = modify_node(kb, label, SetDecision("ANK", vd, F(37, 100)))
-    cone = _cone_labels(label)
-    count, objects = _assert_built_once(edited, cone)
+    count, objects = _assert_built_once(edited, _cone(1, n))
     assert objects < count
     # the table lives for one call: a second propagate shares no triple or entry
     again = propagate(atomic, priorities=priorities, round2=round2)
     assert again == kb
 
     def made(lattice):
-        return [entry for label in composite for entry in lattice.decisions.get(label, {}).values()]
+        return [entry for mask in composite for entry in lattice.decisions.get(mask, {}).values()]
 
     assert not {id(e) for e in made(kb)} & {id(e) for e in made(again)}
     assert not ({id(e.tv) for e in made(kb) if e.tv is not None}

@@ -51,17 +51,17 @@ def test_a_traced_edit_counts_its_cone():
 
 def test_the_wrapped_names_are_the_derivation_engine():
     """``kbio.propagate`` and ``lattice._repropagate`` are the names the
-    tracer wraps; ``derive`` answers with one map per label asked for,
+    tracer wraps; ``derive`` answers with one map per mask asked for,
     empty maps included, so ``propagation.nodes_derived`` counts what
     ``lattice.cone_nodes`` counts."""
     assert roughkb.kbio.propagate is roughkb.propagation.propagate
     assert roughkb.lattice._repropagate is roughkb.propagation.derive
     facts = [Fact(i, "a%d" % i, "yes") for i in (1, 2, 3)]
-    kb = Lattice(facts, {"001": {"ANK": DecisionEntry("ANK", 1, F(1, 10))}}, alpha=F(1, 2))
-    labels = ["011", "101", "110", "111"]
-    out = roughkb.propagation.derive(kb, labels)
-    assert list(out) == labels
-    assert out["110"] == {} and out["111"] == {}
+    kb = Lattice(facts, {0b001: {"ANK": DecisionEntry("ANK", 1, F(1, 10))}}, alpha=F(1, 2))
+    masks = [0b011, 0b101, 0b110, 0b111]
+    out = roughkb.propagation.derive(kb, masks)
+    assert list(out) == masks
+    assert out[0b110] == {} and out[0b111] == {}
 
 
 def test_a_traced_rules_run_counts_its_primes_and_every_rule(tmp_path, capsys, kb_round2):
