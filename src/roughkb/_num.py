@@ -16,8 +16,9 @@ result with a gcd and dispatches on the operand types.  ``publish2(x)``
 is ``floor((200*num + den) / (2*den)) / 100``, ``render`` takes
 ``divmod(|num| * 10**places, den)`` and settles a tie by comparing twice
 the remainder with ``den``, and :func:`fsum` adds over one running lcm
-denominator and builds a single Fraction at the end.  The kernels of
-``propagation`` take integer records rather than Fractions: each
+denominator, widened only by a denominator that does not divide it, and
+builds a single Fraction at the end.  The kernels of ``propagation``
+take integer records rather than Fractions: each
 (label, disease) entry, and each piece of direct evidence, is turned
 once into ``(vd, cf numerator, cf denominator, truth record)``, the
 truth record being the triple's three numerators over one common
@@ -40,10 +41,14 @@ them again.
 
 :func:`parse_rational` is the one parser of number tokens read from
 files and the command line, and :func:`frac` sends every string through
-it too.  :func:`parse_int` is the one parser of their integer tokens.
-Both read ASCII digits only.  :class:`Converted` converts each distinct
-key once: ``load_kb`` keeps its token tables in it, and the ``w=``
-renderer of ``kbio`` its item texts.
+it too.  It reads the serializer's ``D.DD`` and ``D.DDDDDD`` tokens
+without its pattern and builds their Fraction with one gcd; every other
+token goes through the pattern (``_parse_general``), which accepts and
+refuses each token as the fast path does.  :func:`parse_int` is the one
+parser of their integer tokens.  Both read ASCII digits only.
+:class:`Converted` converts each distinct key once: ``load_kb`` keeps
+its token tables in it, and the ``w=`` renderer of ``kbio`` its item
+texts.
 """
 
 from __future__ import annotations
@@ -70,6 +75,9 @@ _INT_RE = re.compile(r"[-+]?[0-9]+\Z")
 # interpreter's default int-string limit, 4300 digits, and Fraction
 # builds 10**|exponent| from a Decimal.
 _DECIMAL_EXPONENT_LIMIT = 4300
+# token length -> the denominator of the serializer's decimals: D.DD in
+# the two-decimal mode, D.DDDDDD in the exact one
+_SCALES = {4: 100, 8: 10 ** 6}
 
 
 def parse_rational(token: str) -> Fraction:
@@ -77,10 +85,26 @@ def parse_rational(token: str) -> Fraction:
 
     Accepts ``N``, ``N/D`` and decimals such as ``0.25`` or ``.5`` (what
     the serializer writes, and what users type), and builds the Fraction
-    from integers.  Raises ValueError for anything else, exponent
+    from integers.  The serializer's own ``D.DD`` and ``D.DDDDDD`` skip
+    the pattern.  Raises ValueError for anything else, exponent
     notation included, and ZeroDivisionError for a zero denominator;
     callers turn both into their typed error.
     """
+    scale = _SCALES.get(len(token))
+    if scale and token[1] == "." and token.isascii():
+        digits = token[0] + token[2:]
+        if digits.isdigit():
+            # Fraction(num, scale) with one gcd, past Fraction's type dispatch
+            num = int(digits)
+            g = gcd(num, scale)
+            value = object.__new__(Fraction)
+            value._numerator, value._denominator = num // g, scale // g
+            return value
+    return _parse_general(token)
+
+
+def _parse_general(token: str) -> Fraction:
+    """``parse_rational`` by the pattern alone, the serializer's tokens included."""
     match = _RATIONAL_RE.match(token)
     if match is None:
         raise ValueError("not a plain number: %r" % (token,))
@@ -142,12 +166,11 @@ def fsum(values: Iterable[Rational]) -> Fraction:
     num, den = 0, 1
     for value in values:
         n, d = value.as_integer_ratio()
-        if d == den:
-            num += n
-        else:
+        if den % d:  # den becomes the lcm of the denominators so far
             g = gcd(den, d)
-            num = num * (d // g) + n * (den // g)
+            num *= d // g
             den = den // g * d
+        num += n * (den // d)
     return Fraction(num, den)
 
 

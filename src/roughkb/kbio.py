@@ -455,8 +455,13 @@ def _weights_texts(priorities: PriorityConfig, n: int) -> Dict[str, List[str]]:
         # total -> each fact's item text by fact id, under the row
         items = Converted(lambda total: ["f%d:%s" % (f, _ratio(p, total))
                                          for f, p in enumerate(row)])
-        out = [",".join(map(items[sum(map(row.__getitem__, facts))].__getitem__, facts))
-               for facts in fact_ids]
+        # each mask's total: the masks with fact f's bit are those below
+        # it, each plus row[f]
+        totals = [0]
+        for p in row[1:]:
+            totals += [total + p for total in totals]
+        out = [",".join(map(items[total].__getitem__, facts))
+               for total, facts in zip(totals, fact_ids)]
         out[0] = "-"
         for facts, (prio, total) in scoped.items():
             out[sum(1 << (f - 1) for f in facts)] = ",".join(

@@ -133,8 +133,8 @@ class Lattice:
     holds only what its file holds: empty maps are dropped, and its
     diseases are the ones its decisions and priorities name.  The
     constructor refuses an order outside 1..DEFAULT_ORDER_CAP, facts
-    that are not ``Fact``s, whose ids are not ints 1..n in order, whose
-    attribute or value is not text, or that repeat an id or an
+    that are not a collection of ``Fact``s, whose ids are not ints 1..n
+    in order, whose attribute or value is not text, or that repeat an id or an
     attribute/value pair, a gate outside [0, 1], priorities on facts
     outside 1..n, decisions that are not a mapping of masks to mappings,
     a key that is not an int mask of the order, and a decision that is
@@ -145,7 +145,7 @@ class Lattice:
     __slots__ = ("n", "facts", "decisions", "alpha", "priorities", "round2")
 
     def __init__(self, facts, decisions: Decisions, alpha=ZERO, priorities=None, round2=False):
-        self.facts = tuple(facts)
+        self.facts = _fact_tuple(facts)
         self.n = len(self.facts)
         _check_order(self.n)
         _check_facts(self.facts)
@@ -295,6 +295,14 @@ def _check_order(n: int) -> None:
         raise errors.OrderTooLarge("order %d exceeds the cap of %d" % (n, DEFAULT_ORDER_CAP))
 
 
+def _fact_tuple(facts) -> Tuple[Fact, ...]:
+    """``facts`` as a tuple; anything but a collection raises OutOfRange."""
+    try:
+        return tuple(facts)
+    except TypeError:  # not iterable
+        raise errors.OutOfRange("facts %r are not a collection" % (facts,)) from None
+
+
 def _check_facts(facts: Tuple[Fact, ...]) -> None:
     seen_ids, seen_pairs = set(), set()
     for fact in facts:
@@ -345,13 +353,14 @@ def build_kb(facts: Sequence[Fact],
     Raises:
         OrderTooLarge: more facts than the materialization cap allows.
         DuplicateFact: repeated fact id or attribute/value pair.
-        OutOfRange: no facts, a fact that is not a ``Fact``, fact ids
-            other than 1..n, a fact's decisions that are not entries, or
-            two decisions for one disease at a fact.
+        OutOfRange: no facts, facts that are not a collection, a fact
+            that is not a ``Fact``, fact ids other than 1..n, a fact's
+            decisions that are not entries, or two decisions for one
+            disease at a fact.
         UnknownFact: a decision keyed to anything but an int naming a
             fact (a bool names none).
     """
-    facts = tuple(facts)
+    facts = _fact_tuple(facts)
     n = len(facts)
     _check_order(n)
     # non-facts and ids of unlike types sort apart, for the constructor to refuse

@@ -3,12 +3,14 @@
 All four measures are ratios of summed credibility factors, taken over
 different slices of the lattice: the rule's own constituents, the
 disease's whole mass, and the disease's mass at one truth value.
-Rules are measured in one place, ``generate_rules``: it sums each stored
-region once per truth value from its masks (``_vd_sums``), joins the
-sums of a rule's regions and takes the rule's measures from them
-through ``measure``.  The disease's masses come from one pass over the
-lattice, shared by every rule of that disease, and each sum runs on
-integers through ``fsum``.
+Rules are measured in one place, ``generate_rules``: it takes every
+disease's mass from one pass over the lattice (``_masses``), sums each
+stored region once per truth value from its masks (``_vd_sums``), joins
+the sums of a rule's regions and takes the rule's measures from them
+through ``measure``.  Each label's credibility is summed once: a region
+that holds every label of its disease at a truth value, as the regions
+of ``approximations`` do, takes the disease's sum there.  Each sum runs
+on integers through ``fsum``.
 Arithmetic is exact (fractions), so the identity checks compare against
 a tolerance only for the caller's peace of mind.
 """
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import errors
-from ._num import ONE, fsum
+from ._num import ONE, ZERO, fsum
 from ._record import Record, set_field
 from .evidence import TruthValue
 from .lattice import _mask, _skeleton
@@ -45,19 +47,34 @@ class RuleMetrics(Record):
 DiseaseMass = Tuple[Fraction, Tuple[Fraction, Fraction, Fraction]]
 
 
+# A disease's mass and its number of decided labels at each truth value
+Masses = Dict[str, Tuple[DiseaseMass, Tuple[int, int, int]]]
+_NO_MASS = ((ZERO, (ZERO, ZERO, ZERO)), (0, 0, 0))
+
+
+def _masses(kb) -> Masses:
+    """One pass over the decided nodes: each disease's mass, as
+    ``disease_mass`` gives it, and its labels counted per truth value."""
+    cfs: Dict[str, Tuple[List[Fraction], ...]] = {}
+    for entries in kb.decisions.values():
+        for disease, entry in entries.items():
+            by_vd = cfs.get(disease)
+            if by_vd is None:
+                by_vd = cfs[disease] = ([], [], [])
+            by_vd[entry.vd].append(entry.cf)
+    masses = {}
+    for disease, by_vd in cfs.items():
+        sums = tuple(map(fsum, by_vd))
+        masses[disease] = (fsum(sums), sums), tuple(map(len, by_vd))
+    return masses
+
+
 def disease_mass(kb, disease: str) -> DiseaseMass:
-    """One pass over the decided nodes: the disease's credibility mass,
-    whole and per truth value, as ``(total, by_vd)``.  A disease that is
-    not text raises UnknownDisease."""
+    """The disease's credibility mass, whole and per truth value, as
+    ``(total, by_vd)``.  A disease that is not text raises UnknownDisease."""
     if not isinstance(disease, str):
         raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
-    cfs: Tuple[List[Fraction], ...] = ([], [], [])
-    for entries in kb.decisions.values():
-        entry = entries.get(disease)
-        if entry is not None:
-            cfs[entry.vd].append(entry.cf)
-    by_vd = tuple(fsum(c) for c in cfs)
-    return fsum(by_vd), by_vd
+    return _masses(kb).get(disease, _NO_MASS)[0]
 
 
 def _entries(kb, masks, disease: str) -> list:
@@ -73,12 +90,16 @@ def _entries(kb, masks, disease: str) -> list:
                                % (_skeleton(kb.n).labels[mask], disease))
 
 
-def _vd_sums(kb, masks, disease: str) -> Tuple[Fraction, Fraction, Fraction]:
-    """One pass over the masks: their credibility summed at each truth value."""
+def _vd_sums(kb, masks, disease: str, masses: Masses) -> Tuple[Fraction, Fraction, Fraction]:
+    """One pass over the masks: their credibility summed at each truth
+    value.  The masks are distinct, so where they hold as many labels at
+    a truth value as the disease has (``masses``), they hold all of
+    them, and the disease's sum there is theirs."""
     cfs: Tuple[List[Fraction], ...] = ([], [], [])
     for entry in _entries(kb, masks, disease):
         cfs[entry.vd].append(entry.cf)
-    return fsum(cfs[0]), fsum(cfs[1]), fsum(cfs[2])
+    (_, sums), sizes = masses.get(disease, _NO_MASS)
+    return tuple([sums[vd] if len(c) == sizes[vd] else fsum(c) for vd, c in enumerate(cfs)])
 
 
 def measure(vd: TruthValue, sums, mass: DiseaseMass) -> Optional[RuleMetrics]:
@@ -154,8 +175,9 @@ def check_properties(kb, approx: Mapping[str, "ApproximationSets"]) -> PropertyR
             failures.append((prop, disease, int(vd),
                              "%s != %s" % (float(lhs), float(rhs))))
 
+    masses = _masses(kb)
     for disease, sets in _regions(approx):
-        mass, by_vd = disease_mass(kb, disease)
+        mass, by_vd = masses.get(disease, _NO_MASS)[0]
         for labels, vd in ((sets.lower1, TruthValue.PRESENT),
                            (sets.lower2, TruthValue.ABSENT)):
             if not labels or mass == 0:

@@ -14,8 +14,12 @@ has base-3 digit p equal to 0 (fact p absent), 1 (present) or 2 (dash),
 and the table has the bit of every implicant set.  It is kept in blocks:
 the low _BLOCK_DIGITS digits index the bits of an int, the digits above
 them key a dict, and a block with no implicant is absent, so a sparse
-region builds few blocks.  The minterms are embedded once, and each
-digit p of weight s = 3**p then takes one merge pass, within a block::
+region builds few blocks.  The minterms of a block of w digits are set
+in a 2**w-bit table, and w - 1 mask-and-shift passes spread it into
+the cube table (``_spread``): from the top digit i down, the bits whose
+binary digit i is 1 move up by 3**i - 2**i, to where their ternary
+digit i is 1.  Each digit p of weight s = 3**p then takes one merge
+pass, within a block::
 
     imp |= (imp & (imp >> s)) << 2*s
 
@@ -66,7 +70,7 @@ from . import errors, metrics
 from ._num import ZERO, fsum
 from ._record import Record, set_field
 from .evidence import TruthValue
-from .lattice import _check_order, _skeleton
+from .lattice import DEFAULT_ORDER_CAP, _check_order, _skeleton
 from .roughset import ApproximationSets, _labels, _regions
 
 EXACT_COVER_LIMIT = 12
@@ -83,8 +87,9 @@ COVER_NODE_BUDGET = 20_000
 Term = FrozenSet[Tuple[int, bool]]
 
 
-def _literal_text(fid: int, positive: bool) -> str:
-    return "f%d" % fid if positive else "NOT f%d" % fid
+# each literal's text, keyed as a term holds it: (fact id, polarity)
+_LITERAL_TEXTS = {(fid, positive): "f%d" % fid if positive else "NOT f%d" % fid
+                  for fid in range(1, DEFAULT_ORDER_CAP + 1) for positive in (True, False)}
 
 
 def _term_masks(term) -> Optional[Tuple[int, int]]:
@@ -103,9 +108,10 @@ def _cube_literals(cube: Tuple[int, int], n: int) -> Tuple[Tuple[int, bool], ...
                   for pos in range(n) if not mask >> pos & 1])
 
 
-def _sum_text(terms, literal) -> str:
-    """The terms' AND texts joined by OR; among several, a multi-literal one is bracketed."""
-    parts = [" AND ".join([literal(f, p) for f, p in term]) for term in terms]
+def _sum_text(terms, text) -> str:
+    """The terms' AND texts joined by OR, ``text`` spelling each (fact id,
+    polarity) literal; among several, a multi-literal term is bracketed."""
+    parts = [" AND ".join(map(text, term)) for term in terms]
     if len(parts) > 1:
         parts = ["(%s)" % text if len(term) > 1 else text
                  for term, text in zip(terms, parts)]
@@ -142,11 +148,14 @@ class SopExpression:
         self.minimal = False
 
     @classmethod
-    def _from_cubes(cls, n: int, cubes, minimal: bool) -> "SopExpression":
-        """The sum of distinct (bits, dash_mask) cubes, as a cover gives them."""
+    def _from_cubes(cls, n: int, cubes, minimal: bool, terms=None) -> "SopExpression":
+        """The sum of distinct (bits, dash_mask) cubes, as a cover gives
+        them; ``terms``, when given, are their literal tuples."""
         self = cls.__new__(cls)
         self.n, self.minimal = n, minimal
-        self._terms = tuple(sorted(_cube_literals(cube, n) for cube in cubes))
+        if terms is None:
+            terms = [_cube_literals(cube, n) for cube in cubes]
+        self._terms = tuple(sorted(terms))
         full = (1 << n) - 1
         self._masks = [(full & ~mask, bits) for bits, mask in cubes]
         return self
@@ -178,14 +187,17 @@ class SopExpression:
 
     def phrase(self, literal) -> str:
         """The sum of products, each literal spelled by ``literal(fid, positive)``."""
+        return self._text(lambda lit: literal(*lit))
+
+    def _text(self, text) -> str:
         if not self._terms:
             return "FALSE"
         if not self._terms[0]:  # the empty term sorts first
             return "TRUE"
-        return _sum_text(self._terms, literal)
+        return _sum_text(self._terms, text)
 
     def __str__(self):
-        return self.phrase(_literal_text)
+        return self._text(_LITERAL_TEXTS.__getitem__)
 
     def factored(self) -> str:
         """Single-level factoring of the literals shared by every term."""
@@ -195,8 +207,8 @@ class SopExpression:
         if not common or not all(rests):  # nor when a term is the shared part
             return str(self)
         head = tuple(lit for lit in terms[0] if lit in common)
-        return "%s AND (%s)" % (_sum_text([head], _literal_text),
-                                _sum_text(rests, _literal_text))
+        return "%s AND (%s)" % (_sum_text([head], _LITERAL_TEXTS.__getitem__),
+                                _sum_text(rests, _LITERAL_TEXTS.__getitem__))
 
     def __eq__(self, other):
         return (isinstance(other, SopExpression)
@@ -218,13 +230,13 @@ _BLOCK_DIGITS = 10
 # the set-bit positions of each byte value
 _BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 _NONZERO_RUNS = re.compile(rb"[^\x00]+")
+# a table of 0 and 1 bytes as the digits of a binary numeral
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @lru_cache(maxsize=None)
-def _ternary_tables(k: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
-    """(spread, cubes) over k facts: ``spread[m]`` is the cube index of the
-    minterm m, and ``cubes[i]`` the (bits, mask) of the cube of index i."""
-    spread = tuple(int(format(m, "b"), 3) for m in range(1 << k))
+def _ternary_cubes(k: int) -> Tuple[Tuple[int, int], ...]:
+    """Over k facts, the (bits, mask) of the cube of each index."""
     cubes = []
     for i in range(3 ** k):
         bits = mask = 0
@@ -235,7 +247,7 @@ def _ternary_tables(k: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...
             elif digit == 2:
                 mask |= 1 << j
         cubes.append((bits, mask))
-    return spread, tuple(cubes)
+    return tuple(cubes)
 
 
 def _bit_positions(x: int) -> List[int]:
@@ -249,21 +261,41 @@ def _bit_positions(x: int) -> List[int]:
     return out
 
 
+def _runs(length: int, start: int, period: int, size: int) -> int:
+    """The bitset below bit ``size`` of runs of ``length`` ones from
+    ``start``, one every ``period``."""
+    mask = ((1 << length) - 1) << start
+    while period < size:
+        mask |= mask << period
+        period *= 2
+    return mask & ((1 << size) - 1)
+
+
 @lru_cache(maxsize=None)
 def _dash_masks(w: int) -> Tuple[Tuple[int, int], ...]:
     """Per digit of a w-digit block, (its weight s, the bitset of the
     block's indices whose digit is 2): runs of s ones from 2s, every 3s."""
-    size = 3 ** w
-    masks = []
-    for p in range(w):
-        step = 3 ** p
-        mask = ((1 << step) - 1) << 2 * step
-        period = 3 * step
-        while period < size:
-            mask |= mask << period
-            period *= 2
-        masks.append((step, mask & ((1 << size) - 1)))
-    return tuple(masks)
+    return tuple((3 ** p, _runs(3 ** p, 2 * 3 ** p, 3 ** (p + 1), 3 ** w))
+                 for p in range(w))
+
+
+@lru_cache(maxsize=None)
+def _spread_masks(w: int) -> Tuple[Tuple[int, int], ...]:
+    """Per digit i of a w-digit block, from the top down to digit 1 (digit
+    0 stays): (the shift 3**i - 2**i, the bitset of the positions p below
+    3**w with p mod 3**(i+1) in [2**i, 2**(i+1))): runs of 2**i ones
+    from 2**i, every 3**(i+1)."""
+    return tuple((3 ** i - 2 ** i, _runs(2 ** i, 2 ** i, 3 ** (i + 1), 3 ** w))
+                 for i in range(w - 1, 0, -1))
+
+
+def _spread(table: int, w: int) -> int:
+    """A w-digit block's minterm table moved into its cube table: bit m
+    goes to the cube index of minterm m, one digit at a time."""
+    for shift, mask in _spread_masks(w):
+        moved = table & mask
+        table ^= moved ^ moved << shift
+    return table
 
 
 def _prime_implicants(minterms: Sequence[int], n: int) -> List[Tuple[int, int]]:
@@ -273,28 +305,25 @@ def _prime_implicants(minterms: Sequence[int], n: int) -> List[Tuple[int, int]]:
     # a block index splits into its low ``half`` digits and the rest, and
     # each part, like the key, is read from its own table
     half = (w + 1) // 2
-    low_spread, low_cubes = _ternary_tables(half)
-    high_spread, high_cubes = _ternary_tables(w - half)
-    key_spread, key_cubes = _ternary_tables(top)
-    low = (1 << half) - 1
-    high = (1 << (w - half)) - 1
+    low_cubes = _ternary_cubes(half)
+    high_cubes = _ternary_cubes(w - half)
+    key_cubes = _ternary_cubes(top)
     scale = 3 ** half
     block_bytes = (3 ** w >> 3) + 1
-    tables: Dict[int, bytearray] = {}
+    cells = bytearray(1 << n)  # a byte per label: 1 for a minterm
     for m in minterms:
-        key = key_spread[m >> w]
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = bytearray(block_bytes)
-        index = low_spread[m & low] + scale * high_spread[m >> half & high]
-        table[index >> 3] |= 1 << (index & 7)
+        cells[m] = 1
     masks = _dash_masks(w)
     blocks = {}
-    for key, table in tables.items():
-        imp = int.from_bytes(table, "little")
+    for high in range(1 << top):
+        table = cells[high << w:(high + 1) << w]
+        if 1 not in table:
+            continue
+        # the block's minterms as a 2**w-bit int, then in the cube table
+        imp = _spread(int(table.translate(_BINARY_DIGITS)[::-1], 2), w)
         for step, _ in masks:
             imp |= (imp & (imp >> step)) << 2 * step
-        blocks[key] = imp
+        blocks[int(format(high, "b"), 3)] = imp  # keyed by the top digits' cube index
     key_steps = [3 ** j for j in range(top)]
     for step in key_steps:
         for key in list(blocks):
@@ -333,8 +362,10 @@ def _prime_implicants(minterms: Sequence[int], n: int) -> List[Tuple[int, int]]:
 def _subcube_cells(mask: int) -> int:
     """Bitset of the labels of the cube (0, mask): every submask of mask."""
     cells = 1
-    for step in _bit_positions(mask):
-        cells |= cells << (1 << step)
+    while mask:
+        low = mask & -mask
+        cells |= cells << low  # the submasks so far, with the bit of low and without
+        mask ^= low
     return cells
 
 
@@ -481,9 +512,10 @@ def _first_cover(root, weights, levels, below, target, budget) -> Tuple[Optional
     return None, nodes
 
 
-def _exact_cover(primes, n) -> Optional[List[Tuple[int, int]]]:
-    """The least cover by (terms, literals, sorted term keys), or None
-    when the search runs past COVER_NODE_BUDGET nodes."""
+def _exact_cover(primes, n) -> Optional[Tuple[List[Tuple[int, int]], list]]:
+    """The least cover by (terms, literals, sorted term keys) and its
+    cubes' literal tuples, or None when the search runs past
+    COVER_NODE_BUDGET nodes."""
     cells = _prime_cells(primes)
     once = twice = 0
     for c in cells:
@@ -496,6 +528,7 @@ def _exact_cover(primes, n) -> Optional[List[Tuple[int, int]]]:
         if c & single:
             picks.append(i)
             covered |= c
+    terms = [_cube_literals(primes[i], n) for i in picks]
     remaining = once & ~covered
     if remaining:
         rows: Dict[int, int] = {}
@@ -505,8 +538,9 @@ def _exact_cover(primes, n) -> Optional[List[Tuple[int, int]]]:
         held = 0
         for row in rows.values():
             held |= row
-        alive = sorted(_bit_positions(held),
-                       key=lambda i: _cube_literals(primes[i], n))
+        # each alive prime's literal tuple, the columns in their order
+        alive_terms = {i: _cube_literals(primes[i], n) for i in _bit_positions(held)}
+        alive = sorted(alive_terms, key=alive_terms.__getitem__)
         column = {i: c for c, i in enumerate(alive)}
         matrix = [sum(1 << column[i] for i in _bit_positions(row)) for row in rows.values()]
         # one integer ranks (terms, literals): no cover has BIG literals
@@ -530,7 +564,8 @@ def _exact_cover(primes, n) -> Optional[List[Tuple[int, int]]]:
         if chosen is None:
             return None
         picks += [alive[c] for c in _bit_positions(chosen)]
-    return [primes[i] for i in picks]
+        terms += [alive_terms[alive[c]] for c in _bit_positions(chosen)]
+    return [primes[i] for i in picks], terms
 
 
 def _greedy_cover(primes, minterms, n) -> List[Tuple[int, int]]:
@@ -593,9 +628,10 @@ def _minterms(labels, n: int) -> List[int]:
 
 def _cover(values: List[int], n: int) -> SopExpression:
     primes = _prime_implicants(values, n)
-    cubes = _exact_cover(primes, n) if n <= EXACT_COVER_LIMIT else None
-    if cubes is not None:
-        return SopExpression._from_cubes(n, cubes, True)
+    cover = _exact_cover(primes, n) if n <= EXACT_COVER_LIMIT else None
+    if cover is not None:
+        cubes, terms = cover
+        return SopExpression._from_cubes(n, cubes, True, terms)
     return SopExpression._from_cubes(n, _greedy_cover(primes, values, n), False)
 
 
@@ -690,12 +726,13 @@ def generate_rules(kb, approx: Mapping[str, ApproximationSets],
     # the stored regions in the order the rules first need them
     needed = dict.fromkeys(p for kind in kinds for _, parts, _ in _REGIONS[kind] for p in parts)
     rules = []
+    masses = metrics._masses(kb)
     for disease, sets in _regions(approx):
-        mass = metrics.disease_mass(kb, disease)
+        mass = masses.get(disease, metrics._NO_MASS)[0]
         stored = {}
         for part in needed:
             values = _minterms(getattr(sets, part), kb.n)
-            stored[part] = values, metrics._vd_sums(kb, values, disease)
+            stored[part] = values, metrics._vd_sums(kb, values, disease, masses)
         for kind in kinds:
             for region, parts, vd in _REGIONS[kind]:
                 labels = getattr(sets, region)

@@ -4,7 +4,12 @@ Each node is its own elementary set (labels are distinct), so the
 approximation regions reduce to membership tests on the ternary truth
 value: surely-present rules form the lower region of the presence
 concept, surely-absent rules the lower region of the absence concept,
-and inconclusive rules the shared boundary.
+and inconclusive rules the shared boundary.  ``approximations`` files
+each decided label under its truth value in one pass over the lattice;
+a label has one truth value, so its regions are disjoint by construction
+and skip the constructor's check.  ``_regions`` takes any
+``ApproximationSets`` as it is: it was checked, or disjoint by
+construction, when it was built.
 
 All outputs are value-semantic: incremental maintenance returns new
 ``ApproximationSets``, leaving the input intact, so that any edit
@@ -91,6 +96,16 @@ class ApproximationSets(Record):
         set_field(self, "lower2", lower2)
         set_field(self, "boundary1", boundary1)
 
+    @classmethod
+    def _disjoint(cls, lower1: FrozenSet[str], lower2: FrozenSet[str],
+                  boundary1: FrozenSet[str]) -> "ApproximationSets":
+        """The regions of three frozensets that share no label, unchecked."""
+        self = cls.__new__(cls)
+        set_field(self, "lower1", lower1)
+        set_field(self, "lower2", lower2)
+        set_field(self, "boundary1", boundary1)
+        return self
+
     @property
     def upper1(self) -> FrozenSet[str]:
         return self.lower1 | self.boundary1
@@ -139,13 +154,17 @@ class ApproximationSets(Record):
 
 def _regions(approx) -> Iterator[Tuple[str, ApproximationSets]]:
     """Each disease of ``approx`` in order, with its regions read into
-    ``ApproximationSets``, which checks them, when it is reached.  The
-    regions may be anything with ``lower1``, ``lower2`` and
+    ``ApproximationSets``, which checks them, when it is reached; an
+    ``ApproximationSets`` was checked when it was built, and passes as it
+    is.  The regions may be anything with ``lower1``, ``lower2`` and
     ``boundary1``; anything but a mapping of disease names to such
     regions raises OutOfRange."""
     if not (isinstance(approx, Mapping) and all(isinstance(d, str) for d in approx)):
         raise errors.OutOfRange("approximations must map disease names to regions")
     for disease, given in sorted(approx.items()):
+        if isinstance(given, ApproximationSets):
+            yield disease, given
+            continue
         try:
             regions = given.lower1, given.lower2, given.boundary1
         except AttributeError:
@@ -164,11 +183,18 @@ def approximations(kb, disease: str) -> ApproximationSets:
     if not isinstance(disease, str):
         raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
     labels = _skeleton(kb.n).labels
-    vds = {labels[mask]: entries[disease].vd
-           for mask, entries in kb.decisions.items() if disease in entries}
-    if not vds and disease not in kb.priorities.diseases():
+    # each decided label under its vd: absent, present, inconclusive
+    by_vd: Tuple[List[str], ...] = ([], [], [])
+    for mask, entries in kb.decisions.items():
+        entry = entries.get(disease)
+        if entry is not None:
+            by_vd[entry.vd].append(labels[mask])
+    absent, present, open_ = by_vd
+    if not (absent or present or open_) and disease not in kb.priorities.diseases():
         raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
-    return ApproximationSets.from_vd_map(vds)
+    # a label has one vd, so the regions are disjoint
+    return ApproximationSets._disjoint(frozenset(present), frozenset(absent),
+                                       frozenset(open_))
 
 
 def concepts(kb, disease: str) -> ConceptPair:

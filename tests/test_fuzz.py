@@ -181,11 +181,11 @@ KB_LABELS = st.one_of(LABELS, st.sampled_from(["000", "001", "011", "110", "111"
 ANY_KB_LABELS = st.one_of(KB_LABELS, st.lists(KB_LABELS, max_size=3))
 NAMES = st.sampled_from(["ANK", "BUR", "CFJ", "bad name!", "", None, 1.5, ("ANK",)])
 ANY_NAMES = st.one_of(NAMES, st.lists(NAMES, max_size=1))
-# Facts: the order-3 facts, and lists that mix them with values that are
-# not facts.
+# Facts: the order-3 facts, lists that mix them with values that are not
+# facts, and those values alone, most of them not a collection.
 NOT_FACTS = st.sampled_from([5, None, "f1", (1, "a1", "v"), Fact(1, "a1", "v")])
 FACT_LISTS = st.one_of(st.just(FACTS), st.lists(st.one_of(st.sampled_from(FACTS), NOT_FACTS),
-                                                max_size=4))
+                                                max_size=4), NOT_FACTS)
 ENTRY = DecisionEntry("ANK", 1, Fraction(1, 2))
 # Decision keys: order-3 masks, ints outside 0..7, bools and labels.
 DECISIONS = st.one_of(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from roughkb import errors
-from roughkb._num import Converted, fsum, publish2, render
+from roughkb._num import Converted, _parse_general, fsum, parse_rational, publish2, render
 from roughkb.evidence import TruthTriple
 from roughkb.lattice import _cone, facts_of
 from roughkb.minimizer import SopExpression
@@ -64,6 +64,41 @@ def test_fsum_matches_sum(values):
     got = fsum(values)
     assert type(got) is Fraction
     assert got == sum(values)
+
+
+def _canonical_tokens():
+    """Every two-decimal token from 0.00 to 9.99 and a spread of six-decimal ones."""
+    yield from ("%d.%02d" % divmod(k, 100) for k in range(1000))
+    for k in range(0, 10 ** 7, 9973):
+        yield "%d.%06d" % divmod(k, 10 ** 6)
+    yield from ("1.000000", "0.500000", "0.000000", "9.999999")
+
+
+# tokens the serializer never writes, among them near misses of its two
+# forms: a sign, a dot elsewhere, an exponent, blanks, non-ASCII digits
+OTHER_TOKENS = [
+    "1", "1/2", ".5", "5.", "+0.5", "-0.25", "", ".", "0.5e3", "1.5/2",
+    "\u0660.5", "0.\uff15", "\u00b2", "1" * 5000, "0." + "1" * 5000,
+    "+.25", "-.25", "1.e3", "1/23", "12.5", "0.5 ", " 0.5", "0,50", "0.-5", "0.+5",
+    "\u0660.\u0660\u0660", "0.\u00b25", "0.1234\u00b2", "-0.123456", "+0.12345", "1/0",
+    "0.12345e", "0x12", "1_0.00", "0.1_2", "1.2.3", "0.5\n", "1.\u0665",
+]
+
+
+@pytest.mark.parametrize("tokens", [list(_canonical_tokens()), OTHER_TOKENS],
+                         ids=["canonical", "other"])
+def test_parse_rational_agrees_with_the_general_reader(tokens):
+    for token in tokens:
+        try:
+            want = _parse_general(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                parse_rational(token)
+            continue
+        got = parse_rational(token)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator), token
+        assert got == want and hash(got) == hash(want)
 
 
 # --- pairwise and multi-constituent credibility -----------------------------

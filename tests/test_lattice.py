@@ -323,6 +323,14 @@ def test_a_fact_that_is_not_a_fact_is_refused(call):
     assert type(caught.value) is errors.OutOfRange
 
 
+@pytest.mark.parametrize("build", [Lattice, build_kb], ids=["Lattice", "build_kb"])
+@pytest.mark.parametrize("facts", [5, None, Fact(1, "a", "yes")], ids=["int", "None", "Fact"])
+def test_facts_that_are_not_a_collection_are_refused(build, facts):
+    """Each raised a bare TypeError from tuple(facts)."""
+    with pytest.raises(errors.OutOfRange, match="^facts .+ are not a collection$"):
+        build(facts, {})
+
+
 @pytest.mark.parametrize("decisions,message", [
     ({1: {"ANK": "junk"}}, "^decision 'ANK' at 1 is not a DecisionEntry of that disease"),
     ({1: {"ANK": None}}, "^decision 'ANK' at 1 is not a DecisionEntry"),

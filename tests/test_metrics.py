@@ -187,23 +187,38 @@ def _seeded_kb(n, round2):
     return kb, {d: roughset.approximations(kb, d) for d in kb.diseases()}
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+def _dealt(approx, rng):
+    """Each disease's placed labels dealt into the three regions at random,
+    about a quarter left out: regions that are not its truth-value classes."""
+    dealt = {}
+    for disease, sets in approx.items():
+        parts = ([], [], [], [])
+        for label in sorted(sets.lower1 | sets.lower2 | sets.boundary1):
+            parts[rng.randrange(4)].append(label)
+        dealt[disease] = roughset.ApproximationSets(*parts[:3])
+    return dealt
+
+
+@pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("round2", [False, True])
 def test_seeded_rules_match_reference_measures(n, round2):
+    """Regions that hold a disease's whole truth-value class take the
+    disease's sum there; dealt regions are summed label by label."""
     kb, approx = _seeded_kb(n, round2)
     view = _view(kb)
-    measured = 0
-    for rule in generate_rules(kb, approx, kinds=ALL_KINDS):
-        try:
-            want = oracles.reference_measures(view, rule.source_labels,
-                                              rule.disease, int(rule.vd))
-        except ZeroDivisionError:
-            # unmeasured exactly when the reference divides by zero
-            assert rule.metrics is None
-            continue
-        assert rule.metrics == metrics.RuleMetrics(**want)
-        measured += 1
-    assert measured
+    for regions in (approx, _dealt(approx, seeded(700 + n))):
+        measured = 0
+        for rule in generate_rules(kb, regions, kinds=ALL_KINDS):
+            try:
+                want = oracles.reference_measures(view, rule.source_labels,
+                                                  rule.disease, int(rule.vd))
+            except ZeroDivisionError:
+                # unmeasured exactly when the reference divides by zero
+                assert rule.metrics is None
+                continue
+            assert rule.metrics == metrics.RuleMetrics(**want)
+            measured += 1
+        assert measured
 
 
 @pytest.mark.parametrize("n", range(4, 9))

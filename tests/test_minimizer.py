@@ -14,7 +14,7 @@ from conftest import random_kb, seeded
 from roughkb import errors, kbio, minimizer, roughset
 from roughkb.lattice import DEFAULT_ORDER_CAP
 from roughkb.minimizer import (EXACT_COVER_LIMIT, SopExpression,
-                               _greedy_cover, _prime_implicants,
+                               _greedy_cover, _prime_implicants, _spread,
                                generate_rules, minimize)
 
 # sha256 over str(minimize(...)) of the _pinned_regions() below, one line
@@ -469,6 +469,61 @@ def test_primes_match_the_level_sweep_on_knowledge_base_regions(n):
             cells = sorted(int(label, 2) for label in getattr(sets, region))
             assert (_prime_implicants(cells, n)
                     == oracles.level_sweep_primes(cells, n)), (disease, region)
+
+
+def test_the_spread_moves_each_minterm_to_its_cube_index():
+    rng = random.Random(1010)
+    for w in range(1, minimizer._BLOCK_DIGITS + 1):
+        sample = range(2 ** w) if w <= 6 else rng.sample(range(2 ** w), 64)
+        for m in sample:
+            assert _spread(1 << m, w) == 1 << int(format(m, "b"), 3), (w, m)
+        # a whole table at once: the cube indices of digits 0 and 1 only
+        assert _spread((1 << 2 ** w) - 1, w) == sum(
+            1 << int(format(m, "b"), 3) for m in range(2 ** w))
+
+
+def _merged_primes(cells, n):
+    """The prime implicants of a sparse region by brute force over sets of
+    cubes: a cube with one dash more is an implicant when its two halves
+    are, and an implicant is prime when no such wider cube is one."""
+    implicants = frontier = {(m, 0) for m in cells}
+    while frontier:
+        wider = {(bits & ~(1 << p), mask | 1 << p)
+                 for bits, mask in frontier for p in range(n)
+                 if not mask >> p & 1 and (bits ^ 1 << p, mask) in implicants}
+        implicants = implicants | wider
+        frontier = wider
+    return sorted((bits, mask) for bits, mask in implicants
+                  if not any((bits & ~(1 << p), mask | 1 << p) in implicants
+                             for p in range(n) if not mask >> p & 1))
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_primes_of_sparse_regions_match_a_brute_force_merge(n):
+    # above _BLOCK_DIGITS the top digits key the blocks
+    rng = random.Random(8000 + n)
+    for density in (0.01, 0.04, 0.1):
+        cells = [c for c in range(2 ** n) if rng.random() < density] or [rng.randrange(2 ** n)]
+        primes = _prime_implicants(cells, n)
+        assert primes == _merged_primes(cells, n), (n, density)
+        if n == 8:
+            assert primes == _oracle_primes(cells, n)
+        # each prime covers minterms only, and no cube one dash wider does
+        region = set(cells)
+        for bits, mask in primes:
+            assert all(bits | sub in region for sub in _submasks(mask))
+            assert all(not all(bits & ~(1 << p) | sub in region
+                               for sub in _submasks(mask | 1 << p))
+                       for p in range(n) if not mask >> p & 1)
+
+
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
 
 
 @settings(max_examples=60, deadline=None)

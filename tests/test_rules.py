@@ -221,9 +221,9 @@ def test_rules_do_not_walk_their_source_labels_again(monkeypatch, kb_round2,
     summed = Counter()
     vd_sums = metrics._vd_sums
 
-    def count(kb, labels, disease):
+    def count(kb, labels, disease, masses):
         summed[id(kb), disease] += 1
-        return vd_sums(kb, labels, disease)
+        return vd_sums(kb, labels, disease, masses)
 
     monkeypatch.setattr(minimizer, "minimize", refuse)
     monkeypatch.setattr(metrics, "_vd_sums", count)

@@ -6,6 +6,7 @@ would silently read 0 for that layer; these tests catch it.
 """
 
 import importlib.util
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,7 +67,9 @@ def test_the_wrapped_names_are_the_derivation_engine():
 
 def test_a_traced_rules_run_counts_its_primes_and_every_rule(tmp_path, capsys, kb_round2):
     """Regions reach the cover search through ``_prime_implicants`` and
-    every rule through ``metrics.measure``, the names the tracer wraps."""
+    every rule through ``metrics.measure``, the names the tracer wraps;
+    the regions come from ``kbio.approximations`` and the rules from
+    ``kbio.generate_rules``, so both layers show time."""
     path = tmp_path / "round2.kb"
     path.write_text(roughkb.kbio.serialize_kb(kb_round2), encoding="utf-8")
     tracer = _tracing().Tracer(roughkb)
@@ -81,3 +84,7 @@ def test_a_traced_rules_run_counts_its_primes_and_every_rule(tmp_path, capsys, k
     assert printed and all(line.startswith("Rule ") for line in printed)
     assert tracer.counts["minimizer.primes"] > 0
     assert tracer.counts["metrics.rules_measured"] == len(printed)
+    own = Counter()
+    for span, seconds in zip(tracer.spans, tracer.self_times()):
+        own[span[0]] += seconds
+    assert own["roughset.approx"] > 0 and own["minimizer.minimize"] > 0
