@@ -7,7 +7,8 @@ bit f - 1).  A node's label, its mask's n binary digits, is text made
 or read only at the edges: files, ``kb.node``, ``modify_node`` and the
 ``roughset`` regions.  This module owns that format: other modules read
 labels, masks and fact ids from ``_skeleton(n)``, the order's one label
-table.
+table, read a region's labels into one int over masks with
+``_minterms`` and take its masks back with ``_bit_positions``.
 
 Structural edits (fact insertion/deletion, node modification) return
 new lattices through the constructor, or through ``with_updates``,
@@ -73,6 +74,33 @@ def _mask(n: int, label) -> int:
         return _skeleton(n).masks[label]
     except (KeyError, TypeError):  # TypeError: an unhashable label
         raise errors.DanglingLabel("no node labelled %r" % (label,)) from None
+
+
+def _minterms(labels, n: int) -> int:
+    """The labels as one int over the order's masks, bit m set for the
+    label of mask m.  Raises OutOfRange naming the least label that is
+    not an order-n label (text first, the rest by repr)."""
+    masks = _skeleton(n).masks
+    region = 0
+    try:
+        for label in labels:
+            region |= 1 << masks[label]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        bad = [label for label in labels if not isinstance(label, str) or label not in masks]
+        raise errors.OutOfRange("bad minterm label %r for order %d"
+                                % (min(bad, key=errors.naming_key), n)) from None
+    return region
+
+
+def _bit_positions(x: int) -> List[int]:
+    """The positions of the set bits of x, ascending: a region's masks."""
+    text = bin(x)[:1:-1]
+    out = []
+    pos = text.find("1")
+    while pos >= 0:
+        out.append(pos)
+        pos = text.find("1", pos + 1)
+    return out
 
 
 # --- storage ----------------------------------------------------------------

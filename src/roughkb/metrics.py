@@ -5,12 +5,15 @@ different slices of the lattice: the rule's own constituents, the
 disease's whole mass, and the disease's mass at one truth value.
 Rules are measured in one place, ``generate_rules``: it takes every
 disease's mass from one pass over the lattice (``_masses``), sums each
-stored region once per truth value from its masks (``_vd_sums``), joins
+stored region once per truth value from its int over masks
+(``lattice._minterms``), in ascending mask order (``_vd_sums``), joins
 the sums of a rule's regions and takes the rule's measures from them
-through ``measure``.  Each label's credibility is summed once: a region
-that holds every label of its disease at a truth value, as the regions
-of ``approximations`` do, takes the disease's sum there.  Each sum runs
-on integers through ``fsum``.
+through ``measure``.  ``check_properties`` reads its regions the same
+way, so a malformed label raises the same OutOfRange on both paths.
+Each label's credibility is summed once: a region that holds every
+label of its disease at a truth value, as the regions of
+``approximations`` do, takes the disease's sum there.  Each sum runs on
+integers through ``fsum``.
 Arithmetic is exact (fractions), so the identity checks compare against
 a tolerance only for the caller's peace of mind.
 """
@@ -24,7 +27,7 @@ from . import errors
 from ._num import ONE, ZERO, fsum
 from ._record import Record, set_field
 from .evidence import TruthValue
-from .lattice import _mask, _skeleton
+from .lattice import _bit_positions, _minterms, _skeleton
 from .roughset import _regions
 
 _TOL = Fraction(1, 10 ** 9)
@@ -53,8 +56,8 @@ _NO_MASS = ((ZERO, (ZERO, ZERO, ZERO)), (0, 0, 0))
 
 
 def _masses(kb) -> Masses:
-    """One pass over the decided nodes: each disease's mass, as
-    ``disease_mass`` gives it, and its labels counted per truth value."""
+    """One pass over the decided nodes: each disease's mass, as ``(total,
+    by_vd)``, and its labels counted per truth value."""
     cfs: Dict[str, Tuple[List[Fraction], ...]] = {}
     for entries in kb.decisions.values():
         for disease, entry in entries.items():
@@ -69,34 +72,27 @@ def _masses(kb) -> Masses:
     return masses
 
 
-def disease_mass(kb, disease: str) -> DiseaseMass:
-    """The disease's credibility mass, whole and per truth value, as
-    ``(total, by_vd)``.  A disease that is not text raises UnknownDisease."""
-    if not isinstance(disease, str):
-        raise errors.UnknownDisease("no disease %r in this knowledge base" % (disease,))
-    return _masses(kb).get(disease, _NO_MASS)[0]
-
-
-def _entries(kb, masks, disease: str) -> list:
-    """The masks' decisions for the disease, in the masks' order.  A mask
-    without one raises DanglingLabel naming the label of the least such
-    mask, so the message does not follow a set's hash order."""
+def _entries(kb, region: int, disease: str) -> list:
+    """The decisions for the disease of the region's masks, ascending.  A
+    mask without one raises DanglingLabel naming the label of the least
+    such mask."""
     decisions = kb.decisions
+    masks = _bit_positions(region)
     try:
         return [decisions[mask][disease] for mask in masks]
     except KeyError:
-        mask = min([mask for mask in masks if disease not in decisions.get(mask, ())])
+        mask = next(mask for mask in masks if disease not in decisions.get(mask, ()))
     raise errors.DanglingLabel("node %s carries no decision for %r"
                                % (_skeleton(kb.n).labels[mask], disease))
 
 
-def _vd_sums(kb, masks, disease: str, masses: Masses) -> Tuple[Fraction, Fraction, Fraction]:
-    """One pass over the masks: their credibility summed at each truth
-    value.  The masks are distinct, so where they hold as many labels at
-    a truth value as the disease has (``masses``), they hold all of
-    them, and the disease's sum there is theirs."""
+def _vd_sums(kb, region: int, disease: str, masses: Masses) -> Tuple[Fraction, Fraction, Fraction]:
+    """One pass over the region's masks: their credibility summed at each
+    truth value.  Where they hold as many labels at a truth value as the
+    disease has (``masses``), they hold all of them, and the disease's sum
+    there is theirs."""
     cfs: Tuple[List[Fraction], ...] = ([], [], [])
-    for entry in _entries(kb, masks, disease):
+    for entry in _entries(kb, region, disease):
         cfs[entry.vd].append(entry.cf)
     (_, sums), sizes = masses.get(disease, _NO_MASS)
     return tuple([sums[vd] if len(c) == sizes[vd] else fsum(c) for vd, c in enumerate(cfs)])
@@ -105,7 +101,7 @@ def _vd_sums(kb, masks, disease: str, masses: Masses) -> Tuple[Fraction, Fractio
 def measure(vd: TruthValue, sums, mass: DiseaseMass) -> Optional[RuleMetrics]:
     """All four measures of a rule concluding ``vd`` whose source labels
     sum to ``sums`` per truth value, in a disease of ``mass``
-    (``disease_mass``); None when the disease's mass or the sources'
+    (``_masses``); None when the disease's mass or the sources'
     mass at ``vd`` is zero, since a measure would divide by it.
 
     Support is the summed credibility of the source labels; strength
@@ -182,27 +178,23 @@ def check_properties(kb, approx: Mapping[str, "ApproximationSets"]) -> PropertyR
                            (sets.lower2, TruthValue.ABSENT)):
             if not labels or mass == 0:
                 continue
-            labels = sorted(labels, key=errors.naming_key)  # the least bad label raises
-            entries = _entries(kb, [_mask(kb.n, label) for label in labels], disease)
-            cfs = {label: entry.cf for label, entry in zip(labels, entries)}
-            class_cf = fsum(cfs.values())
+            cfs = [entry.cf for entry in _entries(kb, _minterms(labels, kb.n), disease)]
+            class_cf = fsum(cfs)
             vd_mass = by_vd[vd]
             if class_cf == 0 or vd_mass == 0:
                 continue
-            strengths = {label: cf / mass for label, cf in cfs.items()}
-            certainties = {label: cf / class_cf for label, cf in cfs.items()}
-            coverages = {label: cf / vd_mass for label, cf in cfs.items()}
-            sum_e = fsum(strengths.values())
-            sum_z = fsum(certainties.values())
-            sum_v = fsum(coverages.values())
+            strengths = [cf / mass for cf in cfs]
+            certainties = [cf / class_cf for cf in cfs]
+            coverages = [cf / vd_mass for cf in cfs]
+            sum_e = fsum(strengths)
+            sum_z = fsum(certainties)
+            sum_v = fsum(coverages)
 
             expect(1, disease, vd, sum_z, ONE)
             expect(2, disease, vd, sum_v, ONE)
             expect(3, disease, vd, sum_z * (class_cf / mass), sum_e)
             expect(4, disease, vd, sum_v * (vd_mass / mass), sum_e)
-            for label in labels:
-                expect(5, disease, vd, certainties[label],
-                       strengths[label] / sum_e)
-                expect(6, disease, vd, coverages[label],
-                       strengths[label] / (vd_mass / mass))
+            for strength, certainty, coverage in zip(strengths, certainties, coverages):
+                expect(5, disease, vd, certainty, strength / sum_e)
+                expect(6, disease, vd, coverage, strength / (vd_mass / mass))
     return PropertyReport(checked, tuple(failures))

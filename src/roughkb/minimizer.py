@@ -14,9 +14,10 @@ has base-3 digit p equal to 0 (fact p absent), 1 (present) or 2 (dash),
 and the table has the bit of every implicant set.  It is kept in blocks:
 the low _BLOCK_DIGITS digits index the bits of an int, the digits above
 them key a dict, and a block with no implicant is absent, so a sparse
-region builds few blocks.  The minterms of a block of w digits are set
-in a 2**w-bit table, and w - 1 mask-and-shift passes spread it into
-the cube table (``_spread``): from the top digit i down, the bits whose
+region builds few blocks.  A region comes as one int over masks
+(``lattice._minterms``), and the minterms of a block of w digits are its
+2**w-bit slice, which w - 1 mask-and-shift passes spread into the cube
+table (``_spread``): from the top digit i down, the bits whose
 binary digit i is 1 move up by 3**i - 2**i, to where their ternary
 digit i is 1.  Each digit p of weight s = 3**p then takes one merge
 pass, within a block::
@@ -31,8 +32,9 @@ cube with digit p of 0 or 1 is prime unless its cube with a dash there
 is an implicant: within a block, with ``dashed = imp & two_p`` (the
 indices whose digit p is 2), the covered cubes are ``dashed >> s |
 dashed >> 2*s``; for a key digit, the block keyed with 2 covers those
-keyed with 0 and 1.  The table costs 3**n bits where a 2**n-bit table
-per dash mask cost 4**n.
+keyed with 0 and 1.  The primes are the set bits left uncovered, read
+out with ``lattice._bit_positions``.  The table costs 3**n bits where a
+2**n-bit table per dash mask cost 4**n.
 
 Exact cover, for orders up to EXACT_COVER_LIMIT.  ``once``/``twice``
 accumulators over the primes' label bitsets find the labels covered by
@@ -62,7 +64,6 @@ above EXACT_COVER_LIMIT, and its expression's ``minimal`` is False.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -70,7 +71,7 @@ from . import errors, metrics
 from ._num import ZERO, fsum
 from ._record import Record, set_field
 from .evidence import TruthValue
-from .lattice import DEFAULT_ORDER_CAP, _check_order, _skeleton
+from .lattice import DEFAULT_ORDER_CAP, _bit_positions, _check_order, _minterms, _skeleton
 from .roughset import ApproximationSets, _labels, _regions
 
 EXACT_COVER_LIMIT = 12
@@ -227,11 +228,6 @@ class SopExpression:
 # above them key the blocks.  Blocks of 8 or 10 digits take the same time
 # on seeded order-14 and -16 regions, and 12 take half as long again.
 _BLOCK_DIGITS = 10
-# the set-bit positions of each byte value
-_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
-_NONZERO_RUNS = re.compile(rb"[^\x00]+")
-# a table of 0 and 1 bytes as the digits of a binary numeral
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @lru_cache(maxsize=None)
@@ -248,17 +244,6 @@ def _ternary_cubes(k: int) -> Tuple[Tuple[int, int], ...]:
                 mask |= 1 << j
         cubes.append((bits, mask))
     return tuple(cubes)
-
-
-def _bit_positions(x: int) -> List[int]:
-    """The positions of the set bits of x, ascending."""
-    text = bin(x)[:1:-1]
-    out = []
-    pos = text.find("1")
-    while pos >= 0:
-        out.append(pos)
-        pos = text.find("1", pos + 1)
-    return out
 
 
 def _runs(length: int, start: int, period: int, size: int) -> int:
@@ -298,8 +283,9 @@ def _spread(table: int, w: int) -> int:
     return table
 
 
-def _prime_implicants(minterms: Sequence[int], n: int) -> List[Tuple[int, int]]:
-    """All prime implicants as (bits, dash_mask) cubes, sorted."""
+def _prime_implicants(region: int, n: int) -> List[Tuple[int, int]]:
+    """All prime implicants of the region, an int over masks, as (bits,
+    dash_mask) cubes, sorted."""
     w = min(n, _BLOCK_DIGITS)
     top = n - w
     # a block index splits into its low ``half`` digits and the rest, and
@@ -309,18 +295,14 @@ def _prime_implicants(minterms: Sequence[int], n: int) -> List[Tuple[int, int]]:
     high_cubes = _ternary_cubes(w - half)
     key_cubes = _ternary_cubes(top)
     scale = 3 ** half
-    block_bytes = (3 ** w >> 3) + 1
-    cells = bytearray(1 << n)  # a byte per label: 1 for a minterm
-    for m in minterms:
-        cells[m] = 1
+    low_bits = (1 << (1 << w)) - 1
     masks = _dash_masks(w)
     blocks = {}
     for high in range(1 << top):
-        table = cells[high << w:(high + 1) << w]
-        if 1 not in table:
+        table = region >> (high << w) & low_bits  # the block's minterms
+        if not table:
             continue
-        # the block's minterms as a 2**w-bit int, then in the cube table
-        imp = _spread(int(table.translate(_BINARY_DIGITS)[::-1], 2), w)
+        imp = _spread(table, w)
         for step, _ in masks:
             imp |= (imp & (imp >> step)) << 2 * step
         blocks[int(format(high, "b"), 3)] = imp  # keyed by the top digits' cube index
@@ -344,17 +326,12 @@ def _prime_implicants(minterms: Sequence[int], n: int) -> List[Tuple[int, int]]:
         key_bits, key_mask = key_cubes[key]
         key_bits <<= w
         key_mask <<= w
-        rest = (imp & ~covered).to_bytes(block_bytes, "little")
-        for run in _NONZERO_RUNS.finditer(rest):
-            at = run.start() << 3
-            for byte in run.group():
-                for j in _BYTE_BITS[byte]:
-                    high_index, low_index = divmod(at + j, scale)
-                    high_bits, high_mask = high_cubes[high_index]
-                    bits, mask = low_cubes[low_index]
-                    primes.append((key_bits | high_bits << half | bits,
-                                   key_mask | high_mask << half | mask))
-                at += 8
+        for index in _bit_positions(imp & ~covered):
+            high_index, low_index = divmod(index, scale)
+            high_bits, high_mask = high_cubes[high_index]
+            bits, mask = low_cubes[low_index]
+            primes.append((key_bits | high_bits << half | bits,
+                           key_mask | high_mask << half | mask))
     primes.sort()
     return primes
 
@@ -568,7 +545,7 @@ def _exact_cover(primes, n) -> Optional[Tuple[List[Tuple[int, int]], list]]:
     return [primes[i] for i in picks], terms
 
 
-def _greedy_cover(primes, minterms, n) -> List[Tuple[int, int]]:
+def _greedy_cover(primes, region: int, n) -> List[Tuple[int, int]]:
     """Repeatedly pick the prime of least (-minterms it newly covers,
     literals, cube).  A prime's gain only falls as others are picked, so
     a stale heap key is a lower bound: the popped prime is re-keyed, and
@@ -576,10 +553,7 @@ def _greedy_cover(primes, minterms, n) -> List[Tuple[int, int]]:
     import heapq  # deferred: only regions past the exact cover get here
 
     cells = _prime_cells(primes)
-    table = bytearray(((1 << n) + 7) >> 3)
-    for m in minterms:
-        table[m >> 3] |= 1 << (m & 7)
-    uncovered = int.from_bytes(table, "little")
+    uncovered = region
     heap = [(-(cells[i] & uncovered).bit_count(), n - mask.bit_count(), (bits, mask), i)
             for i, (bits, mask) in enumerate(primes)]
     heapq.heapify(heap)
@@ -613,26 +587,13 @@ def _greedy_cover(primes, minterms, n) -> List[Tuple[int, int]]:
     return [primes[i] for i in kept]
 
 
-def _minterms(labels, n: int) -> List[int]:
-    """The labels' masks in the order's label table.  Raises OutOfRange
-    naming the least label that is not an order-n label (text first, the
-    rest by repr)."""
-    table = _skeleton(n).masks
-    try:
-        return [table[label] for label in labels]
-    except (KeyError, TypeError):  # TypeError: an unhashable label
-        bad = [label for label in labels if not isinstance(label, str) or label not in table]
-        raise errors.OutOfRange("bad minterm label %r for order %d"
-                                % (min(bad, key=errors.naming_key), n)) from None
-
-
-def _cover(values: List[int], n: int) -> SopExpression:
-    primes = _prime_implicants(values, n)
+def _cover(region: int, n: int) -> SopExpression:
+    primes = _prime_implicants(region, n)
     cover = _exact_cover(primes, n) if n <= EXACT_COVER_LIMIT else None
     if cover is not None:
         cubes, terms = cover
         return SopExpression._from_cubes(n, cubes, True, terms)
-    return SopExpression._from_cubes(n, _greedy_cover(primes, values, n), False)
+    return SopExpression._from_cubes(n, _greedy_cover(primes, region, n), False)
 
 
 def minimize(minterms: Iterable[str], n: int) -> SopExpression:
@@ -704,10 +665,10 @@ def generate_rules(kb, approx: Mapping[str, ApproximationSets],
     a label in two of them; ``approx`` that is not a mapping of disease
     names to regions, and ``kinds`` that are not a collection of kind
     names, raise OutOfRange.  Each stored region a rule needs is read once,
-    in rule order, into masks (OutOfRange names its least malformed label)
-    whose cfs are summed per vd (DanglingLabel names its least undecided).
-    An upper region joins its lower region's and the boundary's, and the
-    rule's measures come from those sums.
+    in rule order, into one int over masks (OutOfRange names its least
+    malformed label) whose cfs are summed per vd (DanglingLabel names its
+    least undecided).  An upper region is its lower region's int ORed with
+    the boundary's, and the rule's measures join their sums.
 
     A rule whose disease has zero mass, or whose source labels carry no
     mass at its truth value (a possible-rule region that is all
@@ -731,16 +692,17 @@ def generate_rules(kb, approx: Mapping[str, ApproximationSets],
         mass = masses.get(disease, metrics._NO_MASS)[0]
         stored = {}
         for part in needed:
-            values = _minterms(getattr(sets, part), kb.n)
-            stored[part] = values, metrics._vd_sums(kb, values, disease, masses)
+            region = _minterms(getattr(sets, part), kb.n)
+            stored[part] = region, metrics._vd_sums(kb, region, disease, masses)
         for kind in kinds:
-            for region, parts, vd in _REGIONS[kind]:
-                labels = getattr(sets, region)
+            for name, parts, vd in _REGIONS[kind]:
+                labels = getattr(sets, name)
                 if not labels:
                     continue
-                read = [stored[part] for part in parts]
-                condition = _cover([m for values, _ in read for m in values], kb.n)
-                sums = [fsum(vd_sums) for vd_sums in zip(*[s for _, s in read])]
+                # the parts are disjoint, so their sum is their union
+                regions, vd_sums = zip(*[stored[part] for part in parts])
+                condition = _cover(sum(regions), kb.n)
+                sums = [fsum(by_part) for by_part in zip(*vd_sums)]
                 rules.append(MinimizedRule(condition, disease, vd, kind, labels,
                                            metrics.measure(vd, sums, mass)))
     rules.sort(key=lambda r: (

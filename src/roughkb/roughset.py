@@ -14,12 +14,16 @@ construction, when it was built.
 All outputs are value-semantic: incremental maintenance returns new
 ``ApproximationSets``, leaving the input intact, so that any edit
 sequence can be replayed and compared against a from-scratch rebuild.
+The updates work on the three stored regions as sets, without a
+label -> vd map: an addition unions each region with its new labels and
+a removal takes the removed labels out of each, so an update costs the
+changed labels and a copy of the regions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from . import errors
 from ._record import Record, set_field
@@ -118,12 +122,6 @@ class ApproximationSets(Record):
     def boundary2(self) -> FrozenSet[str]:
         return self.boundary1
 
-    def _vd_map(self) -> Dict[str, TruthValue]:
-        """Each placed label's truth value, as ``from_vd_map`` takes it."""
-        return {**dict.fromkeys(self.lower2, TruthValue.ABSENT),
-                **dict.fromkeys(self.lower1, TruthValue.PRESENT),
-                **dict.fromkeys(self.boundary1, TruthValue.INCONCLUSIVE)}
-
     @classmethod
     def from_vd_map(cls, vd_by_label) -> "ApproximationSets":
         """Build the regions from a label -> vd mapping; anything but a
@@ -218,16 +216,18 @@ def on_decisions_added(a: ApproximationSets,
         OutOfRange: an item is not a (label, vd) pair, a label is not
             hashable, or a vd is not 0, 1 or 2.
     """
-    vds = a._vd_map()
     try:
         added = [(_label(label), _vd(vd)) for label, vd in added]
     except (TypeError, ValueError):
         raise errors.OutOfRange("decisions added must be (label, vd) pairs") from None
+    regions = (a.lower2, a.lower1, a.boundary1)  # by vd
+    fresh: Tuple[Set[str], ...] = (set(), set(), set())
     for label, vd in sorted(added, key=lambda pair: errors.naming_key(pair[0])):
-        if label in vds:
+        if any(label in placed for placed in regions + fresh):
             raise errors.AlreadyPresent("label %r already placed" % (label,))
-        vds[label] = vd
-    return ApproximationSets.from_vd_map(vds)
+        fresh[vd].add(label)
+    absent, present, open_ = [region | new for region, new in zip(regions, fresh)]
+    return ApproximationSets._disjoint(present, absent, open_)
 
 
 def on_decisions_removed(a: ApproximationSets,
@@ -239,12 +239,11 @@ def on_decisions_removed(a: ApproximationSets,
         OutOfRange: ``removed`` is a str, or not a collection of
             hashable labels.
     """
-    vds = a._vd_map()
     removed = _labels(removed, "labels removed must be a collection of labels")
     for label in sorted(removed, key=errors.naming_key):
         a.vd_of(label)  # a label in no region raises there
-        del vds[label]
-    return ApproximationSets.from_vd_map(vds)
+    return ApproximationSets._disjoint(a.lower1 - removed, a.lower2 - removed,
+                                       a.boundary1 - removed)
 
 
 def on_truth_changed(a: ApproximationSets, label: str,

@@ -17,9 +17,9 @@ from roughkb import errors
 from roughkb.evidence import TruthTriple
 from roughkb.kbio import build_from_document, load_kb, parse_evidence, serialize_kb
 from roughkb.lattice import (DEFAULT_ORDER_CAP, ConditionEdit, DropDecision, Fact, Lattice,
-                             LatticeNode, SetDecision, _build_structure, _skeleton, build_kb,
-                             check_structure, delete_fact, facts_of, insert_fact, level_of,
-                             modify_node)
+                             LatticeNode, SetDecision, _bit_positions, _build_structure,
+                             _minterms, _skeleton, build_kb, check_structure, delete_fact,
+                             facts_of, insert_fact, level_of, modify_node)
 from roughkb.minimizer import SopExpression, generate_rules, minimize
 from roughkb.propagation import DecisionEntry, PriorityConfig, propagate
 
@@ -149,6 +149,18 @@ def test_a_cold_skeleton_is_one_label_table_without_frozensets(monkeypatch):
         facts = table.fact_ids[mask]
         assert facts == tuple(sorted(facts_of(label)))
     assert len(table.labels) == len(table.fact_ids) == 1 << n
+
+
+def test_a_region_reads_into_one_int_over_masks_and_back():
+    rng = seeded(3141)
+    for n in range(1, 9):
+        labels = _skeleton(n).labels
+        chosen = rng.sample(labels, rng.randrange(len(labels) + 1))
+        region = _minterms(chosen + chosen[:3], n)  # a repeat sets no new bit
+        assert region == sum(1 << int(label, 2) for label in chosen)
+        assert [labels[mask] for mask in _bit_positions(region)] == sorted(chosen)
+    with pytest.raises(errors.OutOfRange, match="^bad minterm label '0x1' for order 3$"):
+        _minterms(["001", "1", "0x1"], 3)
 
 
 def test_edits_leave_the_cached_skeletons_intact():

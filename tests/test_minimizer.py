@@ -12,7 +12,7 @@ import expected_lbp as X
 import oracles
 from conftest import random_kb, seeded
 from roughkb import errors, kbio, minimizer, roughset
-from roughkb.lattice import DEFAULT_ORDER_CAP
+from roughkb.lattice import DEFAULT_ORDER_CAP, _minterms
 from roughkb.minimizer import (EXACT_COVER_LIMIT, SopExpression,
                                _greedy_cover, _prime_implicants, _spread,
                                generate_rules, minimize)
@@ -374,7 +374,7 @@ def test_spent_budget_falls_back_to_greedy(monkeypatch):
     values = [int(label, 2) for label in labels]
     exact = minimize(labels, 7)
     greedy = SopExpression._from_cubes(
-        7, _greedy_cover(_prime_implicants(values, 7), values, 7), False)
+        7, _greedy_cover(_prime_implicants(_region(values), 7), _region(values), 7), False)
     assert exact.terms != greedy.terms
     # every budget below the nodes the search needs gives the greedy cover
     for budget in range(1000):
@@ -407,6 +407,14 @@ def test_rules_record_which_cover_they_got(monkeypatch):
 
 # --- prime implicants and pinned covers -------------------------------------
 
+def _region(cells):
+    """A collection of minterms as the int over masks the minimizer takes."""
+    region = 0
+    for cell in cells:
+        region |= 1 << cell
+    return region
+
+
 def _oracle_primes(cells, n):
     labels = {format(c, "0%db" % n) for c in cells}
     cubes = oracles.exhaustive_primes(labels, n)
@@ -418,7 +426,7 @@ def _oracle_primes(cells, n):
 def test_primes_match_exhaustive_search_at_order_three():
     for region in range(2 ** 8):
         cells = [c for c in range(8) if region >> c & 1]
-        assert _prime_implicants(cells, 3) == _oracle_primes(cells, 3)
+        assert _prime_implicants(_region(cells), 3) == _oracle_primes(cells, 3)
 
 
 def test_primes_match_exhaustive_search_at_orders_four_and_five():
@@ -427,7 +435,7 @@ def test_primes_match_exhaustive_search_at_orders_four_and_five():
         for _ in range(25):
             density = rng.random()
             cells = [c for c in range(2 ** n) if rng.random() < density] or [0]
-            assert _prime_implicants(cells, n) == _oracle_primes(cells, n)
+            assert _prime_implicants(_region(cells), n) == _oracle_primes(cells, n)
 
 
 def _kernel_regions():
@@ -446,7 +454,7 @@ def _kernel_regions():
 
 def test_primes_match_the_level_sweep_at_orders_one_to_twelve():
     for n, cells in _kernel_regions():
-        assert _prime_implicants(cells, n) == oracles.level_sweep_primes(cells, n), n
+        assert _prime_implicants(_region(cells), n) == oracles.level_sweep_primes(cells, n), n
 
 
 @pytest.mark.parametrize("block_digits", [1, 2, 3])
@@ -456,7 +464,7 @@ def test_primes_match_the_level_sweep_across_many_blocks(monkeypatch, block_digi
     monkeypatch.setattr(minimizer, "_BLOCK_DIGITS", block_digits)
     for n, cells in _kernel_regions():
         if n <= 8:
-            assert (_prime_implicants(cells, n)
+            assert (_prime_implicants(_region(cells), n)
                     == oracles.level_sweep_primes(cells, n)), n
 
 
@@ -467,7 +475,7 @@ def test_primes_match_the_level_sweep_on_knowledge_base_regions(n):
         sets = roughset.approximations(kb, disease)
         for region in ("lower1", "lower2", "boundary1", "upper1", "upper2"):
             cells = sorted(int(label, 2) for label in getattr(sets, region))
-            assert (_prime_implicants(cells, n)
+            assert (_prime_implicants(_region(cells), n)
                     == oracles.level_sweep_primes(cells, n)), (disease, region)
 
 
@@ -504,7 +512,7 @@ def test_primes_of_sparse_regions_match_a_brute_force_merge(n):
     rng = random.Random(8000 + n)
     for density in (0.01, 0.04, 0.1):
         cells = [c for c in range(2 ** n) if rng.random() < density] or [rng.randrange(2 ** n)]
-        primes = _prime_implicants(cells, n)
+        primes = _prime_implicants(_region(cells), n)
         assert primes == _merged_primes(cells, n), (n, density)
         if n == 8:
             assert primes == _oracle_primes(cells, n)
@@ -531,12 +539,13 @@ def _submasks(mask):
     lambda n: st.tuples(st.just(n), st.sets(st.integers(0, 2 ** n - 1)))))
 def test_primes_match_exhaustive_search_up_to_order_six(case):
     n, cells = case
-    assert _prime_implicants(sorted(cells), n) == _oracle_primes(cells, n)
+    assert _prime_implicants(_region(sorted(cells)), n) == _oracle_primes(cells, n)
 
 
 def test_primes_ignore_repeated_and_unordered_minterms():
-    cells = [5, 1, 7, 5, 3, 1]
-    assert _prime_implicants(cells, 3) == _prime_implicants(sorted(set(cells)), 3)
+    # a region is read into one int, which has no order and no repeats
+    labels = ["101", "001", "111", "101", "011", "001"]
+    assert _minterms(labels, 3) == _minterms(sorted(set(labels)), 3) == _region([5, 1, 7, 3])
 
 
 _PINNED_DENSITIES = {3: (0.1, 0.25, 0.5, 0.75, 0.9),
@@ -577,7 +586,7 @@ def _greedy_regions():
 def test_greedy_covers_are_pinned():
     digest = hashlib.sha256()
     for n, cells in _greedy_regions():
-        cubes = _greedy_cover(_prime_implicants(cells, n), cells, n)
+        cubes = _greedy_cover(_prime_implicants(_region(cells), n), _region(cells), n)
         digest.update(str(SopExpression._from_cubes(n, cubes, False)).encode("utf-8")
                       + b"\n")
     assert digest.hexdigest() == GREEDY_COVERS_SHA
@@ -592,11 +601,11 @@ def test_covers_are_pinned():
 
 def test_full_region_at_order_fourteen():
     n = 14
-    assert _prime_implicants(range(2 ** n), n) == [(0, 2 ** n - 1)]
+    assert _prime_implicants(_region(range(2 ** n)), n) == [(0, 2 ** n - 1)]
     assert str(minimize(_all_labels(n), n)) == "TRUE"
 
 
 def test_parity_region_at_order_fourteen_has_only_minterm_primes():
     n = 14
     even = [v for v in range(2 ** n) if bin(v).count("1") % 2 == 0]
-    assert _prime_implicants(even, n) == [(v, 0) for v in even]
+    assert _prime_implicants(_region(even), n) == [(v, 0) for v in even]

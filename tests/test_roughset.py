@@ -87,6 +87,14 @@ def test_added_labels_route_to_their_regions():
         on_decisions_added(s2, [("01", 0)])
 
 
+def test_a_label_repeated_within_one_batch_is_already_placed():
+    s = ApproximationSets.from_vd_map({"10": 0})
+    before = (s.lower1, s.lower2, s.boundary1)
+    with pytest.raises(errors.AlreadyPresent, match="^label '01' already placed$"):
+        on_decisions_added(s, [("01", 1), ("01", 0)])
+    assert (s.lower1, s.lower2, s.boundary1) == before == (frozenset(), {"10"}, frozenset())
+
+
 def test_removed_labels_leave_every_region():
     s = ApproximationSets.from_vd_map({"01": 1, "10": 0, "11": 2})
     s2 = on_decisions_removed(s, ["11", "01"])

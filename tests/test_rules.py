@@ -72,6 +72,17 @@ def test_hand_built_regions_raise_at_their_rule(approx, kinds, error, message):
     assert str(caught.value) == message
 
 
+def test_a_malformed_label_fails_alike_in_rules_and_property_checks():
+    # both read a region through lattice._minterms
+    approx = {"ANK": _sets(lower1={"001", "0x1", "100"})}
+    raised = []
+    for run in (generate_rules, metrics.check_properties):
+        with pytest.raises(errors.KbError) as caught:
+            run(_kb(), approx)
+        raised.append((type(caught.value), str(caught.value)))
+    assert raised == [(errors.OutOfRange, "bad minterm label '0x1' for order 3")] * 2
+
+
 # prints what generate_rules and check_properties raise on a region of two
 # undecided labels, 000 and 010
 _TWO_UNDECIDED = """
