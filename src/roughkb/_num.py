@@ -10,31 +10,29 @@ never enter the pipeline.  Two distinct rounding rules exist on purpose:
 * :func:`render` produces decimal strings for files and terminals using
   round-half-even, and never feeds back into arithmetic.
 
-The kernels work on the integer numerator and denominator of a value
+Derivation works on the integer numerator and denominator of a value
 rather than through Fraction operators, each of which normalizes its
 result with a gcd and dispatches on the operand types.  ``publish2(x)``
 is ``floor((200*num + den) / (2*den)) / 100``, ``render`` takes
 ``divmod(|num| * 10**places, den)`` and settles a tie by comparing twice
 the remainder with ``den``, and :func:`fsum` adds over one running lcm
 denominator, widened only by a denominator that does not divide it, and
-builds a single Fraction at the end.  The kernels of ``propagation``
-take integer records rather than Fractions: each
-(label, disease) entry, and each piece of direct evidence, is turned
-once into ``(vd, cf numerator, cf denominator, truth record)``, the
-truth record being the triple's three numerators over one common
-denominator.  ``_level2`` and ``_cf_multi`` put a node's carrier
-credibilities on one denominator and compute the truth value, the gate
-test, each weighted term and the clamped, published result on those
-integers; ``_step`` merges direct evidence with that result on one
-denominator too; ``_mean_triple`` sums the truth records over one
-denominator.  Each result is a record's cf, in lowest terms or over 100
-in the two-decimal mode.  The kernels take the lcm of the records'
-denominators only when they differ; above level 2 of a two-decimal
-build (whose derived records keep the denominator 100) they add the
-numerators as they are.  No kernel builds a Fraction: ``derive`` keeps
-a value table for the call, keyed by records, so each distinct triple
-and each distinct entry of a disease, with its cf, is built once (a
-value over 100 takes the shared hundredths).  Every result is the same
+builds a single Fraction at the end.  ``propagation.derive`` takes
+integer records rather than Fractions: each (mask, disease) entry, and
+each piece of direct evidence, is turned once into ``(vd, cf numerator,
+cf denominator, truth record)``, the truth record being the triple's
+three numerators over one denominator.  Its loop folds a node on those
+integers: the carriers' credibilities on their common denominator (the
+lcm only when they differ; records derived in the two-decimal mode keep
+the denominator 100), the truth value, the gate test, each weighted
+term and the clamped, published result, the merge with direct evidence
+over one denominator, and the truth records' sums over a running lcm,
+as in ``fsum``.  Each result is a record's cf, in lowest terms or over
+100 in the two-decimal mode.  No Fraction is built per node: ``derive``
+keeps a value table for the call, keyed by records, so each distinct
+triple and each distinct entry of a disease, with its cf, is built
+once, by :func:`ratio` (one gcd, past Fraction's constructor), or from
+the shared hundredths for a value over 100.  Every result is the same
 exact rational the operator form gives, and the entry is built by
 ``DecisionEntry._checked``, which assigns the values without validating
 them again.
@@ -42,13 +40,13 @@ them again.
 :func:`parse_rational` is the one parser of number tokens read from
 files and the command line, and :func:`frac` sends every string through
 it too.  It reads the serializer's ``D.DD`` and ``D.DDDDDD`` tokens
-without its pattern and builds their Fraction with one gcd; every other
+without its pattern and builds their Fraction by :func:`ratio`; every other
 token goes through the pattern (``_parse_general``), which accepts and
 refuses each token as the fast path does.  :func:`parse_int` is the one
 parser of their integer tokens.  Both read ASCII digits only.
 :class:`Converted` converts each distinct key once: ``load_kb`` keeps
-its token tables in it, and the ``w=`` renderer of ``kbio`` its item
-texts.
+its number, ``vd=`` and weight-item tables in it, and the ``w=``
+renderer of ``kbio`` its item texts.
 """
 
 from __future__ import annotations
@@ -94,13 +92,17 @@ def parse_rational(token: str) -> Fraction:
     if scale and token[1] == "." and token.isascii():
         digits = token[0] + token[2:]
         if digits.isdigit():
-            # Fraction(num, scale) with one gcd, past Fraction's type dispatch
-            num = int(digits)
-            g = gcd(num, scale)
-            value = object.__new__(Fraction)
-            value._numerator, value._denominator = num // g, scale // g
-            return value
+            return ratio(int(digits), scale)
     return _parse_general(token)
+
+
+def ratio(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` of ints with ``den > 0``, by one gcd, past
+    Fraction's type dispatch and normalization."""
+    g = gcd(num, den)
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num // g, den // g
+    return value
 
 
 def _parse_general(token: str) -> Fraction:

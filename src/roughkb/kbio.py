@@ -47,7 +47,7 @@ from .lattice import (DropDecision, Fact, Lattice, SetDecision, _check_order, _s
 # bench/tracing.py wraps this name to count the nodes a skeleton builds
 from .lattice import _build_structure  # noqa: F401
 from .minimizer import generate_rules
-from .propagation import _NAME_RE, DecisionEntry, PriorityConfig, propagate
+from .propagation import _NAME_RE, DecisionEntry, PriorityConfig, _totals, propagate
 from .roughset import approximations
 
 FORMAT_NAME = "roughkb-kb"
@@ -455,13 +455,8 @@ def _weights_texts(priorities: PriorityConfig, n: int) -> Dict[str, List[str]]:
         # total -> each fact's item text by fact id, under the row
         items = Converted(lambda total: ["f%d:%s" % (f, _ratio(p, total))
                                          for f, p in enumerate(row)])
-        # each mask's total: the masks with fact f's bit are those below
-        # it, each plus row[f]
-        totals = [0]
-        for p in row[1:]:
-            totals += [total + p for total in totals]
         out = [",".join(map(items[total].__getitem__, facts))
-               for total, facts in zip(totals, fact_ids)]
+               for total, facts in zip(_totals(row), fact_ids)]
         out[0] = "-"
         for facts, (prio, total) in scoped.items():
             out[sum(1 << (f - 1) for f in facts)] = ",".join(
@@ -478,13 +473,15 @@ def serialize_kb(kb: Lattice) -> str:
 
     Credibilities and truth components render as decimals at the mode's
     precision; the gate stays an exact rational, and so do the per-fact
-    weights, read from ``_weights_texts``.  Each number and truth triple
-    the lattice holds is rendered once per call, keyed by its identity:
-    entries and triples are shared values, so few are distinct.
+    weights, read from ``_weights_texts``.  Each entry's line up to its
+    ``w=`` text, and each number and truth triple in it, is rendered once
+    per call, keyed by its identity: entries and triples are shared
+    values, so few are distinct.
     """
     places = _decimals(kb.round2)
     numbers: Dict[int, str] = {}
     triples: Dict[int, str] = {id(None): "-"}
+    prefixes: Dict[int, str] = {}
     w_texts = _weights_texts(kb.priorities, kb.n)
 
     def number(x) -> str:
@@ -511,9 +508,12 @@ def serialize_kb(kb: Lattice) -> str:
         decisions = stored.get(mask, {})
         for disease in sorted(decisions):
             entry = decisions[disease]
-            lines.append("decision %s vd=%d cf=%s tv=%s w=%s"
-                         % (disease, entry.vd, number(entry.cf),
-                            triple(entry.tv), w_texts[disease][mask]))
+            prefix = prefixes.get(id(entry))
+            if prefix is None:
+                prefix = prefixes[id(entry)] = ("decision %s vd=%d cf=%s tv=%s w="
+                                                % (disease, entry.vd, number(entry.cf),
+                                                   triple(entry.tv)))
+            lines.append(prefix + w_texts[disease][mask])
     return "\n".join(lines) + "\n"
 
 
@@ -646,29 +646,46 @@ def load_kb(text: str) -> Lattice:
     return Lattice(facts.values(), decisions, alpha=alpha, priorities=priorities, round2=round2)
 
 
+class _Credibilities(dict):
+    """cf token -> its credibility, read and checked to lie in [0, 1] on a
+    miss.  A token it refuses raises ValueError and is not kept."""
+
+    def __missing__(self, token: str) -> Fraction:
+        cf = parse_rational(token)
+        if not 0 <= cf.numerator <= cf.denominator:
+            raise ValueError(token)
+        self[token] = cf
+        return cf
+
+
+class _Truths(dict):
+    """tv token -> its truth triple, None for ``-``: on a miss the token's
+    three components are read from the shared number table ``numbers``.
+    A token it refuses raises and is not kept."""
+
+    def __init__(self, numbers: Converted):
+        super().__init__({"-": None})
+        self.numbers = numbers
+
+    def __missing__(self, token: str) -> TruthTriple:
+        numbers = self.numbers
+        tv1, tv2, tv3 = token.split("/")
+        tv = self[token] = tuple.__new__(TruthTriple, (numbers[tv1], numbers[tv2], numbers[tv3]))
+        return tv
+
+
 def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
                 priorities: PriorityConfig) -> Dict[int, Dict[str, DecisionEntry]]:
     """Read the node section, the text from offset ``start`` (line
     ``first_no``) on: each node's decision map, keyed by its label's mask.
 
-    The token tables hold only valid values: a converter raises for any
-    other token, and the first line a converter or a check refuses goes
-    to ``_refuse_node_line``.  A ``w=`` other than ``-`` or the canonical
+    There is one token table per field, and each reads a token once per
+    load.  The tables hold only valid values: a miss raises for any other
+    token, and the first line a table or a check refuses goes to
+    ``_refuse_node_line``.  A ``w=`` other than ``-`` or the canonical
     text is read as a map, which must equal the priorities' weights.
     """
     numbers = Converted(parse_rational)
-
-    def credibility(token: str) -> Fraction:
-        cf = numbers[token]
-        if not 0 <= cf.numerator <= cf.denominator:
-            raise ValueError(token)
-        return cf
-
-    def truth(token: str) -> Optional[TruthTriple]:
-        if token == "-":
-            return None
-        tv1, tv2, tv3 = token.split("/")
-        return tuple.__new__(TruthTriple, (numbers[tv1], numbers[tv2], numbers[tv3]))
 
     def weight_item(token: str) -> Tuple[int, Fraction]:
         ref, _, value = token.partition(":")
@@ -678,8 +695,9 @@ def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
         return int(ref[1:]), w
 
     vds = Converted(lambda token: TruthValue(parse_int(token)))
-    cfs = Converted(credibility)
-    triples = Converted(truth)
+    vds.update({"%d" % vd: vd for vd in TruthValue})
+    cfs = _Credibilities()
+    triples = _Truths(numbers)
     item = Converted(weight_item).__getitem__
     checked = DecisionEntry._checked
     w_texts = _weights_texts(priorities, n)
@@ -687,6 +705,7 @@ def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
     masks = table.masks
     names = set()
     maps: Dict[int, Dict[str, DecisionEntry]] = {}
+    entries: Dict[Tuple[str, str, str, str], DecisionEntry] = {}
     mask = decisions = None
     try:
         for match in _NODE_SECTION_RE.finditer(text, start):
@@ -698,7 +717,11 @@ def _read_nodes(text: str, start: int, first_no: Optional[int], n: int,
                     if not _NAME_RE.match(disease):
                         break
                     names.add(disease)
-                entry = checked(disease, vds[vd], cfs[cf], triples[tv])
+                # equal decisions of a disease are one entry, as derive makes them
+                entry = entries.get((disease, vd, cf, tv))
+                if entry is None:
+                    entry = entries[disease, vd, cf, tv] = checked(disease, vds[vd], cfs[cf],
+                                                                   triples[tv])
                 if w != "-" and w != w_texts[disease][mask]:
                     weights = dict(map(item, w.split(",")))
                     condition = table.fact_ids[mask]

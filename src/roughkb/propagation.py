@@ -16,10 +16,16 @@ order's table, and its predecessors are the masks less one bit.  Each
 predecessor's decisions are read once into integer records keyed by
 disease and mask, ``(vd, cf numerator, cf denominator, truth record)``,
 the truth record being the triple's three numerators over one
-denominator (None for no triple); only the level below is kept.  One
-step per node and disease, ``_step``, runs the level's kernel on those
-records and merges direct evidence, read into a record too, on
-integers: ``derive`` does no Fraction arithmetic.
+denominator (None for no triple); only the level below is kept.
+
+Each node and disease is folded in ``derive``'s own loop, on integers:
+one pass over the carriers (the predecessors that carry the disease, in
+ascending mask order) puts each cf on their common denominator, folds
+the prevailing-value chain, sums the three camps and sums the truth
+records; at level 3 and above one more pass gates, weighs and sums each
+fact's term, and at level 2 ``_level2`` applies the pairwise rule.
+Direct evidence, read into a record too, joins the truth sums and
+merges with the result.  ``derive`` does no Fraction arithmetic.
 
 Each call keeps a value table, dropped when it returns: one
 ``TruthTriple`` per distinct truth record, and per disease one
@@ -27,8 +33,8 @@ Each call keeps a value table, dropped when it returns: one
 repeat (the lattice of ``random_kb(random.Random(14), 14,
 round2=True)`` in ``tests/conftest.py`` holds 49,132 entries in 542
 objects), so equal triples and equal entries of a disease are one
-object, built once, and the kernels return integers that become a
-Fraction only then.
+object, built once, and a record's integers become a Fraction only
+then.
 """
 
 from __future__ import annotations
@@ -38,10 +44,10 @@ from collections import abc
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from . import errors
-from ._num import ZERO, Converted, frac
+from ._num import ZERO, Converted, frac, ratio
 from .evidence import TruthTriple, TruthValue
 
 TruthRecord = Tuple[int, int, int, int]
@@ -245,6 +251,16 @@ class PriorityConfig:
 _NO_TABLE = ({}, {})  # the table of a disease no priority names
 
 
+def _totals(row: List[int]) -> List[int]:
+    """Each mask's priority total under ``row``, the priorities by fact
+    id: the masks with fact f's bit are those below it, each plus
+    ``row[f]``."""
+    totals = [0]
+    for p in row[1:]:
+        totals += [total + p for total in totals]
+    return totals
+
+
 def _items(value, what: str):
     """The (key, value) pairs of a mapping, or of None as no pairs."""
     try:
@@ -260,7 +276,7 @@ def _pair(key, what: str, shape: str) -> tuple:
     return key
 
 
-# --- integer records ----------------------------------------------------------
+# --- integer records --------------------------------------------------------
 
 def _triple_record(tv: TruthTriple) -> Tuple[int, int, int, int]:
     """A truth triple as three numerators over one denominator."""
@@ -277,7 +293,7 @@ def _record(entry: DecisionEntry) -> Record:
     return entry.vd, num, den, None if tv is None else _triple_record(tv)
 
 
-# --- pairwise combination (level 2) -----------------------------------------
+# --- the pairwise rule (level 2) --------------------------------------------
 
 def _cf(num: int, den: int, round2: bool) -> Tuple[int, int]:
     """A nonnegative ``num / den`` clamped at 1, as a record's cf: published
@@ -292,15 +308,16 @@ def _cf(num: int, den: int, round2: bool) -> Tuple[int, int]:
 
 def _level2(carriers, facts: Iterable[int], prio: Mapping[int, int], total: int,
             gate: Fraction, round2: bool) -> Optional[Tuple[TruthValue, int, int]]:
-    """Truth value and credibility of a level-2 node, or None, in
-    ``_cf_multi``'s form.
+    """Truth value and credibility of a level-2 node as a record's, or None.
 
-    A carrier's term is its credibility times the weight ``prio[f] /
-    total`` of the fact it holds, on the carriers' common denominator.
-    Two terms that clear the gate add when the carriers agree and offset
-    when they do not, one carries alone, and None passes when neither
-    does.  Disagreeing carriers pass up the truth value of the higher
-    unweighted credibility; 0 against 2, or a tie, is inconclusive.
+    ``carriers`` lists ``(lacking fact, record)`` in ascending mask
+    order, and fact f weighs ``prio[f] / total``.  A carrier's term is
+    its credibility times the weight of the fact it holds, on the
+    carriers' common denominator.  Two terms that clear the gate add
+    when the carriers agree and offset when they do not, one carries
+    alone, and None passes when neither does.  Disagreeing carriers pass
+    up the truth value of the higher unweighted credibility; 0 against
+    2, or a tie, is inconclusive.
     """
     fa, (vd, na, da, _) = carriers[0]
     agree = True
@@ -333,13 +350,15 @@ def _level2(carriers, facts: Iterable[int], prio: Mapping[int, int], total: int,
     return (vd, *_cf(num, scale, round2))
 
 
+# --- the value table --------------------------------------------------------
+
 # every value publish2 gives in [0, 1], by its numerator over 100
 _HUNDREDTHS = tuple(Fraction(h, 100) for h in range(101))
 
 
 def _hundredths(h: int) -> Fraction:
     # a hand-edited file may hold a truth component outside [0, 1]
-    return _HUNDREDTHS[h] if 0 <= h <= 100 else Fraction(h, 100)
+    return _HUNDREDTHS[h] if 0 <= h <= 100 else ratio(h, 100)
 
 
 def _triple(record: TruthRecord) -> TruthTriple:
@@ -348,183 +367,9 @@ def _triple(record: TruthRecord) -> TruthTriple:
     if den == 100:
         parts = _hundredths(n1), _hundredths(n2), _hundredths(n3)
     else:
-        parts = Fraction(n1, den), Fraction(n2, den), Fraction(n3, den)
+        parts = ratio(n1, den), ratio(n2, den), ratio(n3, den)
     # tuple.__new__ skips TruthTriple's coercion of exact components
     return tuple.__new__(TruthTriple, parts)
-
-
-def _mean_triple(records: Sequence[TruthRecord], round2: bool,
-                 triples: Mapping[TruthRecord, TruthTriple]
-                 ) -> Tuple[TruthTriple, TruthRecord]:
-    """Component-wise mean of truth records, as a triple and its record.
-
-    Each component is summed as integers over the records' common
-    denominator (their lcm, unless they share one), and each mean is one
-    ratio of integers, published in the two-decimal mode.  The record is
-    in lowest terms, over 100 in that mode, so an equal mean gives an
-    equal record; the triple is the one ``triples`` (a ``Converted`` of
-    ``_triple``) holds for it, built the first time the record is met.
-    """
-    if not records:
-        raise errors.OutOfRange("need at least one triple to merge")
-    n1, n2, n3, dens = zip(*records)
-    den = dens[0]
-    if dens.count(den) == len(dens):
-        s1, s2, s3 = sum(n1), sum(n2), sum(n3)
-    else:
-        den = lcm(*dens)
-        s1 = s2 = s3 = 0
-        for a, b, c, d in records:
-            k = den // d
-            s1 += a * k
-            s2 += b * k
-            s3 += c * k
-    den *= len(records)
-    if round2:
-        half = 2 * den
-        record = ((200 * s1 + den) // half, (200 * s2 + den) // half,
-                  (200 * s3 + den) // half, 100)
-    else:
-        g = gcd(s1, s2, s3, den)
-        record = (s1 // g, s2 // g, s3 // g, den // g)
-    return triples[record], record
-
-
-# --- multi-constituent combination (level >= 3) -----------------------------
-
-
-def _cf_multi(carriers, facts: Iterable[int], prio: Mapping[int, int], total: int,
-              gate: Fraction, round2: bool) -> Optional[Tuple[TruthValue, int, int]]:
-    """Prevailing truth value and credibility at level >= 3, or None.
-
-    ``carriers`` lists ``(lacking fact, record)`` in ascending mask
-    order: every constituent is the node less one fact.  ``prio`` maps
-    the fact id of each of the node's ``facts`` to its integer priority
-    and ``total`` is their sum, so fact f weighs ``prio[f] / total``.
-
-    One pass puts every credibility on the carriers' common denominator
-    (their lcm, unless they share one), folds the prevailing-value chain
-    and sums each truth-value camp.  A fact's group credibility is
-    ``|top - (sum - top)|`` over the camps less the carrier that lacks it:
-    one camp keeps its sum, and with several the strongest is offset by
-    the rest.  Its term is that times its weight, gated and (in the
-    two-decimal mode) published as an integer ratio; the result is the
-    terms' sum over ``i - 1``, clamped at 1, as its numerator and
-    denominator: in lowest terms, or over 100 in the two-decimal mode.
-    It is None when no term clears the gate.
-    """
-    den = carriers[0][1][2]
-    for _, r in carriers:
-        if r[2] != den:
-            den = lcm(*[r[2] for _, r in carriers])
-            break
-    camps = [0, 0, 0]
-    lacking = {}
-    vd = top = None
-    for fid, (nxt, num, d, _) in carriers:
-        cf = num if d == den else num * (den // d)
-        camps[nxt] += cf
-        lacking[fid] = nxt, cf
-        # the chain carries the running maximum, so a later weaker entry
-        # cannot flip an established verdict; 0 against 2 is inconclusive
-        if vd is None:
-            vd, top = nxt, cf
-        elif nxt == vd or nxt + vd == 2:
-            if nxt != vd:
-                vd = TruthValue.INCONCLUSIVE
-            if cf > top:
-                top = cf
-        elif cf > top:
-            vd, top = nxt, cf
-        elif cf == top:
-            vd = TruthValue.INCONCLUSIVE
-    c0, c1, c2 = camps
-    grand = c0 + c1 + c2
-    # the strongest camp besides each one
-    others = (max(c1, c2), max(c0, c2), max(c0, c1))
-    # a term is g * p / scale, and it passes when g * p * gate_den > bar
-    scale = den * total
-    half = 2 * scale
-    gate_num, gate_den = gate.as_integer_ratio()
-    bar = gate_num * scale
-    acc = 0
-    ok = False
-    for fid in facts:
-        p = prio[fid]
-        # a fact no carrier lacks keeps every camp: g is |2 max - grand|
-        v, cf = lacking.get(fid, (0, 0))
-        rest = camps[v] - cf
-        other = others[v]
-        num = abs(2 * (rest if rest > other else other) - grand + cf) * p
-        if num * gate_den > bar:
-            ok = True
-            acc += (200 * num + scale) // half if round2 else num
-    if not ok:
-        return None
-    lower = len(facts) - 1
-    # in the two-decimal mode acc counts hundredths
-    return (vd, *_cf(acc, (100 if round2 else scale) * lower, round2))
-
-
-# --- per-node orchestration -------------------------------------------------
-
-def _step(disease: str, facts: Tuple[int, ...], carriers, truths: list,
-          prio: Tuple[Mapping[int, int], int], gate: Fraction, round2: bool,
-          ext: Optional[Record], triples: Mapping[TruthRecord, TruthTriple],
-          entries: Dict[Record, Tuple[DecisionEntry, Record]]
-          ) -> Optional[Tuple[DecisionEntry, Record]]:
-    """One node's entry for one disease and its record, or None.
-
-    ``carriers`` lists ``(lacking fact, record)`` for the predecessors
-    that carry the disease, in ascending mask order, and ``truths`` the
-    truth records among theirs; ``prio`` is the node's fact priorities
-    by fact id and their sum, and ``ext`` the record of the disease's
-    direct evidence for this node, if any.  The level's kernel gives the
-    lattice's (vd, cf), and ``ext`` merges with it on one denominator:
-    agreeing sides add; otherwise the stronger side less
-    the weaker passes up its truth value, and a tie is inconclusive at
-    the merged triple's third component.  Each cf is clamped into [0, 1]
-    and is the record's, over 100 in the two-decimal mode so that the
-    next level's kernels meet one denominator.  ``triples`` and
-    ``entries`` are the call's value table: the entry and record
-    returned are the ones ``entries`` holds for an equal record, made
-    the first time the record is met, so only then is the cf built as a
-    Fraction.
-    """
-    weights, total = prio
-    kernel = _cf_multi if len(facts) > 2 else _level2
-    base = kernel(carriers, facts, weights, total, gate, round2) if carriers else None
-    if ext is not None and ext[3] is not None:
-        truths.append(ext[3])
-    if base is None:
-        if ext is None:
-            return None
-        # the disease enters this node purely on direct evidence
-        vd, num, den, tv_record = ext
-        num, den = _cf(num, den, round2)
-    else:
-        vd, num, den = base
-        tv_record = _mean_triple(truths, round2, triples)[1] if truths else None
-        if ext is not None:
-            ext_vd, ext_num, ext_den, _ = ext
-            common = den if den == ext_den else lcm(den, ext_den)
-            own, other = num * (common // den), ext_num * (common // ext_den)
-            if vd == ext_vd:
-                num = own + other
-            elif own != other:
-                vd, num = (ext_vd, other - own) if other > own else (vd, own - other)
-            else:
-                vd, num, common = TruthValue.INCONCLUSIVE, 0, 1
-                if tv_record is not None:
-                    num, common = max(tv_record[2], 0), tv_record[3]
-            num, den = _cf(num, common, round2)
-    record = vd, num, den, tv_record
-    made = entries.get(record)
-    if made is None:
-        cf = _hundredths(num) if den == 100 else Fraction(num, den)
-        tv = None if tv_record is None else triples[tv_record]
-        made = entries[record] = DecisionEntry._checked(disease, vd, cf, tv), record
-    return made
 
 
 def _evidence(external, n: int) -> Dict[int, Dict[str, Record]]:
@@ -555,6 +400,12 @@ def _evidence(external, n: int) -> Dict[int, Dict[str, Record]]:
     return by_mask
 
 
+
+
+# the record of a carrier of no credibility
+_NO_CARRIER = (TruthValue.ABSENT, 0, 1, None)
+
+
 def derive(kb, masks: Iterable[int],
            external: Optional[Mapping[FrozenSet[int], Mapping[str, tuple]]] = None
            ) -> Dict[int, Dict[str, DecisionEntry]]:
@@ -575,11 +426,13 @@ def derive(kb, masks: Iterable[int],
     from .lattice import _skeleton  # lattice imports this module
     fact_ids = _skeleton(kb.n).fact_ids
     stored, gate, round2 = kb.decisions, kb.alpha, kb.round2
+    gate_num, gate_den = gate.as_integer_ratio()
     evidence = _evidence(external, kb.n)
 
-    def row(disease):  # a disease's priority row, and its scoped priorities by mask
+    def row(disease):  # priorities by fact id, totals by mask, scoped entries by mask
         glob, scoped = kb.priorities._row(disease, kb.n)
-        return glob, {sum(1 << (f - 1) for f in facts): hit for facts, hit in scoped.items()}
+        return glob, _totals(glob), {sum(1 << (f - 1) for f in facts): hit
+                                     for facts, hit in scoped.items()}
 
     rows = Converted(row)
     # the value table: a triple per truth record, per disease an entry per record
@@ -588,7 +441,7 @@ def derive(kb, masks: Iterable[int],
     fresh: Dict[int, Dict[str, DecisionEntry]] = {}
     below: Dict[str, Dict[int, Record]] = {}   # disease -> mask -> record, one level down
     below_masks = frozenset()                  # the masks whose records below holds
-    for _, run in groupby(masks, int.bit_count):
+    for level, run in groupby(masks, int.bit_count):
         run_nodes = []
         for mask in run:
             facts = fact_ids[mask]
@@ -605,25 +458,146 @@ def derive(kb, masks: Iterable[int],
         level_records: Dict[str, Dict[int, Record]] = {}
         for disease in sorted(diseases):
             records = below.get(disease, {})
-            glob, scoped = rows[disease]
+            glob, totals, scoped = rows[disease]
             made = entries.setdefault(disease, {})
             made_records = {}
-            for mask, facts, preds, ext, out in run_nodes:
-                # the carriers and their truth records, in one pass
-                carriers, truths = [], []
-                for pm, f in preds.items():
-                    record = records.get(pm)
-                    if record is not None:
-                        carriers.append((f, record))
-                        if record[3] is not None:
-                            truths.append(record[3])
-                ext = ext.get(disease) if ext else None
-                if carriers or ext is not None:
-                    prio = scoped.get(mask) or (glob, sum(map(glob.__getitem__, facts)))
-                    step = _step(disease, facts, carriers, truths, prio,
-                                 gate, round2, ext, triples, made)
-                    if step is not None:
-                        out[disease], made_records[mask] = step
+            for mask, facts, preds, node_ext, out in run_nodes:
+                ext = node_ext.get(disease) if node_ext else None
+                # (lacking fact, record) of each predecessor that carries
+                # the disease, in ascending mask order
+                carriers = [(f, r) for pm, f in preds.items()
+                            if (r := records.get(pm)) is not None]
+                base = None
+                if carriers:
+                    if mask in scoped:
+                        prio, total = scoped[mask]
+                    else:
+                        prio, total = glob, totals[mask]
+                    # One pass over the carriers puts each cf on their
+                    # common denominator, folds the prevailing-value chain,
+                    # sums each truth-value camp, and sums the truth records
+                    # over the lcm of their denominators so far.  Direct
+                    # evidence joins the truth records' mean.
+                    den = carriers[0][1][2]
+                    for _, r in carriers:
+                        if r[2] != den:
+                            den = lcm(*[r[2] for _, r in carriers])
+                            break
+                    camps = [0, 0, 0]
+                    vd, top = carriers[0][1][0], -1
+                    t1 = t2 = t3 = count = 0
+                    tden = 1
+                    if ext is not None and ext[3] is not None:
+                        t1, t2, t3, tden = ext[3]
+                        count = 1
+                    for _, (v, cf, d, t) in carriers:
+                        if d != den:
+                            cf *= den // d
+                        camps[v] += cf
+                        # the chain carries the running maximum, so a later
+                        # weaker entry cannot flip an established verdict;
+                        # 0 against 2, or a tie, is inconclusive
+                        if v == vd or v + vd == 2:
+                            if v != vd:
+                                vd = TruthValue.INCONCLUSIVE
+                            if cf > top:
+                                top = cf
+                        elif cf > top:
+                            vd, top = v, cf
+                        elif cf == top:
+                            vd = TruthValue.INCONCLUSIVE
+                        if t is not None:
+                            a, b, c, e = t
+                            if e != tden:
+                                if tden % e:  # widen tden to the lcm
+                                    k = e // gcd(tden, e)
+                                    t1, t2, t3, tden = t1 * k, t2 * k, t3 * k, tden * k
+                                k = tden // e
+                                a, b, c = a * k, b * k, c * k
+                            t1, t2, t3 = t1 + a, t2 + b, t3 + c
+                            count += 1
+                    if level == 2:
+                        base = _level2(carriers, facts, prio, total, gate, round2)
+                    else:
+                        # Fact f's group credibility is |top - (sum - top)|
+                        # over the camps less the carrier that lacks f: one
+                        # camp keeps its sum, and with several the strongest
+                        # is offset by the rest.  Its term is that times the
+                        # weight prio[f] / total, over scale; a term passes
+                        # the gate when term * gate_den > bar.
+                        c0, c1, c2 = camps
+                        grand = c0 + c1 + c2
+                        # the strongest camp besides each one
+                        others = (c1 if c1 > c2 else c2, c0 if c0 > c2 else c2,
+                                  c0 if c0 > c1 else c1)
+                        scale = den * total
+                        half = 2 * scale
+                        bar = gate_num * scale
+                        acc = 0
+                        passed = False
+                        if len(carriers) < level:
+                            # a fact no carrier lacks keeps every camp, as if
+                            # lacked by a carrier of no credibility
+                            carriers += [(f, _NO_CARRIER) for pm, f in preds.items()
+                                         if pm not in records]
+                        for f, (v, cf, d, _) in carriers:
+                            if d != den:
+                                cf *= den // d
+                            rest = camps[v] - cf
+                            other = others[v]
+                            num = abs(2 * (rest if rest > other else other) - grand + cf) * prio[f]
+                            if num * gate_den > bar:
+                                passed = True
+                                acc += (200 * num + scale) // half if round2 else num
+                        if passed:
+                            # the terms' sum over level - 1; in the two-decimal
+                            # mode acc counts published hundredths
+                            base = (vd, *_cf(acc, (100 if round2 else scale) * (level - 1),
+                                             round2))
+                if base is None:
+                    if ext is None:
+                        continue
+                    # the disease enters this node purely on direct evidence
+                    vd, num, den, tv_record = ext
+                    num, den = _cf(num, den, round2)
+                else:
+                    vd, num, den = base
+                    tv_record = None
+                    if count:
+                        # the truth records' component-wise mean: published
+                        # over 100, or in lowest terms
+                        tden *= count
+                        if round2:
+                            half = 2 * tden
+                            tv_record = ((200 * t1 + tden) // half, (200 * t2 + tden) // half,
+                                         (200 * t3 + tden) // half, 100)
+                        else:
+                            g = gcd(t1, t2, t3, tden)
+                            tv_record = t1 // g, t2 // g, t3 // g, tden // g
+                    if ext is not None:
+                        # agreeing sides add; otherwise the stronger side
+                        # less the weaker passes up its truth value, and a
+                        # tie is inconclusive at the mean's third component
+                        ext_vd, ext_num, ext_den, _ = ext
+                        common = den if den == ext_den else lcm(den, ext_den)
+                        own, other = num * (common // den), ext_num * (common // ext_den)
+                        if vd == ext_vd:
+                            num = own + other
+                        elif own != other:
+                            vd, num = (ext_vd, other - own) if other > own else (vd, own - other)
+                        else:
+                            vd, num, common = TruthValue.INCONCLUSIVE, 0, 1
+                            if tv_record is not None:
+                                num, common = max(tv_record[2], 0), tv_record[3]
+                        num, den = _cf(num, common, round2)
+                record = vd, num, den, tv_record
+                entry = made.get(record)
+                if entry is None:
+                    # an exact-mode cf is in lowest terms, a two-decimal one over 100
+                    cf = _hundredths(num) if den == 100 else ratio(num, den)
+                    tv = None if tv_record is None else triples[tv_record]
+                    entry = made[record] = DecisionEntry._checked(disease, vd, cf, tv), record
+                out[disease], made_records[mask] = entry
             if made_records:
                 level_records[disease] = made_records
         below, below_masks = level_records, frozenset(node[0] for node in run_nodes)

@@ -1,12 +1,16 @@
 """Integer kernels against their Fraction forms and per-fact scans.
 
 The rendering, rounding and summing helpers in ``roughkb._num``, the
-integer ``_level2``, ``_cf_multi`` and ``_mean_triple``, the superset cone and
-the bitmask ``SopExpression`` each replace a slower form of the same
-exact computation.  These tests hold them to the forms they replaced.
+integer ``_level2``, the one-pass fold of a node above level 2 in
+``derive`` (its credibility and its truth mean), the superset cone and the
+bitmask ``SopExpression`` each replace a slower form of the same exact
+computation.  These tests hold them to the forms they replaced; the fold
+is run through ``derive`` on one node whose predecessors are stored by
+hand.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +18,11 @@ from hypothesis import strategies as st
 
 import oracles
 from roughkb import errors
-from roughkb._num import Converted, _parse_general, fsum, parse_rational, publish2, render
+from roughkb._num import _parse_general, fsum, parse_rational, publish2, render
 from roughkb.evidence import TruthTriple
-from roughkb.lattice import _cone, facts_of
+from roughkb.lattice import Fact, Lattice, _cone, facts_of
 from roughkb.minimizer import SopExpression
-from roughkb.propagation import (DecisionEntry, _cf_multi, _level2, _mean_triple, _record,
-                                 _triple, _triple_record)
+from roughkb.propagation import DecisionEntry, PriorityConfig, _level2, _record, derive
 
 F = Fraction
 
@@ -138,24 +141,45 @@ def test_level2_matches_the_reference_propagation(atomics, p1, p2, gate, mode):
                           else want[1].as_integer_ratio())
 
 
+def _mask(facts):
+    return sum(1 << (f - 1) for f in facts)
+
+
+def _derived(nodes, carriers, prio=None, gate=F(0), mode="exact", external=None):
+    """What ``derive`` gives each of ``nodes`` for ANK, one call for all,
+    when the predecessors ``carriers`` names by fact set hold the entries
+    given, under ANK's priorities ``prio`` by fact (1 where none is named),
+    the gate and the mode given, and the direct evidence ``external``."""
+    order = max(max(node) for node in nodes)
+    kb = Lattice([Fact(i, "a%d" % i, "yes") for i in range(1, order + 1)],
+                 {_mask(facts): {"ANK": entry} for facts, entry in carriers}, alpha=gate,
+                 priorities=PriorityConfig({("ANK", f): p for f, p in (prio or {}).items()}),
+                 round2=mode == "round2")
+    fresh = derive(kb, [_mask(node) for node in nodes], external)
+    return [fresh[_mask(node)].get("ANK") for node in nodes]
+
+
 def _agrees(node, carriers, prio, gate, mode):
-    """_cf_multi gives the prevailing value of the chain fold, and the cf
-    and pass flag of the per-fact scan."""
+    """The node's derived entry has the prevailing value of the chain fold
+    over its carriers in ascending mask order, and the cf and pass flag of
+    the per-fact scan."""
+    carriers = sorted(carriers, key=lambda carrier: _mask(carrier[0]))
     publish = _publish(mode)
     total = sum(prio.values())
     weights = {f: F(p, total) for f, p in prio.items()}
     pairs = [(facts, (int(e.vd), e.cf)) for facts, e in carriers]
     want_vd = oracles._fold_vd([pair for _, pair in pairs])
     want = oracles.reference_cf_multi(node, pairs, weights, gate, publish)
-    lacking = [(min(node - facts), _record(e)) for facts, e in carriers]
-    got = _cf_multi(lacking, node, prio, total, gate, mode == "round2")
+    (got,) = _derived([node], carriers, prio, gate, mode)
     if want is None:
         assert got is None
         return want
-    vd, num, den = got
-    assert (vd, F(num, den)) == (want_vd, want)
-    # the record's integers: lowest terms, or over 100 in the two-decimal mode
-    assert (num, den) == ((want * 100, 100) if mode == "round2" else want.as_integer_ratio())
+    assert (got.vd, got.cf) == (want_vd, want)
+    # the cf in lowest terms, on the hundredths in the two-decimal mode
+    assert type(got.cf) is F
+    assert got.cf.as_integer_ratio() == want.as_integer_ratio()
+    if mode == "round2":
+        assert (got.cf * 100).denominator == 1
     return want
 
 
@@ -243,19 +267,31 @@ components = st.one_of(st.fractions(-1, 2, max_denominator=400),
 triples = st.builds(TruthTriple, components, components, components)
 
 
+def _means(items, external, mode):
+    """The triples that ``derive`` gives, in one call, two nodes of level
+    k = max(3, len(items)) whose first predecessors in ascending mask
+    order carry ``items`` in that order, with ``external`` as direct
+    evidence on both: facts 1..k and 3..k+2, whose predecessors differ."""
+    k = max(3, len(items))
+    nodes = [frozenset(range(1, k + 1)), frozenset(range(3, k + 3))]
+    carriers = [(node - {f}, DecisionEntry("ANK", 1, F(1, 2), tv=item))
+                for node in nodes for f, item in zip(sorted(node, reverse=True), items)]
+    evidence = {node: {"ANK": (1, F(1, 2), external)} for node in nodes} if external else None
+    return [entry.tv for entry in _derived(nodes, carriers, mode=mode, external=evidence)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(triples, min_size=1, max_size=6), st.one_of(st.none(), triples),
        st.sampled_from(["exact", "round2"]))
 def test_mean_triple_matches_the_fraction_mean(items, external, mode):
-    items = items + ([external] if external else [])
-    table = Converted(_triple)
-    got, record = _mean_triple([_triple_record(t) for t in items], mode == "round2", table)
-    want = oracles.reference_mean_triple(items, _publish(mode))
+    got, twin = _means(items, external, mode)
+    want = oracles.reference_mean_triple(items + ([external] if external else []),
+                                         _publish(mode))
     assert got == want
     assert all(type(c) is F for c in got)
-    # the record is the same triple over one denominator, and keys it in the table
-    assert tuple(F(num, record[3]) for num in record[:3]) == got
-    assert table == {record: got}
+    # each component in lowest terms, and an equal mean is the call's one triple
+    assert all(gcd(c.numerator, c.denominator) == 1 for c in got)
+    assert twin is got
 
 
 @pytest.mark.parametrize("mode", ["exact", "round2"])
@@ -264,10 +300,8 @@ def test_mean_triple_publishes_exact_halves_up(mode, with_external):
     # means of 0.005, 0.125 and 0.995: a half at the third decimal each
     a = TruthTriple(F(1, 100), F(1, 4), F(1))
     b = TruthTriple(F(0), F(0), F(99, 100))
-    # direct evidence joins a node's mean as one more record, in any position
-    items = [b, a] if with_external else [a, b]
-    got = _mean_triple([_triple_record(t) for t in items], mode == "round2",
-                       Converted(_triple))[0]
+    # direct evidence joins a node's mean as one more record
+    got = (_means([a], b, mode) if with_external else _means([a, b], None, mode))[0]
     assert got == oracles.reference_mean_triple([a, b], _publish(mode))
     if mode == "round2":
         assert got == (F(1, 100), F(13, 100), F(1))

@@ -11,13 +11,11 @@ import oracles
 from conftest import (DISEASE_POOL, entries_with_triples, kb_from_atomics, random_atomics,
                       random_kb, random_priorities, seeded)
 from roughkb import errors
-from roughkb._num import Converted
 from roughkb.evidence import TruthTriple, TruthValue
 from roughkb.kbio import serialize_kb
 from roughkb.lattice import (Fact, Lattice, SetDecision, _cone, build_kb, facts_of, insert_fact,
                              modify_node)
-from roughkb.propagation import (DecisionEntry, PriorityConfig, _cf_multi, _mean_triple,
-                                 _record, _triple, _triple_record, derive, propagate)
+from roughkb.propagation import DecisionEntry, PriorityConfig, derive, propagate
 
 F = Fraction
 
@@ -221,12 +219,18 @@ def test_diff_vd_gate_keeps_the_surviving_side():
 
 # --- chains and multi-constituent credibility -------------------------------
 
+def _node3(decisions):
+    """The ANK entry that node {1, 2, 3} derives when its predecessors hold
+    the entries given by mask."""
+    kb = _small_kb(3, {mask: {"ANK": entry} for mask, entry in decisions.items()})
+    return derive(kb, [0b111])[0b111]["ANK"]
+
+
 def _chain(pairs):
     """The prevailing truth value of (vd, cf) pairs, carried in this order
     by the predecessors of node {1, 2, 3} that lack facts 3, 2 and 1."""
-    carriers = [(fid, _record(DecisionEntry("ANK", vd, cf)))
-                for fid, (vd, cf) in zip((3, 2, 1), pairs)]
-    return _cf_multi(carriers, frozenset({1, 2, 3}), {1: 1, 2: 1, 3: 1}, 3, F(0), False)[0]
+    return _node3({mask: DecisionEntry("ANK", vd, cf)
+                   for mask, (vd, cf) in zip((0b011, 0b101, 0b110), pairs)}).vd
 
 
 def test_vd_chain_case_law():
@@ -246,16 +250,14 @@ def test_vd_chain_case_law():
 
 def test_cf_multi_hand_example():
     # the constituents {1, 2}, {1, 3} and {2, 3} lack facts 3, 2 and 1
-    constituents = [
-        (3, _record(DecisionEntry("ANK", 1, F(3, 5)))),
-        (2, _record(DecisionEntry("ANK", 1, F(3, 10)))),
-        (1, _record(DecisionEntry("ANK", 0, F(1, 5)))),
-    ]
+    entry = _node3({0b011: DecisionEntry("ANK", 1, F(3, 5)),
+                    0b101: DecisionEntry("ANK", 1, F(3, 10)),
+                    0b110: DecisionEntry("ANK", 0, F(1, 5))})
     # equal priorities: every weight is 1/3
     # per-fact terms: 9/10 * 1/3, |3/5-1/5| * 1/3, |3/10-1/5| * 1/3
     # sum 7/15, averaged over (3 - 1)
-    assert _cf_multi(constituents, frozenset({1, 2, 3}), {1: 1, 2: 1, 3: 1}, 3, F(0), False) \
-        == (TruthValue.PRESENT, 7, 30)
+    assert (entry.vd, entry.cf) == (TruthValue.PRESENT, F(7, 30))
+    assert entry.cf.as_integer_ratio() == (7, 30)
 
 
 def test_carryover_single_gates():
@@ -284,18 +286,23 @@ def test_merge_external_cases():
 
 
 def test_mean_triple_is_a_mean():
-    r1 = _triple_record(TruthTriple(F(1, 2), F(1, 4), F(1, 4)))
-    r2 = _triple_record(TruthTriple(F(1, 4), F(1, 4), F(1, 2)))
-    table = Converted(_triple)
-    tv, record = _mean_triple([r1, r2], False, table)
+    t1 = TruthTriple(F(1, 2), F(1, 4), F(1, 4))
+    t2 = TruthTriple(F(1, 4), F(1, 4), F(1, 2))
+    # at order 5, node {1, 2, 3} reads t1 then t2 and node {3, 4, 5} t2
+    # then t1, from predecessors of no truth triple between them
+    entry = lambda tv: DecisionEntry("ANK", 1, F(1, 2), tv=tv)  # noqa: E731
+    kb = _small_kb(5, {mask: {"ANK": entry(tv)} for mask, tv in (
+        (0b00011, t1), (0b00101, t2), (0b00110, None),
+        (0b01100, t2), (0b10100, t1), (0b11000, None))})
+    fresh = derive(kb, [0b00111, 0b11100])
+    tv = fresh[0b00111]["ANK"].tv
     assert tv == TruthTriple(F(3, 8), F(1, 4), F(3, 8))
-    assert record == (3, 2, 3, 8)
-    # an equal mean is the table's one triple
-    again = _mean_triple([r2, r1], False, table)
-    assert again == (tv, record) and again[0] is tv
-    assert list(table) == [record]
-    with pytest.raises(errors.OutOfRange):
-        _mean_triple([], False, table)
+    assert [c.as_integer_ratio() for c in tv] == [(3, 8), (1, 4), (3, 8)]
+    # an equal mean is the call's one triple
+    assert fresh[0b11100]["ANK"].tv is tv
+    # no truth record, no mean
+    none = _small_kb(3, {mask: {"ANK": entry(None)} for mask in (0b011, 0b101, 0b110)})
+    assert derive(none, [0b111])[0b111]["ANK"].tv is None
 
 
 def test_external_evidence_merges_and_is_consumed():
@@ -475,6 +482,43 @@ def test_agreeing_atomics_pass_their_verdict_up():
         for label, node in kb.nodes.items():
             if node.level >= 1:
                 assert int(node.decisions["ANK"].vd) == vd, label
+
+
+# --- fact numbering ------------------------------------------------------------
+
+def _renumbering_changes(round2):
+    """(level >= 2 nodes compared, [(seed, label)] of those whose presence
+    or vd differs in some disease): seeded order-3 to order-6 KBs of two diseases, built
+    as given and again with their facts renumbered by a seeded
+    permutation, each node against its image."""
+    nodes, changed = 0, []
+    for seed in range(300):
+        rng = seeded(seed)
+        n = rng.randint(3, 6)
+        atomics = random_atomics(rng, n, DISEASE_POOL[:2])
+        perm = rng.sample(range(1, n + 1), n)   # fact f becomes fact perm[f - 1]
+        kb = kb_from_atomics(atomics, n, round2=round2)
+        moved = kb_from_atomics({perm[f - 1]: per for f, per in atomics.items()}, n,
+                                round2=round2)
+        for level in kb.levels[2:]:
+            for label in level:
+                image = sum(1 << (perm[f - 1] - 1) for f in facts_of(label))
+                nodes += 1
+                if ({d: e.vd for d, e in kb.decisions.get(int(label, 2), {}).items()}
+                        != {d: e.vd for d, e in moved.decisions.get(image, {}).items()}):
+                    changed.append((seed, label))
+    return nodes, changed
+
+
+@pytest.mark.parametrize("round2,count", [(False, 24), (True, 27)])
+def test_fact_numbering_moves_the_prevailing_value_at_pinned_nodes(round2, count):
+    """The prevailing-value chain folds a node's carriers in ascending mask
+    order, which is not order-free, so a KB's verdicts depend on how its
+    facts are numbered: pinned here, node count and one node by name."""
+    nodes, changed = _renumbering_changes(round2)
+    assert nodes == 7270
+    assert len(changed) == count
+    assert (11, "101111") in changed
 
 
 # --- the level loop against a node-by-node walk ------------------------------
